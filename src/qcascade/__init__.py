@@ -34,6 +34,7 @@ from .linalg import (
     duplication_matrix,
     is_hurwitz,
     quantum_psd_margin,
+    solve_cascade_lyapunov,
     solve_lyapunov,
     solve_sylvester,
     symmetric_matrix_function,

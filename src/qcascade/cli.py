@@ -11,6 +11,8 @@ A cascade spec file is a JSON document:
       "expected": { optional reference values for the reproduce command }
     }
 
+Keys outside this layout are refused.
+
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
 mc-check, ti-bounds, reproduce-paper. Every run writes ``report.json``
 into the output directory; some commands add CSV series or a balanced
@@ -112,12 +114,30 @@ def _as_matrix(obj: Any, path: str, shape: tuple[int, int]) -> np.ndarray:
     return mat
 
 
+SPEC_KEYS = frozenset(
+    {"field_channels", "oscillators", "uncertainty", "epsilon", "options", "expected"}
+)
+OSCILLATOR_KEYS = frozenset({"n", "R", "M", "theta"})
+UNCERTAINTY_KEYS = frozenset({"a", "b", "sigma"})
+
+
+def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise SchemaError(
+            f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
 def load_spec(path: str | Path) -> CascadeSpecFile:
     """Parse and validate a cascade spec file.
 
     Defaulting rules: missing theta becomes the canonical half form of
     the right order; missing epsilon becomes 1e-6. The energy matrix is
-    symmetrized after checking that its asymmetry stays below 1e-9.
+    symmetrized after checking that its asymmetry stays below 1e-9. A key
+    outside the schema raises :class:`SchemaError` instead of being
+    ignored, so a misspelt key never falls back to a default.
     """
     path = Path(path)
     try:
@@ -130,6 +150,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
+    _reject_unknown_keys(doc, SPEC_KEYS, "top level")
 
     m = doc.get("field_channels")
     if not isinstance(m, int) or m <= 0 or m % 2:
@@ -143,6 +164,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
         where = f"oscillators[{k}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: must be an object")
+        _reject_unknown_keys(entry, OSCILLATOR_KEYS, where)
         n = entry.get("n")
         if not isinstance(n, int) or n <= 0 or n % 2:
             raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
@@ -176,6 +198,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             where = f"uncertainty[{k}]"
             if not isinstance(entry, dict):
                 raise SchemaError(f"{where}: must be an object")
+            _reject_unknown_keys(entry, UNCERTAINTY_KEYS, where)
             if "sigma" in entry:
                 nk = oscillators[k].n
                 d = nk * (nk + 1) // 2 + m * nk

@@ -22,7 +22,13 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 from .covariance import invariant_covariance_direct
 from .errors import NonPositive, TooManyRejections
 from .gradients import GradientSet, covariance_derivatives
-from .linalg import HURWITZ_TOL, Matrix, duplication_matrix
+from .linalg import (
+    HURWITZ_TOL,
+    RESIDUAL_TOL,
+    Matrix,
+    duplication_matrix,
+    solve_cascade_lyapunov,
+)
 from .oscillator import CascadeModel
 
 MC_CHUNK = 2048
@@ -157,16 +163,6 @@ def _sigma_sqrt(sigma: Matrix) -> Matrix:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def _vech_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    cols = []
-    for j in range(n):
-        for i in range(j, n):
-            rows.append(i)
-            cols.append(j)
-    return np.asarray(rows), np.asarray(cols)
-
-
 def monte_carlo_variance(
     cascade: CascadeModel,
     uncertainty: UncertaintyModel,
@@ -178,20 +174,26 @@ def monte_carlo_variance(
 ) -> MonteCarloResult:
     """Sample variance of dV against the first-order prediction eps Z.
 
-    Draws de_k ~ N(0, eps Sigma_k) independently per oscillator, rebuilds
-    the composite model for every sample in vectorized chunks, solves the
-    Lyapunov equations in batch through Kronecker form and compares the
-    sample variance of dV with eps Z. Samples whose perturbed model is
-    unstable are rejected; more than one percent of rejections aborts.
+    Draws de_k ~ N(0, eps Sigma_k) independently per oscillator and
+    builds, in vectorized chunks, every sample's composite A and B from
+    the perturbed per-oscillator realizations: A_kk = 2 Theta_k (R_k +
+    M_k^T J M_k), B_k = 2 Theta_k M_k^T and A_jk = B_j C_k with
+    C_k = 2 J M_k below the diagonal. The Lyapunov equations
+    A P + P A^T + B B^T = 0 of a chunk are solved together by
+    :func:`solve_cascade_lyapunov`, and the sample variance of dV is
+    compared with eps Z.
+
+    A sample is rejected when a perturbed diagonal block is not Hurwitz,
+    when its P is not positive definite, or when its residual
+    certificate exceeds ``RESIDUAL_TOL``; more than one percent of
+    rejections aborts.
 
     Results are reproducible for a fixed (seed, samples, chunk) triple;
     the chunk size takes part in how the random stream is consumed.
     """
     n = cascade.n
-    nosc = cascade.n_oscillators
-    theta = cascade.theta
+    m = cascade.m
     j_ito = cascade.j_ito
-    eye = np.eye(n)
     p0 = invariant_covariance_direct(cascade)
     sign0, v0 = np.linalg.slogdet(p0)
     if sign0 <= 0:
@@ -199,13 +201,10 @@ def monte_carlo_variance(
     z_total = sensitivity_index(gradients, uncertainty).z_total
     predicted = epsilon * z_total
 
-    sqrt_factors = []
-    vech_idx = []
-    for k in range(nosc):
-        nk = cascade.dims[k]
-        sigma = uncertainty.oscillators[k].sigma_matrix(nk, cascade.m)
-        sqrt_factors.append(_sigma_sqrt(epsilon * sigma))
-        vech_idx.append(_vech_indices(nk))
+    sqrt_factors = [
+        _sigma_sqrt(epsilon * unc.sigma_matrix(nk, m))
+        for unc, nk in zip(uncertainty.oscillators, cascade.dims)
+    ]
 
     rng = np.random.default_rng(seed)
     deltas: list[np.ndarray] = []
@@ -213,62 +212,44 @@ def monte_carlo_variance(
     done = 0
     while done < samples:
         s_chunk = min(chunk, samples - done)
-        r_samples = []
-        m_samples = []
-        for k in range(nosc):
+        a_s = np.zeros((s_chunk, n, n))
+        b_s = np.zeros((s_chunk, n, m))
+        c_s = np.zeros((s_chunk, m, n))
+        stable = np.ones(s_chunk, dtype=bool)
+        for k, params in enumerate(cascade.params):
             nk = cascade.dims[k]
             d_r = nk * (nk + 1) // 2
-            d_all = d_r + cascade.m * nk
-            draw = rng.standard_normal((s_chunk, d_all)) @ sqrt_factors[k].T
-            rows, cols = vech_idx[k]
+            draw = rng.standard_normal((s_chunk, d_r + m * nk)) @ sqrt_factors[k].T
+            # vech order: column j of the lower triangle, rows i >= j
+            cols, rows = np.triu_indices(nk)
             dr = np.zeros((s_chunk, nk, nk))
             dr[:, rows, cols] = draw[:, :d_r]
             dr[:, cols, rows] = draw[:, :d_r]
-            dm = draw[:, d_r:].reshape(s_chunk, nk, cascade.m).transpose(0, 2, 1)
-            r_samples.append(cascade.params[k].r_energy + dr)
-            m_samples.append(cascade.params[k].m_coupling + dm)
-
-        r_full = np.zeros((s_chunk, n, n))
-        for k in range(nosc):
+            dm = draw[:, d_r:].reshape(s_chunk, nk, m).transpose(0, 2, 1)
+            m_k = params.m_coupling + dm
+            m_kt = m_k.transpose(0, 2, 1)
             bk = cascade.block(k)
-            r_full[:, bk, bk] = r_samples[k]
-            for jx in range(k + 1, nosc):
-                bj = cascade.block(jx)
-                blk = np.einsum(
-                    "sai,ab,sbj->sij", m_samples[jx], j_ito, m_samples[k]
-                )
-                r_full[:, bj, bk] = blk
-                r_full[:, bk, bj] = blk.transpose(0, 2, 1)
-        m_full = np.concatenate(m_samples, axis=2)
-        inner = np.einsum("sai,ab,sbj->sij", m_full, j_ito, m_full)
-        a_s = 2.0 * theta @ (r_full + inner)
-        b_s = 2.0 * theta @ m_full.transpose(0, 2, 1)
-        bbt = b_s @ b_s.transpose(0, 2, 1)
+            a_kk = 2.0 * params.theta @ (params.r_energy + dr + m_kt @ j_ito @ m_k)
+            stable &= np.max(np.linalg.eigvals(a_kk).real, axis=1) < -HURWITZ_TOL
+            a_s[:, bk, bk] = a_kk
+            b_s[:, bk] = 2.0 * params.theta @ m_kt
+            c_s[:, :, bk] = 2.0 * j_ito @ m_k
+            a_s[:, bk, : bk.start] = b_s[:, bk] @ c_s[:, :, : bk.start]
 
-        stable = np.ones(s_chunk, dtype=bool)
-        for k in range(nosc):
-            bk = cascade.block(k)
-            evs = np.linalg.eigvals(a_s[:, bk, bk])
-            stable &= np.max(evs.real, axis=1) < -HURWITZ_TOL
-
-        kmat = np.einsum("ac,sbd->sabcd", eye, a_s).reshape(s_chunk, n * n, n * n)
-        kmat += np.einsum("sac,bd->sabcd", a_s, eye).reshape(s_chunk, n * n, n * n)
-        vec_p = np.linalg.solve(
-            kmat[stable], -bbt[stable].reshape(-1, n * n)[:, :, None]
-        )[:, :, 0]
-        p_s = vec_p.reshape(-1, n, n)
-        p_s = 0.5 * (p_s + p_s.transpose(0, 2, 1))
-        sign, logdet = np.linalg.slogdet(p_s)
-        good = sign > 0
-        rejected += int(s_chunk - np.count_nonzero(stable)) + int(
-            np.count_nonzero(~good)
+        b_s = b_s[stable]
+        p_s, certificate = solve_cascade_lyapunov(
+            a_s[stable], b_s @ b_s.transpose(0, 2, 1), cascade.dims
         )
+        sign, logdet = np.linalg.slogdet(p_s)
+        good = (sign > 0) & (certificate <= RESIDUAL_TOL)
+        rejected += s_chunk - int(np.count_nonzero(good))
         deltas.append(logdet[good] - v0)
         done += s_chunk
 
     if rejected > MC_REJECTION_CAP * samples:
         raise TooManyRejections(
-            f"{rejected} of {samples} samples left the stability domain"
+            f"{rejected} of {samples} samples were rejected: unstable, "
+            "not positive definite or failing the residual certificate"
         )
     dv = np.concatenate(deltas)
     variance = float(np.var(dv, ddof=1)) if dv.size > 1 else 0.0

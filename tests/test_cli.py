@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import GENERATED_SPEC
-from qcascade.cli import build_cascade, load_spec, main
+from qcascade.cli import _spec_document_from_cascade, build_cascade, load_spec, main
 from qcascade.errors import DimensionMismatch, ParseError, SchemaError, SingularTheta
 
 
@@ -94,6 +94,37 @@ class TestLoadSpec:
         doc["field_channels"] = 5
         with pytest.raises(SchemaError, match="field_channels"):
             load_spec(write_spec(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            ((), "epsilom", "top level"),
+            ((), "optionz", "top level"),
+            (("oscillators", 1), "Theta", r"oscillators\[1\]"),
+            (("uncertainty", 2), "sigmma", r"uncertainty\[2\]"),
+        ],
+    )
+    def test_unknown_key_is_refused(self, tmp_path, path, key, where):
+        doc = read_example()
+        entry = doc
+        for step in path:
+            entry = entry[step]
+        entry[key] = 1.0
+        with pytest.raises(SchemaError, match=rf"{where}: unknown key '{key}'"):
+            load_spec(write_spec(tmp_path, doc))
+
+    @pytest.mark.parametrize("sigma_form", [False, True])
+    def test_written_spec_document_loads(self, tmp_path, reference_spec, sigma_form):
+        doc = _spec_document_from_cascade(reference_spec, build_cascade(reference_spec))
+        if sigma_form:
+            doc["uncertainty"] = [
+                {"sigma": u.sigma_matrix(2, 6).tolist()}
+                for u in reference_spec.uncertainty.oscillators
+            ]
+        doc["expected"] = {}
+        spec = load_spec(write_spec(tmp_path, doc))
+        assert len(spec.oscillators) == 3
+        assert spec.epsilon == reference_spec.epsilon
 
     def test_build_cascade_round_trip(self, reference_spec):
         cascade = build_cascade(reference_spec)
@@ -206,6 +237,17 @@ class TestExitCodes:
         doc["oscillators"][0]["R"] = [[0.1, 0.5], [0.2, 0.3]]
         path = write_spec(tmp_path, doc)
         assert main(["validate", str(path), "--out", str(tmp_path)]) == 1
+
+    def test_misspelt_keys_are_one(self, tmp_path, capsys):
+        doc = read_example()
+        doc["epsilom"] = 1e-3
+        doc["optionz"] = {"seed": 3}
+        path = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'epsilom'" in err and "'optionz'" in err
+        assert not (out / "report.json").exists()
 
     def test_validate_flags_unstable_oscillator(self, tmp_path, unstable_doc, capsys):
         path = write_spec(tmp_path, unstable_doc)

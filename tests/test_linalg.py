@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import make_cascade, make_oscillator
 from qcascade.balance import f_lambda
 from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
 from qcascade.linalg import (
     J2,
+    RESIDUAL_TOL,
     duplication_matrix,
     is_hurwitz,
     quantum_psd_margin,
+    solve_cascade_lyapunov,
     solve_lyapunov,
     solve_sylvester,
     sylvester_kron_solve,
@@ -21,6 +24,7 @@ from qcascade.linalg import (
     vech,
     vech_to_symmetric,
 )
+from qcascade.oscillator import assemble_cascade
 
 
 def rotation(phi):
@@ -117,6 +121,76 @@ class TestLyapunov:
         q = rng.standard_normal((6, 6))
         sigma = solve_lyapunov(a, q + q.T)
         assert np.array_equal(sigma, sigma.T)
+
+
+def refined_kron_lyapunov(a, q):
+    """Kronecker oracle plus one refinement step with an extended-precision residual.
+
+    On amplifying six-oscillator chains (cond P near 1e9) the plain dense
+    solve is off by up to 1e-9 relative; the refined one is exact to
+    round-off wherever long double is wider than double.
+    """
+    x = sylvester_kron_solve(a, a, q)
+    a_ext, x_ext = a.astype(np.longdouble), x.astype(np.longdouble)
+    residual = a_ext @ x_ext + x_ext @ a_ext.T + q.astype(np.longdouble)
+    return x + sylvester_kron_solve(a, a, residual.astype(float))
+
+
+def lyapunov_stack(cascades):
+    a = np.stack([c.a for c in cascades])
+    q = np.stack([c.b @ c.b.T for c in cascades])
+    return a, q
+
+
+class TestCascadeLyapunov:
+    def assert_matches_kron_oracle(self, cascades):
+        a, q = lyapunov_stack(cascades)
+        p, ratio = solve_cascade_lyapunov(a, q, cascades[0].dims)
+        assert p.shape == a.shape
+        assert ratio.shape == (len(cascades),)
+        assert np.all(ratio <= RESIDUAL_TOL)
+        for s, cascade in enumerate(cascades):
+            want = refined_kron_lyapunov(cascade.a, q[s])
+            assert np.linalg.norm(p[s] - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.array_equal(p[s], p[s].T)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("m", [2, 6])
+    @pytest.mark.parametrize("n_osc", [1, 2, 3, 6])
+    def test_agrees_with_kron_oracle(self, n_osc, m, batch):
+        rng = np.random.default_rng(1000 * n_osc + 10 * m + batch)
+        self.assert_matches_kron_oracle(
+            [make_cascade(rng, n_osc, m) for _ in range(batch)]
+        )
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_two_mode_oscillator_inside_chain(self, batch):
+        rng = np.random.default_rng(4000 + batch)
+        cascades = [
+            assemble_cascade(
+                [
+                    make_oscillator(rng, 2),
+                    make_oscillator(rng, 2, n=4),
+                    make_oscillator(rng, 2),
+                ]
+            )
+            for _ in range(batch)
+        ]
+        assert cascades[0].dims == (2, 4, 2)
+        self.assert_matches_kron_oracle(cascades)
+
+    def test_nonzero_block_above_diagonal_raises(self):
+        cascade = make_cascade(np.random.default_rng(5), 3, 2)
+        a, q = lyapunov_stack([cascade, cascade])
+        a[1, 1, 4] = 1e-3
+        with pytest.raises(ValueError, match="above the diagonal"):
+            solve_cascade_lyapunov(a, q, cascade.dims)
+
+    def test_shape_must_match_dims(self):
+        cascade = make_cascade(np.random.default_rng(6), 2, 2)
+        a, q = lyapunov_stack([cascade])
+        with pytest.raises(ValueError, match="shape"):
+            solve_cascade_lyapunov(a, q, (2, 2, 2))
 
 
 class TestVechDuplication:

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_cascade
 from qcascade.errors import NonPositive, TooManyRejections
 from qcascade.gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from qcascade.linalg import J2, duplication_matrix
+from qcascade.linalg import J2, duplication_matrix, vech
 from qcascade.oscillator import OscillatorParams, assemble_cascade
 from qcascade.sensitivity import (
     OscillatorUncertainty,
@@ -133,6 +133,26 @@ class TestMonteCarlo:
         )
         assert a.variance == b.variance
         assert a.rejected == b.rejected
+
+    def test_six_oscillator_chain(self):
+        rng = np.random.default_rng(606)
+        cascade = make_cascade(rng, 6, 2)
+        grads = purity_gradients_direct(cascade)
+        unc = UncertaintyModel.from_weights(
+            [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
+        )
+        res = monte_carlo_variance(
+            cascade, unc, grads, samples=4096, epsilon=1e-10, seed=11
+        )
+        assert 0.9 <= res.ratio <= 1.1
+        assert res.rejected == 0
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_draw_map_follows_vech_order(self, r):
+        # the sampler writes draw entry t of the vech R block to (rows[t], cols[t])
+        x = np.random.default_rng(r).standard_normal((r, r))
+        cols, rows = np.triu_indices(r)
+        np.testing.assert_array_equal(x[rows, cols], vech(x))
 
     def test_near_unstable_model_aborts(self):
         fragile = OscillatorParams(
