@@ -31,10 +31,12 @@ from .errors import (
     ZAtOne,
 )
 from .linalg import (
+    cascade_schur,
     duplication_matrix,
     is_hurwitz,
     quantum_psd_margin,
     solve_cascade_lyapunov,
+    solve_cascade_sylvester,
     solve_lyapunov,
     solve_sylvester,
     symmetric_matrix_function,

@@ -47,6 +47,7 @@ from .errors import (
     SingularTheta,
 )
 from .gradients import (
+    GradientSet,
     gradient_fd_oracle,
     purity_gradients_direct,
     purity_gradients_recursive,
@@ -456,7 +457,8 @@ def _spec_document_from_cascade(
 
 def _balance_report(
     spec: CascadeSpecFile, flags: RunFlags
-) -> tuple[CascadeBalanceReport, dict, str]:
+) -> tuple[GradientSet, CascadeBalanceReport, dict, str]:
+    """Balance the spec's cascade; also returns the gradients it balanced."""
     cascade = build_cascade(spec)
     uncertainty = _require_uncertainty(spec)
     grads = purity_gradients_direct(cascade)
@@ -488,7 +490,7 @@ def _balance_report(
             f"{report.ratios[k]:8.4f}"
         )
     lines.append(f"total ratio {report.total_ratio:8.4f}")
-    return report, results, "\n".join(lines)
+    return grads, report, results, "\n".join(lines)
 
 
 def _cmd_balance(
@@ -496,12 +498,10 @@ def _cmd_balance(
 ) -> tuple[dict, int, str]:
     from .balance import OneModeBalanceProblem, _h_and_slope
 
-    report, results, table = _balance_report(spec, flags)
+    grads, report, results, table = _balance_report(spec, flags)
     bundle.extra_files["balanced.json"] = _spec_document_from_cascade(
         spec, report.transformed
     )
-    cascade = build_cascade(spec)
-    grads = purity_gradients_direct(cascade)
     uncertainty = spec.uncertainty
     curve: list[tuple] = []
     for k, res in enumerate(report.results):
@@ -597,9 +597,7 @@ def _cmd_reproduce(
     if spec.expected is None:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
     expected = spec.expected
-    cascade = build_cascade(spec)
-    grads = purity_gradients_direct(cascade)
-    report, balance_results, _ = _balance_report(spec, flags)
+    grads, report, balance_results, _ = _balance_report(spec, flags)
     checks: list[dict[str, Any]] = []
     if "rho" in expected:
         for k, want in enumerate(expected["rho"]):

@@ -17,7 +17,14 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .errors import NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
-from .linalg import Matrix, is_hurwitz, solve_lyapunov, solve_sylvester
+from .linalg import (
+    Matrix,
+    cascade_schur,
+    is_hurwitz,
+    solve_cascade_sylvester,
+    symmetric_part,
+    sylvester_schur_solve,
+)
 from .oscillator import CascadeModel
 
 PSD_TOL = 1e-9
@@ -45,12 +52,9 @@ class SteadyStateResult:
 
 def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
     """Steady-state covariance from one Lyapunov solve on the composite."""
-    stable, margin = is_hurwitz(cascade.a)
-    if not stable:
-        raise NotHurwitz(
-            f"composite dynamics matrix has spectral abscissa {margin:.3e}"
-        )
-    p = solve_lyapunov(cascade.a, cascade.b @ cascade.b.T)
+    cascade.require_hurwitz()
+    q = symmetric_part(cascade.b @ cascade.b.T)
+    p = symmetric_part(sylvester_schur_solve(cascade.a, cascade.a, q))
     floor = np.linalg.eigvalsh(p)[0]
     if floor < -PSD_TOL * max(1.0, np.linalg.norm(p)):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")
@@ -62,31 +66,27 @@ def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:
 
     Step k solves a Sylvester equation for the cross block between
     oscillator k and its predecessors, then a Lyapunov equation for the
-    new diagonal block. Agrees with the direct route to round-off.
+    new diagonal block, both on sub-blocks of one structured Schur
+    factor of the cascade. Agrees with the direct route to round-off.
     """
-    for k, (flag, margin) in enumerate(cascade.hurwitz):
-        if not flag:
-            raise NotHurwitz(
-                f"oscillator {k} has spectral abscissa {margin:.3e}"
+    cascade.require_hurwitz()
+    factor = cascade_schur(cascade.a, cascade.dims)
+    p = np.zeros((cascade.n, cascade.n))
+    for k, rk in enumerate(cascade.realizations):
+        blk = cascade.block(k)
+        lead = slice(0, cascade.offset(k))
+        c_lead = cascade.c[:, lead]
+        if k:
+            q_k = solve_cascade_sylvester(
+                factor, blk, lead, rk.b @ (c_lead @ p[lead, lead] + cascade.b[lead].T)
             )
-    r1 = cascade.realizations[0]
-    p = solve_lyapunov(r1.a, r1.b @ r1.b.T)
-    a_lead = r1.a
-    b_lead = r1.b
-    c_lead = r1.c
-    for rk in cascade.realizations[1:]:
-        q_k = solve_sylvester(rk.a, a_lead, rk.b @ (c_lead @ p + b_lead.T))
-        forcing = rk.b @ c_lead @ q_k.T
-        p_kk = solve_lyapunov(rk.a, forcing + forcing.T + rk.b @ rk.b.T)
-        p = np.block([[p, q_k.T], [q_k, p_kk]])
-        a_lead = np.block(
-            [
-                [a_lead, np.zeros((a_lead.shape[0], rk.a.shape[0]))],
-                [rk.b @ c_lead, rk.a],
-            ]
+            p[blk, lead] = q_k
+            p[lead, blk] = q_k.T
+        # zero at k = 0, where the leading block is empty
+        forcing = rk.b @ c_lead @ p[blk, lead].T
+        p[blk, blk] = symmetric_part(
+            solve_cascade_sylvester(factor, blk, blk, forcing + forcing.T + rk.b @ rk.b.T)
         )
-        b_lead = np.vstack([b_lead, rk.b])
-        c_lead = np.hstack([c_lead, rk.c])
     return p
 
 

@@ -30,8 +30,10 @@ from .errors import NonPositive, NotHurwitz, NotSymplectic
 from .linalg import (
     Matrix,
     antisymmetric_part,
+    cascade_schur,
+    solve_cascade_sylvester,
     solve_lyapunov,
-    solve_sylvester,
+    sylvester_schur_solve,
     symmetric_part,
     symplectic_residual,
     vech,
@@ -76,11 +78,12 @@ def observability_gramian_and_hankelian(
 ) -> tuple[Matrix, Matrix]:
     """Gramian Q solving A^T Q + Q A + P^{-1} = 0 and the product Q P.
 
-    Q P is similar to the symmetric P^{1/2} Q P^{1/2}, so its spectrum
-    is real and nonnegative.
+    ``a`` must be Hurwitz; for a cascade the caller establishes this with
+    :meth:`CascadeModel.require_hurwitz`. Q P is similar to the
+    symmetric P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
     """
     p_inv = _pd_inverse(p_full, "covariance")
-    q = solve_sylvester(a.T, a.T, p_inv)
+    q = sylvester_schur_solve(a.T, a.T, p_inv)
     q = 0.5 * (q + q.T)
     return q, q @ p_full
 
@@ -118,6 +121,7 @@ def purity_gradients_direct(
     input-side term B^T Q theta_k with coupling corrections from all
     blocks of H interacting with oscillator k.
     """
+    cascade.require_hurwitz()
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
     q, h = observability_gramian_and_hankelian(cascade.a, p_full)
@@ -152,10 +156,13 @@ def purity_gradients_recursive(
     block) obeys its own Lyapunov equation with an effective input
     matrix; its Gramian, together with one Sylvester correction that
     accounts for the dependence of the leading covariance on oscillator
-    k, reproduces the direct gradients.
+    k, reproduces the direct gradients. Both solves run on sub-blocks of
+    one structured Schur factor of the cascade.
     """
+    cascade.require_hurwitz()
     if steady is None:
         steady = steady_state(cascade)
+    factor = cascade_schur(cascade.a, cascade.dims)
     p = steady.p_full
     rho: list[Matrix] = []
     mu: list[Matrix] = []
@@ -165,17 +172,16 @@ def purity_gradients_recursive(
         off = cascade.offset(k)
         nk = cascade.dims[k]
         theta_k = cascade.params[k].theta
-        a_tail = cascade.a[off:, off:]
+        tail = slice(off, cascade.n)
         b_lead = cascade.b[:off, :]
         b_tilde = cascade.b[off:, :] - steady.t_k[k] @ b_lead
         pi_tail = steady.pi_tail_k[k]
         pi_inv = _pd_inverse(pi_tail, f"tail covariance at oscillator {k}")
-        q_tail = solve_sylvester(a_tail.T, a_tail.T, pi_inv)
+        q_tail = solve_cascade_sylvester(factor, tail, tail, pi_inv, transpose=True)
         q_tail = 0.5 * (q_tail + q_tail.T)
-        h_cols = (q_tail @ pi_tail)[:, :nk]
+        h_cols = q_tail @ pi_tail[:, :nk]
         mu_k = 4.0 * b_tilde.T @ q_tail[:, :nk] @ theta_k
         if k > 0:
-            a_lead = cascade.a[:off, :off]
             c_lead = cascade.c[:, :off]
             p_lead = p[:off, :off]
             q_k = p[off : off + nk, :off]
@@ -186,7 +192,9 @@ def purity_gradients_recursive(
                     f"leading covariance before oscillator {k} is singular: {exc}"
                 ) from exc
             w = cho_solve(lead_factor, b_lead @ b_tilde.T)
-            y = solve_sylvester(a_tail.T, a_lead.T, q_tail @ w.T)
+            y = solve_cascade_sylvester(
+                factor, tail, slice(0, off), q_tail @ w.T, transpose=True
+            )
             h_cols = h_cols - y @ q_k.T
             mu_k -= 4.0 * (c_lead @ p_lead + b_lead.T) @ y[:nk, :].T @ theta_k
         rho.append(-4.0 * symmetric_part(theta_k @ h_cols[:nk, :]))

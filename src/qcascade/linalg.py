@@ -5,13 +5,13 @@ duplication matrix for half-vectorization, eigendecomposition-based
 functions of symmetric matrices, and residual certificates for
 symplectic membership and quantum admissibility.
 
-Two solver routes are kept side by side: a dense Kronecker
-vectorization used up to order ``KRON_CUTOFF`` (and as an independent
-oracle in the test suite), and a Schur-based route delegated to scipy
-for larger problems. For stacks of cascade Lyapunov equations, whose
-dynamics matrices are block lower triangular,
-:func:`solve_cascade_lyapunov` solves all of them at once by batched
-block forward substitution.
+Every production Sylvester solve is a certified Schur (Bartels-Stewart)
+solve: scipy's dense solver for general matrices, and for cascades,
+whose dynamics matrices are block lower triangular, triangular solves
+on one structured Schur factor built from the diagonal blocks
+(:func:`cascade_schur`). :func:`solve_cascade_lyapunov` solves stacks
+of cascade Lyapunov equations by batched block forward substitution.
+The dense Kronecker vectorization is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ Matrix = np.ndarray
 
 HURWITZ_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
-KRON_CUTOFF = 8
 
 #: generator of the antisymmetric matrices of order 2
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -108,7 +107,7 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
 
     Brute-force route: vec(s) = -(beta (+) alpha)^{-1} vec(gamma) with
     column-major vec. Serves as the independent oracle for the Schur
-    route and as the production solver for small orders.
+    routes; production never calls it.
     """
     n, p = gamma.shape
     op = np.kron(np.eye(p), alpha) + np.kron(beta, np.eye(n))
@@ -131,6 +130,34 @@ def _check_sylvester_inputs(alpha, beta, gamma, hurwitz_tol):
         ok, margin = is_hurwitz(mat, hurwitz_tol)
         if not ok:
             raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
+
+
+def _certify(alpha, beta, gamma, sigma, residual_tol):
+    residual = np.linalg.norm(alpha @ sigma + sigma @ beta.T + gamma)
+    scale = (
+        np.linalg.norm(alpha) * np.linalg.norm(sigma)
+        + np.linalg.norm(sigma) * np.linalg.norm(beta)
+        + np.linalg.norm(gamma)
+    )
+    if not residual <= residual_tol * max(scale, np.finfo(float).tiny):
+        raise SolverSingular(
+            f"residual {residual:.3e} exceeds {residual_tol:.1e} x scale {scale:.3e}"
+        )
+
+
+def sylvester_schur_solve(
+    alpha: Matrix, beta: Matrix, gamma: Matrix, *, residual_tol: float = RESIDUAL_TOL
+) -> Matrix:
+    """Certified dense Schur solve of alpha*s + s*beta^T + gamma = 0.
+
+    The caller has checked that alpha and beta are Hurwitz.
+    """
+    try:
+        sigma = scipy.linalg.solve_sylvester(alpha, beta.T, -gamma)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolverSingular(f"Schur solve failed: {exc}") from exc
+    _certify(alpha, beta, gamma, sigma, residual_tol)
+    return sigma
 
 
 def solve_sylvester(
@@ -160,31 +187,13 @@ def solve_sylvester(
     NotHurwitz
         If either coefficient matrix fails the stability precondition.
     SolverSingular
-        If the vectorized system is numerically singular or the residual
-        certificate fails.
+        If the Schur solve fails or the residual certificate fails.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     _check_sylvester_inputs(alpha, beta, gamma, hurwitz_tol)
-    if max(alpha.shape[0], beta.shape[0]) <= KRON_CUTOFF:
-        sigma = sylvester_kron_solve(alpha, beta, gamma)
-    else:
-        try:
-            sigma = scipy.linalg.solve_sylvester(alpha, beta.T, -gamma)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverSingular(f"Schur solve failed: {exc}") from exc
-    residual = np.linalg.norm(alpha @ sigma + sigma @ beta.T + gamma)
-    scale = (
-        np.linalg.norm(alpha) * np.linalg.norm(sigma)
-        + np.linalg.norm(sigma) * np.linalg.norm(beta)
-        + np.linalg.norm(gamma)
-    )
-    if not residual <= residual_tol * max(scale, np.finfo(float).tiny):
-        raise SolverSingular(
-            f"residual {residual:.3e} exceeds {residual_tol:.1e} x scale {scale:.3e}"
-        )
-    return sigma
+    return sylvester_schur_solve(alpha, beta, gamma, residual_tol=residual_tol)
 
 
 def solve_lyapunov(
@@ -203,6 +212,66 @@ def solve_lyapunov(
         a, a, q, hurwitz_tol=hurwitz_tol, residual_tol=residual_tol
     )
     return symmetric_part(p)
+
+
+class CascadeSchur(NamedTuple):
+    """Real Schur factor a^T = w s w^T of a cascade dynamics matrix a."""
+
+    a: Matrix
+    w: Matrix
+    s: Matrix
+
+
+def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
+    """Real Schur factor of a^T built from the diagonal blocks of a cascade.
+
+    ``a`` is block lower triangular, so with A_kk^T = W_k S_k W_k^T the
+    orthogonal w = blockdiag(W_k) makes s = w^T a^T w upper
+    quasi-triangular in LAPACK's standard form, and every principal
+    sub-block of s on oscillator boundaries is a real Schur form of the
+    same sub-block of a^T (Jonsson and Kagstrom, 2002). Raises
+    ValueError if a block above the diagonal is nonzero.
+    """
+    a = np.asarray(a, dtype=float)
+    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    block_id = np.repeat(np.arange(len(dims)), dims)
+    upper = block_id[:, None] < block_id[None, :]
+    if np.any(a[upper]):
+        raise ValueError("a has a nonzero block above the diagonal")
+    w = np.zeros_like(a)
+    s = np.zeros_like(a)
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        s_k, w_k = scipy.linalg.schur(a[lo:hi, lo:hi].T, output="real")
+        s[lo:hi, lo:hi], w[lo:hi, lo:hi] = s_k, w_k
+    s[upper] = (w.T @ a.T @ w)[upper]
+    return CascadeSchur(a=a, w=w, s=s)
+
+
+def solve_cascade_sylvester(
+    factor: CascadeSchur, rows: slice, cols: slice, gamma: Matrix, *, transpose: bool = False
+) -> Matrix:
+    """Certified solve of A_r X + X A_c^T + gamma = 0 on cascade sub-blocks.
+
+    A_r = a[rows, rows] and A_c = a[cols, cols] are principal sub-blocks
+    on oscillator boundaries; ``transpose`` solves A_r^T X + X A_c +
+    gamma = 0 instead. One LAPACK ``dtrsyl`` call on sub-blocks of the
+    factor, no QR iteration; the caller has checked stability. Raises
+    SolverSingular if ``dtrsyl`` reports close spectra or rescales, or if
+    the residual certificate fails.
+    """
+    w_r, w_c = factor.w[rows, rows], factor.w[cols, cols]
+    trans = ("N", "T") if transpose else ("T", "N")
+    x, scale, info = scipy.linalg.lapack.dtrsyl(
+        factor.s[rows, rows], factor.s[cols, cols], -(w_r.T @ gamma @ w_c), *trans
+    )
+    if info != 0 or scale != 1.0:
+        raise SolverSingular(f"triangular Sylvester solve: info {info}, scale {scale:.3e}")
+    sigma = w_r @ x @ w_c.T
+    a_r, a_c = factor.a[rows, rows], factor.a[cols, cols]
+    if transpose:
+        a_r, a_c = a_r.T, a_c.T
+    _certify(a_r, a_c, gamma, sigma, RESIDUAL_TOL)
+    return sigma
 
 
 def solve_cascade_lyapunov(

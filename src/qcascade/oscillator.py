@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import DimensionMismatch, SingularResolvent, SingularTheta
+from .errors import DimensionMismatch, NotHurwitz, SingularResolvent, SingularTheta
 from .linalg import Matrix, is_hurwitz, symplectic_form
 
 PR_SELF_CHECK_TOL = 1e-12
@@ -151,6 +151,12 @@ class CascadeModel:
 
     def all_hurwitz(self) -> bool:
         return all(flag for flag, _ in self.hurwitz)
+
+    def require_hurwitz(self) -> None:
+        """Raise NotHurwitz naming the first unstable oscillator (exact for a cascade)."""
+        for k, (flag, margin) in enumerate(self.hurwitz):
+            if not flag:
+                raise NotHurwitz(f"oscillator {k} has spectral abscissa {margin:.3e}")
 
 
 def composite_energy_coupling(

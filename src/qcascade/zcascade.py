@@ -368,7 +368,9 @@ def hinf_norm(model: TIModel) -> float:
     gain, gamma < |G|_inf exactly when the associated Hamiltonian matrix
     has an eigenvalue on the imaginary axis. The lower bracket starts
     just above 1; the upper bracket comes from a coarse frequency sweep
-    and is doubled until it clears the peak.
+    and is doubled until it clears the peak. Returns the upper end of
+    the final bracket, an upper bound on the norm within relative
+    ``HINF_REL_TOL``, so that bounds built from it stay upper bounds.
     """
     stable, margin = is_hurwitz(model.a)
     if not stable:
@@ -401,7 +403,7 @@ def hinf_norm(model: TIModel) -> float:
         iterations += 1
         if iterations > 200:
             raise BisectionFailure("gain bisection did not close its bracket")
-    return 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True)

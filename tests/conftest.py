@@ -88,6 +88,15 @@ def make_cascade(
     )
 
 
+def make_mixed_cascade(rng: np.random.Generator) -> CascadeModel:
+    """Random m = 2 chain of a one-mode, a two-mode and a one-mode oscillator."""
+    from qcascade.oscillator import assemble_cascade
+
+    return assemble_cascade(
+        [make_oscillator(rng, 2), make_oscillator(rng, 2, n=4), make_oscillator(rng, 2)]
+    )
+
+
 @pytest.fixture(scope="session")
 def random_corpus() -> list[CascadeModel]:
     """Twenty random stable cascades, N <= 4, one mode each, m in {2, 4, 6}."""

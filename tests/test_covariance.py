@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cascade, make_oscillator, random_symplectic
+from conftest import make_cascade, make_mixed_cascade, make_oscillator, random_symplectic
 from qcascade.covariance import (
     frequency_domain_covariance,
     invariant_covariance_direct,
@@ -54,6 +54,13 @@ class TestRecursive:
         recursive = invariant_covariance_recursive(reference_cascade)
         gap = np.linalg.norm(recursive - direct) / np.linalg.norm(direct)
         assert gap <= 1e-10
+
+    def test_routes_agree_on_mixed_chain(self):
+        cascade = make_mixed_cascade(np.random.default_rng(5151))
+        assert cascade.dims == (2, 4, 2)
+        direct = invariant_covariance_direct(cascade)
+        recursive = invariant_covariance_recursive(cascade)
+        assert np.linalg.norm(recursive - direct) <= 1e-10 * np.linalg.norm(direct)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import make_cascade, random_blockdiag_symplectic
-from qcascade.covariance import invariant_covariance_direct
+from conftest import make_cascade, make_mixed_cascade, random_blockdiag_symplectic
+from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
 from qcascade.errors import NotHurwitz, NotSymplectic
 from qcascade.gradients import (
     covariance_derivatives,
@@ -89,6 +90,47 @@ class TestRouteAgreement:
         direct = purity_gradients_direct(cascade)
         rec = purity_gradients_recursive(cascade)
         assert stack_gap(rec, direct) <= 1e-8
+
+    def test_mixed_chain(self):
+        cascade = make_mixed_cascade(np.random.default_rng(5151))
+        assert cascade.dims == (2, 4, 2)
+        direct = purity_gradients_direct(cascade)
+        rec = purity_gradients_recursive(cascade)
+        assert stack_gap(rec, direct) <= 1e-8
+
+    def test_recursive_routes_factor_no_matrix_beyond_one_oscillator(self, monkeypatch):
+        # both recursive routes solve on one Schur factor built block by
+        # block; a dense factorisation of a growing leading or trailing
+        # block would bring back their O(N^4) cost
+        rng = np.random.default_rng(1616)
+        chain = []
+        for _ in range(16):
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            coupling = rng.uniform(0.5, 1.2) * (np.cos(phase) * np.eye(2) + np.sin(phase) * J2)
+            chain.append(
+                OscillatorParams(
+                    theta=0.5 * J2,
+                    r_energy=rng.uniform(-1.0, 1.0) * np.eye(2),
+                    m_coupling=coupling,
+                )
+            )
+        cascade = assemble_cascade(chain)
+        orders = []
+
+        def spy(fn):
+            def wrapped(x, *args, **kwargs):
+                orders.append(np.shape(x)[0])
+                return fn(x, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy(scipy.linalg.schur))
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy(scipy.linalg.solve_sylvester))
+        monkeypatch.setattr(np.linalg, "eigvals", spy(np.linalg.eigvals))
+        invariant_covariance_recursive(cascade)
+        purity_gradients_recursive(cascade)
+        assert orders
+        assert max(orders) <= max(cascade.dims)
 
     def test_energy_gradient_is_symmetric(self, reference_gradients):
         for r in reference_gradients.rho:

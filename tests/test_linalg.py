@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_cascade, make_oscillator
+from conftest import make_cascade, make_mixed_cascade, make_oscillator
 from qcascade.balance import f_lambda
 from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
+    cascade_schur,
     duplication_matrix,
     is_hurwitz,
     quantum_psd_margin,
     solve_cascade_lyapunov,
+    solve_cascade_sylvester,
     solve_lyapunov,
     solve_sylvester,
     sylvester_kron_solve,
@@ -123,6 +125,21 @@ class TestLyapunov:
         assert np.array_equal(sigma, sigma.T)
 
 
+class TestKronRouteRetired:
+    def test_small_amplifying_chains_match_refined_oracle(self):
+        # the draws on which the dense Kronecker solve, once the production
+        # route up to order 8, was off by 3e-11 while passing its certificate
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            make_cascade(rng, 3, 2)
+        for _ in range(100):
+            cascade = make_cascade(rng, 4, 2)
+            q = cascade.b @ cascade.b.T
+            want = refined_kron_lyapunov(cascade.a, q)
+            got = solve_lyapunov(cascade.a, q)
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
 def refined_kron_lyapunov(a, q):
     """Kronecker oracle plus one refinement step with an extended-precision residual.
 
@@ -191,6 +208,50 @@ class TestCascadeLyapunov:
         a, q = lyapunov_stack([cascade])
         with pytest.raises(ValueError, match="shape"):
             solve_cascade_lyapunov(a, q, (2, 2, 2))
+
+
+class TestCascadeSchur:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: make_cascade(rng, 5, 2),
+            lambda rng: make_cascade(rng, 5, 6),
+            make_mixed_cascade,
+        ],
+        ids=["one_mode_m2", "one_mode_m6", "mixed_2_4_2"],
+    )
+    def test_factor_is_a_real_schur_form(self, build):
+        cascade = build(np.random.default_rng(5150))
+        a = cascade.a
+        factor = cascade_schur(a, cascade.dims)
+        w, s = factor.w, factor.s
+        n = cascade.n
+        assert np.linalg.norm(w.T @ w - np.eye(n)) <= 1e-14 * n
+        block_id = np.repeat(np.arange(len(cascade.dims)), cascade.dims)
+        assert not np.any(w[block_id[:, None] != block_id[None, :]])
+        # upper quasi-triangular: 1x1 and 2x2 diagonal blocks only, the
+        # 2x2 ones in LAPACK's standard form
+        assert not np.any(np.tril(s, -2))
+        sub = np.flatnonzero(np.diag(s, -1))
+        assert not np.any(np.diff(sub) == 1)
+        for i in sub:
+            assert s[i, i] == s[i + 1, i + 1]
+            assert s[i, i + 1] * s[i + 1, i] < 0.0
+            assert block_id[i] == block_id[i + 1]
+        assert np.linalg.norm(w @ s @ w.T - a.T) <= 1e-14 * np.linalg.norm(a)
+
+    def test_marginal_spectra_are_refused(self):
+        # the two sides share the spectrum {i, -i}: no unique solution
+        factor = cascade_schur(J2, (2,))
+        with pytest.raises(SolverSingular):
+            solve_cascade_sylvester(factor, slice(0, 2), slice(0, 2), np.eye(2))
+
+    def test_rejects_nonzero_block_above_diagonal(self):
+        cascade = make_cascade(np.random.default_rng(5), 3, 2)
+        a = cascade.a.copy()
+        a[1, 4] = 1e-3
+        with pytest.raises(ValueError, match="above the diagonal"):
+            cascade_schur(a, cascade.dims)
 
 
 class TestVechDuplication:

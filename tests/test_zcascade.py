@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conftest import make_oscillator
 from qcascade.errors import NotHurwitz, NotInStabilitySet, SolverSingular, ZAtOne
@@ -159,6 +160,33 @@ class TestNorms:
 
     def test_scalar_gain_peak(self):
         assert hinf_norm(SCALAR) == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+    def test_gain_is_an_upper_bound_on_the_sweep_peak(self, seed):
+        # the bounds 2 |F|_2^2 |G|_inf^(2(k-1)) are upper bounds only if this is
+        if seed is None:
+            model = SCALAR
+        else:
+            rng = np.random.default_rng(7100 + seed)
+            m = int(rng.choice([2, 4, 6]))
+            model = TIModel.from_oscillator(make_oscillator(rng, m))
+        eye = np.eye(model.n)
+
+        def gain(lam):
+            f = np.linalg.solve(1j * lam * eye - model.a, model.b.astype(complex))
+            return float(np.linalg.norm(model.c @ f + np.eye(model.m), 2))
+
+        radius = float(np.max(np.abs(np.linalg.eigvals(model.a))))
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e3 * max(1.0, radius), 4000)])
+        gains = [gain(lam) for lam in grid]
+        i = int(np.argmax(gains))
+        local = minimize_scalar(
+            lambda lam: -gain(lam),
+            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        assert hinf_norm(model) >= max(gains[i], -local.fun)
 
     def test_zero_output_coupling_gain_is_one(self):
         model = TIModel.from_matrices(
