@@ -55,6 +55,7 @@ from .oscillator import (
     composite_transfer_stack,
     default_theta,
     oscillator_realization,
+    perturbed_cascade_stack,
     transfer_eval,
     transform_params,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotOneMode, RankDeficientMu
 from .gradients import GradientSet, transform_gradients
-from .linalg import Matrix, symmetric_matrix_function, symplectic_exponential
+from .linalg import J2, Matrix, symmetric_matrix_function
 from .oscillator import CascadeModel, assemble_cascade, transform_params
 from .sensitivity import UncertaintyModel
 
@@ -157,7 +157,8 @@ class BalancingResult:
     ``s_k`` is the symmetric positive definite representative of the
     optimum (rotation gauge fixed to zero); ``stretch`` and ``angle``
     give its singular factorization S = R(-angle) diag(sqrt(stretch),
-    1/sqrt(stretch)) R(angle).
+    1/sqrt(stretch)) R(angle). ``whitened_spectrum`` is the spectrum r of
+    tau^{-1/2} rho tau^{-1/2} on which the multiplier equation was solved.
     """
 
     s_k: Matrix
@@ -168,22 +169,17 @@ class BalancingResult:
     newton_iterations: int
     stretch: float
     angle: float
+    whitened_spectrum: np.ndarray
 
 
 def _psi_of_u(rho: Matrix, tau: Matrix, u: Matrix) -> float:
     return 0.5 * float(np.trace(rho @ u @ rho @ u)) + float(np.trace(tau @ u))
 
 
-def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
-    """Closed-form minimizer of the one-mode weighted index.
-
-    Whitens rho by tau, solves the multiplier equation on the whitened
-    spectrum and assembles U with unit determinant; the returned
-    transform is the symmetric square root of U.
-    """
-    rho, tau = problem.rho, problem.tau
-    if rho.shape != (2, 2) or tau.shape != (2, 2):
-        raise NotOneMode(f"one-mode data must be 2 x 2, got {rho.shape} and {tau.shape}")
+def _stationary_gram(rho: Matrix, tau: Matrix) -> tuple[Matrix, NewtonResult, np.ndarray]:
+    """Whitens rho by tau, solves the multiplier equation on the whitened
+    spectrum r; returns the stationary U (determinant not normalized),
+    the Newton result and r."""
     tau_eigs = np.linalg.eigvalsh(tau)
     if tau_eigs[0] <= 1e-12 * max(1.0, tau_eigs[-1]):
         raise RankDeficientMu(
@@ -197,7 +193,36 @@ def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
     newton = solve_multiplier(r, det_tau)
     lam = newton.multiplier
     u = tau_isqrt @ symmetric_matrix_function(lambda z: f_lambda(z, lam), core) @ tau_isqrt
-    u = 0.5 * (u + u.T)
+    return 0.5 * (u + u.T), newton, r
+
+
+def probe_psi(problem: OneModeBalanceProblem, h: np.ndarray) -> np.ndarray:
+    """Index Psi(S^T S) at the one-mode probes S = exp(J h), h of shape (P, 2, 2).
+
+    (J h)^2 = -det(h) I, so exp(J h) = cosh(w) I + (sinh(w) / w) J h with
+    w^2 = -det h (cos and sin when det h > 0, I + J h as w -> 0)."""
+    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    w = np.sqrt(np.abs(det))
+    even = np.where(det > 0, np.cos(w), np.cosh(w))
+    odd = np.divide(np.where(det > 0, np.sin(w), np.sinh(w)), w, out=np.ones_like(w), where=w > 0)
+    s = even[:, None, None] * np.eye(2) + odd[:, None, None] * (J2 @ h)
+    u = s.transpose(0, 2, 1) @ s
+    ru = problem.rho @ u
+    return 0.5 * np.einsum("pij,pji->p", ru, ru) + np.einsum("ij,pji->p", problem.tau, u)
+
+
+def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
+    """Closed-form minimizer of the one-mode weighted index.
+
+    Whitens rho by tau, solves the multiplier equation on the whitened
+    spectrum and assembles U with unit determinant; the returned
+    transform is the symmetric square root of U.
+    """
+    rho, tau = problem.rho, problem.tau
+    if rho.shape != (2, 2) or tau.shape != (2, 2):
+        raise NotOneMode(f"one-mode data must be 2 x 2, got {rho.shape} and {tau.shape}")
+    u, newton, r = _stationary_gram(rho, tau)
+    lam = newton.multiplier
     # unit determinant to round-off; renormalize so the gauge tests are exact
     u = u / np.sqrt(np.linalg.det(u))
     uw, uv = np.linalg.eigh(u)
@@ -217,6 +242,7 @@ def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
         newton_iterations=newton.iterations,
         stretch=float(uw[0]),
         angle=angle,
+        whitened_spectrum=r,
     )
 
 
@@ -249,28 +275,18 @@ def balance_cascade(
     """
     if any(d != 2 for d in cascade.dims):
         raise NotOneMode(f"cascade has mode orders {cascade.dims}, expected all 2")
-    results = []
-    for k in range(cascade.n_oscillators):
-        a_k, b_k = uncertainty.oscillators[k].weights()
-        problem = OneModeBalanceProblem.from_gradients(
-            gradients.rho[k], gradients.mu[k], a_k, b_k
-        )
-        results.append(minimize_psi_one_mode(problem))
+    problems = [
+        OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
+        for rho, mu, unc in zip(gradients.rho, gradients.mu, uncertainty.oscillators)
+    ]
+    results = [minimize_psi_one_mode(problem) for problem in problems]
 
     rng = np.random.default_rng(seed)
     violations = 0
-    for k, res in enumerate(results):
-        a_k, b_k = uncertainty.oscillators[k].weights()
-        problem = OneModeBalanceProblem.from_gradients(
-            gradients.rho[k], gradients.mu[k], a_k, b_k
-        )
-        for _ in range(probes):
-            h = rng.standard_normal((2, 2))
-            h = 0.5 * (h + h.T)
-            s = symplectic_exponential(h)
-            u = s.T @ s
-            if _psi_of_u(problem.rho, problem.tau, u) < res.psi_after * (1 - 1e-9):
-                violations += 1
+    for problem, res in zip(problems, results):
+        h = rng.standard_normal((probes, 2, 2))
+        psi = probe_psi(problem, 0.5 * (h + h.transpose(0, 2, 1)))
+        violations += int(np.count_nonzero(psi < res.psi_after * (1 - 1e-9)))
 
     transforms = [res.s_k for res in results]
     transformed = assemble_cascade(
@@ -301,19 +317,6 @@ def multimode_lower_bound(rho: Matrix, tau: Matrix) -> float:
     below. Coincides with the one-mode optimum when rho and tau are
     2 x 2.
     """
-    nu = rho.shape[0]
-    tau_eigs = np.linalg.eigvalsh(tau)
-    if tau_eigs[0] <= 1e-12 * max(1.0, tau_eigs[-1]):
-        raise RankDeficientMu(
-            f"coupling-gradient Gram matrix has eigenvalue {tau_eigs[0]:.3e}"
-        )
-    det_tau = float(np.linalg.det(tau))
-    w, v = np.linalg.eigh(tau)
-    tau_isqrt = (v / np.sqrt(w)) @ v.T
-    core = tau_isqrt @ rho @ tau_isqrt
-    r = np.linalg.eigvalsh(core)
-    lam = solve_multiplier(r, det_tau).multiplier
-    u = tau_isqrt @ symmetric_matrix_function(lambda z: f_lambda(z, lam), core) @ tau_isqrt
-    u = 0.5 * (u + u.T)
-    u = u / np.linalg.det(u) ** (1.0 / nu)
+    u, _, _ = _stationary_gram(rho, tau)
+    u = u / np.linalg.det(u) ** (1.0 / rho.shape[0])
     return _psi_of_u(rho, tau, u)

@@ -33,7 +33,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .balance import CascadeBalanceReport, balance_cascade
+from .balance import CascadeBalanceReport, _h_and_slope, balance_cascade
 from .covariance import (
     invariant_covariance_direct,
     invariant_covariance_recursive,
@@ -53,7 +53,13 @@ from .gradients import (
     purity_gradients_recursive,
 )
 from .linalg import quantum_psd_margin
-from .oscillator import CascadeModel, OscillatorParams, assemble_cascade, default_theta
+from .oscillator import (
+    CascadeModel,
+    OscillatorParams,
+    assemble_cascade,
+    default_theta,
+    realizability_residual,
+)
 from .sensitivity import (
     UncertaintyModel,
     OscillatorUncertainty,
@@ -287,14 +293,8 @@ def _require_uncertainty(spec: CascadeSpecFile) -> UncertaintyModel:
 
 def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
     cascade = build_cascade(spec)
-    j = cascade.j_ito
     pr_res = float(
-        np.linalg.norm(
-            cascade.a @ cascade.theta
-            + cascade.theta @ cascade.a.T
-            + cascade.b @ j @ cascade.b.T
-        )
-        + np.linalg.norm(cascade.theta @ cascade.c.T + cascade.b @ j)
+        realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)[0]
     )
     hurwitz = [
         {"oscillator": k, "stable": bool(flag), "abscissa": float(absc)}
@@ -329,11 +329,9 @@ def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, st
 def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
     cascade = build_cascade(spec)
     p_direct = invariant_covariance_direct(cascade)
-    p_rec = invariant_covariance_recursive(cascade)
-    gap = float(np.linalg.norm(p_direct - p_rec))
+    gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(cascade)))
     results = {
         "p_direct": _listify(p_direct),
-        "p_recursive": _listify(p_rec),
         "route_gap": gap,
         "blocks": {
             f"{j}_{k}": _listify(p_direct[cascade.block(j), cascade.block(k)])
@@ -365,25 +363,17 @@ def _cmd_purity(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]
     return results, 0, "\n".join(lines)
 
 
+def _gradient_gap(g1: GradientSet, g2: GradientSet) -> float:
+    """Largest entrywise gap between two gradient sets."""
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(g1.rho + g1.mu, g2.rho + g2.mu))
+
+
 def _cmd_gradients(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
     cascade = build_cascade(spec)
     direct = purity_gradients_direct(cascade)
     recursive = purity_gradients_recursive(cascade)
-    gap = max(
-        max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(direct.rho, recursive.rho)
-        ),
-        max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(direct.mu, recursive.mu)
-        ),
-    )
-    fd = gradient_fd_oracle(cascade, h=flags.fd_step)
-    fd_gap = max(
-        max(float(np.max(np.abs(a - b))) for a, b in zip(direct.rho, fd.rho)),
-        max(float(np.max(np.abs(a - b))) for a, b in zip(direct.mu, fd.mu)),
-    )
+    gap = _gradient_gap(direct, recursive)
+    fd_gap = _gradient_gap(direct, gradient_fd_oracle(cascade, h=flags.fd_step))
     results = {
         "rho": [_listify(r) for r in direct.rho],
         "mu": [_listify(u) for u in direct.mu],
@@ -463,13 +453,11 @@ def _balance_report(
     uncertainty = _require_uncertainty(spec)
     grads = purity_gradients_direct(cascade)
     report = balance_cascade(cascade, grads, uncertainty, seed=flags.seed)
-    round_trip = []
     new_grads = purity_gradients_direct(report.transformed)
-    for k, res in enumerate(report.results):
-        psi_again = psi_transformed(
-            new_grads, uncertainty, k, np.eye(cascade.dims[k])
-        )
-        round_trip.append(abs(psi_again - res.psi_after))
+    round_trip = [
+        abs(psi_transformed(new_grads, uncertainty, k, np.eye(cascade.dims[k])) - res.psi_after)
+        for k, res in enumerate(report.results)
+    ]
     results = {
         "s_k": [_listify(r.s_k) for r in report.results],
         "lambda_k": [r.lambda_k for r in report.results],
@@ -496,24 +484,14 @@ def _balance_report(
 def _cmd_balance(
     spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
 ) -> tuple[dict, int, str]:
-    from .balance import OneModeBalanceProblem, _h_and_slope
-
-    grads, report, results, table = _balance_report(spec, flags)
+    _, report, results, table = _balance_report(spec, flags)
     bundle.extra_files["balanced.json"] = _spec_document_from_cascade(
         spec, report.transformed
     )
-    uncertainty = spec.uncertainty
     curve: list[tuple] = []
     for k, res in enumerate(report.results):
-        a_k, b_k = uncertainty.oscillators[k].weights()
-        problem = OneModeBalanceProblem.from_gradients(
-            grads.rho[k], grads.mu[k], a_k, b_k
-        )
-        w, v = np.linalg.eigh(problem.tau)
-        tau_isqrt = (v / np.sqrt(w)) @ v.T
-        r = np.linalg.eigvalsh(tau_isqrt @ problem.rho @ tau_isqrt)
         for lam in np.geomspace(res.lambda_k / 10, res.lambda_k * 10, 41):
-            h_val, _ = _h_and_slope(lam, r)
+            h_val, _ = _h_and_slope(lam, res.whitened_spectrum)
             curve.append((k, float(lam), h_val))
     bundle.csv_series["balance_multiplier.csv"] = curve
     return results, 0, table
@@ -598,43 +576,22 @@ def _cmd_reproduce(
         raise SchemaError("reproduce needs an 'expected' block in the spec")
     expected = spec.expected
     grads, report, balance_results, _ = _balance_report(spec, flags)
-    checks: list[dict[str, Any]] = []
-    if "rho" in expected:
-        for k, want in enumerate(expected["rho"]):
-            checks.append(_compare(f"rho_{k}", grads.rho[k], want, 1e-2, 1e-2))
-    if "mu" in expected:
-        for k, want in enumerate(expected["mu"]):
-            checks.append(_compare(f"mu_{k}", grads.mu[k], want, 1e-2, 1e-2))
-    if "s" in expected:
-        for k, want in enumerate(expected["s"]):
-            checks.append(
-                _compare(f"s_{k}", report.results[k].s_k, want, 1e-3, 0.0)
-            )
-    if "psi_identity" in expected:
-        for k, want in enumerate(expected["psi_identity"]):
-            checks.append(
-                _compare(
-                    f"psi_identity_{k}",
-                    report.results[k].psi_before,
-                    want,
-                    0.0,
-                    5e-3,
-                )
-            )
-    if "psi_balanced" in expected:
-        for k, want in enumerate(expected["psi_balanced"]):
-            checks.append(
-                _compare(
-                    f"psi_balanced_{k}",
-                    report.results[k].psi_after,
-                    want,
-                    0.0,
-                    5e-3,
-                )
-            )
-    if "ratios" in expected:
-        for k, want in enumerate(expected["ratios"]):
-            checks.append(_compare(f"ratio_{k}", report.ratios[k], want, 1e-3, 0.0))
+    res = report.results
+    # expected key -> (check name prefix, computed values, atol, rtol)
+    targets = {
+        "rho": ("rho", grads.rho, 1e-2, 1e-2),
+        "mu": ("mu", grads.mu, 1e-2, 1e-2),
+        "s": ("s", [r.s_k for r in res], 1e-3, 0.0),
+        "psi_identity": ("psi_identity", [r.psi_before for r in res], 0.0, 5e-3),
+        "psi_balanced": ("psi_balanced", [r.psi_after for r in res], 0.0, 5e-3),
+        "ratios": ("ratio", report.ratios, 1e-3, 0.0),
+    }
+    checks = [
+        _compare(f"{name}_{k}", got[k], want, atol, rtol)
+        for key, (name, got, atol, rtol) in targets.items()
+        if key in expected
+        for k, want in enumerate(expected[key])
+    ]
     if "total_ratio" in expected:
         checks.append(
             _compare("total_ratio", report.total_ratio, expected["total_ratio"], 1e-3, 0.0)

@@ -21,11 +21,12 @@ from .linalg import (
     Matrix,
     cascade_schur,
     is_hurwitz,
+    solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
     sylvester_schur_solve,
 )
-from .oscillator import CascadeModel
+from .oscillator import CascadeModel, CascadeStack
 
 PSD_TOL = 1e-9
 
@@ -59,6 +60,22 @@ def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
     if floor < -PSD_TOL * max(1.0, np.linalg.norm(p)):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")
     return p
+
+
+def log_det_stack(stack: CascadeStack, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per copy of a perturbed cascade stack, ln det P (NaN where P is not
+    positive definite) and the residual certificate (infinite where a
+    diagonal block is not Hurwitz); the stable copies are solved together
+    by :func:`solve_cascade_lyapunov`."""
+    stable = stack.hurwitz.all(axis=1)
+    b = stack.b[stable]
+    p, certificate = solve_cascade_lyapunov(stack.a[stable], b @ b.transpose(0, 2, 1), dims)
+    sign, logdet = np.linalg.slogdet(p)
+    out_logdet = np.full(stable.shape, np.nan)
+    out_logdet[stable] = np.where(sign > 0, logdet, np.nan)
+    out_certificate = np.full(stable.shape, np.inf)
+    out_certificate[stable] = certificate
+    return out_logdet, out_certificate
 
 
 def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:

@@ -19,26 +19,32 @@ exposed for the Fisher-information analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from .covariance import SteadyStateResult, invariant_covariance_direct, steady_state
-from .errors import NonPositive, NotHurwitz, NotSymplectic
+from .covariance import (
+    SteadyStateResult,
+    invariant_covariance_direct,
+    log_det_stack,
+    steady_state,
+)
+from .errors import NonPositive, NotHurwitz, NotSymplectic, SolverSingular
 from .linalg import (
+    RESIDUAL_TOL,
     Matrix,
     antisymmetric_part,
     cascade_schur,
+    solve_cascade_lyapunov,
     solve_cascade_sylvester,
-    solve_lyapunov,
     sylvester_schur_solve,
     symmetric_part,
     symplectic_residual,
     vech,
 )
-from .oscillator import CascadeModel, OscillatorParams, assemble_cascade
+from .oscillator import CascadeModel, CascadeStack, perturbed_cascade_stack
 
 SYMPLECTIC_TOL = 1e-9
 
@@ -206,27 +212,34 @@ def purity_gradients_recursive(
     return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q_full, hankelian=hank)
 
 
-def _log_det_covariance(cascade: CascadeModel) -> float:
-    p = invariant_covariance_direct(cascade)
-    sign, logdet = np.linalg.slogdet(p)
-    if sign <= 0:
-        raise NonPositive("perturbed covariance lost positive definiteness")
-    return float(logdet)
+def _signed_stack(cascade: CascadeModel, k: int, basis: np.ndarray) -> CascadeStack:
+    """Copies 2t and 2t + 1 move oscillator k by +basis[t] and -basis[t],
+    rows being perturbations [vech dR_k; vec dM_k]."""
+    count = 2 * len(basis)
+    de = [np.zeros((count, n * (n + 1) // 2 + cascade.m * n)) for n in cascade.dims]
+    de[k] = np.stack([basis, -basis], axis=1).reshape(count, -1)
+    return perturbed_cascade_stack(cascade, de)
 
 
-def _perturbed(
-    cascade: CascadeModel, k: int, field: str, delta: Matrix
-) -> CascadeModel:
-    params = list(cascade.params)
-    params[k] = replace(params[k], **{field: getattr(params[k], field) + delta})
-    return assemble_cascade(params)
-
-
-def _fd_value(cascade: CascadeModel, k: int, field: str, delta: Matrix, label: str) -> float:
-    try:
-        return _log_det_covariance(_perturbed(cascade, k, field, delta))
-    except NotHurwitz as exc:
-        raise NotHurwitz(f"perturbation of {label} leaves the stability domain: {exc}") from exc
+def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) -> np.ndarray:
+    """V of every copy of a signed stack; the first failing copy raises."""
+    logdet, certificate = log_det_stack(stack, cascade.dims)
+    failed = np.flatnonzero(~(certificate <= RESIDUAL_TOL) | np.isnan(logdet))
+    if failed.size:
+        t = int(failed[0])
+        label = labels[t // 2]
+        unstable = np.flatnonzero(~stack.hurwitz[t])
+        if unstable.size:
+            raise NotHurwitz(
+                f"perturbation of {label} leaves the stability domain: oscillator "
+                f"{unstable[0]} has spectral abscissa {stack.abscissa[t, unstable[0]]:.3e}"
+            )
+        error = NonPositive if certificate[t] <= RESIDUAL_TOL else SolverSingular
+        raise error(
+            f"perturbation of {label}: residual certificate {certificate[t]:.3e}, "
+            f"ln det P {logdet[t]:.6g} (NaN: P not positive definite)"
+        )
+    return logdet
 
 
 def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
@@ -235,36 +248,27 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     Off-diagonal energy entries are perturbed in symmetric pairs, so the
     difference quotient carries a factor 1/(4h) there and 1/(2h) on the
     diagonal and for coupling entries. Coupling slopes are reported with
-    the package orientation mu_k = -dV/dM_k.
+    the package orientation mu_k = -dV/dM_k. The probes of one oscillator
+    are one batched block solve; a failing probe raises naming its entry.
     """
     rho: list[Matrix] = []
     mu: list[Matrix] = []
-    for k in range(cascade.n_oscillators):
-        nk = cascade.dims[k]
-        m = cascade.m
+    m = cascade.m
+    for k, nk in enumerate(cascade.dims):
+        # energy pairs (i, j), j <= i, row by row; vech_pos locates them in vech
+        rows, cols = np.tril_indices(nk)
+        d_r = len(rows)
+        vech_pos = cols * nk - cols * (cols - 1) // 2 + rows - cols
+        basis = h * np.eye(d_r + m * nk)[np.concatenate([vech_pos, np.arange(d_r, d_r + m * nk)])]
+        labels = [f"R_{k}[{i},{j}]" for i, j in zip(rows, cols)]
+        labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
+        values = _fd_values(cascade, _signed_stack(cascade, k, basis), labels)
+        slope = (values[0::2] - values[1::2]) / (2.0 * h)
         rho_k = np.zeros((nk, nk))
-        for i in range(nk):
-            for j in range(i + 1):
-                direction = np.zeros((nk, nk))
-                direction[i, j] = h
-                direction[j, i] = h
-                label = f"R_{k}[{i},{j}]"
-                plus = _fd_value(cascade, k, "r_energy", direction, label)
-                minus = _fd_value(cascade, k, "r_energy", -direction, label)
-                slope = (plus - minus) / (4.0 * h) if i != j else (plus - minus) / (2.0 * h)
-                rho_k[i, j] = slope
-                rho_k[j, i] = slope
-        mu_k = np.zeros((m, nk))
-        for col in range(nk):
-            for row in range(m):
-                direction = np.zeros((m, nk))
-                direction[row, col] = h
-                label = f"M_{k}[{row},{col}]"
-                plus = _fd_value(cascade, k, "m_coupling", direction, label)
-                minus = _fd_value(cascade, k, "m_coupling", -direction, label)
-                mu_k[row, col] = (minus - plus) / (2.0 * h)
+        rho_k[rows, cols] = slope[:d_r] / np.where(rows == cols, 1.0, 2.0)
+        rho_k[cols, rows] = rho_k[rows, cols]
         rho.append(rho_k)
-        mu.append(mu_k)
+        mu.append(-slope[d_r:].reshape(nk, m).T)
     return GradientSet(rho=tuple(rho), mu=tuple(mu))
 
 
@@ -293,8 +297,6 @@ def transform_gradients(
     q_new = None
     h_new = None
     if gradients.q_gramian is not None and gradients.hankelian is not None:
-        from scipy.linalg import block_diag
-
         s_full = block_diag(*transforms)
         s_inv = np.linalg.inv(s_full)
         q_new = s_inv.T @ gradients.q_gramian @ s_inv
@@ -304,44 +306,38 @@ def transform_gradients(
 
 def covariance_derivatives(
     cascade: CascadeModel, p_full: Matrix | None = None
-) -> tuple[tuple[Matrix, ...], ...]:
+) -> tuple[np.ndarray, ...]:
     """First-order covariance responses along the parameter basis.
 
     For oscillator k the directions run over the lower-triangular energy
     entries (symmetric pairs, diagonal included, columns first) followed
     by the coupling entries in column-major order, matching
-    :meth:`GradientSet.d_vector`. Each response solves the Lyapunov
-    equation A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0.
-
-    dA and dB are formed as exact half-differences of the assembled
-    matrices, which is exact because A is at most quadratic and B linear
-    in the parameters.
+    :meth:`GradientSet.d_vector`; entry k of the result stacks them,
+    shape (d_k, n, n). Each response solves the Lyapunov equation
+    A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, all of one oscillator in
+    one batched block solve certified at ``RESIDUAL_TOL``. dA and dB are
+    half-differences of the closed-form blocks of
+    :func:`perturbed_cascade_stack` along +d and -d, exact because A is
+    quadratic and B linear in (R_k, M_k).
     """
+    cascade.require_hurwitz()
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
-    out: list[tuple[Matrix, ...]] = []
-    for k in range(cascade.n_oscillators):
-        nk = cascade.dims[k]
-        m = cascade.m
-        directions: list[tuple[str, Matrix]] = []
-        for j in range(nk):
-            for i in range(j, nk):
-                d = np.zeros((nk, nk))
-                d[i, j] = 1.0
-                d[j, i] = 1.0
-                directions.append(("r_energy", d))
-        for col in range(nk):
-            for row in range(m):
-                d = np.zeros((m, nk))
-                d[row, col] = 1.0
-                directions.append(("m_coupling", d))
-        responses: list[Matrix] = []
-        for field, d in directions:
-            plus = _perturbed(cascade, k, field, d)
-            minus = _perturbed(cascade, k, field, -d)
-            da = 0.5 * (plus.a - minus.a)
-            db = 0.5 * (plus.b - minus.b)
-            force = da @ p_full + p_full @ da.T + db @ cascade.b.T + cascade.b @ db.T
-            responses.append(solve_lyapunov(cascade.a, force))
-        out.append(tuple(responses))
+    out: list[np.ndarray] = []
+    for k, nk in enumerate(cascade.dims):
+        stack = _signed_stack(cascade, k, np.eye(nk * (nk + 1) // 2 + cascade.m * nk))
+        da = 0.5 * (stack.a[0::2] - stack.a[1::2])
+        db = 0.5 * (stack.b[0::2] - stack.b[1::2])
+        half = da @ p_full + db @ cascade.b.T
+        force = half + half.transpose(0, 2, 1)
+        dp, certificate = solve_cascade_lyapunov(
+            np.broadcast_to(cascade.a, force.shape), force, cascade.dims
+        )
+        worst = float(np.max(certificate))
+        if not worst <= RESIDUAL_TOL:
+            raise SolverSingular(
+                f"covariance response of oscillator {k}: residual certificate "
+                f"{worst:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            )
+        out.append(dp)
     return tuple(out)

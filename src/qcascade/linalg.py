@@ -16,6 +16,7 @@ The dense Kronecker vectorization is kept as a test oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,10 +34,17 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def symplectic_form(r: int) -> Matrix:
-    """Canonical antisymmetric matrix [[0, I], [-I, 0]] of even order r."""
+    """Canonical antisymmetric matrix [[0, I], [-I, 0]] of even order r, shared and read-only."""
+    return _symplectic_form(r)
+
+
+@lru_cache(maxsize=64)
+def _symplectic_form(r: int) -> Matrix:
     if r % 2:
         raise ValueError(f"order must be even, got {r}")
-    return np.kron(J2, np.eye(r // 2))
+    j = np.kron(J2, np.eye(r // 2))
+    j.flags.writeable = False
+    return j
 
 
 def symplectic_exponential(h: Matrix) -> Matrix:
@@ -100,6 +108,16 @@ def is_hurwitz(a: Matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigensolve failed: {exc}") from exc
     return margin < -tol, margin
+
+
+def spectral_abscissa(a: np.ndarray) -> np.ndarray:
+    """Largest real part of the spectrum of every matrix in a stack (..., r, r);
+    tr/2 + Re sqrt(tr^2/4 - det) for r = 2."""
+    if a.shape[-1] != 2:
+        return np.max(np.linalg.eigvals(a).real, axis=-1)
+    half = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    disc = half * half - (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
+    return half + np.sqrt(np.maximum(disc, 0.0))
 
 
 def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:

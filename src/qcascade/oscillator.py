@@ -16,13 +16,13 @@ triangular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch, NotHurwitz, SingularResolvent, SingularTheta
-from .linalg import Matrix, is_hurwitz, symplectic_form
+from .linalg import HURWITZ_TOL, Matrix, is_hurwitz, spectral_abscissa, symplectic_form
 
 PR_SELF_CHECK_TOL = 1e-12
 
@@ -81,6 +81,19 @@ def _validate_params(p: OscillatorParams) -> None:
         raise SingularTheta("commutation matrix is singular")
 
 
+def realizability_residual(
+    a: Matrix, b: Matrix, c: Matrix, theta: Matrix, j_ito: Matrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """||A theta + theta A^T + B J B^T|| + ||theta C^T + B J|| and its scale
+    max(1, ||A|| ||theta||, ||B||^2), per entry for stacks (S, ., .)."""
+    at, bt, ct = (np.swapaxes(x, -1, -2) for x in (a, b, c))
+    axes = (-2, -1)
+    res = np.linalg.norm(a @ theta + theta @ at + b @ j_ito @ bt, axis=axes)
+    res += np.linalg.norm(theta @ ct + b @ j_ito, axis=axes)
+    scale = np.linalg.norm(a, axis=axes) * np.linalg.norm(theta)
+    return res, np.maximum(1.0, np.maximum(scale, np.linalg.norm(b, axis=axes) ** 2))
+
+
 def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorRealization:
     """State-space matrices (A, B, C) of one oscillator.
 
@@ -97,9 +110,7 @@ def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorReal
     a = 2.0 * theta @ (r + m.T @ j_ito @ m)
     b = 2.0 * theta @ m.T
     c = 2.0 * j_ito @ m
-    scale = max(1.0, np.linalg.norm(a) * np.linalg.norm(theta), np.linalg.norm(b) ** 2)
-    res = np.linalg.norm(a @ theta + theta @ a.T + b @ j_ito @ b.T)
-    res += np.linalg.norm(theta @ c.T + b @ j_ito)
+    res, scale = realizability_residual(a, b, c, theta, j_ito)
     if res > PR_SELF_CHECK_TOL * scale:
         raise ArithmeticError(
             f"physical-realizability self-check failed: residual {res:.3e}"
@@ -226,9 +237,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     identity_res = np.linalg.norm(
         a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full)
     )
-    pr_res = np.linalg.norm(
-        a_full @ theta_full + theta_full @ a_full.T + b_full @ j @ b_full.T
-    ) + np.linalg.norm(theta_full @ c_full.T + b_full @ j)
+    pr_res, _ = realizability_residual(a_full, b_full, c_full, theta_full, j)
     if identity_res + pr_res > PR_SELF_CHECK_TOL * scale:
         raise ArithmeticError(
             f"composite realizability self-check failed: residual {identity_res + pr_res:.3e}"
@@ -249,6 +258,59 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         dims=dims,
         hurwitz=flags,
     )
+
+
+class CascadeStack(NamedTuple):
+    """Composite a (S, n, n) and b (S, n, m) of S cascades, with the spectral
+    abscissa (S, N) of every diagonal block and its Hurwitz flag (exact for
+    a cascade)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    abscissa: np.ndarray
+    hurwitz: np.ndarray
+
+
+def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> CascadeStack:
+    """Composite (A, B) of S perturbed copies of a cascade, without assembly.
+
+    ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the
+    layout of :meth:`GradientSet.d_vector`. A_kk = 2 Theta_k (R_k + M_k^T J
+    M_k), B_k = 2 Theta_k M_k^T and A_jk = B_j C_k below the diagonal, with
+    C_k = 2 J M_k. Raises ArithmeticError if a perturbed oscillator fails
+    the self-check of :func:`oscillator_realization`.
+    """
+    j, m = cascade.j_ito, cascade.m
+    stack = de[0].shape[0]
+    a = np.zeros((stack, cascade.n, cascade.n))
+    b = np.zeros((stack, cascade.n, m))
+    c = np.zeros((stack, m, cascade.n))
+    abscissa = np.empty((stack, cascade.n_oscillators))
+    for k, params in enumerate(cascade.params):
+        bk, nk = cascade.block(k), params.n
+        d_r = nk * (nk + 1) // 2
+        # vech order: column j of the lower triangle, rows i >= j
+        cols, rows = np.triu_indices(nk)
+        dr = np.zeros((stack, nk, nk))
+        dr[:, rows, cols] = de[k][:, :d_r]
+        dr[:, cols, rows] = de[k][:, :d_r]
+        m_k = params.m_coupling + de[k][:, d_r:].reshape(stack, nk, m).transpose(0, 2, 1)
+        m_kt = m_k.transpose(0, 2, 1)
+        a_kk = 2.0 * params.theta @ (params.r_energy + dr + m_kt @ j @ m_k)
+        b_k = 2.0 * params.theta @ m_kt
+        c_k = 2.0 * j @ m_k
+        res, scale = realizability_residual(a_kk, b_k, c_k, params.theta, j)
+        if np.any(res > PR_SELF_CHECK_TOL * scale):
+            raise ArithmeticError(
+                f"physical-realizability self-check failed for oscillator {k}: "
+                f"residual {np.max(res):.3e}"
+            )
+        abscissa[:, k] = spectral_abscissa(a_kk)
+        a[:, bk, bk] = a_kk
+        b[:, bk] = b_k
+        c[:, :, bk] = c_k
+        a[:, bk, : bk.start] = b_k @ c[:, :, : bk.start]
+    return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=abscissa < -HURWITZ_TOL)
 
 
 def transfer_eval(

@@ -19,17 +19,11 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from .covariance import invariant_covariance_direct
+from .covariance import invariant_covariance_direct, log_det_stack
 from .errors import NonPositive, TooManyRejections
 from .gradients import GradientSet, covariance_derivatives
-from .linalg import (
-    HURWITZ_TOL,
-    RESIDUAL_TOL,
-    Matrix,
-    duplication_matrix,
-    solve_cascade_lyapunov,
-)
-from .oscillator import CascadeModel
+from .linalg import RESIDUAL_TOL, Matrix, duplication_matrix
+from .oscillator import CascadeModel, perturbed_cascade_stack
 
 MC_CHUNK = 2048
 MC_REJECTION_CAP = 0.01
@@ -126,10 +120,7 @@ def phi_transformed(
 ) -> float:
     """Exact index contribution of oscillator k after X_k -> S X_k."""
     rho_s, mu_s = _transformed_pair(gradients, k, s)
-    dup = duplication_matrix(rho_s.shape[0])
-    g = np.concatenate(
-        [dup.T @ rho_s.reshape(-1, order="F"), mu_s.reshape(-1, order="F")]
-    )
+    g = duplication_weighted_gradient(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0)
     sigma = uncertainty.oscillators[k].sigma_matrix(rho_s.shape[0], mu_s.shape[0])
     return float(g @ sigma @ g)
 
@@ -174,14 +165,11 @@ def monte_carlo_variance(
 ) -> MonteCarloResult:
     """Sample variance of dV against the first-order prediction eps Z.
 
-    Draws de_k ~ N(0, eps Sigma_k) independently per oscillator and
-    builds, in vectorized chunks, every sample's composite A and B from
-    the perturbed per-oscillator realizations: A_kk = 2 Theta_k (R_k +
-    M_k^T J M_k), B_k = 2 Theta_k M_k^T and A_jk = B_j C_k with
-    C_k = 2 J M_k below the diagonal. The Lyapunov equations
-    A P + P A^T + B B^T = 0 of a chunk are solved together by
-    :func:`solve_cascade_lyapunov`, and the sample variance of dV is
-    compared with eps Z.
+    Draws de_k ~ N(0, eps Sigma_k) independently per oscillator, builds
+    every sample's composite A and B in vectorized chunks with
+    :func:`perturbed_cascade_stack` and solves their Lyapunov equations
+    A P + P A^T + B B^T = 0 together (:func:`log_det_stack`); the sample
+    variance of dV is compared with eps Z.
 
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
@@ -191,9 +179,6 @@ def monte_carlo_variance(
     Results are reproducible for a fixed (seed, samples, chunk) triple;
     the chunk size takes part in how the random stream is consumed.
     """
-    n = cascade.n
-    m = cascade.m
-    j_ito = cascade.j_ito
     p0 = invariant_covariance_direct(cascade)
     sign0, v0 = np.linalg.slogdet(p0)
     if sign0 <= 0:
@@ -202,7 +187,7 @@ def monte_carlo_variance(
     predicted = epsilon * z_total
 
     sqrt_factors = [
-        _sigma_sqrt(epsilon * unc.sigma_matrix(nk, m))
+        _sigma_sqrt(epsilon * unc.sigma_matrix(nk, cascade.m))
         for unc, nk in zip(uncertainty.oscillators, cascade.dims)
     ]
 
@@ -212,36 +197,9 @@ def monte_carlo_variance(
     done = 0
     while done < samples:
         s_chunk = min(chunk, samples - done)
-        a_s = np.zeros((s_chunk, n, n))
-        b_s = np.zeros((s_chunk, n, m))
-        c_s = np.zeros((s_chunk, m, n))
-        stable = np.ones(s_chunk, dtype=bool)
-        for k, params in enumerate(cascade.params):
-            nk = cascade.dims[k]
-            d_r = nk * (nk + 1) // 2
-            draw = rng.standard_normal((s_chunk, d_r + m * nk)) @ sqrt_factors[k].T
-            # vech order: column j of the lower triangle, rows i >= j
-            cols, rows = np.triu_indices(nk)
-            dr = np.zeros((s_chunk, nk, nk))
-            dr[:, rows, cols] = draw[:, :d_r]
-            dr[:, cols, rows] = draw[:, :d_r]
-            dm = draw[:, d_r:].reshape(s_chunk, nk, m).transpose(0, 2, 1)
-            m_k = params.m_coupling + dm
-            m_kt = m_k.transpose(0, 2, 1)
-            bk = cascade.block(k)
-            a_kk = 2.0 * params.theta @ (params.r_energy + dr + m_kt @ j_ito @ m_k)
-            stable &= np.max(np.linalg.eigvals(a_kk).real, axis=1) < -HURWITZ_TOL
-            a_s[:, bk, bk] = a_kk
-            b_s[:, bk] = 2.0 * params.theta @ m_kt
-            c_s[:, :, bk] = 2.0 * j_ito @ m_k
-            a_s[:, bk, : bk.start] = b_s[:, bk] @ c_s[:, :, : bk.start]
-
-        b_s = b_s[stable]
-        p_s, certificate = solve_cascade_lyapunov(
-            a_s[stable], b_s @ b_s.transpose(0, 2, 1), cascade.dims
-        )
-        sign, logdet = np.linalg.slogdet(p_s)
-        good = (sign > 0) & (certificate <= RESIDUAL_TOL)
+        de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
+        logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
+        good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
         rejected += s_chunk - int(np.count_nonzero(good))
         deltas.append(logdet[good] - v0)
         done += s_chunk
@@ -270,52 +228,46 @@ class FisherResult:
     gram_k: tuple[Matrix, ...]
 
 
-def fisher_metric(p: Matrix, dp: Matrix) -> float:
-    """Information-metric norm <dP, P^{-1} dP P^{-1}> of a perturbation."""
+def fisher_gram(p: Matrix, dps: np.ndarray) -> Matrix:
+    """Gram matrix <dP_a, P^{-1} dP_b P^{-1}> of a stack of perturbations (d, n, n)."""
     try:
         factor = cho_factor(p, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NonPositive(f"covariance is not positive definite: {exc}") from exc
-    y = cho_solve(factor, dp)
-    return float(np.trace(y @ y))
+    d, n = len(dps), p.shape[0]
+    # Y_a = P^{-1} dP_a for all a from one solve on [dP_1 | ... | dP_d]
+    ys = cho_solve(factor, np.asarray(dps).transpose(1, 0, 2).reshape(n, d * n))
+    ys = ys.reshape(n, d, n).transpose(1, 0, 2)
+    gram = np.einsum("aij,bji->ab", ys, ys)
+    return 0.5 * (gram + gram.T)
+
+
+def fisher_metric(p: Matrix, dp: Matrix) -> float:
+    """Information-metric norm <dP, P^{-1} dP P^{-1}> of a perturbation."""
+    return float(fisher_gram(p, np.asarray(dp)[None])[0, 0])
 
 
 def fisher_sensitivity(
     cascade: CascadeModel,
     uncertainty: UncertaintyModel,
-    derivatives: tuple[tuple[Matrix, ...], ...] | None = None,
+    derivatives: tuple[np.ndarray, ...] | None = None,
     p_full: Matrix | None = None,
 ) -> FisherResult:
     """Information-metric sensitivity sum_k Tr(G_k Sigma_k).
 
-    G_k is the Gram matrix of the covariance responses under the metric
-    of :func:`fisher_metric`, taken over the same parameter basis as the
-    gradient stack.
+    G_k is the Gram matrix (:func:`fisher_gram`) of the covariance
+    responses, taken over the same parameter basis as the gradient stack.
     """
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
     if derivatives is None:
         derivatives = covariance_derivatives(cascade, p_full)
-    try:
-        factor = cho_factor(p_full, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositive(f"covariance is not positive definite: {exc}") from exc
-    z_k = []
-    grams = []
-    for k, responses in enumerate(derivatives):
-        ys = [cho_solve(factor, dp) for dp in responses]
-        d = len(ys)
-        gram = np.empty((d, d))
-        for a in range(d):
-            for b in range(a, d):
-                val = float(np.trace(ys[a] @ ys[b]))
-                gram[a, b] = val
-                gram[b, a] = val
-        nk = cascade.dims[k]
-        sigma = uncertainty.oscillators[k].sigma_matrix(nk, cascade.m)
-        grams.append(gram)
-        z_k.append(float(np.trace(gram @ sigma)))
-    return FisherResult(z_total=float(sum(z_k)), z_k=tuple(z_k), gram_k=tuple(grams))
+    grams = tuple(fisher_gram(p_full, responses) for responses in derivatives)
+    z_k = tuple(
+        float(np.trace(gram @ unc.sigma_matrix(nk, cascade.m)))
+        for gram, unc, nk in zip(grams, uncertainty.oscillators, cascade.dims, strict=True)
+    )
+    return FisherResult(z_total=float(sum(z_k)), z_k=z_k, gram_k=grams)
 
 
 def _inv_sqrt(p: Matrix, label: str) -> Matrix:

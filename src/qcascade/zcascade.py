@@ -20,7 +20,7 @@ cascade. Complex-valued solves are confined to this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     SolverSingular,
     ZAtOne,
 )
-from .linalg import Matrix, is_hurwitz, solve_lyapunov
+from .linalg import Matrix, is_hurwitz, solve_lyapunov, symplectic_form
 from .oscillator import (
     OscillatorParams,
     assemble_cascade,
@@ -73,15 +73,9 @@ class TIModel:
 
     @classmethod
     def from_oscillator(cls, params: OscillatorParams) -> "TIModel":
-        from .linalg import symplectic_form
-
         j = symplectic_form(params.m)
         real = oscillator_realization(params, j)
-        stable, margin = is_hurwitz(real.a)
-        if not stable:
-            raise NotHurwitz(f"oscillator has spectral abscissa {margin:.3e}")
-        p = solve_lyapunov(real.a, real.b @ real.b.T)
-        return cls(a=real.a, b=real.b, c=real.c, j_ito=j, p=p, params=params)
+        return replace(cls.from_matrices(real.a, real.b, real.c, j), params=params)
 
     @classmethod
     def from_matrices(

@@ -10,6 +10,7 @@ from qcascade.balance import (
     minimize_psi_one_mode,
     multimode_lower_bound,
     newton_lambda,
+    probe_psi,
     solve_multiplier,
 )
 from qcascade.covariance import purity_and_logdet, steady_state
@@ -211,6 +212,55 @@ class TestCascadeBalance:
         grads = purity_gradients_direct(reference_cascade)
         with pytest.raises(NotOneMode):
             balance_cascade(fused, grads, reference_spec.uncertainty)
+
+
+def _loop_psi(problem, h):
+    """Probe index through the matrix exponential, one probe at a time."""
+    out = []
+    for h_i in h:
+        s = symplectic_exponential(h_i)
+        u = s.T @ s
+        rho = problem.rho
+        out.append(0.5 * np.trace(rho @ u @ rho @ u) + np.trace(problem.tau @ u))
+    return np.array(out)
+
+
+class TestClosedFormProbes:
+    @pytest.fixture(scope="class")
+    def problems(self, reference_cascade, reference_spec):
+        grads = purity_gradients_direct(reference_cascade)
+        return [
+            OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
+            for rho, mu, unc in zip(grads.rho, grads.mu, reference_spec.uncertainty.oscillators)
+        ]
+
+    def test_matches_exponential_loop(self, problems, reference_report):
+        rng = np.random.default_rng(404)
+        h = rng.standard_normal((900, 2, 2))
+        v = rng.standard_normal((300, 2))
+        # rank one: det h = 0 exactly; then det h of order +-1e-14
+        h[:300] = v[:, :, None] * v[:, None, :]
+        h[300:600] = 1e-7 * h[300:600]
+        h = 0.5 * (h + h.transpose(0, 2, 1))
+        det = np.linalg.det(h)
+        assert np.any(det > 0) and np.any(det < 0) and np.any(det == 0)
+        assert np.any((det != 0) & (np.abs(det) < 1e-12))
+        for problem, res in zip(problems, reference_report.results):
+            got = probe_psi(problem, h)
+            want = _loop_psi(problem, h)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+            for threshold in (res.psi_after * (1 - 1e-9), res.psi_before):
+                assert np.count_nonzero(got < threshold) == np.count_nonzero(want < threshold)
+
+    def test_violation_count_matches_probe_loop(self, problems, reference_report):
+        # the loop draws one 2 x 2 matrix at a time from the same stream
+        rng = np.random.default_rng(7)
+        violations = 0
+        for problem, res in zip(problems, reference_report.results):
+            h = np.array([rng.standard_normal((2, 2)) for _ in range(1000)])
+            psi = _loop_psi(problem, 0.5 * (h + h.transpose(0, 2, 1)))
+            violations += int(np.count_nonzero(psi < res.psi_after * (1 - 1e-9)))
+        assert reference_report.probe_violations == violations
 
 
 class TestMultimodeBound:

@@ -151,6 +151,37 @@ class TestCommands:
         assert main(["gradients", str(GENERATED_SPEC), "--out", str(out2)]) == 0
         assert (out1 / "report.json").read_text() == (out2 / "report.json").read_text()
 
+    @pytest.mark.parametrize("command", ["gradients", "sensitivity", "balance"])
+    def test_perturbations_are_not_looped(self, command, tmp_path, monkeypatch):
+        # the FD probes, covariance responses and balance probes are built
+        # in closed form and solved in stacks; one assembly or dense solve
+        # per perturbation would bring back the per-direction loops
+        import sys
+
+        import scipy.linalg
+
+        counts = {"assemble": 0, "expm": 0, "sylvester": 0}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        targets = [
+            (module, "assemble_cascade", "assemble")
+            for name, module in list(sys.modules.items())
+            if name.startswith("qcascade") and hasattr(module, "assemble_cascade")
+        ]
+        targets += [(scipy.linalg, "expm", "expm"), (scipy.linalg, "solve_sylvester", "sylvester")]
+        for owner, attr, key in targets:
+            monkeypatch.setattr(owner, attr, spy(key, getattr(owner, attr)))
+        assert main([command, str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+        assert counts["expm"] == 0
+        assert 1 <= counts["assemble"] <= 2
+        assert 1 <= counts["sylvester"] <= 4
+
     def test_covariance_routes_reported(self, tmp_path):
         assert main(["covariance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
         results = json.loads((tmp_path / "report.json").read_text())["results"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -142,6 +144,12 @@ class TestFiniteDifferenceOracle:
         fd = gradient_fd_oracle(reference_cascade, h=1e-5)
         assert stack_gap(fd, reference_gradients) <= 1e-6
 
+    def test_mixed_chain_agreement(self):
+        # a two-mode oscillator puts the energy pairs out of vech order
+        cascade = make_mixed_cascade(np.random.default_rng(5151))
+        fd = gradient_fd_oracle(cascade, h=1e-5)
+        assert stack_gap(fd, purity_gradients_direct(cascade)) <= 1e-6
+
     def test_error_is_v_shaped_in_step(self, reference_spec):
         cascade = assemble_cascade(reference_spec.oscillators[:1])
         exact = purity_gradients_direct(cascade)
@@ -221,6 +229,36 @@ class TestCovarianceDerivatives:
             fd = (plus - minus) / (2.0 * h)
             got = derivs[k][which]
             assert np.max(np.abs(got - fd)) <= 1e-4 * max(1.0, np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("which", ["reference", "mixed"])
+    def test_matches_assembled_half_differences(self, reference_cascade, which):
+        # the per-direction route: assemble +d and -d, one dense solve each
+        cascade = reference_cascade
+        if which == "mixed":
+            cascade = make_mixed_cascade(np.random.default_rng(5151))
+        p = invariant_covariance_direct(cascade)
+        derivs = covariance_derivatives(cascade, p)
+        for k, nk in enumerate(cascade.dims):
+            # vech order: columns first
+            directions = [("r_energy", (i, j)) for j in range(nk) for i in range(j, nk)]
+            directions += [("m_coupling", (r, c)) for c in range(nk) for r in range(cascade.m)]
+            assert len(derivs[k]) == len(directions)
+            for dp, (field, (i, j)) in zip(derivs[k], directions):
+                base = cascade.params[k]
+                d = np.zeros_like(getattr(base, field))
+                d[i, j] = 1.0
+                if field == "r_energy":
+                    d[j, i] = 1.0
+                moved = []
+                for sign in (1.0, -1.0):
+                    params = list(cascade.params)
+                    params[k] = replace(base, **{field: getattr(base, field) + sign * d})
+                    moved.append(assemble_cascade(params))
+                da = 0.5 * (moved[0].a - moved[1].a)
+                db = 0.5 * (moved[0].b - moved[1].b)
+                force = da @ p + p @ da.T + db @ cascade.b.T + cascade.b @ db.T
+                want = solve_lyapunov(cascade.a, force)
+                assert np.linalg.norm(dp - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_basis_length(self, reference_cascade):
         derivs = covariance_derivatives(reference_cascade)

@@ -18,6 +18,7 @@ from qcascade.linalg import (
     solve_cascade_sylvester,
     solve_lyapunov,
     solve_sylvester,
+    spectral_abscissa,
     sylvester_kron_solve,
     symmetric_matrix_function,
     symplectic_exponential,
@@ -338,6 +339,16 @@ class TestHurwitz:
         assert not stable
         assert margin == pytest.approx(0.0, abs=1e-12)
 
+    def test_closed_form_abscissa_matches_eigvals(self):
+        rng = np.random.default_rng(808)
+        a = rng.standard_normal((500, 2, 2))
+        a[:100] = np.array([[0.0, 1.0], [-1.0, 0.0]]) * rng.uniform(0.5, 2.0, (100, 1, 1))
+        want = np.max(np.linalg.eigvals(a).real, axis=1)
+        np.testing.assert_allclose(spectral_abscissa(a), want, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(spectral_abscissa(a[:100]), 0.0)
+        b = rng.standard_normal((7, 4, 4))
+        np.testing.assert_array_equal(spectral_abscissa(b), np.max(np.linalg.eigvals(b).real, axis=1))
+
     def test_reference_oscillators_are_stable(self, reference_cascade):
         for k, nk in enumerate(reference_cascade.dims):
             lo = sum(reference_cascade.dims[:k])
@@ -372,6 +383,15 @@ class TestSymplectic:
         chk = symplectic_residual(s, J2)
         assert chk.residual <= 1e-9 * max(1.0, np.linalg.norm(s) ** 2)
         assert chk.det == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("r", [2, 4, 6, 8])
+    def test_form_is_cached_and_read_only(self, r):
+        j = symplectic_form(r)
+        assert symplectic_form(r) is j
+        assert not j.flags.writeable
+        np.testing.assert_array_equal(j, np.kron(J2, np.eye(r // 2)))
+        with pytest.raises(ValueError):
+            j[0, 0] = 1.0
 
     def test_form_builder_block_structure(self):
         np.testing.assert_array_equal(symplectic_form(2), J2)

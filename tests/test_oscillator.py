@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_oscillator, random_symplectic
+from dataclasses import replace
+
+from conftest import make_mixed_cascade, make_oscillator, random_symplectic
 from qcascade.errors import DimensionMismatch, NotSymplectic, SingularResolvent, SingularTheta
-from qcascade.linalg import J2, symplectic_form
+from qcascade.linalg import J2, symplectic_form, vech_to_symmetric
 from qcascade.oscillator import (
     OscillatorParams,
     OscillatorRealization,
@@ -15,6 +17,7 @@ from qcascade.oscillator import (
     composite_transfer_stack,
     default_theta,
     oscillator_realization,
+    perturbed_cascade_stack,
     transfer_eval,
     transform_params,
 )
@@ -172,6 +175,55 @@ class TestAssembly:
             atol=1e-13,
         )
         np.testing.assert_allclose(cascade.b, np.kron(np.ones((3, 1)), real.b), atol=1e-14)
+
+
+def _perturbed_params(cascade, de, s):
+    """Parameters of copy s of a perturbation stack, for assembly."""
+    out = []
+    for p, de_k in zip(cascade.params, de):
+        d_r = p.n * (p.n + 1) // 2
+        out.append(
+            OscillatorParams(
+                theta=p.theta,
+                r_energy=p.r_energy + vech_to_symmetric(de_k[s, :d_r], p.n),
+                m_coupling=p.m_coupling + de_k[s, d_r:].reshape((p.m, p.n), order="F"),
+            )
+        )
+    return out
+
+
+class TestPerturbedStack:
+    @pytest.mark.parametrize("which", ["reference", "mixed"])
+    @pytest.mark.parametrize("only", [None, 0, 1, 2])
+    def test_matches_assembly(self, reference_cascade, which, only):
+        cascade = reference_cascade
+        if which == "mixed":
+            cascade = make_mixed_cascade(np.random.default_rng(77))
+        rng = np.random.default_rng(78)
+        sizes = [n * (n + 1) // 2 + cascade.m * n for n in cascade.dims]
+        de = [0.3 * rng.standard_normal((5, d)) for d in sizes]
+        if only is not None:
+            de = [x if k == only else np.zeros_like(x) for k, x in enumerate(de)]
+        stack = perturbed_cascade_stack(cascade, de)
+        assert stack.a.shape == (5, cascade.n, cascade.n)
+        for s in range(5):
+            moved = assemble_cascade(_perturbed_params(cascade, de, s))
+            for got, want in ((stack.a[s], moved.a), (stack.b[s], moved.b)):
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+            margins = [margin for _, margin in moved.hurwitz]
+            np.testing.assert_allclose(stack.abscissa[s], margins, rtol=1e-12, atol=1e-14)
+            assert list(stack.hurwitz[s]) == [flag for flag, _ in moved.hurwitz]
+
+    def test_realizability_self_check_is_applied(self, reference_cascade):
+        # a symmetric part in theta breaks A theta + theta A^T + B J B^T = 0
+        p0 = reference_cascade.params[0]
+        broken = replace(
+            reference_cascade,
+            params=(replace(p0, theta=p0.theta + 0.1 * np.eye(2)),) + reference_cascade.params[1:],
+        )
+        de = [np.zeros((2, 3 + broken.m * 2)) for _ in broken.dims]
+        with pytest.raises(ArithmeticError, match="oscillator 0"):
+            perturbed_cascade_stack(broken, de)
 
 
 class TestTransfer:

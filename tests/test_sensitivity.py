@@ -4,11 +4,20 @@ import pytest
 from conftest import make_cascade
 from qcascade.errors import NonPositive, TooManyRejections
 from qcascade.gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from qcascade.linalg import J2, duplication_matrix, vech
+from qcascade.covariance import invariant_covariance_direct
+from qcascade.linalg import (
+    J2,
+    RESIDUAL_TOL,
+    duplication_matrix,
+    solve_cascade_lyapunov,
+    vech,
+    vech_to_symmetric,
+)
 from qcascade.oscillator import OscillatorParams, assemble_cascade
 from qcascade.sensitivity import (
     OscillatorUncertainty,
     UncertaintyModel,
+    _sigma_sqrt,
     duplication_weighted_gradient,
     fisher_metric,
     fisher_sensitivity,
@@ -147,6 +156,49 @@ class TestMonteCarlo:
         assert 0.9 <= res.ratio <= 1.1
         assert res.rejected == 0
 
+    def test_six_oscillator_chain_matches_assembled_samples(self):
+        # the per-sample route: assemble every perturbed cascade from its
+        # parameters, drawn from the same stream in the same order
+        rng = np.random.default_rng(606)
+        cascade = make_cascade(rng, 6, 2)
+        grads = purity_gradients_direct(cascade)
+        unc = UncertaintyModel.from_weights(
+            [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
+        )
+        eps, samples, chunk = 1e-10, 1024, 512
+        res = monte_carlo_variance(
+            cascade, unc, grads, samples=samples, epsilon=eps, seed=11, chunk=chunk
+        )
+        factors = [
+            _sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators
+        ]
+        draws = np.random.default_rng(11)
+        a, b, stable = [], [], []
+        for _ in range(samples // chunk):
+            de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
+            for s in range(chunk):
+                moved = assemble_cascade(
+                    [
+                        OscillatorParams(
+                            theta=p.theta,
+                            r_energy=p.r_energy + vech_to_symmetric(de_k[s, :3], 2),
+                            m_coupling=p.m_coupling + de_k[s, 3:].reshape((2, 2), order="F"),
+                        )
+                        for p, de_k in zip(cascade.params, de)
+                    ]
+                )
+                a.append(moved.a)
+                b.append(moved.b)
+                stable.append(moved.all_hurwitz())
+        a, b = np.array(a)[stable], np.array(b)[stable]
+        p, certificate = solve_cascade_lyapunov(a, b @ b.transpose(0, 2, 1), cascade.dims)
+        sign, logdet = np.linalg.slogdet(p)
+        good = (sign > 0) & (certificate <= RESIDUAL_TOL)
+        v0 = np.linalg.slogdet(invariant_covariance_direct(cascade))[1]
+        ratio = np.var(logdet[good] - v0, ddof=1) / res.predicted
+        assert res.rejected == samples - np.count_nonzero(good)
+        assert res.ratio == pytest.approx(ratio, rel=1e-12)
+
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
     def test_draw_map_follows_vech_order(self, r):
         # the sampler writes draw entry t of the vech R block to (rows[t], cols[t])
@@ -186,6 +238,16 @@ class TestFisher:
             assert np.linalg.eigvalsh(gram)[0] >= -1e-9 * np.linalg.norm(gram)
         assert res.z_total == pytest.approx(sum(res.z_k), rel=1e-12)
         assert res.z_total > 0.0
+
+    def test_gram_matches_trace_loop(self, reference_cascade, reference_uncertainty):
+        from qcascade.covariance import invariant_covariance_direct
+
+        p = invariant_covariance_direct(reference_cascade)
+        res = fisher_sensitivity(reference_cascade, reference_uncertainty)
+        for gram, responses in zip(res.gram_k, covariance_derivatives(reference_cascade, p)):
+            ys = [np.linalg.solve(p, dp) for dp in responses]
+            want = np.array([[np.trace(ya @ yb) for yb in ys] for ya in ys])
+            assert np.max(np.abs(gram - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_whitened_trace_bound(self, reference_cascade):
         # (Tr P^{-1} dP)^2 <= n Tr((P^{-1} dP)^2), Cauchy-Schwarz in the metric
