@@ -7,7 +7,8 @@ A cascade spec file is a JSON document:
       "oscillators": [{"n": 2, "R": [[...]], "M": [[...]], "theta": optional}],
       "uncertainty": [{"a": ..., "b": ...} | {"sigma": [[...]]}],
       "epsilon": 1e-6,
-      "options": {"seed": ..., "samples": ..., "kmax": ..., "fd_step": ...},
+      "options": {"seed", "samples", "kmax", "fd_step", "tol_residual",
+                  "epsilon": optional run settings, overridden by flags},
       "expected": { optional reference values for the reproduce command }
     }
 
@@ -70,18 +71,6 @@ from .sensitivity import (
 )
 from .zcascade import TIModel, covariance_trace_bound
 
-COMMANDS = (
-    "validate",
-    "covariance",
-    "purity",
-    "gradients",
-    "sensitivity",
-    "balance",
-    "mc-check",
-    "ti-bounds",
-    "reproduce-paper",
-)
-
 VALIDATION_ERRORS = (ParseError, SchemaError, DimensionMismatch, SingularTheta)
 
 
@@ -126,6 +115,15 @@ SPEC_KEYS = frozenset(
 )
 OSCILLATOR_KEYS = frozenset({"n", "R", "M", "theta"})
 UNCERTAINTY_KEYS = frozenset({"a", "b", "sigma"})
+#: run settings a spec's ``options`` may set (each also a flag), with their types
+RUN_SETTINGS = {
+    "tol_residual": float,
+    "fd_step": float,
+    "samples": int,
+    "seed": int,
+    "epsilon": float,
+    "kmax": int,
+}
 
 
 def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
@@ -135,6 +133,13 @@ def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
             f"{where}: unknown key {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+
+
+def _convert(value: Any, kind: type, where: str) -> Any:
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def load_spec(path: str | Path) -> CascadeSpecFile:
@@ -222,10 +227,11 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
                 raise SchemaError(f"{where}: needs either 'sigma' or both 'a' and 'b'")
         uncertainty = UncertaintyModel(oscillators=tuple(entries))
 
-    epsilon = float(doc.get("epsilon", 1e-6))
+    epsilon = _convert(doc.get("epsilon", 1e-6), float, "epsilon")
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise SchemaError("options: must be an object")
+    _reject_unknown_keys(options, frozenset(RUN_SETTINGS), "options")
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, dict):
         raise SchemaError("expected: must be an object")
@@ -247,34 +253,48 @@ def build_cascade(spec: CascadeSpecFile) -> CascadeModel:
 
 @dataclass
 class RunFlags:
+    """Run settings: a command-line flag wins over the spec's ``options``,
+    which win over the defaults. Out-of-range values raise SchemaError,
+    whichever source they came from."""
+
     tol_residual: float = 1e-9
     fd_step: float = 1e-5
     samples: int = 100_000
     seed: int = 7
-    epsilon: float | None = None
+    epsilon: float = 1e-6
     kmax: int = 10
     out: Path = Path(".")
     fmt: str = "table"
 
+    def __post_init__(self) -> None:
+        # library guards raise bare ValueError; refuse out-of-range values up front
+        problems = [
+            f"{key} must be at least 1" for key in ("samples", "kmax") if getattr(self, key) < 1
+        ]
+        if self.seed < 0:
+            problems.append("seed must be nonnegative")
+        problems += [
+            f"{key} must be positive"
+            for key in ("fd_step", "epsilon", "tol_residual")
+            if not getattr(self, key) > 0.0
+        ]
+        if problems:
+            raise SchemaError("; ".join(problems))
+
     @classmethod
     def from_spec(cls, spec: CascadeSpecFile, ns: argparse.Namespace) -> "RunFlags":
-        opts = spec.options
+        in_spec = {"epsilon": spec.epsilon, **spec.options}
+        values = {}
+        for key, kind in RUN_SETTINGS.items():
+            if getattr(ns, key) is not None:
+                values[key] = getattr(ns, key)
+            elif key in in_spec:
+                values[key] = _convert(in_spec[key], kind, f"options.{key}")
+        return cls(**values, out=Path(ns.out) if ns.out else Path("."), fmt=ns.format or "table")
 
-        def pick(flag_val, key, default):
-            if flag_val is not None:
-                return flag_val
-            return opts.get(key, default)
 
-        return cls(
-            tol_residual=float(pick(ns.tol_residual, "tol_residual", 1e-9)),
-            fd_step=float(pick(ns.fd_step, "fd_step", 1e-5)),
-            samples=int(pick(ns.samples, "samples", 100_000)),
-            seed=int(pick(ns.seed, "seed", 7)),
-            epsilon=float(pick(ns.epsilon, "epsilon", spec.epsilon)),
-            kmax=int(pick(ns.kmax, "kmax", 10)),
-            out=Path(ns.out) if ns.out else Path("."),
-            fmt=ns.format or "table",
-        )
+#: what a command returns: report results, exit code, table text
+Reply = tuple[dict, int, str]
 
 
 def _listify(mat: np.ndarray) -> list:
@@ -291,7 +311,7 @@ def _require_uncertainty(spec: CascadeSpecFile) -> UncertaintyModel:
     return spec.uncertainty
 
 
-def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
+def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     pr_res = float(
         realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)[0]
@@ -326,7 +346,7 @@ def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, st
     return results, exit_code, "\n".join(lines)
 
 
-def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
+def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     p_direct = invariant_covariance_direct(cascade)
     gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(cascade)))
@@ -346,7 +366,7 @@ def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, 
     return results, 0, table
 
 
-def _cmd_purity(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
+def _cmd_purity(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     ss = steady_state(cascade)
     results = {
@@ -368,7 +388,7 @@ def _gradient_gap(g1: GradientSet, g2: GradientSet) -> float:
     return max(float(np.max(np.abs(a - b))) for a, b in zip(g1.rho + g1.mu, g2.rho + g2.mu))
 
 
-def _cmd_gradients(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
+def _cmd_gradients(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     direct = purity_gradients_direct(cascade)
     recursive = purity_gradients_recursive(cascade)
@@ -391,10 +411,11 @@ def _cmd_gradients(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, s
     return results, 0, "\n".join(lines)
 
 
-def _cmd_sensitivity(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
+def _cmd_sensitivity(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     uncertainty = _require_uncertainty(spec)
-    grads = purity_gradients_direct(cascade)
+    p_full = invariant_covariance_direct(cascade)
+    grads = purity_gradients_direct(cascade, p_full)
     index = sensitivity_index(grads, uncertainty)
     psi_id = []
     for k in range(cascade.n_oscillators):
@@ -402,7 +423,7 @@ def _cmd_sensitivity(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int,
             psi_id.append(psi_transformed(grads, uncertainty, k, np.eye(cascade.dims[k])))
         except ValueError:
             psi_id.append(None)
-    fisher = fisher_sensitivity(cascade, uncertainty)
+    fisher = fisher_sensitivity(cascade, uncertainty, p_full)
     results = {
         "z_total": index.z_total,
         "z_k": list(index.z_k),
@@ -481,9 +502,7 @@ def _balance_report(
     return grads, report, results, "\n".join(lines)
 
 
-def _cmd_balance(
-    spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
-) -> tuple[dict, int, str]:
+def _cmd_balance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     _, report, results, table = _balance_report(spec, flags)
     bundle.extra_files["balanced.json"] = _spec_document_from_cascade(
         spec, report.transformed
@@ -497,7 +516,7 @@ def _cmd_balance(
     return results, 0, table
 
 
-def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, str]:
+def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     uncertainty = _require_uncertainty(spec)
     grads = purity_gradients_direct(cascade)
@@ -506,7 +525,7 @@ def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, st
         uncertainty,
         grads,
         samples=flags.samples,
-        epsilon=flags.epsilon if flags.epsilon is not None else spec.epsilon,
+        epsilon=flags.epsilon,
         seed=flags.seed,
     )
     in_range = 0.9 <= mc.ratio <= 1.1
@@ -526,9 +545,7 @@ def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags) -> tuple[dict, int, st
     return results, 0 if in_range else 2, table
 
 
-def _cmd_ti_bounds(
-    spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
-) -> tuple[dict, int, str]:
+def _cmd_ti_bounds(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     rows: list[tuple] = []
     per_osc = []
     all_ok = True
@@ -569,9 +586,7 @@ def _compare(name: str, got, want, atol: float, rtol: float) -> dict[str, Any]:
     }
 
 
-def _cmd_reproduce(
-    spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
-) -> tuple[dict, int, str]:
+def _cmd_reproduce(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     if spec.expected is None:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
     expected = spec.expected
@@ -608,6 +623,21 @@ def _cmd_reproduce(
     return results, 0 if all_pass else 2, "\n".join(lines)
 
 
+#: command name -> handler; each returns (results, exit code, table) and may
+#: add CSV series or extra files to the bundle
+COMMANDS: dict[str, Callable[[CascadeSpecFile, RunFlags, ReportBundle], Reply]] = {
+    "validate": _cmd_validate,
+    "covariance": _cmd_covariance,
+    "purity": _cmd_purity,
+    "gradients": _cmd_gradients,
+    "sensitivity": _cmd_sensitivity,
+    "balance": _cmd_balance,
+    "mc-check": _cmd_mc_check,
+    "ti-bounds": _cmd_ti_bounds,
+    "reproduce-paper": _cmd_reproduce,
+}
+
+
 def run_command(command: str, spec: CascadeSpecFile, flags: RunFlags) -> tuple[ReportBundle, int]:
     """Dispatch one command on a loaded spec; returns the bundle and exit code."""
     bundle = ReportBundle(
@@ -617,7 +647,7 @@ def run_command(command: str, spec: CascadeSpecFile, flags: RunFlags) -> tuple[R
             "input": str(spec.source),
             "sha256": spec.sha256,
             "seed": flags.seed,
-            "epsilon": flags.epsilon if flags.epsilon is not None else spec.epsilon,
+            "epsilon": flags.epsilon,
             "tol_residual": flags.tol_residual,
             "fd_step": flags.fd_step,
             "samples": flags.samples,
@@ -625,26 +655,9 @@ def run_command(command: str, spec: CascadeSpecFile, flags: RunFlags) -> tuple[R
             "version": __version__,
         },
     )
-    simple: dict[str, Callable[[CascadeSpecFile, RunFlags], tuple[dict, int, str]]] = {
-        "validate": _cmd_validate,
-        "covariance": _cmd_covariance,
-        "purity": _cmd_purity,
-        "gradients": _cmd_gradients,
-        "sensitivity": _cmd_sensitivity,
-        "mc-check": _cmd_mc_check,
-    }
-    if command in simple:
-        results, code, table = simple[command](spec, flags)
-    elif command == "balance":
-        results, code, table = _cmd_balance(spec, flags, bundle)
-    elif command == "ti-bounds":
-        results, code, table = _cmd_ti_bounds(spec, flags, bundle)
-    elif command == "reproduce-paper":
-        results, code, table = _cmd_reproduce(spec, flags, bundle)
-    else:
+    if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    bundle.results = results
-    bundle.table = table
+    bundle.results, code, bundle.table = COMMANDS[command](spec, flags, bundle)
     return bundle, code
 
 
@@ -702,34 +715,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_range_problem(ns: argparse.Namespace) -> str | None:
-    # library guards raise bare ValueError; reject out-of-range flags up front
-    if ns.samples is not None and ns.samples < 1:
-        return "--samples must be at least 1"
-    if ns.kmax is not None and ns.kmax < 1:
-        return "--kmax must be at least 1"
-    if ns.fd_step is not None and ns.fd_step <= 0.0:
-        return "--fd-step must be positive"
-    if ns.epsilon is not None and ns.epsilon <= 0.0:
-        return "--epsilon must be positive"
-    if ns.tol_residual is not None and ns.tol_residual <= 0.0:
-        return "--tol-residual must be positive"
-    return None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    problem = _flag_range_problem(ns)
-    if problem is not None:
-        print(f"validation error: {problem}", file=sys.stderr)
-        return 1
     try:
         spec = load_spec(ns.spec)
-    except VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-    flags = RunFlags.from_spec(spec, ns)
-    try:
+        flags = RunFlags.from_spec(spec, ns)
         bundle, code = run_command(ns.command, spec, flags)
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -51,15 +51,21 @@ class SteadyStateResult:
     v_k: tuple[float, ...]
 
 
-def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
-    """Steady-state covariance from one Lyapunov solve on the composite."""
-    cascade.require_hurwitz()
-    q = symmetric_part(cascade.b @ cascade.b.T)
-    p = symmetric_part(sylvester_schur_solve(cascade.a, cascade.a, q))
+def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
+    """P solving A P + P A^T + B B^T = 0 by one certified Schur solve, with
+    a floor on its spectrum. The caller has checked that A is Hurwitz."""
+    q = symmetric_part(b @ b.T)
+    p = symmetric_part(sylvester_schur_solve(a, a, q))
     floor = np.linalg.eigvalsh(p)[0]
     if floor < -PSD_TOL * max(1.0, np.linalg.norm(p)):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")
     return p
+
+
+def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
+    """Steady-state covariance from one Lyapunov solve on the composite."""
+    cascade.require_hurwitz()
+    return stationary_covariance(cascade.a, cascade.b)
 
 
 def log_det_stack(stack: CascadeStack, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

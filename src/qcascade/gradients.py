@@ -26,7 +26,6 @@ import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .covariance import (
-    SteadyStateResult,
     invariant_covariance_direct,
     log_det_stack,
     steady_state,
@@ -153,9 +152,7 @@ def purity_gradients_direct(
     return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q, hankelian=h)
 
 
-def purity_gradients_recursive(
-    cascade: CascadeModel, steady: SteadyStateResult | None = None
-) -> GradientSet:
+def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     """Gradients from tail subproblems, one oscillator at a time.
 
     For each k the tail covariance (the Schur complement of the leading
@@ -166,8 +163,7 @@ def purity_gradients_recursive(
     one structured Schur factor of the cascade.
     """
     cascade.require_hurwitz()
-    if steady is None:
-        steady = steady_state(cascade)
+    steady = steady_state(cascade)
     factor = cascade_schur(cascade.a, cascade.dims)
     p = steady.p_full
     rho: list[Matrix] = []

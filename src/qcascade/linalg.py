@@ -112,12 +112,13 @@ def is_hurwitz(a: Matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
 
 def spectral_abscissa(a: np.ndarray) -> np.ndarray:
     """Largest real part of the spectrum of every matrix in a stack (..., r, r);
-    tr/2 + Re sqrt(tr^2/4 - det) for r = 2."""
+    tr/2 + Re sqrt(tr^2/4 - det) for r = 2, with the discriminant written as
+    ((a00 - a11)/2)^2 + a01 a10, which keeps near-double eigenvalues accurate."""
     if a.shape[-1] != 2:
         return np.max(np.linalg.eigvals(a).real, axis=-1)
-    half = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
-    disc = half * half - (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
-    return half + np.sqrt(np.maximum(disc, 0.0))
+    half_gap = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
+    disc = half_gap * half_gap + a[..., 0, 1] * a[..., 1, 0]
+    return 0.5 * (a[..., 0, 0] + a[..., 1, 1]) + np.sqrt(np.maximum(disc, 0.0))
 
 
 def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
@@ -136,7 +137,7 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     return x.reshape((n, p), order="F")
 
 
-def _check_sylvester_inputs(alpha, beta, gamma, hurwitz_tol):
+def _check_sylvester_inputs(alpha, beta, gamma):
     if alpha.shape[0] != alpha.shape[1] or beta.shape[0] != beta.shape[1]:
         raise ValueError("coefficient matrices must be square")
     if gamma.shape != (alpha.shape[0], beta.shape[0]):
@@ -145,27 +146,25 @@ def _check_sylvester_inputs(alpha, beta, gamma, hurwitz_tol):
             f"({alpha.shape[0]}, {beta.shape[0]})"
         )
     for name, mat in (("alpha", alpha), ("beta", beta)):
-        ok, margin = is_hurwitz(mat, hurwitz_tol)
+        ok, margin = is_hurwitz(mat)
         if not ok:
             raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
 
 
-def _certify(alpha, beta, gamma, sigma, residual_tol):
+def _certify(alpha, beta, gamma, sigma):
     residual = np.linalg.norm(alpha @ sigma + sigma @ beta.T + gamma)
     scale = (
         np.linalg.norm(alpha) * np.linalg.norm(sigma)
         + np.linalg.norm(sigma) * np.linalg.norm(beta)
         + np.linalg.norm(gamma)
     )
-    if not residual <= residual_tol * max(scale, np.finfo(float).tiny):
+    if not residual <= RESIDUAL_TOL * max(scale, np.finfo(float).tiny):
         raise SolverSingular(
-            f"residual {residual:.3e} exceeds {residual_tol:.1e} x scale {scale:.3e}"
+            f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}"
         )
 
 
-def sylvester_schur_solve(
-    alpha: Matrix, beta: Matrix, gamma: Matrix, *, residual_tol: float = RESIDUAL_TOL
-) -> Matrix:
+def sylvester_schur_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     """Certified dense Schur solve of alpha*s + s*beta^T + gamma = 0.
 
     The caller has checked that alpha and beta are Hurwitz.
@@ -174,24 +173,17 @@ def sylvester_schur_solve(
         sigma = scipy.linalg.solve_sylvester(alpha, beta.T, -gamma)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverSingular(f"Schur solve failed: {exc}") from exc
-    _certify(alpha, beta, gamma, sigma, residual_tol)
+    _certify(alpha, beta, gamma, sigma)
     return sigma
 
 
-def solve_sylvester(
-    alpha: Matrix,
-    beta: Matrix,
-    gamma: Matrix,
-    *,
-    hurwitz_tol: float = HURWITZ_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-) -> Matrix:
+def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     """Unique solution s of alpha*s + s*beta^T + gamma = 0.
 
     Parameters
     ----------
     alpha, beta
-        Hurwitz matrices (all eigenvalue real parts below -hurwitz_tol),
+        Hurwitz matrices (all eigenvalue real parts below -HURWITZ_TOL),
         of orders n and p.
     gamma
         Constant term, n x p.
@@ -210,26 +202,17 @@ def solve_sylvester(
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    _check_sylvester_inputs(alpha, beta, gamma, hurwitz_tol)
-    return sylvester_schur_solve(alpha, beta, gamma, residual_tol=residual_tol)
+    _check_sylvester_inputs(alpha, beta, gamma)
+    return sylvester_schur_solve(alpha, beta, gamma)
 
 
-def solve_lyapunov(
-    a: Matrix,
-    q: Matrix,
-    *,
-    hurwitz_tol: float = HURWITZ_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-) -> Matrix:
+def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
     """Unique solution P of a*P + P*a^T + q = 0 for Hurwitz a, symmetric q.
 
     The returned matrix is exactly symmetric.
     """
     q = symmetric_part(np.asarray(q, dtype=float))
-    p = solve_sylvester(
-        a, a, q, hurwitz_tol=hurwitz_tol, residual_tol=residual_tol
-    )
-    return symmetric_part(p)
+    return symmetric_part(solve_sylvester(a, a, q))
 
 
 class CascadeSchur(NamedTuple):
@@ -288,7 +271,7 @@ def solve_cascade_sylvester(
     a_r, a_c = factor.a[rows, rows], factor.a[cols, cols]
     if transpose:
         a_r, a_c = a_r.T, a_c.T
-    _certify(a_r, a_c, gamma, sigma, RESIDUAL_TOL)
+    _certify(a_r, a_c, gamma, sigma)
     return sigma
 
 

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch, NotHurwitz, SingularResolvent, SingularTheta
-from .linalg import HURWITZ_TOL, Matrix, is_hurwitz, spectral_abscissa, symplectic_form
+from .linalg import HURWITZ_TOL, Matrix, duplication_matrix, spectral_abscissa, symplectic_form
 
 PR_SELF_CHECK_TOL = 1e-12
+#: most entries K S n_k m the series builder forms at once: larger temporaries are
+#: handed back to the system when freed and fault in again on every call
+BATCH_ENTRIES = 1 << 15
 
 
 def default_theta(n: int) -> Matrix:
@@ -85,36 +87,95 @@ def realizability_residual(
     a: Matrix, b: Matrix, c: Matrix, theta: Matrix, j_ito: Matrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """||A theta + theta A^T + B J B^T|| + ||theta C^T + B J|| and its scale
-    max(1, ||A|| ||theta||, ||B||^2), per entry for stacks (S, ., .)."""
+    max(1, ||A|| ||theta||, ||B||^2), per entry for stacks (..., ., .)."""
     at, bt, ct = (np.swapaxes(x, -1, -2) for x in (a, b, c))
-    axes = (-2, -1)
-    res = np.linalg.norm(a @ theta + theta @ at + b @ j_ito @ bt, axis=axes)
-    res += np.linalg.norm(theta @ ct + b @ j_ito, axis=axes)
-    scale = np.linalg.norm(a, axis=axes) * np.linalg.norm(theta)
+    axes, bj = (-2, -1), b @ j_ito
+    res = np.linalg.norm(a @ theta + theta @ at + bj @ bt, axis=axes)
+    bj += theta @ ct
+    res += np.linalg.norm(bj, axis=axes)
+    scale = np.linalg.norm(a, axis=axes) * np.linalg.norm(theta, axis=axes)
     return res, np.maximum(1.0, np.maximum(scale, np.linalg.norm(b, axis=axes) ** 2))
 
 
-def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorRealization:
-    """State-space matrices (A, B, C) of one oscillator.
+def _block_diag(mats: Sequence[Matrix]) -> Matrix:
+    """Block-diagonal matrix of square blocks, in a tenth of scipy's block_diag time."""
+    offs = np.cumsum([0] + [len(x) for x in mats])
+    out = np.zeros((offs[-1], offs[-1]))
+    for x, lo, hi in zip(mats, offs[:-1], offs[1:]):
+        out[lo:hi, lo:hi] = x
+    return out
 
-    The physical-realizability identities
-    A theta + theta A^T + B J B^T = 0 and theta C^T + B J = 0
-    are verified to round-off as a built-in self-check.
+
+def _write_series(blocks: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite (A, B, C) stacks of a series connection of units from unit k's
+    stacks A_k (S, n_k, n_k), B_k (S, n_k, m), C_k (S, m, n_k) in ``blocks[k]``:
+    A_k on the diagonal, A_jk = B_j C_k below it, B_k stacked, C_k concatenated.
     """
+    (stack, _, m), n = blocks[0][1].shape, sum(a_k.shape[-1] for a_k, _, _ in blocks)
+    a, b, c = np.zeros((stack, n, n)), np.zeros((stack, n, m)), np.zeros((stack, m, n))
+    off = 0
+    for a_k, b_k, c_k in blocks:
+        bk = slice(off, off + a_k.shape[-1])
+        a[:, bk, bk], b[:, bk], c[:, :, bk] = a_k, b_k, c_k
+        a[:, bk, :off] = b_k @ c[:, :, :off]
+        off = bk.stop
+    return a, b, c
+
+
+def _series_connection(
+    oscillators: Sequence[OscillatorParams], j_ito: Matrix, de: Sequence[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
+    """Series connection of S perturbed copies of a chain of oscillators.
+
+    ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the layout
+    of :meth:`GradientSet.d_vector`; None is one unperturbed copy. A_kk = 2 Theta_k
+    (R_k + M_k^T J M_k), B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed for
+    batches of oscillators of one order and pass the realizability self-check
+    (ArithmeticError naming the oscillator). Returns the stacks of
+    :func:`_write_series`, the blocks and their spectral abscissas (S, N).
+    """
+    if de is None:
+        de = [np.zeros((1, p.n * (p.n + 1) // 2 + p.m * p.n)) for p in oscillators]
+    stack, m = de[0].shape[0], j_ito.shape[0]
+    blocks: list = [None] * len(oscillators)
+    abscissa = np.empty((stack, len(oscillators)))
+    for n_k in dict.fromkeys(p.n for p in oscillators):
+        same = [k for k, p in enumerate(oscillators) if p.n == n_k]
+        size = max(1, BATCH_ENTRIES // (stack * n_k * m))
+        for ks in (same[i : i + size] for i in range(0, len(same), size)):
+            # oscillator axis first, so that theta broadcasts over whole copy stacks
+            theta = np.stack([oscillators[k].theta for k in ks])[:, None]
+            r = np.stack([oscillators[k].r_energy for k in ks])[:, None]
+            m0 = np.stack([oscillators[k].m_coupling for k in ks])[:, None]
+            d = np.stack([de[k] for k in ks])
+            # position in vech of every entry of dR, read off the duplication matrix
+            vech_at = duplication_matrix(n_k).argmax(axis=1).reshape(n_k, n_k)
+            m_k = m0 + np.swapaxes(d[..., -m * n_k :].reshape(len(ks), stack, n_k, m), -1, -2)
+            m_kt = np.swapaxes(m_k, -1, -2)
+            a_kk = 2.0 * theta @ (r + d[..., vech_at] + m_kt @ j_ito @ m_k)
+            b_k = 2.0 * theta @ m_kt
+            c_k = 2.0 * j_ito @ m_k
+            res, scale = realizability_residual(a_kk, b_k, c_k, theta, j_ito)
+            failed = np.flatnonzero(np.any(res > PR_SELF_CHECK_TOL * scale, axis=1))
+            if failed.size:
+                raise ArithmeticError(
+                    f"physical-realizability self-check failed for oscillator {ks[failed[0]]}: "
+                    f"residual {np.max(res):.3e}"
+                )
+            abscissa[:, ks] = spectral_abscissa(a_kk).T
+            for i, k in enumerate(ks):
+                blocks[k] = (a_kk[i], b_k[i], c_k[i])
+    return (*_write_series(blocks), blocks, abscissa)
+
+
+def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorRealization:
+    """State-space matrices (A, B, C) of one oscillator, the one-oscillator
+    case of the series builder, whose self-check verifies A theta + theta A^T
+    + B J B^T = 0 and theta C^T + B J = 0 to round-off."""
     _validate_params(p)
     if j_ito.shape != (p.m, p.m):
-        raise DimensionMismatch(
-            f"field form of order {j_ito.shape[0]} does not match {p.m} channels"
-        )
-    theta, r, m = p.theta, p.r_energy, p.m_coupling
-    a = 2.0 * theta @ (r + m.T @ j_ito @ m)
-    b = 2.0 * theta @ m.T
-    c = 2.0 * j_ito @ m
-    res, scale = realizability_residual(a, b, c, theta, j_ito)
-    if res > PR_SELF_CHECK_TOL * scale:
-        raise ArithmeticError(
-            f"physical-realizability self-check failed: residual {res:.3e}"
-        )
+        raise DimensionMismatch(f"field form of order {j_ito.shape[0]} does not match {p.m} channels")
+    (a,), (b,), (c,), _, _ = _series_connection([p], j_ito)
     return OscillatorRealization(a=a, b=b, c=c)
 
 
@@ -177,77 +238,45 @@ def composite_energy_coupling(
 
     The energy matrix keeps the individual R_k on its diagonal blocks and
     carries M_j^T J M_k below the diagonal (minus that above), so that
-    the composite dynamics matrix factors as 2 theta (R + M^T J M).
+    the composite dynamics matrix factors as 2 theta (R + M^T J M), the
+    identity the composite self-check of :func:`assemble_cascade` tests.
     """
     if not oscillators:
         raise DimensionMismatch("at least one oscillator required")
     m = oscillators[0].m
     for idx, p in enumerate(oscillators):
         if p.m != m:
-            raise DimensionMismatch(
-                f"oscillator {idx}: {p.m} field channels, expected {m}"
-            )
-    j = symplectic_form(m)
-    dims = [p.n for p in oscillators]
-    n = sum(dims)
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    r_full = np.zeros((n, n))
-    for k, pk in enumerate(oscillators):
-        rows = slice(offs[k], offs[k + 1])
-        r_full[rows, rows] = pk.r_energy
-        for jx in range(k + 1, len(oscillators)):
-            blk = oscillators[jx].m_coupling.T @ j @ pk.m_coupling
-            r_full[offs[jx] : offs[jx + 1], rows] = blk
-            r_full[rows, offs[jx] : offs[jx + 1]] = blk.T
+            raise DimensionMismatch(f"oscillator {idx}: {p.m} field channels, expected {m}")
     m_full = np.hstack([p.m_coupling for p in oscillators])
+    block_id = np.repeat(np.arange(len(oscillators)), [p.n for p in oscillators])
+    below = block_id[:, None] > block_id[None, :]
+    cross = np.where(below, m_full.T @ symplectic_form(m) @ m_full, 0.0)
+    r_full = _block_diag([p.r_energy for p in oscillators]) + cross + cross.T
     return r_full, m_full
 
 
 def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
-    """Build the composite model from the per-oscillator data.
-
-    The composite matrices follow the series-connection recursion: the
-    dynamics matrix gains a new diagonal block A_k and a new block row
-    B_k C_{k-1} of couplings to all predecessors, the input matrix
-    stacks B_k, the output matrix concatenates C_k.
-    """
+    """Build the composite model from the per-oscillator data by one call of
+    the series-connection builder; the per-oscillator Hurwitz flags come from
+    the spectral abscissas of the diagonal blocks, exact for a cascade."""
     oscillators = tuple(oscillators)
-    if not oscillators:
-        raise DimensionMismatch("at least one oscillator required")
-    m = oscillators[0].m
-    j = symplectic_form(m)
-    reals = tuple(oscillator_realization(p, j) for p in oscillators)
-    dims = tuple(p.n for p in oscillators)
-
-    a_full, b_full, c_full = reals[0].a, reals[0].b, reals[0].c
-    for rk in reals[1:]:
-        a_full = np.block(
-            [
-                [a_full, np.zeros((a_full.shape[0], rk.a.shape[0]))],
-                [rk.b @ c_full, rk.a],
-            ]
-        )
-        b_full = np.vstack([b_full, rk.b])
-        c_full = np.hstack([c_full, rk.c])
-
-    theta_full = block_diag(*[p.theta for p in oscillators])
+    for p in oscillators:
+        _validate_params(p)
     r_full, m_full = composite_energy_coupling(oscillators)
+    j = symplectic_form(m_full.shape[0])
+    # one unperturbed copy: unpack the stack axis
+    (a_full,), (b_full,), (c_full,), blocks, abscissa = _series_connection(oscillators, j)
+    theta_full = _block_diag([p.theta for p in oscillators])
 
-    scale = max(1.0, np.linalg.norm(a_full) * np.linalg.norm(theta_full))
-    identity_res = np.linalg.norm(
-        a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full)
-    )
-    pr_res, _ = realizability_residual(a_full, b_full, c_full, theta_full, j)
-    if identity_res + pr_res > PR_SELF_CHECK_TOL * scale:
-        raise ArithmeticError(
-            f"composite realizability self-check failed: residual {identity_res + pr_res:.3e}"
-        )
+    res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full))
+    res += realizability_residual(a_full, b_full, c_full, theta_full, j)[0]
+    if res > PR_SELF_CHECK_TOL * max(1.0, np.linalg.norm(a_full) * np.linalg.norm(theta_full)):
+        raise ArithmeticError(f"composite realizability self-check failed: residual {res:.3e}")
 
-    flags = tuple(is_hurwitz(rk.a) for rk in reals)
     return CascadeModel(
         params=oscillators,
-        realizations=reals,
-        m=m,
+        realizations=tuple(OscillatorRealization(a[0], b[0], c[0]) for a, b, c in blocks),
+        m=j.shape[0],
         j_ito=j,
         a=a_full,
         b=b_full,
@@ -255,8 +284,8 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         theta=theta_full,
         r_energy=r_full,
         m_coupling=m_full,
-        dims=dims,
-        hurwitz=flags,
+        dims=tuple(p.n for p in oscillators),
+        hurwitz=tuple((bool(x < -HURWITZ_TOL), float(x)) for x in abscissa[0]),
     )
 
 
@@ -275,41 +304,11 @@ def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> 
     """Composite (A, B) of S perturbed copies of a cascade, without assembly.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the
-    layout of :meth:`GradientSet.d_vector`. A_kk = 2 Theta_k (R_k + M_k^T J
-    M_k), B_k = 2 Theta_k M_k^T and A_jk = B_j C_k below the diagonal, with
-    C_k = 2 J M_k. Raises ArithmeticError if a perturbed oscillator fails
-    the self-check of :func:`oscillator_realization`.
+    layout of :meth:`GradientSet.d_vector`; the blocks are those of
+    :func:`assemble_cascade`. Raises ArithmeticError if a perturbed
+    oscillator fails the physical-realizability self-check.
     """
-    j, m = cascade.j_ito, cascade.m
-    stack = de[0].shape[0]
-    a = np.zeros((stack, cascade.n, cascade.n))
-    b = np.zeros((stack, cascade.n, m))
-    c = np.zeros((stack, m, cascade.n))
-    abscissa = np.empty((stack, cascade.n_oscillators))
-    for k, params in enumerate(cascade.params):
-        bk, nk = cascade.block(k), params.n
-        d_r = nk * (nk + 1) // 2
-        # vech order: column j of the lower triangle, rows i >= j
-        cols, rows = np.triu_indices(nk)
-        dr = np.zeros((stack, nk, nk))
-        dr[:, rows, cols] = de[k][:, :d_r]
-        dr[:, cols, rows] = de[k][:, :d_r]
-        m_k = params.m_coupling + de[k][:, d_r:].reshape(stack, nk, m).transpose(0, 2, 1)
-        m_kt = m_k.transpose(0, 2, 1)
-        a_kk = 2.0 * params.theta @ (params.r_energy + dr + m_kt @ j @ m_k)
-        b_k = 2.0 * params.theta @ m_kt
-        c_k = 2.0 * j @ m_k
-        res, scale = realizability_residual(a_kk, b_k, c_k, params.theta, j)
-        if np.any(res > PR_SELF_CHECK_TOL * scale):
-            raise ArithmeticError(
-                f"physical-realizability self-check failed for oscillator {k}: "
-                f"residual {np.max(res):.3e}"
-            )
-        abscissa[:, k] = spectral_abscissa(a_kk)
-        a[:, bk, bk] = a_kk
-        b[:, bk] = b_k
-        c[:, :, bk] = c_k
-        a[:, bk, : bk.start] = b_k @ c[:, :, : bk.start]
+    a, b, _, _, abscissa = _series_connection(cascade.params, cascade.j_ito, de)
     return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=abscissa < -HURWITZ_TOL)
 
 

@@ -248,10 +248,7 @@ def fisher_metric(p: Matrix, dp: Matrix) -> float:
 
 
 def fisher_sensitivity(
-    cascade: CascadeModel,
-    uncertainty: UncertaintyModel,
-    derivatives: tuple[np.ndarray, ...] | None = None,
-    p_full: Matrix | None = None,
+    cascade: CascadeModel, uncertainty: UncertaintyModel, p_full: Matrix | None = None
 ) -> FisherResult:
     """Information-metric sensitivity sum_k Tr(G_k Sigma_k).
 
@@ -260,9 +257,7 @@ def fisher_sensitivity(
     """
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
-    if derivatives is None:
-        derivatives = covariance_derivatives(cascade, p_full)
-    grams = tuple(fisher_gram(p_full, responses) for responses in derivatives)
+    grams = tuple(fisher_gram(p_full, dps) for dps in covariance_derivatives(cascade, p_full))
     z_k = tuple(
         float(np.trace(gram @ unc.sigma_matrix(nk, cascade.m)))
         for gram, unc, nk in zip(grams, uncertainty.oscillators, cascade.dims, strict=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariance import invariant_covariance_direct
+from .covariance import invariant_covariance_direct, stationary_covariance
 from .errors import (
     BisectionFailure,
     NotHurwitz,
@@ -32,9 +32,10 @@ from .errors import (
     SolverSingular,
     ZAtOne,
 )
-from .linalg import Matrix, is_hurwitz, solve_lyapunov, symplectic_form
+from .linalg import Matrix, is_hurwitz, symplectic_form
 from .oscillator import (
     OscillatorParams,
+    _write_series,
     assemble_cascade,
     oscillator_realization,
 )
@@ -50,10 +51,12 @@ class TIModel:
     """One oscillator acting as the repeated unit of an infinite cascade.
 
     ``p`` caches the controllability Gramian of (A, B). ``params`` is
-    set for oscillator-backed models and enables routes that rebuild
-    finite cascades; matrix-backed models support the norm and z-domain
-    operations only. ``j_ito`` is None when the input field carries no
-    canonical antisymmetric form (then Omega = I).
+    set for oscillator-backed models and enables the series route of
+    :func:`cross_covariance`; matrix-backed models support the norm and
+    z-domain operations only. ``j_ito`` is None when the input field
+    carries no canonical antisymmetric form (then Omega = I). Built by
+    :meth:`from_matrices`, whose stability check the norm and trace-bound
+    routes rely on.
     """
 
     a: Matrix
@@ -84,8 +87,7 @@ class TIModel:
         stable, margin = is_hurwitz(a)
         if not stable:
             raise NotHurwitz(f"dynamics matrix has spectral abscissa {margin:.3e}")
-        p = solve_lyapunov(a, b @ b.T)
-        return cls(a=a, b=b, c=c, j_ito=j_ito, p=p, params=None)
+        return cls(a=a, b=b, c=c, j_ito=j_ito, p=stationary_covariance(a, b), params=None)
 
     def omega(self) -> np.ndarray:
         if self.j_ito is None:
@@ -365,10 +367,8 @@ def hinf_norm(model: TIModel) -> float:
     and is doubled until it clears the peak. Returns the upper end of
     the final bracket, an upper bound on the norm within relative
     ``HINF_REL_TOL``, so that bounds built from it stay upper bounds.
+    The model's A is Hurwitz, as :meth:`TIModel.from_matrices` checked.
     """
-    stable, margin = is_hurwitz(model.a)
-    if not stable:
-        raise NotHurwitz(f"dynamics matrix has spectral abscissa {margin:.3e}")
     lo = 1.0 + 1e-9
     if not _hamiltonian_has_imaginary_eig(model, lo):
         return 1.0
@@ -411,23 +411,17 @@ class TraceBoundResult:
 def covariance_trace_bound(model: TIModel, k_max: int) -> TraceBoundResult:
     """Per-position covariance traces against the geometric growth bound.
 
-    Builds the finite identical cascade of length k_max, extracts the
-    diagonal covariance blocks and compares Tr P_kk with
+    Builds the series connection of k_max copies of the unit, extracts
+    the diagonal covariance blocks and compares Tr P_kk with
     2 |F|_2^2 |G|_inf^{2(k-1)}. The bound sequence grows exactly
-    geometrically with ratio |G|_inf^2.
+    geometrically with ratio |G|_inf^2. The chain is Hurwitz because its
+    block-triangular A has the unit's spectrum.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     n = model.n
-    if model.params is not None:
-        cascade = assemble_cascade([model.params] * k_max)
-        p_full = invariant_covariance_direct(cascade)
-    else:
-        eye_k = np.eye(k_max)
-        lower = np.tril(np.ones((k_max, k_max)), -1)
-        a_full = np.kron(eye_k, model.a) + np.kron(lower, model.b @ model.c)
-        b_full = np.kron(np.ones((k_max, 1)), model.b)
-        p_full = solve_lyapunov(a_full, b_full @ b_full.T)
+    a_full, b_full, _ = _write_series([(model.a[None], model.b[None], model.c[None])] * k_max)
+    p_full = stationary_covariance(a_full[0], b_full[0])
     h2 = h2_norm(model)
     hinf = hinf_norm(model)
     traces = []

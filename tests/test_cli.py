@@ -279,6 +279,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'epsilom'" in err and "'optionz'" in err
         assert not (out / "report.json").exists()
+        # a typo inside options would otherwise fall back to the default
+        doc = read_example()
+        doc["options"] = {"sedd": 3, "samplez": 10}
+        path = write_spec(tmp_path, doc)
+        assert main(["validate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "options: unknown key 'samplez', 'sedd'" in err
+        assert not (out / "report.json").exists()
 
     def test_validate_flags_unstable_oscillator(self, tmp_path, unstable_doc, capsys):
         path = write_spec(tmp_path, unstable_doc)
@@ -297,15 +305,29 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            ["ti-bounds", "--kmax", "0"],
-            ["mc-check", "--samples", "0"],
-            ["gradients", "--fd-step", "0"],
-            ["mc-check", "--epsilon", "-1"],
-            ["covariance", "--tol-residual", "0"],
+            (["ti-bounds", "--kmax", "0"], {}),
+            (["mc-check", "--samples", "0"], {}),
+            (["gradients", "--fd-step", "0"], {}),
+            (["mc-check", "--epsilon", "-1"], {}),
+            (["covariance", "--tol-residual", "0"], {}),
+            (["mc-check"], {"options": {"samples": 0}}),
+            (["mc-check"], {"options": {"samples": "many"}}),
+            (["ti-bounds"], {"options": {"kmax": 0}}),
+            (["gradients"], {"options": {"fd_step": -1e-5}}),
+            (["mc-check"], {"options": {"epsilon": 0.0}}),
+            (["mc-check"], {"epsilon": "abc"}),
+            (["mc-check"], {"epsilon": -1}),
+            (["balance", "--seed", "-1"], {}),
+            (["mc-check"], {"options": {"seed": -3}}),
         ],
     )
-    def test_out_of_range_flag_is_one(self, args, capsys):
-        # must not leak a traceback from the library guards
-        code = main([args[0], str(GENERATED_SPEC), *args[1:]])
+    def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):
+        # a bad value from a flag or from the spec must not leak a traceback
+        # from the library guards, nor run
+        argv, changes = args
+        path = write_spec(tmp_path, {**read_example(), **changes})
+        out = tmp_path / "out"
+        code = main([argv[0], str(path), "--out", str(out), *argv[1:]])
         assert code == 1
         assert "validation error" in capsys.readouterr().err
+        assert not (out / "report.json").exists()

@@ -343,6 +343,8 @@ class TestHurwitz:
         rng = np.random.default_rng(808)
         a = rng.standard_normal((500, 2, 2))
         a[:100] = np.array([[0.0, 1.0], [-1.0, 0.0]]) * rng.uniform(0.5, 2.0, (100, 1, 1))
+        # a large common shift: tr^2/4 - det would cancel to ~1e-10 here
+        a[200:300] -= 1000.0 * np.eye(2)
         want = np.max(np.linalg.eigvals(a).real, axis=1)
         np.testing.assert_allclose(spectral_abscissa(a), want, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(spectral_abscissa(a[:100]), 0.0)

@@ -29,6 +29,39 @@ def realize(params):
     return oscillator_realization(params, symplectic_form(params.m))
 
 
+def series_reference(oscillators):
+    """Composite (A, B, C) by the series recursion, independent of the builder.
+
+    Each oscillator's A_k = 2 theta (R + M^T J M), B_k = 2 theta M^T and
+    C_k = 2 J M come from the 2-D formulas; A gains the block row
+    [B_k C_{<k}, A_k], B stacks B_k and C appends C_k.
+    """
+    j = symplectic_form(oscillators[0].m)
+    a = np.zeros((0, 0))
+    b = np.zeros((0, j.shape[0]))
+    c = np.zeros((j.shape[0], 0))
+    for p in oscillators:
+        a_k = 2.0 * p.theta @ (p.r_energy + p.m_coupling.T @ j @ p.m_coupling)
+        b_k = 2.0 * p.theta @ p.m_coupling.T
+        c_k = 2.0 * j @ p.m_coupling
+        a = np.block([[a, np.zeros((a.shape[0], p.n))], [b_k @ c, a_k]])
+        b = np.vstack([b, b_k])
+        c = np.hstack([c, c_k])
+    return a, b, c
+
+
+def passive_chain(rng, n_osc):
+    """m = 2 chain with M_k = alpha (cos phi I + sin phi J), R_k = r I: every
+    field gain is unitary, so the chain stays well conditioned at any length."""
+    oscillators = []
+    for _ in range(n_osc):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        m_k = rng.uniform(0.5, 1.2) * (np.cos(phase) * np.eye(2) + np.sin(phase) * J2)
+        r_k = rng.uniform(-1.0, 1.0) * np.eye(2)
+        oscillators.append(OscillatorParams(theta=0.5 * J2, r_energy=r_k, m_coupling=m_k))
+    return oscillators
+
+
 class TestRealization:
     def test_unit_coupling_zero_energy(self):
         got = realize(TRIVIAL)
@@ -163,6 +196,49 @@ class TestAssembly:
         rhs = 2.0 * cas.theta @ (cas.r_energy + cas.m_coupling.T @ cas.j_ito @ cas.m_coupling)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
+    @pytest.mark.parametrize("which", ["reference", "mixed", "passive64"])
+    def test_matches_series_recursion(self, reference_cascade, which):
+        if which == "reference":
+            oscillators = reference_cascade.params
+        elif which == "mixed":
+            oscillators = make_mixed_cascade(np.random.default_rng(77)).params
+        else:
+            oscillators = passive_chain(np.random.default_rng(64), 64)
+        cascade = assemble_cascade(oscillators)
+        for got, want in zip((cascade.a, cascade.b, cascade.c), series_reference(oscillators)):
+            np.testing.assert_array_equal(got, want)
+        for k, (flag, margin) in enumerate(cascade.hurwitz):
+            blk = cascade.block(k)
+            want = np.max(np.linalg.eigvals(cascade.a[blk, blk]).real)
+            assert margin == pytest.approx(want, rel=0.0, abs=1e-14)
+            assert flag == (want < -1e-9)
+
+    def test_assembly_runs_no_block_regrowth_or_eigensolves(self, monkeypatch):
+        # the diagonal blocks of a one-mode chain take the closed-form
+        # abscissa; np.block or an eigensolve per oscillator would be back
+        import sys
+
+        counts = {"block": 0, "eigvals": 0, "is_hurwitz": 0}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        targets = [(np, "block"), (np.linalg, "eigvals")]
+        targets += [
+            (module, "is_hurwitz")
+            for name, module in list(sys.modules.items())
+            if name.startswith("qcascade") and hasattr(module, "is_hurwitz")
+        ]
+        for owner, attr in targets:
+            monkeypatch.setattr(owner, attr, spy(attr, getattr(owner, attr)))
+        cascade = assemble_cascade(passive_chain(np.random.default_rng(64), 64))
+        assert cascade.all_hurwitz()
+        assert counts == {"block": 0, "eigvals": 0, "is_hurwitz": 0}
+
     def test_identical_oscillators_via_kronecker_oracle(self):
         rng = np.random.default_rng(13)
         base = make_oscillator(rng, 2)
@@ -207,12 +283,15 @@ class TestPerturbedStack:
         stack = perturbed_cascade_stack(cascade, de)
         assert stack.a.shape == (5, cascade.n, cascade.n)
         for s in range(5):
-            moved = assemble_cascade(_perturbed_params(cascade, de, s))
-            for got, want in ((stack.a[s], moved.a), (stack.b[s], moved.b)):
+            a, b, _ = series_reference(_perturbed_params(cascade, de, s))
+            for got, want in ((stack.a[s], a), (stack.b[s], b)):
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-            margins = [margin for _, margin in moved.hurwitz]
+            margins = [
+                np.max(np.linalg.eigvals(a[cascade.block(k), cascade.block(k)]).real)
+                for k in range(cascade.n_oscillators)
+            ]
             np.testing.assert_allclose(stack.abscissa[s], margins, rtol=1e-12, atol=1e-14)
-            assert list(stack.hurwitz[s]) == [flag for flag, _ in moved.hurwitz]
+            assert list(stack.hurwitz[s]) == [x < -1e-9 for x in margins]
 
     def test_realizability_self_check_is_applied(self, reference_cascade):
         # a symmetric part in theta breaks A theta + theta A^T + B J B^T = 0

@@ -199,6 +199,27 @@ class TestNorms:
             model = TIModel.from_oscillator(params)
             assert hinf_norm(model) >= 1.0 - 1e-9
 
+    def test_stability_is_tested_once_per_model(self, reference_spec, monkeypatch):
+        # from_matrices tests A; the Gramian, the gain bisection and the trace
+        # bound's chain (block triangular, with the unit's spectrum) rely on it
+        import qcascade.linalg
+        import qcascade.zcascade
+
+        calls = []
+
+        def spy(fn):
+            def wrapped(a, *args):
+                calls.append(a.shape)
+                return fn(a, *args)
+
+            return wrapped
+
+        for owner in (qcascade.linalg, qcascade.zcascade):
+            monkeypatch.setattr(owner, "is_hurwitz", spy(owner.is_hurwitz))
+        model = TIModel.from_oscillator(reference_spec.oscillators[0])
+        covariance_trace_bound(model, 6)
+        assert calls == [(2, 2)]
+
     def test_unstable_model_rejected(self):
         with pytest.raises(NotHurwitz):
             TIModel.from_matrices(a=np.eye(2), b=np.eye(2), c=np.eye(2))
