@@ -121,7 +121,6 @@ from .zcascade import (
     phi_z_resolvent,
     series_depth_for,
     series_tail_bound,
-    transfer_pair,
     z_domain_matrices,
     z_pr_residual,
 )

@@ -353,11 +353,6 @@ def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
     results = {
         "p_direct": _listify(p_direct),
         "route_gap": gap,
-        "blocks": {
-            f"{j}_{k}": _listify(p_direct[cascade.block(j), cascade.block(k)])
-            for j in range(cascade.n_oscillators)
-            for k in range(j + 1)
-        },
     }
     table = f"covariance route gap {gap:.3e}\n"
     table += "\n".join(

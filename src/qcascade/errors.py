@@ -66,7 +66,7 @@ class NotInStabilitySet(QCascadeError):
 
 
 class BisectionFailure(QCascadeError):
-    """Norm bisection could not establish or shrink a valid bracket."""
+    """Norm iteration could not close the gain bracket."""
 
 
 class ParseError(QCascadeError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .covariance import (
     invariant_covariance_direct,
@@ -43,7 +43,7 @@ from .linalg import (
     symplectic_residual,
     vech,
 )
-from .oscillator import CascadeModel, CascadeStack, perturbed_cascade_stack
+from .oscillator import CascadeModel, CascadeStack, _block_diag, perturbed_cascade_stack
 
 SYMPLECTIC_TOL = 1e-9
 
@@ -293,7 +293,7 @@ def transform_gradients(
     q_new = None
     h_new = None
     if gradients.q_gramian is not None and gradients.hankelian is not None:
-        s_full = block_diag(*transforms)
+        s_full = _block_diag(transforms)
         s_inv = np.linalg.inv(s_full)
         q_new = s_inv.T @ gradients.q_gramian @ s_inv
         h_new = s_inv.T @ gradients.hankelian @ s_full.T

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels for small real matrices.
+"""Dense linear-algebra kernels for small matrices.
 
 Sylvester and Lyapunov solvers with stability preconditions, the
 duplication matrix for half-vectorization, eigendecomposition-based
@@ -11,7 +11,8 @@ whose dynamics matrices are block lower triangular, triangular solves
 on one structured Schur factor built from the diagonal blocks
 (:func:`cascade_schur`). :func:`solve_cascade_lyapunov` solves stacks
 of cascade Lyapunov equations by batched block forward substitution.
-The dense Kronecker vectorization is kept as a test oracle.
+The dense Kronecker vectorization solves the small complex z-domain
+equations and is the test oracle for the real routes.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     """Solve alpha*s + s*beta^T + gamma = 0 by dense vectorization.
 
     Brute-force route: vec(s) = -(beta (+) alpha)^{-1} vec(gamma) with
-    column-major vec. Serves as the independent oracle for the Schur
-    routes; production never calls it.
+    column-major vec, real or complex (plain transpose on beta). Solves the
+    complex z-domain equations, then :func:`certify_sylvester`, and is the
+    independent oracle for the real Schur routes.
     """
     n, p = gamma.shape
     op = np.kron(np.eye(p), alpha) + np.kron(beta, np.eye(n))
@@ -151,7 +153,10 @@ def _check_sylvester_inputs(alpha, beta, gamma):
             raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
 
 
-def _certify(alpha, beta, gamma, sigma):
+def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix) -> None:
+    """Raise SolverSingular unless sigma, real or complex, solves
+    alpha*s + s*beta^T + gamma = 0 to a Frobenius residual within
+    ``RESIDUAL_TOL`` of ||alpha|| ||sigma|| + ||sigma|| ||beta|| + ||gamma||."""
     residual = np.linalg.norm(alpha @ sigma + sigma @ beta.T + gamma)
     scale = (
         np.linalg.norm(alpha) * np.linalg.norm(sigma)
@@ -173,7 +178,7 @@ def sylvester_schur_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
         sigma = scipy.linalg.solve_sylvester(alpha, beta.T, -gamma)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverSingular(f"Schur solve failed: {exc}") from exc
-    _certify(alpha, beta, gamma, sigma)
+    certify_sylvester(alpha, beta, gamma, sigma)
     return sigma
 
 
@@ -271,7 +276,7 @@ def solve_cascade_sylvester(
     a_r, a_c = factor.a[rows, rows], factor.a[cols, cols]
     if transpose:
         a_r, a_c = a_r.T, a_c.T
-    _certify(a_r, a_c, gamma, sigma)
+    certify_sylvester(a_r, a_c, gamma, sigma)
     return sigma
 
 

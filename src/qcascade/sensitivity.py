@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .covariance import invariant_covariance_direct, log_det_stack
 from .errors import NonPositive, TooManyRejections
@@ -53,9 +53,7 @@ class OscillatorUncertainty:
             return self.sigma
         if self.energy_weight is None or self.coupling_weight is None:
             raise ValueError("either sigma or both weights must be set")
-        return block_diag(
-            self.energy_weight * np.eye(d_r), self.coupling_weight * np.eye(d_m)
-        )
+        return np.diag(np.repeat(self.weights(), [d_r, d_m]))
 
     def weights(self) -> tuple[float, float]:
         if self.energy_weight is None or self.coupling_weight is None:

@@ -13,9 +13,10 @@ rational function of (z, v) and the generating function of the block
 covariances of the finite cascade, up to the exactly summable
 commutation sector i Theta / (z v - 1).
 
-The module also provides H2 and Hinf norms of the base oscillator and
-the geometric trace bound for the per-oscillator covariances along the
-cascade. Complex-valued solves are confined to this module.
+The module also provides H2 and Hinf norms of the base oscillator (Hinf
+by a Hamiltonian level-set iteration) and the geometric trace bound for
+the per-oscillator covariances along the cascade. Complex Sylvester
+equations are certified Kronecker solves from :mod:`linalg`.
 """
 
 from __future__ import annotations
@@ -29,19 +30,21 @@ from .errors import (
     BisectionFailure,
     NotHurwitz,
     NotInStabilitySet,
-    SolverSingular,
     ZAtOne,
 )
-from .linalg import Matrix, is_hurwitz, symplectic_form
+from .linalg import Matrix, certify_sylvester, is_hurwitz, sylvester_kron_solve, symplectic_form
 from .oscillator import (
     OscillatorParams,
+    OscillatorRealization,
     _write_series,
     assemble_cascade,
     oscillator_realization,
+    transfer_eval,
 )
 
-HINF_REL_TOL = 1e-6
+HINF_REL_TOL = 1e-9
 HINF_IMAG_TOL = 1e-7
+HINF_MAX_ITERATIONS = 50
 SERIES_TAIL_TARGET = 1e-8
 SERIES_MAX_DEPTH = 40
 
@@ -144,12 +147,6 @@ def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> floa
     return float(np.linalg.norm(res))
 
 
-def transfer_pair(model: TIModel, s: complex) -> tuple[np.ndarray, np.ndarray]:
-    """F(s) = (sI - A)^{-1} B and G(s) = C F(s) + I of the base unit."""
-    f = np.linalg.solve(s * np.eye(model.n) - model.a, model.b.astype(complex))
-    return f, model.c @ f + np.eye(model.m)
-
-
 def phi_z_resolvent(model: TIModel, z: complex, s: complex) -> np.ndarray:
     """Transfer (sI - A_z)^{-1} B_z of the z-family member."""
     pt = z_domain_matrices(model, z)
@@ -158,36 +155,8 @@ def phi_z_resolvent(model: TIModel, z: complex, s: complex) -> np.ndarray:
 
 def phi_z_feedback(model: TIModel, z: complex, s: complex) -> np.ndarray:
     """Same transfer through the base unit: F(s) (z I - G(s))^{-1}."""
-    f, g = transfer_pair(model, s)
+    f, g = transfer_eval(OscillatorRealization(model.a, model.b, model.c), s)
     return f @ np.linalg.inv(z * np.eye(model.m) - g)
-
-
-def _complex_sylvester(
-    alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
-) -> np.ndarray:
-    """Solve alpha X + X beta^T + gamma = 0 with complex entries.
-
-    Kronecker vectorization in column-major order; the plain transpose
-    on beta is deliberate, conjugation is up to the caller.
-    """
-    n = alpha.shape[0]
-    p = beta.shape[0]
-    op = np.kron(np.eye(p), alpha) + np.kron(beta, np.eye(n))
-    try:
-        vec = np.linalg.solve(op, -gamma.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SolverSingular(f"spectra of the two factors overlap: {exc}") from exc
-    x = vec.reshape((n, p), order="F")
-    residual = np.linalg.norm(alpha @ x + x @ beta.T + gamma)
-    scale = max(
-        1.0,
-        np.linalg.norm(alpha) * np.linalg.norm(x)
-        + np.linalg.norm(x) * np.linalg.norm(beta)
-        + np.linalg.norm(gamma),
-    )
-    if not residual <= 1e-9 * scale:
-        raise SolverSingular(f"solution residual {residual:.3e} exceeds tolerance")
-    return x
 
 
 def _stable_points(model: TIModel, z: complex, v: complex) -> tuple[ZPoint, ZPoint]:
@@ -219,7 +188,9 @@ def cross_covariance(
     if method == "sylvester":
         pz, pv = _stable_points(model, z, v)
         forcing = pz.b_z @ model.omega() @ pv.b_z.T
-        return _complex_sylvester(pz.a_z, pv.a_z, forcing)
+        x = sylvester_kron_solve(pz.a_z, pv.a_z, forcing)
+        certify_sylvester(pz.a_z, pv.a_z, forcing, x)
+        return x
     if method == "generating":
         return _generating_function_route(model, z, v)
     if method == "series":
@@ -248,8 +219,9 @@ def _generating_function_route(model: TIModel, z: complex, v: complex) -> np.nda
 
 def series_depth_for(model: TIModel, z: complex, v: complex) -> int:
     """Smallest truncation depth whose tail bound is below the target."""
+    gnorm = hinf_norm(model)
     for depth in range(2, SERIES_MAX_DEPTH + 1):
-        if series_tail_bound(model, z, v, depth) < SERIES_TAIL_TARGET:
+        if _tail_bound(model, gnorm, z, v, depth) < SERIES_TAIL_TARGET:
             return depth
     return SERIES_MAX_DEPTH
 
@@ -260,7 +232,10 @@ def series_tail_bound(model: TIModel, z: complex, v: complex, depth: int) -> flo
     Uses |P_jk| <= 2 |F|_2^2 |G|_inf^{j+k-2} and geometric sums over the
     index region where j or k exceeds the depth.
     """
-    gnorm = hinf_norm(model)
+    return _tail_bound(model, hinf_norm(model), z, v, depth)
+
+
+def _tail_bound(model: TIModel, gnorm: float, z: complex, v: complex, depth: int) -> float:
     f2sq = float(np.trace(model.p))
     qz = gnorm / abs(z)
     qv = gnorm / abs(v)
@@ -307,7 +282,10 @@ def cross_covariance_symmetric_sector(
     conjugate-symmetric in (z, v), and real symmetric at real z = v.
     """
     pz, pv = _stable_points(model, z, v)
-    return _complex_sylvester(pz.a_z, pv.a_z, pz.b_z @ pv.b_z.T.astype(complex))
+    forcing = pz.b_z @ pv.b_z.T
+    x = sylvester_kron_solve(pz.a_z, pv.a_z, forcing)
+    certify_sylvester(pz.a_z, pv.a_z, forcing, x)
+    return x
 
 
 def h2_norm(model: TIModel) -> float:
@@ -340,64 +318,57 @@ def phi_z_h2_norm(model: TIModel, z: complex) -> float:
     pt = z_domain_matrices(model, z)
     if not pt.is_stable:
         raise NotInStabilitySet(f"z = {z} gives an unstable family member")
-    gram = _complex_sylvester(
-        pt.a_z, np.conj(pt.a_z), pt.b_z @ np.conj(pt.b_z).T
-    )
+    forcing = pt.b_z @ np.conj(pt.b_z).T
+    gram = sylvester_kron_solve(pt.a_z, np.conj(pt.a_z), forcing)
+    certify_sylvester(pt.a_z, np.conj(pt.a_z), forcing, gram)
     return float(np.sqrt(np.real(np.trace(gram))))
 
 
-def _hamiltonian_has_imaginary_eig(model: TIModel, gamma: float) -> bool:
-    n = model.n
+def _gain(model: TIModel, w: float) -> float:
+    """Largest singular value of G(i w)."""
+    _, g = transfer_eval(OscillatorRealization(model.a, model.b, model.c), 1j * w)
+    return float(np.linalg.norm(g, 2))
+
+
+def _crossing_frequencies(model: TIModel, gamma: float) -> np.ndarray:
+    """Sorted w > 0 at which gamma != 1 is a singular value of G(i w): the
+    imaginary-axis eigenvalues i w of the Hamiltonian matrix of level gamma."""
     a, b, c = model.a, model.b, model.c
     w = 1.0 / (1.0 - gamma * gamma)
     top = np.hstack([a - w * (b @ c), -gamma * w * (b @ b.T)])
     bottom = np.hstack([gamma * w * (c.T @ c), -a.T + w * (c.T @ b.T)])
-    ham = np.vstack([top, bottom])
-    eigs = np.linalg.eigvals(ham)
-    return bool(np.any(np.abs(eigs.real) <= HINF_IMAG_TOL * np.maximum(1.0, np.abs(eigs))))
+    eigs = np.linalg.eigvals(np.vstack([top, bottom]))
+    on_axis = np.abs(eigs.real) <= HINF_IMAG_TOL * np.maximum(1.0, np.abs(eigs))
+    return np.sort(eigs.imag[on_axis & (eigs.imag > 0.0)])
 
 
 def hinf_norm(model: TIModel) -> float:
     """Hinf norm of the field-side transfer G(s) = C (sI - A)^{-1} B + I.
 
-    Bisection on the level gamma: for gamma above the unit feedthrough
-    gain, gamma < |G|_inf exactly when the associated Hamiltonian matrix
-    has an eigenvalue on the imaginary axis. The lower bracket starts
-    just above 1; the upper bracket comes from a coarse frequency sweep
-    and is doubled until it clears the peak. Returns the upper end of
-    the final bracket, an upper bound on the norm within relative
-    ``HINF_REL_TOL``, so that bounds built from it stay upper bounds.
-    The model's A is Hurwitz, as :meth:`TIModel.from_matrices` checked.
+    Level-set iteration (Boyd and Balakrishnan, 1990; Bruinsma and
+    Steinbuch, 1990): lo starts at the largest gain at frequency 0 and at
+    the pole magnitudes; the gain crosses hi = lo (1 + ``HINF_REL_TOL``)
+    at the Hamiltonian crossing frequencies, and lo moves up to the
+    largest gain at the midpoints of consecutive crossings. Once no
+    midpoint gain exceeds hi (also when the only crossings are a tangency
+    within the axis tolerance), hi is returned: an upper bound within
+    relative ``HINF_REL_TOL``, so bounds built from it stay upper bounds.
+    Returns exactly 1.0 when the gain never exceeds 1 + 1e-9. A is
+    Hurwitz, as :meth:`TIModel.from_matrices` checked.
     """
-    lo = 1.0 + 1e-9
-    if not _hamiltonian_has_imaginary_eig(model, lo):
+    floor = 1.0 + 1e-9
+    if not _crossing_frequencies(model, floor).size:
         return 1.0
-    radius = float(np.max(np.abs(np.linalg.eigvals(model.a))))
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, 100.0 * max(1.0, radius), 120)])
-    peak = 1.0
-    eye = np.eye(model.n)
-    for lam in grid:
-        f = np.linalg.solve(1j * lam * eye - model.a, model.b.astype(complex))
-        g = model.c @ f + np.eye(model.m)
-        peak = max(peak, float(np.linalg.norm(g, 2)))
-    hi = 1.05 * peak
-    doublings = 0
-    while _hamiltonian_has_imaginary_eig(model, hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise BisectionFailure("no finite upper bracket for the gain level")
-    iterations = 0
-    while hi - lo > HINF_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if _hamiltonian_has_imaginary_eig(model, mid):
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > 200:
-            raise BisectionFailure("gain bisection did not close its bracket")
-    return hi
+    poles = np.abs(np.linalg.eigvals(model.a))
+    lo = max([floor] + [_gain(model, w) for w in np.concatenate([[0.0], poles])])
+    for _ in range(HINF_MAX_ITERATIONS):
+        hi = lo * (1.0 + HINF_REL_TOL)
+        cross = _crossing_frequencies(model, hi)
+        top = max((_gain(model, w) for w in 0.5 * (cross[1:] + cross[:-1])), default=0.0)
+        if top <= hi:
+            return hi
+        lo = top
+    raise BisectionFailure(f"could not close the gain bracket in {HINF_MAX_ITERATIONS} steps")
 
 
 @dataclass(frozen=True)

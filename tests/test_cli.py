@@ -186,8 +186,9 @@ class TestCommands:
         assert main(["covariance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
         results = json.loads((tmp_path / "report.json").read_text())["results"]
         assert results["route_gap"] <= 1e-8
-        # lower-triangular block grid of a three-oscillator cascade
-        assert len(results["blocks"]) == 6
+        # P of the three two-state oscillators, written once
+        assert np.asarray(results["p_direct"]).shape == (6, 6)
+        assert "blocks" not in results
 
     def test_balance_artifacts(self, tmp_path, paper_spec):
         code = main(["balance", str(paper_spec.source), "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from conftest import make_oscillator
 from qcascade.errors import NotHurwitz, NotInStabilitySet, SolverSingular, ZAtOne
-from qcascade.linalg import J2
+from qcascade.linalg import J2, certify_sylvester, sylvester_kron_solve
 from qcascade.oscillator import OscillatorParams
 from qcascade.zcascade import (
     TIModel,
@@ -138,11 +138,25 @@ class TestCrossCovariance:
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_non_finite_forcing_rejected(self):
-        from qcascade.zcascade import _complex_sylvester
-
+        # the shared Kronecker solve and certificate behind every z-domain solve
+        alpha = -np.eye(2, dtype=complex)
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(SolverSingular):
-            _complex_sylvester(-np.eye(2, dtype=complex), -np.eye(2, dtype=complex), bad)
+            certify_sylvester(alpha, alpha, bad, sylvester_kron_solve(alpha, alpha, bad))
+
+    def test_series_depth_computes_the_gain_once(self, unit_model, monkeypatch):
+        import qcascade.zcascade
+
+        calls = []
+
+        def spy(model):
+            calls.append(model)
+            return hinf_norm(model)
+
+        monkeypatch.setattr(qcascade.zcascade, "hinf_norm", spy)
+        z = 10.0 * hinf_norm(unit_model)
+        assert series_depth_for(unit_model, z, z) > 2
+        assert len(calls) == 1
 
 
 class TestNorms:
@@ -186,7 +200,9 @@ class TestNorms:
             method="bounded",
             options={"xatol": 1e-12},
         )
-        assert hinf_norm(model) >= max(gains[i], -local.fun)
+        peak = max(gains[i], -local.fun)
+        # and tight: within twice the relative bracket HINF_REL_TOL = 1e-9
+        assert peak <= hinf_norm(model) <= peak * (1.0 + 2e-9)
 
     def test_zero_output_coupling_gain_is_one(self):
         model = TIModel.from_matrices(
@@ -199,8 +215,29 @@ class TestNorms:
             model = TIModel.from_oscillator(params)
             assert hinf_norm(model) >= 1.0 - 1e-9
 
+    def test_gain_takes_few_eigensolves_and_no_sweep(self, reference_spec, monkeypatch):
+        # the level-set iteration converges in a few Hamiltonian eigensolves
+        # and evaluates the gain only at a few frequencies, not on a grid
+        counts = {"eigvals": 0, "solve": 0}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        models = [TIModel.from_oscillator(params) for params in reference_spec.oscillators]
+        for key in counts:
+            monkeypatch.setattr(np.linalg, key, spy(key, getattr(np.linalg, key)))
+        for model in models:
+            counts.update(eigvals=0, solve=0)
+            assert hinf_norm(model) > 1.0
+            assert counts["eigvals"] <= 8
+            assert counts["solve"] <= 20
+
     def test_stability_is_tested_once_per_model(self, reference_spec, monkeypatch):
-        # from_matrices tests A; the Gramian, the gain bisection and the trace
+        # from_matrices tests A; the Gramian, the gain iteration and the trace
         # bound's chain (block triangular, with the unit's spectrum) rely on it
         import qcascade.linalg
         import qcascade.zcascade
