@@ -10,119 +10,73 @@ that minimize that effect mode by mode.
 __version__ = "0.1.0"
 
 from .errors import (
-    BisectionFailure,
-    DimensionMismatch,
-    EigFailure,
-    NoConvergence,
-    NonPositive,
-    NotHurwitz,
-    NotInStabilitySet,
-    NotOneMode,
-    NotSymplectic,
-    ParseError,
-    QCascadeError,
-    RankDeficientMu,
-    SchemaError,
-    SingularLeadingBlock,
-    SingularResolvent,
-    SingularTheta,
-    SolverSingular,
-    TooManyRejections,
-    ZAtOne,
+    BisectionFailure, DimensionMismatch, EigFailure, NoConvergence, NonPositive, NotHurwitz,
+    NotInStabilitySet, NotOneMode, NotSymplectic, ParseError, QCascadeError, RankDeficientMu,
+    SchemaError, SingularLeadingBlock, SingularResolvent, SingularTheta, SolverSingular,
+    TooManyRejections, ZAtOne,
 )
 from .linalg import (
-    cascade_schur,
-    duplication_matrix,
-    is_hurwitz,
-    quantum_psd_margin,
-    solve_cascade_lyapunov,
-    solve_cascade_sylvester,
-    solve_lyapunov,
-    solve_sylvester,
-    symmetric_matrix_function,
-    symplectic_exponential,
-    symplectic_form,
-    symplectic_residual,
-    vech,
-    vech_to_symmetric,
+    cascade_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, solve_cascade_lyapunov,
+    solve_cascade_sylvester, solve_lyapunov, solve_sylvester, symmetric_matrix_function,
+    symplectic_exponential, symplectic_form, symplectic_residual, vech, vech_to_symmetric,
 )
 from .oscillator import (
-    CascadeModel,
-    OscillatorParams,
-    OscillatorRealization,
-    assemble_cascade,
-    composite_transfer_resolvent,
-    composite_transfer_stack,
-    default_theta,
-    oscillator_realization,
-    perturbed_cascade_stack,
-    transfer_eval,
-    transform_params,
+    CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade,
+    composite_transfer_resolvent, composite_transfer_stack, default_theta, oscillator_realization,
+    perturbed_cascade_stack, transfer_eval, transform_params,
 )
 from .covariance import (
-    SteadyStateResult,
-    frequency_domain_covariance,
-    invariant_covariance_direct,
-    invariant_covariance_recursive,
-    purity_and_logdet,
-    schur_complements,
-    schur_tail_step,
+    SteadyStateResult, frequency_domain_covariance, invariant_covariance_direct,
+    invariant_covariance_recursive, purity_and_logdet, schur_complements, schur_tail_step,
     steady_state,
 )
 from .gradients import (
-    GradientSet,
-    covariance_derivatives,
-    gradient_fd_oracle,
-    observability_gramian_and_hankelian,
-    purity_gradients_direct,
-    purity_gradients_recursive,
-    transform_gradients,
+    GradientSet, covariance_derivatives, gradient_fd_oracle, observability_gramian_and_hankelian,
+    purity_gradients_direct, purity_gradients_recursive, transform_gradients,
 )
 from .sensitivity import (
-    FisherResult,
-    MonteCarloResult,
-    OscillatorUncertainty,
-    SensitivityIndex,
-    UncertaintyModel,
-    duplication_weighted_gradient,
-    fisher_metric,
-    fisher_sensitivity,
-    kl_gaussian,
-    kl_quadratic,
-    monte_carlo_variance,
-    phi_transformed,
-    psi_transformed,
-    sensitivity_index,
+    FisherResult, MonteCarloResult, OscillatorUncertainty, SensitivityIndex, UncertaintyModel,
+    duplication_weighted_gradient, fisher_metric, fisher_sensitivity, kl_gaussian, kl_quadratic,
+    monte_carlo_variance, phi_transformed, psi_transformed, sensitivity_index,
 )
 from .balance import (
-    BalancingResult,
-    CascadeBalanceReport,
-    NewtonResult,
-    OneModeBalanceProblem,
-    balance_cascade,
-    f_lambda,
-    minimize_psi_one_mode,
-    multimode_lower_bound,
-    newton_lambda,
-    solve_multiplier,
+    BalancingResult, CascadeBalanceReport, NewtonResult, OneModeBalanceProblem, balance_cascade,
+    f_lambda, minimize_psi_one_mode, multimode_lower_bound, newton_lambda, solve_multiplier,
 )
 from .zcascade import (
-    TIModel,
-    TraceBoundResult,
-    ZPoint,
-    covariance_trace_bound,
-    cross_covariance,
-    cross_covariance_symmetric_sector,
-    h2_norm,
-    h2_norm_quadrature,
-    hinf_norm,
-    phi_z_feedback,
-    phi_z_h2_norm,
-    phi_z_resolvent,
-    series_depth_for,
-    series_tail_bound,
-    z_domain_matrices,
+    TIModel, TraceBoundResult, ZPoint, covariance_trace_bound, cross_covariance,
+    cross_covariance_symmetric_sector, h2_norm, h2_norm_quadrature, hinf_norm, phi_z_feedback,
+    phi_z_h2_norm, phi_z_resolvent, series_depth_for, series_tail_bound, z_domain_matrices,
     z_pr_residual,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BisectionFailure", "DimensionMismatch", "EigFailure", "NoConvergence", "NonPositive",
+    "NotHurwitz", "NotInStabilitySet", "NotOneMode", "NotSymplectic", "ParseError", "QCascadeError",
+    "RankDeficientMu", "SchemaError", "SingularLeadingBlock", "SingularResolvent", "SingularTheta",
+    "SolverSingular", "TooManyRejections", "ZAtOne",
+    "cascade_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
+    "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov", "solve_sylvester",
+    "symmetric_matrix_function", "symplectic_exponential", "symplectic_form", "symplectic_residual",
+    "vech", "vech_to_symmetric",
+    "CascadeModel", "OscillatorParams", "OscillatorRealization", "assemble_cascade",
+    "composite_transfer_resolvent", "composite_transfer_stack", "default_theta",
+    "oscillator_realization", "perturbed_cascade_stack", "transfer_eval", "transform_params",
+    "SteadyStateResult", "frequency_domain_covariance", "invariant_covariance_direct",
+    "invariant_covariance_recursive", "purity_and_logdet", "schur_complements", "schur_tail_step",
+    "steady_state",
+    "GradientSet", "covariance_derivatives", "gradient_fd_oracle",
+    "observability_gramian_and_hankelian", "purity_gradients_direct", "purity_gradients_recursive",
+    "transform_gradients",
+    "FisherResult", "MonteCarloResult", "OscillatorUncertainty", "SensitivityIndex",
+    "UncertaintyModel", "duplication_weighted_gradient", "fisher_metric", "fisher_sensitivity",
+    "kl_gaussian", "kl_quadratic", "monte_carlo_variance", "phi_transformed", "psi_transformed",
+    "sensitivity_index",
+    "BalancingResult", "CascadeBalanceReport", "NewtonResult", "OneModeBalanceProblem",
+    "balance_cascade", "f_lambda", "minimize_psi_one_mode", "multimode_lower_bound",
+    "newton_lambda", "solve_multiplier",
+    "TIModel", "TraceBoundResult", "ZPoint", "covariance_trace_bound", "cross_covariance",
+    "cross_covariance_symmetric_sector", "h2_norm", "h2_norm_quadrature", "hinf_norm",
+    "phi_z_feedback", "phi_z_h2_norm", "phi_z_resolvent", "series_depth_for", "series_tail_bound",
+    "z_domain_matrices", "z_pr_residual",
+]

@@ -514,7 +514,8 @@ def _cmd_balance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -
 def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
     cascade = build_cascade(spec)
     uncertainty = _require_uncertainty(spec)
-    grads = purity_gradients_direct(cascade)
+    p_full = invariant_covariance_direct(cascade)
+    grads = purity_gradients_direct(cascade, p_full)
     mc = monte_carlo_variance(
         cascade,
         uncertainty,
@@ -522,6 +523,7 @@ def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) 
         samples=flags.samples,
         epsilon=flags.epsilon,
         seed=flags.seed,
+        p_full=p_full,
     )
     in_range = 0.9 <= mc.ratio <= 1.1
     results = {

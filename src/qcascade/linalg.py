@@ -10,9 +10,11 @@ solve: scipy's dense solver for general matrices, and for cascades,
 whose dynamics matrices are block lower triangular, triangular solves
 on one structured Schur factor built from the diagonal blocks
 (:func:`cascade_schur`). :func:`solve_cascade_lyapunov` solves stacks
-of cascade Lyapunov equations by batched block forward substitution.
-The dense Kronecker vectorization solves the small complex z-domain
-equations and is the test oracle for the real routes.
+of cascade Lyapunov equations by block forward substitution on a
+stack-last layout, each step between two one-mode blocks in closed
+form. The dense Kronecker vectorization solves the small complex
+z-domain equations and the steps between blocks of other orders, and
+is the test oracle for the real routes.
 """
 
 from __future__ import annotations
@@ -293,9 +295,13 @@ def solve_cascade_lyapunov(
 
         A_jj X + X A_kk^T = -(Q_jk + A_j,:o_j P_:o_j,k + P_j,:o_k A_k,:o_k^T)
 
-    with o_j the state offset of block j. Each step is one batched solve
-    of the (d_j d_k)-order Kronecker system over the whole stack. The
-    caller ensures that the diagonal blocks are Hurwitz.
+    with o_j the state offset of block j. The substitution runs on
+    stack-last (n, n, S) copies, so that every block entry is one
+    contiguous vector over the stack and the forcing sums are ``einsum``
+    calls. A step between two one-mode blocks (d_j = d_k = 2) is closed
+    form by Cayley-Hamilton; any other step solves the (d_j d_k)-order
+    Kronecker system of every copy. The caller ensures that the diagonal
+    blocks are Hurwitz.
 
     Returns the symmetric solutions, shape (S, n, n), and per entry the
     residual certificate ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||)
@@ -319,32 +325,61 @@ def solve_cascade_lyapunov(
     block_id = np.repeat(np.arange(len(dims)), dims)
     if np.any(a[:, block_id[:, None] < block_id[None, :]]):
         raise ValueError("a has a nonzero block above the diagonal")
-    q = 0.5 * (q + q.transpose(0, 2, 1))
-    stack = a.shape[0]
-    p = np.zeros_like(a)
-    for k, d_k in enumerate(dims):
-        ck = slice(offs[k], offs[k + 1])
-        a_kk = a[:, ck, ck]
+    # stack-last copies: every block entry is one contiguous vector over the stack
+    at = np.ascontiguousarray(a.transpose(1, 2, 0))
+    qt = np.ascontiguousarray(q.transpose(1, 2, 0))
+    qt += q.transpose(2, 1, 0)
+    qt *= 0.5
+    q = qt.transpose(2, 0, 1)  # the symmetric part; rebinding frees a temporary input
+    p = np.empty_like(at)
+    blocks = [slice(lo, hi) for lo, hi in zip(offs[:-1], offs[1:])]
+    for k, ck in enumerate(blocks):
         for j in range(k, len(dims)):
-            d_j = dims[j]
-            rj = slice(offs[j], offs[j + 1])
-            forcing = q[:, rj, ck] + a[:, rj, : offs[j]] @ p[:, : offs[j], ck]
-            forcing += p[:, rj, : offs[k]] @ a[:, ck, : offs[k]].transpose(0, 2, 1)
-            # row-major vec: vec(A_jj X + X A_kk^T) = (A_jj (x) I + I (x) A_kk) vec X
-            op = np.einsum("sac,bd->sabcd", a[:, rj, rj], np.eye(d_k))
-            op += np.einsum("ac,sbd->sabcd", np.eye(d_j), a_kk)
-            x = np.linalg.solve(
-                op.reshape(stack, d_j * d_k, d_j * d_k),
-                -forcing.reshape(stack, d_j * d_k, 1),
-            ).reshape(stack, d_j, d_k)
+            rj = blocks[j]
+            forcing = qt[rj, ck] + np.einsum("ils,lbs->ibs", at[rj, : offs[j]], p[: offs[j], ck])
+            forcing += np.einsum("ils,bls->ibs", p[rj, : offs[k]], at[ck, : offs[k]])
+            x = _sylvester_step(at[rj, rj], at[ck, ck], forcing)
             if j == k:
-                x = 0.5 * (x + x.transpose(0, 2, 1))
-            p[:, rj, ck] = x
-            p[:, ck, rj] = x.transpose(0, 2, 1)
-    residual = np.linalg.norm(a @ p + p @ a.transpose(0, 2, 1) + q, axis=(1, 2))
-    scale = 2.0 * np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(p, axis=(1, 2))
-    scale += np.linalg.norm(q, axis=(1, 2))
-    return p, residual / np.maximum(scale, np.finfo(float).tiny)
+                x = 0.5 * (x + x.transpose(1, 0, 2))
+            p[rj, ck] = x
+            p[ck, rj] = x.transpose(1, 0, 2)
+    del at  # freed before the transposed copy of p
+    p = np.ascontiguousarray(p.transpose(2, 0, 1))
+    residual = np.zeros(len(p))
+    for rows in blocks:  # one block row at a time: no further (S, n, n) array
+        r = a[:, rows] @ p + p[:, rows] @ a.transpose(0, 2, 1) + q[:, rows]
+        residual += np.einsum("sij,sij->s", r, r)
+    scale = 2.0 * np.sqrt(np.einsum("sij,sij->s", a, a) * np.einsum("sij,sij->s", p, p))
+    scale += np.sqrt(np.einsum("ijs,ijs->s", qt, qt))
+    return p, np.sqrt(residual) / np.maximum(scale, np.finfo(float).tiny)
+
+
+def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """X with alpha X + X beta^T + f = 0 for stack-last blocks (d_j, d_k, S).
+
+    Order-2 blocks in closed form: with C = beta^T, Cayley-Hamilton gives
+    M X = -(alpha f - f C + tr C f) with M = alpha^2 + tr C alpha + det C I.
+    Applied to alpha, it makes M = u alpha + v I (u = tr alpha + tr C,
+    v = det C - det alpha), so adj M = w I - u alpha with
+    w = u tr alpha + v, and det M = v w + u^2 det alpha. Other orders
+    solve the Kronecker system of every copy.
+    """
+    d_j, d_k, stack = f.shape
+    if d_j == d_k == 2:
+        tr_a, tr_c = alpha[0, 0] + alpha[1, 1], beta[0, 0] + beta[1, 1]
+        det_a = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
+        u = tr_a + tr_c
+        v = beta[0, 0] * beta[1, 1] - beta[0, 1] * beta[1, 0] - det_a
+        w = u * tr_a + v
+        rhs = np.einsum("ils,lbs->ibs", alpha, f) + tr_c * f - np.einsum("ils,bls->ibs", f, beta)
+        return (u * np.einsum("ils,lbs->ibs", alpha, rhs) - w * rhs) / (v * w + u * u * det_a)
+    # row-major vec: vec(alpha X + X beta^T) = (alpha (x) I + I (x) beta) vec X
+    op = np.einsum("acs,bd->sabcd", alpha, np.eye(d_k))
+    op += np.einsum("ac,bds->sabcd", np.eye(d_j), beta)
+    x = np.linalg.solve(
+        op.reshape(stack, d_j * d_k, d_j * d_k), -f.transpose(2, 0, 1).reshape(stack, -1, 1)
+    )
+    return x.reshape(stack, d_j, d_k).transpose(1, 2, 0)
 
 
 def symmetric_matrix_function(f: Callable[[float], float], x: Matrix) -> Matrix:

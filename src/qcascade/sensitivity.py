@@ -160,6 +160,7 @@ def monte_carlo_variance(
     epsilon: float = 1e-6,
     seed: int = 0,
     chunk: int = MC_CHUNK,
+    p_full: Matrix | None = None,
 ) -> MonteCarloResult:
     """Sample variance of dV against the first-order prediction eps Z.
 
@@ -167,7 +168,8 @@ def monte_carlo_variance(
     every sample's composite A and B in vectorized chunks with
     :func:`perturbed_cascade_stack` and solves their Lyapunov equations
     A P + P A^T + B B^T = 0 together (:func:`log_det_stack`); the sample
-    variance of dV is compared with eps Z.
+    variance of dV is compared with eps Z. ``p_full`` is the unperturbed
+    P when the caller has it already.
 
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
@@ -177,8 +179,9 @@ def monte_carlo_variance(
     Results are reproducible for a fixed (seed, samples, chunk) triple;
     the chunk size takes part in how the random stream is consumed.
     """
-    p0 = invariant_covariance_direct(cascade)
-    sign0, v0 = np.linalg.slogdet(p0)
+    if p_full is None:
+        p_full = invariant_covariance_direct(cascade)
+    sign0, v0 = np.linalg.slogdet(p_full)
     if sign0 <= 0:
         raise NonPositive("base covariance is not positive definite")
     z_total = sensitivity_index(gradients, uncertainty).z_total

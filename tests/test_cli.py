@@ -230,6 +230,22 @@ class TestCommands:
         assert 0.9 <= results["ratio"] <= 1.1
         assert results["samples"] == 20000
 
+    def test_mc_check_solves_p_once(self, tmp_path, monkeypatch):
+        # the gradients and the Monte-Carlo reference V share one dense P
+        import qcascade.covariance
+
+        calls = []
+        solve = qcascade.covariance.stationary_covariance
+
+        def spy(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(qcascade.covariance, "stationary_covariance", spy)
+        argv = ["mc-check", str(GENERATED_SPEC), "--out", str(tmp_path), "--samples", "2000"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
     def test_ti_bounds_artifacts(self, tmp_path):
         code = main(["ti-bounds", str(GENERATED_SPEC), "--out", str(tmp_path), "--kmax", "6"])
         assert code == 0

@@ -6,10 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_cascade, make_mixed_cascade, make_oscillator
 from qcascade.balance import f_lambda
+from qcascade.covariance import log_det_stack
 from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
+    _sylvester_step,
     cascade_schur,
     duplication_matrix,
     is_hurwitz,
@@ -27,7 +29,7 @@ from qcascade.linalg import (
     vech,
     vech_to_symmetric,
 )
-from qcascade.oscillator import assemble_cascade
+from qcascade.oscillator import CascadeStack, assemble_cascade
 
 
 def rotation(phi):
@@ -209,6 +211,87 @@ class TestCascadeLyapunov:
         a, q = lyapunov_stack([cascade])
         with pytest.raises(ValueError, match="shape"):
             solve_cascade_lyapunov(a, q, (2, 2, 2))
+
+
+def with_spectrum(rng, eig, pair):
+    """Real 2x2 matrix with eigenvalues eig (pair: eig[0] and its conjugate)."""
+    if pair:
+        core = np.array([[eig[0].real, eig[0].imag], [-eig[0].imag, eig[0].real]])
+    else:
+        core = np.diag(eig.real)
+    v = rng.standard_normal((2, 2))
+    return v @ core @ np.linalg.inv(v)
+
+
+def stable_spectrum(rng, pair):
+    if pair:
+        return (-rng.uniform(0.2, 2.0) + 1j * rng.uniform(0.2, 2.0)) * np.ones(2)
+    return -rng.uniform(0.2, 2.0, 2) + 0j
+
+
+class TestOneModeStep:
+    """The closed-form order-2 step against the Kronecker solve, copy by copy."""
+
+    @pytest.mark.parametrize("gap", [None, 1e-3, 1e-6], ids=["generic", "gap_1e-3", "gap_1e-6"])
+    @pytest.mark.parametrize("pair", [False, True], ids=["real", "complex_pair"])
+    def test_matches_kron_solve(self, pair, gap):
+        # gap: the spectrum of beta is minus that of alpha up to gap, so that
+        # lambda(alpha) + lambda(beta) nearly vanishes and the Cayley-Hamilton
+        # matrix u alpha + v I is nearly singular
+        rng = np.random.default_rng(2 * (gap is None) + pair)
+        alpha, beta = np.empty((2, 64, 2, 2))
+        for s in range(64):
+            eig = stable_spectrum(rng, pair)
+            other = stable_spectrum(rng, pair) if gap is None else -eig[::-1] + gap
+            alpha[s], beta[s] = with_spectrum(rng, eig, pair), with_spectrum(rng, other, pair)
+        f = rng.standard_normal((64, 2, 2))
+        x = _sylvester_step(*(z.transpose(1, 2, 0) for z in (alpha, beta, f))).transpose(2, 0, 1)
+        for s in range(64):
+            want = sylvester_kron_solve(alpha[s], beta[s], f[s])
+            op = np.kron(np.eye(2), alpha[s]) + np.kron(beta[s], np.eye(2))
+            norms = np.linalg.norm(alpha[s]) + np.linalg.norm(beta[s])
+            # forward gap within the conditioning of the problem, kappa =
+            # ||op^-1|| (||alpha|| + ||beta||), and a residual within 1e-12
+            kappa = np.linalg.norm(np.linalg.inv(op), 2) * norms
+            if gap is not None:
+                assert kappa >= 0.1 / gap
+            assert np.linalg.norm(x[s] - want) <= 1e-12 * kappa * np.linalg.norm(want)
+            residual = alpha[s] @ x[s] + x[s] @ beta[s].T + f[s]
+            scale = norms * np.linalg.norm(x[s]) + np.linalg.norm(f[s])
+            assert np.linalg.norm(residual) <= 1e-12 * scale
+
+    def test_one_mode_chain_solves_no_linear_system(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        one_mode = lyapunov_stack([make_cascade(rng, 4, 2) for _ in range(3)])
+        mixed_cascade = make_mixed_cascade(rng)
+        mixed = lyapunov_stack([mixed_cascade])
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        solve_cascade_lyapunov(*one_mode, (2, 2, 2, 2))
+        assert calls == []
+        # a step next to the order-4 block still solves its Kronecker system
+        solve_cascade_lyapunov(*mixed, mixed_cascade.dims)
+        assert calls
+
+    def test_empty_stack(self):
+        cascade = make_cascade(np.random.default_rng(8), 3, 2)
+        a, q = lyapunov_stack([cascade, cascade])
+        p, ratio = solve_cascade_lyapunov(a[:0], q[:0], cascade.dims)
+        assert p.shape == (0, 6, 6)
+        assert ratio.shape == (0,)
+        # every copy unstable: log_det_stack hands the kernel the empty stack
+        unstable = CascadeStack(
+            a=a, b=np.stack([cascade.b] * 2), abscissa=np.ones((2, 3)), hurwitz=np.zeros((2, 3), bool)
+        )
+        logdet, certificate = log_det_stack(unstable, cascade.dims)
+        assert np.all(np.isnan(logdet))
+        assert np.all(np.isinf(certificate))
 
 
 class TestCascadeSchur:

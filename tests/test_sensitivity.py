@@ -143,6 +143,17 @@ class TestMonteCarlo:
         assert a.variance == b.variance
         assert a.rejected == b.rejected
 
+    def test_given_covariance_changes_nothing(
+        self, reference_cascade, reference_gradients, reference_uncertainty
+    ):
+        kw = dict(samples=2_000, epsilon=1e-6, seed=5)
+        args = (reference_cascade, reference_uncertainty, reference_gradients)
+        own = monte_carlo_variance(*args, **kw)
+        given = monte_carlo_variance(
+            *args, **kw, p_full=invariant_covariance_direct(reference_cascade)
+        )
+        assert given == own
+
     def test_six_oscillator_chain(self):
         rng = np.random.default_rng(606)
         cascade = make_cascade(rng, 6, 2)
