@@ -354,10 +354,10 @@ def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
         "p_direct": _listify(p_direct),
         "route_gap": gap,
     }
+    # one format string per row, the same text as joining _fmt4 of each entry
+    row_format = "  ".join(["%12.4f"] * len(p_direct))
     table = f"covariance route gap {gap:.3e}\n"
-    table += "\n".join(
-        "  ".join(_fmt4(x) for x in row) for row in p_direct
-    )
+    table += "\n".join(row_format % tuple(row) for row in p_direct.tolist())
     return results, 0, table
 
 

@@ -3,9 +3,12 @@
 The invariant covariance of the composite state solves the algebraic
 Lyapunov equation A P + P A^T + B B^T = 0. Two independent routes are
 provided: a direct solve on the composite matrices and a block recursion
-that adds one oscillator at a time. Schur complements of the leading
+that adds one oscillator at a time. The Schur complements of the leading
 blocks split the log-determinant of P into per-oscillator terms, which
-is the quantity the gradient and balancing modules act on.
+is the quantity the gradient and balancing modules act on. They are read
+off one Cholesky factor P = L L^T (the complement before oscillator k is
+L_tt L_tt^T, L_tt the trailing block of L); :func:`schur_complements` and
+:func:`schur_tail_step` form them by subtraction, as test oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from .errors import NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
 from .linalg import (
@@ -35,17 +39,16 @@ PSD_TOL = 1e-9
 class SteadyStateResult:
     """Invariant covariance together with its Schur-complement split.
 
-    ``pi_k[k]`` is the conditional covariance of oscillator k given its
-    predecessors, ``pi_tail_k[k]`` the conditional covariance of the
-    whole tail from k on, ``t_k[k]`` the regression gain of the tail on
-    the leading block. ``v_k`` are the per-oscillator log-determinant
-    contributions summing to ``v_logdet``.
+    ``chol`` is the lower Cholesky factor L of ``p_full``; ``pi_k[k]`` =
+    L_kk L_kk^T is the conditional covariance of oscillator k given its
+    predecessors, and L_tt L_tt^T, with L_tt the trailing block of L from
+    k on, that of the whole tail. ``v_k[k]`` = 2 sum ln diag L_kk are the
+    per-oscillator log-determinant contributions, summing to ``v_logdet``.
     """
 
     p_full: Matrix
+    chol: Matrix
     pi_k: tuple[Matrix, ...]
-    pi_tail_k: tuple[Matrix, ...]
-    t_k: tuple[Matrix, ...]
     purity: float
     v_logdet: float
     v_k: tuple[float, ...]
@@ -176,20 +179,48 @@ def purity_and_logdet(p: Matrix, theta: Matrix) -> tuple[float, float]:
     Both determinants go through triangular factorizations: Cholesky for
     the covariance, LU (through slogdet) for the commutation matrix.
     """
-    try:
-        chol = cholesky(p, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositive(f"covariance is not positive definite: {exc}") from exc
+    chol = _cholesky(p, (len(p),))
     v = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return _purity(v, theta), v
+
+
+def _purity(v: float, theta: Matrix) -> float:
+    """sqrt(det theta) exp(-V / 2), det theta through slogdet."""
     sign, logdet_theta = np.linalg.slogdet(theta)
     if sign <= 0 or not np.isfinite(logdet_theta):
         raise SingularTheta("commutation matrix has nonpositive determinant")
-    purity = float(np.exp(0.5 * (logdet_theta - v)))
-    return purity, v
+    return float(np.exp(0.5 * (logdet_theta - v)))
+
+
+def _cholesky(p_full: Matrix, dims: Sequence[int]) -> Matrix:
+    """Lower Cholesky factor L of P by one ``dpotrf`` call.
+
+    A failed pivot in any block of ``dims`` but the last means the
+    leading block that ends with that oscillator is not positive definite
+    (SingularLeadingBlock); one in the last block means P is not
+    (NonPositive).
+    """
+    chol, info = dpotrf(np.asarray_chkfinite(p_full), lower=1, clean=1)
+    if info > 0:
+        offsets = np.cumsum(dims)
+        k = int(np.searchsorted(offsets, info - 1, side="right"))
+        if k < len(dims) - 1:
+            raise SingularLeadingBlock(
+                f"conditional covariance of oscillator {k} is not positive definite: "
+                f"leading block of order {offsets[k]} fails at pivot {info}"
+            )
+        raise NonPositive(f"covariance is not positive definite: pivot {info} of {offsets[-1]}")
+    return chol
 
 
 def steady_state(cascade: CascadeModel, method: str = "recursive") -> SteadyStateResult:
-    """Full steady-state summary of a cascade.
+    """Full steady-state summary of a cascade from one Cholesky factor.
+
+    P = L L^T is factored once; Pi_k = L_kk L_kk^T, v_k = 2 sum ln diag
+    L_kk and V = 2 sum ln diag L are read off L, so sum v_k = V holds by
+    construction. Raises SingularLeadingBlock naming the oscillator and
+    the order when a leading block is not positive definite, NonPositive
+    when only the last block fails.
 
     Parameters
     ----------
@@ -204,22 +235,17 @@ def steady_state(cascade: CascadeModel, method: str = "recursive") -> SteadyStat
         p = invariant_covariance_recursive(cascade)
     else:
         raise ValueError(f"unknown method {method!r}")
-    split = schur_complements(p, cascade.dims)
-    v_k = []
-    for k, pi in enumerate(split.pi_k):
-        sign, logdet = np.linalg.slogdet(pi)
-        if sign <= 0:
-            raise NonPositive(f"conditional covariance of oscillator {k} is singular")
-        v_k.append(float(logdet))
-    purity, v = purity_and_logdet(p, cascade.theta)
+    chol = _cholesky(p, cascade.dims)
+    blocks = [cascade.block(k) for k in range(cascade.n_oscillators)]
+    log_diag = 2.0 * np.log(np.diag(chol))
+    v = float(np.sum(log_diag))
     return SteadyStateResult(
         p_full=p,
-        pi_k=split.pi_k,
-        pi_tail_k=split.pi_tail_k,
-        t_k=split.t_k,
-        purity=purity,
+        chol=chol,
+        pi_k=tuple(chol[blk, blk] @ chol[blk, blk].T for blk in blocks),
+        purity=_purity(v, cascade.theta),
         v_logdet=v,
-        v_k=tuple(v_k),
+        v_k=tuple(float(np.sum(log_diag[blk])) for blk in blocks),
     )
 
 

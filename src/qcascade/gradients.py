@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .covariance import (
+    _cholesky,
     invariant_covariance_direct,
     log_det_stack,
     steady_state,
@@ -69,15 +70,6 @@ class GradientSet:
         return np.concatenate([vech(self.rho[k]), self.mu[k].reshape(-1, order="F")])
 
 
-def _pd_inverse(mat: Matrix, label: str) -> Matrix:
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositive(f"{label} is not positive definite: {exc}") from exc
-    inv = cho_solve(factor, np.eye(mat.shape[0]))
-    return 0.5 * (inv + inv.T)
-
-
 def observability_gramian_and_hankelian(
     a: Matrix, p_full: Matrix
 ) -> tuple[Matrix, Matrix]:
@@ -87,32 +79,24 @@ def observability_gramian_and_hankelian(
     :meth:`CascadeModel.require_hurwitz`. Q P is similar to the
     symmetric P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
     """
-    p_inv = _pd_inverse(p_full, "covariance")
-    q = sylvester_schur_solve(a.T, a.T, p_inv)
-    q = 0.5 * (q + q.T)
+    chol = _cholesky(p_full, (len(p_full),))
+    p_inv = symmetric_part(cho_solve((chol, True), np.eye(len(p_full))))
+    q = symmetric_part(sylvester_schur_solve(a.T, a.T, p_inv))
     return q, q @ p_full
 
 
-def _mu_coupling_terms(
-    cascade: CascadeModel, k: int, h_cols: Matrix
-) -> Matrix:
+def _mu_coupling_terms(cascade: CascadeModel, k: int, h_cols: Matrix, m_theta: Matrix) -> Matrix:
     """Common 8 J (...) part of the coupling gradient.
 
     ``h_cols`` holds the first n_k columns of the relevant Hankelian-like
-    matrix, rows running over oscillators k..N.
+    matrix, rows running over oscillators k..N; ``m_theta`` is the
+    composite [M_j Theta_j]_j, so the sum over j > k is one product.
     """
-    nk = cascade.dims[k]
-    theta_k = cascade.params[k].theta
-    acc = cascade.params[k].m_coupling @ antisymmetric_part(theta_k @ h_cols[:nk, :])
-    loc = nk
-    for j in range(k + 1, cascade.n_oscillators):
-        nj = cascade.dims[j]
-        acc += (
-            cascade.params[j].m_coupling
-            @ cascade.params[j].theta
-            @ h_cols[loc : loc + nj, :]
-        )
-        loc += nj
+    nk, off = cascade.dims[k], cascade.offset(k)
+    acc = cascade.params[k].m_coupling @ antisymmetric_part(
+        cascade.params[k].theta @ h_cols[:nk, :]
+    )
+    acc += m_theta[:, off + nk :] @ h_cols[nk:, :]
     return 8.0 * cascade.j_ito @ acc
 
 
@@ -124,30 +108,23 @@ def purity_gradients_direct(
     rho_k is minus four times the symmetric part of theta_k H_kk, with H
     the product Q P restricted to the (k, k) block; mu_k combines the
     input-side term B^T Q theta_k with coupling corrections from all
-    blocks of H interacting with oscillator k.
+    blocks of H interacting with oscillator k, each side summed by one
+    product with the composite coupling.
     """
     cascade.require_hurwitz()
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
     q, h = observability_gramian_and_hankelian(cascade.a, p_full)
+    m_theta = cascade.m_coupling @ cascade.theta
     rho: list[Matrix] = []
     mu: list[Matrix] = []
     for k in range(cascade.n_oscillators):
-        blk = cascade.block(k)
+        blk, off = cascade.block(k), cascade.offset(k)
         theta_k = cascade.params[k].theta
-        h_kk = h[blk, blk]
-        rho.append(-4.0 * symmetric_part(theta_k @ h_kk))
+        rho.append(-4.0 * symmetric_part(theta_k @ h[blk, blk]))
         mu_k = 4.0 * cascade.b.T @ q[:, blk] @ theta_k
-        mu_k += _mu_coupling_terms(cascade, k, h[cascade.offset(k) :, blk])
-        for j in range(k):
-            blj = cascade.block(j)
-            mu_k += (
-                8.0
-                * cascade.j_ito
-                @ cascade.params[j].m_coupling
-                @ h[blk, blj].T
-                @ theta_k
-            )
+        mu_k += _mu_coupling_terms(cascade, k, h[off:, blk], m_theta)
+        mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
         mu.append(-mu_k)
     return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q, hankelian=h)
 
@@ -159,53 +136,46 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     block) obeys its own Lyapunov equation with an effective input
     matrix; its Gramian, together with one Sylvester correction that
     accounts for the dependence of the leading covariance on oscillator
-    k, reproduces the direct gradients. Both solves run on sub-blocks of
-    one structured Schur factor of the cascade.
+    k, reproduces the direct gradients. All of it is read off the one
+    Cholesky factor P = L L^T of :func:`steady_state`: the tail
+    covariance is L_tt L_tt^T, the effective input L_tt Z_t with
+    Z = L^{-1} B, and a leading-block solve is triangular on a slice of
+    L. As the inverse tail covariance is the trailing block of P^{-1} and
+    A^T is block upper triangular, every tail Gramian is the trailing
+    block of one Gramian with forcing P^{-1}. All solves run on sub-blocks
+    of one structured Schur factor of the cascade.
     """
     cascade.require_hurwitz()
     steady = steady_state(cascade)
     factor = cascade_schur(cascade.a, cascade.dims)
-    p = steady.p_full
+    p, chol = steady.p_full, steady.chol
+    whole = slice(0, cascade.n)
+    p_inv = symmetric_part(cho_solve((chol, True), np.eye(cascade.n)))
+    q_full = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
+    z = solve_triangular(chol, cascade.b, lower=True)
+    m_theta = cascade.m_coupling @ cascade.theta
     rho: list[Matrix] = []
     mu: list[Matrix] = []
-    q_full: Matrix | None = None
-    hank: Matrix | None = None
     for k in range(cascade.n_oscillators):
-        off = cascade.offset(k)
-        nk = cascade.dims[k]
-        theta_k = cascade.params[k].theta
-        tail = slice(off, cascade.n)
-        b_lead = cascade.b[:off, :]
-        b_tilde = cascade.b[off:, :] - steady.t_k[k] @ b_lead
-        pi_tail = steady.pi_tail_k[k]
-        pi_inv = _pd_inverse(pi_tail, f"tail covariance at oscillator {k}")
-        q_tail = solve_cascade_sylvester(factor, tail, tail, pi_inv, transpose=True)
-        q_tail = 0.5 * (q_tail + q_tail.T)
-        h_cols = q_tail @ pi_tail[:, :nk]
+        off, nk, theta_k = cascade.offset(k), cascade.dims[k], cascade.params[k].theta
+        l_tail = chol[off:, off:]
+        b_tilde = l_tail @ z[off:]
+        q_tail = q_full[off:, off:]
+        h_cols = q_tail @ (l_tail[:, :nk] @ l_tail[:nk, :nk].T)
         mu_k = 4.0 * b_tilde.T @ q_tail[:, :nk] @ theta_k
         if k > 0:
-            c_lead = cascade.c[:, :off]
-            p_lead = p[:off, :off]
-            q_k = p[off : off + nk, :off]
-            try:
-                lead_factor = cho_factor(p_lead, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NonPositive(
-                    f"leading covariance before oscillator {k} is singular: {exc}"
-                ) from exc
-            w = cho_solve(lead_factor, b_lead @ b_tilde.T)
+            # P_lead^{-1} B_lead = L_lead^{-T} Z_lead
+            w = solve_triangular(chol[:off, :off], z[:off] @ b_tilde.T, lower=True, trans="T")
             y = solve_cascade_sylvester(
-                factor, tail, slice(0, off), q_tail @ w.T, transpose=True
+                factor, slice(off, cascade.n), slice(0, off), q_tail @ w.T, transpose=True
             )
-            h_cols = h_cols - y @ q_k.T
-            mu_k -= 4.0 * (c_lead @ p_lead + b_lead.T) @ y[:nk, :].T @ theta_k
+            h_cols = h_cols - y @ p[off : off + nk, :off].T
+            c_p = cascade.c[:, :off] @ p[:off, :off] + cascade.b[:off].T
+            mu_k -= 4.0 * c_p @ y[:nk, :].T @ theta_k
         rho.append(-4.0 * symmetric_part(theta_k @ h_cols[:nk, :]))
-        mu_k += _mu_coupling_terms(cascade, k, h_cols)
+        mu_k += _mu_coupling_terms(cascade, k, h_cols, m_theta)
         mu.append(-mu_k)
-        if k == 0:
-            q_full = q_tail
-            hank = q_tail @ pi_tail
-    return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q_full, hankelian=hank)
+    return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q_full, hankelian=q_full @ p)
 
 
 def _signed_stack(cascade: CascadeModel, k: int, basis: np.ndarray) -> CascadeStack:

@@ -97,6 +97,25 @@ def make_mixed_cascade(rng: np.random.Generator) -> CascadeModel:
     )
 
 
+def make_passive_chain(rng: np.random.Generator, n_osc: int) -> CascadeModel:
+    """Passive m = 2 chain: M_k = alpha (cos phi I + sin phi J), R_k = r I,
+    the sampler of the benchmark's passive classes."""
+    from qcascade.linalg import J2
+    from qcascade.oscillator import assemble_cascade
+
+    chain = []
+    for _ in range(n_osc):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        coupling = rng.uniform(0.5, 1.2) * (np.cos(phase) * np.eye(2) + np.sin(phase) * J2)
+        chain.append(
+            OscillatorParams(
+                theta=default_theta(2), r_energy=rng.uniform(-1.0, 1.0) * np.eye(2),
+                m_coupling=coupling,
+            )
+        )
+    return assemble_cascade(chain)
+
+
 @pytest.fixture(scope="session")
 def random_corpus() -> list[CascadeModel]:
     """Twenty random stable cascades, N <= 4, one mode each, m in {2, 4, 6}."""

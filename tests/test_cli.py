@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import GENERATED_SPEC
-from qcascade.cli import _spec_document_from_cascade, build_cascade, load_spec, main
+from qcascade.cli import _fmt4, _spec_document_from_cascade, build_cascade, load_spec, main
 from qcascade.errors import DimensionMismatch, ParseError, SchemaError, SingularTheta
 
 
@@ -189,6 +189,14 @@ class TestCommands:
         # P of the three two-state oscillators, written once
         assert np.asarray(results["p_direct"]).shape == (6, 6)
         assert "blocks" not in results
+
+    def test_covariance_table_matches_entrywise_format(self, tmp_path, capsys):
+        argv = ["covariance", str(GENERATED_SPEC), "--out", str(tmp_path), "--format", "table"]
+        assert main(argv) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        rows = "\n".join("  ".join(_fmt4(x) for x in row) for row in results["p_direct"])
+        gap = f"covariance route gap {results['route_gap']:.3e}"
+        assert capsys.readouterr().out == f"{gap}\n{rows}\n"
 
     def test_balance_artifacts(self, tmp_path, paper_spec):
         code = main(["balance", str(paper_spec.source), "--out", str(tmp_path)])

@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cascade, make_mixed_cascade, make_oscillator, random_symplectic
+from conftest import (
+    make_cascade,
+    make_mixed_cascade,
+    make_oscillator,
+    make_passive_chain,
+    random_symplectic,
+)
+import qcascade.covariance
 from qcascade.covariance import (
+    _cholesky,
     frequency_domain_covariance,
     invariant_covariance_direct,
     invariant_covariance_recursive,
@@ -185,3 +193,59 @@ class TestSteadyState:
             res = steady_state(cascade)
             assert quantum_psd_margin(res.p_full, cascade.theta) >= -1e-9
             assert 0.0 < res.purity <= 1.0 + 1e-12
+
+
+def split_cases(reference_cascade):
+    return {
+        "generated": reference_cascade,
+        "mixed": make_mixed_cascade(np.random.default_rng(5151)),
+        "passive16": make_passive_chain(np.random.default_rng(1616), 16),
+    }
+
+
+class TestFactoredSplit:
+    @pytest.mark.parametrize("case", ["generated", "mixed", "passive16"])
+    def test_matches_subtraction_oracle(self, case, reference_cascade):
+        cascade = split_cases(reference_cascade)[case]
+        res = steady_state(cascade)
+        oracle = schur_complements(res.p_full, cascade.dims)
+        scale = max(1.0, float(np.max(np.abs(res.p_full))))
+        for pi, pi_oracle in zip(res.pi_k, oracle.pi_k, strict=True):
+            assert np.max(np.abs(pi - pi_oracle)) <= 1e-10 * scale
+        v_oracle = [float(np.linalg.slogdet(pi)[1]) for pi in oracle.pi_k]
+        np.testing.assert_allclose(res.v_k, v_oracle, rtol=0.0, atol=1e-10)
+
+    def test_factor_reproduces_covariance(self, reference_cascade):
+        res = steady_state(reference_cascade)
+        np.testing.assert_array_equal(res.chol, np.tril(res.chol))
+        np.testing.assert_allclose(res.chol @ res.chol.T, res.p_full, rtol=0.0, atol=1e-12)
+        assert res.v_logdet == pytest.approx(float(np.linalg.slogdet(res.p_full)[1]), abs=1e-10)
+
+
+class TestTypedRefusal:
+    @pytest.mark.parametrize(
+        "diag, oscillator",
+        [([-1.0, 1, 1, 1, 1, 1], 0), ([1.0, 1, 0, 1, 1, 1], 1), ([1.0, 1, 1, -2, 1, 1], 1)],
+    )
+    def test_leading_block_names_the_oscillator(self, diag, oscillator):
+        order = 2 * oscillator + 2
+        with pytest.raises(SingularLeadingBlock, match=f"oscillator {oscillator} .*order {order} "):
+            _cholesky(np.diag(diag), (2, 2, 2))
+
+    def test_dependent_rows_fail_in_a_leading_block(self):
+        # rows 0 and 2 equal: the leading block of order 4 is singular
+        g = np.random.default_rng(3).standard_normal((6, 6))
+        g[2] = g[0]
+        with pytest.raises(SingularLeadingBlock, match="oscillator 1 .*order 4 "):
+            _cholesky(g @ g.T, (2, 2, 2))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (6,)])
+    def test_last_block_is_nonpositive(self, dims):
+        with pytest.raises(NonPositive):
+            _cholesky(np.diag([1.0, 1, 1, 1, 1, -1]), dims)
+
+    def test_steady_state_passes_the_refusal_on(self, reference_cascade, monkeypatch):
+        p = np.diag([1.0, 1, -1, 1, 1, 1])
+        monkeypatch.setattr(qcascade.covariance, "invariant_covariance_recursive", lambda _: p)
+        with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
+            steady_state(reference_cascade)

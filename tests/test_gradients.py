@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_cascade, make_mixed_cascade, random_blockdiag_symplectic
+import qcascade.covariance
+import qcascade.gradients
+
+from conftest import (
+    make_cascade,
+    make_mixed_cascade,
+    make_passive_chain,
+    random_blockdiag_symplectic,
+)
 from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
 from qcascade.errors import NotHurwitz, NotSymplectic
 from qcascade.gradients import (
@@ -133,6 +141,32 @@ class TestRouteAgreement:
         purity_gradients_recursive(cascade)
         assert orders
         assert max(orders) <= max(cascade.dims)
+
+    def test_recursive_route_factors_p_once(self, monkeypatch):
+        # every tail Gramian is a trailing block of one Gramian with forcing
+        # P^{-1}, and every leading-block solve uses a slice of the one
+        # Cholesky factor of steady_state
+        cascade = make_passive_chain(np.random.default_rng(1616), 16)
+        square, factored = [], []
+        solve = qcascade.gradients.solve_cascade_sylvester
+
+        def spy_solve(factor, rows, cols, *args, **kwargs):
+            if rows == cols:
+                square.append((rows.start, rows.stop))
+            return solve(factor, rows, cols, *args, **kwargs)
+
+        cho_factor = scipy.linalg.cho_factor
+
+        def spy_factor(*args, **kwargs):
+            factored.append(np.shape(args[0]))
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(qcascade.gradients, "solve_cascade_sylvester", spy_solve)
+        for module in (scipy.linalg, qcascade.covariance):
+            monkeypatch.setattr(module, "cho_factor", spy_factor)
+        purity_gradients_recursive(cascade)
+        assert square == [(0, cascade.n)]
+        assert factored == []
 
     def test_energy_gradient_is_symmetric(self, reference_gradients):
         for r in reference_gradients.rho:
