@@ -16,9 +16,10 @@ from .errors import (
     TooManyRejections, ZAtOne,
 )
 from .linalg import (
-    cascade_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, solve_cascade_lyapunov,
-    solve_cascade_sylvester, solve_lyapunov, solve_sylvester, symmetric_matrix_function,
-    symplectic_exponential, symplectic_form, symplectic_residual, vech, vech_to_symmetric,
+    cascade_schur, dense_schur, duplication_matrix, is_hurwitz, quantum_psd_margin,
+    solve_cascade_lyapunov, solve_cascade_sylvester, solve_lyapunov, solve_sylvester,
+    symmetric_matrix_function, symplectic_exponential, symplectic_form, symplectic_residual, vech,
+    vech_to_symmetric,
 )
 from .oscillator import (
     CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade,
@@ -55,7 +56,7 @@ __all__ = [
     "NotHurwitz", "NotInStabilitySet", "NotOneMode", "NotSymplectic", "ParseError", "QCascadeError",
     "RankDeficientMu", "SchemaError", "SingularLeadingBlock", "SingularResolvent", "SingularTheta",
     "SolverSingular", "TooManyRejections", "ZAtOne",
-    "cascade_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
+    "cascade_schur", "dense_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
     "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov", "solve_sylvester",
     "symmetric_matrix_function", "symplectic_exponential", "symplectic_form", "symplectic_residual",
     "vech", "vech_to_symmetric",

@@ -24,11 +24,11 @@ from .errors import NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
 from .linalg import (
     Matrix,
     cascade_schur,
+    dense_schur,
     is_hurwitz,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
-    sylvester_schur_solve,
 )
 from .oscillator import CascadeModel, CascadeStack
 
@@ -55,10 +55,11 @@ class SteadyStateResult:
 
 
 def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
-    """P solving A P + P A^T + B B^T = 0 by one certified Schur solve, with
-    a floor on its spectrum. The caller has checked that A is Hurwitz."""
+    """P solving A P + P A^T + B B^T = 0 by one certified Schur solve on
+    a dense real Schur factor of A^T (:func:`dense_schur`), with a floor on
+    its spectrum. The caller has checked that A is Hurwitz."""
     q = symmetric_part(b @ b.T)
-    p = symmetric_part(sylvester_schur_solve(a, a, q))
+    p = symmetric_part(solve_cascade_sylvester(dense_schur(a), slice(None), slice(None), q))
     floor = np.linalg.eigvalsh(p)[0]
     if floor < -PSD_TOL * max(1.0, np.linalg.norm(p)):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")

@@ -37,9 +37,9 @@ from .linalg import (
     Matrix,
     antisymmetric_part,
     cascade_schur,
+    dense_schur,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
-    sylvester_schur_solve,
     symmetric_part,
     symplectic_residual,
     vech,
@@ -75,13 +75,16 @@ def observability_gramian_and_hankelian(
 ) -> tuple[Matrix, Matrix]:
     """Gramian Q solving A^T Q + Q A + P^{-1} = 0 and the product Q P.
 
-    ``a`` must be Hurwitz; for a cascade the caller establishes this with
+    Q comes from one certified transposed solve on a dense real Schur
+    factor of A^T (:func:`dense_schur`). ``a`` must be Hurwitz; for a
+    cascade the caller establishes this with
     :meth:`CascadeModel.require_hurwitz`. Q P is similar to the
     symmetric P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
     """
     chol = _cholesky(p_full, (len(p_full),))
     p_inv = symmetric_part(cho_solve((chol, True), np.eye(len(p_full))))
-    q = symmetric_part(sylvester_schur_solve(a.T, a.T, p_inv))
+    whole = slice(0, len(p_full))
+    q = symmetric_part(solve_cascade_sylvester(dense_schur(a), whole, whole, p_inv, transpose=True))
     return q, q @ p_full
 
 

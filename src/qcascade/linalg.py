@@ -6,10 +6,12 @@ functions of symmetric matrices, and residual certificates for
 symplectic membership and quantum admissibility.
 
 Every production Sylvester solve is a certified Schur (Bartels-Stewart)
-solve: scipy's dense solver for general matrices, and for cascades,
-whose dynamics matrices are block lower triangular, triangular solves
-on one structured Schur factor built from the diagonal blocks
-(:func:`cascade_schur`). :func:`solve_cascade_lyapunov` solves stacks
+solve: one ``dtrsyl`` call on a real Schur factor of a^T, taken either
+by one QR iteration on the whole matrix (:func:`dense_schur`) or, for
+cascades, whose dynamics matrices are block lower triangular, from the
+diagonal blocks (:func:`cascade_schur`), whose sub-blocks serve the
+recursive routes. :func:`solve_sylvester` wraps scipy's solver for
+general pairs of matrices. :func:`solve_cascade_lyapunov` solves stacks
 of cascade Lyapunov equations by block forward substitution on a
 stack-last layout, each step between two one-mode blocks in closed
 form. The dense Kronecker vectorization solves the small complex
@@ -141,20 +143,6 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     return x.reshape((n, p), order="F")
 
 
-def _check_sylvester_inputs(alpha, beta, gamma):
-    if alpha.shape[0] != alpha.shape[1] or beta.shape[0] != beta.shape[1]:
-        raise ValueError("coefficient matrices must be square")
-    if gamma.shape != (alpha.shape[0], beta.shape[0]):
-        raise ValueError(
-            f"constant term shape {gamma.shape} inconsistent with "
-            f"({alpha.shape[0]}, {beta.shape[0]})"
-        )
-    for name, mat in (("alpha", alpha), ("beta", beta)):
-        ok, margin = is_hurwitz(mat)
-        if not ok:
-            raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
-
-
 def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix) -> None:
     """Raise SolverSingular unless sigma, real or complex, solves
     alpha*s + s*beta^T + gamma = 0 to a Frobenius residual within
@@ -171,46 +159,34 @@ def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix)
         )
 
 
-def sylvester_schur_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
-    """Certified dense Schur solve of alpha*s + s*beta^T + gamma = 0.
+def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
+    """Unique solution s, n x p, of alpha*s + s*beta^T + gamma = 0 by scipy's
+    dense Schur solver, certified by :func:`certify_sylvester`.
 
-    The caller has checked that alpha and beta are Hurwitz.
+    Raises ValueError on inconsistent shapes, SolverSingular on a
+    non-finite entry, NotHurwitz unless alpha and beta have every
+    eigenvalue real part below -HURWITZ_TOL, and SolverSingular if the
+    solve or its residual certificate fails.
     """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    n, p = len(alpha), len(beta)
+    if alpha.shape != (n, n) or beta.shape != (p, p) or gamma.shape != (n, p):
+        shapes = f"{alpha.shape}, {beta.shape}, {gamma.shape}"
+        raise ValueError(f"shapes {shapes} are not (n, n), (p, p), (n, p)")
+    if not all(np.all(np.isfinite(x)) for x in (alpha, beta, gamma)):
+        raise SolverSingular("alpha, beta or gamma has a non-finite entry")
+    for name, mat in (("alpha", alpha), ("beta", beta)):
+        ok, margin = is_hurwitz(mat)
+        if not ok:
+            raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
     try:
         sigma = scipy.linalg.solve_sylvester(alpha, beta.T, -gamma)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverSingular(f"Schur solve failed: {exc}") from exc
     certify_sylvester(alpha, beta, gamma, sigma)
     return sigma
-
-
-def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
-    """Unique solution s of alpha*s + s*beta^T + gamma = 0.
-
-    Parameters
-    ----------
-    alpha, beta
-        Hurwitz matrices (all eigenvalue real parts below -HURWITZ_TOL),
-        of orders n and p.
-    gamma
-        Constant term, n x p.
-
-    Returns
-    -------
-    s : (n, p) ndarray
-
-    Raises
-    ------
-    NotHurwitz
-        If either coefficient matrix fails the stability precondition.
-    SolverSingular
-        If the Schur solve fails or the residual certificate fails.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    _check_sylvester_inputs(alpha, beta, gamma)
-    return sylvester_schur_solve(alpha, beta, gamma)
 
 
 def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
@@ -255,17 +231,35 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
     return CascadeSchur(a=a, w=w, s=s)
 
 
+def dense_schur(a: Matrix) -> CascadeSchur:
+    """Real Schur factor a^T = w s w^T by one QR iteration on the whole of a^T.
+
+    Assumes no structure in ``a``. A cascade's a^T is block upper
+    triangular: for one-mode oscillators it is already upper Hessenberg
+    and the iteration deflates at every block boundary, where a needs a
+    full reduction and iteration. Raises SolverSingular if the iteration
+    fails or ``a`` has a non-finite entry.
+    """
+    a = np.asarray(a, dtype=float)
+    try:
+        s, w = scipy.linalg.schur(a.T, output="real")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolverSingular(f"Schur factorization failed: {exc}") from exc
+    return CascadeSchur(a=a, w=w, s=s)
+
+
 def solve_cascade_sylvester(
     factor: CascadeSchur, rows: slice, cols: slice, gamma: Matrix, *, transpose: bool = False
 ) -> Matrix:
-    """Certified solve of A_r X + X A_c^T + gamma = 0 on cascade sub-blocks.
+    """Certified solve of A_r X + X A_c^T + gamma = 0 on sub-blocks of a factor.
 
-    A_r = a[rows, rows] and A_c = a[cols, cols] are principal sub-blocks
-    on oscillator boundaries; ``transpose`` solves A_r^T X + X A_c +
-    gamma = 0 instead. One LAPACK ``dtrsyl`` call on sub-blocks of the
-    factor, no QR iteration; the caller has checked stability. Raises
-    SolverSingular if ``dtrsyl`` reports close spectra or rescales, or if
-    the residual certificate fails.
+    For a :func:`cascade_schur` factor, A_r = a[rows, rows] and A_c =
+    a[cols, cols] are principal sub-blocks on oscillator boundaries; a
+    :func:`dense_schur` factor serves the whole matrix only. ``transpose``
+    solves A_r^T X + X A_c + gamma = 0 instead. One LAPACK ``dtrsyl`` call
+    on sub-blocks of the factor, no QR iteration; the caller has checked
+    stability. Raises SolverSingular if ``dtrsyl`` reports close spectra or
+    rescales, or if the residual certificate fails.
     """
     w_r, w_c = factor.w[rows, rows], factor.w[cols, cols]
     trans = ("N", "T") if transpose else ("T", "N")

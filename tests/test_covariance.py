@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from qcascade.covariance import (
     steady_state,
 )
 from qcascade.errors import NonPositive, NotHurwitz, SingularLeadingBlock
+from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, quantum_psd_margin
 from qcascade.oscillator import OscillatorParams, assemble_cascade
 
@@ -249,3 +251,93 @@ class TestTypedRefusal:
         monkeypatch.setattr(qcascade.covariance, "invariant_covariance_recursive", lambda _: p)
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
             steady_state(reference_cascade)
+
+
+def mp_block_covariance(mp, cascade, dps=40):
+    """P of a cascade by block forward substitution in ``dps``-digit
+    arithmetic: block (j, k), j >= k, in column order k and then row order
+    j, from the Kronecker system (I (x) A_jj + A_kk (x) I) vec P_jk =
+    -vec F_jk with column-major vec, solved by ``mp.lu_solve``."""
+
+    def kron(x, y):
+        return mp.matrix(
+            [
+                [x[i // y.rows, j // y.cols] * y[i % y.rows, j % y.cols] for j in range(x.cols * y.cols)]
+                for i in range(x.rows * y.rows)
+            ]
+        )
+
+    offs = np.concatenate([[0], np.cumsum(cascade.dims)]).astype(int)
+    with mp.workdps(dps):
+        a = mp.matrix(cascade.a.tolist())
+        b = mp.matrix(cascade.b.tolist())
+        q = b * b.T
+
+        def blk(x, j, k):
+            return x[offs[j] : offs[j + 1], offs[k] : offs[k + 1]]
+
+        p = {}
+        for k, d_k in enumerate(cascade.dims):
+            for j in range(k, len(cascade.dims)):
+                d_j = cascade.dims[j]
+                f = blk(q, j, k)
+                for l in range(j):
+                    f += blk(a, j, l) * (p[l, k] if l >= k else p[k, l].T)
+                for l in range(k):
+                    f += p[j, l] * blk(a, k, l).T
+                op = kron(mp.eye(d_k), blk(a, j, j)) + kron(blk(a, k, k), mp.eye(d_j))
+                x = mp.lu_solve(op, -mp.matrix([f[r, c] for c in range(d_k) for r in range(d_j)]))
+                p[j, k] = mp.matrix([[x[c * d_j + r] for c in range(d_k)] for r in range(d_j)])
+        out = np.zeros((cascade.n, cascade.n))
+        for (j, k), x in p.items():
+            block = np.array(x.tolist(), dtype=float)
+            out[offs[j] : offs[j + 1], offs[k] : offs[k + 1]] = block
+            out[offs[k] : offs[k + 1], offs[j] : offs[j + 1]] = block.T
+    return out
+
+
+class TestDenseRoute:
+    def test_direct_routes_factor_the_transpose_once(self, monkeypatch):
+        # the direct P and the observability Gramian each come from one real
+        # Schur factorization of A^T, which for a cascade is block upper
+        # triangular; a factorization of A would cost a full Hessenberg
+        # reduction, and scipy's solve_sylvester would factor A twice
+        cascade = make_passive_chain(np.random.default_rng(1616), 16)
+        p = invariant_covariance_direct(cascade)
+        factored, sylvester = [], []
+        schur, solve_sylvester = scipy.linalg.schur, scipy.linalg.solve_sylvester
+
+        def spy_schur(x, *args, **kwargs):
+            if np.shape(x)[0] == cascade.n:
+                factored.append(np.array(x))
+            return schur(x, *args, **kwargs)
+
+        def spy_sylvester(*args, **kwargs):
+            sylvester.append(1)
+            return solve_sylvester(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy_sylvester)
+        routes = [
+            lambda: invariant_covariance_direct(cascade),
+            lambda: observability_gramian_and_hankelian(cascade.a, p),
+        ]
+        for route in routes:
+            factored.clear()
+            route()
+            assert len(factored) == 1
+            np.testing.assert_array_equal(factored[0], cascade.a.T)
+        assert sylvester == []
+
+    @pytest.mark.parametrize("n_osc", [8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_direct_covariance_matches_high_precision(self, n_osc, seed):
+        # amplifying chains of the generic sampler: cond P grows with N
+        mp = pytest.importorskip("mpmath")
+        cascade = make_cascade(np.random.default_rng(seed), n_osc, 2)
+        exact = mp_block_covariance(mp, cascade)
+        scale = np.linalg.norm(exact)
+        direct = invariant_covariance_direct(cascade)
+        assert np.linalg.norm(direct - exact) <= 1e-13 * scale
+        recursive = invariant_covariance_recursive(cascade)
+        assert np.linalg.norm(direct - recursive) <= 1e-12 * scale

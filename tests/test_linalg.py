@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -13,6 +14,7 @@ from qcascade.linalg import (
     RESIDUAL_TOL,
     _sylvester_step,
     cascade_schur,
+    dense_schur,
     duplication_matrix,
     is_hurwitz,
     quantum_psd_margin,
@@ -91,6 +93,16 @@ class TestSylvester:
         gamma = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(SolverSingular):
             solve_sylvester(-np.eye(2), -np.eye(2), gamma)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_data_refused_before_the_solve(self, which, monkeypatch):
+        args = [-np.eye(2), -np.eye(2), np.eye(2)]
+        args[which][0, 0] = np.nan
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester", lambda *a: calls.append(a))
+        with pytest.raises(SolverSingular, match="non-finite"):
+            solve_sylvester(*args)
+        assert calls == []
 
     def test_kron_route_singular_spectrum(self):
         # alpha and beta^T spectra overlap on the imaginary axis
@@ -329,6 +341,12 @@ class TestCascadeSchur:
         factor = cascade_schur(J2, (2,))
         with pytest.raises(SolverSingular):
             solve_cascade_sylvester(factor, slice(0, 2), slice(0, 2), np.eye(2))
+
+    def test_dense_factor_refusals(self):
+        with pytest.raises(SolverSingular, match="Schur factorization"):
+            dense_schur(np.diag([np.nan, -1.0]))
+        with pytest.raises(SolverSingular):
+            solve_cascade_sylvester(dense_schur(J2), slice(None), slice(None), np.eye(2))
 
     def test_rejects_nonzero_block_above_diagonal(self):
         cascade = make_cascade(np.random.default_rng(5), 3, 2)
