@@ -260,12 +260,11 @@ def mp_block_covariance(mp, cascade, dps=40):
     -vec F_jk with column-major vec, solved by ``mp.lu_solve``."""
 
     def kron(x, y):
-        return mp.matrix(
-            [
-                [x[i // y.rows, j // y.cols] * y[i % y.rows, j % y.cols] for j in range(x.cols * y.cols)]
-                for i in range(x.rows * y.rows)
-            ]
-        )
+        out = mp.matrix(x.rows * y.rows, x.cols * y.cols)
+        for i in range(out.rows):
+            for j in range(out.cols):
+                out[i, j] = x[i // y.rows, j // y.cols] * y[i % y.rows, j % y.cols]
+        return out
 
     offs = np.concatenate([[0], np.cumsum(cascade.dims)]).astype(int)
     with mp.workdps(dps):
@@ -281,10 +280,10 @@ def mp_block_covariance(mp, cascade, dps=40):
             for j in range(k, len(cascade.dims)):
                 d_j = cascade.dims[j]
                 f = blk(q, j, k)
-                for l in range(j):
-                    f += blk(a, j, l) * (p[l, k] if l >= k else p[k, l].T)
-                for l in range(k):
-                    f += p[j, l] * blk(a, k, l).T
+                for i in range(j):
+                    f += blk(a, j, i) * (p[i, k] if i >= k else p[k, i].T)
+                for i in range(k):
+                    f += p[j, i] * blk(a, k, i).T
                 op = kron(mp.eye(d_k), blk(a, j, j)) + kron(blk(a, k, k), mp.eye(d_j))
                 x = mp.lu_solve(op, -mp.matrix([f[r, c] for c in range(d_k) for r in range(d_j)]))
                 p[j, k] = mp.matrix([[x[c * d_j + r] for c in range(d_k)] for r in range(d_j)])
