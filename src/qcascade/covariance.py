@@ -75,17 +75,35 @@ def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
 def log_det_stack(stack: CascadeStack, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per copy of a perturbed cascade stack, ln det P (NaN where P is not
     positive definite) and the residual certificate (infinite where a
-    diagonal block is not Hurwitz); the stable copies are solved together
-    by :func:`solve_cascade_lyapunov`."""
-    stable = stack.hurwitz.all(axis=1)
-    b = stack.b[stable]
-    p, certificate = solve_cascade_lyapunov(stack.a[stable], b @ b.transpose(0, 2, 1), dims)
-    sign, logdet = np.linalg.slogdet(p)
+    diagonal block is not Hurwitz). The stable copies are solved together
+    by :func:`solve_cascade_lyapunov` and factored by :func:`_cholesky_log_det`."""
+    stable = stack.hurwitz.all(axis=0)
+    a, b = stack.a, stack.b
+    if not stable.all():  # compress keeps the stack-last layout, x[..., stable] does not
+        a, b = (np.compress(stable, x, axis=-1) for x in (a, b))
+    p, certificate = solve_cascade_lyapunov(a, np.einsum("ias,jas->ijs", b, b), dims)
     out_logdet = np.full(stable.shape, np.nan)
-    out_logdet[stable] = np.where(sign > 0, logdet, np.nan)
+    out_logdet[stable] = _cholesky_log_det(p)
     out_certificate = np.full(stable.shape, np.inf)
     out_certificate[stable] = certificate
     return out_logdet, out_certificate
+
+
+def _cholesky_log_det(p: np.ndarray) -> np.ndarray:
+    """ln det P = 2 sum ln diag L of every copy of a stack-last (n, n, S)
+    stack of symmetric P = L L^T, by a column Cholesky factorization that
+    reads the lower triangle; NaN for a copy with a pivot that is not
+    positive. The copies never mix, so a failed copy leaves the others as
+    they are."""
+    n = len(p)
+    chol = np.empty_like(p)
+    log_det = np.zeros(p.shape[2:])
+    for j in range(n):
+        col = p[j:, j] - np.einsum("iks,ks->is", chol[j:, :j], chol[j, :j])
+        root = np.sqrt(np.where(col[0] > 0.0, col[0], np.nan))
+        chol[j:, j] = col / root
+        log_det += np.log(root)
+    return 2.0 * log_det
 
 
 def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:

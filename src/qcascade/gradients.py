@@ -197,11 +197,11 @@ def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) ->
     if failed.size:
         t = int(failed[0])
         label = labels[t // 2]
-        unstable = np.flatnonzero(~stack.hurwitz[t])
+        unstable = np.flatnonzero(~stack.hurwitz[:, t])
         if unstable.size:
             raise NotHurwitz(
                 f"perturbation of {label} leaves the stability domain: oscillator "
-                f"{unstable[0]} has spectral abscissa {stack.abscissa[t, unstable[0]]:.3e}"
+                f"{unstable[0]} has spectral abscissa {stack.abscissa[unstable[0], t]:.3e}"
             )
         error = NonPositive if certificate[t] <= RESIDUAL_TOL else SolverSingular
         raise error(
@@ -295,12 +295,12 @@ def covariance_derivatives(
     out: list[np.ndarray] = []
     for k, nk in enumerate(cascade.dims):
         stack = _signed_stack(cascade, k, np.eye(nk * (nk + 1) // 2 + cascade.m * nk))
-        da = 0.5 * (stack.a[0::2] - stack.a[1::2])
-        db = 0.5 * (stack.b[0::2] - stack.b[1::2])
-        half = da @ p_full + db @ cascade.b.T
-        force = half + half.transpose(0, 2, 1)
+        da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
+        db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
+        half = np.einsum("ils,lj->ijs", da, p_full) + np.einsum("ias,ja->ijs", db, cascade.b)
+        force = half + half.transpose(1, 0, 2)
         dp, certificate = solve_cascade_lyapunov(
-            np.broadcast_to(cascade.a, force.shape), force, cascade.dims
+            np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
         )
         worst = float(np.max(certificate))
         if not worst <= RESIDUAL_TOL:
@@ -308,5 +308,5 @@ def covariance_derivatives(
                 f"covariance response of oscillator {k}: residual certificate "
                 f"{worst:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-        out.append(dp)
+        out.append(np.moveaxis(dp, -1, 0))
     return tuple(out)

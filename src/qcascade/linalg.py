@@ -12,11 +12,13 @@ cascades, whose dynamics matrices are block lower triangular, from the
 diagonal blocks (:func:`cascade_schur`), whose sub-blocks serve the
 recursive routes. :func:`solve_sylvester` wraps scipy's solver for
 general pairs of matrices. :func:`solve_cascade_lyapunov` solves stacks
-of cascade Lyapunov equations by block forward substitution on a
-stack-last layout, each step between two one-mode blocks in closed
-form. The dense Kronecker vectorization solves the small complex
-z-domain equations and the steps between blocks of other orders, and
-is the test oracle for the real routes.
+of cascade Lyapunov equations by block forward substitution, each step
+between two one-mode blocks in closed form. Its stacks are stack-last,
+(n, n, S) with the copy axis last and contiguous: the one layout of the
+perturbed-cascade builder and of the stacked log-determinant, so no
+stack is transposed between them. The dense Kronecker vectorization
+solves the small complex z-domain equations and the steps between
+blocks of other orders, and is the test oracle for the real routes.
 """
 
 from __future__ import annotations
@@ -279,28 +281,28 @@ def solve_cascade_sylvester(
 def solve_cascade_lyapunov(
     a: np.ndarray, q: np.ndarray, dims: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[s] P + P a[s]^T + q[s] = 0 for a stack of cascades.
+    """Solve A P + P A^T + Q = 0 for a stack-last stack of cascades.
 
-    ``a`` and ``q`` have shape (S, n, n); every ``a[s]`` is block lower
-    triangular with diagonal block orders ``dims`` and ``q`` is taken
-    symmetric. Block forward substitution (Bartels and Stewart, 1972)
-    splits each equation into one small Sylvester problem per block
-    (j, k) with j >= k, solved in column order k and then row order j:
+    ``a`` and ``q`` have shape (n, n, S), the copy axis last: every
+    ``a[..., s]`` is block lower triangular with diagonal block orders
+    ``dims`` and ``q`` is taken symmetric. Block forward substitution
+    (Bartels and Stewart, 1972) splits each equation into one small
+    Sylvester problem per block (j, k) with j >= k, solved in column order
+    k and then row order j:
 
         A_jj X + X A_kk^T = -(Q_jk + A_j,:o_j P_:o_j,k + P_j,:o_k A_k,:o_k^T)
 
-    with o_j the state offset of block j. The substitution runs on
-    stack-last (n, n, S) copies, so that every block entry is one
-    contiguous vector over the stack and the forcing sums are ``einsum``
+    with o_j the state offset of block j. Every block entry is one
+    contiguous vector over the stack, so the forcing sums are ``einsum``
     calls. A step between two one-mode blocks (d_j = d_k = 2) is closed
     form by Cayley-Hamilton; any other step solves the (d_j d_k)-order
     Kronecker system of every copy. The caller ensures that the diagonal
     blocks are Hurwitz.
 
-    Returns the symmetric solutions, shape (S, n, n), and per entry the
+    Returns the symmetric solutions, shape (n, n, S), and per copy the
     residual certificate ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||)
-    in Frobenius norms, the same ratio :func:`solve_sylvester` bounds by
-    ``RESIDUAL_TOL``.
+    of the dense composite A in Frobenius norms, the same ratio
+    :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``.
 
     Raises
     ------
@@ -312,40 +314,40 @@ def solve_cascade_lyapunov(
     q = np.asarray(q, dtype=float)
     offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     n = int(offs[-1])
-    if a.ndim != 3 or a.shape[1:] != (n, n) or q.shape != a.shape:
+    if a.ndim != 3 or a.shape[:2] != (n, n) or q.shape != a.shape:
         raise ValueError(
-            f"a and q must have shape (S, {n}, {n}), got {a.shape} and {q.shape}"
+            f"a and q must have shape ({n}, {n}, S), got {a.shape} and {q.shape}"
         )
     block_id = np.repeat(np.arange(len(dims)), dims)
-    if np.any(a[:, block_id[:, None] < block_id[None, :]]):
+    if np.any(a[block_id[:, None] < block_id[None, :]]):
         raise ValueError("a has a nonzero block above the diagonal")
-    # stack-last copies: every block entry is one contiguous vector over the stack
-    at = np.ascontiguousarray(a.transpose(1, 2, 0))
-    qt = np.ascontiguousarray(q.transpose(1, 2, 0))
-    qt += q.transpose(2, 1, 0)
-    qt *= 0.5
-    q = qt.transpose(2, 0, 1)  # the symmetric part; rebinding frees a temporary input
-    p = np.empty_like(at)
+    p = np.empty_like(q)
     blocks = [slice(lo, hi) for lo, hi in zip(offs[:-1], offs[1:])]
+
+    def q_sym(rows: slice, cols: slice) -> np.ndarray:
+        # block of the symmetric part of q, formed where it is read
+        return 0.5 * (q[rows, cols] + q[cols, rows].transpose(1, 0, 2))
+
     for k, ck in enumerate(blocks):
         for j in range(k, len(dims)):
             rj = blocks[j]
-            forcing = qt[rj, ck] + np.einsum("ils,lbs->ibs", at[rj, : offs[j]], p[: offs[j], ck])
-            forcing += np.einsum("ils,bls->ibs", p[rj, : offs[k]], at[ck, : offs[k]])
-            x = _sylvester_step(at[rj, rj], at[ck, ck], forcing)
+            forcing = q_sym(rj, ck) + np.einsum("ils,lbs->ibs", a[rj, : offs[j]], p[: offs[j], ck])
+            forcing += np.einsum("ils,bls->ibs", p[rj, : offs[k]], a[ck, : offs[k]])
+            x = _sylvester_step(a[rj, rj], a[ck, ck], forcing)
             if j == k:
                 x = 0.5 * (x + x.transpose(1, 0, 2))
             p[rj, ck] = x
             p[ck, rj] = x.transpose(1, 0, 2)
-    del at  # freed before the transposed copy of p
-    p = np.ascontiguousarray(p.transpose(2, 0, 1))
-    residual = np.zeros(len(p))
-    for rows in blocks:  # one block row at a time: no further (S, n, n) array
-        r = a[:, rows] @ p + p[:, rows] @ a.transpose(0, 2, 1) + q[:, rows]
-        residual += np.einsum("sij,sij->s", r, r)
-    scale = 2.0 * np.sqrt(np.einsum("sij,sij->s", a, a) * np.einsum("sij,sij->s", p, p))
-    scale += np.sqrt(np.einsum("ijs,ijs->s", qt, qt))
-    return p, np.sqrt(residual) / np.maximum(scale, np.finfo(float).tiny)
+    # P is exactly symmetric, so P A^T is (A P)^T to the bit
+    ap = np.einsum("ils,ljs->ijs", a, p)
+    residual, q_norm2 = np.zeros((2, a.shape[2]))
+    for rows in blocks:  # one block row at a time: no further (n, n, S) array
+        q_rows = q_sym(rows, slice(None))
+        r = ap[rows] + ap[:, rows].transpose(1, 0, 2) + q_rows
+        residual += np.einsum("ijs,ijs->s", r, r)
+        q_norm2 += np.einsum("ijs,ijs->s", q_rows, q_rows)
+    scale = 2.0 * np.sqrt(np.einsum("ijs,ijs->s", a, a) * np.einsum("ijs,ijs->s", p, p))
+    return p, np.sqrt(residual) / np.maximum(scale + np.sqrt(q_norm2), np.finfo(float).tiny)
 
 
 def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -87,14 +87,23 @@ def realizability_residual(
     a: Matrix, b: Matrix, c: Matrix, theta: Matrix, j_ito: Matrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """||A theta + theta A^T + B J B^T|| + ||theta C^T + B J|| and its scale
-    max(1, ||A|| ||theta||, ||B||^2), per entry for stacks (..., ., .)."""
-    at, bt, ct = (np.swapaxes(x, -1, -2) for x in (a, b, c))
-    axes, bj = (-2, -1), b @ j_ito
-    res = np.linalg.norm(a @ theta + theta @ at + bj @ bt, axis=axes)
-    bj += theta @ ct
-    res += np.linalg.norm(bj, axis=axes)
-    scale = np.linalg.norm(a, axis=axes) * np.linalg.norm(theta, axis=axes)
-    return res, np.maximum(1.0, np.maximum(scale, np.linalg.norm(b, axis=axes) ** 2))
+    max(1, ||A|| ||theta||, ||B||^2), per copy for stack-last (., ., ...)
+    arrays; theta broadcasts over the trailing stack axes."""
+
+    def times_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # x y^T of every copy; one BLAS product when there is no copy axis
+        if x.ndim == y.ndim == 2:
+            return x @ y.T
+        return np.einsum("il...,jl...->ij...", x, y)
+
+    def norm(x: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.einsum("ij...,ij...->...", x, x))
+
+    bj = times_t(b, j_ito.T)
+    res = times_t(a, theta.swapaxes(0, 1)) + times_t(theta, a) + times_t(bj, b)
+    bj += times_t(theta, c)
+    scale = norm(a) * norm(theta)
+    return norm(res) + norm(bj), np.maximum(1.0, np.maximum(scale, norm(b) ** 2))
 
 
 def _block_diag(mats: Sequence[Matrix]) -> Matrix:
@@ -106,18 +115,27 @@ def _block_diag(mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
+def _copies(x: np.ndarray) -> np.ndarray:
+    """Stack-first view (..., S, r, c) of a stack-last array (..., r, c, S) for
+    ``matmul``, with no data moved. On one copy (S = 1) the product is the
+    2-D BLAS product itself, so assembly reproduces the series formulas to
+    the bit."""
+    return x.swapaxes(-1, -2).swapaxes(-2, -3)
+
+
 def _write_series(blocks: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite (A, B, C) stacks of a series connection of units from unit k's
-    stacks A_k (S, n_k, n_k), B_k (S, n_k, m), C_k (S, m, n_k) in ``blocks[k]``:
-    A_k on the diagonal, A_jk = B_j C_k below it, B_k stacked, C_k concatenated.
+    """Stack-last composite A (n, n, S), B (n, m, S) and C (m, n, S) of a
+    series connection of units from unit k's A_k (n_k, n_k, S), B_k (n_k, m, S)
+    and C_k (m, n_k, S) in ``blocks[k]``: A_k on the diagonal, A_jk = B_j C_k
+    below it, B_k stacked, C_k concatenated.
     """
-    (stack, _, m), n = blocks[0][1].shape, sum(a_k.shape[-1] for a_k, _, _ in blocks)
-    a, b, c = np.zeros((stack, n, n)), np.zeros((stack, n, m)), np.zeros((stack, m, n))
+    (_, m, stack), n = blocks[0][1].shape, sum(len(a_k) for a_k, _, _ in blocks)
+    a, b, c = np.zeros((n, n, stack)), np.zeros((n, m, stack)), np.zeros((m, n, stack))
     off = 0
     for a_k, b_k, c_k in blocks:
-        bk = slice(off, off + a_k.shape[-1])
-        a[:, bk, bk], b[:, bk], c[:, :, bk] = a_k, b_k, c_k
-        a[:, bk, :off] = b_k @ c[:, :, :off]
+        bk = slice(off, off + len(a_k))
+        a[bk, bk], b[bk], c[:, bk] = a_k, b_k, c_k
+        np.matmul(_copies(b_k), _copies(c[:, :off]), out=_copies(a[bk, :off]))
         off = bk.stop
     return a, b, c
 
@@ -129,40 +147,50 @@ def _series_connection(
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the layout
     of :meth:`GradientSet.d_vector`; None is one unperturbed copy. A_kk = 2 Theta_k
-    (R_k + M_k^T J M_k), B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed for
-    batches of oscillators of one order and pass the realizability self-check
-    (ArithmeticError naming the oscillator). Returns the stacks of
-    :func:`_write_series`, the blocks and their spectral abscissas (S, N).
+    (R_k + M_k^T J M_k), B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed
+    stack-last, as contiguous (n_k, n_k, S), (n_k, m, S) and (m, n_k, S) blocks,
+    for batches of oscillators of one order and pass the realizability
+    self-check (ArithmeticError naming the oscillator). Returns the stacks of
+    :func:`_write_series`, the blocks and their spectral abscissas (N, S).
     """
     if de is None:
         de = [np.zeros((1, p.n * (p.n + 1) // 2 + p.m * p.n)) for p in oscillators]
     stack, m = de[0].shape[0], j_ito.shape[0]
     blocks: list = [None] * len(oscillators)
-    abscissa = np.empty((stack, len(oscillators)))
+    abscissa = np.empty((len(oscillators), stack))
     for n_k in dict.fromkeys(p.n for p in oscillators):
         same = [k for k, p in enumerate(oscillators) if p.n == n_k]
         size = max(1, BATCH_ENTRIES // (stack * n_k * m))
+        # position in vech of every entry of dR, read off the duplication matrix
+        vech_at = duplication_matrix(n_k).argmax(axis=1).reshape(n_k, n_k)
         for ks in (same[i : i + size] for i in range(0, len(same), size)):
-            # oscillator axis first, so that theta broadcasts over whole copy stacks
-            theta = np.stack([oscillators[k].theta for k in ks])[:, None]
-            r = np.stack([oscillators[k].r_energy for k in ks])[:, None]
-            m0 = np.stack([oscillators[k].m_coupling for k in ks])[:, None]
-            d = np.stack([de[k] for k in ks])
-            # position in vech of every entry of dR, read off the duplication matrix
-            vech_at = duplication_matrix(n_k).argmax(axis=1).reshape(n_k, n_k)
-            m_k = m0 + np.swapaxes(d[..., -m * n_k :].reshape(len(ks), stack, n_k, m), -1, -2)
-            m_kt = np.swapaxes(m_k, -1, -2)
-            a_kk = 2.0 * theta @ (r + d[..., vech_at] + m_kt @ j_ito @ m_k)
-            b_k = 2.0 * theta @ m_kt
-            c_k = 2.0 * j_ito @ m_k
-            res, scale = realizability_residual(a_kk, b_k, c_k, theta, j_ito)
+            # oscillator axis first and copy axis last, (K, ., ., S); a product
+            # with a fixed left factor is one matrix product over all copies
+            theta = np.stack([oscillators[k].theta for k in ks])
+            theta2 = 2.0 * theta
+            d = np.ascontiguousarray(np.stack([de[k].T for k in ks]))
+            # vec dM_k, columns first, is vec dM_k^T rows first
+            m_kt = d[:, -m * n_k :].reshape(len(ks), n_k, m, stack)
+            m_kt = m_kt + np.stack([oscillators[k].m_coupling.T for k in ks])[..., None]
+            m_k = np.ascontiguousarray(m_kt.swapaxes(1, 2))
+            b_k = (theta2 @ m_kt.reshape(len(ks), n_k, -1)).reshape(m_kt.shape)
+            c_k = (2.0 * j_ito @ m_k.reshape(len(ks), m, -1)).reshape(m_k.shape)
+            r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, vech_at]
+            mjm = np.matmul(_copies(np.einsum("kias,ab->kibs", m_kt, j_ito)), _copies(m_k))
+            r += mjm.transpose(0, 2, 3, 1)
+            a_kk = (theta2 @ r.reshape(len(ks), n_k, -1)).reshape(r.shape)
+            res, scale = realizability_residual(
+                *(x.transpose(1, 2, 0, 3) for x in (a_kk, b_k, c_k)),
+                theta.transpose(1, 2, 0)[..., None],
+                j_ito,
+            )
             failed = np.flatnonzero(np.any(res > PR_SELF_CHECK_TOL * scale, axis=1))
             if failed.size:
                 raise ArithmeticError(
                     f"physical-realizability self-check failed for oscillator {ks[failed[0]]}: "
                     f"residual {np.max(res):.3e}"
                 )
-            abscissa[:, ks] = spectral_abscissa(a_kk).T
+            abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
             for i, k in enumerate(ks):
                 blocks[k] = (a_kk[i], b_k[i], c_k[i])
     return (*_write_series(blocks), blocks, abscissa)
@@ -175,8 +203,8 @@ def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorReal
     _validate_params(p)
     if j_ito.shape != (p.m, p.m):
         raise DimensionMismatch(f"field form of order {j_ito.shape[0]} does not match {p.m} channels")
-    (a,), (b,), (c,), _, _ = _series_connection([p], j_ito)
-    return OscillatorRealization(a=a, b=b, c=c)
+    a, b, c, _, _ = _series_connection([p], j_ito)
+    return OscillatorRealization(a=a[..., 0], b=b[..., 0], c=c[..., 0])
 
 
 @dataclass(frozen=True)
@@ -264,8 +292,9 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         _validate_params(p)
     r_full, m_full = composite_energy_coupling(oscillators)
     j = symplectic_form(m_full.shape[0])
+    a_full, b_full, c_full, blocks, abscissa = _series_connection(oscillators, j)
     # one unperturbed copy: unpack the stack axis
-    (a_full,), (b_full,), (c_full,), blocks, abscissa = _series_connection(oscillators, j)
+    a_full, b_full, c_full = a_full[..., 0], b_full[..., 0], c_full[..., 0]
     theta_full = _block_diag([p.theta for p in oscillators])
 
     res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full))
@@ -275,7 +304,9 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
 
     return CascadeModel(
         params=oscillators,
-        realizations=tuple(OscillatorRealization(a[0], b[0], c[0]) for a, b, c in blocks),
+        realizations=tuple(
+            OscillatorRealization(a[..., 0], b[..., 0], c[..., 0]) for a, b, c in blocks
+        ),
         m=j.shape[0],
         j_ito=j,
         a=a_full,
@@ -285,14 +316,14 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         r_energy=r_full,
         m_coupling=m_full,
         dims=tuple(p.n for p in oscillators),
-        hurwitz=tuple((bool(x < -HURWITZ_TOL), float(x)) for x in abscissa[0]),
+        hurwitz=tuple((bool(x < -HURWITZ_TOL), float(x)) for x in abscissa[:, 0]),
     )
 
 
 class CascadeStack(NamedTuple):
-    """Composite a (S, n, n) and b (S, n, m) of S cascades, with the spectral
-    abscissa (S, N) of every diagonal block and its Hurwitz flag (exact for
-    a cascade)."""
+    """Composite a (n, n, S) and b (n, m, S) of S cascades, stack-last with the
+    copy axis contiguous, with the spectral abscissa (N, S) of every diagonal
+    block and its Hurwitz flag (exact for a cascade)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -305,8 +336,9 @@ def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> 
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the
     layout of :meth:`GradientSet.d_vector`; the blocks are those of
-    :func:`assemble_cascade`. Raises ArithmeticError if a perturbed
-    oscillator fails the physical-realizability self-check.
+    :func:`assemble_cascade`. The stacks are stack-last (:class:`CascadeStack`),
+    the layout :func:`solve_cascade_lyapunov` takes. Raises ArithmeticError if
+    a perturbed oscillator fails the physical-realizability self-check.
     """
     a, b, _, _, abscissa = _series_connection(cascade.params, cascade.j_ito, de)
     return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=abscissa < -HURWITZ_TOL)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .covariance import invariant_covariance_direct, log_det_stack
+from .covariance import _cholesky, invariant_covariance_direct, log_det_stack
 from .errors import NonPositive, TooManyRejections
 from .gradients import GradientSet, covariance_derivatives
 from .linalg import RESIDUAL_TOL, Matrix, duplication_matrix
@@ -169,7 +169,9 @@ def monte_carlo_variance(
     :func:`perturbed_cascade_stack` and solves their Lyapunov equations
     A P + P A^T + B B^T = 0 together (:func:`log_det_stack`); the sample
     variance of dV is compared with eps Z. ``p_full`` is the unperturbed
-    P when the caller has it already.
+    P when the caller has it already. Base and samples take ln det P from a
+    Cholesky factor; a base P that is not positive definite raises
+    NonPositive or SingularLeadingBlock naming the pivot.
 
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
@@ -181,9 +183,7 @@ def monte_carlo_variance(
     """
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
-    sign0, v0 = np.linalg.slogdet(p_full)
-    if sign0 <= 0:
-        raise NonPositive("base covariance is not positive definite")
+    v0 = 2.0 * float(np.sum(np.log(np.diag(_cholesky(p_full, cascade.dims)))))
     z_total = sensitivity_index(gradients, uncertainty).z_total
     predicted = epsilon * z_total
 

@@ -391,8 +391,10 @@ def covariance_trace_bound(model: TIModel, k_max: int) -> TraceBoundResult:
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     n = model.n
-    a_full, b_full, _ = _write_series([(model.a[None], model.b[None], model.c[None])] * k_max)
-    p_full = stationary_covariance(a_full[0], b_full[0])
+    a_full, b_full, _ = _write_series(
+        [(model.a[..., None], model.b[..., None], model.c[..., None])] * k_max
+    )
+    p_full = stationary_covariance(a_full[..., 0], b_full[..., 0])
     h2 = h2_norm(model)
     hinf = hinf_norm(model)
     traces = []

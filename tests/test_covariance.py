@@ -14,9 +14,11 @@ from conftest import (
 import qcascade.covariance
 from qcascade.covariance import (
     _cholesky,
+    _cholesky_log_det,
     frequency_domain_covariance,
     invariant_covariance_direct,
     invariant_covariance_recursive,
+    log_det_stack,
     purity_and_logdet,
     schur_complements,
     schur_tail_step,
@@ -25,7 +27,12 @@ from qcascade.covariance import (
 from qcascade.errors import NonPositive, NotHurwitz, SingularLeadingBlock
 from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, quantum_psd_margin
-from qcascade.oscillator import OscillatorParams, assemble_cascade
+from qcascade.oscillator import (
+    CascadeStack,
+    OscillatorParams,
+    assemble_cascade,
+    perturbed_cascade_stack,
+)
 
 TRIVIAL = OscillatorParams(theta=0.5 * J2, r_energy=np.zeros((2, 2)), m_coupling=np.eye(2))
 
@@ -251,6 +258,62 @@ class TestTypedRefusal:
         monkeypatch.setattr(qcascade.covariance, "invariant_covariance_recursive", lambda _: p)
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
             steady_state(reference_cascade)
+
+
+class TestStackCholesky:
+    """The stack-last column Cholesky of the Monte-Carlo and FD log-dets."""
+
+    def spd_stack(self, rng, n, stack):
+        g = rng.standard_normal((stack, n, n))
+        return np.moveaxis(g @ g.transpose(0, 2, 1) + n * np.eye(n), 0, -1).copy()
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 12])
+    def test_matches_slogdet(self, n):
+        p = self.spd_stack(np.random.default_rng(n), n, 40)
+        sign, want = np.linalg.slogdet(np.moveaxis(p, -1, 0))
+        assert np.all(sign > 0)
+        np.testing.assert_allclose(_cholesky_log_det(p), want, rtol=0.0, atol=1e-12)
+
+    def test_indefinite_copy_with_positive_determinant_is_nan(self):
+        # two negative eigenvalues: det > 0, so a sign test of slogdet accepts it
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 6)))
+        bad = (q * [-1.0, -2.0, 1.0, 2.0, 3.0, 4.0]) @ q.T
+        bad = 0.5 * (bad + bad.T)
+        assert np.linalg.slogdet(bad)[0] > 0
+        p = self.spd_stack(np.random.default_rng(3), 6, 5)
+        p[..., 2] = bad
+        got = _cholesky_log_det(p)
+        assert np.isnan(got[2])
+        assert np.all(np.isfinite(np.delete(got, 2)))
+
+    def test_bad_copy_leaves_its_neighbours_unchanged(self):
+        p = self.spd_stack(np.random.default_rng(4), 6, 5)
+        want = _cholesky_log_det(p)
+        p[..., 2] = -p[..., 2]
+        got = _cholesky_log_det(p)
+        assert np.isnan(got[2])
+        np.testing.assert_array_equal(np.delete(got, 2), np.delete(want, 2))
+
+
+class TestLogDetStack:
+    def test_unstable_copy_leaves_the_others_unchanged(self):
+        cascade = make_cascade(np.random.default_rng(12), 3, 2)
+        rng = np.random.default_rng(13)
+        de = [1e-3 * rng.standard_normal((5, 3 + 2 * 2)) for _ in cascade.dims]
+        # one-mode m = 2: A_00 = J2 R - det(M) I, so swapping the columns of
+        # M_0 flips the sign of det(M_0) and makes copy 2 unstable
+        m0 = cascade.params[0].m_coupling
+        de[0][2, 3:] = (m0[:, ::-1] - m0).reshape(-1, order="F")
+        stack = perturbed_cascade_stack(cascade, de)
+        keep = np.arange(5) != 2
+        assert not stack.hurwitz[:, 2].all() and stack.hurwitz[:, keep].all()
+        logdet, certificate = log_det_stack(stack, cascade.dims)
+        assert np.isnan(logdet[2]) and np.isinf(certificate[2])
+        without = CascadeStack(*(np.compress(keep, x, axis=-1) for x in stack))
+        want_logdet, want_certificate = log_det_stack(without, cascade.dims)
+        np.testing.assert_array_equal(logdet[keep], want_logdet)
+        np.testing.assert_array_equal(certificate[keep], want_certificate)
+        assert np.all(np.isfinite(want_logdet))
 
 
 def mp_block_covariance(mp, cascade, dps=40):

@@ -169,8 +169,8 @@ def refined_kron_lyapunov(a, q):
 
 
 def lyapunov_stack(cascades):
-    a = np.stack([c.a for c in cascades])
-    q = np.stack([c.b @ c.b.T for c in cascades])
+    a = np.moveaxis(np.stack([c.a for c in cascades]), 0, -1)
+    q = np.moveaxis(np.stack([c.b @ c.b.T for c in cascades]), 0, -1)
     return a, q
 
 
@@ -182,9 +182,9 @@ class TestCascadeLyapunov:
         assert ratio.shape == (len(cascades),)
         assert np.all(ratio <= RESIDUAL_TOL)
         for s, cascade in enumerate(cascades):
-            want = refined_kron_lyapunov(cascade.a, q[s])
-            assert np.linalg.norm(p[s] - want) <= 1e-10 * np.linalg.norm(want)
-            assert np.array_equal(p[s], p[s].T)
+            want = refined_kron_lyapunov(cascade.a, q[..., s])
+            assert np.linalg.norm(p[..., s] - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.array_equal(p[..., s], p[..., s].T)
 
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("m", [2, 6])
@@ -214,7 +214,7 @@ class TestCascadeLyapunov:
     def test_nonzero_block_above_diagonal_raises(self):
         cascade = make_cascade(np.random.default_rng(5), 3, 2)
         a, q = lyapunov_stack([cascade, cascade])
-        a[1, 1, 4] = 1e-3
+        a[1, 4, 1] = 1e-3
         with pytest.raises(ValueError, match="above the diagonal"):
             solve_cascade_lyapunov(a, q, cascade.dims)
 
@@ -294,12 +294,15 @@ class TestOneModeStep:
     def test_empty_stack(self):
         cascade = make_cascade(np.random.default_rng(8), 3, 2)
         a, q = lyapunov_stack([cascade, cascade])
-        p, ratio = solve_cascade_lyapunov(a[:0], q[:0], cascade.dims)
-        assert p.shape == (0, 6, 6)
+        p, ratio = solve_cascade_lyapunov(a[..., :0], q[..., :0], cascade.dims)
+        assert p.shape == (6, 6, 0)
         assert ratio.shape == (0,)
         # every copy unstable: log_det_stack hands the kernel the empty stack
         unstable = CascadeStack(
-            a=a, b=np.stack([cascade.b] * 2), abscissa=np.ones((2, 3)), hurwitz=np.zeros((2, 3), bool)
+            a=a,
+            b=np.moveaxis(np.stack([cascade.b] * 2), 0, -1),
+            abscissa=np.ones((3, 2)),
+            hurwitz=np.zeros((3, 2), bool),
         )
         logdet, certificate = log_det_stack(unstable, cascade.dims)
         assert np.all(np.isnan(logdet))

@@ -281,17 +281,26 @@ class TestPerturbedStack:
         if only is not None:
             de = [x if k == only else np.zeros_like(x) for k, x in enumerate(de)]
         stack = perturbed_cascade_stack(cascade, de)
-        assert stack.a.shape == (5, cascade.n, cascade.n)
+        assert stack.a.shape == (cascade.n, cascade.n, 5)
         for s in range(5):
             a, b, _ = series_reference(_perturbed_params(cascade, de, s))
-            for got, want in ((stack.a[s], a), (stack.b[s], b)):
+            for got, want in ((stack.a[..., s], a), (stack.b[..., s], b)):
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
             margins = [
                 np.max(np.linalg.eigvals(a[cascade.block(k), cascade.block(k)]).real)
                 for k in range(cascade.n_oscillators)
             ]
-            np.testing.assert_allclose(stack.abscissa[s], margins, rtol=1e-12, atol=1e-14)
-            assert list(stack.hurwitz[s]) == [x < -1e-9 for x in margins]
+            np.testing.assert_allclose(stack.abscissa[:, s], margins, rtol=1e-12, atol=1e-14)
+            assert list(stack.hurwitz[:, s]) == [x < -1e-9 for x in margins]
+
+    def test_stacks_are_contiguous_stack_last(self, reference_cascade):
+        cascade = reference_cascade
+        de = [np.zeros((7, n * (n + 1) // 2 + cascade.m * n)) for n in cascade.dims]
+        stack = perturbed_cascade_stack(cascade, de)
+        assert stack.a.shape == (cascade.n, cascade.n, 7)
+        assert stack.b.shape == (cascade.n, cascade.m, 7)
+        assert stack.a.flags.c_contiguous and stack.b.flags.c_contiguous
+        assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 7)
 
     def test_realizability_self_check_is_applied(self, reference_cascade):
         # a symmetric part in theta breaks A theta + theta A^T + B J B^T = 0

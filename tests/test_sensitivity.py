@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_cascade
-from qcascade.errors import NonPositive, TooManyRejections
+from qcascade.errors import NonPositive, SingularLeadingBlock, TooManyRejections
 from qcascade.gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from qcascade.covariance import invariant_covariance_direct
+from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
@@ -154,6 +154,37 @@ class TestMonteCarlo:
         )
         assert given == own
 
+    def test_base_and_samples_make_no_slogdet_call(
+        self, reference_cascade, reference_gradients, reference_uncertainty, monkeypatch
+    ):
+        calls = []
+        slogdet = np.linalg.slogdet
+
+        def spy(x):
+            calls.append(np.shape(x))
+            return slogdet(x)
+
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        res = monte_carlo_variance(
+            reference_cascade, reference_uncertainty, reference_gradients,
+            samples=500, epsilon=1e-6, seed=3,
+        )
+        assert calls == []
+        assert res.rejected == 0
+
+    @pytest.mark.parametrize(
+        "diag, error",
+        [([1.0, 1, -1, 1, 1, 1], SingularLeadingBlock), ([1.0, 1, 1, 1, 1, -1], NonPositive)],
+    )
+    def test_indefinite_base_covariance_names_the_pivot(
+        self, reference_cascade, reference_gradients, reference_uncertainty, diag, error
+    ):
+        with pytest.raises(error, match="pivot"):
+            monte_carlo_variance(
+                reference_cascade, reference_uncertainty, reference_gradients,
+                samples=10, p_full=np.diag(diag),
+            )
+
     def test_six_oscillator_chain(self):
         rng = np.random.default_rng(606)
         cascade = make_cascade(rng, 6, 2)
@@ -201,10 +232,12 @@ class TestMonteCarlo:
                 a.append(moved.a)
                 b.append(moved.b)
                 stable.append(moved.all_hurwitz())
-        a, b = np.array(a)[stable], np.array(b)[stable]
-        p, certificate = solve_cascade_lyapunov(a, b @ b.transpose(0, 2, 1), cascade.dims)
-        sign, logdet = np.linalg.slogdet(p)
-        good = (sign > 0) & (certificate <= RESIDUAL_TOL)
+        # contiguous stack-last, the layout of the program's stacks
+        a, b = (np.ascontiguousarray(np.moveaxis(np.array(x)[stable], 0, -1)) for x in (a, b))
+        q = np.einsum("ias,jas->ijs", b, b)
+        p, certificate = solve_cascade_lyapunov(a, q, cascade.dims)
+        logdet = _cholesky_log_det(p)
+        good = ~np.isnan(logdet) & (certificate <= RESIDUAL_TOL)
         v0 = np.linalg.slogdet(invariant_covariance_direct(cascade))[1]
         ratio = np.var(logdet[good] - v0, ddof=1) / res.predicted
         assert res.rejected == samples - np.count_nonzero(good)
@@ -233,7 +266,7 @@ class TestMonteCarlo:
 
 class TestFisher:
     def test_metric_of_zero_perturbation(self, reference_cascade):
-        from qcascade.covariance import invariant_covariance_direct
+        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 
         p = invariant_covariance_direct(reference_cascade)
         assert fisher_metric(p, np.zeros_like(p)) == 0.0
@@ -251,7 +284,7 @@ class TestFisher:
         assert res.z_total > 0.0
 
     def test_gram_matches_trace_loop(self, reference_cascade, reference_uncertainty):
-        from qcascade.covariance import invariant_covariance_direct
+        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 
         p = invariant_covariance_direct(reference_cascade)
         res = fisher_sensitivity(reference_cascade, reference_uncertainty)
@@ -262,7 +295,7 @@ class TestFisher:
 
     def test_whitened_trace_bound(self, reference_cascade):
         # (Tr P^{-1} dP)^2 <= n Tr((P^{-1} dP)^2), Cauchy-Schwarz in the metric
-        from qcascade.covariance import invariant_covariance_direct
+        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 
         p = invariant_covariance_direct(reference_cascade)
         n = p.shape[0]
@@ -279,7 +312,7 @@ class TestFisher:
 
 class TestDivergence:
     def test_vanishes_at_the_base_point(self, reference_cascade):
-        from qcascade.covariance import invariant_covariance_direct
+        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 
         p = invariant_covariance_direct(reference_cascade)
         assert kl_gaussian(p, p) == pytest.approx(0.0, abs=1e-12)
@@ -292,7 +325,7 @@ class TestDivergence:
         assert kl_gaussian(2.0 * p_star, p_star) == pytest.approx(want, rel=1e-12)
 
     def test_quadratic_expansion_at_small_scale(self, reference_cascade):
-        from qcascade.covariance import invariant_covariance_direct
+        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 
         p_star = invariant_covariance_direct(reference_cascade)
         n = p_star.shape[0]
