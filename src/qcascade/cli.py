@@ -24,6 +24,7 @@ Results are deterministic for a fixed input file and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -35,18 +36,8 @@ import numpy as np
 
 from . import __version__
 from .balance import CascadeBalanceReport, _h_and_slope, balance_cascade
-from .covariance import (
-    invariant_covariance_direct,
-    invariant_covariance_recursive,
-    steady_state,
-)
-from .errors import (
-    DimensionMismatch,
-    ParseError,
-    QCascadeError,
-    SchemaError,
-    SingularTheta,
-)
+from .covariance import invariant_covariance_direct, invariant_covariance_recursive, steady_state
+from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from .gradients import (
     GradientSet,
     gradient_fd_oracle,
@@ -666,7 +657,8 @@ def _write_outputs(bundle: ReportBundle, flags: RunFlags) -> None:
         "provenance": bundle.provenance,
         "results": bundle.results,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    # no indent: json's C encoder, which writes floats by the same repr
+    (out / "report.json").write_text(json.dumps(report, sort_keys=True))
     for name, rows in bundle.csv_series.items():
         header = {
             "ti_bounds.csv": "oscillator,k,trace,bound",
@@ -693,6 +685,7 @@ def _emit(bundle: ReportBundle, flags: RunFlags) -> None:
         print(bundle.table)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcascade",

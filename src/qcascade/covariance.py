@@ -1,14 +1,15 @@
 """Steady-state covariance analysis of oscillator cascades.
 
 The invariant covariance of the composite state solves the algebraic
-Lyapunov equation A P + P A^T + B B^T = 0. Two independent routes are
-provided: a direct solve on the composite matrices and a block recursion
-that adds one oscillator at a time. The Schur complements of the leading
-blocks split the log-determinant of P into per-oscillator terms, which
-is the quantity the gradient and balancing modules act on. They are read
-off one Cholesky factor P = L L^T (the complement before oscillator k is
-L_tt L_tt^T, L_tt the trailing block of L); :func:`schur_complements` and
-:func:`schur_tail_step` form them by subtraction, as test oracles.
+Lyapunov equation A P + P A^T + B B^T = 0, in production by one direct
+solve on the composite matrices; a block recursion that adds one
+oscillator at a time is kept as an independent oracle. The Schur
+complements of the leading blocks split the log-determinant of P into
+per-oscillator terms, which is the quantity the gradient and balancing
+modules act on. They are read off one Cholesky factor P = L L^T (the
+complement before oscillator k is L_tt L_tt^T, L_tt the trailing block
+of L); :func:`schur_complements` and :func:`schur_tail_step` form them
+by subtraction, as test oracles.
 """
 
 from __future__ import annotations
@@ -232,34 +233,28 @@ def _cholesky(p_full: Matrix, dims: Sequence[int]) -> Matrix:
     return chol
 
 
-def steady_state(cascade: CascadeModel, method: str = "recursive") -> SteadyStateResult:
+def steady_state(cascade: CascadeModel, p_full: Matrix | None = None) -> SteadyStateResult:
     """Full steady-state summary of a cascade from one Cholesky factor.
 
-    P = L L^T is factored once; Pi_k = L_kk L_kk^T, v_k = 2 sum ln diag
-    L_kk and V = 2 sum ln diag L are read off L, so sum v_k = V holds by
-    construction. Raises SingularLeadingBlock naming the oscillator and
-    the order when a leading block is not positive definite, NonPositive
-    when only the last block fails.
-
-    Parameters
-    ----------
-    cascade : CascadeModel
-    method : {"recursive", "direct"}
-        Which covariance route to use; both satisfy the same Lyapunov
-        equation and agree to solver accuracy.
+    ``p_full`` is the invariant covariance to factor; None solves it by
+    :func:`invariant_covariance_direct`, the P of every command. P = L L^T
+    is factored once; Pi_k = L_kk L_kk^T, v_k = 2 sum ln diag L_kk and
+    V = 2 sum ln diag L are read off L, so sum v_k = V holds by
+    construction. Raises ValueError for a ``p_full`` that is not (n, n),
+    SingularLeadingBlock naming the oscillator and the order when a
+    leading block is not positive definite, NonPositive when only the
+    last block fails.
     """
-    if method == "direct":
-        p = invariant_covariance_direct(cascade)
-    elif method == "recursive":
-        p = invariant_covariance_recursive(cascade)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    chol = _cholesky(p, cascade.dims)
+    if p_full is None:
+        p_full = invariant_covariance_direct(cascade)
+    elif np.shape(p_full) != (cascade.n, cascade.n):
+        raise ValueError(f"p_full must have shape {(cascade.n, cascade.n)}, got {np.shape(p_full)}")
+    chol = _cholesky(p_full, cascade.dims)
     blocks = [cascade.block(k) for k in range(cascade.n_oscillators)]
     log_diag = 2.0 * np.log(np.diag(chol))
     v = float(np.sum(log_diag))
     return SteadyStateResult(
-        p_full=p,
+        p_full=p_full,
         chol=chol,
         pi_k=tuple(chol[blk, blk] @ chol[blk, blk].T for blk in blocks),
         purity=_purity(v, cascade.theta),

@@ -28,6 +28,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .covariance import (
     _cholesky,
     invariant_covariance_direct,
+    invariant_covariance_recursive,
     log_det_stack,
     steady_state,
 )
@@ -140,7 +141,8 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     matrix; its Gramian, together with one Sylvester correction that
     accounts for the dependence of the leading covariance on oscillator
     k, reproduces the direct gradients. All of it is read off the one
-    Cholesky factor P = L L^T of :func:`steady_state`: the tail
+    Cholesky factor P = L L^T that :func:`steady_state` takes of the
+    recursive P (:func:`invariant_covariance_recursive`): the tail
     covariance is L_tt L_tt^T, the effective input L_tt Z_t with
     Z = L^{-1} B, and a leading-block solve is triangular on a slice of
     L. As the inverse tail covariance is the trailing block of P^{-1} and
@@ -149,7 +151,7 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     of one structured Schur factor of the cascade.
     """
     cascade.require_hurwitz()
-    steady = steady_state(cascade)
+    steady = steady_state(cascade, invariant_covariance_recursive(cascade))
     factor = cascade_schur(cascade.a, cascade.dims)
     p, chol = steady.p_full, steady.chol
     whole = slice(0, cascade.n)

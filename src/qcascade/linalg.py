@@ -310,8 +310,10 @@ def solve_cascade_lyapunov(
         If the shapes disagree with ``dims`` or a block above the
         diagonal holds a nonzero entry.
     """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
+    # einsum orders its sums by the operands' strides: a contiguous copy
+    # makes the result independent of the caller's memory layout
+    a = np.ascontiguousarray(a, dtype=float)
+    q = np.ascontiguousarray(q, dtype=float)
     offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     n = int(offs[-1])
     if a.ndim != 3 or a.shape[:2] != (n, n) or q.shape != a.shape:
@@ -414,17 +416,13 @@ def symplectic_residual(s: Matrix, theta: Matrix) -> SymplecticCheck:
 
 
 def quantum_psd_margin(p: Matrix, theta: Matrix) -> float:
-    """Minimum eigenvalue of the Hermitian matrix P + i*theta.
-
-    Computed from the real symmetric embedding [[P, -theta], [theta, P]],
-    in which each Hermitian eigenvalue appears twice; a nonnegative
-    result certifies admissibility of P as a quantum covariance real
-    part. For theta = 0 this degenerates to the minimum eigenvalue of P.
+    """Minimum eigenvalue of the Hermitian matrix P + i*theta by one order-n
+    Hermitian eigensolve (its real embedding [[P, -theta], [theta, P]] has
+    every eigenvalue twice). A nonnegative result certifies admissibility of
+    P as a quantum covariance real part; for theta = 0 it is min eig P.
     """
-    p = np.asarray(p, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    embedding = np.block([[p, -theta], [theta, p]])
+    hermitian = np.asarray(p, dtype=float) + 1j * np.asarray(theta, dtype=float)
     try:
-        return float(np.linalg.eigvalsh(embedding)[0])
+        return float(np.linalg.eigvalsh(hermitian)[0])
     except np.linalg.LinAlgError as exc:
-        raise EigFailure(f"embedding eigensolve failed: {exc}") from exc
+        raise EigFailure(f"Hermitian eigensolve failed: {exc}") from exc

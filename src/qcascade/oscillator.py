@@ -58,29 +58,38 @@ class OscillatorRealization:
     c: Matrix
 
 
-def _validate_params(p: OscillatorParams) -> None:
+def _validate_shapes(p: OscillatorParams, k: int) -> None:
     n = p.theta.shape[0]
-    if p.theta.ndim != 2 or p.theta.shape != (n, n):
-        raise DimensionMismatch(f"theta must be square, got {p.theta.shape}")
+    if p.theta.shape != (n, n):
+        raise DimensionMismatch(f"oscillator {k}: theta must be square, got {p.theta.shape}")
     if n % 2:
-        raise DimensionMismatch(f"mode order must be even, got {n}")
-    if np.linalg.norm(p.theta + p.theta.T) > 1e-12 * max(1.0, np.linalg.norm(p.theta)):
-        raise DimensionMismatch("theta must be antisymmetric")
+        raise DimensionMismatch(f"oscillator {k}: mode order must be even, got {n}")
     if p.r_energy.shape != (n, n):
-        raise DimensionMismatch(
-            f"energy matrix shape {p.r_energy.shape} does not match mode order {n}"
-        )
+        raise DimensionMismatch(f"oscillator {k}: energy matrix shape {p.r_energy.shape}, mode order {n}")
     if p.m_coupling.ndim != 2 or p.m_coupling.shape[1] != n:
-        raise DimensionMismatch(
-            f"coupling matrix shape {p.m_coupling.shape} does not match mode order {n}"
-        )
+        raise DimensionMismatch(f"oscillator {k}: coupling matrix shape {p.m_coupling.shape}, mode order {n}")
     if p.m_coupling.shape[0] % 2:
-        raise DimensionMismatch(
-            f"field channel count must be even, got {p.m_coupling.shape[0]}"
-        )
-    # singular theta cannot encode commutation relations
-    if np.linalg.matrix_rank(p.theta) < n:
-        raise SingularTheta("commutation matrix is singular")
+        raise DimensionMismatch(f"oscillator {k}: field channel count {p.m_coupling.shape[0]} is odd")
+
+
+def _check_thetas(thetas: Sequence[Matrix]) -> None:
+    """Every theta_k antisymmetric (DimensionMismatch) and nonsingular
+    (SingularTheta, as it cannot encode commutation relations), by one
+    batched norm and one batched ``matrix_rank`` per mode order; the error
+    names the first failing oscillator."""
+    asym, singular = np.zeros((2, len(thetas)), dtype=bool)
+    for n in dict.fromkeys(len(t) for t in thetas):
+        ks = [k for k, t in enumerate(thetas) if len(t) == n]
+        stack = np.stack([thetas[k] for k in ks])
+        size = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        asym[ks] = np.linalg.norm(stack + stack.swapaxes(1, 2), axis=(1, 2)) > 1e-12 * size
+        singular[ks] = np.linalg.matrix_rank(stack) < n
+    failed = np.flatnonzero(asym | singular)
+    if failed.size:
+        k = int(failed[0])
+        if asym[k]:
+            raise DimensionMismatch(f"oscillator {k}: theta must be antisymmetric")
+        raise SingularTheta(f"oscillator {k}: commutation matrix is singular")
 
 
 def realizability_residual(
@@ -200,7 +209,8 @@ def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorReal
     """State-space matrices (A, B, C) of one oscillator, the one-oscillator
     case of the series builder, whose self-check verifies A theta + theta A^T
     + B J B^T = 0 and theta C^T + B J = 0 to round-off."""
-    _validate_params(p)
+    _validate_shapes(p, 0)
+    _check_thetas([p.theta])
     if j_ito.shape != (p.m, p.m):
         raise DimensionMismatch(f"field form of order {j_ito.shape[0]} does not match {p.m} channels")
     a, b, c, _, _ = _series_connection([p], j_ito)
@@ -288,8 +298,9 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     the series-connection builder; the per-oscillator Hurwitz flags come from
     the spectral abscissas of the diagonal blocks, exact for a cascade."""
     oscillators = tuple(oscillators)
-    for p in oscillators:
-        _validate_params(p)
+    for k, p in enumerate(oscillators):
+        _validate_shapes(p, k)
+    _check_thetas([p.theta for p in oscillators])
     r_full, m_full = composite_energy_coupling(oscillators)
     j = symplectic_form(m_full.shape[0])
     a_full, b_full, c_full, blocks, abscissa = _series_connection(oscillators, j)

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import GENERATED_SPEC
-from qcascade.cli import _fmt4, _spec_document_from_cascade, build_cascade, load_spec, main
+from qcascade.cli import (
+    RunFlags,
+    _fmt4,
+    _spec_document_from_cascade,
+    build_cascade,
+    build_parser,
+    load_spec,
+    main,
+)
+from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
 from qcascade.errors import DimensionMismatch, ParseError, SchemaError, SingularTheta
 
 
@@ -192,6 +201,40 @@ class TestCommands:
         # P of the three two-state oscillators, written once
         assert np.asarray(results["p_direct"]).shape == (6, 6)
         assert "blocks" not in results
+
+    def test_report_is_compact_and_exact(self, tmp_path):
+        assert main(["covariance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "report.json").read_text()
+        assert "\n" not in text
+        p = invariant_covariance_direct(build_cascade(load_spec(GENERATED_SPEC)))
+        np.testing.assert_array_equal(np.asarray(json.loads(text)["results"]["p_direct"]), p)
+
+    def test_purity_runs_no_recursive_route(self, tmp_path, monkeypatch):
+        import sys
+
+        calls = []
+
+        def spy(cascade):
+            calls.append(1)
+            return invariant_covariance_recursive(cascade)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qcascade") and hasattr(module, "invariant_covariance_recursive"):
+                monkeypatch.setattr(module, "invariant_covariance_recursive", spy)
+        assert main(["purity", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+        assert calls == []
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path):
+        # the parser is built once; a flag of one call must not reach the next
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["purity", str(GENERATED_SPEC), "--out", str(first), "--seed", "123"]) == 0
+        assert main(["purity", str(GENERATED_SPEC), "--out", str(second)]) == 0
+        seeds = [
+            json.loads((out / "report.json").read_text())["provenance"]["seed"]
+            for out in (first, second)
+        ]
+        assert seeds == [123, load_spec(GENERATED_SPEC).options.get("seed", RunFlags().seed)]
 
     def test_covariance_table_matches_entrywise_format(self, tmp_path, capsys):
         argv = ["covariance", str(GENERATED_SPEC), "--out", str(tmp_path), "--format", "table"]

@@ -11,7 +11,6 @@ from conftest import (
     make_passive_chain,
     random_symplectic,
 )
-import qcascade.covariance
 from qcascade.covariance import (
     _cholesky,
     _cholesky_log_det,
@@ -31,6 +30,7 @@ from qcascade.oscillator import (
     CascadeStack,
     OscillatorParams,
     assemble_cascade,
+    default_theta,
     perturbed_cascade_stack,
 )
 
@@ -179,16 +179,28 @@ class TestSteadyState:
         assert len(res.v_k) == reference_cascade.n_oscillators
 
     def test_methods_agree(self, reference_cascade):
-        rec = steady_state(reference_cascade, method="recursive")
-        dire = steady_state(reference_cascade, method="direct")
+        rec = steady_state(
+            reference_cascade, p_full=invariant_covariance_recursive(reference_cascade)
+        )
+        dire = steady_state(reference_cascade)
         assert np.linalg.norm(rec.p_full - dire.p_full) <= 1e-10 * np.linalg.norm(
             dire.p_full
         )
         assert rec.purity == pytest.approx(dire.purity, rel=1e-9)
 
-    def test_unknown_method_rejected(self, reference_cascade):
-        with pytest.raises(ValueError):
-            steady_state(reference_cascade, method="magic")
+    def test_wrong_shape_rejected(self, reference_cascade):
+        with pytest.raises(ValueError, match="shape"):
+            steady_state(reference_cascade, p_full=np.eye(reference_cascade.n - 2))
+
+    def test_default_factors_the_direct_covariance(self, reference_cascade):
+        res = steady_state(reference_cascade)
+        np.testing.assert_array_equal(res.p_full, invariant_covariance_direct(reference_cascade))
+
+    def test_given_covariance_is_factored_as_given(self, reference_cascade):
+        p = invariant_covariance_recursive(reference_cascade)
+        res = steady_state(reference_cascade, p_full=p)
+        assert res.p_full is p
+        np.testing.assert_array_equal(res.chol, _cholesky(p, reference_cascade.dims))
 
     def test_state_is_admissible(self, reference_cascade):
         res = steady_state(reference_cascade)
@@ -231,6 +243,24 @@ class TestFactoredSplit:
         assert res.v_logdet == pytest.approx(float(np.linalg.slogdet(res.p_full)[1]), abs=1e-10)
 
 
+class TestAdmissibilityMargin:
+    """The order-n Hermitian margin against the order-2n real embedding."""
+
+    @pytest.mark.parametrize("case", ["generated", "passive16"])
+    def test_matches_real_embedding(self, case, reference_cascade):
+        cascade = split_cases(reference_cascade)[case]
+        p, theta = invariant_covariance_direct(cascade), cascade.theta
+        want = np.linalg.eigvalsh(np.block([[p, -theta], [theta, p]]))[0]
+        got = quantum_psd_margin(p, theta)
+        assert abs(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(p)))
+
+    def test_below_the_uncertainty_bound(self):
+        # 0.1 I + i theta with the canonical theta has eigenvalues 0.1 +- 0.5
+        assert quantum_psd_margin(0.1 * np.eye(4), default_theta(4)) == pytest.approx(
+            -0.4, abs=1e-12
+        )
+
+
 class TestTypedRefusal:
     @pytest.mark.parametrize(
         "diag, oscillator",
@@ -253,11 +283,10 @@ class TestTypedRefusal:
         with pytest.raises(NonPositive):
             _cholesky(np.diag([1.0, 1, 1, 1, 1, -1]), dims)
 
-    def test_steady_state_passes_the_refusal_on(self, reference_cascade, monkeypatch):
+    def test_steady_state_passes_the_refusal_on(self, reference_cascade):
         p = np.diag([1.0, 1, -1, 1, 1, 1])
-        monkeypatch.setattr(qcascade.covariance, "invariant_covariance_recursive", lambda _: p)
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
-            steady_state(reference_cascade)
+            steady_state(reference_cascade, p_full=p)
 
 
 class TestStackCholesky:

@@ -31,7 +31,7 @@ from qcascade.linalg import (
     vech,
     vech_to_symmetric,
 )
-from qcascade.oscillator import CascadeStack, assemble_cascade
+from qcascade.oscillator import CascadeStack, assemble_cascade, perturbed_cascade_stack
 
 
 def rotation(phi):
@@ -223,6 +223,21 @@ class TestCascadeLyapunov:
         a, q = lyapunov_stack([cascade])
         with pytest.raises(ValueError, match="shape"):
             solve_cascade_lyapunov(a, q, (2, 2, 2))
+
+    def test_result_does_not_depend_on_memory_layout(self):
+        cascade = make_cascade(np.random.default_rng(606), 6, 2)
+        rng = np.random.default_rng(607)
+        de = [1e-2 * rng.standard_normal((256, d * (d + 1) // 2 + 2 * d)) for d in cascade.dims]
+        stack = perturbed_cascade_stack(cascade, de)
+        a = stack.a
+        q = np.einsum("ias,jas->ijs", stack.b, stack.b)
+        # the same values, stack-last views of stack-first arrays
+        a_view, q_view = (np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1) for x in (a, q))
+        assert not a_view.flags.c_contiguous and not q_view.flags.c_contiguous
+        p, certificate = solve_cascade_lyapunov(a, q, cascade.dims)
+        p_view, certificate_view = solve_cascade_lyapunov(a_view, q_view, cascade.dims)
+        np.testing.assert_array_equal(p_view, p)
+        np.testing.assert_array_equal(certificate_view, certificate)
 
 
 def with_spectrum(rng, eig, pair):

@@ -136,6 +136,19 @@ class TestRealization:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize(
+        "theta, error",
+        [(np.zeros((2, 2)), SingularTheta), (np.array([[0.0, 0.5], [0.4, 0.0]]), DimensionMismatch)],
+        ids=["singular", "not_antisymmetric"],
+    )
+    def test_theta_check_names_the_first_failing_oscillator(self, theta, error):
+        rng = np.random.default_rng(55)
+        chain = [make_oscillator(rng, 2) for _ in range(6)]
+        chain[4] = replace(chain[4], theta=theta)
+        chain[5] = replace(chain[5], theta=theta)
+        with pytest.raises(error, match="oscillator 4: "):
+            assemble_cascade(chain)
+
     def test_single_oscillator_matches_realization(self):
         cascade = assemble_cascade([TRIVIAL])
         real = realize(TRIVIAL)
