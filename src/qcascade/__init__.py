@@ -46,9 +46,9 @@ from .balance import (
 )
 from .zcascade import (
     TIModel, TraceBoundResult, ZPoint, covariance_trace_bound, cross_covariance,
-    cross_covariance_symmetric_sector, h2_norm, h2_norm_quadrature, hinf_norm, phi_z_feedback,
-    phi_z_h2_norm, phi_z_resolvent, series_depth_for, series_tail_bound, z_domain_matrices,
-    z_pr_residual,
+    cross_covariance_generating, cross_covariance_series, cross_covariance_symmetric_sector,
+    h2_norm, h2_norm_quadrature, hinf_norm, phi_z_feedback, phi_z_h2_norm, phi_z_resolvent,
+    series_depth_for, series_tail_bound, z_domain_matrices, z_pr_residual,
 )
 
 __all__ = [
@@ -77,6 +77,7 @@ __all__ = [
     "balance_cascade", "f_lambda", "minimize_psi_one_mode", "multimode_lower_bound",
     "newton_lambda", "solve_multiplier",
     "TIModel", "TraceBoundResult", "ZPoint", "covariance_trace_bound", "cross_covariance",
+    "cross_covariance_generating", "cross_covariance_series",
     "cross_covariance_symmetric_sector", "h2_norm", "h2_norm_quadrature", "hinf_norm",
     "phi_z_feedback", "phi_z_h2_norm", "phi_z_resolvent", "series_depth_for", "series_tail_bound",
     "z_domain_matrices", "z_pr_residual",

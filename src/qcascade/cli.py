@@ -15,10 +15,12 @@ A cascade spec file is a JSON document:
 Keys outside this layout are refused.
 
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
-mc-check, ti-bounds, reproduce-paper. Every run writes ``report.json``
-into the output directory; some commands add CSV series or a balanced
-spec. Exit codes: 0 success, 1 validation failure, 2 numerical failure.
-Results are deterministic for a fixed input file and seed.
+mc-check, ti-bounds, reproduce-paper. A command is a view over one
+:class:`Pipeline` per run, whose stages (cascade, P, gradients, balancing)
+are each computed at most once. Every run writes ``report.json`` into the
+output directory; some commands add CSV series or a balanced spec. Exit
+codes: 0 success, 1 validation failure, 2 numerical failure. Results are
+deterministic for a fixed input file and seed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .balance import CascadeBalanceReport, _h_and_slope, balance_cascade
-from .covariance import invariant_covariance_direct, invariant_covariance_recursive, steady_state
+from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from .gradients import (
     GradientSet,
@@ -48,6 +50,7 @@ from .linalg import quantum_psd_margin
 from .oscillator import (
     CascadeModel,
     OscillatorParams,
+    _check_thetas,
     assemble_cascade,
     default_theta,
     realizability_residual,
@@ -79,18 +82,6 @@ class CascadeSpecFile:
     sha256: str
 
 
-@dataclass
-class ReportBundle:
-    """Results of one command run, plus provenance and export data."""
-
-    command: str
-    results: dict[str, Any]
-    provenance: dict[str, Any]
-    csv_series: dict[str, list[tuple]] = field(default_factory=dict)
-    table: str = ""
-    extra_files: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-
 def _as_matrix(obj: Any, path: str, shape: tuple[int, int]) -> np.ndarray:
     try:
         mat = np.asarray(obj, dtype=float)
@@ -106,15 +97,6 @@ SPEC_KEYS = frozenset(
 )
 OSCILLATOR_KEYS = frozenset({"n", "R", "M", "theta"})
 UNCERTAINTY_KEYS = frozenset({"a", "b", "sigma"})
-#: run settings a spec's ``options`` may set (each also a flag), with their types
-RUN_SETTINGS = {
-    "tol_residual": float,
-    "fd_step": float,
-    "samples": int,
-    "seed": int,
-    "epsilon": float,
-    "kmax": int,
-}
 
 
 def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
@@ -137,10 +119,11 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
     """Parse and validate a cascade spec file.
 
     Defaulting rules: missing theta becomes the canonical half form of
-    the right order; missing epsilon becomes 1e-6. The energy matrix is
-    symmetrized after checking that its asymmetry stays below 1e-9. A key
-    outside the schema raises :class:`SchemaError` instead of being
-    ignored, so a misspelt key never falls back to a default.
+    the right order, and a given one must pass assembly's theta check;
+    missing epsilon becomes 1e-6. The energy matrix is symmetrized after
+    checking that its asymmetry stays below 1e-9. A key outside the
+    schema raises :class:`SchemaError` instead of being ignored, so a
+    misspelt key never falls back to a default.
     """
     path = Path(path)
     try:
@@ -181,13 +164,12 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
         mat = _as_matrix(entry.get("M"), f"{where}.M", (m, n))
         if "theta" in entry:
             theta = _as_matrix(entry["theta"], f"{where}.theta", (n, n))
-            if np.max(np.abs(theta + theta.T)) > 1e-12 * max(1.0, np.max(np.abs(theta))):
-                raise SchemaError(f"{where}.theta: must be antisymmetric")
-            if abs(np.linalg.det(theta)) < 1e-300:
-                raise SingularTheta(f"{where}.theta: singular commutation matrix")
         else:
             theta = default_theta(n)
         oscillators.append(OscillatorParams(theta=theta, r_energy=r, m_coupling=mat))
+    if any("theta" in entry for entry in oscs_doc):
+        # the rule assembly applies; a default theta is canonical by construction
+        _check_thetas([p.theta for p in oscillators])
 
     uncertainty = None
     if "uncertainty" in doc:
@@ -254,8 +236,6 @@ class RunFlags:
     seed: int = 7
     epsilon: float = 1e-6
     kmax: int = 10
-    out: Path = Path(".")
-    fmt: str = "table"
 
     def __post_init__(self) -> None:
         # library guards raise bare ValueError; refuse out-of-range values up front
@@ -281,7 +261,57 @@ class RunFlags:
                 values[key] = getattr(ns, key)
             elif key in in_spec:
                 values[key] = _convert(in_spec[key], kind, f"options.{key}")
-        return cls(**values, out=Path(ns.out) if ns.out else Path("."), fmt=ns.format or "table")
+        return cls(**values)
+
+
+#: run settings a spec's ``options`` may set (each also a flag): the RunFlags fields and types
+RUN_SETTINGS = {f.name: type(f.default) for f in fields(RunFlags)}
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One command run on one spec: the stages of the chain, each computed
+    at most once on first use, and the files the command adds next to
+    ``report.json``."""
+
+    spec: CascadeSpecFile
+    flags: RunFlags
+    out: Path
+    #: CSV file name -> (header, rows)
+    csv_series: dict[str, tuple[str, list[tuple]]] = field(default_factory=dict)
+    extra_files: dict[str, dict[str, Any]] = field(default_factory=dict)
+
+    @functools.cached_property
+    def cascade(self) -> CascadeModel:
+        return build_cascade(self.spec)
+
+    @functools.cached_property
+    def uncertainty(self) -> UncertaintyModel:
+        if self.spec.uncertainty is None:
+            raise SchemaError("this command needs an 'uncertainty' block in the spec")
+        return self.spec.uncertainty
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return invariant_covariance_direct(self.cascade)
+
+    @functools.cached_property
+    def grads(self) -> GradientSet:
+        return purity_gradients_direct(self.cascade, self.p)
+
+    @functools.cached_property
+    def balance(self) -> CascadeBalanceReport:
+        cascade, uncertainty = self.cascade, self.uncertainty  # refuse before any solve
+        return balance_cascade(cascade, self.grads, uncertainty, seed=self.flags.seed)
+
+    @property
+    def provenance(self) -> dict[str, Any]:
+        return {
+            "input": str(self.spec.source),
+            "sha256": self.spec.sha256,
+            **asdict(self.flags),
+            "version": __version__,
+        }
 
 
 #: what a command returns: report results, exit code, table text
@@ -296,14 +326,8 @@ def _fmt4(x: float) -> str:
     return f"{x:12.4f}"
 
 
-def _require_uncertainty(spec: CascadeSpecFile) -> UncertaintyModel:
-    if spec.uncertainty is None:
-        raise SchemaError("this command needs an 'uncertainty' block in the spec")
-    return spec.uncertainty
-
-
-def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    cascade = build_cascade(spec)
+def _cmd_validate(run: Pipeline) -> Reply:
+    cascade = run.cascade
     pr_res = float(
         realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)[0]
     )
@@ -313,7 +337,7 @@ def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) 
     ]
     results: dict[str, Any] = {
         "pr_residual": pr_res,
-        "pr_ok": pr_res <= flags.tol_residual * max(1.0, float(np.linalg.norm(cascade.a))),
+        "pr_ok": pr_res <= run.flags.tol_residual * max(1.0, float(np.linalg.norm(cascade.a))),
         "hurwitz": hurwitz,
     }
     lines = [f"PR residual      {pr_res:.3e}"]
@@ -324,10 +348,9 @@ def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) 
         lines.append(f"unstable oscillators: {unstable}")
         exit_code = 1
     else:
-        p = invariant_covariance_direct(cascade)
-        margin = quantum_psd_margin(p, cascade.theta)
+        margin = quantum_psd_margin(run.p, cascade.theta)
         results["psd_margin"] = float(margin)
-        results["psd_ok"] = bool(margin >= -1e-9 * max(1.0, float(np.linalg.norm(p))))
+        results["psd_ok"] = bool(margin >= -PSD_TOL * max(1.0, float(np.linalg.norm(run.p))))
         lines.append(f"admissibility margin {margin:.3e}")
     for h in hurwitz:
         lines.append(
@@ -337,10 +360,9 @@ def _cmd_validate(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) 
     return results, exit_code, "\n".join(lines)
 
 
-def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    cascade = build_cascade(spec)
-    p_direct = invariant_covariance_direct(cascade)
-    gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(cascade)))
+def _cmd_covariance(run: Pipeline) -> Reply:
+    p_direct = run.p
+    gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(run.cascade)))
     results = {
         "p_direct": _listify(p_direct),
         "route_gap": gap,
@@ -352,9 +374,8 @@ def _cmd_covariance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle
     return results, 0, table
 
 
-def _cmd_purity(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    cascade = build_cascade(spec)
-    ss = steady_state(cascade)
+def _cmd_purity(run: Pipeline) -> Reply:
+    ss = steady_state(run.cascade, run.p)
     results = {
         "purity": ss.purity,
         "v_logdet": ss.v_logdet,
@@ -374,34 +395,27 @@ def _gradient_gap(g1: GradientSet, g2: GradientSet) -> float:
     return max(float(np.max(np.abs(a - b))) for a, b in zip(g1.rho + g1.mu, g2.rho + g2.mu))
 
 
-def _cmd_gradients(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    cascade = build_cascade(spec)
-    direct = purity_gradients_direct(cascade)
-    recursive = purity_gradients_recursive(cascade)
-    gap = _gradient_gap(direct, recursive)
-    fd_gap = _gradient_gap(direct, gradient_fd_oracle(cascade, h=flags.fd_step))
+def _cmd_gradients(run: Pipeline) -> Reply:
+    direct, fd_step = run.grads, run.flags.fd_step
+    gap = _gradient_gap(direct, purity_gradients_recursive(run.cascade))
+    fd_gap = _gradient_gap(direct, gradient_fd_oracle(run.cascade, h=fd_step))
     results = {
         "rho": [_listify(r) for r in direct.rho],
         "mu": [_listify(u) for u in direct.mu],
         "route_gap": gap,
         "fd_gap": fd_gap,
-        "fd_step": flags.fd_step,
+        "fd_step": fd_step,
     }
     lines = [f"route gap {gap:.3e}   fd gap {fd_gap:.3e}"]
-    for k, r in enumerate(direct.rho):
-        lines.append(f"rho_{k}")
-        lines.extend("  ".join(_fmt4(x) for x in row) for row in r)
-    for k, u in enumerate(direct.mu):
-        lines.append(f"mu_{k}")
-        lines.extend("  ".join(_fmt4(x) for x in row) for row in u)
+    for name, mats in (("rho", direct.rho), ("mu", direct.mu)):
+        for k, mat in enumerate(mats):
+            lines.append(f"{name}_{k}")
+            lines.extend("  ".join(_fmt4(x) for x in row) for row in mat)
     return results, 0, "\n".join(lines)
 
 
-def _cmd_sensitivity(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    cascade = build_cascade(spec)
-    uncertainty = _require_uncertainty(spec)
-    p_full = invariant_covariance_direct(cascade)
-    grads = purity_gradients_direct(cascade, p_full)
+def _cmd_sensitivity(run: Pipeline) -> Reply:
+    cascade, uncertainty, grads = run.cascade, run.uncertainty, run.grads
     index = sensitivity_index(grads, uncertainty)
     psi_id = []
     for k in range(cascade.n_oscillators):
@@ -409,7 +423,7 @@ def _cmd_sensitivity(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundl
             psi_id.append(psi_transformed(grads, uncertainty, k, np.eye(cascade.dims[k])))
         except ValueError:
             psi_id.append(None)
-    fisher = fisher_sensitivity(cascade, uncertainty, p_full)
+    fisher = fisher_sensitivity(cascade, uncertainty, run.p)
     results = {
         "z_total": index.z_total,
         "z_k": list(index.z_k),
@@ -452,17 +466,13 @@ def _spec_document_from_cascade(
     return doc
 
 
-def _balance_report(
-    spec: CascadeSpecFile, flags: RunFlags
-) -> tuple[GradientSet, CascadeBalanceReport, dict, str]:
-    """Balance the spec's cascade; also returns the gradients it balanced."""
-    cascade = build_cascade(spec)
-    uncertainty = _require_uncertainty(spec)
-    grads = purity_gradients_direct(cascade)
-    report = balance_cascade(cascade, grads, uncertainty, seed=flags.seed)
+def _balance_results(run: Pipeline) -> tuple[dict, str]:
+    """Results and table of the balancing, with the round trip: the
+    gradients of the balanced cascade give back each Psi_k(S_k)."""
+    report, uncertainty, dims = run.balance, run.uncertainty, run.cascade.dims
     new_grads = purity_gradients_direct(report.transformed)
     round_trip = [
-        abs(psi_transformed(new_grads, uncertainty, k, np.eye(cascade.dims[k])) - res.psi_after)
+        abs(psi_transformed(new_grads, uncertainty, k, np.eye(dims[k])) - res.psi_after)
         for k, res in enumerate(report.results)
     ]
     results = {
@@ -485,36 +495,32 @@ def _balance_report(
             f"{report.ratios[k]:8.4f}"
         )
     lines.append(f"total ratio {report.total_ratio:8.4f}")
-    return grads, report, results, "\n".join(lines)
+    return results, "\n".join(lines)
 
 
-def _cmd_balance(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    _, report, results, table = _balance_report(spec, flags)
-    bundle.extra_files["balanced.json"] = _spec_document_from_cascade(
-        spec, report.transformed
-    )
+def _cmd_balance(run: Pipeline) -> Reply:
+    results, table = _balance_results(run)
+    report = run.balance
+    run.extra_files["balanced.json"] = _spec_document_from_cascade(run.spec, report.transformed)
     curve: list[tuple] = []
     for k, res in enumerate(report.results):
         for lam in np.geomspace(res.lambda_k / 10, res.lambda_k * 10, 41):
             h_val, _ = _h_and_slope(lam, res.whitened_spectrum)
             curve.append((k, float(lam), h_val))
-    bundle.csv_series["balance_multiplier.csv"] = curve
+    run.csv_series["balance_multiplier.csv"] = ("oscillator,lambda,h", curve)
     return results, 0, table
 
 
-def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    cascade = build_cascade(spec)
-    uncertainty = _require_uncertainty(spec)
-    p_full = invariant_covariance_direct(cascade)
-    grads = purity_gradients_direct(cascade, p_full)
+def _cmd_mc_check(run: Pipeline) -> Reply:
+    cascade, uncertainty, flags = run.cascade, run.uncertainty, run.flags
     mc = monte_carlo_variance(
         cascade,
         uncertainty,
-        grads,
+        run.grads,
         samples=flags.samples,
         epsilon=flags.epsilon,
         seed=flags.seed,
-        p_full=p_full,
+        p_full=run.p,
     )
     in_range = 0.9 <= mc.ratio <= 1.1
     results = {
@@ -533,13 +539,13 @@ def _cmd_mc_check(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) 
     return results, 0 if in_range else 2, table
 
 
-def _cmd_ti_bounds(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
+def _cmd_ti_bounds(run: Pipeline) -> Reply:
     rows: list[tuple] = []
     per_osc = []
     all_ok = True
-    for k, params in enumerate(spec.oscillators):
+    for k, params in enumerate(run.spec.oscillators):
         model = TIModel.from_oscillator(params)
-        res = covariance_trace_bound(model, flags.kmax)
+        res = covariance_trace_bound(model, run.flags.kmax)
         ok = all(t <= b * (1 + 1e-9) for t, b in zip(res.traces, res.bounds))
         all_ok &= ok
         per_osc.append(
@@ -554,7 +560,7 @@ def _cmd_ti_bounds(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle)
         )
         for i, (t, b) in enumerate(zip(res.traces, res.bounds), start=1):
             rows.append((k, i, t, b))
-    bundle.csv_series["ti_bounds.csv"] = rows
+    run.csv_series["ti_bounds.csv"] = ("oscillator,k,trace,bound", rows)
     lines = ["osc  k   trace         bound"]
     for row in rows:
         lines.append(f"{row[0]}    {row[1]:2d} {_fmt4(row[2])}  {_fmt4(row[3])}")
@@ -574,11 +580,12 @@ def _compare(name: str, got, want, atol: float, rtol: float) -> dict[str, Any]:
     }
 
 
-def _cmd_reproduce(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle) -> Reply:
-    if spec.expected is None:
+def _cmd_reproduce(run: Pipeline) -> Reply:
+    if run.spec.expected is None:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
-    expected = spec.expected
-    grads, report, balance_results, _ = _balance_report(spec, flags)
+    expected = run.spec.expected
+    balance_results, _ = _balance_results(run)
+    grads, report = run.grads, run.balance
     res = report.results
     # expected key -> (check name prefix, computed values, atol, rtol)
     targets = {
@@ -611,9 +618,9 @@ def _cmd_reproduce(spec: CascadeSpecFile, flags: RunFlags, bundle: ReportBundle)
     return results, 0 if all_pass else 2, "\n".join(lines)
 
 
-#: command name -> handler; each returns (results, exit code, table) and may
-#: add CSV series or extra files to the bundle
-COMMANDS: dict[str, Callable[[CascadeSpecFile, RunFlags, ReportBundle], Reply]] = {
+#: command name -> view over a run's pipeline; each returns (results, exit
+#: code, table) and may add CSV series or extra files to the pipeline
+COMMANDS: dict[str, Callable[[Pipeline], Reply]] = {
     "validate": _cmd_validate,
     "covariance": _cmd_covariance,
     "purity": _cmd_purity,
@@ -626,63 +633,29 @@ COMMANDS: dict[str, Callable[[CascadeSpecFile, RunFlags, ReportBundle], Reply]] 
 }
 
 
-def run_command(command: str, spec: CascadeSpecFile, flags: RunFlags) -> tuple[ReportBundle, int]:
-    """Dispatch one command on a loaded spec; returns the bundle and exit code."""
-    bundle = ReportBundle(
-        command=command,
-        results={},
-        provenance={
-            "input": str(spec.source),
-            "sha256": spec.sha256,
-            "seed": flags.seed,
-            "epsilon": flags.epsilon,
-            "tol_residual": flags.tol_residual,
-            "fd_step": flags.fd_step,
-            "samples": flags.samples,
-            "kmax": flags.kmax,
-            "version": __version__,
-        },
-    )
-    if command not in COMMANDS:
-        raise ValueError(f"unknown command {command!r}")
-    bundle.results, code, bundle.table = COMMANDS[command](spec, flags, bundle)
-    return bundle, code
-
-
-def _write_outputs(bundle: ReportBundle, flags: RunFlags) -> None:
-    out = flags.out
-    out.mkdir(parents=True, exist_ok=True)
-    report = {
-        "command": bundle.command,
-        "provenance": bundle.provenance,
-        "results": bundle.results,
-    }
+def _write_outputs(run: Pipeline, report: dict[str, Any]) -> None:
+    run.out.mkdir(parents=True, exist_ok=True)
     # no indent: json's C encoder, which writes floats by the same repr
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True))
-    for name, rows in bundle.csv_series.items():
-        header = {
-            "ti_bounds.csv": "oscillator,k,trace,bound",
-            "balance_multiplier.csv": "oscillator,lambda,h",
-        }.get(name, "")
-        lines = [header] if header else []
-        lines.extend(",".join(repr(x) for x in row) for row in rows)
-        (out / name).write_text("\n".join(lines) + "\n")
-    for name, doc in bundle.extra_files.items():
-        (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    (run.out / "report.json").write_text(json.dumps(report, sort_keys=True))
+    for name, (header, rows) in run.csv_series.items():
+        lines = [header, *(",".join(repr(x) for x in row) for row in rows)]
+        (run.out / name).write_text("\n".join(lines) + "\n")
+    for name, doc in run.extra_files.items():
+        (run.out / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _emit(bundle: ReportBundle, flags: RunFlags) -> None:
-    if flags.fmt == "json":
-        print(json.dumps({"results": bundle.results, "provenance": bundle.provenance}, indent=2, sort_keys=True))
-    elif flags.fmt == "csv":
-        for name, rows in bundle.csv_series.items():
+def _emit(run: Pipeline, results: dict[str, Any], table: str, fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps({"results": results, "provenance": run.provenance}, indent=2, sort_keys=True))
+    elif fmt == "csv":
+        for name, (_, rows) in run.csv_series.items():
             print(f"# {name}")
             for row in rows:
                 print(",".join(repr(x) for x in row))
-        if not bundle.csv_series:
-            print(bundle.table)
+        if not run.csv_series:
+            print(table)
     else:
-        print(bundle.table)
+        print(table)
 
 
 @functools.lru_cache(maxsize=1)
@@ -694,14 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("spec", help="path to a cascade spec file (JSON)")
-    parser.add_argument("--tol-residual", type=float, default=None, dest="tol_residual")
-    parser.add_argument("--fd-step", type=float, default=None, dest="fd_step")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv", "table"), default=None)
+    for key, kind in RUN_SETTINGS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=kind, default=None, dest=key)
+    parser.add_argument("--out", type=Path, default=Path("."))
+    parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
     return parser
 
 
@@ -709,16 +678,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         spec = load_spec(ns.spec)
-        flags = RunFlags.from_spec(spec, ns)
-        bundle, code = run_command(ns.command, spec, flags)
+        run = Pipeline(spec, RunFlags.from_spec(spec, ns), ns.out)
+        results, code, table = COMMANDS[ns.command](run)
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (QCascadeError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(bundle, flags)
-    _emit(bundle, flags)
+    _write_outputs(run, {"command": ns.command, "provenance": run.provenance, "results": results})
+    _emit(run, results, table, ns.format)
     return code
 
 

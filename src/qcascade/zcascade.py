@@ -54,9 +54,9 @@ class TIModel:
     """One oscillator acting as the repeated unit of an infinite cascade.
 
     ``p`` caches the controllability Gramian of (A, B). ``params`` is
-    set for oscillator-backed models and enables the series route of
-    :func:`cross_covariance`; matrix-backed models support the norm and
-    z-domain operations only. ``j_ito`` is None when the input field
+    set for oscillator-backed models and enables
+    :func:`cross_covariance_series`; matrix-backed models support the
+    norm and z-domain operations only. ``j_ito`` is None when the input field
     carries no canonical antisymmetric form (then Omega = I). Built by
     :meth:`from_matrices`, whose stability check the norm and trace-bound
     routes rely on.
@@ -169,36 +169,29 @@ def _stable_points(model: TIModel, z: complex, v: complex) -> tuple[ZPoint, ZPoi
     return pz, pv
 
 
-def cross_covariance(
-    model: TIModel,
-    z: complex,
-    v: complex,
-    method: str = "sylvester",
-    depth: int | None = None,
-) -> np.ndarray:
+def _certified_cross_solve(model: TIModel, z: complex, v: complex, weight: Matrix) -> np.ndarray:
+    """Certified solution X of A_z X + X A_v^T + B_z W B_v^T = 0."""
+    pz, pv = _stable_points(model, z, v)
+    forcing = pz.b_z @ weight @ pv.b_z.T
+    x = sylvester_kron_solve(pz.a_z, pv.a_z, forcing)
+    certify_sylvester(pz.a_z, pv.a_z, forcing, x)
+    return x
+
+
+def cross_covariance(model: TIModel, z: complex, v: complex) -> np.ndarray:
     """Steady-state cross-covariance of the (z, v) pair of members.
 
-    Methods: "sylvester" solves A_z P + P A_v^T + B_z Omega B_v^T = 0
-    directly; "generating" evaluates the rational closed form built on
-    K and L; "series" sums the block covariances of a finite identical
-    cascade and adds the commutation sector i Theta / (z v - 1) in
-    closed form. All three agree to solver accuracy inside the common
-    domain.
+    Solves A_z P + P A_v^T + B_z Omega B_v^T = 0 and certifies the
+    residual. The oracles :func:`cross_covariance_generating` and
+    :func:`cross_covariance_series` agree with it to solver accuracy
+    inside the common domain.
     """
-    if method == "sylvester":
-        pz, pv = _stable_points(model, z, v)
-        forcing = pz.b_z @ model.omega() @ pv.b_z.T
-        x = sylvester_kron_solve(pz.a_z, pv.a_z, forcing)
-        certify_sylvester(pz.a_z, pv.a_z, forcing, x)
-        return x
-    if method == "generating":
-        return _generating_function_route(model, z, v)
-    if method == "series":
-        return _series_route(model, z, v, depth)
-    raise ValueError(f"unknown method {method!r}")
+    return _certified_cross_solve(model, z, v, model.omega())
 
 
-def _generating_function_route(model: TIModel, z: complex, v: complex) -> np.ndarray:
+def cross_covariance_generating(model: TIModel, z: complex, v: complex) -> np.ndarray:
+    """Oracle for :func:`cross_covariance`: the rational closed form in
+    (z, v) built on K and L."""
     _stable_points(model, z, v)
     n = model.n
     eye_n = np.eye(n)
@@ -250,9 +243,13 @@ def _tail_bound(model: TIModel, gnorm: float, z: complex, v: complex, depth: int
     return 2.0 * f2sq / gnorm**2 * tail
 
 
-def _series_route(
+def cross_covariance_series(
     model: TIModel, z: complex, v: complex, depth: int | None = None
 ) -> np.ndarray:
+    """Oracle for :func:`cross_covariance`: the block covariances of a
+    finite identical cascade (``depth`` copies, by default the depth of
+    :func:`series_depth_for`) summed with weights z^-j v^-k, plus the
+    commutation sector i Theta / (z v - 1) in closed form."""
     if model.params is None:
         raise ValueError("series route requires an oscillator-backed model")
     _stable_points(model, z, v)
@@ -281,11 +278,7 @@ def cross_covariance_symmetric_sector(
     is symmetric under (z, v) exchange combined with transposition,
     conjugate-symmetric in (z, v), and real symmetric at real z = v.
     """
-    pz, pv = _stable_points(model, z, v)
-    forcing = pz.b_z @ pv.b_z.T
-    x = sylvester_kron_solve(pz.a_z, pv.a_z, forcing)
-    certify_sylvester(pz.a_z, pv.a_z, forcing, x)
-    return x
+    return _certified_cross_solve(model, z, v, np.eye(model.m))
 
 
 def h2_norm(model: TIModel) -> float:

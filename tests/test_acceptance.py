@@ -34,6 +34,8 @@ from qcascade.zcascade import (
     TIModel,
     covariance_trace_bound,
     cross_covariance,
+    cross_covariance_generating,
+    cross_covariance_series,
     hinf_norm,
     phi_z_feedback,
     phi_z_resolvent,
@@ -300,12 +302,12 @@ def test_criterion_10_translation_invariant_family(reference_spec):
     gnorm = hinf_norm(unit)
     z = 10.0 * gnorm
     v = 10.0 * gnorm * (1.0 + 0.3j)
-    sylvester = cross_covariance(unit, z, v, method="sylvester")
-    generating = cross_covariance(unit, z, v, method="generating")
+    sylvester = cross_covariance(unit, z, v)
+    generating = cross_covariance_generating(unit, z, v)
     scale = max(1.0, float(np.max(np.abs(sylvester))))
     gap_gen = float(np.max(np.abs(generating - sylvester)))
     depth = series_depth_for(unit, z, v)
-    series = cross_covariance(unit, z, v, method="series", depth=depth)
+    series = cross_covariance_series(unit, z, v, depth=depth)
     tail = series_tail_bound(unit, z, v, depth)
     gap_series = float(np.max(np.abs(series - sylvester)))
     triple_ok = gap_gen <= 1e-9 * scale and gap_series <= tail + 1e-9 * scale

@@ -1,4 +1,7 @@
 import json
+import sys
+from collections import Counter
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,11 @@ from qcascade.cli import (
     load_spec,
     main,
 )
+from qcascade.balance import balance_cascade
 from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
-from qcascade.errors import DimensionMismatch, ParseError, SchemaError, SingularTheta
+from qcascade.errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
+from qcascade.gradients import purity_gradients_direct
+from qcascade.oscillator import assemble_cascade
 
 
 def read_example():
@@ -91,6 +97,32 @@ class TestLoadSpec:
         doc["oscillators"][0]["theta"] = [[0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(SingularTheta):
             load_spec(write_spec(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "scale, tilt, error",
+        [
+            # antisymmetric by max-abs entry, not by Frobenius norm
+            (1.0, 0.8e-12, DimensionMismatch),
+            # determinant 2.5e-311, full rank
+            (1e-155, 0.0, None),
+        ],
+    )
+    def test_theta_rule_is_the_assembly_rule(self, tmp_path, scale, tilt, error):
+        theta = scale * np.array([[0.0, 0.5], [-0.5 + tilt, 0.0]])
+        doc = read_example()
+        doc["oscillators"][1]["theta"] = theta.tolist()
+        params = list(load_spec(GENERATED_SPEC).oscillators)
+        params[1] = replace(params[1], theta=theta)
+
+        def refusal(fn, arg):
+            try:
+                fn(arg)
+            except QCascadeError as exc:
+                return type(exc)
+            return None
+
+        assert refusal(load_spec, write_spec(tmp_path, doc)) is error
+        assert refusal(assemble_cascade, params) is error
 
     def test_uncertainty_length(self, tmp_path):
         doc = read_example()
@@ -318,6 +350,29 @@ class TestCommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["all_pass"] is True
 
+    def test_reproduce_on_its_own_values(self, tmp_path, capsys, reference_spec, reference_cascade):
+        grads = purity_gradients_direct(reference_cascade)
+        report = balance_cascade(reference_cascade, grads, reference_spec.uncertainty, seed=7)
+        doc = read_example()
+        doc["expected"] = {
+            "rho": [r.tolist() for r in grads.rho],
+            "mu": [u.tolist() for u in grads.mu],
+            "s": [r.s_k.tolist() for r in report.results],
+            "psi_identity": [r.psi_before for r in report.results],
+            "psi_balanced": [r.psi_after for r in report.results],
+            "ratios": list(report.ratios),
+            "total_ratio": report.total_ratio,
+        }
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: pass"
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["all_pass"] is True
+        assert len(results["checks"]) == 3 * 6 + 1
+        # the balancing is reported, but its CSV and balanced spec are not written
+        assert results["balance"]["total_ratio"] == report.total_ratio
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
     def test_reproduce_requires_expected_block(self, tmp_path, unstable_doc):
         doc = read_example()
         doc.pop("expected", None)
@@ -331,6 +386,80 @@ class TestCommands:
         )
         assert code == 0
         assert capsys.readouterr().out.strip()
+
+
+class TestPipeline:
+    """Each command computes each stage of the chain at most once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        names = ("stationary_covariance", "purity_gradients_direct", "balance_cascade")
+        originals = {}
+        for module in [m for n, m in sys.modules.items() if n.startswith("qcascade")]:
+            for name in names:
+                if hasattr(module, name):
+                    fn = originals.setdefault(name, getattr(module, name))
+                    monkeypatch.setattr(module, name, spy(name, fn))
+        return counts
+
+    @pytest.mark.parametrize(
+        "command, p, grads, balance",
+        [
+            ("validate", 1, 0, 0),
+            ("covariance", 1, 0, 0),
+            ("purity", 1, 0, 0),
+            ("gradients", 1, 1, 0),
+            ("sensitivity", 1, 1, 0),
+            ("mc-check", 1, 1, 0),
+            # the second P and gradient set are the round trip on the balanced cascade
+            ("balance", 2, 2, 1),
+            ("reproduce-paper", 2, 2, 1),
+        ],
+    )
+    def test_stage_counts(self, command, p, grads, balance, counts, tmp_path):
+        doc = read_example()
+        doc["expected"] = {"total_ratio": 1.0}  # reproduce-paper fails it, and still runs once
+        path = write_spec(tmp_path, doc)
+        code = main([command, str(path), "--out", str(tmp_path / "out"), "--samples", "2000"])
+        assert code == (2 if command == "reproduce-paper" else 0)
+        assert counts == Counter(
+            {"stationary_covariance": p, "purity_gradients_direct": grads, "balance_cascade": balance}
+        ) - Counter()
+
+    def test_unstable_cascade_solves_no_covariance(self, counts, tmp_path, unstable_doc):
+        path = write_spec(tmp_path, unstable_doc)
+        assert main(["validate", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert counts == Counter()
+
+    def test_each_setting_is_declared_once(self, tmp_path, capsys):
+        names = {f.name for f in fields(RunFlags)}
+        parser = build_parser()
+        flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out", "format"}
+        assert flags == names
+        # the options a spec may set, as its error lists them
+        doc = read_example()
+        doc["options"] = {"unknown": 1}
+        assert main(["validate", str(write_spec(tmp_path, doc))]) == 1
+        allowed = capsys.readouterr().err.strip().split("allowed: ")[1]
+        assert set(allowed.split(", ")) == names
+        # every option reaches the run and its provenance
+        settings = asdict(RunFlags(tol_residual=2e-9, fd_step=2e-5, samples=11, seed=3,
+                                   epsilon=2e-6, kmax=2))
+        doc["options"] = settings
+        out = tmp_path / "out"
+        assert main(["validate", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+        provenance = json.loads((out / "report.json").read_text())["provenance"]
+        assert {k: provenance[k] for k in names} == settings
+        assert set(provenance) == names | {"input", "sha256", "version"}
 
 
 class TestExitCodes:

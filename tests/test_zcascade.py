@@ -9,6 +9,8 @@ from qcascade.oscillator import OscillatorParams
 from qcascade.zcascade import (
     TIModel,
     cross_covariance,
+    cross_covariance_generating,
+    cross_covariance_series,
     cross_covariance_symmetric_sector,
     covariance_trace_bound,
     h2_norm,
@@ -92,12 +94,12 @@ class TestCrossCovariance:
         gnorm = hinf_norm(unit_model)
         z = 10.0 * gnorm
         v = 10.0 * gnorm * (1.0 + 0.3j)
-        sylvester = cross_covariance(unit_model, z, v, method="sylvester")
-        generating = cross_covariance(unit_model, z, v, method="generating")
+        sylvester = cross_covariance(unit_model, z, v)
+        generating = cross_covariance_generating(unit_model, z, v)
         scale = max(1.0, np.max(np.abs(sylvester)))
         assert np.max(np.abs(generating - sylvester)) <= 1e-9 * scale
         depth = series_depth_for(unit_model, z, v)
-        series = cross_covariance(unit_model, z, v, method="series", depth=depth)
+        series = cross_covariance_series(unit_model, z, v, depth=depth)
         tail = series_tail_bound(unit_model, z, v, depth)
         assert np.max(np.abs(series - sylvester)) <= tail + 1e-9 * scale
 
@@ -129,7 +131,7 @@ class TestCrossCovariance:
 
     def test_series_requires_oscillator_backing(self):
         with pytest.raises(ValueError):
-            cross_covariance(SCALAR, 10.0, 10.0, method="series")
+            cross_covariance_series(SCALAR, 10.0, 10.0)
 
     def test_tail_bound_decreases_with_depth(self, unit_model):
         gnorm = hinf_norm(unit_model)
