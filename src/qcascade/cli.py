@@ -17,10 +17,11 @@ Keys outside this layout are refused.
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
 mc-check, ti-bounds, reproduce-paper. A command is a view over one
 :class:`Pipeline` per run, whose stages (cascade, P, gradients, balancing)
-are each computed at most once. Every run writes ``report.json`` into the
-output directory; some commands add CSV series or a balanced spec. Exit
-codes: 0 success, 1 validation failure, 2 numerical failure. Results are
-deterministic for a fixed input file and seed.
+are each computed at most once. Every run writes ``report.json``, strict
+JSON, into the output directory; some commands add CSV series or a
+balanced spec. Exit codes: 0 success, 1 validation failure, 2 numerical
+failure, a non-finite result included. Results are deterministic for a
+fixed input file and seed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -89,6 +91,9 @@ def _as_matrix(obj: Any, path: str, shape: tuple[int, int]) -> np.ndarray:
         raise SchemaError(f"{path}: not a numeric matrix: {exc}") from exc
     if mat.shape != shape:
         raise DimensionMismatch(f"{path}: expected shape {shape}, got {mat.shape}")
+    # entry by entry: on the 2 x 2 blocks of a spec, cheaper than a numpy call
+    if not all(map(math.isfinite, mat.flat)):
+        raise SchemaError(f"{path}: entries must be finite")
     return mat
 
 
@@ -121,9 +126,11 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
     Defaulting rules: missing theta becomes the canonical half form of
     the right order, and a given one must pass assembly's theta check;
     missing epsilon becomes 1e-6. The energy matrix is symmetrized after
-    checking that its asymmetry stays below 1e-9. A key outside the
-    schema raises :class:`SchemaError` instead of being ignored, so a
-    misspelt key never falls back to a default.
+    checking that its asymmetry stays below 1e-9. Matrix entries and
+    uncertainty weights must be finite numbers, which json's NaN and
+    Infinity are not. A key outside the schema raises
+    :class:`SchemaError` instead of being ignored, so a misspelt key
+    never falls back to a default.
     """
     path = Path(path)
     try:
@@ -190,9 +197,11 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
                 sigma = _as_matrix(entry["sigma"], f"{where}.sigma", (d, d))
                 entries.append(OscillatorUncertainty(sigma=sigma))
             elif "a" in entry and "b" in entry:
-                a_val, b_val = float(entry["a"]), float(entry["b"])
-                if a_val < 0 or b_val < 0:
-                    raise SchemaError(f"{where}: weights must be nonnegative")
+                a_val, b_val = (
+                    _convert(entry[key], float, f"{where}.{key}") for key in ("a", "b")
+                )
+                if not (0.0 <= a_val < np.inf and 0.0 <= b_val < np.inf):
+                    raise SchemaError(f"{where}: weights must be finite and nonnegative")
                 entries.append(
                     OscillatorUncertainty(energy_weight=a_val, coupling_weight=b_val)
                 )
@@ -245,9 +254,9 @@ class RunFlags:
         if self.seed < 0:
             problems.append("seed must be nonnegative")
         problems += [
-            f"{key} must be positive"
+            f"{key} must be positive and finite"
             for key in ("fd_step", "epsilon", "tol_residual")
-            if not getattr(self, key) > 0.0
+            if not 0.0 < getattr(self, key) < np.inf
         ]
         if problems:
             raise SchemaError("; ".join(problems))
@@ -314,8 +323,9 @@ class Pipeline:
         }
 
 
-#: what a command returns: report results, exit code, table text
-Reply = tuple[dict, int, str]
+#: what a command returns: report results, exit code, and the table text or a
+#: function that makes it, called only when the table is printed
+Reply = tuple[dict, int, str | Callable[[], str]]
 
 
 def _listify(mat: np.ndarray) -> list:
@@ -367,11 +377,14 @@ def _cmd_covariance(run: Pipeline) -> Reply:
         "p_direct": _listify(p_direct),
         "route_gap": gap,
     }
+    return results, 0, functools.partial(_covariance_table, gap, p_direct)
+
+
+def _covariance_table(gap: float, p: np.ndarray) -> str:
     # one format string per row, the same text as joining _fmt4 of each entry
-    row_format = "  ".join(["%12.4f"] * len(p_direct))
+    row_format = "  ".join(["%12.4f"] * len(p))
     table = f"covariance route gap {gap:.3e}\n"
-    table += "\n".join(row_format % tuple(row) for row in p_direct.tolist())
-    return results, 0, table
+    return table + "\n".join(row_format % tuple(row) for row in p.tolist())
 
 
 def _cmd_purity(run: Pipeline) -> Reply:
@@ -634,28 +647,34 @@ COMMANDS: dict[str, Callable[[Pipeline], Reply]] = {
 
 
 def _write_outputs(run: Pipeline, report: dict[str, Any]) -> None:
+    """Write the report and the command's files as strict JSON and CSV.
+    Every document is encoded before any file is written, so a non-finite
+    value raises FloatingPointError and leaves no report."""
+    try:
+        # no indent: json's C encoder, which writes floats by the same repr
+        texts = {"report.json": json.dumps(report, sort_keys=True, allow_nan=False)}
+        for name, doc in run.extra_files.items():
+            texts[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"result is not finite: {exc}") from exc
     run.out.mkdir(parents=True, exist_ok=True)
-    # no indent: json's C encoder, which writes floats by the same repr
-    (run.out / "report.json").write_text(json.dumps(report, sort_keys=True))
+    for name, text in texts.items():
+        (run.out / name).write_text(text)
     for name, (header, rows) in run.csv_series.items():
         lines = [header, *(",".join(repr(x) for x in row) for row in rows)]
         (run.out / name).write_text("\n".join(lines) + "\n")
-    for name, doc in run.extra_files.items():
-        (run.out / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _emit(run: Pipeline, results: dict[str, Any], table: str, fmt: str) -> None:
+def _emit(run: Pipeline, results: dict[str, Any], table: str | Callable[[], str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps({"results": results, "provenance": run.provenance}, indent=2, sort_keys=True))
-    elif fmt == "csv":
+    elif fmt == "csv" and run.csv_series:
         for name, (_, rows) in run.csv_series.items():
             print(f"# {name}")
             for row in rows:
                 print(",".join(repr(x) for x in row))
-        if not run.csv_series:
-            print(table)
     else:
-        print(table)
+        print(table() if callable(table) else table)
 
 
 @functools.lru_cache(maxsize=1)
@@ -680,13 +699,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         spec = load_spec(ns.spec)
         run = Pipeline(spec, RunFlags.from_spec(spec, ns), ns.out)
         results, code, table = COMMANDS[ns.command](run)
+        report = {"command": ns.command, "provenance": run.provenance, "results": results}
+        _write_outputs(run, report)
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (QCascadeError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(run, {"command": ns.command, "provenance": run.provenance, "results": results})
     _emit(run, results, table, ns.format)
     return code
 

@@ -23,6 +23,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
 from .linalg import (
+    CascadeSchur,
     Matrix,
     cascade_schur,
     dense_schur,
@@ -116,11 +117,16 @@ def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:
     factor of the cascade. Agrees with the direct route to round-off.
     """
     cascade.require_hurwitz()
-    factor = cascade_schur(cascade.a, cascade.dims)
+    return _recursive_covariance(cascade, cascade_schur(cascade.a, cascade.dims))
+
+
+def _recursive_covariance(cascade: CascadeModel, factor: CascadeSchur) -> Matrix:
+    """The recursion of :func:`invariant_covariance_recursive` on a given
+    :func:`cascade_schur` factor of a stable cascade."""
+    offs = np.cumsum((0, *cascade.dims)).tolist()
     p = np.zeros((cascade.n, cascade.n))
     for k, rk in enumerate(cascade.realizations):
-        blk = cascade.block(k)
-        lead = slice(0, cascade.offset(k))
+        blk, lead = slice(offs[k], offs[k + 1]), slice(0, offs[k])
         c_lead = cascade.c[:, lead]
         if k:
             q_k = solve_cascade_sylvester(

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .covariance import (
     _cholesky,
+    _recursive_covariance,
     invariant_covariance_direct,
-    invariant_covariance_recursive,
     log_det_stack,
     steady_state,
 )
@@ -89,14 +90,17 @@ def observability_gramian_and_hankelian(
     return q, q @ p_full
 
 
-def _mu_coupling_terms(cascade: CascadeModel, k: int, h_cols: Matrix, m_theta: Matrix) -> Matrix:
-    """Common 8 J (...) part of the coupling gradient.
+def _mu_coupling_terms(
+    cascade: CascadeModel, k: int, off: int, h_cols: Matrix, m_theta: Matrix
+) -> Matrix:
+    """Common 8 J (...) part of the coupling gradient of oscillator k at
+    state offset ``off``.
 
     ``h_cols`` holds the first n_k columns of the relevant Hankelian-like
     matrix, rows running over oscillators k..N; ``m_theta`` is the
     composite [M_j Theta_j]_j, so the sum over j > k is one product.
     """
-    nk, off = cascade.dims[k], cascade.offset(k)
+    nk = cascade.dims[k]
     acc = cascade.params[k].m_coupling @ antisymmetric_part(
         cascade.params[k].theta @ h_cols[:nk, :]
     )
@@ -127,7 +131,7 @@ def purity_gradients_direct(
         theta_k = cascade.params[k].theta
         rho.append(-4.0 * symmetric_part(theta_k @ h[blk, blk]))
         mu_k = 4.0 * cascade.b.T @ q[:, blk] @ theta_k
-        mu_k += _mu_coupling_terms(cascade, k, h[off:, blk], m_theta)
+        mu_k += _mu_coupling_terms(cascade, k, off, h[off:, blk], m_theta)
         mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
         mu.append(-mu_k)
     return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q, hankelian=h)
@@ -142,35 +146,39 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     accounts for the dependence of the leading covariance on oscillator
     k, reproduces the direct gradients. All of it is read off the one
     Cholesky factor P = L L^T that :func:`steady_state` takes of the
-    recursive P (:func:`invariant_covariance_recursive`): the tail
-    covariance is L_tt L_tt^T, the effective input L_tt Z_t with
+    recursive P (the route of :func:`invariant_covariance_recursive`):
+    the tail covariance is L_tt L_tt^T, the effective input L_tt Z_t with
     Z = L^{-1} B, and a leading-block solve is triangular on a slice of
     L. As the inverse tail covariance is the trailing block of P^{-1} and
     A^T is block upper triangular, every tail Gramian is the trailing
-    block of one Gramian with forcing P^{-1}. All solves run on sub-blocks
-    of one structured Schur factor of the cascade.
+    block of one Gramian with forcing P^{-1}. All solves, those of P
+    included, run on sub-blocks of one structured Schur factor of the
+    cascade, and the triangular ones are direct LAPACK calls.
     """
     cascade.require_hurwitz()
-    steady = steady_state(cascade, invariant_covariance_recursive(cascade))
     factor = cascade_schur(cascade.a, cascade.dims)
+    steady = steady_state(cascade, _recursive_covariance(cascade, factor))
     p, chol = steady.p_full, steady.chol
     whole = slice(0, cascade.n)
-    p_inv = symmetric_part(cho_solve((chol, True), np.eye(cascade.n)))
+    p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(cascade.n), lower=1))
     q_full = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
-    z = solve_triangular(chol, cascade.b, lower=True)
+    z = _lapack_solve(dtrtrs, chol, cascade.b, lower=1)
     m_theta = cascade.m_coupling @ cascade.theta
+    offs = np.cumsum((0, *cascade.dims)).tolist()
     rho: list[Matrix] = []
     mu: list[Matrix] = []
     for k in range(cascade.n_oscillators):
-        off, nk, theta_k = cascade.offset(k), cascade.dims[k], cascade.params[k].theta
+        off, nk, theta_k = offs[k], cascade.dims[k], cascade.params[k].theta
         l_tail = chol[off:, off:]
         b_tilde = l_tail @ z[off:]
         q_tail = q_full[off:, off:]
         h_cols = q_tail @ (l_tail[:, :nk] @ l_tail[:nk, :nk].T)
         mu_k = 4.0 * b_tilde.T @ q_tail[:, :nk] @ theta_k
         if k > 0:
-            # P_lead^{-1} B_lead = L_lead^{-T} Z_lead
-            w = solve_triangular(chol[:off, :off], z[:off] @ b_tilde.T, lower=True, trans="T")
+            # P_lead^{-1} B_lead = L_lead^{-T} Z_lead, solved as the upper
+            # triangular system of L_lead^T (a leading block of the Fortran-
+            # ordered L is not contiguous), the call solve_triangular makes
+            w = _lapack_solve(dtrtrs, chol[:off, :off].T, z[:off] @ b_tilde.T)
             y = solve_cascade_sylvester(
                 factor, slice(off, cascade.n), slice(0, off), q_tail @ w.T, transpose=True
             )
@@ -178,9 +186,20 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
             c_p = cascade.c[:, :off] @ p[:off, :off] + cascade.b[:off].T
             mu_k -= 4.0 * c_p @ y[:nk, :].T @ theta_k
         rho.append(-4.0 * symmetric_part(theta_k @ h_cols[:nk, :]))
-        mu_k += _mu_coupling_terms(cascade, k, h_cols, m_theta)
+        mu_k += _mu_coupling_terms(cascade, k, off, h_cols, m_theta)
         mu.append(-mu_k)
     return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q_full, hankelian=q_full @ p)
+
+
+def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
+    """x from a LAPACK ``dtrtrs`` or ``dpotrs`` call on a triangular factor;
+    SolverSingular on a non-finite operand or a nonzero ``info``."""
+    if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
+        raise SolverSingular(f"{routine.__name__}: an operand has a non-finite entry")
+    x, info = routine(factor, rhs, **flags)
+    if info != 0:
+        raise SolverSingular(f"{routine.__name__}: info {info}")
+    return x
 
 
 def _signed_stack(cascade: CascadeModel, k: int, basis: np.ndarray) -> CascadeStack:

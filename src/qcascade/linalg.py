@@ -8,9 +8,12 @@ symplectic membership and quantum admissibility.
 Every production Sylvester solve is a certified Schur (Bartels-Stewart)
 solve: one ``dtrsyl`` call on a real Schur factor of a^T, taken either
 by one QR iteration on the whole matrix (:func:`dense_schur`) or, for
-cascades, whose dynamics matrices are block lower triangular, from the
-diagonal blocks (:func:`cascade_schur`), whose sub-blocks serve the
-recursive routes. :func:`solve_sylvester` wraps scipy's solver for
+cascades, whose dynamics matrices are block lower triangular, from one
+LAPACK ``dgees`` call per diagonal block (:func:`cascade_schur`), whose
+sub-blocks serve the recursive routes. Those routes take one such factor
+per call and call LAPACK directly, so a per-oscillator step costs its
+triangular solves and their certificates, not scipy's wrappers.
+:func:`solve_sylvester` wraps scipy's solver for
 general pairs of matrices. :func:`solve_cascade_lyapunov` solves stacks
 of cascade Lyapunov equations by block forward substitution, each step
 between two one-mode blocks in closed form. Its stacks are stack-last,
@@ -150,9 +153,10 @@ def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix)
     alpha*s + s*beta^T + gamma = 0 to a Frobenius residual within
     ``RESIDUAL_TOL`` of ||alpha|| ||sigma|| + ||sigma|| ||beta|| + ||gamma||."""
     residual = np.linalg.norm(alpha @ sigma + sigma @ beta.T + gamma)
+    sigma_norm = np.linalg.norm(sigma)
     scale = (
-        np.linalg.norm(alpha) * np.linalg.norm(sigma)
-        + np.linalg.norm(sigma) * np.linalg.norm(beta)
+        np.linalg.norm(alpha) * sigma_norm
+        + sigma_norm * np.linalg.norm(beta)
         + np.linalg.norm(gamma)
     )
     if not residual <= RESIDUAL_TOL * max(scale, np.finfo(float).tiny):
@@ -215,10 +219,15 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
     orthogonal w = blockdiag(W_k) makes s = w^T a^T w upper
     quasi-triangular in LAPACK's standard form, and every principal
     sub-block of s on oscillator boundaries is a real Schur form of the
-    same sub-block of a^T (Jonsson and Kagstrom, 2002). Raises
-    ValueError if a block above the diagonal is nonzero.
+    same sub-block of a^T (Jonsson and Kagstrom, 2002). Each W_k, S_k
+    comes from one unsorted LAPACK ``dgees`` call, the factorization
+    ``scipy.linalg.schur`` makes, without its per-call wrapper. Raises
+    ValueError if a block above the diagonal is nonzero, SolverSingular
+    if ``a`` has a non-finite entry or a block's QR iteration fails.
     """
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise SolverSingular("a has a non-finite entry")
     offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     block_id = np.repeat(np.arange(len(dims)), dims)
     upper = block_id[:, None] < block_id[None, :]
@@ -226,11 +235,18 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
         raise ValueError("a has a nonzero block above the diagonal")
     w = np.zeros_like(a)
     s = np.zeros_like(a)
-    for lo, hi in zip(offs[:-1], offs[1:]):
-        s_k, w_k = scipy.linalg.schur(a[lo:hi, lo:hi].T, output="real")
+    gees = scipy.linalg.lapack.dgees
+    for k, (lo, hi) in enumerate(zip(offs[:-1], offs[1:])):
+        s_k, _, _, _, w_k, _, info = gees(_no_sort, a[lo:hi, lo:hi].T)
+        if info != 0:
+            raise SolverSingular(f"Schur factorization of oscillator {k} failed: info {info}")
         s[lo:hi, lo:hi], w[lo:hi, lo:hi] = s_k, w_k
     s[upper] = (w.T @ a.T @ w)[upper]
     return CascadeSchur(a=a, w=w, s=s)
+
+
+def _no_sort(wr: float, wi: float) -> None:
+    """Eigenvalue selector of an unsorted ``dgees`` call, never called."""
 
 
 def dense_schur(a: Matrix) -> CascadeSchur:

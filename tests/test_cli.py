@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcascade.cli
+
 from conftest import GENERATED_SPEC
 from qcascade.cli import (
     RunFlags,
@@ -276,6 +278,27 @@ class TestCommands:
         gap = f"covariance route gap {results['route_gap']:.3e}"
         assert capsys.readouterr().out == f"{gap}\n{rows}\n"
 
+    def test_covariance_table_is_formatted_only_when_printed(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        table = qcascade.cli._covariance_table
+
+        def spy(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(qcascade.cli, "_covariance_table", spy)
+        argv = ["covariance", str(GENERATED_SPEC), "--out", str(tmp_path)]
+        assert main([*argv, "--format", "json"]) == 0
+        assert calls == []
+        json.loads(capsys.readouterr().out)
+        # the default format prints the table, byte for byte the entrywise text
+        assert main(argv) == 0
+        assert len(calls) == 1
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        rows = "\n".join("  ".join(_fmt4(x) for x in row) for row in results["p_direct"])
+        gap = f"covariance route gap {results['route_gap']:.3e}"
+        assert capsys.readouterr().out == f"{gap}\n{rows}\n"
+
     def test_balance_artifacts(self, tmp_path, paper_spec):
         code = main(["balance", str(paper_spec.source), "--out", str(tmp_path)])
         assert code == 0
@@ -498,6 +521,59 @@ class TestExitCodes:
         path = write_spec(tmp_path, unstable_doc)
         assert main(["covariance", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "weight, shown", [("abc", "could not convert"), (float("nan"), "finite and nonnegative")]
+    )
+    def test_uncertainty_weight_must_be_a_finite_number(self, weight, shown, tmp_path, capsys):
+        doc = read_example()
+        doc["uncertainty"][1] = {"a": weight, "b": 1.0}
+        path = write_spec(tmp_path, doc)  # json writes NaN, which json.loads accepts
+        out = tmp_path / "out"
+        assert main(["validate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error: uncertainty[1]" in err and shown in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, entry, bad",
+        [
+            ("R", (0, 1), float("nan")),
+            ("M", (1, 0), float("inf")),
+            ("theta", (0, 1), float("nan")),
+            ("sigma", (2, 2), float("-inf")),
+        ],
+    )
+    def test_non_finite_matrix_entry_is_one(self, field, entry, bad, tmp_path, capsys):
+        doc = read_example()
+        if field == "sigma":
+            nk, m = 2, doc["field_channels"]
+            target = doc["uncertainty"][1] = {"sigma": np.eye(nk * (nk + 1) // 2 + m * nk).tolist()}
+            where = "uncertainty[1].sigma"
+        else:
+            target = doc["oscillators"][1]
+            target.setdefault("theta", [[0.0, 0.5], [-0.5, 0.0]])
+            where = f"oscillators[1].{field}"
+        target[field][entry[0]][entry[1]] = bad
+        path = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {where}: entries must be finite" in err
+        written = list(out.rglob("*")) if out.exists() else []
+        assert not any("NaN" in f.read_text() for f in written if f.is_file())
+
+    def test_non_finite_result_is_two_and_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        # report.json is strict JSON: NaN and Infinity are not JSON values
+        monkeypatch.setitem(
+            qcascade.cli.COMMANDS, "purity", lambda run: ({"v_logdet": float("nan")}, 0, "table")
+        )
+        out = tmp_path / "out"
+        assert main(["purity", str(GENERATED_SPEC), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "numerical error: result is not finite" in captured.err
+        assert captured.out == ""
+        assert not (out / "report.json").exists()
+
     def test_unknown_command_is_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate", str(GENERATED_SPEC)])
@@ -519,6 +595,9 @@ class TestExitCodes:
             (["mc-check"], {"epsilon": -1}),
             (["balance", "--seed", "-1"], {}),
             (["mc-check"], {"options": {"seed": -3}}),
+            (["mc-check", "--epsilon", "inf"], {}),
+            (["covariance", "--tol-residual", "inf"], {}),
+            (["gradients"], {"options": {"fd_step": float("inf")}}),
         ],
     )
     def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 import qcascade.covariance
 import qcascade.gradients
@@ -14,8 +15,9 @@ from conftest import (
     random_blockdiag_symplectic,
 )
 from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
-from qcascade.errors import NotHurwitz, NotSymplectic
+from qcascade.errors import NotHurwitz, NotSymplectic, SolverSingular
 from qcascade.gradients import (
+    _lapack_solve,
     covariance_derivatives,
     gradient_fd_oracle,
     observability_gramian_and_hankelian,
@@ -134,13 +136,43 @@ class TestRouteAgreement:
 
             return wrapped
 
+        gees = scipy.linalg.lapack.dgees
+
+        def spy_gees(select, x, *args, **kwargs):
+            orders.append(np.shape(x)[0])
+            return gees(select, x, *args, **kwargs)
+
         monkeypatch.setattr(scipy.linalg, "schur", spy(scipy.linalg.schur))
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", spy_gees)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy(scipy.linalg.solve_sylvester))
         monkeypatch.setattr(np.linalg, "eigvals", spy(np.linalg.eigvals))
         invariant_covariance_recursive(cascade)
         purity_gradients_recursive(cascade)
         assert orders
         assert max(orders) <= max(cascade.dims)
+
+    def test_recursive_route_factors_each_block_once(self, monkeypatch):
+        # one structured Schur factor per call serves the recursive P and
+        # the gradients alike: one dgees call per oscillator
+        cascade = make_passive_chain(np.random.default_rng(1616), 16)
+        orders = []
+        gees = scipy.linalg.lapack.dgees
+
+        def spy_gees(select, x, *args, **kwargs):
+            orders.append(np.shape(x))
+            return gees(select, x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", spy_gees)
+        purity_gradients_recursive(cascade)
+        assert orders == [(2, 2)] * cascade.n_oscillators
+
+    def test_triangular_solves_refuse_non_finite_and_singular(self):
+        with pytest.raises(SolverSingular, match="non-finite"):
+            _lapack_solve(dtrtrs, np.eye(2), np.array([[np.nan], [0.0]]))
+        with pytest.raises(SolverSingular, match="non-finite"):
+            _lapack_solve(dpotrs, np.diag([1.0, np.inf]), np.eye(2), lower=1)
+        with pytest.raises(SolverSingular, match="dtrtrs: info 2"):
+            _lapack_solve(dtrtrs, np.diag([1.0, 0.0]), np.ones((2, 1)))
 
     def test_recursive_route_factors_p_once(self, monkeypatch):
         # every tail Gramian is a trailing block of one Gramian with forcing

@@ -324,16 +324,19 @@ class TestOneModeStep:
         assert np.all(np.isinf(certificate))
 
 
+SCHUR_CHAINS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: make_cascade(rng, 5, 2),
+        lambda rng: make_cascade(rng, 5, 6),
+        make_mixed_cascade,
+    ],
+    ids=["one_mode_m2", "one_mode_m6", "mixed_2_4_2"],
+)
+
+
 class TestCascadeSchur:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda rng: make_cascade(rng, 5, 2),
-            lambda rng: make_cascade(rng, 5, 6),
-            make_mixed_cascade,
-        ],
-        ids=["one_mode_m2", "one_mode_m6", "mixed_2_4_2"],
-    )
+    @SCHUR_CHAINS
     def test_factor_is_a_real_schur_form(self, build):
         cascade = build(np.random.default_rng(5150))
         a = cascade.a
@@ -353,6 +356,30 @@ class TestCascadeSchur:
             assert s[i, i + 1] * s[i + 1, i] < 0.0
             assert block_id[i] == block_id[i + 1]
         assert np.linalg.norm(w @ s @ w.T - a.T) <= 1e-14 * np.linalg.norm(a)
+
+    @SCHUR_CHAINS
+    def test_factor_is_the_per_block_scipy_schur(self, build):
+        # oracle: the same construction with one scipy.linalg.schur call per
+        # diagonal block; the direct dgees calls must agree to the bit
+        cascade = build(np.random.default_rng(5150))
+        a, dims = cascade.a, cascade.dims
+        offs = np.concatenate([[0], np.cumsum(dims)])
+        block_id = np.repeat(np.arange(len(dims)), dims)
+        upper = block_id[:, None] < block_id[None, :]
+        w, s = np.zeros_like(a), np.zeros_like(a)
+        for lo, hi in zip(offs[:-1], offs[1:]):
+            s[lo:hi, lo:hi], w[lo:hi, lo:hi] = scipy.linalg.schur(a[lo:hi, lo:hi].T, output="real")
+        s[upper] = (w.T @ a.T @ w)[upper]
+        factor = cascade_schur(a, dims)
+        assert factor.w.tobytes() == w.tobytes()
+        assert factor.s.tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_refused(self, bad):
+        a = make_cascade(np.random.default_rng(5), 3, 2).a.copy()
+        a[3, 1] = bad
+        with pytest.raises(SolverSingular, match="non-finite"):
+            cascade_schur(a, (2, 2, 2))
 
     def test_marginal_spectra_are_refused(self):
         # the two sides share the spectrum {i, -i}: no unique solution
