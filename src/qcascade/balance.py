@@ -30,6 +30,8 @@ from .sensitivity import UncertaintyModel
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 FALLBACK_MAX_EVALS = 128
+#: random symplectic probes per oscillator that certify a balancing optimum
+BALANCE_PROBES = 1000
 
 
 def f_lambda(z: float, lam: float) -> float:
@@ -262,16 +264,15 @@ def balance_cascade(
     cascade: CascadeModel,
     gradients: GradientSet,
     uncertainty: UncertaintyModel,
-    probes: int = 1000,
     seed: int = 7,
 ) -> CascadeBalanceReport:
     """Balance every oscillator of a one-mode-per-oscillator cascade.
 
     Each mode is minimized independently; ratios compare the weighted
-    index before and after. Random symplectic probes certify that no
-    sampled transform beats the closed-form optimum. The transformed
-    cascade is assembled so that callers can re-derive the gradients
-    from scratch and close the loop.
+    index before and after. ``BALANCE_PROBES`` random symplectic probes
+    per oscillator certify that no sampled transform beats the
+    closed-form optimum. The transformed cascade is assembled so that
+    callers can re-derive the gradients from scratch and close the loop.
     """
     if any(d != 2 for d in cascade.dims):
         raise NotOneMode(f"cascade has mode orders {cascade.dims}, expected all 2")
@@ -284,7 +285,7 @@ def balance_cascade(
     rng = np.random.default_rng(seed)
     violations = 0
     for problem, res in zip(problems, results):
-        h = rng.standard_normal((probes, 2, 2))
+        h = rng.standard_normal((BALANCE_PROBES, 2, 2))
         psi = probe_psi(problem, 0.5 * (h + h.transpose(0, 2, 1)))
         violations += int(np.count_nonzero(psi < res.psi_after * (1 - 1e-9)))
 

@@ -19,9 +19,9 @@ mc-check, ti-bounds, reproduce-paper. A command is a view over one
 :class:`Pipeline` per run, whose stages (cascade, P, gradients, balancing)
 are each computed at most once. Every run writes ``report.json``, strict
 JSON, into the output directory; some commands add CSV series or a
-balanced spec. Exit codes: 0 success, 1 validation failure, 2 numerical
-failure, a non-finite result included. Results are deterministic for a
-fixed input file and seed.
+balanced spec. Exit codes: 0 success, 1 validation failure, a usage error
+included, 2 numerical failure, a non-finite result included. Results are
+deterministic for a fixed input file and seed.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
 from . import __version__
 from .balance import CascadeBalanceReport, _h_and_slope, balance_cascade
 from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
-from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
+from .errors import DimensionMismatch, NonPositive, ParseError, QCascadeError, SchemaError, SingularTheta
 from .gradients import (
     GradientSet,
     gradient_fd_oracle,
@@ -60,6 +60,7 @@ from .oscillator import (
 from .sensitivity import (
     UncertaintyModel,
     OscillatorUncertainty,
+    _sigma_sqrt,
     fisher_sensitivity,
     monte_carlo_variance,
     psi_transformed,
@@ -114,10 +115,23 @@ def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
 
 
 def _convert(value: Any, kind: type, where: str) -> Any:
+    """A spec entry or a flag's text as a number of type ``kind``: a bool is
+    refused, and an integer setting takes only a finite whole number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError(f"expected a number, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected a whole number, got {value!r}")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _symmetrized(mat: np.ndarray, path: str) -> np.ndarray:
+    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+    if asym > 1e-9:
+        raise SchemaError(f"{path}: asymmetry {asym:.3e} exceeds 1e-9")
+    return 0.5 * (mat + mat.T)
 
 
 def load_spec(path: str | Path) -> CascadeSpecFile:
@@ -125,8 +139,10 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
 
     Defaulting rules: missing theta becomes the canonical half form of
     the right order, and a given one must pass assembly's theta check;
-    missing epsilon becomes 1e-6. The energy matrix is symmetrized after
-    checking that its asymmetry stays below 1e-9. Matrix entries and
+    missing epsilon becomes 1e-6. The energy matrix and an uncertainty
+    covariance are symmetrized after checking that their asymmetry stays
+    below 1e-9, and the covariance must pass the eigenvalue floor of the
+    Monte-Carlo sampler (``_sigma_sqrt``). Matrix entries and
     uncertainty weights must be finite numbers, which json's NaN and
     Infinity are not. A key outside the schema raises
     :class:`SchemaError` instead of being ignored, so a misspelt key
@@ -161,13 +177,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
         n = entry.get("n")
         if not isinstance(n, int) or n <= 0 or n % 2:
             raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
-        r = _as_matrix(entry.get("R"), f"{where}.R", (n, n))
-        asym = float(np.max(np.abs(r - r.T))) if r.size else 0.0
-        if asym > 1e-9:
-            raise SchemaError(
-                f"{where}.R: asymmetry {asym:.3e} exceeds 1e-9"
-            )
-        r = 0.5 * (r + r.T)
+        r = _symmetrized(_as_matrix(entry.get("R"), f"{where}.R", (n, n)), f"{where}.R")
         mat = _as_matrix(entry.get("M"), f"{where}.M", (m, n))
         if "theta" in entry:
             theta = _as_matrix(entry["theta"], f"{where}.theta", (n, n))
@@ -194,7 +204,12 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             if "sigma" in entry:
                 nk = oscillators[k].n
                 d = nk * (nk + 1) // 2 + m * nk
-                sigma = _as_matrix(entry["sigma"], f"{where}.sigma", (d, d))
+                label = f"{where}.sigma"
+                sigma = _symmetrized(_as_matrix(entry["sigma"], label, (d, d)), label)
+                try:
+                    _sigma_sqrt(sigma)  # the sampler's eigenvalue floor
+                except NonPositive as exc:
+                    raise SchemaError(f"{label}: {exc}") from exc
                 entries.append(OscillatorUncertainty(sigma=sigma))
             elif "a" in entry and "b" in entry:
                 a_val, b_val = (
@@ -266,8 +281,9 @@ class RunFlags:
         in_spec = {"epsilon": spec.epsilon, **spec.options}
         values = {}
         for key, kind in RUN_SETTINGS.items():
-            if getattr(ns, key) is not None:
-                values[key] = getattr(ns, key)
+            flag = getattr(ns, key)
+            if flag is not None:
+                values[key] = _convert(flag, kind, f"--{key.replace('_', '-')}")
             elif key in in_spec:
                 values[key] = _convert(in_spec[key], kind, f"options.{key}")
         return cls(**values)
@@ -311,6 +327,9 @@ class Pipeline:
     @functools.cached_property
     def balance(self) -> CascadeBalanceReport:
         cascade, uncertainty = self.cascade, self.uncertainty  # refuse before any solve
+        for k, entry in enumerate(uncertainty.oscillators):
+            if entry.sigma is not None:
+                raise SchemaError(f"uncertainty[{k}]: balancing needs weights 'a' and 'b', not 'sigma'")
         return balance_cascade(cascade, self.grads, uncertainty, seed=self.flags.seed)
 
     @property
@@ -677,17 +696,24 @@ def _emit(run: Pipeline, results: dict[str, Any], table: str | Callable[[], str]
         print(table() if callable(table) else table)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """A usage error is a validation error: exit code 1, not argparse's 2."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"validation error: {message}\n")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcascade",
         description="Steady-state, sensitivity and balancing analyses of "
         "cascaded oscillator models described by spec files.",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("spec", help="path to a cascade spec file (JSON)")
-    for key, kind in RUN_SETTINGS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", type=kind, default=None, dest=key)
+    for key in RUN_SETTINGS:  # the text is converted with the spec's options, by _convert
+        parser.add_argument(f"--{key.replace('_', '-')}", default=None, dest=key)
     parser.add_argument("--out", type=Path, default=Path("."))
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
     return parser

@@ -15,13 +15,13 @@ by subtraction, as test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from .errors import NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
+from .errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
 from .linalg import (
     CascadeSchur,
     Matrix,
@@ -146,7 +146,6 @@ def _recursive_covariance(cascade: CascadeModel, factor: CascadeSchur) -> Matrix
 class SchurSplit:
     pi_k: tuple[Matrix, ...]
     pi_tail_k: tuple[Matrix, ...]
-    t_k: tuple[Matrix, ...]
 
 
 def schur_complements(p_full: Matrix, dims: Sequence[int]) -> SchurSplit:
@@ -164,7 +163,6 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> SchurSplit:
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     pi_k: list[Matrix] = [p_full[: dims[0], : dims[0]].copy()]
     pi_tail: list[Matrix] = [p_full.copy()]
-    t_k: list[Matrix] = [np.zeros((n, 0))]
     for k in range(1, len(dims)):
         off = offsets[k]
         lead = p_full[:off, :off]
@@ -179,9 +177,8 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> SchurSplit:
         tail = p_full[off:, off:] - t @ q_tail.T
         tail = 0.5 * (tail + tail.T)
         pi_tail.append(tail)
-        t_k.append(t)
         pi_k.append(tail[: dims[k], : dims[k]].copy())
-    return SchurSplit(pi_k=tuple(pi_k), pi_tail_k=tuple(pi_tail), t_k=tuple(t_k))
+    return SchurSplit(pi_k=tuple(pi_k), pi_tail_k=tuple(pi_tail))
 
 
 def schur_tail_step(pi_tail_prev: Matrix, n_prev: int) -> Matrix:
@@ -269,81 +266,41 @@ def steady_state(cascade: CascadeModel, p_full: Matrix | None = None) -> SteadyS
     )
 
 
-def _simpson_panel(
-    f: Callable[[float], np.ndarray],
-    lo: float,
-    hi: float,
-    f_lo: np.ndarray,
-    f_mid: np.ndarray,
-    f_hi: np.ndarray,
-    tol: float,
-    depth: int,
-) -> np.ndarray:
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    f_lm = f(lm)
-    f_rm = f(rm)
-    s_whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    s_left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-    s_right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_hi)
-    refined = s_left + s_right
-    err = np.linalg.norm(refined - s_whole)
-    if err <= 15.0 * tol or depth <= 0:
-        return refined + (refined - s_whole) / 15.0
-    return _simpson_panel(
-        f, lo, mid, f_lo, f_lm, f_mid, 0.5 * tol, depth - 1
-    ) + _simpson_panel(f, mid, hi, f_mid, f_rm, f_hi, 0.5 * tol, depth - 1)
-
-
 def frequency_domain_covariance(
     a: Matrix,
     b: Matrix,
     j_ito: Matrix,
-    rel_tol: float = 1e-8,
-    panels: int = 64,
 ) -> tuple[Matrix, Matrix]:
     """Covariance by frequency-domain quadrature, independent of any
     Lyapunov solver.
 
     Integrates F(i lam) Omega F(i lam)^* / (2 pi) with Omega = I + i J
-    over [-L, L] by adaptive Simpson panels and adds the analytic
-    O(1/lam^2) tail beyond L. Returns (real part, imaginary part); the
-    real part estimates the covariance, the imaginary part the
+    over [-L, L] by scipy's adaptive vector quadrature (``quad_vec``,
+    absolute tolerance 1e-8 max(1, |B B^T|), relative 1e-8) and adds the
+    analytic O(1/lam^2) tail beyond L. A quadrature that misses its
+    tolerance raises NoConvergence. Returns (real part, imaginary part);
+    the real part estimates the covariance, the imaginary part the
     commutation matrix.
     """
-    n = a.shape[0]
     stable, margin = is_hurwitz(a)
     if not stable:
         raise NotHurwitz(f"dynamics matrix has spectral abscissa {margin:.3e}")
     omega = np.eye(j_ito.shape[0]) + 1j * j_ito
     radius = float(np.max(np.abs(np.linalg.eigvals(a))))
     lam_max = 100.0 * max(1.0, radius)
-    eye = np.eye(n)
+    eye = np.eye(len(a))
     b_c = b.astype(complex)
 
     def integrand(lam: float) -> np.ndarray:
         f = np.linalg.solve(1j * lam * eye - a, b_c)
         return (f @ omega @ f.conj().T) / (2.0 * np.pi)
 
-    scale = max(1.0, float(np.linalg.norm(b @ b.T)))
-    tol_total = rel_tol * scale
-    grid = np.linspace(-lam_max, lam_max, panels + 1)
-    values = [integrand(g) for g in grid]
-    total = np.zeros((n, n), dtype=complex)
-    for i in range(panels):
-        lo, hi = grid[i], grid[i + 1]
-        mid = 0.5 * (lo + hi)
-        total += _simpson_panel(
-            integrand,
-            lo,
-            hi,
-            values[i],
-            integrand(mid),
-            values[i + 1],
-            tol_total / panels,
-            depth=28,
-        )
+    from scipy.integrate import quad_vec
+
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(b @ b.T)))
+    total, _, info = quad_vec(integrand, -lam_max, lam_max, epsabs=tol, full_output=True)
+    if not info.success:
+        raise NoConvergence(f"frequency quadrature: {info.message}")
     # |lam| > L: F ~ B / (i lam), even term integrates to 1/(pi L)
     total += (b @ omega @ b.T) / (np.pi * lam_max)
     return np.real(total), np.imag(total)

@@ -31,7 +31,6 @@ from .covariance import (
     _recursive_covariance,
     invariant_covariance_direct,
     log_det_stack,
-    steady_state,
 )
 from .errors import NonPositive, NotHurwitz, NotSymplectic, SolverSingular
 from .linalg import (
@@ -46,26 +45,22 @@ from .linalg import (
     symplectic_residual,
     vech,
 )
-from .oscillator import CascadeModel, CascadeStack, _block_diag, perturbed_cascade_stack
+from .oscillator import CascadeModel, CascadeStack, perturbed_cascade_stack
 
 SYMPLECTIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Per-oscillator gradients of V, plus optional Gramian data.
+    """Per-oscillator gradients of V.
 
     ``rho[k]`` is symmetric of the oscillator order, ``mu[k]`` has the
     coupling shape (field channels x oscillator order) and carries the
-    package orientation mu_k = -dV/dM_k. ``q_gramian`` and
-    ``hankelian`` hold the observability Gramian Q and the product
-    Q P of the full cascade when the producing route computes them.
+    package orientation mu_k = -dV/dM_k.
     """
 
     rho: tuple[Matrix, ...]
     mu: tuple[Matrix, ...]
-    q_gramian: Matrix | None = None
-    hankelian: Matrix | None = None
 
     def d_vector(self, k: int) -> np.ndarray:
         """Stacked [vech rho_k; vec mu_k], columns first."""
@@ -134,7 +129,7 @@ def purity_gradients_direct(
         mu_k += _mu_coupling_terms(cascade, k, off, h[off:, blk], m_theta)
         mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
         mu.append(-mu_k)
-    return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q, hankelian=h)
+    return GradientSet(rho=tuple(rho), mu=tuple(mu))
 
 
 def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
@@ -145,8 +140,9 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     matrix; its Gramian, together with one Sylvester correction that
     accounts for the dependence of the leading covariance on oscillator
     k, reproduces the direct gradients. All of it is read off the one
-    Cholesky factor P = L L^T that :func:`steady_state` takes of the
-    recursive P (the route of :func:`invariant_covariance_recursive`):
+    Cholesky factor P = L L^T of the recursive P (the route of
+    :func:`invariant_covariance_recursive`), the ``dpotrf`` factor that
+    :func:`steady_state` takes, with its refusal naming the oscillator:
     the tail covariance is L_tt L_tt^T, the effective input L_tt Z_t with
     Z = L^{-1} B, and a leading-block solve is triangular on a slice of
     L. As the inverse tail covariance is the trailing block of P^{-1} and
@@ -157,8 +153,8 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     """
     cascade.require_hurwitz()
     factor = cascade_schur(cascade.a, cascade.dims)
-    steady = steady_state(cascade, _recursive_covariance(cascade, factor))
-    p, chol = steady.p_full, steady.chol
+    p = _recursive_covariance(cascade, factor)
+    chol = _cholesky(p, cascade.dims)
     whole = slice(0, cascade.n)
     p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(cascade.n), lower=1))
     q_full = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
@@ -188,7 +184,7 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
         rho.append(-4.0 * symmetric_part(theta_k @ h_cols[:nk, :]))
         mu_k += _mu_coupling_terms(cascade, k, off, h_cols, m_theta)
         mu.append(-mu_k)
-    return GradientSet(rho=tuple(rho), mu=tuple(mu), q_gramian=q_full, hankelian=q_full @ p)
+    return GradientSet(rho=tuple(rho), mu=tuple(mu))
 
 
 def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
@@ -266,32 +262,24 @@ def transform_gradients(
     gradients: GradientSet,
     transforms: Sequence[Matrix],
     thetas: Sequence[Matrix],
-    tol: float = SYMPLECTIC_TOL,
 ) -> GradientSet:
     """Gradients after the symplectic change of variables X_k -> S_k X_k.
 
     The energy gradient maps by congruence S rho S^T, the coupling
-    gradient by mu S^T. Gramian data transforms contragrediently when
-    present.
+    gradient by mu S^T. A transform whose symplectic residual exceeds
+    ``SYMPLECTIC_TOL`` relative to theta raises NotSymplectic.
     """
     if len(transforms) != len(gradients.rho):
         raise ValueError("one transform per oscillator required")
     for k, (s, theta) in enumerate(zip(transforms, thetas)):
         check = symplectic_residual(s, theta)
-        if check.residual > tol * max(1.0, float(np.linalg.norm(theta))):
+        if check.residual > SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(theta))):
             raise NotSymplectic(
                 f"transform {k} has symplectic residual {check.residual:.3e}"
             )
     rho = tuple(s @ r @ s.T for s, r in zip(transforms, gradients.rho))
     mu = tuple(u @ s.T for s, u in zip(transforms, gradients.mu))
-    q_new = None
-    h_new = None
-    if gradients.q_gramian is not None and gradients.hankelian is not None:
-        s_full = _block_diag(transforms)
-        s_inv = np.linalg.inv(s_full)
-        q_new = s_inv.T @ gradients.q_gramian @ s_inv
-        h_new = s_inv.T @ gradients.hankelian @ s_full.T
-    return GradientSet(rho=rho, mu=mu, q_gramian=q_new, hankelian=h_new)
+    return GradientSet(rho=rho, mu=mu)
 
 
 def covariance_derivatives(

@@ -108,8 +108,8 @@ def duplication_matrix(r: int) -> Matrix:
     return ups
 
 
-def is_hurwitz(a: Matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
-    """Stability test. Returns (flag, max real part of the spectrum)."""
+def is_hurwitz(a: Matrix) -> tuple[bool, float]:
+    """Stability test. Returns (max real part < -HURWITZ_TOL, max real part of the spectrum)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix expected, got shape {a.shape}")
@@ -117,7 +117,7 @@ def is_hurwitz(a: Matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
         margin = float(np.max(np.linalg.eigvals(a).real))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigensolve failed: {exc}") from exc
-    return margin < -tol, margin
+    return margin < -HURWITZ_TOL, margin
 
 
 def spectral_abscissa(a: np.ndarray) -> np.ndarray:

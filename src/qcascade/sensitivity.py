@@ -159,16 +159,15 @@ def monte_carlo_variance(
     samples: int = 100_000,
     epsilon: float = 1e-6,
     seed: int = 0,
-    chunk: int = MC_CHUNK,
     p_full: Matrix | None = None,
 ) -> MonteCarloResult:
     """Sample variance of dV against the first-order prediction eps Z.
 
     Draws de_k ~ N(0, eps Sigma_k) independently per oscillator, builds
-    every sample's composite A and B in vectorized chunks with
-    :func:`perturbed_cascade_stack` and solves their Lyapunov equations
-    A P + P A^T + B B^T = 0 together (:func:`log_det_stack`); the sample
-    variance of dV is compared with eps Z. ``p_full`` is the unperturbed
+    every sample's composite A and B in vectorized chunks of ``MC_CHUNK``
+    samples with :func:`perturbed_cascade_stack` and solves their Lyapunov
+    equations A P + P A^T + B B^T = 0 together (:func:`log_det_stack`);
+    the sample variance of dV is compared with eps Z. ``p_full`` is the unperturbed
     P when the caller has it already. Base and samples take ln det P from a
     Cholesky factor; a base P that is not positive definite raises
     NonPositive or SingularLeadingBlock naming the pivot.
@@ -178,8 +177,8 @@ def monte_carlo_variance(
     certificate exceeds ``RESIDUAL_TOL``; more than one percent of
     rejections aborts.
 
-    Results are reproducible for a fixed (seed, samples, chunk) triple;
-    the chunk size takes part in how the random stream is consumed.
+    Results are reproducible for a fixed (seed, samples) pair; the chunk
+    size ``MC_CHUNK`` takes part in how the random stream is consumed.
     """
     if p_full is None:
         p_full = invariant_covariance_direct(cascade)
@@ -197,7 +196,7 @@ def monte_carlo_variance(
     rejected = 0
     done = 0
     while done < samples:
-        s_chunk = min(chunk, samples - done)
+        s_chunk = min(MC_CHUNK, samples - done)
         de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
         logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
         good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)

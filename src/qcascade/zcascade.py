@@ -100,7 +100,6 @@ class TIModel:
 
 @dataclass(frozen=True)
 class ZPoint:
-    z: complex
     a_z: np.ndarray
     b_z: np.ndarray
     c_z: np.ndarray
@@ -124,7 +123,7 @@ def z_domain_matrices(model: TIModel, z: complex) -> ZPoint:
     d_z = z * w * np.eye(model.m)
     abscissa = float(np.max(np.linalg.eigvals(a_z).real))
     return ZPoint(
-        z=z, a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=abscissa < 0.0
+        a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=abscissa < 0.0
     )
 
 
@@ -243,18 +242,15 @@ def _tail_bound(model: TIModel, gnorm: float, z: complex, v: complex, depth: int
     return 2.0 * f2sq / gnorm**2 * tail
 
 
-def cross_covariance_series(
-    model: TIModel, z: complex, v: complex, depth: int | None = None
-) -> np.ndarray:
+def cross_covariance_series(model: TIModel, z: complex, v: complex) -> np.ndarray:
     """Oracle for :func:`cross_covariance`: the block covariances of a
-    finite identical cascade (``depth`` copies, by default the depth of
-    :func:`series_depth_for`) summed with weights z^-j v^-k, plus the
-    commutation sector i Theta / (z v - 1) in closed form."""
+    finite identical cascade (as many copies as :func:`series_depth_for`
+    gives) summed with weights z^-j v^-k, plus the commutation sector
+    i Theta / (z v - 1) in closed form."""
     if model.params is None:
         raise ValueError("series route requires an oscillator-backed model")
     _stable_points(model, z, v)
-    if depth is None:
-        depth = series_depth_for(model, z, v)
+    depth = series_depth_for(model, z, v)
     cascade = assemble_cascade([model.params] * depth)
     p_full = invariant_covariance_direct(cascade)
     n = model.n
@@ -286,8 +282,9 @@ def h2_norm(model: TIModel) -> float:
     return float(np.sqrt(np.trace(model.p)))
 
 
-def h2_norm_quadrature(model: TIModel, rel_tol: float = 1e-8) -> float:
-    """H2 norm by direct frequency integration, solver-independent."""
+def h2_norm_quadrature(model: TIModel) -> float:
+    """H2 norm by direct frequency integration, solver-independent, to an
+    absolute and relative tolerance of 1e-8."""
     a, b = model.a, model.b
     radius = float(np.max(np.abs(np.linalg.eigvals(a))))
     lam_max = 100.0 * max(1.0, radius)
@@ -299,9 +296,7 @@ def h2_norm_quadrature(model: TIModel, rel_tol: float = 1e-8) -> float:
 
     from scipy.integrate import quad
 
-    val, _ = quad(
-        integrand, -lam_max, lam_max, epsabs=rel_tol, epsrel=rel_tol, limit=800
-    )
+    val, _ = quad(integrand, -lam_max, lam_max, epsabs=1e-8, epsrel=1e-8, limit=800)
     val += float(np.linalg.norm(b) ** 2) / (np.pi * lam_max)
     return float(np.sqrt(val))
 

@@ -307,7 +307,7 @@ def test_criterion_10_translation_invariant_family(reference_spec):
     scale = max(1.0, float(np.max(np.abs(sylvester))))
     gap_gen = float(np.max(np.abs(generating - sylvester)))
     depth = series_depth_for(unit, z, v)
-    series = cross_covariance_series(unit, z, v, depth=depth)
+    series = cross_covariance_series(unit, z, v)
     tail = series_tail_bound(unit, z, v, depth)
     gap_series = float(np.max(np.abs(series - sylvester)))
     triple_ok = gap_gen <= 1e-9 * scale and gap_series <= tail + 1e-9 * scale

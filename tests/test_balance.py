@@ -193,7 +193,6 @@ class TestCascadeBalance:
             reference_report.transformed,
             purity_gradients_direct(reference_report.transformed),
             reference_spec.uncertainty,
-            probes=50,
         )
         for ratio in again.ratios:
             assert ratio == pytest.approx(1.0, abs=1e-6)

@@ -598,6 +598,16 @@ class TestExitCodes:
             (["mc-check", "--epsilon", "inf"], {}),
             (["covariance", "--tol-residual", "inf"], {}),
             (["gradients"], {"options": {"fd_step": float("inf")}}),
+            # flags and spec options share one converter: no bool, and an
+            # integer setting takes only a finite whole number
+            (["validate"], {"options": {"seed": 7.9}}),
+            (["validate"], {"options": {"samples": 2.5}}),
+            (["validate"], {"options": {"seed": True}}),
+            (["validate"], {"options": {"epsilon": True}}),
+            (["validate"], {"options": {"kmax": float("inf")}}),  # as the JSON number 1e400 loads
+            (["validate", "--samples", "2.5"], {}),
+            (["validate", "--samples", "abc"], {}),
+            (["validate", "--seed", "nan"], {}),
         ],
     )
     def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):
@@ -609,4 +619,67 @@ class TestExitCodes:
         code = main([argv[0], str(path), "--out", str(out), *argv[1:]])
         assert code == 1
         assert "validation error" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_whole_number_settings_agree_across_sources(self, tmp_path):
+        seeds = []
+        for name, options, argv in (("a", {"seed": 3.0}, []), ("b", {}, ["--seed", "3"])):
+            path = write_spec(tmp_path, {**read_example(), "options": options}, f"{name}.json")
+            out = tmp_path / name
+            assert main(["validate", str(path), "--out", str(out), *argv]) == 0
+            seeds.append(json.loads((out / "report.json").read_text())["provenance"]["seed"])
+        assert seeds == [3, 3] and all(type(s) is int for s in seeds)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "spec", "--bogus", "1"], ["validate", "spec", "--samples"], ["validate"],
+         ["frobnicate", "spec"]],
+    )
+    def test_usage_error_is_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(GENERATED_SPEC) if a == "spec" else a for a in argv])
+        assert exc.value.code == 1
+        assert "validation error: " in capsys.readouterr().err
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["balance", "reproduce-paper"])
+    def test_balancing_refuses_sigma_form_uncertainty(self, command, tmp_path, capsys):
+        doc = {**read_example(), "expected": {}}
+        nk, m = 2, doc["field_channels"]
+        doc["uncertainty"][1] = {"sigma": np.eye(nk * (nk + 1) // 2 + m * nk).tolist()}
+        path = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error: uncertainty[1]: balancing needs weights" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        # the index itself takes the sigma form; only the weight-form bound is absent
+        assert main(["sensitivity", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["provenance"]["input"] == str(path)
+        results = report["results"]
+        assert results["psi_identity"][1] is None and results["psi_identity"][0] is not None
+
+    @pytest.mark.parametrize(
+        "sigma, shown",
+        [
+            (-np.eye(15), "uncertainty covariance has eigenvalue -1.000e+00"),
+            (np.eye(15) + np.triu(1e-6 * np.ones((15, 15)), 1), "asymmetry 1.000e-06 exceeds 1e-9"),
+        ],
+    )
+    def test_uncertainty_sigma_must_be_a_covariance(self, sigma, shown, tmp_path, capsys):
+        doc = read_example()  # m = 6 and one mode: sigma is 15 x 15
+        doc["uncertainty"][2] = {"sigma": sigma.tolist()}
+        path = write_spec(tmp_path, doc)
+        with pytest.raises(SchemaError, match=r"uncertainty\[2\]\.sigma"):
+            load_spec(path)
+        out = tmp_path / "out"
+        assert main(["sensitivity", str(path), "--out", str(out)]) == 1
+        assert f"validation error: uncertainty[2].sigma: {shown}" in capsys.readouterr().err
         assert not (out / "report.json").exists()

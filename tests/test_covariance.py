@@ -23,7 +23,7 @@ from qcascade.covariance import (
     schur_tail_step,
     steady_state,
 )
-from qcascade.errors import NonPositive, NotHurwitz, SingularLeadingBlock
+from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock
 from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, quantum_psd_margin
 from qcascade.oscillator import (
@@ -105,6 +105,17 @@ class TestQuadratureOracle:
         p = invariant_covariance_direct(cascade)
         re_p, _ = frequency_domain_covariance(cascade.a, cascade.b, cascade.j_ito)
         assert np.linalg.norm(re_p - p) <= 1e-6 * np.linalg.norm(p)
+
+    def test_unconverged_quadrature_is_refused(self, reference_spec, monkeypatch):
+        # quad_vec reports a missed tolerance only in its status, never by a warning
+        import scipy.integrate
+
+        real = scipy.integrate.quad_vec
+        capped = lambda *args, **kw: real(*args, **kw, limit=2)  # noqa: E731
+        monkeypatch.setattr(scipy.integrate, "quad_vec", capped)
+        cascade = assemble_cascade(reference_spec.oscillators[:1])
+        with pytest.raises(NoConvergence, match="Target precision not reached"):
+            frequency_domain_covariance(cascade.a, cascade.b, cascade.j_ito)
 
 
 class TestSchur:

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from conftest import (
 from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
 from qcascade.errors import NotHurwitz, NotSymplectic, SolverSingular
 from qcascade.gradients import (
+    GradientSet,
     _lapack_solve,
     covariance_derivatives,
     gradient_fd_oracle,
@@ -62,26 +63,37 @@ class TestGramian:
         np.testing.assert_allclose(q, 0.5 * np.linalg.inv(p), atol=1e-12)
         np.testing.assert_allclose(h, 0.5 * np.eye(4), atol=1e-12)
 
-    def test_reference_equation_residual(self, reference_cascade, reference_gradients):
+    def test_reference_equation_residual(self, reference_cascade):
         p = invariant_covariance_direct(reference_cascade)
-        q = reference_gradients.q_gramian
+        q, _ = observability_gramian_and_hankelian(reference_cascade.a, p)
         res = reference_cascade.a.T @ q + q @ reference_cascade.a + np.linalg.inv(p)
         scale = np.linalg.norm(q) * np.linalg.norm(reference_cascade.a)
         assert np.linalg.norm(res) <= 1e-10 * max(1.0, scale)
 
-    def test_hankelian_spectrum_is_real_positive(self, reference_cascade, reference_gradients):
-        eigs = np.linalg.eigvals(reference_gradients.hankelian)
+    def test_hankelian_spectrum_is_real_positive(self, reference_cascade):
+        p = invariant_covariance_direct(reference_cascade)
+        _, h = observability_gramian_and_hankelian(reference_cascade.a, p)
+        eigs = np.linalg.eigvals(h)
         assert np.max(np.abs(eigs.imag)) <= 1e-9 * np.max(np.abs(eigs))
         assert np.min(eigs.real) > 0.0
 
-    def test_hankelian_similar_to_whitened_gramian(self, reference_cascade, reference_gradients):
+    def test_hankelian_similar_to_whitened_gramian(self, reference_cascade):
         p = invariant_covariance_direct(reference_cascade)
+        q, h = observability_gramian_and_hankelian(reference_cascade.a, p)
         w, v = np.linalg.eigh(p)
         root = (v * np.sqrt(w)) @ v.T
-        sym = root @ reference_gradients.q_gramian @ root
-        got = np.sort(np.linalg.eigvals(reference_gradients.hankelian).real)
+        sym = root @ q @ root
+        got = np.sort(np.linalg.eigvals(h).real)
         want = np.sort(np.linalg.eigvalsh(sym))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_gradient_set_holds_only_the_gradients(reference_cascade):
+    # a gradient route need not compute a Gramian, so a gradient set
+    # carries only the gradients
+    assert [f.name for f in fields(GradientSet)] == ["rho", "mu"]
+    for route in (purity_gradients_direct, purity_gradients_recursive):
+        assert set(vars(route(reference_cascade))) == {"rho", "mu"}
 
 
 class TestRouteAgreement:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import qcascade
 
@@ -15,3 +19,16 @@ def test_all_lists_the_public_names_and_no_modules():
     namespace = {}
     exec("from qcascade import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(exported)
+
+
+def test_importing_the_cli_loads_no_quadrature_or_sparse_module():
+    # every command would pay for importing these at start-up; the
+    # quadrature oracles import scipy.integrate when they run
+    code = (
+        "import sys, qcascade.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))"
+    )
+    src = str(Path(qcascade.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -198,7 +198,7 @@ class TestMonteCarlo:
         assert 0.9 <= res.ratio <= 1.1
         assert res.rejected == 0
 
-    def test_six_oscillator_chain_matches_assembled_samples(self):
+    def test_six_oscillator_chain_matches_assembled_samples(self, monkeypatch):
         # the per-sample route: assemble every perturbed cascade from its
         # parameters, drawn from the same stream in the same order
         rng = np.random.default_rng(606)
@@ -208,9 +208,8 @@ class TestMonteCarlo:
             [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
         )
         eps, samples, chunk = 1e-10, 1024, 512
-        res = monte_carlo_variance(
-            cascade, unc, grads, samples=samples, epsilon=eps, seed=11, chunk=chunk
-        )
+        monkeypatch.setattr("qcascade.sensitivity.MC_CHUNK", chunk)
+        res = monte_carlo_variance(cascade, unc, grads, samples=samples, epsilon=eps, seed=11)
         factors = [
             _sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators
         ]

@@ -99,7 +99,7 @@ class TestCrossCovariance:
         scale = max(1.0, np.max(np.abs(sylvester)))
         assert np.max(np.abs(generating - sylvester)) <= 1e-9 * scale
         depth = series_depth_for(unit_model, z, v)
-        series = cross_covariance_series(unit_model, z, v, depth=depth)
+        series = cross_covariance_series(unit_model, z, v)
         tail = series_tail_bound(unit_model, z, v, depth)
         assert np.max(np.abs(series - sylvester)) <= tail + 1e-9 * scale
 
