@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qcascade.balance import balance_cascade
 from qcascade.cli import build_cascade, load_spec
 from qcascade.covariance import steady_state
-from qcascade.gradients import purity_gradients_direct
 
 # the committed generated cascade; pass examples/paper_sec9.json once transcribed
 DEFAULT_SPEC = Path(__file__).resolve().parent.parent / "tests" / "data" / "cascade_n3_m6.json"
@@ -29,8 +28,7 @@ def main() -> int:
     spec = load_spec(args.spec)
     cascade = build_cascade(spec)
     state = steady_state(cascade)
-    grads = purity_gradients_direct(cascade)
-    report = balance_cascade(cascade, grads, spec.uncertainty)
+    report = balance_cascade(cascade, spec.uncertainty)
 
     print(f"purity {state.purity:.6e}   log-det {state.v_logdet:.6f}")
     print(f"{'osc':>4} {'psi before':>12} {'psi after':>12} {'ratio':>8} {'lambda':>10} {'iters':>6}")

@@ -29,7 +29,7 @@ from .oscillator import (
 from .covariance import (
     SteadyStateResult, frequency_domain_covariance, invariant_covariance_direct,
     invariant_covariance_recursive, purity_and_logdet, schur_complements, schur_tail_step,
-    steady_state,
+    covariance_factor, steady_state,
 )
 from .gradients import (
     GradientSet, covariance_derivatives, gradient_fd_oracle, observability_gramian_and_hankelian,
@@ -65,7 +65,7 @@ __all__ = [
     "oscillator_realization", "perturbed_cascade_stack", "transfer_eval", "transform_params",
     "SteadyStateResult", "frequency_domain_covariance", "invariant_covariance_direct",
     "invariant_covariance_recursive", "purity_and_logdet", "schur_complements", "schur_tail_step",
-    "steady_state",
+    "covariance_factor", "steady_state",
     "GradientSet", "covariance_derivatives", "gradient_fd_oracle",
     "observability_gramian_and_hankelian", "purity_gradients_direct", "purity_gradients_recursive",
     "transform_gradients",

@@ -21,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotOneMode, RankDeficientMu
-from .gradients import GradientSet, transform_gradients
+from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError
+from .gradients import purity_gradients_direct
 from .linalg import J2, Matrix, symmetric_matrix_function
 from .oscillator import CascadeModel, assemble_cascade, transform_params
 from .sensitivity import UncertaintyModel
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-FALLBACK_MAX_EVALS = 128
 #: random symplectic probes per oscillator that certify a balancing optimum
 BALANCE_PROBES = 1000
 
@@ -61,8 +60,9 @@ def solve_multiplier(r: np.ndarray, target: float) -> NewtonResult:
     strictly increasing and convex, and bounded by (lambda/2)^nu, so
     lambda_0 = 2 target^(1/nu) never overshoots the root. The first
     Newton step lands above the root, after which the iteration
-    decreases monotonically. Iterations count evaluations of h. A
-    bracketing bisection takes over if a Newton step leaves (0, inf).
+    decreases monotonically. Iterations count evaluations of h. A slope
+    or a step outside (0, inf), or no convergence in ``NEWTON_MAX_ITER``
+    steps, raises NoConvergence.
     """
     r = np.asarray(r, dtype=float)
     nu = len(r)
@@ -70,10 +70,8 @@ def solve_multiplier(r: np.ndarray, target: float) -> NewtonResult:
         raise RankDeficientMu(f"multiplier target must be positive, got {target}")
     lam = 2.0 * target ** (1.0 / nu)
     iterates = [lam]
-    evals = 0
-    for _ in range(NEWTON_MAX_ITER):
+    for evals in range(1, NEWTON_MAX_ITER + 1):
         h, slope = _h_and_slope(lam, r)
-        evals += 1
         if abs(h - target) <= NEWTON_TOL * target:
             return NewtonResult(
                 multiplier=lam,
@@ -81,45 +79,16 @@ def solve_multiplier(r: np.ndarray, target: float) -> NewtonResult:
                 iterates=tuple(iterates),
                 h_value=h,
             )
-        if slope <= 0 or not np.isfinite(slope):
-            break
-        lam_next = lam + (target - h) / slope
-        if lam_next <= 0 or not np.isfinite(lam_next):
-            break
-        lam = lam_next
+        # tested before dividing: a zero or non-finite slope ends the iteration
+        if not 0.0 < slope < np.inf:
+            raise NoConvergence(f"multiplier slope {slope:.3e} at lambda {lam:.6e}")
+        lam += (target - h) / slope
+        if not 0.0 < lam < np.inf:
+            raise NoConvergence(f"multiplier Newton step left (0, inf): lambda {lam:.6e}")
         iterates.append(lam)
-    else:
-        raise NoConvergence(
-            f"multiplier iteration did not converge in {NEWTON_MAX_ITER} steps"
-        )
-    # bisection fallback from the guaranteed lower bound
-    lo = 2.0 * target ** (1.0 / nu)
-    hi = lo
-    h_hi, _ = _h_and_slope(hi, r)
-    evals += 1
-    while h_hi < target:
-        hi *= 2.0
-        h_hi, _ = _h_and_slope(hi, r)
-        evals += 1
-        if evals > FALLBACK_MAX_EVALS:
-            raise NoConvergence("bracket growth did not enclose the multiplier")
-    while evals <= FALLBACK_MAX_EVALS:
-        mid = 0.5 * (lo + hi)
-        h_mid, _ = _h_and_slope(mid, r)
-        evals += 1
-        iterates.append(mid)
-        if abs(h_mid - target) <= NEWTON_TOL * target:
-            return NewtonResult(
-                multiplier=mid,
-                iterations=evals,
-                iterates=tuple(iterates),
-                h_value=h_mid,
-            )
-        if h_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergence("bisection fallback exhausted its evaluation budget")
+    raise NoConvergence(
+        f"multiplier iteration did not converge in {NEWTON_MAX_ITER} steps"
+    )
 
 
 def newton_lambda(r1: float, r2: float, det_tau: float) -> NewtonResult:
@@ -256,26 +225,30 @@ class CascadeBalanceReport:
     total_after: float
     total_ratio: float
     transformed: CascadeModel
-    transformed_gradients: GradientSet
     probe_violations: int
 
 
 def balance_cascade(
     cascade: CascadeModel,
-    gradients: GradientSet,
     uncertainty: UncertaintyModel,
     seed: int = 7,
 ) -> CascadeBalanceReport:
     """Balance every oscillator of a one-mode-per-oscillator cascade.
 
-    Each mode is minimized independently; ratios compare the weighted
-    index before and after. ``BALANCE_PROBES`` random symplectic probes
-    per oscillator certify that no sampled transform beats the
-    closed-form optimum. The transformed cascade is assembled so that
-    callers can re-derive the gradients from scratch and close the loop.
+    Each mode is minimized independently on the cascade's
+    :func:`purity_gradients_direct`; ratios compare the weighted index
+    before and after. A sigma-form uncertainty entry has no weights and is
+    refused (SchemaError) before any solve. ``BALANCE_PROBES`` random
+    symplectic probes per oscillator certify that no sampled transform
+    beats the closed-form optimum. The transformed cascade is assembled so
+    that callers can re-derive the gradients from scratch and close the loop.
     """
+    for k, entry in enumerate(uncertainty.oscillators):
+        if entry.sigma is not None:
+            raise SchemaError(f"uncertainty[{k}]: balancing needs weights 'a' and 'b', not 'sigma'")
     if any(d != 2 for d in cascade.dims):
         raise NotOneMode(f"cascade has mode orders {cascade.dims}, expected all 2")
+    gradients = purity_gradients_direct(cascade)
     problems = [
         OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
         for rho, mu, unc in zip(gradients.rho, gradients.mu, uncertainty.oscillators)
@@ -293,9 +266,6 @@ def balance_cascade(
     transformed = assemble_cascade(
         [transform_params(p, s) for p, s in zip(cascade.params, transforms)]
     )
-    new_grads = transform_gradients(
-        gradients, transforms, [p.theta for p in cascade.params]
-    )
     before = [res.psi_before for res in results]
     after = [res.psi_after for res in results]
     return CascadeBalanceReport(
@@ -305,7 +275,6 @@ def balance_cascade(
         total_after=float(sum(after)),
         total_ratio=float(sum(after) / sum(before)),
         transformed=transformed,
-        transformed_gradients=new_grads,
         probe_violations=violations,
     )
 

@@ -16,11 +16,12 @@ Keys outside this layout are refused.
 
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
 mc-check, ti-bounds, reproduce-paper. A command is a view over one
-:class:`Pipeline` per run, whose stages (cascade, P, gradients, balancing)
-are each computed at most once. Every run writes ``report.json``, strict
-JSON, into the output directory; some commands add CSV series or a
-balanced spec. Exit codes: 0 success, 1 validation failure, a usage error
-included, 2 numerical failure, a non-finite result included. Results are
+:class:`Pipeline` per run, whose cascade and balancing are each computed
+at most once; P, its factor and the gradients are kept on the cascade by
+their owners. Every run writes ``report.json``, strict JSON, into the
+output directory; some commands add CSV series or a balanced spec. Exit
+codes: 0 success, 1 validation failure, a usage error included, 2
+numerical failure, a non-finite result included. Results are
 deterministic for a fixed input file and seed.
 """
 
@@ -41,14 +42,14 @@ import numpy as np
 from . import __version__
 from .balance import CascadeBalanceReport, _h_and_slope, balance_cascade
 from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
-from .errors import DimensionMismatch, NonPositive, ParseError, QCascadeError, SchemaError, SingularTheta
+from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from .gradients import (
     GradientSet,
     gradient_fd_oracle,
     purity_gradients_direct,
     purity_gradients_recursive,
 )
-from .linalg import quantum_psd_margin
+from .linalg import checked_symmetric_part, quantum_psd_margin
 from .oscillator import (
     CascadeModel,
     OscillatorParams,
@@ -60,7 +61,6 @@ from .oscillator import (
 from .sensitivity import (
     UncertaintyModel,
     OscillatorUncertainty,
-    _sigma_sqrt,
     fisher_sensitivity,
     monte_carlo_variance,
     psi_transformed,
@@ -127,26 +127,18 @@ def _convert(value: Any, kind: type, where: str) -> Any:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _symmetrized(mat: np.ndarray, path: str) -> np.ndarray:
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if asym > 1e-9:
-        raise SchemaError(f"{path}: asymmetry {asym:.3e} exceeds 1e-9")
-    return 0.5 * (mat + mat.T)
-
-
 def load_spec(path: str | Path) -> CascadeSpecFile:
     """Parse and validate a cascade spec file.
 
     Defaulting rules: missing theta becomes the canonical half form of
     the right order, and a given one must pass assembly's theta check;
-    missing epsilon becomes 1e-6. The energy matrix and an uncertainty
-    covariance are symmetrized after checking that their asymmetry stays
-    below 1e-9, and the covariance must pass the eigenvalue floor of the
-    Monte-Carlo sampler (``_sigma_sqrt``). Matrix entries and
-    uncertainty weights must be finite numbers, which json's NaN and
-    Infinity are not. A key outside the schema raises
-    :class:`SchemaError` instead of being ignored, so a misspelt key
-    never falls back to a default.
+    missing epsilon becomes 1e-6. The energy matrix is symmetrized after
+    checking that its asymmetry stays below 1e-9. Each uncertainty entry
+    is built as an :class:`OscillatorUncertainty`, whose refusal becomes a
+    SchemaError naming the entry. Matrix entries and uncertainty weights
+    must be finite numbers, which json's NaN and Infinity are not. A key
+    outside the schema raises SchemaError instead of being ignored, so a
+    misspelt key never falls back to a default.
     """
     path = Path(path)
     try:
@@ -177,7 +169,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
         n = entry.get("n")
         if not isinstance(n, int) or n <= 0 or n % 2:
             raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
-        r = _symmetrized(_as_matrix(entry.get("R"), f"{where}.R", (n, n)), f"{where}.R")
+        r = checked_symmetric_part(_as_matrix(entry.get("R"), f"{where}.R", (n, n)), f"{where}.R: ")
         mat = _as_matrix(entry.get("M"), f"{where}.M", (m, n))
         if "theta" in entry:
             theta = _as_matrix(entry["theta"], f"{where}.theta", (n, n))
@@ -201,27 +193,19 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             if not isinstance(entry, dict):
                 raise SchemaError(f"{where}: must be an object")
             _reject_unknown_keys(entry, UNCERTAINTY_KEYS, where)
+            given: dict[str, Any] = {}
             if "sigma" in entry:
                 nk = oscillators[k].n
                 d = nk * (nk + 1) // 2 + m * nk
-                label = f"{where}.sigma"
-                sigma = _symmetrized(_as_matrix(entry["sigma"], label, (d, d)), label)
-                try:
-                    _sigma_sqrt(sigma)  # the sampler's eigenvalue floor
-                except NonPositive as exc:
-                    raise SchemaError(f"{label}: {exc}") from exc
-                entries.append(OscillatorUncertainty(sigma=sigma))
-            elif "a" in entry and "b" in entry:
-                a_val, b_val = (
-                    _convert(entry[key], float, f"{where}.{key}") for key in ("a", "b")
-                )
-                if not (0.0 <= a_val < np.inf and 0.0 <= b_val < np.inf):
-                    raise SchemaError(f"{where}: weights must be finite and nonnegative")
-                entries.append(
-                    OscillatorUncertainty(energy_weight=a_val, coupling_weight=b_val)
-                )
-            else:
-                raise SchemaError(f"{where}: needs either 'sigma' or both 'a' and 'b'")
+                given["sigma"] = _as_matrix(entry["sigma"], f"{where}.sigma", (d, d))
+            for key, name in (("a", "energy_weight"), ("b", "coupling_weight")):
+                if key in entry:
+                    given[name] = _convert(entry[key], float, f"{where}.{key}")
+            try:  # the type checks the form, the weights and sigma
+                entries.append(OscillatorUncertainty(**given))
+            except QCascadeError as exc:  # a sigma-only entry's refusal is about its sigma
+                label = f"{where}.sigma" if list(given) == ["sigma"] else where
+                raise SchemaError(f"{label}: {exc}") from exc
         uncertainty = UncertaintyModel(oscillators=tuple(entries))
 
     epsilon = _convert(doc.get("epsilon", 1e-6), float, "epsilon")
@@ -295,9 +279,10 @@ RUN_SETTINGS = {f.name: type(f.default) for f in fields(RunFlags)}
 
 @dataclass(frozen=True)
 class Pipeline:
-    """One command run on one spec: the stages of the chain, each computed
-    at most once on first use, and the files the command adds next to
-    ``report.json``."""
+    """One command run on one spec: the cascade and the stages that depend
+    on run settings, each computed at most once on first use, and the
+    files the command adds next to ``report.json``. P, its factor and the
+    gradients are read from their owners, which keep them on the cascade."""
 
     spec: CascadeSpecFile
     flags: RunFlags
@@ -317,20 +302,8 @@ class Pipeline:
         return self.spec.uncertainty
 
     @functools.cached_property
-    def p(self) -> np.ndarray:
-        return invariant_covariance_direct(self.cascade)
-
-    @functools.cached_property
-    def grads(self) -> GradientSet:
-        return purity_gradients_direct(self.cascade, self.p)
-
-    @functools.cached_property
     def balance(self) -> CascadeBalanceReport:
-        cascade, uncertainty = self.cascade, self.uncertainty  # refuse before any solve
-        for k, entry in enumerate(uncertainty.oscillators):
-            if entry.sigma is not None:
-                raise SchemaError(f"uncertainty[{k}]: balancing needs weights 'a' and 'b', not 'sigma'")
-        return balance_cascade(cascade, self.grads, uncertainty, seed=self.flags.seed)
+        return balance_cascade(self.cascade, self.uncertainty, seed=self.flags.seed)
 
     @property
     def provenance(self) -> dict[str, Any]:
@@ -377,9 +350,10 @@ def _cmd_validate(run: Pipeline) -> Reply:
         lines.append(f"unstable oscillators: {unstable}")
         exit_code = 1
     else:
-        margin = quantum_psd_margin(run.p, cascade.theta)
+        p = invariant_covariance_direct(cascade)
+        margin = quantum_psd_margin(p, cascade.theta)
         results["psd_margin"] = float(margin)
-        results["psd_ok"] = bool(margin >= -PSD_TOL * max(1.0, float(np.linalg.norm(run.p))))
+        results["psd_ok"] = bool(margin >= -PSD_TOL * max(1.0, float(np.linalg.norm(p))))
         lines.append(f"admissibility margin {margin:.3e}")
     for h in hurwitz:
         lines.append(
@@ -390,7 +364,7 @@ def _cmd_validate(run: Pipeline) -> Reply:
 
 
 def _cmd_covariance(run: Pipeline) -> Reply:
-    p_direct = run.p
+    p_direct = invariant_covariance_direct(run.cascade)
     gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(run.cascade)))
     results = {
         "p_direct": _listify(p_direct),
@@ -407,7 +381,7 @@ def _covariance_table(gap: float, p: np.ndarray) -> str:
 
 
 def _cmd_purity(run: Pipeline) -> Reply:
-    ss = steady_state(run.cascade, run.p)
+    ss = steady_state(run.cascade)
     results = {
         "purity": ss.purity,
         "v_logdet": ss.v_logdet,
@@ -428,7 +402,7 @@ def _gradient_gap(g1: GradientSet, g2: GradientSet) -> float:
 
 
 def _cmd_gradients(run: Pipeline) -> Reply:
-    direct, fd_step = run.grads, run.flags.fd_step
+    direct, fd_step = purity_gradients_direct(run.cascade), run.flags.fd_step
     gap = _gradient_gap(direct, purity_gradients_recursive(run.cascade))
     fd_gap = _gradient_gap(direct, gradient_fd_oracle(run.cascade, h=fd_step))
     results = {
@@ -447,7 +421,7 @@ def _cmd_gradients(run: Pipeline) -> Reply:
 
 
 def _cmd_sensitivity(run: Pipeline) -> Reply:
-    cascade, uncertainty, grads = run.cascade, run.uncertainty, run.grads
+    cascade, uncertainty, grads = run.cascade, run.uncertainty, purity_gradients_direct(run.cascade)
     index = sensitivity_index(grads, uncertainty)
     psi_id = []
     for k in range(cascade.n_oscillators):
@@ -455,7 +429,7 @@ def _cmd_sensitivity(run: Pipeline) -> Reply:
             psi_id.append(psi_transformed(grads, uncertainty, k, np.eye(cascade.dims[k])))
         except ValueError:
             psi_id.append(None)
-    fisher = fisher_sensitivity(cascade, uncertainty, run.p)
+    fisher = fisher_sensitivity(cascade, uncertainty)
     results = {
         "z_total": index.z_total,
         "z_k": list(index.z_k),
@@ -548,11 +522,9 @@ def _cmd_mc_check(run: Pipeline) -> Reply:
     mc = monte_carlo_variance(
         cascade,
         uncertainty,
-        run.grads,
         samples=flags.samples,
         epsilon=flags.epsilon,
         seed=flags.seed,
-        p_full=run.p,
     )
     in_range = 0.9 <= mc.ratio <= 1.1
     results = {
@@ -617,7 +589,7 @@ def _cmd_reproduce(run: Pipeline) -> Reply:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
     expected = run.spec.expected
     balance_results, _ = _balance_results(run)
-    grads, report = run.grads, run.balance
+    grads, report = purity_gradients_direct(run.cascade), run.balance
     res = report.results
     # expected key -> (check name prefix, computed values, atol, rtol)
     targets = {

@@ -41,15 +41,14 @@ PSD_TOL = 1e-9
 class SteadyStateResult:
     """Invariant covariance together with its Schur-complement split.
 
-    ``chol`` is the lower Cholesky factor L of ``p_full``; ``pi_k[k]`` =
-    L_kk L_kk^T is the conditional covariance of oscillator k given its
-    predecessors, and L_tt L_tt^T, with L_tt the trailing block of L from
-    k on, that of the whole tail. ``v_k[k]`` = 2 sum ln diag L_kk are the
-    per-oscillator log-determinant contributions, summing to ``v_logdet``.
+    With L of :func:`covariance_factor`, ``pi_k[k]`` = L_kk L_kk^T is the
+    conditional covariance of oscillator k given its predecessors, and L_tt
+    L_tt^T, with L_tt the trailing block of L from k on, that of the whole
+    tail. ``v_k[k]`` = 2 sum ln diag L_kk are the per-oscillator
+    log-determinant contributions, summing to ``v_logdet``.
     """
 
     p_full: Matrix
-    chol: Matrix
     pi_k: tuple[Matrix, ...]
     purity: float
     v_logdet: float
@@ -68,10 +67,22 @@ def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
     return p
 
 
+def _keep(cascade: CascadeModel, key: str, value, *arrays: np.ndarray):
+    """``value``, stored on the cascade under ``key``; the ``arrays`` it holds
+    become read-only, so no caller can change what the next one reads."""
+    for x in arrays:
+        x.flags.writeable = False
+    cascade.derived[key] = value
+    return value
+
+
 def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
-    """Steady-state covariance from one Lyapunov solve on the composite."""
+    """Steady-state covariance from one Lyapunov solve on the composite, once per cascade."""
+    if "p" in cascade.derived:
+        return cascade.derived["p"]
     cascade.require_hurwitz()
-    return stationary_covariance(cascade.a, cascade.b)
+    p = stationary_covariance(cascade.a, cascade.b)
+    return _keep(cascade, "p", p, p)
 
 
 def log_det_stack(stack: CascadeStack, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -165,15 +176,8 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> SchurSplit:
     pi_tail: list[Matrix] = [p_full.copy()]
     for k in range(1, len(dims)):
         off = offsets[k]
-        lead = p_full[:off, :off]
         q_tail = p_full[off:, :off]
-        try:
-            factor = cho_factor(lead, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLeadingBlock(
-                f"leading block of order {off} is not positive definite: {exc}"
-            ) from exc
-        t = cho_solve(factor, q_tail.T).T
+        t = cho_solve(_lead_factor(p_full[:off, :off]), q_tail.T).T
         tail = p_full[off:, off:] - t @ q_tail.T
         tail = 0.5 * (tail + tail.T)
         pi_tail.append(tail)
@@ -186,14 +190,19 @@ def schur_tail_step(pi_tail_prev: Matrix, n_prev: int) -> Matrix:
     gamma = pi_tail_prev[:n_prev, :n_prev]
     beta = pi_tail_prev[n_prev:, :n_prev]
     alpha = pi_tail_prev[n_prev:, n_prev:]
+    out = alpha - beta @ cho_solve(_lead_factor(gamma), beta.T)
+    return 0.5 * (out + out.T)
+
+
+def _lead_factor(lead: Matrix) -> tuple[Matrix, bool]:
+    """scipy's lower Cholesky factor of a leading block, SingularLeadingBlock
+    naming its order when the block is not positive definite."""
     try:
-        factor = cho_factor(gamma, lower=True)
+        return cho_factor(lead, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularLeadingBlock(
-            f"leading block of order {n_prev} is not positive definite: {exc}"
+            f"leading block of order {len(lead)} is not positive definite: {exc}"
         ) from exc
-    out = alpha - beta @ cho_solve(factor, beta.T)
-    return 0.5 * (out + out.T)
 
 
 def purity_and_logdet(p: Matrix, theta: Matrix) -> tuple[float, float]:
@@ -236,34 +245,38 @@ def _cholesky(p_full: Matrix, dims: Sequence[int]) -> Matrix:
     return chol
 
 
-def steady_state(cascade: CascadeModel, p_full: Matrix | None = None) -> SteadyStateResult:
-    """Full steady-state summary of a cascade from one Cholesky factor.
+def covariance_factor(cascade: CascadeModel) -> Matrix:
+    """Lower Cholesky factor L of P = L L^T by :func:`_cholesky`, once per cascade; no purity."""
+    if "chol" in cascade.derived:
+        return cascade.derived["chol"]
+    chol = _cholesky(invariant_covariance_direct(cascade), cascade.dims)
+    return _keep(cascade, "chol", chol, chol)
 
-    ``p_full`` is the invariant covariance to factor; None solves it by
-    :func:`invariant_covariance_direct`, the P of every command. P = L L^T
-    is factored once; Pi_k = L_kk L_kk^T, v_k = 2 sum ln diag L_kk and
-    V = 2 sum ln diag L are read off L, so sum v_k = V holds by
-    construction. Raises ValueError for a ``p_full`` that is not (n, n),
-    SingularLeadingBlock naming the oscillator and the order when a
-    leading block is not positive definite, NonPositive when only the
-    last block fails.
+
+def steady_state(cascade: CascadeModel) -> SteadyStateResult:
+    """Full steady-state summary of a cascade from one Cholesky factor, once per cascade.
+
+    P = L L^T is :func:`invariant_covariance_direct` and L is
+    :func:`covariance_factor`; Pi_k = L_kk L_kk^T, v_k = 2 sum ln diag L_kk
+    and V = 2 sum ln diag L are read off L, so sum v_k = V holds by
+    construction. Raises SingularLeadingBlock naming the oscillator and the
+    order when a leading block is not positive definite, NonPositive when
+    only the last block fails.
     """
-    if p_full is None:
-        p_full = invariant_covariance_direct(cascade)
-    elif np.shape(p_full) != (cascade.n, cascade.n):
-        raise ValueError(f"p_full must have shape {(cascade.n, cascade.n)}, got {np.shape(p_full)}")
-    chol = _cholesky(p_full, cascade.dims)
+    if "state" in cascade.derived:
+        return cascade.derived["state"]
+    p_full, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
     blocks = [cascade.block(k) for k in range(cascade.n_oscillators)]
     log_diag = 2.0 * np.log(np.diag(chol))
     v = float(np.sum(log_diag))
-    return SteadyStateResult(
+    state = SteadyStateResult(
         p_full=p_full,
-        chol=chol,
         pi_k=tuple(chol[blk, blk] @ chol[blk, blk].T for blk in blocks),
         purity=_purity(v, cascade.theta),
         v_logdet=v,
         v_k=tuple(float(np.sum(log_diag[blk])) for blk in blocks),
     )
+    return _keep(cascade, "state", state, *state.pi_k)
 
 
 def frequency_domain_covariance(

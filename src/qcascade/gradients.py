@@ -28,7 +28,9 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .covariance import (
     _cholesky,
+    _keep,
     _recursive_covariance,
+    covariance_factor,
     invariant_covariance_direct,
     log_det_stack,
 )
@@ -67,22 +69,20 @@ class GradientSet:
         return np.concatenate([vech(self.rho[k]), self.mu[k].reshape(-1, order="F")])
 
 
-def observability_gramian_and_hankelian(
-    a: Matrix, p_full: Matrix
-) -> tuple[Matrix, Matrix]:
-    """Gramian Q solving A^T Q + Q A + P^{-1} = 0 and the product Q P.
+def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, Matrix]:
+    """Gramian Q solving A^T Q + Q A + P^{-1} = 0 of a cascade and the product Q P.
 
-    Q comes from one certified transposed solve on a dense real Schur
-    factor of A^T (:func:`dense_schur`). ``a`` must be Hurwitz; for a
-    cascade the caller establishes this with
-    :meth:`CascadeModel.require_hurwitz`. Q P is similar to the
-    symmetric P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
+    P and its Cholesky factor L, from which P^{-1} is solved, are those of
+    :func:`covariance_factor`, which refuses an unstable cascade. Q comes from
+    one certified transposed solve on a dense real Schur factor of A^T
+    (:func:`dense_schur`). Q P is similar to the symmetric P^{1/2} Q
+    P^{1/2}, so its spectrum is real and nonnegative.
     """
-    chol = _cholesky(p_full, (len(p_full),))
-    p_inv = symmetric_part(cho_solve((chol, True), np.eye(len(p_full))))
-    whole = slice(0, len(p_full))
-    q = symmetric_part(solve_cascade_sylvester(dense_schur(a), whole, whole, p_inv, transpose=True))
-    return q, q @ p_full
+    p, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
+    p_inv = symmetric_part(cho_solve((chol, True), np.eye(cascade.n)))
+    whole = slice(0, cascade.n)
+    q = symmetric_part(solve_cascade_sylvester(dense_schur(cascade.a), whole, whole, p_inv, transpose=True))
+    return q, q @ p
 
 
 def _mu_coupling_terms(
@@ -103,10 +103,8 @@ def _mu_coupling_terms(
     return 8.0 * cascade.j_ito @ acc
 
 
-def purity_gradients_direct(
-    cascade: CascadeModel, p_full: Matrix | None = None
-) -> GradientSet:
-    """Gradients from one Gramian of the whole cascade.
+def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:
+    """Gradients from one Gramian of the whole cascade, once per cascade.
 
     rho_k is minus four times the symmetric part of theta_k H_kk, with H
     the product Q P restricted to the (k, k) block; mu_k combines the
@@ -114,10 +112,9 @@ def purity_gradients_direct(
     blocks of H interacting with oscillator k, each side summed by one
     product with the composite coupling.
     """
-    cascade.require_hurwitz()
-    if p_full is None:
-        p_full = invariant_covariance_direct(cascade)
-    q, h = observability_gramian_and_hankelian(cascade.a, p_full)
+    if "gradients" in cascade.derived:
+        return cascade.derived["gradients"]
+    q, h = observability_gramian_and_hankelian(cascade)
     m_theta = cascade.m_coupling @ cascade.theta
     rho: list[Matrix] = []
     mu: list[Matrix] = []
@@ -129,7 +126,7 @@ def purity_gradients_direct(
         mu_k += _mu_coupling_terms(cascade, k, off, h[off:, blk], m_theta)
         mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
         mu.append(-mu_k)
-    return GradientSet(rho=tuple(rho), mu=tuple(mu))
+    return _keep(cascade, "gradients", GradientSet(rho=tuple(rho), mu=tuple(mu)), *rho, *mu)
 
 
 def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
@@ -142,7 +139,7 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     k, reproduces the direct gradients. All of it is read off the one
     Cholesky factor P = L L^T of the recursive P (the route of
     :func:`invariant_covariance_recursive`), the ``dpotrf`` factor that
-    :func:`steady_state` takes, with its refusal naming the oscillator:
+    :func:`covariance_factor` takes, with its refusal naming the oscillator:
     the tail covariance is L_tt L_tt^T, the effective input L_tt Z_t with
     Z = L^{-1} B, and a leading-block solve is triangular on a slice of
     L. As the inverse tail covariance is the trailing block of P^{-1} and
@@ -282,9 +279,7 @@ def transform_gradients(
     return GradientSet(rho=rho, mu=mu)
 
 
-def covariance_derivatives(
-    cascade: CascadeModel, p_full: Matrix | None = None
-) -> tuple[np.ndarray, ...]:
+def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     """First-order covariance responses along the parameter basis.
 
     For oscillator k the directions run over the lower-triangular energy
@@ -296,11 +291,9 @@ def covariance_derivatives(
     one batched block solve certified at ``RESIDUAL_TOL``. dA and dB are
     half-differences of the closed-form blocks of
     :func:`perturbed_cascade_stack` along +d and -d, exact because A is
-    quadratic and B linear in (R_k, M_k).
+    quadratic and B linear in (R_k, M_k). P is :func:`invariant_covariance_direct`.
     """
-    cascade.require_hurwitz()
-    if p_full is None:
-        p_full = invariant_covariance_direct(cascade)
+    p_full = invariant_covariance_direct(cascade)
     out: list[np.ndarray] = []
     for k, nk in enumerate(cascade.dims):
         stack = _signed_stack(cascade, k, np.eye(nk * (nk + 1) // 2 + cascade.m * nk))

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import EigFailure, NotHurwitz, SolverSingular
+from .errors import EigFailure, NotHurwitz, SchemaError, SolverSingular
 
 Matrix = np.ndarray
 
@@ -69,6 +69,15 @@ def symplectic_exponential(h: Matrix) -> Matrix:
 
 def symmetric_part(x: Matrix) -> Matrix:
     return 0.5 * (x + x.T)
+
+
+def checked_symmetric_part(x: Matrix, where: str = "") -> Matrix:
+    """Symmetric part of ``x``; SchemaError (prefixed by ``where``) when
+    ``x`` is asymmetric beyond 1e-9 or its asymmetry is not a number."""
+    asym = float(np.max(np.abs(x - x.T))) if x.size else 0.0
+    if not asym <= 1e-9:
+        raise SchemaError(f"{where}asymmetry {asym:.3e} exceeds 1e-9")
+    return symmetric_part(x)
 
 
 def antisymmetric_part(x: Matrix) -> Matrix:

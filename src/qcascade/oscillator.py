@@ -15,7 +15,7 @@ triangular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -226,7 +226,8 @@ class CascadeModel:
     ``m_coupling`` the composite energy and coupling matrices satisfying
     a = 2 theta (r_energy + m_coupling^T J m_coupling). ``hurwitz``
     records the per-oscillator stability flags with spectral abscissas;
-    stability is reported at assembly, never assumed.
+    stability is reported at assembly, never assumed. ``derived`` keeps P,
+    its factor and the gradients, each written once by its owner function.
     """
 
     params: tuple[OscillatorParams, ...]
@@ -241,6 +242,7 @@ class CascadeModel:
     m_coupling: Matrix
     dims: tuple[int, ...]
     hurwitz: tuple[tuple[bool, float], ...]
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .covariance import _cholesky, invariant_covariance_direct, log_det_stack
-from .errors import NonPositive, TooManyRejections
-from .gradients import GradientSet, covariance_derivatives
-from .linalg import RESIDUAL_TOL, Matrix, duplication_matrix
+from .covariance import _cholesky, covariance_factor, log_det_stack
+from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections
+from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
+from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part, duplication_matrix
 from .oscillator import CascadeModel, perturbed_cascade_stack
 
 MC_CHUNK = 2048
@@ -35,12 +35,31 @@ class OscillatorUncertainty:
 
     Either isotropic bounds (``energy_weight`` a_k for the vech R block,
     ``coupling_weight`` b_k for the vec M block) or a full ``sigma``
-    covariance over [vech dR; vec dM].
+    covariance over [vech dR; vec dM]. Construction refuses both forms or
+    neither and weights that are not finite and nonnegative (SchemaError),
+    and a sigma that is not square (DimensionMismatch), not symmetric to
+    1e-9 (SchemaError; it is then symmetrized) or below the eigenvalue
+    floor of the Monte-Carlo sampler (NonPositive).
     """
 
     energy_weight: float | None = None
     coupling_weight: float | None = None
     sigma: Matrix | None = None
+
+    def __post_init__(self) -> None:
+        weights = (self.energy_weight, self.coupling_weight)
+        given = tuple(x is not None for x in (self.sigma, *weights))
+        if given not in ((True, False, False), (False, True, True)):  # sigma alone, or both weights
+            raise SchemaError("needs either 'sigma' or both 'a' and 'b', not both forms")
+        if self.sigma is None:
+            if not all(0.0 <= w < np.inf for w in weights):  # NaN fails both comparisons
+                raise SchemaError("weights must be finite and nonnegative")
+            return
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise DimensionMismatch(f"sigma must be square, got shape {sigma.shape}")
+        object.__setattr__(self, "sigma", checked_symmetric_part(sigma))
+        _sigma_sqrt(self.sigma)
 
     def sigma_matrix(self, n: int, m: int) -> Matrix:
         d_r = n * (n + 1) // 2
@@ -51,12 +70,10 @@ class OscillatorUncertainty:
                     f"sigma has shape {self.sigma.shape}, expected {(d_r + d_m,) * 2}"
                 )
             return self.sigma
-        if self.energy_weight is None or self.coupling_weight is None:
-            raise ValueError("either sigma or both weights must be set")
         return np.diag(np.repeat(self.weights(), [d_r, d_m]))
 
     def weights(self) -> tuple[float, float]:
-        if self.energy_weight is None or self.coupling_weight is None:
+        if self.sigma is not None:
             raise ValueError("weight-form bounds are not available")
         return float(self.energy_weight), float(self.coupling_weight)
 
@@ -144,7 +161,6 @@ class MonteCarloResult:
 
 
 def _sigma_sqrt(sigma: Matrix) -> Matrix:
-    sigma = 0.5 * (sigma + sigma.T)
     w, v = np.linalg.eigh(sigma)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if np.any(w < -1e-12 * scale):
@@ -155,11 +171,9 @@ def _sigma_sqrt(sigma: Matrix) -> Matrix:
 def monte_carlo_variance(
     cascade: CascadeModel,
     uncertainty: UncertaintyModel,
-    gradients: GradientSet,
     samples: int = 100_000,
     epsilon: float = 1e-6,
     seed: int = 0,
-    p_full: Matrix | None = None,
 ) -> MonteCarloResult:
     """Sample variance of dV against the first-order prediction eps Z.
 
@@ -167,10 +181,11 @@ def monte_carlo_variance(
     every sample's composite A and B in vectorized chunks of ``MC_CHUNK``
     samples with :func:`perturbed_cascade_stack` and solves their Lyapunov
     equations A P + P A^T + B B^T = 0 together (:func:`log_det_stack`);
-    the sample variance of dV is compared with eps Z. ``p_full`` is the unperturbed
-    P when the caller has it already. Base and samples take ln det P from a
-    Cholesky factor; a base P that is not positive definite raises
-    NonPositive or SingularLeadingBlock naming the pivot.
+    the sample variance of dV is compared with eps Z, Z the index of the
+    cascade's :func:`purity_gradients_direct`. The base V_0 = 2 sum ln diag
+    L takes L from :func:`covariance_factor` (no purity), so base and
+    samples take ln det P from a Cholesky factor; a base P that is not
+    positive definite raises NonPositive or SingularLeadingBlock naming the pivot.
 
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
@@ -180,10 +195,8 @@ def monte_carlo_variance(
     Results are reproducible for a fixed (seed, samples) pair; the chunk
     size ``MC_CHUNK`` takes part in how the random stream is consumed.
     """
-    if p_full is None:
-        p_full = invariant_covariance_direct(cascade)
-    v0 = 2.0 * float(np.sum(np.log(np.diag(_cholesky(p_full, cascade.dims)))))
-    z_total = sensitivity_index(gradients, uncertainty).z_total
+    v0 = 2.0 * float(np.sum(np.log(np.diag(covariance_factor(cascade)))))
+    z_total = sensitivity_index(purity_gradients_direct(cascade), uncertainty).z_total
     predicted = epsilon * z_total
 
     sqrt_factors = [
@@ -228,15 +241,11 @@ class FisherResult:
     gram_k: tuple[Matrix, ...]
 
 
-def fisher_gram(p: Matrix, dps: np.ndarray) -> Matrix:
-    """Gram matrix <dP_a, P^{-1} dP_b P^{-1}> of a stack of perturbations (d, n, n)."""
-    try:
-        factor = cho_factor(p, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositive(f"covariance is not positive definite: {exc}") from exc
-    d, n = len(dps), p.shape[0]
+def fisher_gram(chol: Matrix, dps: np.ndarray) -> Matrix:
+    """Gram matrix <dP_a, P^{-1} dP_b P^{-1}> of perturbations (d, n, n), from L of P = L L^T."""
+    d, n = len(dps), chol.shape[0]
     # Y_a = P^{-1} dP_a for all a from one solve on [dP_1 | ... | dP_d]
-    ys = cho_solve(factor, np.asarray(dps).transpose(1, 0, 2).reshape(n, d * n))
+    ys = cho_solve((chol, True), np.asarray(dps).transpose(1, 0, 2).reshape(n, d * n))
     ys = ys.reshape(n, d, n).transpose(1, 0, 2)
     gram = np.einsum("aij,bji->ab", ys, ys)
     return 0.5 * (gram + gram.T)
@@ -244,20 +253,18 @@ def fisher_gram(p: Matrix, dps: np.ndarray) -> Matrix:
 
 def fisher_metric(p: Matrix, dp: Matrix) -> float:
     """Information-metric norm <dP, P^{-1} dP P^{-1}> of a perturbation."""
-    return float(fisher_gram(p, np.asarray(dp)[None])[0, 0])
+    return float(fisher_gram(_cholesky(p, (len(p),)), np.asarray(dp)[None])[0, 0])
 
 
-def fisher_sensitivity(
-    cascade: CascadeModel, uncertainty: UncertaintyModel, p_full: Matrix | None = None
-) -> FisherResult:
+def fisher_sensitivity(cascade: CascadeModel, uncertainty: UncertaintyModel) -> FisherResult:
     """Information-metric sensitivity sum_k Tr(G_k Sigma_k).
 
     G_k is the Gram matrix (:func:`fisher_gram`) of the covariance
-    responses, taken over the same parameter basis as the gradient stack.
+    responses, taken over the same parameter basis as the gradient stack,
+    on the Cholesky factor of :func:`covariance_factor`.
     """
-    if p_full is None:
-        p_full = invariant_covariance_direct(cascade)
-    grams = tuple(fisher_gram(p_full, dps) for dps in covariance_derivatives(cascade, p_full))
+    chol = covariance_factor(cascade)
+    grams = tuple(fisher_gram(chol, dps) for dps in covariance_derivatives(cascade))
     z_k = tuple(
         float(np.trace(gram @ unc.sigma_matrix(nk, cascade.m)))
         for gram, unc, nk in zip(grams, uncertainty.oscillators, cascade.dims, strict=True)

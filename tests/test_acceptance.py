@@ -80,8 +80,7 @@ def paper_gradients(paper_cascade):
 @pytest.fixture(scope="module")
 def paper_balance(paper_cascade, paper_spec, paper_gradients):
     start = time.perf_counter()
-    grads = purity_gradients_direct(paper_cascade)
-    report = balance_cascade(paper_cascade, grads, paper_spec.uncertainty)
+    report = balance_cascade(paper_cascade, paper_spec.uncertainty)
     return report, time.perf_counter() - start
 
 
@@ -206,12 +205,11 @@ def test_criterion_06_transformation_laws(reference_cascade, reference_gradients
     )
 
 
-def test_criterion_07_monte_carlo(reference_cascade, reference_spec, reference_gradients):
+def test_criterion_07_monte_carlo(reference_cascade, reference_spec):
     start = time.perf_counter()
     res = monte_carlo_variance(
         reference_cascade,
         reference_spec.uncertainty,
-        reference_gradients,
         samples=100_000,
         epsilon=1e-6,
         seed=7,

@@ -14,11 +14,11 @@ from qcascade.balance import (
     solve_multiplier,
 )
 from qcascade.covariance import purity_and_logdet, steady_state
-from qcascade.errors import NotOneMode, RankDeficientMu
-from qcascade.gradients import purity_gradients_direct
+from qcascade.errors import NotOneMode, RankDeficientMu, SchemaError
+from qcascade.gradients import purity_gradients_direct, transform_gradients
 from qcascade.linalg import J2, symplectic_exponential, symplectic_residual
-from qcascade.oscillator import transfer_eval
-from qcascade.sensitivity import psi_transformed
+from qcascade.oscillator import assemble_cascade, transfer_eval
+from qcascade.sensitivity import OscillatorUncertainty, UncertaintyModel, psi_transformed
 
 # whitened spectrum used in the worked multiplier example
 EXAMPLE_SPECTRUM = (-0.7228, 1.9527)
@@ -31,14 +31,12 @@ def rotation(phi):
 
 @pytest.fixture(scope="module")
 def reference_report(reference_cascade, reference_spec):
-    grads = purity_gradients_direct(reference_cascade)
-    return balance_cascade(reference_cascade, grads, reference_spec.uncertainty)
+    return balance_cascade(reference_cascade, reference_spec.uncertainty)
 
 
 @pytest.fixture(scope="module")
 def paper_report(paper_cascade, paper_spec):
-    grads = purity_gradients_direct(paper_cascade)
-    return balance_cascade(paper_cascade, grads, paper_spec.uncertainty)
+    return balance_cascade(paper_cascade, paper_spec.uncertainty)
 
 
 class TestMultiplier:
@@ -189,17 +187,16 @@ class TestCascadeBalance:
                 assert np.max(np.abs(g1 - g2)) <= 1e-9 * max(1.0, np.max(np.abs(g1)))
 
     def test_balanced_cascade_is_a_fixed_point(self, reference_report, reference_spec):
-        again = balance_cascade(
-            reference_report.transformed,
-            purity_gradients_direct(reference_report.transformed),
-            reference_spec.uncertainty,
-        )
+        again = balance_cascade(reference_report.transformed, reference_spec.uncertainty)
         for ratio in again.ratios:
             assert ratio == pytest.approx(1.0, abs=1e-6)
 
-    def test_mapped_gradients_match_recomputation(self, reference_report):
+    def test_mapped_gradients_match_recomputation(self, reference_report, reference_cascade):
+        transforms = [res.s_k for res in reference_report.results]
+        thetas = [p.theta for p in reference_cascade.params]
+        mapped = transform_gradients(purity_gradients_direct(reference_cascade), transforms, thetas)
         recomputed = purity_gradients_direct(reference_report.transformed)
-        for a, b in zip(reference_report.transformed_gradients.rho, recomputed.rho):
+        for a, b in zip(mapped.rho, recomputed.rho):
             assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
     def test_multimode_cascade_rejected(self, reference_cascade, reference_spec):
@@ -208,9 +205,20 @@ class TestCascadeBalance:
         fused = replace(
             reference_cascade, dims=(4, 2), params=reference_cascade.params[:2]
         )
-        grads = purity_gradients_direct(reference_cascade)
         with pytest.raises(NotOneMode):
-            balance_cascade(fused, grads, reference_spec.uncertainty)
+            balance_cascade(fused, reference_spec.uncertainty)
+
+    def test_sigma_form_is_refused_before_any_solve(
+        self, reference_cascade, reference_spec, monkeypatch
+    ):
+        cascade = assemble_cascade(reference_cascade.params)  # nothing solved on it yet
+        solves = []
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: solves.append(a))
+        entries = list(reference_spec.uncertainty.oscillators)
+        entries[1] = OscillatorUncertainty(sigma=entries[1].sigma_matrix(2, cascade.m))
+        with pytest.raises(SchemaError, match=r"uncertainty\[1\]: balancing needs weights"):
+            balance_cascade(cascade, UncertaintyModel(oscillators=tuple(entries)))
+        assert solves == []
 
 
 def _loop_psi(problem, h):

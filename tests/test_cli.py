@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcascade.cli
 
@@ -375,7 +381,7 @@ class TestCommands:
 
     def test_reproduce_on_its_own_values(self, tmp_path, capsys, reference_spec, reference_cascade):
         grads = purity_gradients_direct(reference_cascade)
-        report = balance_cascade(reference_cascade, grads, reference_spec.uncertainty, seed=7)
+        report = balance_cascade(reference_cascade, reference_spec.uncertainty, seed=7)
         doc = read_example()
         doc["expected"] = {
             "rho": [r.tolist() for r in grads.rho],
@@ -412,7 +418,8 @@ class TestCommands:
 
 
 class TestPipeline:
-    """Each command computes each stage of the chain at most once."""
+    """Each command computes each stage of the chain at most once: P is
+    solved, its Gramian (the gradients) formed and the cascade balanced."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -425,7 +432,7 @@ class TestPipeline:
 
             return wrapped
 
-        names = ("stationary_covariance", "purity_gradients_direct", "balance_cascade")
+        names = ("stationary_covariance", "observability_gramian_and_hankelian", "balance_cascade")
         originals = {}
         for module in [m for n, m in sys.modules.items() if n.startswith("qcascade")]:
             for name in names:
@@ -455,7 +462,11 @@ class TestPipeline:
         code = main([command, str(path), "--out", str(tmp_path / "out"), "--samples", "2000"])
         assert code == (2 if command == "reproduce-paper" else 0)
         assert counts == Counter(
-            {"stationary_covariance": p, "purity_gradients_direct": grads, "balance_cascade": balance}
+            {
+                "stationary_covariance": p,
+                "observability_gramian_and_hankelian": grads,
+                "balance_cascade": balance,
+            }
         ) - Counter()
 
     def test_unstable_cascade_solves_no_covariance(self, counts, tmp_path, unstable_doc):
@@ -522,7 +533,8 @@ class TestExitCodes:
         assert main(["covariance", str(path), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "weight, shown", [("abc", "could not convert"), (float("nan"), "finite and nonnegative")]
+        "weight, shown",
+        [("abc", "could not convert"), (float("nan"), "finite and nonnegative"), (-1.0, "finite and nonnegative")],
     )
     def test_uncertainty_weight_must_be_a_finite_number(self, weight, shown, tmp_path, capsys):
         doc = read_example()
@@ -533,6 +545,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "validation error: uncertainty[1]" in err and shown in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            # the sigma form used to win and the weights were never read
+            ({"sigma": "identity", "a": "abc", "b": -5}, "uncertainty[1].a: could not convert"),
+            ({"sigma": "identity", "a": 1.0, "b": 1.0}, "uncertainty[1]: needs either 'sigma' or both"),
+            ({"sigma": "identity", "b": 1.0}, "uncertainty[1]: needs either 'sigma' or both"),
+            ({"a": 1.0}, "uncertainty[1]: needs either 'sigma' or both"),
+        ],
+    )
+    def test_uncertainty_entry_takes_exactly_one_form(self, entry, shown, tmp_path, capsys):
+        doc = read_example()
+        nk, m = 2, doc["field_channels"]
+        if "sigma" in entry:
+            entry["sigma"] = np.eye(nk * (nk + 1) // 2 + m * nk).tolist()
+        doc["uncertainty"][1] = entry
+        out = tmp_path / "out"
+        assert main(["sensitivity", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 1
+        assert f"validation error: {shown}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, entry, bad",
@@ -683,3 +716,88 @@ class TestExitCodes:
         assert main(["sensitivity", str(path), "--out", str(out)]) == 1
         assert f"validation error: uncertainty[2].sigma: {shown}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+#: values a mutation writes: wrong types, non-finite, tiny and huge numbers, wrong shapes
+JUNK = (
+    True, False, None, "abc", "", float("nan"), float("inf"), -1, 0, 3.5, 2**70,
+    0.0, -2.5, 1e-300, 1e300, [], [1.0], [[1.0]], [[[1.0]]], {}, {"x": 1},
+)
+#: keys a mutation adds to an object: an unknown one and every key of the schema
+ADDED_KEYS = (
+    "bogus", "field_channels", "oscillators", "uncertainty", "epsilon", "options", "expected",
+    "n", "R", "M", "theta", "a", "b", "sigma", "seed", "samples", "kmax", "fd_step", "tol_residual",
+)
+#: the commands a fuzzed spec runs; the flags pin the settings that set a run's cost
+FUZZ_RUNS = (
+    ["validate"], ["covariance"], ["purity"], ["gradients"], ["sensitivity"], ["balance"],
+    ["ti-bounds", "--kmax", "3"], ["mc-check", "--samples", "64"], ["reproduce-paper"],
+)
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root's () included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _mutated(doc, data):
+    """``doc`` with one node scaled, dropped, added to or replaced by a junk
+    value or by a copy of another node of the committed spec."""
+    paths = list(_paths(doc))[::-1]  # the root last, as a draw shrinks to the front
+    # half of the draws skip matrix entries, which are most of the nodes
+    path = data.draw(st.sampled_from([p for p in paths if len(p) <= 3]) | st.sampled_from(paths))
+    borrowed = st.sampled_from(list(_paths(EXAMPLE))).map(lambda p: _node(EXAMPLE, p))
+    value = copy.deepcopy(data.draw(st.sampled_from(JUNK) | borrowed))
+    op = data.draw(st.sampled_from(("scale", "drop", "add", "replace")))
+    node = _node(doc, path)
+    if op == "scale" and type(node) in (int, float) and path:
+        # a number keeps its type and moves, so the spec may still be valid
+        _node(doc, path[:-1])[path[-1]] = node * data.draw(st.sampled_from((-1.0, 0.0, 10.0, 1e-150, 1e150)))
+    elif op == "add" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(ADDED_KEYS))] = value
+    elif op == "add" and isinstance(node, list):
+        node.append(value)
+    elif op == "drop" and path:
+        del _node(doc, path[:-1])[path[-1]]
+    elif path:
+        _node(doc, path[:-1])[path[-1]] = value
+    else:
+        return value
+    return doc
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+EXAMPLE = read_example()
+
+
+class TestSpecFuzz:
+    """A mutated spec gets exit code 0, 1 or 2 from any cheap command, never
+    a traceback, and any report it writes is strict JSON."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_spec_exits_with_a_code(self, data):
+        doc = copy.deepcopy(EXAMPLE)
+        for _ in range(data.draw(st.integers(0, 3))):
+            doc = _mutated(doc, data)
+        argv = data.draw(st.sampled_from(FUZZ_RUNS))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], str(path), "--out", str(out), *argv[1:]])
+            assert code in (0, 1, 2)
+            if (out / "report.json").exists():
+                json.loads((out / "report.json").read_text(), parse_constant=_no_constant)

@@ -14,6 +14,7 @@ from conftest import (
 from qcascade.covariance import (
     _cholesky,
     _cholesky_log_det,
+    covariance_factor,
     frequency_domain_covariance,
     invariant_covariance_direct,
     invariant_covariance_recursive,
@@ -190,28 +191,17 @@ class TestSteadyState:
         assert len(res.v_k) == reference_cascade.n_oscillators
 
     def test_methods_agree(self, reference_cascade):
-        rec = steady_state(
-            reference_cascade, p_full=invariant_covariance_recursive(reference_cascade)
-        )
+        rec_p = invariant_covariance_recursive(reference_cascade)
+        rec_purity, _ = purity_and_logdet(rec_p, reference_cascade.theta)
         dire = steady_state(reference_cascade)
-        assert np.linalg.norm(rec.p_full - dire.p_full) <= 1e-10 * np.linalg.norm(
+        assert np.linalg.norm(rec_p - dire.p_full) <= 1e-10 * np.linalg.norm(
             dire.p_full
         )
-        assert rec.purity == pytest.approx(dire.purity, rel=1e-9)
-
-    def test_wrong_shape_rejected(self, reference_cascade):
-        with pytest.raises(ValueError, match="shape"):
-            steady_state(reference_cascade, p_full=np.eye(reference_cascade.n - 2))
+        assert rec_purity == pytest.approx(dire.purity, rel=1e-9)
 
     def test_default_factors_the_direct_covariance(self, reference_cascade):
         res = steady_state(reference_cascade)
         np.testing.assert_array_equal(res.p_full, invariant_covariance_direct(reference_cascade))
-
-    def test_given_covariance_is_factored_as_given(self, reference_cascade):
-        p = invariant_covariance_recursive(reference_cascade)
-        res = steady_state(reference_cascade, p_full=p)
-        assert res.p_full is p
-        np.testing.assert_array_equal(res.chol, _cholesky(p, reference_cascade.dims))
 
     def test_state_is_admissible(self, reference_cascade):
         res = steady_state(reference_cascade)
@@ -248,9 +238,9 @@ class TestFactoredSplit:
         np.testing.assert_allclose(res.v_k, v_oracle, rtol=0.0, atol=1e-10)
 
     def test_factor_reproduces_covariance(self, reference_cascade):
-        res = steady_state(reference_cascade)
-        np.testing.assert_array_equal(res.chol, np.tril(res.chol))
-        np.testing.assert_allclose(res.chol @ res.chol.T, res.p_full, rtol=0.0, atol=1e-12)
+        res, chol = steady_state(reference_cascade), covariance_factor(reference_cascade)
+        np.testing.assert_array_equal(chol, np.tril(chol))
+        np.testing.assert_allclose(chol @ chol.T, res.p_full, rtol=0.0, atol=1e-12)
         assert res.v_logdet == pytest.approx(float(np.linalg.slogdet(res.p_full)[1]), abs=1e-10)
 
 
@@ -294,10 +284,13 @@ class TestTypedRefusal:
         with pytest.raises(NonPositive):
             _cholesky(np.diag([1.0, 1, 1, 1, 1, -1]), dims)
 
-    def test_steady_state_passes_the_refusal_on(self, reference_cascade):
+    def test_steady_state_passes_the_refusal_on(self, reference_cascade, monkeypatch):
+        # a fresh cascade whose solved P is replaced by the indefinite one
+        cascade = assemble_cascade(reference_cascade.params)
         p = np.diag([1.0, 1, -1, 1, 1, 1])
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: p)
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
-            steady_state(reference_cascade, p_full=p)
+            steady_state(cascade)
 
 
 class TestStackCholesky:
@@ -405,7 +398,8 @@ class TestDenseRoute:
         # triangular; a factorization of A would cost a full Hessenberg
         # reduction, and scipy's solve_sylvester would factor A twice
         cascade = make_passive_chain(np.random.default_rng(1616), 16)
-        p = invariant_covariance_direct(cascade)
+        fresh = assemble_cascade(cascade.params)  # one cascade per route: P is kept on it
+        invariant_covariance_direct(cascade)  # the P the Gramian route reads
         factored, sylvester = [], []
         schur, solve_sylvester = scipy.linalg.schur, scipy.linalg.solve_sylvester
 
@@ -421,8 +415,8 @@ class TestDenseRoute:
         monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy_sylvester)
         routes = [
-            lambda: invariant_covariance_direct(cascade),
-            lambda: observability_gramian_and_hankelian(cascade.a, p),
+            lambda: invariant_covariance_direct(fresh),
+            lambda: observability_gramian_and_hankelian(cascade),
         ]
         for route in routes:
             factored.clear()

@@ -13,6 +13,7 @@ from conftest import (
     make_mixed_cascade,
     make_passive_chain,
     random_blockdiag_symplectic,
+    random_symplectic,
 )
 from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
 from qcascade.errors import NotHurwitz, NotSymplectic, SolverSingular
@@ -27,7 +28,7 @@ from qcascade.gradients import (
     transform_gradients,
 )
 from qcascade.linalg import J2, solve_lyapunov, vech
-from qcascade.oscillator import OscillatorParams, assemble_cascade, transform_params
+from qcascade.oscillator import OscillatorParams, assemble_cascade, default_theta, transform_params
 
 
 @pytest.fixture(scope="module")
@@ -56,30 +57,31 @@ def stack_gap(g1, g2):
 
 class TestGramian:
     def test_identity_drift(self):
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((4, 4))
-        p = g @ g.T + np.eye(4)
-        q, h = observability_gramian_and_hankelian(-np.eye(4), p)
+        # one oscillator with R = 0 and a symplectic coupling M has A = 2 theta M^T J M = -I
+        m_coupling = random_symplectic(np.random.default_rng(0), 4)
+        cascade = assemble_cascade([OscillatorParams(default_theta(4), np.zeros((4, 4)), m_coupling)])
+        np.testing.assert_allclose(cascade.a, -np.eye(4), atol=1e-12)
+        p = invariant_covariance_direct(cascade)
+        q, h = observability_gramian_and_hankelian(cascade)
         np.testing.assert_allclose(q, 0.5 * np.linalg.inv(p), atol=1e-12)
         np.testing.assert_allclose(h, 0.5 * np.eye(4), atol=1e-12)
 
     def test_reference_equation_residual(self, reference_cascade):
         p = invariant_covariance_direct(reference_cascade)
-        q, _ = observability_gramian_and_hankelian(reference_cascade.a, p)
+        q, _ = observability_gramian_and_hankelian(reference_cascade)
         res = reference_cascade.a.T @ q + q @ reference_cascade.a + np.linalg.inv(p)
         scale = np.linalg.norm(q) * np.linalg.norm(reference_cascade.a)
         assert np.linalg.norm(res) <= 1e-10 * max(1.0, scale)
 
     def test_hankelian_spectrum_is_real_positive(self, reference_cascade):
-        p = invariant_covariance_direct(reference_cascade)
-        _, h = observability_gramian_and_hankelian(reference_cascade.a, p)
+        _, h = observability_gramian_and_hankelian(reference_cascade)
         eigs = np.linalg.eigvals(h)
         assert np.max(np.abs(eigs.imag)) <= 1e-9 * np.max(np.abs(eigs))
         assert np.min(eigs.real) > 0.0
 
     def test_hankelian_similar_to_whitened_gramian(self, reference_cascade):
         p = invariant_covariance_direct(reference_cascade)
-        q, h = observability_gramian_and_hankelian(reference_cascade.a, p)
+        q, h = observability_gramian_and_hankelian(reference_cascade)
         w, v = np.linalg.eigh(p)
         root = (v * np.sqrt(w)) @ v.T
         sym = root @ q @ root
@@ -315,7 +317,7 @@ class TestCovarianceDerivatives:
         if which == "mixed":
             cascade = make_mixed_cascade(np.random.default_rng(5151))
         p = invariant_covariance_direct(cascade)
-        derivs = covariance_derivatives(cascade, p)
+        derivs = covariance_derivatives(cascade)
         for k, nk in enumerate(cascade.dims):
             # vech order: columns first
             directions = [("r_energy", (i, j)) for j in range(nk) for i in range(j, nk)]

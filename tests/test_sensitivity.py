@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_cascade
-from qcascade.errors import NonPositive, SingularLeadingBlock, TooManyRejections
+from qcascade.errors import (
+    DimensionMismatch,
+    NonPositive,
+    SchemaError,
+    SingularLeadingBlock,
+    TooManyRejections,
+)
 from qcascade.gradients import GradientSet, covariance_derivatives, purity_gradients_direct
 from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 from qcascade.linalg import (
@@ -88,6 +94,54 @@ class TestIndex:
             unc.sigma_matrix(2, 6)
 
 
+class TestUncertaintyChecks:
+    """An error model that is not a covariance is refused when it is built,
+    so no index, Fisher index or balancing ever sees it."""
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            {},
+            {"energy_weight": 1.0},
+            {"coupling_weight": 1.0, "sigma": np.eye(15)},
+            {"energy_weight": 1.0, "coupling_weight": 1.0, "sigma": np.eye(15)},
+        ],
+    )
+    def test_exactly_one_form(self, form):
+        with pytest.raises(SchemaError, match="either 'sigma' or both"):
+            OscillatorUncertainty(**form)
+
+    @pytest.mark.parametrize(
+        "weights", [(-1.0, 1.0), (1.0, -1e-300), (float("nan"), 1.0), (1.0, float("inf"))]
+    )
+    def test_weights_are_finite_and_nonnegative(self, weights):
+        with pytest.raises(SchemaError, match="finite and nonnegative"):
+            UncertaintyModel.from_weights([weights] * 3)
+
+    def test_zero_weights_are_accepted(self):
+        assert UncertaintyModel.from_weights([(0.0, 0.0)]).oscillators[0].weights() == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "sigma, error, shown",
+        [
+            (np.eye(3, 4), DimensionMismatch, "square"),
+            (np.ones(3), DimensionMismatch, "square"),
+            (np.eye(15) + np.triu(1e-6 * np.ones((15, 15)), 1), SchemaError, "asymmetry"),
+            (-np.eye(15), NonPositive, "eigenvalue -1.000e"),
+        ],
+    )
+    def test_sigma_must_be_a_covariance(self, sigma, error, shown):
+        with pytest.raises(error, match=shown):
+            OscillatorUncertainty(sigma=sigma)
+
+    def test_small_asymmetry_is_symmetrized(self):
+        sigma = np.eye(3)
+        sigma[0, 1] = 1e-12
+        kept = OscillatorUncertainty(sigma=sigma).sigma
+        np.testing.assert_array_equal(kept, kept.T)
+        np.testing.assert_array_equal(kept, 0.5 * (sigma + sigma.T))
+
+
 class TestBoundVersusExact:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_identity_bound_matches_table(self, paper_gradients, paper_spec, k):
@@ -120,11 +174,10 @@ class TestBoundVersusExact:
 
 
 class TestMonteCarlo:
-    def test_linearization_window(self, reference_cascade, reference_gradients, reference_uncertainty):
+    def test_linearization_window(self, reference_cascade, reference_uncertainty):
         res = monte_carlo_variance(
             reference_cascade,
             reference_uncertainty,
-            reference_gradients,
             samples=20_000,
             epsilon=1e-6,
             seed=7,
@@ -132,30 +185,15 @@ class TestMonteCarlo:
         assert 0.9 <= res.ratio <= 1.1
         assert res.samples == 20_000
 
-    def test_fixed_seed_is_reproducible(self, reference_cascade, reference_gradients, reference_uncertainty):
+    def test_fixed_seed_is_reproducible(self, reference_cascade, reference_uncertainty):
         kw = dict(samples=4_000, epsilon=1e-6, seed=123)
-        a = monte_carlo_variance(
-            reference_cascade, reference_uncertainty, reference_gradients, **kw
-        )
-        b = monte_carlo_variance(
-            reference_cascade, reference_uncertainty, reference_gradients, **kw
-        )
+        a = monte_carlo_variance(reference_cascade, reference_uncertainty, **kw)
+        b = monte_carlo_variance(reference_cascade, reference_uncertainty, **kw)
         assert a.variance == b.variance
         assert a.rejected == b.rejected
 
-    def test_given_covariance_changes_nothing(
-        self, reference_cascade, reference_gradients, reference_uncertainty
-    ):
-        kw = dict(samples=2_000, epsilon=1e-6, seed=5)
-        args = (reference_cascade, reference_uncertainty, reference_gradients)
-        own = monte_carlo_variance(*args, **kw)
-        given = monte_carlo_variance(
-            *args, **kw, p_full=invariant_covariance_direct(reference_cascade)
-        )
-        assert given == own
-
     def test_base_and_samples_make_no_slogdet_call(
-        self, reference_cascade, reference_gradients, reference_uncertainty, monkeypatch
+        self, reference_cascade, reference_uncertainty, monkeypatch
     ):
         calls = []
         slogdet = np.linalg.slogdet
@@ -164,11 +202,10 @@ class TestMonteCarlo:
             calls.append(np.shape(x))
             return slogdet(x)
 
+        # a fresh cascade, so nothing kept by an earlier test is read
+        cascade = assemble_cascade(reference_cascade.params)
         monkeypatch.setattr(np.linalg, "slogdet", spy)
-        res = monte_carlo_variance(
-            reference_cascade, reference_uncertainty, reference_gradients,
-            samples=500, epsilon=1e-6, seed=3,
-        )
+        res = monte_carlo_variance(cascade, reference_uncertainty, samples=500, epsilon=1e-6, seed=3)
         assert calls == []
         assert res.rejected == 0
 
@@ -177,24 +214,21 @@ class TestMonteCarlo:
         [([1.0, 1, -1, 1, 1, 1], SingularLeadingBlock), ([1.0, 1, 1, 1, 1, -1], NonPositive)],
     )
     def test_indefinite_base_covariance_names_the_pivot(
-        self, reference_cascade, reference_gradients, reference_uncertainty, diag, error
+        self, reference_cascade, reference_uncertainty, diag, error, monkeypatch
     ):
+        # a fresh cascade whose solved P is replaced by the indefinite one
+        cascade = assemble_cascade(reference_cascade.params)
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: np.diag(diag))
         with pytest.raises(error, match="pivot"):
-            monte_carlo_variance(
-                reference_cascade, reference_uncertainty, reference_gradients,
-                samples=10, p_full=np.diag(diag),
-            )
+            monte_carlo_variance(cascade, reference_uncertainty, samples=10)
 
     def test_six_oscillator_chain(self):
         rng = np.random.default_rng(606)
         cascade = make_cascade(rng, 6, 2)
-        grads = purity_gradients_direct(cascade)
         unc = UncertaintyModel.from_weights(
             [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
         )
-        res = monte_carlo_variance(
-            cascade, unc, grads, samples=4096, epsilon=1e-10, seed=11
-        )
+        res = monte_carlo_variance(cascade, unc, samples=4096, epsilon=1e-10, seed=11)
         assert 0.9 <= res.ratio <= 1.1
         assert res.rejected == 0
 
@@ -203,13 +237,12 @@ class TestMonteCarlo:
         # parameters, drawn from the same stream in the same order
         rng = np.random.default_rng(606)
         cascade = make_cascade(rng, 6, 2)
-        grads = purity_gradients_direct(cascade)
         unc = UncertaintyModel.from_weights(
             [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
         )
         eps, samples, chunk = 1e-10, 1024, 512
         monkeypatch.setattr("qcascade.sensitivity.MC_CHUNK", chunk)
-        res = monte_carlo_variance(cascade, unc, grads, samples=samples, epsilon=eps, seed=11)
+        res = monte_carlo_variance(cascade, unc, samples=samples, epsilon=eps, seed=11)
         factors = [
             _sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators
         ]
@@ -256,11 +289,10 @@ class TestMonteCarlo:
             m_coupling=0.1 * np.eye(2),
         )
         cascade = assemble_cascade([fragile])
-        grads = purity_gradients_direct(cascade)
         unc = UncertaintyModel.from_weights([(1.0, 1.0)])
         # order-one draws at this margin cross the stability boundary often
         with pytest.raises(TooManyRejections):
-            monte_carlo_variance(cascade, unc, grads, samples=2_000, epsilon=1.0, seed=0)
+            monte_carlo_variance(cascade, unc, samples=2_000, epsilon=1.0, seed=0)
 
 
 class TestFisher:
@@ -287,7 +319,7 @@ class TestFisher:
 
         p = invariant_covariance_direct(reference_cascade)
         res = fisher_sensitivity(reference_cascade, reference_uncertainty)
-        for gram, responses in zip(res.gram_k, covariance_derivatives(reference_cascade, p)):
+        for gram, responses in zip(res.gram_k, covariance_derivatives(reference_cascade)):
             ys = [np.linalg.solve(p, dp) for dp in responses]
             want = np.array([[np.trace(ya @ yb) for yb in ys] for ya in ys])
             assert np.max(np.abs(gram - want)) <= 1e-12 * np.max(np.abs(want))
