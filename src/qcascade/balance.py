@@ -38,13 +38,6 @@ def f_lambda(z: float, lam: float) -> float:
     return lam / (1.0 + np.sqrt(1.0 + 2.0 * lam * z * z))
 
 
-def _h_and_slope(lam: float, r: np.ndarray) -> tuple[float, float]:
-    s = np.sqrt(1.0 + 2.0 * lam * r * r)
-    h = float(np.prod(lam / (1.0 + s)))
-    slope = h * (len(r) / lam - float(np.sum(r * r / ((1.0 + s) * s))))
-    return h, slope
-
-
 @dataclass(frozen=True)
 class NewtonResult:
     multiplier: float
@@ -71,7 +64,9 @@ def solve_multiplier(r: np.ndarray, target: float) -> NewtonResult:
     lam = 2.0 * target ** (1.0 / nu)
     iterates = [lam]
     for evals in range(1, NEWTON_MAX_ITER + 1):
-        h, slope = _h_and_slope(lam, r)
+        s = np.sqrt(1.0 + 2.0 * lam * r * r)
+        h = float(np.prod(lam / (1.0 + s)))
+        slope = h * (nu / lam - float(np.sum(r * r / ((1.0 + s) * s))))
         if abs(h - target) <= NEWTON_TOL * target:
             return NewtonResult(
                 multiplier=lam,

@@ -40,7 +40,7 @@ from typing import Any, Callable, NoReturn, Sequence
 import numpy as np
 
 from . import __version__
-from .balance import CascadeBalanceReport, _h_and_slope, balance_cascade
+from .balance import CascadeBalanceReport, balance_cascade, f_lambda
 from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from .gradients import (
@@ -510,9 +510,10 @@ def _cmd_balance(run: Pipeline) -> Reply:
     run.extra_files["balanced.json"] = _spec_document_from_cascade(run.spec, report.transformed)
     curve: list[tuple] = []
     for k, res in enumerate(report.results):
-        for lam in np.geomspace(res.lambda_k / 10, res.lambda_k * 10, 41):
-            h_val, _ = _h_and_slope(lam, res.whitened_spectrum)
-            curve.append((k, float(lam), h_val))
+        # h(lambda) = prod_i f_lambda(r_i) at 41 multipliers, one row each
+        lams = np.geomspace(res.lambda_k / 10, res.lambda_k * 10, 41)
+        h_vals = np.prod(f_lambda(res.whitened_spectrum, lams[:, None]), axis=1)
+        curve += [(k, lam, h_val) for lam, h_val in zip(lams.tolist(), h_vals.tolist())]
     run.csv_series["balance_multiplier.csv"] = ("oscillator,lambda,h", curve)
     return results, 0, table
 
@@ -548,8 +549,10 @@ def _cmd_ti_bounds(run: Pipeline) -> Reply:
     per_osc = []
     all_ok = True
     for k, params in enumerate(run.spec.oscillators):
-        model = TIModel.from_oscillator(params)
-        res = covariance_trace_bound(model, run.flags.kmax)
+        try:
+            res = covariance_trace_bound(TIModel.from_oscillator(params), run.flags.kmax)
+        except (QCascadeError, ArithmeticError) as exc:
+            raise type(exc)(f"oscillator {k}: {exc}") from exc
         ok = all(t <= b * (1 + 1e-9) for t, b in zip(res.traces, res.bounds))
         all_ok &= ok
         per_osc.append(
@@ -691,6 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(over="raise")  # an overflow is a refusal (FloatingPointError), not a warning
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:

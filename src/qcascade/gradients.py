@@ -14,13 +14,14 @@ Three independent routes are implemented: a direct formula through the
 observability Gramian of the whole cascade, a recursive formula that
 works tail by tail through the Schur complements, and a finite
 difference oracle. First-order covariance perturbations are also
-exposed for the Fisher-information analysis.
+exposed for the Fisher-information analysis; they and the oracle solve
+the +/- probes of every oscillator as one signed stack, chunk by chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -46,10 +47,13 @@ from .linalg import (
     symmetric_part,
     symplectic_residual,
     vech,
+    vech_to_symmetric,
 )
 from .oscillator import CascadeModel, CascadeStack, perturbed_cascade_stack
 
 SYMPLECTIC_TOL = 1e-9
+#: most entries in any (n, n, S) array of one chunk of signed probes
+PROBE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,13 +199,28 @@ def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
     return x
 
 
-def _signed_stack(cascade: CascadeModel, k: int, basis: np.ndarray) -> CascadeStack:
-    """Copies 2t and 2t + 1 move oscillator k by +basis[t] and -basis[t],
-    rows being perturbations [vech dR_k; vec dM_k]."""
-    count = 2 * len(basis)
-    de = [np.zeros((count, n * (n + 1) // 2 + cascade.m * n)) for n in cascade.dims]
-    de[k] = np.stack([basis, -basis], axis=1).reshape(count, -1)
-    return perturbed_cascade_stack(cascade, de)
+def _probe_offsets(cascade: CascadeModel) -> np.ndarray:
+    """First probe of every oscillator, then the probe count: oscillator k
+    has one probe per entry of [vech dR_k; vec dM_k]."""
+    return np.cumsum([0, *(nk * (nk + 1) // 2 + cascade.m * nk for nk in cascade.dims)])
+
+
+def _probe_chunks(cascade: CascadeModel, step: float) -> Iterator[tuple[int, int, CascadeStack]]:
+    """(lo, hi, stack) of the probes lo..hi-1, chunk by chunk: probes run over
+    the entries of [vech dR_k; vec dM_k], oscillator by oscillator, and
+    copies 2(t - lo) and 2(t - lo) + 1 of the stack move the entry of probe t
+    by +step and -step. No (n, n, S) array of a stack holds more than
+    ``PROBE_ENTRIES`` entries."""
+    first = _probe_offsets(cascade)
+    # equal chunks: a last chunk of one probe would change bits, as einsum
+    # sums a copy axis of length 1 in another order
+    count = -(-first[-1] // max(1, PROBE_ENTRIES // (2 * cascade.n**2)))
+    bounds = [first[-1] * i // count for i in range(count + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = np.zeros((hi - lo, first[-1]))
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = step
+        signed = np.stack([rows, -rows], axis=1).reshape(2 * (hi - lo), -1)
+        yield lo, hi, perturbed_cascade_stack(cascade, np.split(signed, first[1:-1], axis=1))
 
 
 def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) -> np.ndarray:
@@ -231,26 +250,24 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     Off-diagonal energy entries are perturbed in symmetric pairs, so the
     difference quotient carries a factor 1/(4h) there and 1/(2h) on the
     diagonal and for coupling entries. Coupling slopes are reported with
-    the package orientation mu_k = -dV/dM_k. The probes of one oscillator
-    are one batched block solve; a failing probe raises naming its entry.
+    the package orientation mu_k = -dV/dM_k. The probes of all oscillators
+    are one block solve per chunk of :func:`_probe_chunks`; a failing probe
+    raises naming its entry.
     """
+    m, first = cascade.m, _probe_offsets(cascade)
+    labels = []
+    for k, nk in enumerate(cascade.dims):
+        labels += [f"R_{k}[{i},{j}]" for j in range(nk) for i in range(j, nk)]
+        labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
+    values = np.empty(2 * first[-1])
+    for lo, hi, stack in _probe_chunks(cascade, h):
+        values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
+    slopes = (values[0::2] - values[1::2]) / (2.0 * h)
     rho: list[Matrix] = []
     mu: list[Matrix] = []
-    m = cascade.m
     for k, nk in enumerate(cascade.dims):
-        # energy pairs (i, j), j <= i, row by row; vech_pos locates them in vech
-        rows, cols = np.tril_indices(nk)
-        d_r = len(rows)
-        vech_pos = cols * nk - cols * (cols - 1) // 2 + rows - cols
-        basis = h * np.eye(d_r + m * nk)[np.concatenate([vech_pos, np.arange(d_r, d_r + m * nk)])]
-        labels = [f"R_{k}[{i},{j}]" for i, j in zip(rows, cols)]
-        labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
-        values = _fd_values(cascade, _signed_stack(cascade, k, basis), labels)
-        slope = (values[0::2] - values[1::2]) / (2.0 * h)
-        rho_k = np.zeros((nk, nk))
-        rho_k[rows, cols] = slope[:d_r] / np.where(rows == cols, 1.0, 2.0)
-        rho_k[cols, rows] = rho_k[rows, cols]
-        rho.append(rho_k)
+        slope, d_r = slopes[first[k] : first[k + 1]], nk * (nk + 1) // 2
+        rho.append(vech_to_symmetric(slope[:d_r] / (2.0 - vech(np.eye(nk))), nk))
         mu.append(-slope[d_r:].reshape(nk, m).T)
     return GradientSet(rho=tuple(rho), mu=tuple(mu))
 
@@ -287,28 +304,27 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     by the coupling entries in column-major order, matching
     :meth:`GradientSet.d_vector`; entry k of the result stacks them,
     shape (d_k, n, n). Each response solves the Lyapunov equation
-    A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, all of one oscillator in
-    one batched block solve certified at ``RESIDUAL_TOL``. dA and dB are
-    half-differences of the closed-form blocks of
-    :func:`perturbed_cascade_stack` along +d and -d, exact because A is
-    quadratic and B linear in (R_k, M_k). P is :func:`invariant_covariance_direct`.
+    A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched block solve per
+    chunk of :func:`_probe_chunks` into one result, certified at
+    ``RESIDUAL_TOL`` per oscillator. dA and dB are half-differences of the
+    stacks along +d and -d, exact because A is quadratic and B linear in
+    (R_k, M_k). P is :func:`invariant_covariance_direct`.
     """
-    p_full = invariant_covariance_direct(cascade)
-    out: list[np.ndarray] = []
-    for k, nk in enumerate(cascade.dims):
-        stack = _signed_stack(cascade, k, np.eye(nk * (nk + 1) // 2 + cascade.m * nk))
+    p_full, first = invariant_covariance_direct(cascade), _probe_offsets(cascade)
+    dp, certificate = np.empty((cascade.n, cascade.n, first[-1])), np.empty(first[-1])
+    for lo, hi, stack in _probe_chunks(cascade, 1.0):
         da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
         db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
         half = np.einsum("ils,lj->ijs", da, p_full) + np.einsum("ias,ja->ijs", db, cascade.b)
         force = half + half.transpose(1, 0, 2)
-        dp, certificate = solve_cascade_lyapunov(
+        dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
             np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
         )
-        worst = float(np.max(certificate))
+    for k in range(cascade.n_oscillators):
+        worst = float(np.max(certificate[first[k] : first[k + 1]]))
         if not worst <= RESIDUAL_TOL:
             raise SolverSingular(
                 f"covariance response of oscillator {k}: residual certificate "
                 f"{worst:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-        out.append(np.moveaxis(dp, -1, 0))
-    return tuple(out)
+    return tuple(np.moveaxis(dp[..., lo:hi], -1, 0) for lo, hi in zip(first[:-1], first[1:]))

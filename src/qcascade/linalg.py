@@ -157,18 +157,22 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     return x.reshape((n, p), order="F")
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm by BLAS ``nrm2``, which scales as it sums: it overflows
+    only where the norm itself does, not where the sum of squares would."""
+    return float(scipy.linalg.norm(np.ravel(x), check_finite=False))
+
+
 def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix) -> None:
     """Raise SolverSingular unless sigma, real or complex, solves
     alpha*s + s*beta^T + gamma = 0 to a Frobenius residual within
-    ``RESIDUAL_TOL`` of ||alpha|| ||sigma|| + ||sigma|| ||beta|| + ||gamma||."""
-    residual = np.linalg.norm(alpha @ sigma + sigma @ beta.T + gamma)
-    sigma_norm = np.linalg.norm(sigma)
-    scale = (
-        np.linalg.norm(alpha) * sigma_norm
-        + sigma_norm * np.linalg.norm(beta)
-        + np.linalg.norm(gamma)
-    )
-    if not residual <= RESIDUAL_TOL * max(scale, np.finfo(float).tiny):
+    ``RESIDUAL_TOL`` of the scale ||sigma|| (||alpha|| + ||beta||) + ||gamma||,
+    both finite: an infinite one means the equation does not fit in double
+    precision, and no residual could fail against an infinite scale."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
+    scale = _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma)
+    if not residual <= RESIDUAL_TOL * max(scale, np.finfo(float).tiny) < np.inf:
         raise SolverSingular(
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}"
         )

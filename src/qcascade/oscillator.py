@@ -312,7 +312,8 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
 
     res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full))
     res += realizability_residual(a_full, b_full, c_full, theta_full, j)[0]
-    if res > PR_SELF_CHECK_TOL * max(1.0, np.linalg.norm(a_full) * np.linalg.norm(theta_full)):
+    scale = max(1.0, np.linalg.norm(a_full) * np.linalg.norm(theta_full))
+    if not res <= PR_SELF_CHECK_TOL * scale < np.inf:  # an overflowed scale certifies nothing
         raise ArithmeticError(f"composite realizability self-check failed: residual {res:.3e}")
 
     return CascadeModel(

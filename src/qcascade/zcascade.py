@@ -28,6 +28,7 @@ import numpy as np
 from .covariance import invariant_covariance_direct, stationary_covariance
 from .errors import (
     BisectionFailure,
+    EigFailure,
     NotHurwitz,
     NotInStabilitySet,
     ZAtOne,
@@ -323,9 +324,13 @@ def _crossing_frequencies(model: TIModel, gamma: float) -> np.ndarray:
     imaginary-axis eigenvalues i w of the Hamiltonian matrix of level gamma."""
     a, b, c = model.a, model.b, model.c
     w = 1.0 / (1.0 - gamma * gamma)
-    top = np.hstack([a - w * (b @ c), -gamma * w * (b @ b.T)])
-    bottom = np.hstack([gamma * w * (c.T @ c), -a.T + w * (c.T @ b.T)])
-    eigs = np.linalg.eigvals(np.vstack([top, bottom]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        top = np.hstack([a - w * (b @ c), -gamma * w * (b @ b.T)])
+        bottom = np.hstack([gamma * w * (c.T @ c), -a.T + w * (c.T @ b.T)])
+    hamiltonian = np.vstack([top, bottom])
+    if not np.isfinite(hamiltonian).all():
+        raise EigFailure(f"Hamiltonian matrix of level {gamma:.10g} has a non-finite entry")
+    eigs = np.linalg.eigvals(hamiltonian)
     on_axis = np.abs(eigs.real) <= HINF_IMAG_TOL * np.maximum(1.0, np.abs(eigs))
     return np.sort(eigs.imag[on_axis & (eigs.imag > 0.0)])
 

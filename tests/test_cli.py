@@ -320,6 +320,19 @@ class TestCommands:
         spec = load_spec(balanced)
         assert len(spec.oscillators) == 3
 
+    def test_multiplier_curve_is_the_pointwise_curve(self, tmp_path, reference_spec, reference_cascade):
+        # each row evaluates h(lambda) = prod_i lambda / (1 + sqrt(1 + 2 lambda r_i^2))
+        # at one multiplier on its own; the file holds the same bytes
+        assert main(["balance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+        report = balance_cascade(reference_cascade, reference_spec.uncertainty, seed=7)
+        lines = ["oscillator,lambda,h"]
+        for k, res in enumerate(report.results):
+            r = res.whitened_spectrum
+            for lam in np.geomspace(res.lambda_k / 10, res.lambda_k * 10, 41):
+                h = float(np.prod(lam / (1.0 + np.sqrt(1.0 + 2.0 * lam * r * r))))
+                lines.append(f"{k!r},{float(lam)!r},{h!r}")
+        assert (tmp_path / "balance_multiplier.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_balanced_spec_is_a_fixed_point(self, tmp_path):
         assert main(["balance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
         second = tmp_path / "second"
@@ -718,6 +731,51 @@ class TestExitCodes:
         assert not (out / "report.json").exists()
 
 
+class TestHugeEntries:
+    """Coupling entry (0, 0) of oscillator 2 times 1e150: the model's products
+    stay within double precision but the sums of squares of its norms do
+    not. Every command certifies its answer or refuses it with exit code 2,
+    with no warning (the suite turns warnings into errors) and no traceback."""
+
+    @pytest.fixture()
+    def huge_spec(self, tmp_path):
+        doc = read_example()
+        doc["oscillators"][2]["M"][0][0] *= 1e150
+        return write_spec(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate"], 0), (["covariance"], 0), (["purity"], 0), (["gradients"], 2),
+            (["sensitivity"], 2), (["balance"], 2), (["mc-check", "--samples", "64"], 2),
+        ],
+    )
+    def test_answer_or_typed_refusal(self, huge_spec, argv, code, tmp_path, capsys):
+        assert main([argv[0], str(huge_spec), "--out", str(tmp_path / "out"), *argv[1:]]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("numerical error: ")
+
+    def test_certified_log_det_is_right(self, huge_spec, tmp_path):
+        # the residual certificate passes at a scale near 1e300; V must then be right
+        mp = pytest.importorskip("mpmath")
+        from test_covariance import mp_block_covariance
+
+        assert main(["purity", str(huge_spec), "--out", str(tmp_path)]) == 0
+        v = json.loads((tmp_path / "report.json").read_text())["results"]["v_logdet"]
+        exact = mp_block_covariance(mp, build_cascade(load_spec(huge_spec)), dps=400)
+        with mp.workdps(400):  # det cancels entries near 1e152 down to O(1)
+            v_exact = float(mp.log(mp.det(mp.matrix(exact.tolist()))))
+        assert abs(v - v_exact) <= 1e-9 * abs(v_exact)
+
+    def test_ti_bounds_refusal_names_the_oscillator(self, huge_spec, tmp_path, capsys):
+        assert main(["ti-bounds", str(huge_spec), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical error: oscillator 2: Hamiltonian matrix" in err
+        assert "non-finite entry" in err
+
+
 #: values a mutation writes: wrong types, non-finite, tiny and huge numbers, wrong shapes
 JUNK = (
     True, False, None, "abc", "", float("nan"), float("inf"), -1, 0, 3.5, 2**70,
@@ -786,7 +844,7 @@ class TestSpecFuzz:
     """A mutated spec gets exit code 0, 1 or 2 from any cheap command, never
     a traceback, and any report it writes is strict JSON."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_mutated_spec_exits_with_a_code(self, data):
         doc = copy.deepcopy(EXAMPLE)

@@ -11,11 +11,16 @@ import qcascade.gradients
 from conftest import (
     make_cascade,
     make_mixed_cascade,
+    make_oscillator,
     make_passive_chain,
     random_blockdiag_symplectic,
     random_symplectic,
 )
-from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
+from qcascade.covariance import (
+    invariant_covariance_direct,
+    invariant_covariance_recursive,
+    log_det_stack,
+)
 from qcascade.errors import NotHurwitz, NotSymplectic, SolverSingular
 from qcascade.gradients import (
     GradientSet,
@@ -27,8 +32,14 @@ from qcascade.gradients import (
     purity_gradients_recursive,
     transform_gradients,
 )
-from qcascade.linalg import J2, solve_lyapunov, vech
-from qcascade.oscillator import OscillatorParams, assemble_cascade, default_theta, transform_params
+from qcascade.linalg import RESIDUAL_TOL, J2, solve_cascade_lyapunov, solve_lyapunov, vech
+from qcascade.oscillator import (
+    OscillatorParams,
+    assemble_cascade,
+    default_theta,
+    perturbed_cascade_stack,
+    transform_params,
+)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +236,7 @@ class TestFiniteDifferenceOracle:
         assert stack_gap(fd, reference_gradients) <= 1e-6
 
     def test_mixed_chain_agreement(self):
-        # a two-mode oscillator puts the energy pairs out of vech order
+        # a two-mode oscillator has symmetric energy pairs in several vech columns
         cascade = make_mixed_cascade(np.random.default_rng(5151))
         fd = gradient_fd_oracle(cascade, h=1e-5)
         assert stack_gap(fd, purity_gradients_direct(cascade)) <= 1e-6
@@ -251,6 +262,135 @@ class TestFiniteDifferenceOracle:
         cascade = assemble_cascade([fragile])
         with pytest.raises(NotHurwitz, match=r"R_0\[1,0\]"):
             gradient_fd_oracle(cascade, h=1e-5)
+
+
+def one_oscillator_stack(cascade, k, basis):
+    """Copies 2t and 2t + 1 move oscillator k alone by +basis[t] and -basis[t]."""
+    de = [np.zeros((2 * len(basis), nk * (nk + 1) // 2 + cascade.m * nk)) for nk in cascade.dims]
+    de[k] = np.stack([basis, -basis], axis=1).reshape(2 * len(basis), -1)
+    return perturbed_cascade_stack(cascade, de)
+
+
+def per_oscillator_fd(cascade, h):
+    """The central-difference oracle with one stack and one solve per oscillator."""
+    rho, mu = [], []
+    for k, nk in enumerate(cascade.dims):
+        d_r = nk * (nk + 1) // 2
+        stack = one_oscillator_stack(cascade, k, h * np.eye(d_r + cascade.m * nk))
+        logdet, certificate = log_det_stack(stack, cascade.dims)
+        assert np.all(certificate <= RESIDUAL_TOL)
+        slope = (logdet[0::2] - logdet[1::2]) / (2.0 * h)
+        rho_k = np.zeros((nk, nk))
+        pairs = [(i, j) for j in range(nk) for i in range(j, nk)]  # vech order
+        for (i, j), value in zip(pairs, slope[:d_r]):
+            rho_k[i, j] = rho_k[j, i] = value / (1.0 if i == j else 2.0)
+        rho.append(rho_k)
+        mu.append(-slope[d_r:].reshape(nk, cascade.m).T)
+    return rho + mu
+
+
+def per_oscillator_responses(cascade):
+    """The covariance responses with one stack and one solve per oscillator."""
+    p = invariant_covariance_direct(cascade)
+    out = []
+    for k, nk in enumerate(cascade.dims):
+        stack = one_oscillator_stack(cascade, k, np.eye(nk * (nk + 1) // 2 + cascade.m * nk))
+        da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
+        db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
+        half = np.einsum("ils,lj->ijs", da, p) + np.einsum("ias,ja->ijs", db, cascade.b)
+        force = half + half.transpose(1, 0, 2)
+        dp, certificate = solve_cascade_lyapunov(
+            np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
+        )
+        assert np.all(certificate <= RESIDUAL_TOL)
+        out.append(np.moveaxis(dp, -1, 0))
+    return out
+
+
+def spy_lyapunov_copies(monkeypatch):
+    """Copy count S of every stacked Lyapunov solve of the probe routes."""
+    copies = []
+
+    def spy(a, q, dims):
+        copies.append(a.shape[2])
+        return solve_cascade_lyapunov(a, q, dims)
+
+    for module in (qcascade.covariance, qcascade.gradients):
+        monkeypatch.setattr(module, "solve_cascade_lyapunov", spy)
+    return copies
+
+
+class TestProbeStack:
+    """The probes of every oscillator form one signed stack, solved once per
+    chunk of at most ``PROBE_ENTRIES`` entries in any (n, n, S) array."""
+
+    @pytest.fixture(params=["reference", "mixed"])
+    def cascade(self, request, reference_cascade):
+        if request.param == "mixed":
+            return make_mixed_cascade(np.random.default_rng(5151))
+        return reference_cascade
+
+    def test_oracle_is_the_per_oscillator_oracle_to_the_bit(self, cascade):
+        fd = gradient_fd_oracle(cascade, h=1e-5)
+        for got, want in zip((*fd.rho, *fd.mu), per_oscillator_fd(cascade, 1e-5), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_responses_are_the_per_oscillator_responses_to_the_bit(self, cascade):
+        got = covariance_derivatives(cascade)
+        for dp, want in zip(got, per_oscillator_responses(cascade), strict=True):
+            np.testing.assert_array_equal(dp, want)
+
+    def test_chunks_reproduce_one_stack_to_the_bit(self, cascade, monkeypatch):
+        fd, dps = gradient_fd_oracle(cascade, h=1e-5), covariance_derivatives(cascade)
+        probes = sum(nk * (nk + 1) // 2 + cascade.m * nk for nk in cascade.dims)
+        budget = 2 * cascade.n**2 * (probes // 3)  # at least three chunks
+        monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", budget)
+        copies = spy_lyapunov_copies(monkeypatch)
+        chunked_fd, chunked_dps = gradient_fd_oracle(cascade, h=1e-5), covariance_derivatives(cascade)
+        assert len(copies) >= 6
+        assert max(copies) * cascade.n**2 <= budget
+        for got, want in zip((*chunked_fd.rho, *chunked_fd.mu), (*fd.rho, *fd.mu), strict=True):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(chunked_dps, dps, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_solve_per_chunk(self, reference_cascade, monkeypatch):
+        # 45 probes in one chunk: one solve of 90 signed copies, one of 45 responses
+        copies = spy_lyapunov_copies(monkeypatch)
+        gradient_fd_oracle(reference_cascade, h=1e-5)
+        covariance_derivatives(reference_cascade)
+        assert copies == [90, 45]
+
+    def test_crossing_probe_in_a_later_chunk_is_reported(self, monkeypatch):
+        # margin -1e-7: the base is stable, the +h probe of R_2[1,0] is not
+        rng = np.random.default_rng(77)
+        fragile = OscillatorParams(
+            theta=0.5 * J2,
+            r_energy=np.array([[0.0, 0.01 - 1e-7], [0.01 - 1e-7, 0.0]]),
+            m_coupling=0.1 * np.eye(2),
+        )
+        cascade = assemble_cascade([make_oscillator(rng, 2), make_oscillator(rng, 2), fragile])
+        # 7 probes per oscillator, 3 per chunk: R_2[1,0] is probe 15, in the sixth chunk
+        monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", 2 * cascade.n**2 * 3)
+        copies = spy_lyapunov_copies(monkeypatch)
+        with pytest.raises(NotHurwitz, match=r"perturbation of R_2\[1,0\].*oscillator 2"):
+            gradient_fd_oracle(cascade, h=1e-5)
+        assert len(copies) == 6
+
+    def test_failed_response_certificate_names_its_oscillator(self, reference_cascade, monkeypatch):
+        # three chunks of 15 probes, one oscillator each; the second fails its certificate
+        monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", 2 * reference_cascade.n**2 * 15)
+        calls = []
+
+        def failing_second_chunk(a, q, dims):
+            p, certificate = solve_cascade_lyapunov(a, q, dims)
+            calls.append(len(certificate))
+            return p, certificate + (len(calls) == 2)
+
+        monkeypatch.setattr(qcascade.gradients, "solve_cascade_lyapunov", failing_second_chunk)
+        with pytest.raises(SolverSingular, match="covariance response of oscillator 1"):
+            covariance_derivatives(reference_cascade)
+        assert calls == [15, 15, 15]
 
 
 class TestTransform:

@@ -14,6 +14,7 @@ from qcascade.linalg import (
     RESIDUAL_TOL,
     _sylvester_step,
     cascade_schur,
+    certify_sylvester,
     dense_schur,
     duplication_matrix,
     is_hurwitz,
@@ -103,6 +104,21 @@ class TestSylvester:
         with pytest.raises(SolverSingular, match="non-finite"):
             solve_sylvester(*args)
         assert calls == []
+
+    @pytest.mark.parametrize("big", [1e160, 1e300])
+    def test_certificate_scale_does_not_overflow(self, big):
+        # -big s - s + big = 0 has s = big / (big + 1); the norms are finite,
+        # their sums of squares are not
+        alpha, beta, gamma = -big * np.eye(2), -np.eye(2), big * np.eye(2)
+        certify_sylvester(alpha, beta, gamma, np.eye(2))
+        # a wrong answer used to pass against an infinite scale
+        with pytest.raises(SolverSingular, match="exceeds"):
+            certify_sylvester(alpha, beta, gamma, 2.0 * np.eye(2))
+
+    def test_certificate_refuses_an_overflowing_residual(self):
+        # alpha sigma overflows: the residual is infinite and is refused, with no warning
+        with pytest.raises(SolverSingular, match="residual inf"):
+            certify_sylvester(-1e300 * np.eye(2), -np.eye(2), np.eye(2), 1e10 * np.eye(2))
 
     def test_kron_route_singular_spectrum(self):
         # alpha and beta^T spectra overlap on the imaginary axis

@@ -149,6 +149,17 @@ class TestAssembly:
         with pytest.raises(error, match="oscillator 4: "):
             assemble_cascade(chain)
 
+    def test_composite_check_refuses_an_overflowed_scale(self, reference_spec):
+        # a coupling entry of 1e200: the norms of the check overflow, and no
+        # residual could fail against an infinite scale
+        chain = list(reference_spec.oscillators)
+        coupling = chain[2].m_coupling.copy()
+        coupling[0, 0] *= 1e200
+        chain[2] = replace(chain[2], m_coupling=coupling)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="composite realizability self-check"):
+                assemble_cascade(chain)
+
     def test_single_oscillator_matches_realization(self):
         cascade = assemble_cascade([TRIVIAL])
         real = realize(TRIVIAL)
