@@ -49,10 +49,9 @@ def main() -> int:
     for exp in range(1, args.decades + 1):
         h = 10.0 ** (-exp)
         gap = stack_gap(gradient_fd_oracle(cascade, h=h), exact)
-        marker = ""
         if gap < best[1]:
             best = (h, gap)
-        print(f"{h:>10.0e} {gap:>14.3e}{marker}")
+        print(f"{h:>10.0e} {gap:>14.3e}")
     print(f"best step {best[0]:.0e} with relative gap {best[1]:.3e}")
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qcascade.balance import newton_lambda
+from qcascade.balance import f_lambda, newton_lambda
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
     r = np.array([args.r1, args.r2])
     print("lambda,h")
     for lam in np.linspace(0.05, 3.0, args.grid):
-        h = float(np.prod(lam / (1.0 + np.sqrt(1.0 + 2.0 * lam * r * r))))
+        h = float(np.prod(f_lambda(r, lam)))
         print(f"{lam:.6f},{h:.9f}")
 
     res = newton_lambda(args.r1, args.r2, args.det_tau)

@@ -16,20 +16,20 @@ from .errors import (
     TooManyRejections, ZAtOne,
 )
 from .linalg import (
-    cascade_schur, dense_schur, duplication_matrix, is_hurwitz, quantum_psd_margin,
+    cascade_schur, dense_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, resolvent_solve,
     solve_cascade_lyapunov, solve_cascade_sylvester, solve_lyapunov, solve_sylvester,
     symmetric_matrix_function, symplectic_exponential, symplectic_form, symplectic_residual, vech,
     vech_to_symmetric,
 )
 from .oscillator import (
     CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade,
-    composite_transfer_resolvent, composite_transfer_stack, default_theta, oscillator_realization,
-    perturbed_cascade_stack, transfer_eval, transform_params,
+    composite_transfer_stack, default_theta, oscillator_realization, perturbed_cascade_stack,
+    transfer_eval, transform_params,
 )
 from .covariance import (
     SteadyStateResult, frequency_domain_covariance, invariant_covariance_direct,
-    invariant_covariance_recursive, purity_and_logdet, schur_complements, schur_tail_step,
-    covariance_factor, steady_state,
+    invariant_covariance_recursive, purity_and_logdet, schur_complements, covariance_factor,
+    steady_state,
 )
 from .gradients import (
     GradientSet, covariance_derivatives, gradient_fd_oracle, observability_gramian_and_hankelian,
@@ -57,14 +57,14 @@ __all__ = [
     "RankDeficientMu", "SchemaError", "SingularLeadingBlock", "SingularResolvent", "SingularTheta",
     "SolverSingular", "TooManyRejections", "ZAtOne",
     "cascade_schur", "dense_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
-    "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov", "solve_sylvester",
-    "symmetric_matrix_function", "symplectic_exponential", "symplectic_form", "symplectic_residual",
-    "vech", "vech_to_symmetric",
+    "resolvent_solve", "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov",
+    "solve_sylvester", "symmetric_matrix_function", "symplectic_exponential", "symplectic_form",
+    "symplectic_residual", "vech", "vech_to_symmetric",
     "CascadeModel", "OscillatorParams", "OscillatorRealization", "assemble_cascade",
-    "composite_transfer_resolvent", "composite_transfer_stack", "default_theta",
-    "oscillator_realization", "perturbed_cascade_stack", "transfer_eval", "transform_params",
+    "composite_transfer_stack", "default_theta", "oscillator_realization",
+    "perturbed_cascade_stack", "transfer_eval", "transform_params",
     "SteadyStateResult", "frequency_domain_covariance", "invariant_covariance_direct",
-    "invariant_covariance_recursive", "purity_and_logdet", "schur_complements", "schur_tail_step",
+    "invariant_covariance_recursive", "purity_and_logdet", "schur_complements",
     "covariance_factor", "steady_state",
     "GradientSet", "covariance_derivatives", "gradient_fd_oracle",
     "observability_gramian_and_hankelian", "purity_gradients_direct", "purity_gradients_recursive",

@@ -8,8 +8,8 @@ complements of the leading blocks split the log-determinant of P into
 per-oscillator terms, which is the quantity the gradient and balancing
 modules act on. They are read off one Cholesky factor P = L L^T (the
 complement before oscillator k is L_tt L_tt^T, L_tt the trailing block
-of L); :func:`schur_complements` and :func:`schur_tail_step` form them
-by subtraction, as test oracles.
+of L); :func:`schur_complements` forms them by subtraction, as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .linalg import (
     cascade_schur,
     dense_schur,
     is_hurwitz,
+    resolvent_solve,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
@@ -153,19 +154,13 @@ def _recursive_covariance(cascade: CascadeModel, factor: CascadeSchur) -> Matrix
     return p
 
 
-@dataclass(frozen=True)
-class SchurSplit:
-    pi_k: tuple[Matrix, ...]
-    pi_tail_k: tuple[Matrix, ...]
-
-
-def schur_complements(p_full: Matrix, dims: Sequence[int]) -> SchurSplit:
-    """Schur complements of the nested leading blocks of a covariance.
+def schur_complements(p_full: Matrix, dims: Sequence[int]) -> tuple[Matrix, ...]:
+    """Schur complements Pi_k of the nested leading blocks of a covariance.
 
     For each block index k this removes the influence of blocks before k:
     the tail complement is P_tail - T Q^T with T the regression gain
     Q P_lead^{-1}, computed through a Cholesky factorization of the
-    leading block, never an explicit inverse.
+    leading block, never an explicit inverse; Pi_k is its leading block.
     """
     dims = tuple(int(d) for d in dims)
     n = p_full.shape[0]
@@ -173,25 +168,14 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> SchurSplit:
         raise ValueError(f"block dims {dims} do not sum to order {n}")
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     pi_k: list[Matrix] = [p_full[: dims[0], : dims[0]].copy()]
-    pi_tail: list[Matrix] = [p_full.copy()]
     for k in range(1, len(dims)):
         off = offsets[k]
         q_tail = p_full[off:, :off]
         t = cho_solve(_lead_factor(p_full[:off, :off]), q_tail.T).T
         tail = p_full[off:, off:] - t @ q_tail.T
         tail = 0.5 * (tail + tail.T)
-        pi_tail.append(tail)
         pi_k.append(tail[: dims[k], : dims[k]].copy())
-    return SchurSplit(pi_k=tuple(pi_k), pi_tail_k=tuple(pi_tail))
-
-
-def schur_tail_step(pi_tail_prev: Matrix, n_prev: int) -> Matrix:
-    """One step of the tail recursion: complement out the leading block."""
-    gamma = pi_tail_prev[:n_prev, :n_prev]
-    beta = pi_tail_prev[n_prev:, :n_prev]
-    alpha = pi_tail_prev[n_prev:, n_prev:]
-    out = alpha - beta @ cho_solve(_lead_factor(gamma), beta.T)
-    return 0.5 * (out + out.T)
+    return tuple(pi_k)
 
 
 def _lead_factor(lead: Matrix) -> tuple[Matrix, bool]:
@@ -301,11 +285,9 @@ def frequency_domain_covariance(
     omega = np.eye(j_ito.shape[0]) + 1j * j_ito
     radius = float(np.max(np.abs(np.linalg.eigvals(a))))
     lam_max = 100.0 * max(1.0, radius)
-    eye = np.eye(len(a))
-    b_c = b.astype(complex)
 
     def integrand(lam: float) -> np.ndarray:
-        f = np.linalg.solve(1j * lam * eye - a, b_c)
+        f = resolvent_solve(a, b, 1j * lam)
         return (f @ omega @ f.conj().T) / (2.0 * np.pi)
 
     from scipy.integrate import quad_vec

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import EigFailure, NotHurwitz, SchemaError, SolverSingular
+from .errors import EigFailure, NotHurwitz, SchemaError, SingularResolvent, SolverSingular
 
 Matrix = np.ndarray
 
@@ -155,6 +155,23 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     except np.linalg.LinAlgError as exc:
         raise SolverSingular(f"vectorized system singular: {exc}") from exc
     return x.reshape((n, p), order="F")
+
+
+def resolvent_solve(a: Matrix, b: Matrix, s: complex) -> Matrix:
+    """(sI - a)^{-1} b by one LU solve, certified: SingularResolvent when s is
+    in the spectrum of a, the solution overflows or its residual exceeds 1e-8
+    of the scale max(1, ||(sI - a)^{-1} b|| ||sI - a||)."""
+    resolvent = s * np.eye(a.shape[0]) - a
+    try:
+        f = np.linalg.solve(resolvent, b.astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolvent(f"s = {s} is in the spectrum: {exc}") from exc
+    if not np.all(np.isfinite(f)):
+        raise SingularResolvent(f"resolvent overflow at s = {s}")
+    res = np.linalg.norm(resolvent @ f - b)
+    if res > 1e-8 * max(1.0, np.linalg.norm(f) * np.linalg.norm(resolvent)):
+        raise SingularResolvent(f"resolvent solve lost accuracy at s = {s}")
+    return f
 
 
 def _frobenius(x: np.ndarray) -> float:

@@ -20,8 +20,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHurwitz, SingularResolvent, SingularTheta
-from .linalg import HURWITZ_TOL, Matrix, duplication_matrix, spectral_abscissa, symplectic_form
+from .errors import DimensionMismatch, NotHurwitz, SingularTheta
+from .linalg import (
+    HURWITZ_TOL, Matrix, duplication_matrix, resolvent_solve, spectral_abscissa, symplectic_form,
+)
 
 PR_SELF_CHECK_TOL = 1e-12
 #: most entries K S n_k m the series builder forms at once: larger temporaries are
@@ -193,11 +195,13 @@ def _series_connection(
                 theta.transpose(1, 2, 0)[..., None],
                 j_ito,
             )
-            failed = np.flatnonzero(np.any(res > PR_SELF_CHECK_TOL * scale, axis=1))
-            if failed.size:
+            # an infinite scale certifies nothing, and a NaN residual fails
+            passed = (res <= PR_SELF_CHECK_TOL * scale) & (scale < np.inf)
+            if not passed.all():
+                i, copy = np.argwhere(~passed)[0]
                 raise ArithmeticError(
-                    f"physical-realizability self-check failed for oscillator {ks[failed[0]]}: "
-                    f"residual {np.max(res):.3e}"
+                    f"physical-realizability self-check failed for oscillator {ks[i]}: "
+                    f"residual {res[i, copy]:.3e}, scale {scale[i, copy]:.3e}"
                 )
             abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
             for i, k in enumerate(ks):
@@ -366,21 +370,8 @@ def transfer_eval(
     F maps the driving field to the oscillator variables, G to the output
     field. On the imaginary axis G satisfies G J G* = J.
     """
-    a, b, c = realization.a, realization.b, realization.c
-    n = a.shape[0]
-    m = b.shape[1]
-    resolvent = s * np.eye(n) - a
-    try:
-        f = np.linalg.solve(resolvent, b.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"s = {s} is in the spectrum: {exc}") from exc
-    if not np.all(np.isfinite(f)):
-        raise SingularResolvent(f"resolvent overflow at s = {s}")
-    res = np.linalg.norm(resolvent @ f - b)
-    if res > 1e-8 * max(1.0, np.linalg.norm(f) * np.linalg.norm(resolvent)):
-        raise SingularResolvent(f"resolvent solve lost accuracy at s = {s}")
-    g = c @ f + np.eye(m)
-    return f, g
+    f = resolvent_solve(realization.a, realization.b, s)
+    return f, realization.c @ f + np.eye(realization.b.shape[1])
 
 
 def composite_transfer_stack(cascade: CascadeModel, s: complex) -> np.ndarray:
@@ -396,19 +387,6 @@ def composite_transfer_stack(cascade: CascadeModel, s: complex) -> np.ndarray:
         blocks.append(f @ g_prod)
         g_prod = g @ g_prod
     return np.vstack(blocks)
-
-
-def composite_transfer_resolvent(cascade: CascadeModel, s: complex) -> np.ndarray:
-    """Same map as :func:`composite_transfer_stack` via the composite resolvent."""
-    n = cascade.n
-    resolvent = s * np.eye(n) - cascade.a
-    try:
-        f = np.linalg.solve(resolvent, cascade.b.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"s = {s} is in the composite spectrum: {exc}") from exc
-    if not np.all(np.isfinite(f)):
-        raise SingularResolvent(f"composite resolvent overflow at s = {s}")
-    return f
 
 
 def transform_params(

@@ -272,13 +272,6 @@ def fisher_sensitivity(cascade: CascadeModel, uncertainty: UncertaintyModel) -> 
     return FisherResult(z_total=float(sum(z_k)), z_k=z_k, gram_k=grams)
 
 
-def _inv_sqrt(p: Matrix, label: str) -> Matrix:
-    w, v = np.linalg.eigh(0.5 * (p + p.T))
-    if np.any(w <= 0):
-        raise NonPositive(f"{label} is not positive definite")
-    return (v / np.sqrt(w)) @ v.T
-
-
 def kl_gaussian(p: Matrix, p_star: Matrix) -> float:
     """Relative entropy of N(0, p) from N(0, p_star).
 
@@ -286,7 +279,10 @@ def kl_gaussian(p: Matrix, p_star: Matrix) -> float:
     p_star^{-1/2} p p_star^{-1/2}.
     """
     n = p.shape[0]
-    isq = _inv_sqrt(p_star, "reference covariance")
+    w, v = np.linalg.eigh(0.5 * (p_star + p_star.T))
+    if np.any(w <= 0):
+        raise NonPositive("reference covariance is not positive definite")
+    isq = (v / np.sqrt(w)) @ v.T
     chi = isq @ p @ isq
     sign, logdet = np.linalg.slogdet(chi)
     if sign <= 0:
@@ -295,7 +291,6 @@ def kl_gaussian(p: Matrix, p_star: Matrix) -> float:
 
 
 def kl_quadratic(p: Matrix, p_star: Matrix) -> float:
-    """Small-deviation approximation |chi - I|^2 / 4 of the relative entropy."""
-    isq = _inv_sqrt(p_star, "reference covariance")
-    chi = isq @ p @ isq
-    return 0.25 * float(np.linalg.norm(chi - np.eye(p.shape[0])) ** 2)
+    """Small-deviation approximation |chi - I|^2 / 4 of the relative entropy,
+    a quarter of the information metric of p - p_star at p_star."""
+    return 0.25 * fisher_metric(p_star, p - p_star)

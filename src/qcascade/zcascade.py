@@ -25,7 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariance import invariant_covariance_direct, stationary_covariance
+from .covariance import (
+    frequency_domain_covariance,
+    invariant_covariance_direct,
+    stationary_covariance,
+)
 from .errors import (
     BisectionFailure,
     EigFailure,
@@ -33,7 +37,14 @@ from .errors import (
     NotInStabilitySet,
     ZAtOne,
 )
-from .linalg import Matrix, certify_sylvester, is_hurwitz, sylvester_kron_solve, symplectic_form
+from .linalg import (
+    Matrix,
+    certify_sylvester,
+    is_hurwitz,
+    resolvent_solve,
+    sylvester_kron_solve,
+    symplectic_form,
+)
 from .oscillator import (
     OscillatorParams,
     OscillatorRealization,
@@ -150,7 +161,7 @@ def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> floa
 def phi_z_resolvent(model: TIModel, z: complex, s: complex) -> np.ndarray:
     """Transfer (sI - A_z)^{-1} B_z of the z-family member."""
     pt = z_domain_matrices(model, z)
-    return np.linalg.solve(s * np.eye(model.n) - pt.a_z, pt.b_z)
+    return resolvent_solve(pt.a_z, pt.b_z, s)
 
 
 def phi_z_feedback(model: TIModel, z: complex, s: complex) -> np.ndarray:
@@ -284,32 +295,17 @@ def h2_norm(model: TIModel) -> float:
 
 
 def h2_norm_quadrature(model: TIModel) -> float:
-    """H2 norm by direct frequency integration, solver-independent, to an
-    absolute and relative tolerance of 1e-8."""
-    a, b = model.a, model.b
-    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
-    lam_max = 100.0 * max(1.0, radius)
-    eye = np.eye(model.n)
-
-    def integrand(lam: float) -> float:
-        f = np.linalg.solve(1j * lam * eye - a, b.astype(complex))
-        return float(np.linalg.norm(f) ** 2) / (2.0 * np.pi)
-
-    from scipy.integrate import quad
-
-    val, _ = quad(integrand, -lam_max, lam_max, epsabs=1e-8, epsrel=1e-8, limit=800)
-    val += float(np.linalg.norm(b) ** 2) / (np.pi * lam_max)
-    return float(np.sqrt(val))
+    """H2 norm by direct frequency integration, solver-independent: the
+    square root of the trace of :func:`frequency_domain_covariance` with
+    Omega = I, to its tolerance; NoConvergence when the quadrature misses it."""
+    re_p, _ = frequency_domain_covariance(model.a, model.b, np.zeros((model.m, model.m)))
+    return float(np.sqrt(np.trace(re_p)))
 
 
 def phi_z_h2_norm(model: TIModel, z: complex) -> float:
-    """H2 norm of the z-family transfer (A_z, B_z)."""
-    pt = z_domain_matrices(model, z)
-    if not pt.is_stable:
-        raise NotInStabilitySet(f"z = {z} gives an unstable family member")
-    forcing = pt.b_z @ np.conj(pt.b_z).T
-    gram = sylvester_kron_solve(pt.a_z, np.conj(pt.a_z), forcing)
-    certify_sylvester(pt.a_z, np.conj(pt.a_z), forcing, gram)
+    """H2 norm of the z-family transfer (A_z, B_z): the square root of the
+    real trace of its Gramian, the symmetric sector at (z, conj z)."""
+    gram = cross_covariance_symmetric_sector(model, z, np.conj(z))
     return float(np.sqrt(np.real(np.trace(gram))))
 
 

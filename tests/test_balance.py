@@ -13,7 +13,7 @@ from qcascade.balance import (
     probe_psi,
     solve_multiplier,
 )
-from qcascade.covariance import purity_and_logdet, steady_state
+from qcascade.covariance import steady_state
 from qcascade.errors import NotOneMode, RankDeficientMu, SchemaError
 from qcascade.gradients import purity_gradients_direct, transform_gradients
 from qcascade.linalg import J2, symplectic_exponential, symplectic_residual

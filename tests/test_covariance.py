@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import (
     make_cascade,
     make_mixed_cascade,
-    make_oscillator,
     make_passive_chain,
     random_symplectic,
 )
@@ -21,7 +20,6 @@ from qcascade.covariance import (
     log_det_stack,
     purity_and_logdet,
     schur_complements,
-    schur_tail_step,
     steady_state,
 )
 from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock
@@ -122,31 +120,20 @@ class TestQuadratureOracle:
 class TestSchur:
     def test_scalar_blocks(self):
         p = np.array([[2.0, 1.0], [1.0, 2.0]])
-        split = schur_complements(p, (1, 1))
-        assert split.pi_k[0] == pytest.approx(2.0)
-        assert split.pi_k[1] == pytest.approx(1.5)
+        pi_k = schur_complements(p, (1, 1))
+        assert pi_k[0] == pytest.approx(2.0)
+        assert pi_k[1] == pytest.approx(1.5)
 
     def test_head_block_is_untouched(self, reference_cascade):
         p = invariant_covariance_direct(reference_cascade)
-        split = schur_complements(p, reference_cascade.dims)
-        np.testing.assert_array_equal(split.pi_k[0], p[:2, :2])
-        np.testing.assert_array_equal(split.pi_tail_k[0], p)
-
-    def test_tail_step_matches_batch(self, reference_cascade):
-        p = invariant_covariance_direct(reference_cascade)
-        split = schur_complements(p, reference_cascade.dims)
-        tail = split.pi_tail_k[0]
-        for k in range(1, len(reference_cascade.dims)):
-            tail = schur_tail_step(tail, reference_cascade.dims[k - 1])
-            assert np.max(np.abs(tail - split.pi_tail_k[k])) <= 1e-10 * max(
-                1.0, np.max(np.abs(tail))
-            )
+        pi_k = schur_complements(p, reference_cascade.dims)
+        np.testing.assert_array_equal(pi_k[0], p[:2, :2])
 
     def test_block_determinant_factorization(self, reference_cascade):
         # det P = prod_k det Pi_k, the basis of the additive split of V
         p = invariant_covariance_direct(reference_cascade)
-        split = schur_complements(p, reference_cascade.dims)
-        v_sum = sum(float(np.linalg.slogdet(pi)[1]) for pi in split.pi_k)
+        pi_k = schur_complements(p, reference_cascade.dims)
+        v_sum = sum(float(np.linalg.slogdet(pi)[1]) for pi in pi_k)
         assert v_sum == pytest.approx(float(np.linalg.slogdet(p)[1]), abs=1e-9)
 
     def test_indefinite_leading_block_rejected(self):
@@ -232,9 +219,9 @@ class TestFactoredSplit:
         res = steady_state(cascade)
         oracle = schur_complements(res.p_full, cascade.dims)
         scale = max(1.0, float(np.max(np.abs(res.p_full))))
-        for pi, pi_oracle in zip(res.pi_k, oracle.pi_k, strict=True):
+        for pi, pi_oracle in zip(res.pi_k, oracle, strict=True):
             assert np.max(np.abs(pi - pi_oracle)) <= 1e-10 * scale
-        v_oracle = [float(np.linalg.slogdet(pi)[1]) for pi in oracle.pi_k]
+        v_oracle = [float(np.linalg.slogdet(pi)[1]) for pi in oracle]
         np.testing.assert_allclose(res.v_k, v_oracle, rtol=0.0, atol=1e-10)
 
     def test_factor_reproduces_covariance(self, reference_cascade):

@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from conftest import make_mixed_cascade, make_oscillator, random_symplectic
-from qcascade.errors import DimensionMismatch, NotSymplectic, SingularResolvent, SingularTheta
-from qcascade.linalg import J2, symplectic_form, vech_to_symmetric
+from qcascade.errors import DimensionMismatch, SingularResolvent, SingularTheta
+from qcascade.linalg import J2, resolvent_solve, symplectic_form, vech_to_symmetric
 from qcascade.oscillator import (
     OscillatorParams,
     OscillatorRealization,
     assemble_cascade,
     composite_energy_coupling,
-    composite_transfer_resolvent,
     composite_transfer_stack,
-    default_theta,
     oscillator_realization,
     perturbed_cascade_stack,
     transfer_eval,
@@ -157,7 +155,7 @@ class TestAssembly:
         coupling[0, 0] *= 1e200
         chain[2] = replace(chain[2], m_coupling=coupling)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ArithmeticError, match="composite realizability self-check"):
+            with pytest.raises(ArithmeticError, match="oscillator 2: residual .*, scale inf"):
                 assemble_cascade(chain)
 
     def test_single_oscillator_matches_realization(self):
@@ -326,6 +324,14 @@ class TestPerturbedStack:
         assert stack.a.flags.c_contiguous and stack.b.flags.c_contiguous
         assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 7)
 
+    def test_self_check_refuses_an_overflowed_copy(self, reference_cascade):
+        # oscillator 1's first coupling entry moved by 1e200: its B J B^T and the
+        # scale overflow to inf, and a perturbed stack has no composite check
+        de = [np.zeros((2, 3 + reference_cascade.m * 2)) for _ in reference_cascade.dims]
+        de[1][:, 3] = 1e200
+        with pytest.raises(ArithmeticError, match=r"oscillator 1: residual .*, scale inf"):
+            perturbed_cascade_stack(reference_cascade, de)
+
     def test_realizability_self_check_is_applied(self, reference_cascade):
         # a symmetric part in theta breaks A theta + theta A^T + B J B^T = 0
         p0 = reference_cascade.params[0]
@@ -375,7 +381,7 @@ class TestTransfer:
     def test_stack_matches_composite_resolvent(self, reference_cascade):
         for s in [1.0, 0.5 + 2.0j, 3.0 - 1.0j]:
             stacked = composite_transfer_stack(reference_cascade, s)
-            direct = composite_transfer_resolvent(reference_cascade, s)
+            direct = resolvent_solve(reference_cascade.a, reference_cascade.b, s)
             assert np.max(np.abs(stacked - direct)) <= 1e-10 * max(
                 1.0, np.max(np.abs(direct))
             )

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import types
 from pathlib import Path
 
 import qcascade
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_the_public_names_and_no_modules():
@@ -32,3 +35,32 @@ def test_importing_the_cli_loads_no_quadrature_or_sparse_module():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import statement of ``path`` binds that no expression of the
+    module reads; ``import a.b`` binds ``a``, and ``__future__`` binds nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unused.append(f"{path.relative_to(REPO)}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the project runs no linter; __init__.py is exempt, since it imports to re-export
+    modules = [
+        path
+        for top in ("src", "tests", "scripts")
+        for path in sorted((REPO / top).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert len(modules) > 20
+    assert [line for path in modules for line in _unused_imports(path)] == []

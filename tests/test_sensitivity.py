@@ -14,7 +14,6 @@ from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
-    duplication_matrix,
     solve_cascade_lyapunov,
     vech,
     vech_to_symmetric,
@@ -297,8 +296,6 @@ class TestMonteCarlo:
 
 class TestFisher:
     def test_metric_of_zero_perturbation(self, reference_cascade):
-        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
-
         p = invariant_covariance_direct(reference_cascade)
         assert fisher_metric(p, np.zeros_like(p)) == 0.0
 
@@ -315,8 +312,6 @@ class TestFisher:
         assert res.z_total > 0.0
 
     def test_gram_matches_trace_loop(self, reference_cascade, reference_uncertainty):
-        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
-
         p = invariant_covariance_direct(reference_cascade)
         res = fisher_sensitivity(reference_cascade, reference_uncertainty)
         for gram, responses in zip(res.gram_k, covariance_derivatives(reference_cascade)):
@@ -326,8 +321,6 @@ class TestFisher:
 
     def test_whitened_trace_bound(self, reference_cascade):
         # (Tr P^{-1} dP)^2 <= n Tr((P^{-1} dP)^2), Cauchy-Schwarz in the metric
-        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
-
         p = invariant_covariance_direct(reference_cascade)
         n = p.shape[0]
         w, v = np.linalg.eigh(p)
@@ -343,8 +336,6 @@ class TestFisher:
 
 class TestDivergence:
     def test_vanishes_at_the_base_point(self, reference_cascade):
-        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
-
         p = invariant_covariance_direct(reference_cascade)
         assert kl_gaussian(p, p) == pytest.approx(0.0, abs=1e-12)
 
@@ -356,8 +347,6 @@ class TestDivergence:
         assert kl_gaussian(2.0 * p_star, p_star) == pytest.approx(want, rel=1e-12)
 
     def test_quadratic_expansion_at_small_scale(self, reference_cascade):
-        from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
-
         p_star = invariant_covariance_direct(reference_cascade)
         n = p_star.shape[0]
         w, v = np.linalg.eigh(p_star)

@@ -3,9 +3,15 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import make_oscillator
-from qcascade.errors import NotHurwitz, NotInStabilitySet, SolverSingular, ZAtOne
-from qcascade.linalg import J2, certify_sylvester, sylvester_kron_solve
-from qcascade.oscillator import OscillatorParams
+from qcascade.errors import (
+    NoConvergence,
+    NotHurwitz,
+    NotInStabilitySet,
+    SingularResolvent,
+    SolverSingular,
+    ZAtOne,
+)
+from qcascade.linalg import certify_sylvester, sylvester_kron_solve
 from qcascade.zcascade import (
     TIModel,
     cross_covariance,
@@ -76,6 +82,11 @@ class TestPhiZ:
         lhs = phi_z_resolvent(unit_model, z, s)
         rhs = phi_z_feedback(unit_model, z, s)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_resolvent_at_a_pole_is_refused(self):
+        # A_z = -1 + 1 / (3 - 1) = -0.5 exactly, so s = -0.5 is its pole
+        with pytest.raises(SingularResolvent, match="in the spectrum"):
+            phi_z_resolvent(SCALAR, 3.0, -0.5)
 
     def test_h2_norm_bound(self, unit_model):
         gnorm = hinf_norm(unit_model)
@@ -173,6 +184,16 @@ class TestNorms:
         assert h2_norm_quadrature(unit_model) == pytest.approx(
             h2_norm(unit_model), rel=1e-6
         )
+
+    def test_unconverged_quadrature_is_refused(self, monkeypatch):
+        # the oracle takes the covariance quadrature's convergence test, not a warning
+        import scipy.integrate
+
+        real = scipy.integrate.quad_vec
+        capped = lambda *args, **kw: real(*args, **kw, limit=2)  # noqa: E731
+        monkeypatch.setattr(scipy.integrate, "quad_vec", capped)
+        with pytest.raises(NoConvergence, match="Target precision not reached"):
+            h2_norm_quadrature(SCALAR)
 
     def test_scalar_gain_peak(self):
         assert hinf_norm(SCALAR) == pytest.approx(2.0, abs=1e-6)
