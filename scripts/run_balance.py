@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Balance a cascade spec and print the before/after index table.
+"""Balance a cascade spec and print the before/after index table, with
+each oscillator's stationarity residual, the certificate of its optimum.
 
 Usage: python3 scripts/run_balance.py [spec.json]
 """
@@ -31,15 +32,16 @@ def main() -> int:
     report = balance_cascade(cascade, spec.uncertainty)
 
     print(f"purity {state.purity:.6e}   log-det {state.v_logdet:.6f}")
-    print(f"{'osc':>4} {'psi before':>12} {'psi after':>12} {'ratio':>8} {'lambda':>10} {'iters':>6}")
+    print(f"{'osc':>4} {'psi before':>12} {'psi after':>12} {'ratio':>8} {'lambda':>10} {'iters':>6}"
+          f" {'residual':>9}")
     for k, res in enumerate(report.results):
         print(
             f"{k + 1:>4} {res.psi_before:>12.4f} {res.psi_after:>12.4f} "
-            f"{report.ratios[k]:>8.4f} {res.lambda_k:>10.4f} {res.newton_iterations:>6}"
+            f"{report.ratios[k]:>8.4f} {res.lambda_k:>10.4f} {res.newton_iterations:>6} "
+            f"{res.stationarity:>9.2e}"
         )
     print(f"{'all':>4} {report.total_before:>12.4f} {report.total_after:>12.4f} "
           f"{report.total_ratio:>8.4f}")
-    print(f"probe violations: {report.probe_violations}")
 
     after = steady_state(report.transformed)
     drift = abs(after.purity - state.purity)

@@ -260,8 +260,11 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
         labels += [f"R_{k}[{i},{j}]" for j in range(nk) for i in range(j, nk)]
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
     values = np.empty(2 * first[-1])
-    for lo, hi, stack in _probe_chunks(cascade, h):
-        values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
+    try:
+        for lo, hi, stack in _probe_chunks(cascade, h):
+            values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
+    except FloatingPointError as exc:  # an overflow under np.errstate(over="raise")
+        raise FloatingPointError(f"finite-difference probes: {exc}") from exc
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
     rho: list[Matrix] = []
     mu: list[Matrix] = []
@@ -312,14 +315,17 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     """
     p_full, first = invariant_covariance_direct(cascade), _probe_offsets(cascade)
     dp, certificate = np.empty((cascade.n, cascade.n, first[-1])), np.empty(first[-1])
-    for lo, hi, stack in _probe_chunks(cascade, 1.0):
-        da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
-        db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
-        half = np.einsum("ils,lj->ijs", da, p_full) + np.einsum("ias,ja->ijs", db, cascade.b)
-        force = half + half.transpose(1, 0, 2)
-        dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
-            np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
-        )
+    try:
+        for lo, hi, stack in _probe_chunks(cascade, 1.0):
+            da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
+            db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
+            half = np.einsum("ils,lj->ijs", da, p_full) + np.einsum("ias,ja->ijs", db, cascade.b)
+            force = half + half.transpose(1, 0, 2)
+            dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
+                np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
+            )
+    except FloatingPointError as exc:  # an overflow under np.errstate(over="raise")
+        raise FloatingPointError(f"covariance responses: {exc}") from exc
     for k in range(cascade.n_oscillators):
         worst = float(np.max(certificate[first[k] : first[k + 1]]))
         if not worst <= RESIDUAL_TOL:

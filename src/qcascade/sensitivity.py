@@ -211,7 +211,10 @@ def monte_carlo_variance(
     while done < samples:
         s_chunk = min(MC_CHUNK, samples - done)
         de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
-        logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
+        try:
+            logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
+        except FloatingPointError as exc:  # an overflow under np.errstate(over="raise")
+            raise FloatingPointError(f"Monte-Carlo samples: {exc}") from exc
         good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
         rejected += s_chunk - int(np.count_nonzero(good))
         deltas.append(logdet[good] - v0)

@@ -35,6 +35,7 @@ from .errors import (
     EigFailure,
     NotHurwitz,
     NotInStabilitySet,
+    SingularResolvent,
     ZAtOne,
 )
 from .linalg import (
@@ -165,9 +166,13 @@ def phi_z_resolvent(model: TIModel, z: complex, s: complex) -> np.ndarray:
 
 
 def phi_z_feedback(model: TIModel, z: complex, s: complex) -> np.ndarray:
-    """Same transfer through the base unit: F(s) (z I - G(s))^{-1}."""
+    """Same transfer through the base unit: F(s) (z I - G(s))^{-1};
+    SingularResolvent when z is an eigenvalue of G(s)."""
     f, g = transfer_eval(OscillatorRealization(model.a, model.b, model.c), s)
-    return f @ np.linalg.inv(z * np.eye(model.m) - g)
+    try:
+        return f @ np.linalg.inv(z * np.eye(model.m) - g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolvent(f"z = {z} is an eigenvalue of G(s) at s = {s}: {exc}") from exc
 
 
 def _stable_points(model: TIModel, z: complex, v: complex) -> tuple[ZPoint, ZPoint]:

@@ -128,6 +128,33 @@ def random_corpus() -> list[CascadeModel]:
     return corpus
 
 
+#: exp(delta J h) with these moves a balancing optimum of the generated spec
+#: to a stationarity residual of 1.6e-2 to 2.1e-2 while keeping det U = 1;
+#: Psi rises by 3.6e-4 to 8.0e-4 relative, which 1000 random probes do not find
+MOVE_DELTA, MOVE_H = 1e-2, np.array([[1.0, 0.5], [0.5, -1.0]])
+
+
+def move_balancing_optimum(monkeypatch, oscillators=None) -> None:
+    """Make the one-mode minimiser return E^T U E, E = exp(MOVE_DELTA J MOVE_H),
+    in place of its optimum U on the calls numbered in ``oscillators``
+    (every call when None)."""
+    import itertools
+
+    import qcascade.balance
+
+    stationary = qcascade.balance._stationary_gram
+    calls = itertools.count()
+    e = symplectic_exponential(MOVE_DELTA * MOVE_H)
+
+    def moved(rho, tau):
+        u, newton, r = stationary(rho, tau)
+        if oscillators is None or next(calls) in oscillators:
+            u = e.T @ u @ e
+        return u, newton, r
+
+    monkeypatch.setattr(qcascade.balance, "_stationary_gram", moved)
+
+
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
     h = rng.standard_normal((n, n)) * scale
     return symplectic_exponential(0.5 * (h + h.T))

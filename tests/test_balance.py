@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import move_balancing_optimum
 from qcascade.balance import (
     OneModeBalanceProblem,
     balance_cascade,
@@ -16,7 +17,7 @@ from qcascade.balance import (
 from qcascade.covariance import steady_state
 from qcascade.errors import NotOneMode, RankDeficientMu, SchemaError
 from qcascade.gradients import purity_gradients_direct, transform_gradients
-from qcascade.linalg import J2, symplectic_exponential, symplectic_residual
+from qcascade.linalg import J2, RESIDUAL_TOL, symplectic_exponential, symplectic_residual
 from qcascade.oscillator import assemble_cascade, transfer_eval
 from qcascade.sensitivity import OscillatorUncertainty, UncertaintyModel, psi_transformed
 
@@ -37,6 +38,29 @@ def reference_report(reference_cascade, reference_spec):
 @pytest.fixture(scope="module")
 def paper_report(paper_cascade, paper_spec):
     return balance_cascade(paper_cascade, paper_spec.uncertainty)
+
+
+@pytest.fixture(scope="module")
+def problems(reference_cascade, reference_spec):
+    """The one-mode problems that ``reference_report`` was computed from."""
+    grads = purity_gradients_direct(reference_cascade)
+    return [
+        OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
+        for rho, mu, unc in zip(grads.rho, grads.mu, reference_spec.uncertainty.oscillators)
+    ]
+
+
+def probe_violations(problems, results):
+    """Per oscillator, how many of 1000 random symplectic probes (symmetric
+    h from one seed-7 stream, through :func:`probe_psi`) beat Psi of its
+    result by more than a 1e-9 slack."""
+    rng = np.random.default_rng(7)
+    counts = []
+    for problem, res in zip(problems, results):
+        h = rng.standard_normal((1000, 2, 2))
+        psi = probe_psi(problem, 0.5 * (h + h.transpose(0, 2, 1)))
+        counts.append(int(np.count_nonzero(psi < res.psi_after * (1 - 1e-9))))
+    return counts
 
 
 class TestMultiplier:
@@ -167,8 +191,8 @@ class TestCascadeBalance:
             assert abs(got - expect) <= 1e-3
         assert abs(paper_report.total_ratio - 0.6689) <= 1e-3
 
-    def test_no_probe_beats_the_optimum(self, reference_report):
-        assert reference_report.probe_violations == 0
+    def test_no_probe_beats_the_optimum(self, problems, reference_report):
+        assert probe_violations(problems, reference_report.results) == [0, 0, 0]
 
     def test_purity_is_invariant(self, reference_cascade, reference_report):
         before = steady_state(reference_cascade)
@@ -233,14 +257,6 @@ def _loop_psi(problem, h):
 
 
 class TestClosedFormProbes:
-    @pytest.fixture(scope="class")
-    def problems(self, reference_cascade, reference_spec):
-        grads = purity_gradients_direct(reference_cascade)
-        return [
-            OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
-            for rho, mu, unc in zip(grads.rho, grads.mu, reference_spec.uncertainty.oscillators)
-        ]
-
     def test_matches_exponential_loop(self, problems, reference_report):
         rng = np.random.default_rng(404)
         h = rng.standard_normal((900, 2, 2))
@@ -267,7 +283,42 @@ class TestClosedFormProbes:
             h = np.array([rng.standard_normal((2, 2)) for _ in range(1000)])
             psi = _loop_psi(problem, 0.5 * (h + h.transpose(0, 2, 1)))
             violations += int(np.count_nonzero(psi < res.psi_after * (1 - 1e-9)))
-        assert reference_report.probe_violations == violations
+        assert sum(probe_violations(problems, reference_report.results)) == violations
+
+
+class TestCertificate:
+    """The optimum is certified by its stationarity residual and |det U - 1|,
+    which by geodesic convexity of Psi certify the global minimum."""
+
+    def test_reference_optimum_is_certified(self, problems, reference_report):
+        assert reference_report.uncertified == 0
+        for problem, res in zip(problems, reference_report.results):
+            grad = problem.rho @ res.u_k @ problem.rho + problem.tau
+            residual = grad - 0.5 * res.lambda_k * np.linalg.inv(res.u_k)
+            assert res.stationarity == np.linalg.norm(residual) / np.linalg.norm(grad)
+            assert res.stationarity <= RESIDUAL_TOL and res.det_gap <= RESIDUAL_TOL
+
+    def test_random_problems_are_certified(self):
+        rng = np.random.default_rng(2015)
+        certificates = []
+        for _ in range(2000):
+            rho = rng.standard_normal((2, 2))
+            mu = rng.standard_normal((6, 2))
+            res = minimize_psi_one_mode(OneModeBalanceProblem(rho=0.5 * (rho + rho.T), mu=mu, tau=mu.T @ mu))
+            certificates.append((res.stationarity, res.det_gap))
+        assert np.max(certificates) <= RESIDUAL_TOL  # np.max propagates a NaN
+
+    def test_certificate_flags_a_move_the_probes_miss(
+        self, problems, reference_cascade, reference_spec, reference_report, monkeypatch
+    ):
+        move_balancing_optimum(monkeypatch)
+        moved = balance_cascade(reference_cascade, reference_spec.uncertainty)
+        assert moved.uncertified == 3
+        for res, best in zip(moved.results, reference_report.results):
+            assert res.stationarity > 1e-3 and res.det_gap <= RESIDUAL_TOL
+            assert best.psi_after < res.psi_after <= best.psi_after * (1 + 1e-3)
+        # the moved transforms are worse than the optimum, yet no probe beats them
+        assert probe_violations(problems, moved.results) == [0, 0, 0]
 
 
 class TestMultimodeBound:

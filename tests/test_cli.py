@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import qcascade.cli
 
-from conftest import GENERATED_SPEC
+from conftest import GENERATED_SPEC, move_balancing_optimum
 from qcascade.cli import (
     RunFlags,
     _fmt4,
@@ -29,6 +29,7 @@ from qcascade.balance import balance_cascade
 from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
 from qcascade.errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from qcascade.gradients import purity_gradients_direct
+from qcascade.linalg import RESIDUAL_TOL
 from qcascade.oscillator import assemble_cascade
 
 
@@ -324,7 +325,7 @@ class TestCommands:
         # each row evaluates h(lambda) = prod_i lambda / (1 + sqrt(1 + 2 lambda r_i^2))
         # at one multiplier on its own; the file holds the same bytes
         assert main(["balance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
-        report = balance_cascade(reference_cascade, reference_spec.uncertainty, seed=7)
+        report = balance_cascade(reference_cascade, reference_spec.uncertainty)
         lines = ["oscillator,lambda,h"]
         for k, res in enumerate(report.results):
             r = res.whitened_spectrum
@@ -339,6 +340,36 @@ class TestCommands:
         assert main(["balance", str(tmp_path / "balanced.json"), "--out", str(second)]) == 0
         report = json.loads((second / "report.json").read_text())
         assert report["results"]["total_ratio"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_balance_does_not_depend_on_the_seed(self, tmp_path):
+        # --seed drives only mc-check; the balancing draws no random numbers
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["balance", str(GENERATED_SPEC), "--out", str(out), "--seed", seed]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["provenance"]["seed"] == int(seed)
+            files = [(out / name).read_bytes() for name in ("balanced.json", "balance_multiplier.csv")]
+            written.append((report["results"], files))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["balance", "reproduce-paper"])
+    def test_uncertified_balancing_writes_its_report_and_exits_two(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        move_balancing_optimum(monkeypatch, oscillators={1})
+        path = write_spec(tmp_path, {**read_example(), "expected": {}})  # reproduce: no checks to fail
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        results = json.loads((out / "report.json").read_text())["results"]
+        balance = results["balance"] if command == "reproduce-paper" else results
+        assert balance["probe_violations"] == 1
+        stationarity = balance["stationarity_k"]
+        assert stationarity[1] > 1e-3 and max(stationarity[0], stationarity[2]) <= RESIDUAL_TOL
+        if command == "balance":
+            assert "1 oscillator(s) fail the stationarity certificate" in capsys.readouterr().out
+        else:
+            assert results["all_pass"] is True
 
     def test_mc_check(self, tmp_path):
         code = main(
@@ -394,7 +425,7 @@ class TestCommands:
 
     def test_reproduce_on_its_own_values(self, tmp_path, capsys, reference_spec, reference_cascade):
         grads = purity_gradients_direct(reference_cascade)
-        report = balance_cascade(reference_cascade, reference_spec.uncertainty, seed=7)
+        report = balance_cascade(reference_cascade, reference_spec.uncertainty)
         doc = read_example()
         doc["expected"] = {
             "rho": [r.tolist() for r in grads.rho],
@@ -768,6 +799,20 @@ class TestHugeEntries:
         with mp.workdps(400):  # det cancels entries near 1e152 down to O(1)
             v_exact = float(mp.log(mp.det(mp.matrix(exact.tolist()))))
         assert abs(v - v_exact) <= 1e-9 * abs(v_exact)
+
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["gradients"], "finite-difference probes"),
+            (["sensitivity"], "covariance responses"),
+            (["mc-check", "--samples", "64"], "Monte-Carlo samples"),
+        ],
+    )
+    def test_overflow_refusal_names_its_stage(self, huge_spec, argv, stage, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([argv[0], str(huge_spec), "--out", str(out), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"numerical error: {stage}: overflow encountered in multiply\n"
+        assert not out.exists()
 
     def test_ti_bounds_refusal_names_the_oscillator(self, huge_spec, tmp_path, capsys):
         assert main(["ti-bounds", str(huge_spec), "--out", str(tmp_path)]) == 2

@@ -64,3 +64,17 @@ def test_no_module_imports_a_name_it_never_uses():
     ]
     assert len(modules) > 20
     assert [line for path in modules for line in _unused_imports(path)] == []
+
+
+def test_only_the_monte_carlo_check_draws_random_numbers():
+    # every other result is a function of the spec alone, so --seed drives only mc-check
+    uses = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) == "default_rng":
+                # ast.walk is breadth first: the innermost enclosing function comes last
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                uses.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    assert uses == ["sensitivity.monte_carlo_variance"]

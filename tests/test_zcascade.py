@@ -88,6 +88,11 @@ class TestPhiZ:
         with pytest.raises(SingularResolvent, match="in the spectrum"):
             phi_z_resolvent(SCALAR, 3.0, -0.5)
 
+    def test_feedback_at_an_eigenvalue_of_g_is_refused(self):
+        # G(0) = 2 for a = -1, b = c = 1, so z I - G(0) is exactly singular at z = 2
+        with pytest.raises(SingularResolvent, match=r"z = 2\.0 is an eigenvalue of G\(s\) at s = 0\.0"):
+            phi_z_feedback(SCALAR, 2.0, 0.0)
+
     def test_h2_norm_bound(self, unit_model):
         gnorm = hinf_norm(unit_model)
         fnorm = h2_norm(unit_model)
