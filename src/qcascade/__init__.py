@@ -16,15 +16,15 @@ from .errors import (
     TooManyRejections, ZAtOne,
 )
 from .linalg import (
-    cascade_schur, dense_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, resolvent_solve,
+    cascade_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, resolvent_solve,
     solve_cascade_lyapunov, solve_cascade_sylvester, solve_lyapunov, solve_sylvester,
     symmetric_matrix_function, symplectic_exponential, symplectic_form, symplectic_residual, vech,
     vech_to_symmetric,
 )
 from .oscillator import (
     CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade,
-    composite_transfer_stack, default_theta, oscillator_realization, perturbed_cascade_stack,
-    transfer_eval, transform_params,
+    composite_transfer_stack, default_theta, oscillator_realization, parameter_sizes,
+    perturbed_cascade_stack, transfer_eval, transform_params,
 )
 from .covariance import (
     SteadyStateResult, frequency_domain_covariance, invariant_covariance_direct,
@@ -37,7 +37,7 @@ from .gradients import (
 )
 from .sensitivity import (
     FisherResult, MonteCarloResult, OscillatorUncertainty, SensitivityIndex, UncertaintyModel,
-    duplication_weighted_gradient, fisher_metric, fisher_sensitivity, kl_gaussian, kl_quadratic,
+    fisher_metric, fisher_sensitivity, kl_gaussian, kl_quadratic,
     monte_carlo_variance, phi_transformed, psi_transformed, sensitivity_index,
 )
 from .balance import (
@@ -56,13 +56,13 @@ __all__ = [
     "NotHurwitz", "NotInStabilitySet", "NotOneMode", "NotSymplectic", "ParseError", "QCascadeError",
     "RankDeficientMu", "SchemaError", "SingularLeadingBlock", "SingularResolvent", "SingularTheta",
     "SolverSingular", "TooManyRejections", "ZAtOne",
-    "cascade_schur", "dense_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
+    "cascade_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
     "resolvent_solve", "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov",
     "solve_sylvester", "symmetric_matrix_function", "symplectic_exponential", "symplectic_form",
     "symplectic_residual", "vech", "vech_to_symmetric",
     "CascadeModel", "OscillatorParams", "OscillatorRealization", "assemble_cascade",
     "composite_transfer_stack", "default_theta", "oscillator_realization",
-    "perturbed_cascade_stack", "transfer_eval", "transform_params",
+    "parameter_sizes", "perturbed_cascade_stack", "transfer_eval", "transform_params",
     "SteadyStateResult", "frequency_domain_covariance", "invariant_covariance_direct",
     "invariant_covariance_recursive", "purity_and_logdet", "schur_complements",
     "covariance_factor", "steady_state",
@@ -70,7 +70,7 @@ __all__ = [
     "observability_gramian_and_hankelian", "purity_gradients_direct", "purity_gradients_recursive",
     "transform_gradients",
     "FisherResult", "MonteCarloResult", "OscillatorUncertainty", "SensitivityIndex",
-    "UncertaintyModel", "duplication_weighted_gradient", "fisher_metric", "fisher_sensitivity",
+    "UncertaintyModel", "fisher_metric", "fisher_sensitivity",
     "kl_gaussian", "kl_quadratic", "monte_carlo_variance", "phi_transformed", "psi_transformed",
     "sensitivity_index",
     "BalancingResult", "CascadeBalanceReport", "NewtonResult", "OneModeBalanceProblem",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError
+from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError, _prefixed
 from .gradients import purity_gradients_direct
 from .linalg import J2, RESIDUAL_TOL, Matrix, symmetric_matrix_function
 from .oscillator import CascadeModel, assemble_cascade, transform_params
@@ -263,10 +263,11 @@ def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> Cas
     if any(d != 2 for d in cascade.dims):
         raise NotOneMode(f"cascade has mode orders {cascade.dims}, expected all 2")
     gradients = purity_gradients_direct(cascade)
-    results = [
-        minimize_psi_one_mode(OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights()))
-        for rho, mu, unc in zip(gradients.rho, gradients.mu, uncertainty.oscillators)
-    ]
+    results = []
+    for k, (rho, mu, unc) in enumerate(zip(gradients.rho, gradients.mu, uncertainty.oscillators)):
+        with _prefixed(f"oscillator {k}"):
+            problem = OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
+            results.append(minimize_psi_one_mode(problem))
     transformed = assemble_cascade(
         [transform_params(p, res.s_k) for p, res in zip(cascade.params, results)]
     )

@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .balance import CascadeBalanceReport, balance_cascade, f_lambda
 from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
-from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
+from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
 from .gradients import (
     GradientSet,
     gradient_fd_oracle,
@@ -59,6 +59,7 @@ from .oscillator import (
     _check_thetas,
     assemble_cascade,
     default_theta,
+    parameter_sizes,
     realizability_residual,
 )
 from .sensitivity import (
@@ -198,8 +199,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             _reject_unknown_keys(entry, UNCERTAINTY_KEYS, where)
             given: dict[str, Any] = {}
             if "sigma" in entry:
-                nk = oscillators[k].n
-                d = nk * (nk + 1) // 2 + m * nk
+                d = sum(parameter_sizes(oscillators[k].n, m))
                 given["sigma"] = _as_matrix(entry["sigma"], f"{where}.sigma", (d, d))
             for key, name in (("a", "energy_weight"), ("b", "coupling_weight")):
                 if key in entry:
@@ -426,12 +426,10 @@ def _cmd_gradients(run: Pipeline) -> Reply:
 def _cmd_sensitivity(run: Pipeline) -> Reply:
     cascade, uncertainty, grads = run.cascade, run.uncertainty, purity_gradients_direct(run.cascade)
     index = sensitivity_index(grads, uncertainty)
-    psi_id = []
-    for k in range(cascade.n_oscillators):
-        try:
-            psi_id.append(psi_transformed(grads, uncertainty, k, np.eye(cascade.dims[k])))
-        except ValueError:
-            psi_id.append(None)
+    psi_id = [  # Psi needs the weights, which a sigma-form entry has not
+        None if unc.sigma is not None else psi_transformed(grads, uncertainty, k, np.eye(nk))
+        for k, (nk, unc) in enumerate(zip(cascade.dims, uncertainty.oscillators))
+    ]
     fisher = fisher_sensitivity(cascade, uncertainty)
     results = {
         "z_total": index.z_total,
@@ -556,10 +554,8 @@ def _cmd_ti_bounds(run: Pipeline) -> Reply:
     per_osc = []
     all_ok = True
     for k, params in enumerate(run.spec.oscillators):
-        try:
+        with _prefixed(f"oscillator {k}"):
             res = covariance_trace_bound(TIModel.from_oscillator(params), run.flags.kmax)
-        except (QCascadeError, ArithmeticError) as exc:
-            raise type(exc)(f"oscillator {k}: {exc}") from exc
         ok = all(t <= b * (1 + 1e-9) for t, b in zip(res.traces, res.bounds))
         all_ok &= ok
         per_osc.append(

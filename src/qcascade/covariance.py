@@ -2,7 +2,8 @@
 
 The invariant covariance of the composite state solves the algebraic
 Lyapunov equation A P + P A^T + B B^T = 0, in production by one direct
-solve on the composite matrices; a block recursion that adds one
+solve on the composite matrices, a triangular solve on the one-block
+:func:`cascade_schur` factor of A^T; a block recursion that adds one
 oscillator at a time is kept as an independent oracle. The Schur
 complements of the leading blocks split the log-determinant of P into
 per-oscillator terms, which is the quantity the gradient and balancing
@@ -26,7 +27,6 @@ from .linalg import (
     CascadeSchur,
     Matrix,
     cascade_schur,
-    dense_schur,
     is_hurwitz,
     resolvent_solve,
     solve_cascade_lyapunov,
@@ -57,11 +57,11 @@ class SteadyStateResult:
 
 
 def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
-    """P solving A P + P A^T + B B^T = 0 by one certified Schur solve on
-    a dense real Schur factor of A^T (:func:`dense_schur`), with a floor on
-    its spectrum. The caller has checked that A is Hurwitz."""
+    """P solving A P + P A^T + B B^T = 0 by one certified Schur solve on the
+    one-block :func:`cascade_schur` factor of A^T, with a floor on its
+    spectrum. The caller has checked that A is Hurwitz."""
     q = symmetric_part(b @ b.T)
-    p = symmetric_part(solve_cascade_sylvester(dense_schur(a), slice(None), slice(None), q))
+    p = symmetric_part(solve_cascade_sylvester(cascade_schur(a, (len(a),)), slice(None), slice(None), q))
     floor = np.linalg.eigvalsh(p)[0]
     if floor < -PSD_TOL * max(1.0, np.linalg.norm(p)):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")

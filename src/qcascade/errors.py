@@ -1,5 +1,8 @@
 """Typed failure modes shared across the package."""
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class QCascadeError(Exception):
     """Base class for all package errors."""
@@ -75,3 +78,12 @@ class ParseError(QCascadeError):
 
 class SchemaError(QCascadeError):
     """Input file parses but violates the model schema."""
+
+
+@contextmanager
+def _prefixed(text: str) -> Iterator[None]:
+    """Re-raise a QCascadeError or ArithmeticError as its type, prefixed by ``text: ``."""
+    try:
+        yield
+    except (QCascadeError, ArithmeticError) as exc:
+        raise type(exc)(f"{text}: {exc}") from exc

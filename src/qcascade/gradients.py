@@ -3,12 +3,14 @@
 V is differentiated with respect to the energy matrix R_k (symmetric
 direction, gradient ``rho``) and the coupling matrix M_k (gradient
 ``mu``) of each oscillator. Sign convention: rho_k = +dV/dR_k and
-mu_k = -dV/dM_k under the Frobenius inner product. V is invariant
+mu_k = -dV/dM_k under the Frobenius inner product, so that
+dV = <rho_k, dR_k> - <mu_k, dM_k>. V is invariant
 under reflecting any coupling matrix (M_k -> -M_k conjugates the
 cascade by a signature matrix), so the coupling gradient is defined
 only up to this orientation; the package fixes it as above, and every
 route here (direct, recursive, finite differences) reports it the
-same way.
+same way. :meth:`GradientSet.d_vector` is dV/de_k in the layout
+de_k = [vech dR_k; vec dM_k], and its inverse unpacks the oracle's slopes.
 
 Three independent routes are implemented: a direct formula through the
 observability Gramian of the whole cascade, a recursive formula that
@@ -35,13 +37,13 @@ from .covariance import (
     invariant_covariance_direct,
     log_det_stack,
 )
-from .errors import NonPositive, NotHurwitz, NotSymplectic, SolverSingular
+from .errors import NonPositive, NotHurwitz, NotSymplectic, SolverSingular, _prefixed
 from .linalg import (
     RESIDUAL_TOL,
     Matrix,
     antisymmetric_part,
     cascade_schur,
-    dense_schur,
+    duplication_matrix,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
@@ -49,7 +51,7 @@ from .linalg import (
     vech,
     vech_to_symmetric,
 )
-from .oscillator import CascadeModel, CascadeStack, perturbed_cascade_stack
+from .oscillator import CascadeModel, CascadeStack, parameter_sizes, perturbed_cascade_stack
 
 SYMPLECTIC_TOL = 1e-9
 #: most entries in any (n, n, S) array of one chunk of signed probes
@@ -69,8 +71,19 @@ class GradientSet:
     mu: tuple[Matrix, ...]
 
     def d_vector(self, k: int) -> np.ndarray:
-        """Stacked [vech rho_k; vec mu_k], columns first."""
-        return np.concatenate([vech(self.rho[k]), self.mu[k].reshape(-1, order="F")])
+        """dV/de_k = [dup^T vec rho_k; -vec mu_k] in the layout de_k = [vech dR_k;
+        vec dM_k], columns first, so dV = d_vector(k)^T de_k: an off-diagonal
+        energy entry moves two entries of R_k, and mu_k = -dV/dM_k."""
+        rho = self.rho[k]
+        g_r = duplication_matrix(rho.shape[0]).T @ rho.reshape(-1, order="F")
+        return np.concatenate([g_r, -self.mu[k].reshape(-1, order="F")])
+
+    @staticmethod
+    def _unpack(d: np.ndarray, n: int, m: int) -> tuple[Matrix, Matrix]:
+        """Inverse of :meth:`d_vector`: (rho, mu) of an oscillator of order n whose
+        d_vector is d, halving off-diagonal energy entries and negating the coupling half."""
+        d_r, _ = parameter_sizes(n, m)
+        return vech_to_symmetric(d[:d_r] / (2.0 - vech(np.eye(n))), n), -d[d_r:].reshape(n, m).T
 
 
 def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, Matrix]:
@@ -78,14 +91,15 @@ def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, 
 
     P and its Cholesky factor L, from which P^{-1} is solved, are those of
     :func:`covariance_factor`, which refuses an unstable cascade. Q comes from
-    one certified transposed solve on a dense real Schur factor of A^T
-    (:func:`dense_schur`). Q P is similar to the symmetric P^{1/2} Q
+    one certified transposed solve on the one-block :func:`cascade_schur`
+    factor of A^T. Q P is similar to the symmetric P^{1/2} Q
     P^{1/2}, so its spectrum is real and nonnegative.
     """
     p, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
     p_inv = symmetric_part(cho_solve((chol, True), np.eye(cascade.n)))
     whole = slice(0, cascade.n)
-    q = symmetric_part(solve_cascade_sylvester(dense_schur(cascade.a), whole, whole, p_inv, transpose=True))
+    factor = cascade_schur(cascade.a, (cascade.n,))
+    q = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
     return q, q @ p
 
 
@@ -202,7 +216,7 @@ def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
 def _probe_offsets(cascade: CascadeModel) -> np.ndarray:
     """First probe of every oscillator, then the probe count: oscillator k
     has one probe per entry of [vech dR_k; vec dM_k]."""
-    return np.cumsum([0, *(nk * (nk + 1) // 2 + cascade.m * nk for nk in cascade.dims)])
+    return np.cumsum([0, *(sum(parameter_sizes(nk, cascade.m)) for nk in cascade.dims)])
 
 
 def _probe_chunks(cascade: CascadeModel, step: float) -> Iterator[tuple[int, int, CascadeStack]]:
@@ -247,12 +261,12 @@ def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) ->
 def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     """Central finite differences of V, matching the gradient convention.
 
-    Off-diagonal energy entries are perturbed in symmetric pairs, so the
-    difference quotient carries a factor 1/(4h) there and 1/(2h) on the
-    diagonal and for coupling entries. Coupling slopes are reported with
-    the package orientation mu_k = -dV/dM_k. The probes of all oscillators
-    are one block solve per chunk of :func:`_probe_chunks`; a failing probe
-    raises naming its entry.
+    The central-difference slopes along the entries of de_k are dV/de_k,
+    unpacked by the inverse of :meth:`GradientSet.d_vector`: an
+    off-diagonal energy entry moves a symmetric pair, so its slope is
+    halved, and coupling slopes are negated, mu_k = -dV/dM_k. The probes
+    of all oscillators are one block solve per chunk of
+    :func:`_probe_chunks`; a failing probe raises naming its entry.
     """
     m, first = cascade.m, _probe_offsets(cascade)
     labels = []
@@ -260,19 +274,13 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
         labels += [f"R_{k}[{i},{j}]" for j in range(nk) for i in range(j, nk)]
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
     values = np.empty(2 * first[-1])
-    try:
+    with _prefixed("finite-difference probes"):
         for lo, hi, stack in _probe_chunks(cascade, h):
             values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
-    except FloatingPointError as exc:  # an overflow under np.errstate(over="raise")
-        raise FloatingPointError(f"finite-difference probes: {exc}") from exc
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
-    rho: list[Matrix] = []
-    mu: list[Matrix] = []
-    for k, nk in enumerate(cascade.dims):
-        slope, d_r = slopes[first[k] : first[k + 1]], nk * (nk + 1) // 2
-        rho.append(vech_to_symmetric(slope[:d_r] / (2.0 - vech(np.eye(nk))), nk))
-        mu.append(-slope[d_r:].reshape(nk, m).T)
-    return GradientSet(rho=tuple(rho), mu=tuple(mu))
+    pairs = [GradientSet._unpack(d, nk, m) for d, nk in zip(np.split(slopes, first[1:-1]), cascade.dims)]
+    rho, mu = zip(*pairs)
+    return GradientSet(rho=rho, mu=mu)
 
 
 def transform_gradients(
@@ -302,20 +310,19 @@ def transform_gradients(
 def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     """First-order covariance responses along the parameter basis.
 
-    For oscillator k the directions run over the lower-triangular energy
-    entries (symmetric pairs, diagonal included, columns first) followed
-    by the coupling entries in column-major order, matching
-    :meth:`GradientSet.d_vector`; entry k of the result stacks them,
-    shape (d_k, n, n). Each response solves the Lyapunov equation
-    A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched block solve per
-    chunk of :func:`_probe_chunks` into one result, certified at
-    ``RESIDUAL_TOL`` per oscillator. dA and dB are half-differences of the
-    stacks along +d and -d, exact because A is quadratic and B linear in
-    (R_k, M_k). P is :func:`invariant_covariance_direct`.
+    For oscillator k the directions run over the entries of de_k = [vech
+    dR_k; vec dM_k], the layout of :meth:`GradientSet.d_vector`; entry k of
+    the result stacks them, shape (d_k, n, n). Each response solves the
+    Lyapunov equation A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched
+    block solve per chunk of :func:`_probe_chunks` into one result,
+    certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are
+    half-differences of the stacks along +d and -d, exact because A is
+    quadratic and B linear in (R_k, M_k). P is
+    :func:`invariant_covariance_direct`.
     """
     p_full, first = invariant_covariance_direct(cascade), _probe_offsets(cascade)
     dp, certificate = np.empty((cascade.n, cascade.n, first[-1])), np.empty(first[-1])
-    try:
+    with _prefixed("covariance responses"):
         for lo, hi, stack in _probe_chunks(cascade, 1.0):
             da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
             db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
@@ -324,8 +331,6 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
             dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
                 np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
             )
-    except FloatingPointError as exc:  # an overflow under np.errstate(over="raise")
-        raise FloatingPointError(f"covariance responses: {exc}") from exc
     for k in range(cascade.n_oscillators):
         worst = float(np.max(certificate[first[k] : first[k + 1]]))
         if not worst <= RESIDUAL_TOL:

@@ -6,15 +6,15 @@ functions of symmetric matrices, and residual certificates for
 symplectic membership and quantum admissibility.
 
 Every production Sylvester solve is a certified Schur (Bartels-Stewart)
-solve: one ``dtrsyl`` call on a real Schur factor of a^T, taken either
-by one QR iteration on the whole matrix (:func:`dense_schur`) or, for
-cascades, whose dynamics matrices are block lower triangular, from one
-LAPACK ``dgees`` call per diagonal block (:func:`cascade_schur`), whose
-sub-blocks serve the recursive routes. Those routes take one such factor
-per call and call LAPACK directly, so a per-oscillator step costs its
-triangular solves and their certificates, not scipy's wrappers.
-:func:`solve_sylvester` wraps scipy's solver for
-general pairs of matrices. :func:`solve_cascade_lyapunov` solves stacks
+solve: one ``dtrsyl`` call on a real Schur factor of a^T from
+:func:`cascade_schur`, one LAPACK ``dgees`` call per diagonal block.
+With one block it is one QR iteration on the whole matrix; with a
+cascade's oscillator orders (its dynamics matrix is block lower
+triangular) its sub-blocks serve the recursive routes. Those routes take
+one such factor per call and call LAPACK directly, so a per-oscillator
+step costs its triangular solves and their certificates, not scipy's
+wrappers. :func:`solve_sylvester` wraps scipy's solver for general pairs
+of matrices. :func:`solve_cascade_lyapunov` solves stacks
 of cascade Lyapunov equations by block forward substitution, each step
 between two one-mode blocks in closed form. Its stacks are stack-last,
 (n, n, S) with the copy axis last and contiguous: the one layout of the
@@ -251,13 +251,18 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
     sub-block of s on oscillator boundaries is a real Schur form of the
     same sub-block of a^T (Jonsson and Kagstrom, 2002). Each W_k, S_k
     comes from one unsorted LAPACK ``dgees`` call, the factorization
-    ``scipy.linalg.schur`` makes, without its per-call wrapper. Raises
-    ValueError if a block above the diagonal is nonzero, SolverSingular
-    if ``a`` has a non-finite entry or a block's QR iteration fails.
+    ``scipy.linalg.schur`` makes, without its per-call wrapper. One block,
+    ``dims = (len(a),)``, is the dense factor of a matrix of no structure:
+    nothing lies above its diagonal. Raises ValueError if a block above the
+    diagonal is nonzero, SolverSingular if ``a`` has a non-finite entry or
+    a block's QR iteration fails.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise SolverSingular("a has a non-finite entry")
+    if len(dims) == 1:
+        s, w = _block_schur(a, 0)
+        return CascadeSchur(a=a, w=w, s=s)
     offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     block_id = np.repeat(np.arange(len(dims)), dims)
     upper = block_id[:, None] < block_id[None, :]
@@ -265,12 +270,8 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
         raise ValueError("a has a nonzero block above the diagonal")
     w = np.zeros_like(a)
     s = np.zeros_like(a)
-    gees = scipy.linalg.lapack.dgees
     for k, (lo, hi) in enumerate(zip(offs[:-1], offs[1:])):
-        s_k, _, _, _, w_k, _, info = gees(_no_sort, a[lo:hi, lo:hi].T)
-        if info != 0:
-            raise SolverSingular(f"Schur factorization of oscillator {k} failed: info {info}")
-        s[lo:hi, lo:hi], w[lo:hi, lo:hi] = s_k, w_k
+        s[lo:hi, lo:hi], w[lo:hi, lo:hi] = _block_schur(a[lo:hi, lo:hi], k)
     s[upper] = (w.T @ a.T @ w)[upper]
     return CascadeSchur(a=a, w=w, s=s)
 
@@ -279,21 +280,12 @@ def _no_sort(wr: float, wi: float) -> None:
     """Eigenvalue selector of an unsorted ``dgees`` call, never called."""
 
 
-def dense_schur(a: Matrix) -> CascadeSchur:
-    """Real Schur factor a^T = w s w^T by one QR iteration on the whole of a^T.
-
-    Assumes no structure in ``a``. A cascade's a^T is block upper
-    triangular: for one-mode oscillators it is already upper Hessenberg
-    and the iteration deflates at every block boundary, where a needs a
-    full reduction and iteration. Raises SolverSingular if the iteration
-    fails or ``a`` has a non-finite entry.
-    """
-    a = np.asarray(a, dtype=float)
-    try:
-        s, w = scipy.linalg.schur(a.T, output="real")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverSingular(f"Schur factorization failed: {exc}") from exc
-    return CascadeSchur(a=a, w=w, s=s)
+def _block_schur(a_kk: Matrix, k: int) -> tuple[Matrix, Matrix]:
+    """(S_k, W_k) with A_kk^T = W_k S_k W_k^T from one unsorted ``dgees`` call."""
+    s_k, _, _, _, w_k, _, info = scipy.linalg.lapack.dgees(_no_sort, a_kk.T)
+    if info != 0:
+        raise SolverSingular(f"Schur factorization of diagonal block {k} failed: info {info}")
+    return s_k, w_k
 
 
 def solve_cascade_sylvester(
@@ -302,8 +294,8 @@ def solve_cascade_sylvester(
     """Certified solve of A_r X + X A_c^T + gamma = 0 on sub-blocks of a factor.
 
     For a :func:`cascade_schur` factor, A_r = a[rows, rows] and A_c =
-    a[cols, cols] are principal sub-blocks on oscillator boundaries; a
-    :func:`dense_schur` factor serves the whole matrix only. ``transpose``
+    a[cols, cols] are principal sub-blocks on the boundaries of its
+    blocks; a one-block factor serves the whole matrix only. ``transpose``
     solves A_r^T X + X A_c + gamma = 0 instead. One LAPACK ``dtrsyl`` call
     on sub-blocks of the factor, no QR iteration; the caller has checked
     stability. Raises SolverSingular if ``dtrsyl`` reports close spectra or

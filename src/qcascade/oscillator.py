@@ -31,6 +31,12 @@ PR_SELF_CHECK_TOL = 1e-12
 BATCH_ENTRIES = 1 << 15
 
 
+def parameter_sizes(n: int, m: int) -> tuple[int, int]:
+    """Entry counts (n(n+1)/2, m n) of the halves of the parameter error
+    de = [vech dR; vec dM] of an oscillator of order n on m field channels."""
+    return n * (n + 1) // 2, m * n
+
+
 def default_theta(n: int) -> Matrix:
     """Commutation matrix of n/2 position-momentum pairs, (1/2) [[0, I], [-I, 0]]."""
     return 0.5 * symplectic_form(n)
@@ -165,7 +171,7 @@ def _series_connection(
     :func:`_write_series`, the blocks and their spectral abscissas (N, S).
     """
     if de is None:
-        de = [np.zeros((1, p.n * (p.n + 1) // 2 + p.m * p.n)) for p in oscillators]
+        de = [np.zeros((1, sum(parameter_sizes(p.n, p.m)))) for p in oscillators]
     stack, m = de[0].shape[0], j_ito.shape[0]
     blocks: list = [None] * len(oscillators)
     abscissa = np.empty((len(oscillators), stack))

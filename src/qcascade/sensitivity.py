@@ -2,8 +2,10 @@
 
 Parameter errors of oscillator k are modelled as a Gaussian vector
 de_k = [vech dR_k; vec dM_k] with covariance Sigma_k (columns-first
-conventions throughout). To first order the log-determinant responds by
-dV = g_k^T de_k with g_k the duplication-weighted gradient stack, so the
+conventions throughout, sizes from :func:`parameter_sizes`). To first
+order the log-determinant responds by dV = g_k^T de_k with g_k =
+d_vector(k) = [dup^T vec rho_k; -vec mu_k] (:meth:`GradientSet.d_vector`:
+off-diagonal energy entries count twice, and mu_k = -dV/dM_k), so the
 variance of dV is the sensitivity index Z = sum_k g_k^T Sigma_k g_k.
 
 The module provides the index itself, a Monte-Carlo validation of the
@@ -20,10 +22,10 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .covariance import _cholesky, covariance_factor, log_det_stack
-from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections
+from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part, duplication_matrix
-from .oscillator import CascadeModel, perturbed_cascade_stack
+from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part
+from .oscillator import CascadeModel, parameter_sizes, perturbed_cascade_stack
 
 MC_CHUNK = 2048
 MC_REJECTION_CAP = 0.01
@@ -62,15 +64,12 @@ class OscillatorUncertainty:
         _sigma_sqrt(self.sigma)
 
     def sigma_matrix(self, n: int, m: int) -> Matrix:
-        d_r = n * (n + 1) // 2
-        d_m = m * n
-        if self.sigma is not None:
-            if self.sigma.shape != (d_r + d_m, d_r + d_m):
-                raise ValueError(
-                    f"sigma has shape {self.sigma.shape}, expected {(d_r + d_m,) * 2}"
-                )
-            return self.sigma
-        return np.diag(np.repeat(self.weights(), [d_r, d_m]))
+        sizes = parameter_sizes(n, m)
+        if self.sigma is None:
+            return np.diag(np.repeat(self.weights(), sizes))
+        if self.sigma.shape != (sum(sizes),) * 2:
+            raise ValueError(f"sigma has shape {self.sigma.shape}, expected {(sum(sizes),) * 2}")
+        return self.sigma
 
     def weights(self) -> tuple[float, float]:
         if self.sigma is not None:
@@ -100,12 +99,10 @@ class SensitivityIndex:
     z_k: tuple[float, ...]
 
 
-def duplication_weighted_gradient(gradients: GradientSet, k: int) -> np.ndarray:
-    """g_k = [dup^T vec rho_k; vec mu_k], doubling off-diagonal entries."""
-    rho = gradients.rho[k]
-    dup = duplication_matrix(rho.shape[0])
-    g_r = dup.T @ rho.reshape(-1, order="F")
-    return np.concatenate([g_r, gradients.mu[k].reshape(-1, order="F")])
+def _index_term(gradients: GradientSet, k: int, unc: OscillatorUncertainty) -> float:
+    """g^T Sigma g of oscillator k, with g = d_vector(k) and Sigma of ``unc``."""
+    g, (m, n) = gradients.d_vector(k), gradients.mu[k].shape
+    return float(g @ unc.sigma_matrix(n, m) @ g)
 
 
 def sensitivity_index(
@@ -114,14 +111,8 @@ def sensitivity_index(
     """First-order variance of V under the per-oscillator error model."""
     if len(uncertainty.oscillators) != len(gradients.rho):
         raise ValueError("one uncertainty entry per oscillator required")
-    z_k = []
-    for k, unc in enumerate(uncertainty.oscillators):
-        n = gradients.rho[k].shape[0]
-        m = gradients.mu[k].shape[0]
-        g = duplication_weighted_gradient(gradients, k)
-        sigma = unc.sigma_matrix(n, m)
-        z_k.append(float(g @ sigma @ g))
-    return SensitivityIndex(z_total=float(sum(z_k)), z_k=tuple(z_k))
+    z_k = tuple(_index_term(gradients, k, unc) for k, unc in enumerate(uncertainty.oscillators))
+    return SensitivityIndex(z_total=float(sum(z_k)), z_k=z_k)
 
 
 def _transformed_pair(
@@ -135,9 +126,7 @@ def phi_transformed(
 ) -> float:
     """Exact index contribution of oscillator k after X_k -> S X_k."""
     rho_s, mu_s = _transformed_pair(gradients, k, s)
-    g = duplication_weighted_gradient(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0)
-    sigma = uncertainty.oscillators[k].sigma_matrix(rho_s.shape[0], mu_s.shape[0])
-    return float(g @ sigma @ g)
+    return _index_term(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0, uncertainty.oscillators[k])
 
 
 def psi_transformed(
@@ -211,10 +200,8 @@ def monte_carlo_variance(
     while done < samples:
         s_chunk = min(MC_CHUNK, samples - done)
         de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
-        try:
+        with _prefixed("Monte-Carlo samples"):
             logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
-        except FloatingPointError as exc:  # an overflow under np.errstate(over="raise")
-            raise FloatingPointError(f"Monte-Carlo samples: {exc}") from exc
         good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
         rejected += s_chunk - int(np.count_nonzero(good))
         deltas.append(logdet[good] - v0)

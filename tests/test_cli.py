@@ -26,11 +26,15 @@ from qcascade.cli import (
     main,
 )
 from qcascade.balance import balance_cascade
-from qcascade.covariance import invariant_covariance_direct, invariant_covariance_recursive
+from qcascade.covariance import (
+    invariant_covariance_direct,
+    invariant_covariance_recursive,
+    log_det_stack,
+)
 from qcascade.errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from qcascade.gradients import purity_gradients_direct
 from qcascade.linalg import RESIDUAL_TOL
-from qcascade.oscillator import assemble_cascade
+from qcascade.oscillator import assemble_cascade, perturbed_cascade_stack
 
 
 def read_example():
@@ -206,7 +210,7 @@ class TestCommands:
         # the FD probes, covariance responses and balance probes are built
         # in closed form and solved in stacks; one assembly or dense solve
         # per perturbation would bring back the per-direction loops. A dense
-        # solve is one Schur factorization of the whole composite.
+        # solve is one one-block Schur factorization of the whole composite.
         import sys
 
         import scipy.linalg
@@ -216,18 +220,19 @@ class TestCommands:
 
         def spy(key, fn):
             def wrapped(*args, **kwargs):
-                if key != "schur" or np.shape(args[0])[0] == order:
+                if key != "schur" or (len(args[1]) == 1 and np.shape(args[0])[0] == order):
                     counts[key] += 1
                 return fn(*args, **kwargs)
 
             return wrapped
 
         targets = [
-            (module, "assemble_cascade", "assemble")
+            (module, attr, key)
             for name, module in list(sys.modules.items())
-            if name.startswith("qcascade") and hasattr(module, "assemble_cascade")
+            for attr, key in (("assemble_cascade", "assemble"), ("cascade_schur", "schur"))
+            if name.startswith("qcascade") and hasattr(module, attr)
         ]
-        targets += [(scipy.linalg, "expm", "expm"), (scipy.linalg, "schur", "schur")]
+        targets += [(scipy.linalg, "expm", "expm")]
         for owner, attr, key in targets:
             monkeypatch.setattr(owner, attr, spy(key, getattr(owner, attr)))
         assert main([command, str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
@@ -459,6 +464,52 @@ class TestCommands:
         )
         assert code == 0
         assert capsys.readouterr().out.strip()
+
+    def test_csv_format_prints_the_written_series(self, tmp_path, capsys):
+        assert main(["balance", str(GENERATED_SPEC), "--out", str(tmp_path), "--format", "csv"]) == 0
+        header, *rows = (tmp_path / "balance_multiplier.csv").read_text().splitlines()
+        assert header == "oscillator,lambda,h" and rows
+        assert capsys.readouterr().out.splitlines() == ["# balance_multiplier.csv", *rows]
+
+    def test_csv_format_without_series_prints_the_table(self, tmp_path, capsys):
+        argv = ["purity", str(GENERATED_SPEC), "--out", str(tmp_path)]
+        assert main([*argv, "--format", "table"]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith("purity ")
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == table
+
+
+class TestCrossTermSigma:
+    """A rank-one sigma_k = u_k u_k^T couples dR_k and dM_k: Z_k is the
+    variance of dV along u_k, (dV/du_k)^2, whatever the sign of each half."""
+
+    @pytest.fixture()
+    def rank_one(self, tmp_path):
+        doc = read_example()
+        rng = np.random.default_rng(1)
+        us = [rng.standard_normal(15) for _ in doc["oscillators"]]
+        doc["uncertainty"] = [{"sigma": np.outer(u, u).tolist()} for u in us]
+        return write_spec(tmp_path, doc), us
+
+    def test_index_is_the_squared_directional_derivative(self, rank_one, tmp_path):
+        path, us = rank_one
+        assert main(["sensitivity", str(path), "--out", str(tmp_path)]) == 0
+        z_k = json.loads((tmp_path / "report.json").read_text())["results"]["z_k"]
+        cascade, h = build_cascade(load_spec(path)), 1e-6
+        for k, u in enumerate(us):
+            de = [np.zeros((2, len(v))) for v in us]
+            de[k] = np.stack([h * u, -h * u])
+            logdet, _ = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
+            slope = (logdet[0] - logdet[1]) / (2.0 * h)
+            assert abs(z_k[k] - slope**2) <= 1e-6 * slope**2
+        assert sum(z_k) == pytest.approx(48.942, abs=1e-3)
+
+    def test_monte_carlo_check_accepts_it(self, rank_one, tmp_path):
+        path, _ = rank_one
+        argv = ["mc-check", str(path), "--out", str(tmp_path), "--samples", "20000", "--epsilon", "1e-10"]
+        assert main(argv) == 0
+        assert 0.9 <= json.loads((tmp_path / "report.json").read_text())["results"]["ratio"] <= 1.1
 
 
 class TestPipeline:
@@ -812,6 +863,12 @@ class TestHugeEntries:
         out = tmp_path / "out"
         assert main([argv[0], str(huge_spec), "--out", str(out), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"numerical error: {stage}: overflow encountered in multiply\n"
+        assert not out.exists()
+
+    def test_balance_refusal_names_the_oscillator(self, huge_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["balance", str(huge_spec), "--out", str(out)]) == 2
+        assert "numerical error: oscillator 2: coupling-gradient Gram matrix" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ti_bounds_refusal_names_the_oscillator(self, huge_spec, tmp_path, capsys):

@@ -4,6 +4,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcascade.covariance
+import qcascade.gradients
+import qcascade.linalg
+
 from conftest import (
     make_cascade,
     make_mixed_cascade,
@@ -388,18 +392,19 @@ class TestDenseRoute:
         fresh = assemble_cascade(cascade.params)  # one cascade per route: P is kept on it
         invariant_covariance_direct(cascade)  # the P the Gramian route reads
         factored, sylvester = [], []
-        schur, solve_sylvester = scipy.linalg.schur, scipy.linalg.solve_sylvester
+        schur, solve_sylvester = qcascade.linalg.cascade_schur, scipy.linalg.solve_sylvester
 
-        def spy_schur(x, *args, **kwargs):
-            if np.shape(x)[0] == cascade.n:
-                factored.append(np.array(x))
-            return schur(x, *args, **kwargs)
+        def spy_schur(a, dims):
+            if len(dims) == 1 and np.shape(a)[0] == cascade.n:
+                factored.append(np.array(a).T)  # the one-block factor is of a^T
+            return schur(a, dims)
 
         def spy_sylvester(*args, **kwargs):
             sylvester.append(1)
             return solve_sylvester(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+        for module in (qcascade.covariance, qcascade.gradients):
+            monkeypatch.setattr(module, "cascade_schur", spy_schur)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy_sylvester)
         routes = [
             lambda: invariant_covariance_direct(fresh),

@@ -37,6 +37,7 @@ from qcascade.oscillator import (
     OscillatorParams,
     assemble_cascade,
     default_theta,
+    parameter_sizes,
     perturbed_cascade_stack,
     transform_params,
 )
@@ -492,11 +493,31 @@ class TestCovarianceDerivatives:
 
 class TestVectorLayout:
     def test_d_vector_stacks_energy_then_coupling(self, reference_cascade, reference_gradients):
+        # dV/de_k: off-diagonal energy entries doubled, the coupling half negated (mu = -dV/dM)
         for k, nk in enumerate(reference_cascade.dims):
             d = reference_gradients.d_vector(k)
-            half = nk * (nk + 1) // 2
-            assert d.shape == (half + reference_cascade.m * nk,)
-            np.testing.assert_array_equal(d[:half], vech(reference_gradients.rho[k]))
+            half, rest = parameter_sizes(nk, reference_cascade.m)
+            assert d.shape == (half + rest,)
+            rho = reference_gradients.rho[k]
+            np.testing.assert_array_equal(d[:half], vech(2.0 * rho - np.diag(np.diag(rho))))
             np.testing.assert_array_equal(
-                d[half:], reference_gradients.mu[k].reshape(-1, order="F")
+                d[half:], -reference_gradients.mu[k].reshape(-1, order="F")
             )
+
+    @pytest.mark.parametrize("build", ["reference", "mixed"])
+    def test_d_vector_is_the_directional_derivative(self, build, reference_cascade):
+        # sum_k d_vector(k) . de_k is the central difference of V along (de_0, ..., de_N)
+        cascade = {
+            "reference": reference_cascade,
+            "mixed": make_mixed_cascade(np.random.default_rng(5151)),
+        }[build]
+        grads = purity_gradients_direct(cascade)
+        rng = np.random.default_rng(1)
+        de = [rng.standard_normal(sum(parameter_sizes(nk, cascade.m))) for nk in cascade.dims]
+        h = 1e-6
+        stack = perturbed_cascade_stack(cascade, [np.stack([h * u, -h * u]) for u in de])
+        logdet, certificate = log_det_stack(stack, cascade.dims)
+        assert np.all(certificate <= RESIDUAL_TOL)
+        slope = (logdet[0] - logdet[1]) / (2.0 * h)
+        predicted = sum(grads.d_vector(k) @ u for k, u in enumerate(de))
+        assert abs(predicted - slope) <= 1e-6 * abs(slope)

@@ -78,3 +78,37 @@ def test_only_the_monte_carlo_check_draws_random_numbers():
                 owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 uses.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
     assert uses == ["sensitivity.monte_carlo_variance"]
+
+
+def _is_vech_size(node: ast.AST) -> bool:
+    """``x * (x + 1) // 2`` for one expression x, either factor first."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)):
+        return False
+    if not (isinstance(node.right, ast.Constant) and node.right.value == 2):
+        return False
+    product = node.left
+    if not (isinstance(product, ast.BinOp) and isinstance(product.op, ast.Mult)):
+        return False
+    for x, succ in ((product.left, product.right), (product.right, product.left)):
+        if (
+            isinstance(succ, ast.BinOp) and isinstance(succ.op, ast.Add)
+            and isinstance(succ.right, ast.Constant) and succ.right.value == 1
+            and ast.dump(succ.left) == ast.dump(x)
+        ):
+            return True
+    return False
+
+
+def test_only_parameter_sizes_computes_the_vech_size():
+    # one owner for the layout [vech dR; vec dM]; linalg's vech primitives are exempt
+    uses = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if _is_vech_size(node):
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                uses.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    assert uses == ["oscillator.parameter_sizes"]

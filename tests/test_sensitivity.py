@@ -23,7 +23,6 @@ from qcascade.sensitivity import (
     OscillatorUncertainty,
     UncertaintyModel,
     _sigma_sqrt,
-    duplication_weighted_gradient,
     fisher_metric,
     fisher_sensitivity,
     kl_gaussian,
@@ -55,7 +54,7 @@ PSI_IDENTITY = (37.9918, 35.0268, 19.5730)
 
 class TestIndex:
     def test_weighted_gradient_doubles_offdiagonal(self, reference_gradients):
-        g = duplication_weighted_gradient(reference_gradients, 0)
+        g = reference_gradients.d_vector(0)
         rho = reference_gradients.rho[0]
         np.testing.assert_allclose(
             g[:3], [rho[0, 0], 2.0 * rho[1, 0], rho[1, 1]], atol=1e-13

@@ -70,6 +70,11 @@ class TestZFamily:
             v = complex(rng.uniform(2.0, 60.0), rng.uniform(-5.0, 5.0))
             assert z_pr_residual(unit_model, theta, z, v) <= 1e-10
 
+    def test_realizability_needs_a_canonical_field_form(self):
+        # a matrix-backed model without a field form has no identity to check
+        with pytest.raises(ValueError, match="canonical field form"):
+            z_pr_residual(SCALAR, np.eye(1), 3.0, 3.0)
+
     def test_unstable_member_is_flagged(self, unit_model):
         # near an eigenvalue of G(0) the closed loop has a right-half-plane pole
         pt = z_domain_matrices(unit_model, UNSTABLE_Z)
@@ -118,6 +123,14 @@ class TestCrossCovariance:
         series = cross_covariance_series(unit_model, z, v)
         tail = series_tail_bound(unit_model, z, v, depth)
         assert np.max(np.abs(series - sylvester)) <= tail + 1e-9 * scale
+
+    @pytest.mark.parametrize("z, v", [(3.0, 3.0), (3.0 + 1j, 4.0 - 0.5j), (-3.0, 5.0)])
+    def test_identity_field_form_matches_the_generating_form(self, z, v):
+        # without a canonical field form Omega = I; at (3, 3), A_z = -1/2 and B_z = 1/2 give 1/4
+        sylvester = cross_covariance(SCALAR, z, v)
+        assert np.max(np.abs(cross_covariance_generating(SCALAR, z, v) - sylvester)) <= 1e-15
+        if (z, v) == (3.0, 3.0):
+            assert sylvester[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_commutation_sector_is_exact(self, unit_model):
         theta = unit_model.params.theta
