@@ -10,7 +10,7 @@ per-oscillator terms, which is the quantity the gradient and balancing
 modules act on. They are read off one Cholesky factor P = L L^T (the
 complement before oscillator k is L_tt L_tt^T, L_tt the trailing block
 of L); :func:`schur_complements` forms them by subtraction, as the
-test oracle.
+test oracle. Every solve with L goes through :func:`_lapack_solve`.
 """
 
 from __future__ import annotations
@@ -22,10 +22,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from .errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
+from .errors import (
+    NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta, SolverSingular,
+)
 from .linalg import (
     CascadeSchur,
     Matrix,
+    block_slices,
     cascade_schur,
     is_hurwitz,
     resolvent_solve,
@@ -135,10 +138,9 @@ def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:
 def _recursive_covariance(cascade: CascadeModel, factor: CascadeSchur) -> Matrix:
     """The recursion of :func:`invariant_covariance_recursive` on a given
     :func:`cascade_schur` factor of a stable cascade."""
-    offs = np.cumsum((0, *cascade.dims)).tolist()
     p = np.zeros((cascade.n, cascade.n))
-    for k, rk in enumerate(cascade.realizations):
-        blk, lead = slice(offs[k], offs[k + 1]), slice(0, offs[k])
+    for k, (rk, blk) in enumerate(zip(cascade.realizations, cascade.blocks)):
+        lead = slice(0, blk.start)
         c_lead = cascade.c[:, lead]
         if k:
             q_k = solve_cascade_sylvester(
@@ -166,27 +168,22 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> tuple[Matrix, ...]
     n = p_full.shape[0]
     if sum(dims) != n:
         raise ValueError(f"block dims {dims} do not sum to order {n}")
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    blocks = block_slices(dims)
     pi_k: list[Matrix] = [p_full[: dims[0], : dims[0]].copy()]
     for k in range(1, len(dims)):
-        off = offsets[k]
+        off = blocks[k].start
         q_tail = p_full[off:, :off]
-        t = cho_solve(_lead_factor(p_full[:off, :off]), q_tail.T).T
+        try:
+            lead = cho_factor(p_full[:off, :off], lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularLeadingBlock(
+                f"leading block of order {off} is not positive definite: {exc}"
+            ) from exc
+        t = cho_solve(lead, q_tail.T).T
         tail = p_full[off:, off:] - t @ q_tail.T
         tail = 0.5 * (tail + tail.T)
         pi_k.append(tail[: dims[k], : dims[k]].copy())
     return tuple(pi_k)
-
-
-def _lead_factor(lead: Matrix) -> tuple[Matrix, bool]:
-    """scipy's lower Cholesky factor of a leading block, SingularLeadingBlock
-    naming its order when the block is not positive definite."""
-    try:
-        return cho_factor(lead, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLeadingBlock(
-            f"leading block of order {len(lead)} is not positive definite: {exc}"
-        ) from exc
 
 
 def purity_and_logdet(p: Matrix, theta: Matrix) -> tuple[float, float]:
@@ -218,15 +215,27 @@ def _cholesky(p_full: Matrix, dims: Sequence[int]) -> Matrix:
     """
     chol, info = dpotrf(np.asarray_chkfinite(p_full), lower=1, clean=1)
     if info > 0:
-        offsets = np.cumsum(dims)
-        k = int(np.searchsorted(offsets, info - 1, side="right"))
+        blocks = block_slices(dims)
+        k = next(k for k, blk in enumerate(blocks) if info <= blk.stop)
         if k < len(dims) - 1:
             raise SingularLeadingBlock(
                 f"conditional covariance of oscillator {k} is not positive definite: "
-                f"leading block of order {offsets[k]} fails at pivot {info}"
+                f"leading block of order {blocks[k].stop} fails at pivot {info}"
             )
-        raise NonPositive(f"covariance is not positive definite: pivot {info} of {offsets[-1]}")
+        raise NonPositive(f"covariance is not positive definite: pivot {info} of {blocks[-1].stop}")
     return chol
+
+
+def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
+    """x from a LAPACK ``dtrtrs`` or ``dpotrs`` call on a triangular factor, such
+    as a :func:`_cholesky` factor; SolverSingular on a non-finite operand or a
+    nonzero ``info``."""
+    if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
+        raise SolverSingular(f"{routine.__name__}: an operand has a non-finite entry")
+    x, info = routine(factor, rhs, **flags)
+    if info != 0:
+        raise SolverSingular(f"{routine.__name__}: info {info}")
+    return x
 
 
 def covariance_factor(cascade: CascadeModel) -> Matrix:
@@ -250,15 +259,14 @@ def steady_state(cascade: CascadeModel) -> SteadyStateResult:
     if "state" in cascade.derived:
         return cascade.derived["state"]
     p_full, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
-    blocks = [cascade.block(k) for k in range(cascade.n_oscillators)]
     log_diag = 2.0 * np.log(np.diag(chol))
     v = float(np.sum(log_diag))
     state = SteadyStateResult(
         p_full=p_full,
-        pi_k=tuple(chol[blk, blk] @ chol[blk, blk].T for blk in blocks),
+        pi_k=tuple(chol[blk, blk] @ chol[blk, blk].T for blk in cascade.blocks),
         purity=_purity(v, cascade.theta),
         v_logdet=v,
-        v_k=tuple(float(np.sum(log_diag[blk])) for blk in blocks),
+        v_k=tuple(float(np.sum(log_diag[blk])) for blk in cascade.blocks),
     )
     return _keep(cascade, "state", state, *state.pi_k)
 

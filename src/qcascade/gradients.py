@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .covariance import (
     _cholesky,
     _keep,
+    _lapack_solve,
     _recursive_covariance,
     covariance_factor,
     invariant_covariance_direct,
@@ -42,6 +42,7 @@ from .linalg import (
     RESIDUAL_TOL,
     Matrix,
     antisymmetric_part,
+    block_slices,
     cascade_schur,
     duplication_matrix,
     solve_cascade_lyapunov,
@@ -89,25 +90,22 @@ class GradientSet:
 def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, Matrix]:
     """Gramian Q solving A^T Q + Q A + P^{-1} = 0 of a cascade and the product Q P.
 
-    P and its Cholesky factor L, from which P^{-1} is solved, are those of
-    :func:`covariance_factor`, which refuses an unstable cascade. Q comes from
-    one certified transposed solve on the one-block :func:`cascade_schur`
-    factor of A^T. Q P is similar to the symmetric P^{1/2} Q
-    P^{1/2}, so its spectrum is real and nonnegative.
+    P and its Cholesky factor L, from which P^{-1} is solved by ``dpotrs``,
+    are those of :func:`covariance_factor`, which refuses an unstable
+    cascade. Q comes from one certified transposed solve on the one-block
+    :func:`cascade_schur` factor of A^T. Q P is similar to the symmetric
+    P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
     """
     p, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
-    p_inv = symmetric_part(cho_solve((chol, True), np.eye(cascade.n)))
+    p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(cascade.n), lower=1))
     whole = slice(0, cascade.n)
     factor = cascade_schur(cascade.a, (cascade.n,))
     q = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
     return q, q @ p
 
 
-def _mu_coupling_terms(
-    cascade: CascadeModel, k: int, off: int, h_cols: Matrix, m_theta: Matrix
-) -> Matrix:
-    """Common 8 J (...) part of the coupling gradient of oscillator k at
-    state offset ``off``.
+def _mu_coupling_terms(cascade: CascadeModel, k: int, h_cols: Matrix, m_theta: Matrix) -> Matrix:
+    """Common 8 J (...) part of the coupling gradient of oscillator k.
 
     ``h_cols`` holds the first n_k columns of the relevant Hankelian-like
     matrix, rows running over oscillators k..N; ``m_theta`` is the
@@ -117,7 +115,7 @@ def _mu_coupling_terms(
     acc = cascade.params[k].m_coupling @ antisymmetric_part(
         cascade.params[k].theta @ h_cols[:nk, :]
     )
-    acc += m_theta[:, off + nk :] @ h_cols[nk:, :]
+    acc += m_theta[:, cascade.blocks[k].stop :] @ h_cols[nk:, :]
     return 8.0 * cascade.j_ito @ acc
 
 
@@ -136,12 +134,11 @@ def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:
     m_theta = cascade.m_coupling @ cascade.theta
     rho: list[Matrix] = []
     mu: list[Matrix] = []
-    for k in range(cascade.n_oscillators):
-        blk, off = cascade.block(k), cascade.offset(k)
-        theta_k = cascade.params[k].theta
+    for k, blk in enumerate(cascade.blocks):
+        off, theta_k = blk.start, cascade.params[k].theta
         rho.append(-4.0 * symmetric_part(theta_k @ h[blk, blk]))
         mu_k = 4.0 * cascade.b.T @ q[:, blk] @ theta_k
-        mu_k += _mu_coupling_terms(cascade, k, off, h[off:, blk], m_theta)
+        mu_k += _mu_coupling_terms(cascade, k, h[off:, blk], m_theta)
         mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
         mu.append(-mu_k)
     return _keep(cascade, "gradients", GradientSet(rho=tuple(rho), mu=tuple(mu)), *rho, *mu)
@@ -175,11 +172,10 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
     q_full = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
     z = _lapack_solve(dtrtrs, chol, cascade.b, lower=1)
     m_theta = cascade.m_coupling @ cascade.theta
-    offs = np.cumsum((0, *cascade.dims)).tolist()
     rho: list[Matrix] = []
     mu: list[Matrix] = []
-    for k in range(cascade.n_oscillators):
-        off, nk, theta_k = offs[k], cascade.dims[k], cascade.params[k].theta
+    for k, blk in enumerate(cascade.blocks):
+        off, nk, theta_k = blk.start, cascade.dims[k], cascade.params[k].theta
         l_tail = chol[off:, off:]
         b_tilde = l_tail @ z[off:]
         q_tail = q_full[off:, off:]
@@ -193,30 +189,19 @@ def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
             y = solve_cascade_sylvester(
                 factor, slice(off, cascade.n), slice(0, off), q_tail @ w.T, transpose=True
             )
-            h_cols = h_cols - y @ p[off : off + nk, :off].T
+            h_cols = h_cols - y @ p[blk, :off].T
             c_p = cascade.c[:, :off] @ p[:off, :off] + cascade.b[:off].T
             mu_k -= 4.0 * c_p @ y[:nk, :].T @ theta_k
         rho.append(-4.0 * symmetric_part(theta_k @ h_cols[:nk, :]))
-        mu_k += _mu_coupling_terms(cascade, k, off, h_cols, m_theta)
+        mu_k += _mu_coupling_terms(cascade, k, h_cols, m_theta)
         mu.append(-mu_k)
     return GradientSet(rho=tuple(rho), mu=tuple(mu))
 
 
-def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
-    """x from a LAPACK ``dtrtrs`` or ``dpotrs`` call on a triangular factor;
-    SolverSingular on a non-finite operand or a nonzero ``info``."""
-    if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
-        raise SolverSingular(f"{routine.__name__}: an operand has a non-finite entry")
-    x, info = routine(factor, rhs, **flags)
-    if info != 0:
-        raise SolverSingular(f"{routine.__name__}: info {info}")
-    return x
-
-
-def _probe_offsets(cascade: CascadeModel) -> np.ndarray:
-    """First probe of every oscillator, then the probe count: oscillator k
-    has one probe per entry of [vech dR_k; vec dM_k]."""
-    return np.cumsum([0, *(sum(parameter_sizes(nk, cascade.m)) for nk in cascade.dims)])
+def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:
+    """Probe range of every oscillator: oscillator k has one probe per entry
+    of [vech dR_k; vec dM_k]."""
+    return block_slices([sum(parameter_sizes(nk, cascade.m)) for nk in cascade.dims])
 
 
 def _probe_chunks(cascade: CascadeModel, step: float) -> Iterator[tuple[int, int, CascadeStack]]:
@@ -225,16 +210,17 @@ def _probe_chunks(cascade: CascadeModel, step: float) -> Iterator[tuple[int, int
     copies 2(t - lo) and 2(t - lo) + 1 of the stack move the entry of probe t
     by +step and -step. No (n, n, S) array of a stack holds more than
     ``PROBE_ENTRIES`` entries."""
-    first = _probe_offsets(cascade)
+    probes = _probe_blocks(cascade)
+    total = probes[-1].stop
     # equal chunks: a last chunk of one probe would change bits, as einsum
     # sums a copy axis of length 1 in another order
-    count = -(-first[-1] // max(1, PROBE_ENTRIES // (2 * cascade.n**2)))
-    bounds = [first[-1] * i // count for i in range(count + 1)]
+    count = -(-total // max(1, PROBE_ENTRIES // (2 * cascade.n**2)))
+    bounds = [total * i // count for i in range(count + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = np.zeros((hi - lo, first[-1]))
+        rows = np.zeros((hi - lo, total))
         rows[np.arange(hi - lo), np.arange(lo, hi)] = step
         signed = np.stack([rows, -rows], axis=1).reshape(2 * (hi - lo), -1)
-        yield lo, hi, perturbed_cascade_stack(cascade, np.split(signed, first[1:-1], axis=1))
+        yield lo, hi, perturbed_cascade_stack(cascade, [signed[:, blk] for blk in probes])
 
 
 def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) -> np.ndarray:
@@ -268,17 +254,17 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     of all oscillators are one block solve per chunk of
     :func:`_probe_chunks`; a failing probe raises naming its entry.
     """
-    m, first = cascade.m, _probe_offsets(cascade)
+    m, probes = cascade.m, _probe_blocks(cascade)
     labels = []
     for k, nk in enumerate(cascade.dims):
         labels += [f"R_{k}[{i},{j}]" for j in range(nk) for i in range(j, nk)]
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
-    values = np.empty(2 * first[-1])
+    values = np.empty(2 * probes[-1].stop)
     with _prefixed("finite-difference probes"):
         for lo, hi, stack in _probe_chunks(cascade, h):
             values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
-    pairs = [GradientSet._unpack(d, nk, m) for d, nk in zip(np.split(slopes, first[1:-1]), cascade.dims)]
+    pairs = [GradientSet._unpack(slopes[blk], nk, m) for blk, nk in zip(probes, cascade.dims)]
     rho, mu = zip(*pairs)
     return GradientSet(rho=rho, mu=mu)
 
@@ -320,8 +306,8 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     quadratic and B linear in (R_k, M_k). P is
     :func:`invariant_covariance_direct`.
     """
-    p_full, first = invariant_covariance_direct(cascade), _probe_offsets(cascade)
-    dp, certificate = np.empty((cascade.n, cascade.n, first[-1])), np.empty(first[-1])
+    p_full, probes = invariant_covariance_direct(cascade), _probe_blocks(cascade)
+    dp, certificate = np.empty((cascade.n, cascade.n, probes[-1].stop)), np.empty(probes[-1].stop)
     with _prefixed("covariance responses"):
         for lo, hi, stack in _probe_chunks(cascade, 1.0):
             da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
@@ -331,11 +317,11 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
             dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
                 np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
             )
-    for k in range(cascade.n_oscillators):
-        worst = float(np.max(certificate[first[k] : first[k + 1]]))
+    for k, blk in enumerate(probes):
+        worst = float(np.max(certificate[blk]))
         if not worst <= RESIDUAL_TOL:
             raise SolverSingular(
                 f"covariance response of oscillator {k}: residual certificate "
                 f"{worst:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-    return tuple(np.moveaxis(dp[..., lo:hi], -1, 0) for lo, hi in zip(first[:-1], first[1:]))
+    return tuple(np.moveaxis(dp[..., blk], -1, 0) for blk in probes)

@@ -3,7 +3,10 @@
 Sylvester and Lyapunov solvers with stability preconditions, the
 duplication matrix for half-vectorization, eigendecomposition-based
 functions of symmetric matrices, and residual certificates for
-symplectic membership and quantum admissibility.
+symplectic membership and quantum admissibility. Two decisions have
+their one owner here: the block layout of a cascade
+(:func:`block_slices` and :func:`block_upper_mask`) and the Hurwitz
+rule (:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``).
 
 Every production Sylvester solve is a certified Schur (Bartels-Stewart)
 solve: one ``dtrsyl`` call on a real Schur factor of a^T from
@@ -117,16 +120,22 @@ def duplication_matrix(r: int) -> Matrix:
     return ups
 
 
+def hurwitz_flag(abscissa: float | np.ndarray) -> bool | np.ndarray:
+    """The package's Hurwitz rule: spectral abscissa below -HURWITZ_TOL, elementwise."""
+    return abscissa < -HURWITZ_TOL
+
+
 def is_hurwitz(a: Matrix) -> tuple[bool, float]:
-    """Stability test. Returns (max real part < -HURWITZ_TOL, max real part of the spectrum)."""
-    a = np.asarray(a, dtype=float)
+    """Stability test of a real or complex matrix. Returns
+    (:func:`hurwitz_flag` of the spectral abscissa, the spectral abscissa)."""
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix expected, got shape {a.shape}")
     try:
         margin = float(np.max(np.linalg.eigvals(a).real))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigensolve failed: {exc}") from exc
-    return margin < -HURWITZ_TOL, margin
+    return hurwitz_flag(margin), margin
 
 
 def spectral_abscissa(a: np.ndarray) -> np.ndarray:
@@ -234,6 +243,22 @@ def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
     return symmetric_part(solve_sylvester(a, a, q))
 
 
+def block_slices(dims: Sequence[int]) -> tuple[slice, ...]:
+    """Index range of every diagonal block, of orders ``dims``, in order."""
+    offs = np.cumsum((0, *dims)).tolist()
+    return tuple(slice(lo, hi) for lo, hi in zip(offs[:-1], offs[1:]))
+
+
+def block_upper_mask(dims: Sequence[int], a: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the entries above the diagonal blocks of orders ``dims``;
+    ValueError if ``a`` (n, n, ...) holds a nonzero entry there."""
+    block_id = np.repeat(np.arange(len(dims)), dims)
+    upper = block_id[:, None] < block_id[None, :]
+    if a is not None and np.any(a[upper]):
+        raise ValueError("a has a nonzero block above the diagonal")
+    return upper
+
+
 class CascadeSchur(NamedTuple):
     """Real Schur factor a^T = w s w^T of a cascade dynamics matrix a."""
 
@@ -263,15 +288,11 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
     if len(dims) == 1:
         s, w = _block_schur(a, 0)
         return CascadeSchur(a=a, w=w, s=s)
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    block_id = np.repeat(np.arange(len(dims)), dims)
-    upper = block_id[:, None] < block_id[None, :]
-    if np.any(a[upper]):
-        raise ValueError("a has a nonzero block above the diagonal")
+    upper = block_upper_mask(dims, a)
     w = np.zeros_like(a)
     s = np.zeros_like(a)
-    for k, (lo, hi) in enumerate(zip(offs[:-1], offs[1:])):
-        s[lo:hi, lo:hi], w[lo:hi, lo:hi] = _block_schur(a[lo:hi, lo:hi], k)
+    for k, blk in enumerate(block_slices(dims)):
+        s[blk, blk], w[blk, blk] = _block_schur(a[blk, blk], k)
     s[upper] = (w.T @ a.T @ w)[upper]
     return CascadeSchur(a=a, w=w, s=s)
 
@@ -352,17 +373,13 @@ def solve_cascade_lyapunov(
     # makes the result independent of the caller's memory layout
     a = np.ascontiguousarray(a, dtype=float)
     q = np.ascontiguousarray(q, dtype=float)
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    n = int(offs[-1])
+    blocks, n = block_slices(dims), sum(dims)
     if a.ndim != 3 or a.shape[:2] != (n, n) or q.shape != a.shape:
         raise ValueError(
             f"a and q must have shape ({n}, {n}, S), got {a.shape} and {q.shape}"
         )
-    block_id = np.repeat(np.arange(len(dims)), dims)
-    if np.any(a[block_id[:, None] < block_id[None, :]]):
-        raise ValueError("a has a nonzero block above the diagonal")
+    block_upper_mask(dims, a)
     p = np.empty_like(q)
-    blocks = [slice(lo, hi) for lo, hi in zip(offs[:-1], offs[1:])]
 
     def q_sym(rows: slice, cols: slice) -> np.ndarray:
         # block of the symmetric part of q, formed where it is read
@@ -371,8 +388,8 @@ def solve_cascade_lyapunov(
     for k, ck in enumerate(blocks):
         for j in range(k, len(dims)):
             rj = blocks[j]
-            forcing = q_sym(rj, ck) + np.einsum("ils,lbs->ibs", a[rj, : offs[j]], p[: offs[j], ck])
-            forcing += np.einsum("ils,bls->ibs", p[rj, : offs[k]], a[ck, : offs[k]])
+            forcing = q_sym(rj, ck) + np.einsum("ils,lbs->ibs", a[rj, : rj.start], p[: rj.start, ck])
+            forcing += np.einsum("ils,bls->ibs", p[rj, : ck.start], a[ck, : ck.start])
             x = _sylvester_step(a[rj, rj], a[ck, ck], forcing)
             if j == k:
                 x = 0.5 * (x + x.transpose(1, 0, 2))

@@ -10,19 +10,22 @@ channels shared along the cascade). Its state-space realization is
 where J is the canonical antisymmetric form of order m. The series
 connection feeds each oscillator with the output field of its
 predecessor, which makes the composite dynamics matrix block lower
-triangular.
+triangular, with one diagonal block per oscillator on the index ranges
+of :attr:`CascadeModel.blocks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotHurwitz, SingularTheta
 from .linalg import (
-    HURWITZ_TOL, Matrix, duplication_matrix, resolvent_solve, spectral_abscissa, symplectic_form,
+    Matrix, block_slices, block_upper_mask, duplication_matrix, hurwitz_flag, resolvent_solve,
+    spectral_abscissa, symplectic_form,
 )
 
 PR_SELF_CHECK_TOL = 1e-12
@@ -125,10 +128,10 @@ def realizability_residual(
 
 def _block_diag(mats: Sequence[Matrix]) -> Matrix:
     """Block-diagonal matrix of square blocks, in a tenth of scipy's block_diag time."""
-    offs = np.cumsum([0] + [len(x) for x in mats])
-    out = np.zeros((offs[-1], offs[-1]))
-    for x, lo, hi in zip(mats, offs[:-1], offs[1:]):
-        out[lo:hi, lo:hi] = x
+    blocks = block_slices([len(x) for x in mats])
+    out = np.zeros((blocks[-1].stop, blocks[-1].stop))
+    for x, blk in zip(mats, blocks):
+        out[blk, blk] = x
     return out
 
 
@@ -140,26 +143,24 @@ def _copies(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2).swapaxes(-2, -3)
 
 
-def _write_series(blocks: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _write_series(units: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack-last composite A (n, n, S), B (n, m, S) and C (m, n, S) of a
     series connection of units from unit k's A_k (n_k, n_k, S), B_k (n_k, m, S)
-    and C_k (m, n_k, S) in ``blocks[k]``: A_k on the diagonal, A_jk = B_j C_k
+    and C_k (m, n_k, S) in ``units[k]``: A_k on the diagonal, A_jk = B_j C_k
     below it, B_k stacked, C_k concatenated.
     """
-    (_, m, stack), n = blocks[0][1].shape, sum(len(a_k) for a_k, _, _ in blocks)
+    blocks = block_slices([len(a_k) for a_k, _, _ in units])
+    (_, m, stack), n = units[0][1].shape, blocks[-1].stop
     a, b, c = np.zeros((n, n, stack)), np.zeros((n, m, stack)), np.zeros((m, n, stack))
-    off = 0
-    for a_k, b_k, c_k in blocks:
-        bk = slice(off, off + len(a_k))
+    for (a_k, b_k, c_k), bk in zip(units, blocks):
         a[bk, bk], b[bk], c[:, bk] = a_k, b_k, c_k
-        np.matmul(_copies(b_k), _copies(c[:, :off]), out=_copies(a[bk, :off]))
-        off = bk.stop
+        np.matmul(_copies(b_k), _copies(c[:, : bk.start]), out=_copies(a[bk, : bk.start]))
     return a, b, c
 
 
 def _series_connection(
     oscillators: Sequence[OscillatorParams], j_ito: Matrix, de: Sequence[np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Series connection of S perturbed copies of a chain of oscillators.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the layout
@@ -168,7 +169,7 @@ def _series_connection(
     stack-last, as contiguous (n_k, n_k, S), (n_k, m, S) and (m, n_k, S) blocks,
     for batches of oscillators of one order and pass the realizability
     self-check (ArithmeticError naming the oscillator). Returns the stacks of
-    :func:`_write_series`, the blocks and their spectral abscissas (N, S).
+    :func:`_write_series` and the spectral abscissas (N, S) of the diagonal blocks.
     """
     if de is None:
         de = [np.zeros((1, sum(parameter_sizes(p.n, p.m)))) for p in oscillators]
@@ -212,7 +213,7 @@ def _series_connection(
             abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
             for i, k in enumerate(ks):
                 blocks[k] = (a_kk[i], b_k[i], c_k[i])
-    return (*_write_series(blocks), blocks, abscissa)
+    return (*_write_series(blocks), abscissa)
 
 
 def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorRealization:
@@ -223,7 +224,7 @@ def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorReal
     _check_thetas([p.theta])
     if j_ito.shape != (p.m, p.m):
         raise DimensionMismatch(f"field form of order {j_ito.shape[0]} does not match {p.m} channels")
-    a, b, c, _, _ = _series_connection([p], j_ito)
+    a, b, c, _ = _series_connection([p], j_ito)
     return OscillatorRealization(a=a[..., 0], b=b[..., 0], c=c[..., 0])
 
 
@@ -234,14 +235,15 @@ class CascadeModel:
     ``a``, ``b``, ``c`` are the composite state-space matrices, ``theta``
     the block-diagonal commutation matrix, and ``r_energy``,
     ``m_coupling`` the composite energy and coupling matrices satisfying
-    a = 2 theta (r_energy + m_coupling^T J m_coupling). ``hurwitz``
+    a = 2 theta (r_energy + m_coupling^T J m_coupling). ``blocks`` holds
+    the state index range of every oscillator and ``realizations`` its
+    (A_kk, B_k, C_k), read off the composite on those ranges. ``hurwitz``
     records the per-oscillator stability flags with spectral abscissas;
     stability is reported at assembly, never assumed. ``derived`` keeps P,
     its factor and the gradients, each written once by its owner function.
     """
 
     params: tuple[OscillatorParams, ...]
-    realizations: tuple[OscillatorRealization, ...]
     m: int
     j_ito: Matrix
     a: Matrix
@@ -262,14 +264,13 @@ class CascadeModel:
     def n_oscillators(self) -> int:
         return len(self.params)
 
-    def offset(self, k: int) -> int:
-        """State offset of oscillator k (0-based)."""
-        return int(sum(self.dims[:k]))
+    @cached_property
+    def blocks(self) -> tuple[slice, ...]:
+        return block_slices(self.dims)
 
-    def block(self, k: int) -> slice:
-        """State index range of oscillator k (0-based)."""
-        off = self.offset(k)
-        return slice(off, off + self.dims[k])
+    @cached_property
+    def realizations(self) -> tuple[OscillatorRealization, ...]:
+        return tuple(OscillatorRealization(self.a[k, k], self.b[k], self.c[:, k]) for k in self.blocks)
 
     def all_hurwitz(self) -> bool:
         return all(flag for flag, _ in self.hurwitz)
@@ -298,8 +299,7 @@ def composite_energy_coupling(
         if p.m != m:
             raise DimensionMismatch(f"oscillator {idx}: {p.m} field channels, expected {m}")
     m_full = np.hstack([p.m_coupling for p in oscillators])
-    block_id = np.repeat(np.arange(len(oscillators)), [p.n for p in oscillators])
-    below = block_id[:, None] > block_id[None, :]
+    below = block_upper_mask([p.n for p in oscillators]).T
     cross = np.where(below, m_full.T @ symplectic_form(m) @ m_full, 0.0)
     r_full = _block_diag([p.r_energy for p in oscillators]) + cross + cross.T
     return r_full, m_full
@@ -315,7 +315,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     _check_thetas([p.theta for p in oscillators])
     r_full, m_full = composite_energy_coupling(oscillators)
     j = symplectic_form(m_full.shape[0])
-    a_full, b_full, c_full, blocks, abscissa = _series_connection(oscillators, j)
+    a_full, b_full, c_full, abscissa = _series_connection(oscillators, j)
     # one unperturbed copy: unpack the stack axis
     a_full, b_full, c_full = a_full[..., 0], b_full[..., 0], c_full[..., 0]
     theta_full = _block_diag([p.theta for p in oscillators])
@@ -328,9 +328,6 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
 
     return CascadeModel(
         params=oscillators,
-        realizations=tuple(
-            OscillatorRealization(a[..., 0], b[..., 0], c[..., 0]) for a, b, c in blocks
-        ),
         m=j.shape[0],
         j_ito=j,
         a=a_full,
@@ -340,7 +337,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         r_energy=r_full,
         m_coupling=m_full,
         dims=tuple(p.n for p in oscillators),
-        hurwitz=tuple((bool(x < -HURWITZ_TOL), float(x)) for x in abscissa[:, 0]),
+        hurwitz=tuple(zip(hurwitz_flag(abscissa[:, 0]).tolist(), abscissa[:, 0].tolist())),
     )
 
 
@@ -364,8 +361,8 @@ def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> 
     the layout :func:`solve_cascade_lyapunov` takes. Raises ArithmeticError if
     a perturbed oscillator fails the physical-realizability self-check.
     """
-    a, b, _, _, abscissa = _series_connection(cascade.params, cascade.j_ito, de)
-    return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=abscissa < -HURWITZ_TOL)
+    a, b, _, abscissa = _series_connection(cascade.params, cascade.j_ito, de)
+    return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=hurwitz_flag(abscissa))
 
 
 def transfer_eval(

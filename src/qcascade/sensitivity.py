@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
-from .covariance import _cholesky, covariance_factor, log_det_stack
+from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack
 from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
 from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part
@@ -235,7 +235,7 @@ def fisher_gram(chol: Matrix, dps: np.ndarray) -> Matrix:
     """Gram matrix <dP_a, P^{-1} dP_b P^{-1}> of perturbations (d, n, n), from L of P = L L^T."""
     d, n = len(dps), chol.shape[0]
     # Y_a = P^{-1} dP_a for all a from one solve on [dP_1 | ... | dP_d]
-    ys = cho_solve((chol, True), np.asarray(dps).transpose(1, 0, 2).reshape(n, d * n))
+    ys = _lapack_solve(dpotrs, chol, np.asarray(dps).transpose(1, 0, 2).reshape(n, d * n), lower=1)
     ys = ys.reshape(n, d, n).transpose(1, 0, 2)
     gram = np.einsum("aij,bji->ab", ys, ys)
     return 0.5 * (gram + gram.T)

@@ -7,11 +7,12 @@ scalar z != 1:
     A_z = A + B C / (z - 1),   B_z = B / (z - 1),
     C_z = z C / (z - 1),       D_z = z I / (z - 1).
 
-Cross-covariances between two family members solve a complex Sylvester
-equation whose forcing carries Omega = I + i J; the same object is a
-rational function of (z, v) and the generating function of the block
-covariances of the finite cascade, up to the exactly summable
-commutation sector i Theta / (z v - 1).
+A member is in the stability set when A_z passes the package's one
+Hurwitz rule, :func:`linalg.is_hurwitz`. Cross-covariances between two
+family members solve a complex Sylvester equation whose forcing carries
+Omega = I + i J; the same object is a rational function of (z, v) and
+the generating function of the block covariances of the finite cascade,
+up to the exactly summable commutation sector i Theta / (z v - 1).
 
 The module also provides H2 and Hinf norms of the base oscillator (Hinf
 by a Hamiltonian level-set iteration) and the geometric trace bound for
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    block_slices,
     certify_sylvester,
     is_hurwitz,
     resolvent_solve,
@@ -123,8 +125,8 @@ class ZPoint:
 def z_domain_matrices(model: TIModel, z: complex) -> ZPoint:
     """State-space matrices of the z-indexed family member.
 
-    The stability flag records whether A_z is Hurwitz, which is the
-    checkable membership test for the admissible set of z values.
+    The stability flag, :func:`is_hurwitz` of A_z, is the checkable
+    membership test for the admissible set of z values.
     """
     z = complex(z)
     if abs(z - 1.0) <= 1e-12 * max(1.0, abs(z)):
@@ -134,10 +136,7 @@ def z_domain_matrices(model: TIModel, z: complex) -> ZPoint:
     b_z = w * model.b
     c_z = z * w * model.c
     d_z = z * w * np.eye(model.m)
-    abscissa = float(np.max(np.linalg.eigvals(a_z).real))
-    return ZPoint(
-        a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=abscissa < 0.0
-    )
+    return ZPoint(a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=is_hurwitz(a_z)[0])
 
 
 def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> float:
@@ -176,12 +175,10 @@ def phi_z_feedback(model: TIModel, z: complex, s: complex) -> np.ndarray:
 
 
 def _stable_points(model: TIModel, z: complex, v: complex) -> tuple[ZPoint, ZPoint]:
-    pz = z_domain_matrices(model, z)
-    pv = z_domain_matrices(model, v)
-    if not pz.is_stable:
-        raise NotInStabilitySet(f"z = {z} gives an unstable family member")
-    if not pv.is_stable:
-        raise NotInStabilitySet(f"v = {v} gives an unstable family member")
+    pz, pv = z_domain_matrices(model, z), z_domain_matrices(model, v)
+    for name, value, point in (("z", z, pz), ("v", v, pv)):
+        if not point.is_stable:
+            raise NotInStabilitySet(f"{name} = {value} gives an unstable family member")
     return pz, pv
 
 
@@ -270,12 +267,9 @@ def cross_covariance_series(model: TIModel, z: complex, v: complex) -> np.ndarra
     depth = series_depth_for(model, z, v)
     cascade = assemble_cascade([model.params] * depth)
     p_full = invariant_covariance_direct(cascade)
-    n = model.n
-    total = np.zeros((n, n), dtype=complex)
-    for j in range(1, depth + 1):
-        rows = slice((j - 1) * n, j * n)
-        for k in range(1, depth + 1):
-            cols = slice((k - 1) * n, k * n)
+    total = np.zeros((model.n, model.n), dtype=complex)
+    for j, rows in enumerate(cascade.blocks, 1):
+        for k, cols in enumerate(cascade.blocks, 1):
             total += z ** (-j) * v ** (-k) * p_full[rows, cols]
     theta = model.params.theta
     total += 1j * theta / (z * v - 1.0)
@@ -384,19 +378,15 @@ def covariance_trace_bound(model: TIModel, k_max: int) -> TraceBoundResult:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    n = model.n
     a_full, b_full, _ = _write_series(
         [(model.a[..., None], model.b[..., None], model.c[..., None])] * k_max
     )
     p_full = stationary_covariance(a_full[..., 0], b_full[..., 0])
     h2 = h2_norm(model)
     hinf = hinf_norm(model)
-    traces = []
-    bounds = []
-    for k in range(1, k_max + 1):
-        blk = slice((k - 1) * n, k * n)
-        traces.append(float(np.trace(p_full[blk, blk])))
-        bounds.append(2.0 * h2 * h2 * hinf ** (2 * (k - 1)))
     return TraceBoundResult(
-        traces=tuple(traces), bounds=tuple(bounds), h2=h2, hinf=hinf
+        traces=tuple(float(np.trace(p_full[blk, blk])) for blk in block_slices((model.n,) * k_max)),
+        bounds=tuple(2.0 * h2 * h2 * hinf ** (2 * k) for k in range(k_max)),
+        h2=h2,
+        hinf=hinf,
     )

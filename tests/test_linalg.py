@@ -499,6 +499,18 @@ class TestHurwitz:
         assert not stable
         assert margin == pytest.approx(0.0, abs=1e-12)
 
+    def test_complex_matrix_is_not_cast_to_real(self):
+        # eigenvalues -0.1 +/- (1 - 1j) / sqrt(2); the real part alone has abscissa -0.1
+        stable, margin = is_hurwitz(np.array([[-0.1, 1.0], [-1.0j, -0.1]]))
+        assert not stable
+        assert margin == pytest.approx(np.sqrt(0.5) - 0.1, rel=1e-14)
+
+    def test_real_matrices_keep_flag_and_margin(self):
+        rng = np.random.default_rng(809)
+        for a in [*(rng.standard_normal((20, 4, 4)) - 1.5 * np.eye(4)), np.diag([-1e-12, -1.0])]:
+            want = float(np.max(np.linalg.eigvals(a).real))
+            assert is_hurwitz(a) == (want < -1e-9, want)
+
     def test_closed_form_abscissa_matches_eigvals(self):
         rng = np.random.default_rng(808)
         a = rng.standard_normal((500, 2, 2))

@@ -182,8 +182,21 @@ class TestAssembly:
         dims = reference_cascade.dims
         for k in range(len(dims)):
             for j in range(k + 1, len(dims)):
-                blk = reference_cascade.a[reference_cascade.block(k), reference_cascade.block(j)]
+                blk = reference_cascade.a[reference_cascade.blocks[k], reference_cascade.blocks[j]]
                 assert np.array_equal(blk, np.zeros_like(blk))
+
+    @pytest.mark.parametrize("which", ["reference", "mixed"])
+    def test_blocks_and_realizations_follow_dims(self, reference_cascade, which):
+        cascade = reference_cascade
+        if which == "mixed":
+            cascade = make_mixed_cascade(np.random.default_rng(77))
+            assert cascade.blocks == (slice(0, 2), slice(2, 6), slice(6, 8))
+        assert [blk.stop - blk.start for blk in cascade.blocks] == list(cascade.dims)
+        assert len(cascade.realizations) == cascade.n_oscillators
+        for rk, blk in zip(cascade.realizations, cascade.blocks):
+            np.testing.assert_array_equal(rk.a, cascade.a[blk, blk])
+            np.testing.assert_array_equal(rk.b, cascade.b[blk])
+            np.testing.assert_array_equal(rk.c, cascade.c[:, blk])
 
     def test_composite_realizability(self, reference_cascade):
         cas = reference_cascade
@@ -230,7 +243,7 @@ class TestAssembly:
         for got, want in zip((cascade.a, cascade.b, cascade.c), series_reference(oscillators)):
             np.testing.assert_array_equal(got, want)
         for k, (flag, margin) in enumerate(cascade.hurwitz):
-            blk = cascade.block(k)
+            blk = cascade.blocks[k]
             want = np.max(np.linalg.eigvals(cascade.a[blk, blk]).real)
             assert margin == pytest.approx(want, rel=0.0, abs=1e-14)
             assert flag == (want < -1e-9)
@@ -309,7 +322,7 @@ class TestPerturbedStack:
             for got, want in ((stack.a[..., s], a), (stack.b[..., s], b)):
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
             margins = [
-                np.max(np.linalg.eigvals(a[cascade.block(k), cascade.block(k)]).real)
+                np.max(np.linalg.eigvals(a[cascade.blocks[k], cascade.blocks[k]]).real)
                 for k in range(cascade.n_oscillators)
             ]
             np.testing.assert_allclose(stack.abscissa[:, s], margins, rtol=1e-12, atol=1e-14)

@@ -112,3 +112,54 @@ def test_only_parameter_sizes_computes_the_vech_size():
                 owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 uses.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
     assert uses == ["oscillator.parameter_sizes"]
+
+
+def _owners(predicate) -> list[str]:
+    """``module.function`` of every node of ``src/`` that ``predicate`` accepts."""
+    uses = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if predicate(node):
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                uses.append(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    return uses
+
+
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def test_only_the_layout_helpers_work_out_block_offsets():
+    # a cumsum of block orders, or a block-index mask np.repeat(np.arange(...), dims)
+    def offsets_or_mask(node):
+        if not isinstance(node, ast.Call):
+            return False
+        if _name(node.func) == "repeat":
+            return any(_name(getattr(arg, "func", None)) == "arange" for arg in node.args[:1])
+        return _name(node.func) == "cumsum"
+
+    assert sorted(_owners(offsets_or_mask)) == ["linalg.block_slices", "linalg.block_upper_mask"]
+
+
+def test_only_linalg_reads_the_hurwitz_tolerance():
+    def reads(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "HURWITZ_TOL" for alias in node.names)
+        return _name(node) == "HURWITZ_TOL"
+
+    assert {use.partition(".")[0] for use in _owners(reads)} == {"linalg"}
+
+
+def test_only_the_schur_complement_oracle_solves_with_cho_solve():
+    # solves with the factor of P go through covariance._lapack_solve
+    def binds(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "cho_solve" for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr == "cho_solve"
+
+    assert {use.partition(".")[0] for use in _owners(binds)} == {"covariance"}
+    assert _owners(lambda node: isinstance(node, ast.Name) and node.id == "cho_solve") == [
+        "covariance.schur_complements"
+    ]

@@ -7,6 +7,7 @@ from qcascade.errors import (
     NonPositive,
     SchemaError,
     SingularLeadingBlock,
+    SolverSingular,
     TooManyRejections,
 )
 from qcascade.gradients import GradientSet, covariance_derivatives, purity_gradients_direct
@@ -301,6 +302,11 @@ class TestFisher:
     def test_metric_rejects_indefinite_base(self):
         with pytest.raises(NonPositive):
             fisher_metric(-np.eye(2), np.eye(2))
+
+    def test_metric_refuses_a_non_finite_perturbation(self):
+        # solves with the factor of P refuse a non-finite operand with a typed error
+        with pytest.raises(SolverSingular, match="non-finite entry"):
+            fisher_metric(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_gram_matrices_are_symmetric_psd(self, reference_cascade, reference_uncertainty):
         res = fisher_sensitivity(reference_cascade, reference_uncertainty)

@@ -158,6 +158,18 @@ class TestCrossCovariance:
         with pytest.raises(NotInStabilitySet):
             cross_covariance(unit_model, UNSTABLE_Z, 30.0)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [cross_covariance, cross_covariance_symmetric_sector, lambda model, z, v: phi_z_h2_norm(model, z)],
+        ids=["full", "symmetric_sector", "h2_norm"],
+    )
+    def test_member_inside_the_hurwitz_tolerance_is_refused(self, solve):
+        # A_z = -1 + 1 / (1 + 1e-12) = -1.0e-12: negative, but not below -HURWITZ_TOL
+        z = 2.0 + 1e-12
+        assert not z_domain_matrices(SCALAR, z).is_stable
+        with pytest.raises(NotInStabilitySet, match="z = "):
+            solve(SCALAR, z, z)
+
     def test_series_requires_oscillator_backing(self):
         with pytest.raises(ValueError):
             cross_covariance_series(SCALAR, 10.0, 10.0)
