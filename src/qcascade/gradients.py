@@ -13,9 +13,9 @@ same way. :meth:`GradientSet.d_vector` is dV/de_k in the layout
 de_k = [vech dR_k; vec dM_k], and its inverse unpacks the oracle's slopes.
 
 Three independent routes are implemented: a direct formula through the
-observability Gramian of the whole cascade, a recursive formula that
-works tail by tail through the Schur complements, and a finite
-difference oracle. First-order covariance perturbations are also
+observability Gramian of the whole cascade, the reverse sweep (adjoint)
+of the block recursion that builds P one oscillator at a time, and a
+finite difference oracle. First-order covariance perturbations are also
 exposed for the Fisher-information analysis; they and the oracle solve
 the +/- probes of every oscillator as one signed stack, chunk by chunk.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrs
 
 from .covariance import (
     _cholesky,
@@ -104,98 +104,80 @@ def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, 
     return q, q @ p
 
 
-def _mu_coupling_terms(cascade: CascadeModel, k: int, h_cols: Matrix, m_theta: Matrix) -> Matrix:
-    """Common 8 J (...) part of the coupling gradient of oscillator k.
+def _gradients_from_adjoints(cascade: CascadeModel, h: Matrix, bq: Matrix) -> GradientSet:
+    """(rho, mu) from the adjoints of the realization: H = (dV/dA)/2, of which
+    the block lower triangle is read, and bq = (dV/dB)^T/2 (B^T Q for a Gramian Q).
 
-    ``h_cols`` holds the first n_k columns of the relevant Hankelian-like
-    matrix, rows running over oscillators k..N; ``m_theta`` is the
-    composite [M_j Theta_j]_j, so the sum over j > k is one product.
+    rho_k is minus four times the symmetric part of theta_k H_kk; mu_k combines
+    the input-side term 4 bq_k theta_k with the coupling terms of the blocks
+    of H in column k (rows k..N) and in row k (columns before k), each side
+    summed by one product with the composite coupling.
     """
-    nk = cascade.dims[k]
-    acc = cascade.params[k].m_coupling @ antisymmetric_part(
-        cascade.params[k].theta @ h_cols[:nk, :]
-    )
-    acc += m_theta[:, cascade.blocks[k].stop :] @ h_cols[nk:, :]
-    return 8.0 * cascade.j_ito @ acc
-
-
-def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:
-    """Gradients from one Gramian of the whole cascade, once per cascade.
-
-    rho_k is minus four times the symmetric part of theta_k H_kk, with H
-    the product Q P restricted to the (k, k) block; mu_k combines the
-    input-side term B^T Q theta_k with coupling corrections from all
-    blocks of H interacting with oscillator k, each side summed by one
-    product with the composite coupling.
-    """
-    if "gradients" in cascade.derived:
-        return cascade.derived["gradients"]
-    q, h = observability_gramian_and_hankelian(cascade)
     m_theta = cascade.m_coupling @ cascade.theta
     rho: list[Matrix] = []
     mu: list[Matrix] = []
     for k, blk in enumerate(cascade.blocks):
         off, theta_k = blk.start, cascade.params[k].theta
         rho.append(-4.0 * symmetric_part(theta_k @ h[blk, blk]))
-        mu_k = 4.0 * cascade.b.T @ q[:, blk] @ theta_k
-        mu_k += _mu_coupling_terms(cascade, k, h[off:, blk], m_theta)
+        mu_k = 4.0 * bq[:, blk] @ theta_k
+        acc = cascade.params[k].m_coupling @ antisymmetric_part(theta_k @ h[blk, blk])
+        acc += m_theta[:, blk.stop :] @ h[blk.stop :, blk]
+        mu_k += 8.0 * cascade.j_ito @ acc
         mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
         mu.append(-mu_k)
-    return _keep(cascade, "gradients", GradientSet(rho=tuple(rho), mu=tuple(mu)), *rho, *mu)
+    return GradientSet(rho=tuple(rho), mu=tuple(mu))
+
+
+def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:
+    """Gradients from one Gramian of the whole cascade, once per cascade:
+    H = Q P and B^T Q, mapped to (rho, mu) by :func:`_gradients_from_adjoints`."""
+    if "gradients" in cascade.derived:
+        return cascade.derived["gradients"]
+    q, h = observability_gramian_and_hankelian(cascade)
+    grads = _gradients_from_adjoints(cascade, h, cascade.b.T @ q)
+    return _keep(cascade, "gradients", grads, *grads.rho, *grads.mu)
 
 
 def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
-    """Gradients from tail subproblems, one oscillator at a time.
+    """Gradients by the reverse sweep of the block recursion of P.
 
-    For each k the tail covariance (the Schur complement of the leading
-    block) obeys its own Lyapunov equation with an effective input
-    matrix; its Gramian, together with one Sylvester correction that
-    accounts for the dependence of the leading covariance on oscillator
-    k, reproduces the direct gradients. All of it is read off the one
-    Cholesky factor P = L L^T of the recursive P (the route of
-    :func:`invariant_covariance_recursive`), the ``dpotrf`` factor that
-    :func:`covariance_factor` takes, with its refusal naming the oscillator:
-    the tail covariance is L_tt L_tt^T, the effective input L_tt Z_t with
-    Z = L^{-1} B, and a leading-block solve is triangular on a slice of
-    L. As the inverse tail covariance is the trailing block of P^{-1} and
-    A^T is block upper triangular, every tail Gramian is the trailing
-    block of one Gramian with forcing P^{-1}. All solves, those of P
-    included, run on sub-blocks of one structured Schur factor of the
-    cascade, and the triangular ones are direct LAPACK calls.
+    The forward pass is the recursion of :func:`invariant_covariance_recursive`
+    on one structured Schur factor of the cascade: at step k, X_1 = P_k,lead
+    solves A_kk X_1 + X_1 A_lead^T + F_1 = 0 with F_1 = A_kl P_lead +
+    B_k B_lead^T, and X_2 = P_kk solves A_kk X_2 + X_2 A_kk^T + F_2 = 0 with
+    F_2 = A_kl X_1^T + X_1 A_kl^T + B_k B_k^T. Its adjoint (Giles, 2008)
+    starts from dV/dP = P^{-1}, solved by ``dpotrs`` on the :func:`_cholesky`
+    factor, which refuses a leading block that is not positive definite, and
+    runs k = N-1 .. 0. The adjoint of a forcing F solves A_kk^T F' + F' A_c +
+    X' = 0 on the same factor, X' the adjoint of the solution; products with
+    it move dV/dA, dV/dB and the leading block of dV/dP. Seeded with P^{-1}/2,
+    the sweep accumulates H = (dV/dA)/2 and Q B = (dV/dB)/2 for
+    :func:`_gradients_from_adjoints`. No solve is larger than the forward
+    pass's, so the route is O(n^3), and every solve keeps its certificate.
     """
     cascade.require_hurwitz()
     factor = cascade_schur(cascade.a, cascade.dims)
     p = _recursive_covariance(cascade, factor)
-    chol = _cholesky(p, cascade.dims)
-    whole = slice(0, cascade.n)
-    p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(cascade.n), lower=1))
-    q_full = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
-    z = _lapack_solve(dtrtrs, chol, cascade.b, lower=1)
-    m_theta = cascade.m_coupling @ cascade.theta
-    rho: list[Matrix] = []
-    mu: list[Matrix] = []
-    for k, blk in enumerate(cascade.blocks):
-        off, nk, theta_k = blk.start, cascade.dims[k], cascade.params[k].theta
-        l_tail = chol[off:, off:]
-        b_tilde = l_tail @ z[off:]
-        q_tail = q_full[off:, off:]
-        h_cols = q_tail @ (l_tail[:, :nk] @ l_tail[:nk, :nk].T)
-        mu_k = 4.0 * b_tilde.T @ q_tail[:, :nk] @ theta_k
-        if k > 0:
-            # P_lead^{-1} B_lead = L_lead^{-T} Z_lead, solved as the upper
-            # triangular system of L_lead^T (a leading block of the Fortran-
-            # ordered L is not contiguous), the call solve_triangular makes
-            w = _lapack_solve(dtrtrs, chol[:off, :off].T, z[:off] @ b_tilde.T)
-            y = solve_cascade_sylvester(
-                factor, slice(off, cascade.n), slice(0, off), q_tail @ w.T, transpose=True
-            )
-            h_cols = h_cols - y @ p[blk, :off].T
-            c_p = cascade.c[:, :off] @ p[:off, :off] + cascade.b[:off].T
-            mu_k -= 4.0 * c_p @ y[:nk, :].T @ theta_k
-        rho.append(-4.0 * symmetric_part(theta_k @ h_cols[:nk, :]))
-        mu_k += _mu_coupling_terms(cascade, k, h_cols, m_theta)
-        mu.append(-mu_k)
-    return GradientSet(rho=tuple(rho), mu=tuple(mu))
+    p_bar = _lapack_solve(dpotrs, _cholesky(p, cascade.dims), 0.5 * np.eye(cascade.n), lower=1)
+    a, b = cascade.a, cascade.b
+    h, qb = np.zeros_like(a), np.zeros_like(b)
+    for blk in reversed(cascade.blocks):
+        lead, upto = slice(0, blk.start), slice(0, blk.stop)
+        # adjoints of the forcings of row k, [F_1' | F_2'] on the columns up to k
+        f_bar = np.empty((blk.stop - blk.start, blk.stop))
+        x_2_bar = p_bar[blk, blk] + p_bar[blk, blk].T
+        f_2_bar = solve_cascade_sylvester(factor, blk, blk, x_2_bar, transpose=True)
+        f_bar[:, blk] = symmetric_part(f_2_bar)
+        if blk.start:
+            x_1_bar = p_bar[blk, lead] + p_bar[lead, blk].T + f_bar[:, blk] @ a[blk, lead]
+            f_bar[:, lead] = solve_cascade_sylvester(factor, blk, lead, x_1_bar, transpose=True)
+            h[lead, lead] += f_bar[:, lead].T @ p[blk, lead]
+            p_bar[lead, lead] += a[blk, lead].T @ f_bar[:, lead]
+            qb[lead] += f_bar[:, lead].T @ b[blk]
+        # row k of H: F_2' X_2 + F_1' X_1^T on (k, k), F_2' X_1 + F_1' P_lead on (k, lead)
+        h[blk, upto] += f_bar @ p[upto, upto]
+        qb[blk] += f_bar @ b[upto]
+    return _gradients_from_adjoints(cascade, h, qb.T)
 
 
 def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:

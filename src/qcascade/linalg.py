@@ -183,10 +183,18 @@ def resolvent_solve(a: Matrix, b: Matrix, s: complex) -> Matrix:
     return f
 
 
+_TINY = np.finfo(float).tiny
+#: the BLAS ``nrm2`` that ``scipy.linalg.norm`` picks for a real or complex vector
+_NRM2 = {c: scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(c), ilp64="preferred") for c in "dD"}
+
+
 def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm by BLAS ``nrm2``, which scales as it sums: it overflows
-    only where the norm itself does, not where the sum of squares would."""
-    return float(scipy.linalg.norm(np.ravel(x), check_finite=False))
+    only where the norm itself does, not where the sum of squares would. The
+    value of ``scipy.linalg.norm`` on the raveled x, without its per-call lookup."""
+    v = np.asarray(x).ravel()
+    nrm2 = _NRM2.get(v.dtype.char) if v.size else None
+    return float(nrm2(v) if nrm2 else scipy.linalg.norm(v, check_finite=False))
 
 
 def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix) -> None:
@@ -198,7 +206,7 @@ def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
     scale = _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma)
-    if not residual <= RESIDUAL_TOL * max(scale, np.finfo(float).tiny) < np.inf:
+    if not residual <= RESIDUAL_TOL * max(scale, _TINY) < np.inf:
         raise SolverSingular(
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}"
         )
@@ -404,7 +412,7 @@ def solve_cascade_lyapunov(
         residual += np.einsum("ijs,ijs->s", r, r)
         q_norm2 += np.einsum("ijs,ijs->s", q_rows, q_rows)
     scale = 2.0 * np.sqrt(np.einsum("ijs,ijs->s", a, a) * np.einsum("ijs,ijs->s", p, p))
-    return p, np.sqrt(residual) / np.maximum(scale + np.sqrt(q_norm2), np.finfo(float).tiny)
+    return p, np.sqrt(residual) / np.maximum(scale + np.sqrt(q_norm2), _TINY)
 
 
 def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from qcascade.covariance import (
     invariant_covariance_recursive,
     log_det_stack,
 )
-from qcascade.errors import NotHurwitz, NotSymplectic, SolverSingular
+from qcascade.errors import NotHurwitz, NotSymplectic, SingularLeadingBlock, SolverSingular
 from qcascade.gradients import (
     GradientSet,
     _lapack_solve,
@@ -59,12 +59,15 @@ def stack_norm(grads):
     )
 
 
-def stack_gap(g1, g2):
-    num = np.sqrt(
+def stack_distance(g1, g2):
+    return np.sqrt(
         sum(np.linalg.norm(a - b) ** 2 for a, b in zip(g1.rho, g2.rho))
         + sum(np.linalg.norm(a - b) ** 2 for a, b in zip(g1.mu, g2.mu))
     )
-    return num / stack_norm(g2)
+
+
+def stack_gap(g1, g2):
+    return stack_distance(g1, g2) / stack_norm(g2)
 
 
 class TestGramian:
@@ -200,18 +203,17 @@ class TestRouteAgreement:
         with pytest.raises(SolverSingular, match="dtrtrs: info 2"):
             _lapack_solve(dtrtrs, np.diag([1.0, 0.0]), np.ones((2, 1)))
 
-    def test_recursive_route_factors_p_once(self, monkeypatch):
-        # every tail Gramian is a trailing block of one Gramian with forcing
-        # P^{-1}, and every leading-block solve uses a slice of the one
-        # Cholesky factor of steady_state
+    def test_recursive_route_solves_no_block_beyond_one_oscillator(self, monkeypatch):
+        # the reverse sweep of the block recursion: one solve per block
+        # equation forward and one per adjoint, each with one oscillator's
+        # rows, and no dense factorization of P or of a Gramian
         cascade = make_passive_chain(np.random.default_rng(1616), 16)
-        square, factored = [], []
+        calls, factored = [], []
         solve = qcascade.gradients.solve_cascade_sylvester
 
-        def spy_solve(factor, rows, cols, *args, **kwargs):
-            if rows == cols:
-                square.append((rows.start, rows.stop))
-            return solve(factor, rows, cols, *args, **kwargs)
+        def spy_solve(factor, rows, cols, *args, transpose=False, **kwargs):
+            calls.append(((rows.start, rows.stop), transpose))
+            return solve(factor, rows, cols, *args, transpose=transpose, **kwargs)
 
         cho_factor = scipy.linalg.cho_factor
 
@@ -219,12 +221,56 @@ class TestRouteAgreement:
             factored.append(np.shape(args[0]))
             return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(qcascade.gradients, "solve_cascade_sylvester", spy_solve)
+        for module in (qcascade.gradients, qcascade.covariance):
+            monkeypatch.setattr(module, "solve_cascade_sylvester", spy_solve)
         for module in (scipy.linalg, qcascade.covariance):
             monkeypatch.setattr(module, "cho_factor", spy_factor)
         purity_gradients_recursive(cascade)
-        assert square == [(0, cascade.n)]
+        blocks = {(blk.start, blk.stop) for blk in cascade.blocks}
+        assert {rows for rows, _ in calls} <= blocks
+        steps = 2 * cascade.n_oscillators - 1
+        assert [transpose for _, transpose in calls].count(False) == steps
+        assert [transpose for _, transpose in calls].count(True) == steps
         assert factored == []
+
+    @pytest.mark.parametrize("chain", ["mixed", "passive8", "squeezed8"])
+    def test_recursive_route_matches_the_fd_oracle(self, chain):
+        # the (2, 4, 2) chain puts blocks of order 4 into both adjoint solves;
+        # a passive chain is in the pure state, where V is stationary, so the
+        # gap is taken at the benchmark's scale max(1, |gradient|), and its
+        # squeezed copy moves off that state
+        if chain == "mixed":
+            cascade = make_mixed_cascade(np.random.default_rng(5151))
+        else:
+            cascade = make_passive_chain(np.random.default_rng(808), 8)
+        if chain == "squeezed8":
+            squeeze = 0.2 * np.diag([1.0, -1.0])
+            cascade = assemble_cascade(
+                [replace(p, r_energy=p.r_energy + squeeze) for p in cascade.params]
+            )
+        fd = gradient_fd_oracle(cascade, h=1e-5)
+        gap = stack_distance(purity_gradients_recursive(cascade), fd)
+        assert gap <= 1e-6 * max(1.0, stack_norm(fd))
+
+    def test_recursive_route_refuses_an_unstable_oscillator_before_any_solve(self, monkeypatch):
+        unstable = OscillatorParams(
+            theta=0.5 * J2, r_energy=np.array([[0.0, 2.0], [2.0, 0.0]]), m_coupling=0.05 * np.eye(2)
+        )
+        stable = OscillatorParams(theta=0.5 * J2, r_energy=np.zeros((2, 2)), m_coupling=np.eye(2))
+        cascade = assemble_cascade([stable, unstable, stable])
+        calls = []
+        monkeypatch.setattr(qcascade.gradients, "cascade_schur", lambda *a: calls.append(a))
+        for module in (qcascade.gradients, qcascade.covariance):
+            monkeypatch.setattr(module, "solve_cascade_sylvester", lambda *a, **k: calls.append(a))
+        with pytest.raises(NotHurwitz, match="oscillator 1 "):
+            purity_gradients_recursive(cascade)
+        assert calls == []
+
+    def test_recursive_route_refuses_an_indefinite_leading_block(self, reference_cascade, monkeypatch):
+        p = np.diag([1.0, 1, -1, 1, 1, 1])
+        monkeypatch.setattr(qcascade.gradients, "_recursive_covariance", lambda cascade, factor: p)
+        with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
+            purity_gradients_recursive(reference_cascade)
 
     def test_energy_gradient_is_symmetric(self, reference_gradients):
         for r in reference_gradients.rho:

@@ -12,6 +12,7 @@ from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
+    _frobenius,
     _sylvester_step,
     cascade_schur,
     certify_sylvester,
@@ -113,6 +114,24 @@ class TestSylvester:
         # a wrong answer used to pass against an infinite scale
         with pytest.raises(SolverSingular, match="exceeds"):
             certify_sylvester(alpha, beta, gamma, 2.0 * np.eye(2))
+
+    def test_frobenius_is_scipy_norm_to_the_bit(self):
+        # the certificate's norms are the BLAS nrm2 that scipy.linalg.norm
+        # calls on a real or complex vector, looked up once
+        rng = np.random.default_rng(7)
+        wide = rng.standard_normal((6, 8))
+        cases = [
+            rng.standard_normal((5, 3)),
+            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
+            np.zeros((0, 3)),
+            1e300 * rng.standard_normal((3, 3)),
+            wide[::2, 1::3],
+            wide.T,
+            wide[:, 2],
+        ]
+        for x in cases:
+            want = scipy.linalg.norm(np.ravel(x), check_finite=False)
+            assert _frobenius(x) == want
 
     def test_certificate_refuses_an_overflowing_residual(self):
         # alpha sigma overflows: the residual is infinite and is refused, with no warning
