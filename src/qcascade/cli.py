@@ -7,9 +7,9 @@ A cascade spec file is a JSON document:
       "oscillators": [{"n": 2, "R": [[...]], "M": [[...]], "theta": optional}],
       "uncertainty": [{"a": ..., "b": ...} | {"sigma": [[...]]}],
       "epsilon": 1e-6,
-      "options": {"seed", "samples", "kmax", "fd_step", "tol_residual",
-                  "epsilon": optional run settings, overridden by flags},
-      "expected": { optional reference values for the reproduce command }
+      "options": {"seed", "samples", "kmax", "epsilon": optional run
+                  settings, overridden by flags},
+      "expected": {optional reference values for reproduce-paper: EXPECTED_CHECKS}
     }
 
 Keys outside this layout are refused.
@@ -25,7 +25,7 @@ numerical failure, a non-finite result included; ``balance``,
 ``reproduce-paper``, ``mc-check`` and ``ti-bounds`` also exit 2 after
 writing their report when their own certificate or check fails. Results
 are deterministic for a fixed input file and seed, which drives only
-``mc-check``'s samples.
+``mc-check``'s samples. Commands run production routes only.
 """
 
 from __future__ import annotations
@@ -46,22 +46,10 @@ from . import __version__
 from .balance import CascadeBalanceReport, balance_cascade, f_lambda
 from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
-from .gradients import (
-    GradientSet,
-    gradient_fd_oracle,
-    purity_gradients_direct,
-    purity_gradients_recursive,
-)
+from .gradients import purity_gradients_direct, purity_gradients_recursive
 from .linalg import checked_symmetric_part, quantum_psd_margin
-from .oscillator import (
-    CascadeModel,
-    OscillatorParams,
-    _check_thetas,
-    assemble_cascade,
-    default_theta,
-    parameter_sizes,
-    realizability_residual,
-)
+from .oscillator import CascadeModel, OscillatorParams, _check_thetas, _realizable, assemble_cascade
+from .oscillator import default_theta, parameter_sizes, realizability_residual
 from .sensitivity import (
     UncertaintyModel,
     OscillatorUncertainty,
@@ -89,13 +77,13 @@ class CascadeSpecFile:
     sha256: str
 
 
-def _as_matrix(obj: Any, path: str, shape: tuple[int, int]) -> np.ndarray:
+def _as_matrix(obj: Any, path: str, shape: tuple, mismatch: type = DimensionMismatch) -> np.ndarray:
     try:
         mat = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: not a numeric matrix: {exc}") from exc
     if mat.shape != shape:
-        raise DimensionMismatch(f"{path}: expected shape {shape}, got {mat.shape}")
+        raise mismatch(f"{path}: expected shape {shape}, got {mat.shape}")
     # entry by entry: on the 2 x 2 blocks of a spec, cheaper than a numpy call
     if not all(map(math.isfinite, mat.flat)):
         raise SchemaError(f"{path}: entries must be finite")
@@ -107,6 +95,17 @@ SPEC_KEYS = frozenset(
 )
 OSCILLATOR_KEYS = frozenset({"n", "R", "M", "theta"})
 UNCERTAINTY_KEYS = frozenset({"a", "b", "sigma"})
+#: ``expected`` key -> (check name, shape of oscillator k's entry from its order n and
+#: the channel count m, or None for one scalar, absolute and relative tolerance)
+EXPECTED_CHECKS: dict[str, tuple[str, Callable[[int, int], tuple] | None, float, float]] = {
+    "rho": ("rho", lambda n, m: (n, n), 1e-2, 1e-2),
+    "mu": ("mu", lambda n, m: (m, n), 1e-2, 1e-2),
+    "s": ("s", lambda n, m: (n, n), 1e-3, 0.0),
+    "psi_identity": ("psi_identity", lambda n, m: (), 0.0, 5e-3),
+    "psi_balanced": ("psi_balanced", lambda n, m: (), 0.0, 5e-3),
+    "ratios": ("ratio", lambda n, m: (), 1e-3, 0.0),
+    "total_ratio": ("total_ratio", None, 1e-3, 0.0),
+}
 
 
 def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
@@ -129,6 +128,23 @@ def _convert(value: Any, kind: type, where: str) -> Any:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _check_expected(expected: Any, dims: Sequence[int], m: int) -> None:
+    """Every key of an ``expected`` block is one of EXPECTED_CHECKS and holds
+    finite numbers of its shape: one scalar, or one entry per oscillator."""
+    if not isinstance(expected, dict):
+        raise SchemaError("expected: must be an object")
+    _reject_unknown_keys(expected, frozenset(EXPECTED_CHECKS), "expected")
+    for key, value in expected.items():
+        shape = EXPECTED_CHECKS[key][1]
+        if shape is None:
+            _as_matrix(value, f"expected.{key}", (), SchemaError)
+        elif isinstance(value, list) and len(value) == len(dims):
+            for k, (entry, n) in enumerate(zip(value, dims)):
+                _as_matrix(entry, f"expected.{key}[{k}]", shape(n, m), SchemaError)
+        else:
+            raise SchemaError(f"expected.{key}: must be a list with one entry per oscillator")
 
 
 def load_spec(path: str | Path) -> CascadeSpecFile:
@@ -217,8 +233,8 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
         raise SchemaError("options: must be an object")
     _reject_unknown_keys(options, frozenset(RUN_SETTINGS), "options")
     expected = doc.get("expected")
-    if expected is not None and not isinstance(expected, dict):
-        raise SchemaError("expected: must be an object")
+    if expected is not None:
+        _check_expected(expected, [p.n for p in oscillators], m)
     return CascadeSpecFile(
         field_channels=m,
         oscillators=tuple(oscillators),
@@ -241,8 +257,6 @@ class RunFlags:
     which win over the defaults. Out-of-range values raise SchemaError,
     whichever source they came from."""
 
-    tol_residual: float = 1e-9
-    fd_step: float = 1e-5
     samples: int = 100_000
     seed: int = 7
     epsilon: float = 1e-6
@@ -255,11 +269,8 @@ class RunFlags:
         ]
         if self.seed < 0:
             problems.append("seed must be nonnegative")
-        problems += [
-            f"{key} must be positive and finite"
-            for key in ("fd_step", "epsilon", "tol_residual")
-            if not 0.0 < getattr(self, key) < np.inf
-        ]
+        if not 0.0 < self.epsilon < np.inf:
+            problems.append("epsilon must be positive and finite")
         if problems:
             raise SchemaError("; ".join(problems))
 
@@ -333,16 +344,14 @@ def _fmt4(x: float) -> str:
 
 def _cmd_validate(run: Pipeline) -> Reply:
     cascade = run.cascade
-    pr_res = float(
-        realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)[0]
-    )
+    pr_res, scale = realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)
     hurwitz = [
         {"oscillator": k, "stable": bool(flag), "abscissa": float(absc)}
         for k, (flag, absc) in enumerate(cascade.hurwitz)
     ]
     results: dict[str, Any] = {
-        "pr_residual": pr_res,
-        "pr_ok": pr_res <= run.flags.tol_residual * max(1.0, float(np.linalg.norm(cascade.a))),
+        "pr_residual": float(pr_res),
+        "pr_ok": bool(_realizable(pr_res, scale)),
         "hurwitz": hurwitz,
     }
     lines = [f"PR residual      {pr_res:.3e}"]
@@ -399,23 +408,16 @@ def _cmd_purity(run: Pipeline) -> Reply:
     return results, 0, "\n".join(lines)
 
 
-def _gradient_gap(g1: GradientSet, g2: GradientSet) -> float:
-    """Largest entrywise gap between two gradient sets."""
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(g1.rho + g1.mu, g2.rho + g2.mu))
-
-
 def _cmd_gradients(run: Pipeline) -> Reply:
-    direct, fd_step = purity_gradients_direct(run.cascade), run.flags.fd_step
-    gap = _gradient_gap(direct, purity_gradients_recursive(run.cascade))
-    fd_gap = _gradient_gap(direct, gradient_fd_oracle(run.cascade, h=fd_step))
+    direct, recursive = purity_gradients_direct(run.cascade), purity_gradients_recursive(run.cascade)
+    pairs = zip(direct.rho + direct.mu, recursive.rho + recursive.mu)
+    gap = max(float(np.max(np.abs(a - b))) for a, b in pairs)  # the largest entrywise gap
     results = {
         "rho": [_listify(r) for r in direct.rho],
         "mu": [_listify(u) for u in direct.mu],
         "route_gap": gap,
-        "fd_gap": fd_gap,
-        "fd_step": fd_step,
     }
-    lines = [f"route gap {gap:.3e}   fd gap {fd_gap:.3e}"]
+    lines = [f"route gap {gap:.3e}"]
     for name, mats in (("rho", direct.rho), ("mu", direct.mu)):
         for k, mat in enumerate(mats):
             lines.append(f"{name}_{k}")
@@ -597,25 +599,18 @@ def _cmd_reproduce(run: Pipeline) -> Reply:
     balance_results, _ = _balance_results(run)
     grads, report = purity_gradients_direct(run.cascade), run.balance
     res = report.results
-    # expected key -> (check name prefix, computed values, atol, rtol)
-    targets = {
-        "rho": ("rho", grads.rho, 1e-2, 1e-2),
-        "mu": ("mu", grads.mu, 1e-2, 1e-2),
-        "s": ("s", [r.s_k for r in res], 1e-3, 0.0),
-        "psi_identity": ("psi_identity", [r.psi_before for r in res], 0.0, 5e-3),
-        "psi_balanced": ("psi_balanced", [r.psi_after for r in res], 0.0, 5e-3),
-        "ratios": ("ratio", report.ratios, 1e-3, 0.0),
+    computed = {
+        "rho": grads.rho, "mu": grads.mu, "s": [r.s_k for r in res],
+        "psi_identity": [r.psi_before for r in res], "psi_balanced": [r.psi_after for r in res],
+        "ratios": report.ratios, "total_ratio": report.total_ratio,
     }
-    checks = [
-        _compare(f"{name}_{k}", got[k], want, atol, rtol)
-        for key, (name, got, atol, rtol) in targets.items()
-        if key in expected
-        for k, want in enumerate(expected[key])
-    ]
-    if "total_ratio" in expected:
-        checks.append(
-            _compare("total_ratio", report.total_ratio, expected["total_ratio"], 1e-3, 0.0)
-        )
+    checks = []  # in the table's order; load_spec gave every entry its shape
+    for key, (name, shape, atol, rtol) in EXPECTED_CHECKS.items():
+        if key in expected and shape is None:
+            checks.append(_compare(name, computed[key], expected[key], atol, rtol))
+        elif key in expected:
+            pairs = enumerate(zip(computed[key], expected[key]))
+            checks += [_compare(f"{name}_{k}", got, want, atol, rtol) for k, (got, want) in pairs]
     all_pass = all(c["pass"] for c in checks)
     lines = ["check                max error    tolerance    verdict"]
     for c in checks:

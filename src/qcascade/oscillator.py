@@ -126,6 +126,11 @@ def realizability_residual(
     return norm(res) + norm(bj), np.maximum(1.0, np.maximum(scale, norm(b) ** 2))
 
 
+def _realizable(res: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Elementwise verdict on a (residual, scale) pair; an infinite scale certifies nothing."""
+    return (res <= PR_SELF_CHECK_TOL * scale) & (scale < np.inf)
+
+
 def _block_diag(mats: Sequence[Matrix]) -> Matrix:
     """Block-diagonal matrix of square blocks, in a tenth of scipy's block_diag time."""
     blocks = block_slices([len(x) for x in mats])
@@ -202,8 +207,7 @@ def _series_connection(
                 theta.transpose(1, 2, 0)[..., None],
                 j_ito,
             )
-            # an infinite scale certifies nothing, and a NaN residual fails
-            passed = (res <= PR_SELF_CHECK_TOL * scale) & (scale < np.inf)
+            passed = _realizable(res, scale)
             if not passed.all():
                 i, copy = np.argwhere(~passed)[0]
                 raise ArithmeticError(
@@ -323,7 +327,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full))
     res += realizability_residual(a_full, b_full, c_full, theta_full, j)[0]
     scale = max(1.0, np.linalg.norm(a_full) * np.linalg.norm(theta_full))
-    if not res <= PR_SELF_CHECK_TOL * scale < np.inf:  # an overflowed scale certifies nothing
+    if not _realizable(res, scale):
         raise ArithmeticError(f"composite realizability self-check failed: residual {res:.3e}")
 
     return CascadeModel(

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcascade.cli
+import qcascade.oscillator
 
 from conftest import GENERATED_SPEC, move_balancing_optimum
 from qcascade.cli import (
@@ -32,9 +34,15 @@ from qcascade.covariance import (
     log_det_stack,
 )
 from qcascade.errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
-from qcascade.gradients import purity_gradients_direct
+from qcascade.gradients import gradient_fd_oracle, purity_gradients_direct
 from qcascade.linalg import RESIDUAL_TOL
-from qcascade.oscillator import assemble_cascade, perturbed_cascade_stack
+from qcascade.oscillator import (
+    PR_SELF_CHECK_TOL,
+    assemble_cascade,
+    default_theta,
+    perturbed_cascade_stack,
+    realizability_residual,
+)
 
 
 def read_example():
@@ -207,8 +215,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["gradients", "sensitivity", "balance"])
     def test_perturbations_are_not_looped(self, command, tmp_path, monkeypatch):
-        # the FD probes, covariance responses and balance probes are built
-        # in closed form and solved in stacks; one assembly or dense solve
+        # the covariance responses and balance probes are built in
+        # closed form and solved in stacks; one assembly or dense solve
         # per perturbation would bring back the per-direction loops. A dense
         # solve is one one-block Schur factorization of the whole composite.
         import sys
@@ -239,6 +247,38 @@ class TestCommands:
         assert counts["expm"] == 0
         assert 1 <= counts["assemble"] <= 2
         assert 1 <= counts["schur"] <= 4
+
+    def test_gradients_runs_no_finite_difference_probe(self, tmp_path, monkeypatch):
+        # the finite-difference oracle solves a probe stack; the command reports
+        # the production gradients and their gap to the recursive route only
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = qcascade.oscillator.perturbed_cascade_stack
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qcascade") and hasattr(module, "perturbed_cascade_stack"):
+                monkeypatch.setattr(module, "perturbed_cascade_stack", spy)
+        assert main(["gradients", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+        assert calls == []
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert set(results) == {"rho", "mu", "route_gap"}
+
+    def test_validate_applies_the_assembly_rule(self, tmp_path):
+        # theta_k = 1e7 (1/2) J: assembly accepts the cascade, whose residual
+        # grows with ||A|| ||theta||, and validate reaches the same verdict
+        doc = read_example()
+        for entry in doc["oscillators"]:
+            entry["theta"] = (1e7 * default_theta(entry["n"])).tolist()
+        path = write_spec(tmp_path, doc)
+        cascade = build_cascade(load_spec(path))
+        assert main(["validate", str(path), "--out", str(tmp_path / "out")]) == 0
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        res, scale = realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)
+        assert results["pr_residual"] == float(res) > 1e-2
+        assert results["pr_ok"] is True and res <= PR_SELF_CHECK_TOL * scale
 
     def test_covariance_routes_reported(self, tmp_path):
         assert main(["covariance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
@@ -571,6 +611,7 @@ class TestPipeline:
 
     def test_each_setting_is_declared_once(self, tmp_path, capsys):
         names = {f.name for f in fields(RunFlags)}
+        assert names == {"seed", "samples", "epsilon", "kmax"}
         parser = build_parser()
         flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out", "format"}
         assert flags == names
@@ -581,8 +622,7 @@ class TestPipeline:
         allowed = capsys.readouterr().err.strip().split("allowed: ")[1]
         assert set(allowed.split(", ")) == names
         # every option reaches the run and its provenance
-        settings = asdict(RunFlags(tol_residual=2e-9, fd_step=2e-5, samples=11, seed=3,
-                                   epsilon=2e-6, kmax=2))
+        settings = asdict(RunFlags(samples=11, seed=3, epsilon=2e-6, kmax=2))
         doc["options"] = settings
         out = tmp_path / "out"
         assert main(["validate", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 0
@@ -702,6 +742,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "expected, where",
+        [
+            ({"rho": 5}, "expected.rho: must be a list"),
+            ({"total_ratio": "abc"}, "expected.total_ratio: not a numeric"),
+            ({"total_ratio": [1.0]}, "expected.total_ratio: expected shape ()"),
+            ({"s": [1, 2, 3, 4]}, "expected.s: must be a list"),
+            ({"ratios": [[1, 2]]}, "expected.ratios: must be a list"),
+            ({"ratios": [[1, 2], [1, 2], [1, 2]]}, "expected.ratios[0]: expected shape ()"),
+            ({"ratios": [1.0]}, "expected.ratios: must be a list"),
+            ({"mu": [[[1]]]}, "expected.mu: must be a list"),
+            ({"mu": [[[1.0] * 2] * 6, [[1.0] * 2] * 6, [[1.0] * 6] * 2]}, "expected.mu[2]: expected shape (6, 2)"),
+            ({"psi_identity": [None, 1, 2]}, "expected.psi_identity[0]: entries must be finite"),
+            ({"ratio": [1, 1, 1]}, "expected: unknown key 'ratio'"),
+        ],
+    )
+    def test_malformed_expected_block_is_one(self, expected, where, tmp_path, capsys):
+        # refused when the spec loads, naming the entry, never broadcast or half checked
+        path = write_spec(tmp_path, {**read_example(), "expected": expected})
+        with pytest.raises(SchemaError, match=re.escape(where)):
+            load_spec(path)
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: {where}")
+        assert not out.exists()
+
     def test_unknown_command_is_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate", str(GENERATED_SPEC)])
@@ -711,21 +777,21 @@ class TestExitCodes:
         [
             (["ti-bounds", "--kmax", "0"], {}),
             (["mc-check", "--samples", "0"], {}),
-            (["gradients", "--fd-step", "0"], {}),
+            (["gradients", "--fd-step", "0"], {}, "unrecognized argument"),
             (["mc-check", "--epsilon", "-1"], {}),
-            (["covariance", "--tol-residual", "0"], {}),
+            (["covariance", "--tol-residual", "0"], {}, "unrecognized argument"),
             (["mc-check"], {"options": {"samples": 0}}),
             (["mc-check"], {"options": {"samples": "many"}}),
             (["ti-bounds"], {"options": {"kmax": 0}}),
-            (["gradients"], {"options": {"fd_step": -1e-5}}),
+            (["gradients"], {"options": {"fd_step": -1e-5}}, "unknown key 'fd_step'"),
             (["mc-check"], {"options": {"epsilon": 0.0}}),
             (["mc-check"], {"epsilon": "abc"}),
             (["mc-check"], {"epsilon": -1}),
             (["balance", "--seed", "-1"], {}),
             (["mc-check"], {"options": {"seed": -3}}),
             (["mc-check", "--epsilon", "inf"], {}),
-            (["covariance", "--tol-residual", "inf"], {}),
-            (["gradients"], {"options": {"fd_step": float("inf")}}),
+            (["covariance", "--tol-residual", "inf"], {}, "unrecognized argument"),
+            (["gradients"], {"options": {"fd_step": float("inf")}}, "unknown key 'fd_step'"),
             # flags and spec options share one converter: no bool, and an
             # integer setting takes only a finite whole number
             (["validate"], {"options": {"seed": 7.9}}),
@@ -736,17 +802,24 @@ class TestExitCodes:
             (["validate", "--samples", "2.5"], {}),
             (["validate", "--samples", "abc"], {}),
             (["validate", "--seed", "nan"], {}),
+            (["validate"], {"options": {"tol_residual": 1e-9}}, "unknown key 'tol_residual'"),
         ],
     )
     def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):
         # a bad value from a flag or from the spec must not leak a traceback
-        # from the library guards, nor run
-        argv, changes = args
+        # from the library guards, nor run; a removed setting is refused for
+        # its name, as a flag or as an option
+        argv, changes, *reason = args
         path = write_spec(tmp_path, {**read_example(), **changes})
         out = tmp_path / "out"
-        code = main([argv[0], str(path), "--out", str(out), *argv[1:]])
+        try:
+            code = main([argv[0], str(path), "--out", str(out), *argv[1:]])
+        except SystemExit as exc:  # the parser's usage error
+            code = exc.code
         assert code == 1
-        assert "validation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert all(text in err for text in reason)
         assert not (out / "report.json").exists()
 
     def test_whole_number_settings_agree_across_sources(self, tmp_path):
@@ -828,7 +901,8 @@ class TestHugeEntries:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (["validate"], 0), (["covariance"], 0), (["purity"], 0), (["gradients"], 2),
+            # gradients runs production routes only, whose certificates pass
+            (["validate"], 0), (["covariance"], 0), (["purity"], 0), (["gradients"], 0),
             (["sensitivity"], 2), (["balance"], 2), (["mc-check", "--samples", "64"], 2),
         ],
     )
@@ -854,7 +928,6 @@ class TestHugeEntries:
     @pytest.mark.parametrize(
         "argv, stage",
         [
-            (["gradients"], "finite-difference probes"),
             (["sensitivity"], "covariance responses"),
             (["mc-check", "--samples", "64"], "Monte-Carlo samples"),
         ],
@@ -864,6 +937,13 @@ class TestHugeEntries:
         assert main([argv[0], str(huge_spec), "--out", str(out), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"numerical error: {stage}: overflow encountered in multiply\n"
         assert not out.exists()
+
+    def test_fd_oracle_overflow_names_its_stage(self, huge_spec):
+        # no command runs the finite-difference oracle; its refusal still names its stage
+        cascade = build_cascade(load_spec(huge_spec))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as exc:
+            gradient_fd_oracle(cascade)
+        assert str(exc.value) == "finite-difference probes: overflow encountered in multiply"
 
     def test_balance_refusal_names_the_oscillator(self, huge_spec, tmp_path, capsys):
         out = tmp_path / "out"
@@ -886,7 +966,8 @@ JUNK = (
 #: keys a mutation adds to an object: an unknown one and every key of the schema
 ADDED_KEYS = (
     "bogus", "field_channels", "oscillators", "uncertainty", "epsilon", "options", "expected",
-    "n", "R", "M", "theta", "a", "b", "sigma", "seed", "samples", "kmax", "fd_step", "tol_residual",
+    "n", "R", "M", "theta", "a", "b", "sigma", "seed", "samples", "kmax",
+    "rho", "mu", "s", "psi_identity", "psi_balanced", "ratios", "total_ratio",
 )
 #: the commands a fuzzed spec runs; the flags pin the settings that set a run's cost
 FUZZ_RUNS = (

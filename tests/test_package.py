@@ -163,3 +163,22 @@ def test_only_the_schur_complement_oracle_solves_with_cho_solve():
     assert _owners(lambda node: isinstance(node, ast.Name) and node.id == "cho_solve") == [
         "covariance.schur_complements"
     ]
+
+
+#: routes kept as oracles that the tests compare production with
+ORACLES = {
+    "invariant_covariance_recursive", "schur_complements", "frequency_domain_covariance",
+    "purity_gradients_recursive", "gradient_fd_oracle", "cross_covariance_generating",
+    "cross_covariance_series", "series_depth_for", "series_tail_bound", "h2_norm_quadrature",
+    "phi_z_feedback", "symplectic_exponential", "solve_sylvester", "solve_lyapunov",
+    "composite_transfer_stack",
+}
+
+
+def test_the_cli_imports_no_oracle_but_the_route_gap_routes():
+    # the recursive covariance and gradients feed the two route_gap fields
+    assert all(hasattr(qcascade, name) for name in ORACLES)
+    tree = ast.parse((REPO / "src" / "qcascade" / "cli.py").read_text())
+    names = {_name(node) for node in ast.walk(tree)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert names & ORACLES == {"invariant_covariance_recursive", "purity_gradients_recursive"}
