@@ -12,7 +12,8 @@ A cascade spec file is a JSON document:
       "expected": {optional reference values for reproduce-paper: EXPECTED_CHECKS}
     }
 
-Keys outside this layout are refused.
+Keys outside this layout are refused, and every number is a JSON number:
+a bool or a string is not one, whatever it spells.
 
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
 mc-check, ti-bounds, reproduce-paper. A command is a view over one
@@ -33,8 +34,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -77,19 +78,6 @@ class CascadeSpecFile:
     sha256: str
 
 
-def _as_matrix(obj: Any, path: str, shape: tuple, mismatch: type = DimensionMismatch) -> np.ndarray:
-    try:
-        mat = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: not a numeric matrix: {exc}") from exc
-    if mat.shape != shape:
-        raise mismatch(f"{path}: expected shape {shape}, got {mat.shape}")
-    # entry by entry: on the 2 x 2 blocks of a spec, cheaper than a numpy call
-    if not all(map(math.isfinite, mat.flat)):
-        raise SchemaError(f"{path}: entries must be finite")
-    return mat
-
-
 SPEC_KEYS = frozenset(
     {"field_channels", "oscillators", "uncertainty", "epsilon", "options", "expected"}
 )
@@ -117,34 +105,134 @@ def _reject_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
         )
 
 
+#: the Python types json gives a JSON number; a bool is an int to Python, and
+#: neither it nor a string is a number, whatever it spells
+JSON_NUMBERS = frozenset({int, float})
+
+
+def _non_numbers(values: Sequence, depth: int = 0) -> list:
+    """The number rule of spec content: the leaves ``depth`` lists below the
+    entries of ``values`` that are not JSON numbers. The lists are regular
+    to that depth."""
+    leaves = values
+    for _ in range(depth):
+        leaves = itertools.chain.from_iterable(leaves)
+    leaves = list(leaves) if depth else values
+    if JSON_NUMBERS.issuperset(map(type, leaves)):
+        return []
+    return [x for x in leaves if type(x) not in JSON_NUMBERS]
+
+
 def _convert(value: Any, kind: type, where: str) -> Any:
-    """A spec entry or a flag's text as a number of type ``kind``: a bool is
-    refused, and an integer setting takes only a finite whole number."""
+    """A spec entry as a number of type ``kind``: the conversion refuses a
+    text that spells no number, the number rule of :func:`_non_numbers`
+    any other value that is not a JSON number, and an integer setting
+    takes only a finite whole number."""
     try:
-        if isinstance(value, bool):
-            raise TypeError(f"expected a number, got {value!r}")
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"expected a whole number, got {value!r}")
-        return kind(value)
+        number = kind(value)
+        if _non_numbers([value]):
+            raise TypeError(f"expected a number, got {value!r}")
+        return number
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _check_expected(expected: Any, dims: Sequence[int], m: int) -> None:
-    """Every key of an ``expected`` block is one of EXPECTED_CHECKS and holds
-    finite numbers of its shape: one scalar, or one entry per oscillator."""
+def _matrices(
+    values: Sequence, wheres: Sequence[str], shape: tuple, mismatch: type = DimensionMismatch
+) -> np.ndarray:
+    """Float stack (K, *shape) of K spec matrices by one conversion, of which
+    every entry has the shape ``shape`` (``mismatch`` if not), finite entries
+    (SchemaError) and JSON numbers only, by the rule of :func:`_non_numbers`
+    (SchemaError). Only when a check fails are the entries taken one by one,
+    so the error names the first faulty one, ``wheres[i]`` for entry i."""
+    try:
+        stack = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if (
+        stack is not None
+        and stack.shape == (len(values), *shape)
+        and np.isfinite(stack).all()
+        and not _non_numbers(values, len(shape))
+    ):
+        return stack
+    for value, where in zip(values, wheres):
+        try:
+            mat = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: not a numeric matrix: {exc}") from exc
+        if mat.shape != shape:
+            raise mismatch(f"{where}: expected shape {shape}, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise SchemaError(f"{where}: entries must be finite")
+        wrong = _non_numbers([value], len(shape))
+        if wrong:
+            raise SchemaError(f"{where}: expected a number, got {wrong[0]!r}")
+    return np.empty((0, *shape))  # valid entries stack, so only an empty list gets here
+
+
+def _expected_values(expected: Any, dims: Sequence[int], m: int) -> dict[str, Any]:
+    """The ``expected`` block as arrays: every key is one of EXPECTED_CHECKS
+    and holds finite numbers of its shape, one scalar or one entry per
+    oscillator."""
     if not isinstance(expected, dict):
         raise SchemaError("expected: must be an object")
     _reject_unknown_keys(expected, frozenset(EXPECTED_CHECKS), "expected")
+    values: dict[str, Any] = {}
     for key, value in expected.items():
-        shape = EXPECTED_CHECKS[key][1]
+        shape, where = EXPECTED_CHECKS[key][1], f"expected.{key}"
         if shape is None:
-            _as_matrix(value, f"expected.{key}", (), SchemaError)
+            values[key] = _matrices([value], [where], (), SchemaError)[0]
         elif isinstance(value, list) and len(value) == len(dims):
-            for k, (entry, n) in enumerate(zip(value, dims)):
-                _as_matrix(entry, f"expected.{key}[{k}]", shape(n, m), SchemaError)
+            values[key] = [
+                _matrices([entry], [f"{where}[{k}]"], shape(n, m), SchemaError)[0]
+                for k, (entry, n) in enumerate(zip(value, dims))
+            ]
         else:
-            raise SchemaError(f"expected.{key}: must be a list with one entry per oscillator")
+            raise SchemaError(f"{where}: must be a list with one entry per oscillator")
+    return values
+
+
+def _oscillator_batch(oscs_doc: list, ks: Sequence[int], m: int) -> list[OscillatorParams]:
+    """Oscillators ``ks`` of the spec's list, each field converted and checked
+    for all oscillators of one mode order at once by :func:`_matrices`; the
+    energy matrices are symmetrized by :func:`checked_symmetric_part`."""
+    entries = [oscs_doc[k] for k in ks]
+    orders = [entry.get("n") for entry in entries] if set(map(type, entries)) == {dict} else []
+    if not (
+        orders
+        and set().union(*entries) <= OSCILLATOR_KEYS
+        and set(map(type, orders)) == {int}
+        and all(n > 0 and not n % 2 for n in set(orders))
+    ):
+        for k, entry in zip(ks, entries):  # the same rules, entry by entry, to name the first fault
+            where = f"oscillators[{k}]"
+            if not isinstance(entry, dict):
+                raise SchemaError(f"{where}: must be an object")
+            _reject_unknown_keys(entry, OSCILLATOR_KEYS, where)
+            n = entry.get("n")
+            if not isinstance(n, int) or n <= 0 or n % 2:
+                raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
+    groups: dict[int, list[int]] = {}
+    for k, n in zip(ks, orders):
+        groups.setdefault(n, []).append(k)
+    params: dict[int, OscillatorParams] = {}
+    for n, group in groups.items():
+        entries, wheres = [oscs_doc[k] for k in group], [f"oscillators[{k}]" for k in group]
+        r = _matrices([e.get("R") for e in entries], [f"{w}.R" for w in wheres], (n, n))
+        r = checked_symmetric_part(r, [f"{w}.R: " for w in wheres])
+        mats = _matrices([e.get("M") for e in entries], [f"{w}.M" for w in wheres], (m, n))
+        thetas = np.repeat(default_theta(n)[None], len(group), axis=0)
+        given = [i for i, e in enumerate(entries) if "theta" in e]
+        if given:
+            thetas[given] = _matrices(
+                [entries[i]["theta"] for i in given], [f"{wheres[i]}.theta" for i in given], (n, n)
+            )
+        for k, theta, r_k, m_k in zip(group, thetas, r, mats):
+            params[k] = OscillatorParams(theta=theta, r_energy=r_k, m_coupling=m_k)
+    return [params[k] for k in ks]
 
 
 def load_spec(path: str | Path) -> CascadeSpecFile:
@@ -156,9 +244,13 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
     checking that its asymmetry stays below 1e-9. Each uncertainty entry
     is built as an :class:`OscillatorUncertainty`, whose refusal becomes a
     SchemaError naming the entry. Matrix entries and uncertainty weights
-    must be finite numbers, which json's NaN and Infinity are not. A key
-    outside the schema raises SchemaError instead of being ignored, so a
-    misspelt key never falls back to a default.
+    must be finite numbers, which json's NaN and Infinity are not, and
+    every number a JSON number (:func:`_non_numbers`). The oscillators are
+    converted and checked by one :func:`_oscillator_batch` pass, and on a
+    refusal one by one, the ``expected`` block into arrays by
+    :func:`_expected_values`. A key outside the schema
+    raises SchemaError instead of being ignored, so a misspelt key never
+    falls back to a default.
     """
     path = Path(path)
     try:
@@ -180,22 +272,12 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
     if not isinstance(oscs_doc, list) or not oscs_doc:
         raise SchemaError("oscillators: must be a non-empty list")
 
-    oscillators: list[OscillatorParams] = []
-    for k, entry in enumerate(oscs_doc):
-        where = f"oscillators[{k}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        _reject_unknown_keys(entry, OSCILLATOR_KEYS, where)
-        n = entry.get("n")
-        if not isinstance(n, int) or n <= 0 or n % 2:
-            raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
-        r = checked_symmetric_part(_as_matrix(entry.get("R"), f"{where}.R", (n, n)), f"{where}.R: ")
-        mat = _as_matrix(entry.get("M"), f"{where}.M", (m, n))
-        if "theta" in entry:
-            theta = _as_matrix(entry["theta"], f"{where}.theta", (n, n))
-        else:
-            theta = default_theta(n)
-        oscillators.append(OscillatorParams(theta=theta, r_energy=r, m_coupling=mat))
+    try:
+        oscillators = _oscillator_batch(oscs_doc, range(len(oscs_doc)), m)
+    except VALIDATION_ERRORS:  # one by one in file order: the first faulty oscillator's error
+        for k in range(len(oscs_doc)):
+            _oscillator_batch(oscs_doc, [k], m)
+        raise
     if any("theta" in entry for entry in oscs_doc):
         # the rule assembly applies; a default theta is canonical by construction
         _check_thetas([p.theta for p in oscillators])
@@ -216,7 +298,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             given: dict[str, Any] = {}
             if "sigma" in entry:
                 d = sum(parameter_sizes(oscillators[k].n, m))
-                given["sigma"] = _as_matrix(entry["sigma"], f"{where}.sigma", (d, d))
+                given["sigma"] = _matrices([entry["sigma"]], [f"{where}.sigma"], (d, d))[0]
             for key, name in (("a", "energy_weight"), ("b", "coupling_weight")):
                 if key in entry:
                     given[name] = _convert(entry[key], float, f"{where}.{key}")
@@ -234,7 +316,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
     _reject_unknown_keys(options, frozenset(RUN_SETTINGS), "options")
     expected = doc.get("expected")
     if expected is not None:
-        _check_expected(expected, [p.n for p in oscillators], m)
+        expected = _expected_values(expected, [p.n for p in oscillators], m)
     return CascadeSpecFile(
         field_channels=m,
         oscillators=tuple(oscillators),
@@ -280,8 +362,8 @@ class RunFlags:
         values = {}
         for key, kind in RUN_SETTINGS.items():
             flag = getattr(ns, key)
-            if flag is not None:
-                values[key] = _convert(flag, kind, f"--{key.replace('_', '-')}")
+            if flag is not None:  # the parser converted the flag's text
+                values[key] = flag
             elif key in in_spec:
                 values[key] = _convert(in_spec[key], kind, f"options.{key}")
         return cls(**values)
@@ -579,11 +661,10 @@ def _cmd_ti_bounds(run: Pipeline) -> Reply:
     return {"per_oscillator": per_osc}, 0 if all_ok else 2, "\n".join(lines)
 
 
-def _compare(name: str, got, want, atol: float, rtol: float) -> dict[str, Any]:
-    got_arr = np.asarray(got, dtype=float)
-    want_arr = np.asarray(want, dtype=float)
-    err = float(np.max(np.abs(got_arr - want_arr)))
-    tol = max(atol, rtol * float(np.max(np.abs(want_arr))))
+def _compare(name: str, got, want: np.ndarray, atol: float, rtol: float) -> dict[str, Any]:
+    """A computed value against its ``expected`` entry, which load_spec made an array."""
+    err = float(np.max(np.abs(got - want)))
+    tol = max(atol, rtol * float(np.max(np.abs(want))))
     return {
         "name": name,
         "max_error": err,
@@ -685,8 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("spec", help="path to a cascade spec file (JSON)")
-    for key in RUN_SETTINGS:  # the text is converted with the spec's options, by _convert
-        parser.add_argument(f"--{key.replace('_', '-')}", default=None, dest=key)
+    for key, kind in RUN_SETTINGS.items():  # text that spells no number of the kind is a usage error
+        parser.add_argument(f"--{key.replace('_', '-')}", type=kind, default=None, dest=key)
     parser.add_argument("--out", type=Path, default=Path("."))
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
     return parser

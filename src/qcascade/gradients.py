@@ -43,6 +43,7 @@ from .linalg import (
     Matrix,
     antisymmetric_part,
     block_slices,
+    block_upper_mask,
     cascade_schur,
     duplication_matrix,
     solve_cascade_lyapunov,
@@ -110,22 +111,25 @@ def _gradients_from_adjoints(cascade: CascadeModel, h: Matrix, bq: Matrix) -> Gr
 
     rho_k is minus four times the symmetric part of theta_k H_kk; mu_k combines
     the input-side term 4 bq_k theta_k with the coupling terms of the blocks
-    of H in column k (rows k..N) and in row k (columns before k), each side
-    summed by one product with the composite coupling.
+    of H in column k (rows after k) and in row k (columns before k). Each
+    term is one composite product, masked by :func:`block_upper_mask`:
+    Theta H on the diagonal blocks, M Theta times the strictly lower blocks
+    H_low of H, and (M H_low^T) Theta; rho_k and mu_k are read off the
+    products on oscillator k's blocks.
     """
-    m_theta = cascade.m_coupling @ cascade.theta
-    rho: list[Matrix] = []
-    mu: list[Matrix] = []
-    for k, blk in enumerate(cascade.blocks):
-        off, theta_k = blk.start, cascade.params[k].theta
-        rho.append(-4.0 * symmetric_part(theta_k @ h[blk, blk]))
-        mu_k = 4.0 * bq[:, blk] @ theta_k
-        acc = cascade.params[k].m_coupling @ antisymmetric_part(theta_k @ h[blk, blk])
-        acc += m_theta[:, blk.stop :] @ h[blk.stop :, blk]
-        mu_k += 8.0 * cascade.j_ito @ acc
-        mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
-        mu.append(-mu_k)
-    return GradientSet(rho=tuple(rho), mu=tuple(mu))
+    upper = block_upper_mask(cascade.dims)
+    lower = upper.T
+    theta, m_coupling = cascade.theta, cascade.m_coupling
+    th = np.where(upper | lower, 0.0, theta @ h)  # theta_k H_kk on the diagonal blocks
+    h_low = np.where(lower, h, 0.0)
+    rho = -4.0 * symmetric_part(th)
+    acc = m_coupling @ antisymmetric_part(th) + (m_coupling @ theta) @ h_low
+    acc += (m_coupling @ h_low.T) @ theta
+    mu = -(4.0 * bq @ theta + 8.0 * cascade.j_ito @ acc)
+    return GradientSet(
+        rho=tuple(rho[blk, blk] for blk in cascade.blocks),
+        mu=tuple(mu[:, blk] for blk in cascade.blocks),
+    )
 
 
 def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:

@@ -70,16 +70,22 @@ def symplectic_exponential(h: Matrix) -> Matrix:
     return scipy.linalg.expm(symplectic_form(h.shape[0]) @ h)
 
 
-def symmetric_part(x: Matrix) -> Matrix:
-    return 0.5 * (x + x.T)
+def symmetric_part(x: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix, or of every matrix of a stack (..., r, r)."""
+    return 0.5 * (x + x.swapaxes(-1, -2))
 
 
-def checked_symmetric_part(x: Matrix, where: str = "") -> Matrix:
-    """Symmetric part of ``x``; SchemaError (prefixed by ``where``) when
-    ``x`` is asymmetric beyond 1e-9 or its asymmetry is not a number."""
-    asym = float(np.max(np.abs(x - x.T))) if x.size else 0.0
-    if not asym <= 1e-9:
-        raise SchemaError(f"{where}asymmetry {asym:.3e} exceeds 1e-9")
+def checked_symmetric_part(x: np.ndarray, where: str | Sequence[str] = "") -> np.ndarray:
+    """Symmetric part of a matrix ``x``, or of every matrix of a stack (K, r, r);
+    SchemaError when a matrix is asymmetric beyond 1e-9 or its asymmetry is
+    not a number, prefixed by ``where``, or by ``where[i]`` when matrix i of
+    a stack is the first to fail."""
+    asym = np.abs(x - x.swapaxes(-1, -2))
+    if asym.size and not asym.max() <= 1e-9:
+        per_matrix = asym.max(axis=(-2, -1)).reshape(-1)
+        i = int(np.flatnonzero(~(per_matrix <= 1e-9))[0])
+        prefix = where if x.ndim == 2 else where[i]
+        raise SchemaError(f"{prefix}asymmetry {per_matrix[i]:.3e} exceeds 1e-9")
     return symmetric_part(x)
 
 

@@ -40,6 +40,7 @@ from qcascade.oscillator import (
     PR_SELF_CHECK_TOL,
     assemble_cascade,
     default_theta,
+    parameter_sizes,
     perturbed_cascade_stack,
     realizability_residual,
 )
@@ -193,6 +194,71 @@ class TestLoadSpec:
         assert cascade.dims == (2, 2, 2)
         assert cascade.m == 6
         assert cascade.all_hurwitz()
+
+    @pytest.mark.parametrize("source", ["committed", "mixed_orders"])
+    def test_arrays_equal_the_per_entry_conversion_bit_for_bit(self, tmp_path, source):
+        # one conversion per field and mode order must give each entry's own
+        # np.asarray, and the energy matrix its symmetric part, to the bit
+        docs = [json.loads(path.read_text()) for path in sorted(GENERATED_SPEC.parent.glob("*.json"))]
+        if source == "mixed_orders":
+            docs = [mixed_order_doc(np.random.default_rng(seed)) for seed in (3, 4)]
+        for i, doc in enumerate(docs):
+            spec = load_spec(write_spec(tmp_path, doc, f"spec{i}.json"))
+            for entry, params in zip(doc["oscillators"], spec.oscillators, strict=True):
+                r = np.asarray(entry["R"], dtype=float)
+                theta = np.asarray(entry["theta"], dtype=float) if "theta" in entry else default_theta(entry["n"])
+                pairs = [(params.r_energy, 0.5 * (r + r.T)), (params.theta, theta),
+                         (params.m_coupling, np.asarray(entry["M"], dtype=float))]
+                for got, want in pairs:
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+            for entry, unc in zip(doc.get("uncertainty", []), spec.uncertainty.oscillators):
+                if "sigma" in entry:
+                    sigma = np.asarray(entry["sigma"], dtype=float)
+                    assert unc.sigma.tobytes() == (0.5 * (sigma + sigma.T)).tobytes()
+
+    @pytest.mark.parametrize(
+        "faults, shown",
+        [
+            # the first fault in file order is named whichever mode order is batched first
+            ({1: ("M", [[1.0, 0.0]]), 2: ("R", [[0.1, 0.5], [0.2, 0.3]])}, "oscillators[1].M: expected shape"),
+            ({2: ("R", [[0.1, 0.5], [0.2, 0.3]]), 3: ("theta", [[0.0, float("nan")], [0.0, 0.0]])},
+             "oscillators[2].R: asymmetry"),
+            ({1: ("theta", [[True] * 4] * 4), 3: ("n", 3)}, "oscillators[1].theta: expected a number, got True"),
+            ({0: ("R", "abc"), 1: ("bogus", 1.0)}, "oscillators[0].R: not a numeric matrix"),
+            ({3: ("R", None), 1: ("n", 5)}, "oscillators[1].n: must be a positive even integer, got 5"),
+        ],
+    )
+    def test_faults_in_two_oscillators_name_the_first(self, tmp_path, faults, shown):
+        doc = mixed_order_doc(np.random.default_rng(3))
+        assert [entry["n"] for entry in doc["oscillators"]][:4] == [2, 4, 2, 4]
+        for k, (key, value) in faults.items():
+            doc["oscillators"][k][key] = value
+        with pytest.raises(QCascadeError) as exc:
+            load_spec(write_spec(tmp_path, doc))
+        assert str(exc.value).startswith(shown)
+
+
+def mixed_order_doc(rng):
+    """A spec of oscillators of orders 2, 4, 2, 4, 6, 2 on four channels, with
+    integer and float entries, a small asymmetry in R, a given theta on every
+    other oscillator and sigma-form uncertainty on every third; the dynamics
+    need not be stable, as only loading is tested."""
+    m, oscillators, uncertainty = 4, [], []
+    for k, n in enumerate((2, 4, 2, 4, 6, 2)):
+        r = rng.standard_normal((n, n))
+        r = r + r.T + np.triu(1e-12 * np.ones((n, n)), 1)
+        entry = {"n": n, "R": r.tolist(), "M": rng.integers(-3, 4, size=(m, n)).tolist()}
+        if k % 2:
+            entry["theta"] = (float(rng.uniform(0.5, 2.0)) * default_theta(n)).tolist()
+        oscillators.append(entry)
+        d = sum(parameter_sizes(n, m))
+        if k % 3:
+            uncertainty.append({"a": float(rng.uniform(0.5, 1.5)), "b": 1})
+        else:
+            g = rng.standard_normal((d, d))
+            uncertainty.append({"sigma": (g @ g.T + np.eye(d)).tolist()})
+    return {"field_channels": m, "oscillators": oscillators, "uncertainty": uncertainty}
 
 
 class TestCommands:
@@ -669,7 +735,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "weight, shown",
-        [("abc", "could not convert"), (float("nan"), "finite and nonnegative"), (-1.0, "finite and nonnegative")],
+        [("abc", "could not convert"), (float("nan"), "finite and nonnegative"), (-1.0, "finite and nonnegative"),
+         ("0.5", "expected a number, got '0.5'")],
     )
     def test_uncertainty_weight_must_be_a_finite_number(self, weight, shown, tmp_path, capsys):
         doc = read_example()
@@ -729,6 +796,34 @@ class TestExitCodes:
         assert f"validation error: {where}: entries must be finite" in err
         written = list(out.rglob("*")) if out.exists() else []
         assert not any("NaN" in f.read_text() for f in written if f.is_file())
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            # json gives bools and strings that numpy would turn into numbers
+            ("R", [[True, False], [False, True]], "oscillators[0].R: expected a number, got True"),
+            ("R", [["0.5", "0"], ["0", "0.5"]], "oscillators[0].R: expected a number, got '0.5'"),
+            ("M", [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [False, 0]], "oscillators[0].M: expected a number, got False"),
+            ("theta", [[0, "0.5"], [-0.5, 0]], "oscillators[0].theta: expected a number, got '0.5'"),
+            ("sigma", True, "uncertainty[0].sigma: expected a number, got True"),
+            ("expected", {"total_ratio": "1.0"}, "expected.total_ratio: expected a number, got '1.0'"),
+        ],
+    )
+    def test_bools_and_numeric_strings_are_not_numbers(self, field, value, shown, tmp_path, capsys):
+        doc = read_example()
+        if field == "sigma":  # a bool on the diagonal of an otherwise valid sigma
+            sigma = np.eye(sum(parameter_sizes(2, doc["field_channels"]))).tolist()
+            sigma[3][3] = value
+            doc["uncertainty"][0] = {"sigma": sigma}
+        elif field == "expected":
+            doc[field] = value
+        else:
+            doc["oscillators"][0][field] = value
+        path = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"validation error: {shown}\n"
+        assert not out.exists()
 
     def test_non_finite_result_is_two_and_writes_no_report(self, tmp_path, capsys, monkeypatch):
         # report.json is strict JSON: NaN and Infinity are not JSON values
@@ -792,8 +887,8 @@ class TestExitCodes:
             (["mc-check", "--epsilon", "inf"], {}),
             (["covariance", "--tol-residual", "inf"], {}, "unrecognized argument"),
             (["gradients"], {"options": {"fd_step": float("inf")}}, "unknown key 'fd_step'"),
-            # flags and spec options share one converter: no bool, and an
-            # integer setting takes only a finite whole number
+            # no bool, and an integer setting takes only a finite whole
+            # number, from a flag's text or from the spec's options
             (["validate"], {"options": {"seed": 7.9}}),
             (["validate"], {"options": {"samples": 2.5}}),
             (["validate"], {"options": {"seed": True}}),
@@ -803,6 +898,7 @@ class TestExitCodes:
             (["validate", "--samples", "abc"], {}),
             (["validate", "--seed", "nan"], {}),
             (["validate"], {"options": {"tol_residual": 1e-9}}, "unknown key 'tol_residual'"),
+            (["validate"], {"epsilon": "1e-6"}, "epsilon: expected a number, got '1e-6'"),
         ],
     )
     def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):

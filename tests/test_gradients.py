@@ -32,7 +32,9 @@ from qcascade.gradients import (
     purity_gradients_recursive,
     transform_gradients,
 )
-from qcascade.linalg import RESIDUAL_TOL, J2, solve_cascade_lyapunov, solve_lyapunov, vech
+from qcascade.linalg import (
+    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, solve_lyapunov, symmetric_part, vech,
+)
 from qcascade.oscillator import (
     OscillatorParams,
     assemble_cascade,
@@ -68,6 +70,60 @@ def stack_distance(g1, g2):
 
 def stack_gap(g1, g2):
     return stack_distance(g1, g2) / stack_norm(g2)
+
+
+def named_chain(name):
+    """The mixed (2, 4, 2) chain, the passive eight-oscillator chain, or its
+    squeezed copy R_k + 0.2 diag(1, -1), which is off the pure state."""
+    if name == "mixed":
+        return make_mixed_cascade(np.random.default_rng(5151))
+    cascade = make_passive_chain(np.random.default_rng(808), 8)
+    if name == "squeezed8":
+        squeeze = 0.2 * np.diag([1.0, -1.0])
+        cascade = assemble_cascade([replace(p, r_energy=p.r_energy + squeeze) for p in cascade.params])
+    return cascade
+
+
+def per_oscillator_adjoint_map(cascade, h, bq):
+    """The adjoint map of ``_gradients_from_adjoints`` as one loop over
+    oscillators, the form it had before it became composite products: the
+    test oracle of the map, which both gradient routes share."""
+    m_theta = cascade.m_coupling @ cascade.theta
+    rho, mu = [], []
+    for k, blk in enumerate(cascade.blocks):
+        off, theta_k = blk.start, cascade.params[k].theta
+        rho.append(-4.0 * symmetric_part(theta_k @ h[blk, blk]))
+        mu_k = 4.0 * bq[:, blk] @ theta_k
+        acc = cascade.params[k].m_coupling @ antisymmetric_part(theta_k @ h[blk, blk])
+        acc += m_theta[:, blk.stop :] @ h[blk.stop :, blk]
+        mu_k += 8.0 * cascade.j_ito @ acc
+        mu_k += 8.0 * cascade.j_ito @ (cascade.m_coupling[:, :off] @ h[blk, :off].T) @ theta_k
+        mu.append(-mu_k)
+    return GradientSet(rho=tuple(rho), mu=tuple(mu))
+
+
+class TestAdjointMap:
+    """Both gradient routes map their adjoints by ``_gradients_from_adjoints``,
+    so their route gap cannot see an error in it; a per-oscillator loop can.
+    Passive chains have rho = mu = 0 and cannot show one either."""
+
+    @pytest.mark.parametrize("chain", ["mixed", "squeezed8"])
+    @pytest.mark.parametrize("adjoints", ["gramian", "random"])
+    def test_composite_products_match_the_per_oscillator_loop(self, chain, adjoints):
+        cascade = named_chain(chain)
+        if adjoints == "gramian":
+            q, h = observability_gramian_and_hankelian(cascade)
+            bq = cascade.b.T @ q
+        else:  # entries above the diagonal blocks too, which the map must not read
+            rng = np.random.default_rng(77)
+            h, bq = rng.standard_normal((cascade.n, cascade.n)), rng.standard_normal((cascade.m, cascade.n))
+        got = qcascade.gradients._gradients_from_adjoints(cascade, h, bq)
+        want = per_oscillator_adjoint_map(cascade, h, bq)
+        scale = max(np.max(np.abs(x)) for x in want.rho + want.mu)
+        assert scale > 1e-3  # off the pure state: the map has something to get wrong
+        for g, w in zip(got.rho + got.mu, want.rho + want.mu, strict=True):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * scale
 
 
 class TestGramian:
@@ -239,15 +295,7 @@ class TestRouteAgreement:
         # a passive chain is in the pure state, where V is stationary, so the
         # gap is taken at the benchmark's scale max(1, |gradient|), and its
         # squeezed copy moves off that state
-        if chain == "mixed":
-            cascade = make_mixed_cascade(np.random.default_rng(5151))
-        else:
-            cascade = make_passive_chain(np.random.default_rng(808), 8)
-        if chain == "squeezed8":
-            squeeze = 0.2 * np.diag([1.0, -1.0])
-            cascade = assemble_cascade(
-                [replace(p, r_energy=p.r_energy + squeeze) for p in cascade.params]
-            )
+        cascade = named_chain(chain)
         fd = gradient_fd_oracle(cascade, h=1e-5)
         gap = stack_distance(purity_gradients_recursive(cascade), fd)
         assert gap <= 1e-6 * max(1.0, stack_norm(fd))

@@ -165,6 +165,33 @@ def test_only_the_schur_complement_oracle_solves_with_cho_solve():
     ]
 
 
+def test_cli_turns_spec_content_into_numbers_in_one_place():
+    # the number rule of spec content (JSON numbers only, no bool and no
+    # string) is _non_numbers; _matrices alone makes arrays from spec content
+    # and _convert alone scalars, and both apply that rule, so no second
+    # conversion can accept what the rule refuses
+    def cli(predicate):
+        return sorted(set(use for use in _owners(predicate) if use.startswith("cli.")))
+
+    def makes_an_array(node):
+        return isinstance(node, ast.Call) and any(kw.arg == "dtype" for kw in node.keywords)
+
+    def tests_for_bool_or_str(node):
+        return (
+            isinstance(node, ast.Call) and _name(node.func) == "isinstance"
+            and any(_name(arg) in {"bool", "str"} for arg in ast.walk(node.args[1]))
+        )
+
+    assert cli(makes_an_array) == ["cli._matrices"]
+    assert cli(lambda node: isinstance(node, ast.Call) and _name(node.func) == "_non_numbers") == [
+        "cli._convert", "cli._matrices"
+    ]
+    assert cli(lambda node: isinstance(node, ast.Name) and node.id == "JSON_NUMBERS") == [
+        "cli.<module>", "cli._non_numbers"
+    ]
+    assert cli(tests_for_bool_or_str) == []
+
+
 #: routes kept as oracles that the tests compare production with
 ORACLES = {
     "invariant_covariance_recursive", "schur_complements", "frequency_domain_covariance",
