@@ -135,42 +135,33 @@ def _convert(value: Any, kind: type, where: str) -> Any:
         if _non_numbers([value]):
             raise TypeError(f"expected a number, got {value!r}")
         return number
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _matrices(
-    values: Sequence, wheres: Sequence[str], shape: tuple, mismatch: type = DimensionMismatch
+    values: Sequence, where: str, shape: tuple, mismatch: type = DimensionMismatch
 ) -> np.ndarray:
-    """Float stack (K, *shape) of K spec matrices by one conversion, of which
-    every entry has the shape ``shape`` (``mismatch`` if not), finite entries
-    (SchemaError) and JSON numbers only, by the rule of :func:`_non_numbers`
-    (SchemaError). Only when a check fails are the entries taken one by one,
-    so the error names the first faulty one, ``wheres[i]`` for entry i."""
+    """Float stack (K, *shape) of K spec matrices by one conversion, checked
+    on the stack: every entry has the shape ``shape`` (``mismatch`` if not),
+    finite entries (SchemaError) and JSON numbers only, by the rule of
+    :func:`_non_numbers` (SchemaError). A refusal is prefixed by ``where``,
+    which names the entry when K is 1."""
     try:
-        stack = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        stack = None
-    if (
-        stack is not None
-        and stack.shape == (len(values), *shape)
-        and np.isfinite(stack).all()
-        and not _non_numbers(values, len(shape))
-    ):
-        return stack
-    for value, where in zip(values, wheres):
-        try:
-            mat = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: not a numeric matrix: {exc}") from exc
-        if mat.shape != shape:
-            raise mismatch(f"{where}: expected shape {shape}, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise SchemaError(f"{where}: entries must be finite")
-        wrong = _non_numbers([value], len(shape))
-        if wrong:
-            raise SchemaError(f"{where}: expected a number, got {wrong[0]!r}")
-    return np.empty((0, *shape))  # valid entries stack, so only an empty list gets here
+        # one entry is converted alone, so numpy's message describes its shape
+        one = len(values) == 1
+        stack = np.asarray(values[0] if one else values, dtype=float)
+        stack = stack[None] if one else stack
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond a double overflows
+        raise SchemaError(f"{where}: not a numeric matrix: {exc}") from exc
+    if stack.shape[1:] != shape:
+        raise mismatch(f"{where}: expected shape {shape}, got {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
+        raise SchemaError(f"{where}: entries must be finite")
+    wrong = _non_numbers(values, len(shape))
+    if wrong:
+        raise SchemaError(f"{where}: expected a number, got {wrong[0]!r}")
+    return stack
 
 
 def _expected_values(expected: Any, dims: Sequence[int], m: int) -> dict[str, Any]:
@@ -184,10 +175,10 @@ def _expected_values(expected: Any, dims: Sequence[int], m: int) -> dict[str, An
     for key, value in expected.items():
         shape, where = EXPECTED_CHECKS[key][1], f"expected.{key}"
         if shape is None:
-            values[key] = _matrices([value], [where], (), SchemaError)[0]
+            values[key] = _matrices([value], where, (), SchemaError)[0]
         elif isinstance(value, list) and len(value) == len(dims):
             values[key] = [
-                _matrices([entry], [f"{where}[{k}]"], shape(n, m), SchemaError)[0]
+                _matrices([entry], f"{where}[{k}]", shape(n, m), SchemaError)[0]
                 for k, (entry, n) in enumerate(zip(value, dims))
             ]
         else:
@@ -196,40 +187,32 @@ def _expected_values(expected: Any, dims: Sequence[int], m: int) -> dict[str, An
 
 
 def _oscillator_batch(oscs_doc: list, ks: Sequence[int], m: int) -> list[OscillatorParams]:
-    """Oscillators ``ks`` of the spec's list, each field converted and checked
-    for all oscillators of one mode order at once by :func:`_matrices`; the
-    energy matrices are symmetrized by :func:`checked_symmetric_part`."""
-    entries = [oscs_doc[k] for k in ks]
-    orders = [entry.get("n") for entry in entries] if set(map(type, entries)) == {dict} else []
-    if not (
-        orders
-        and set().union(*entries) <= OSCILLATOR_KEYS
-        and set(map(type, orders)) == {int}
-        and all(n > 0 and not n % 2 for n in set(orders))
-    ):
-        for k, entry in zip(ks, entries):  # the same rules, entry by entry, to name the first fault
-            where = f"oscillators[{k}]"
-            if not isinstance(entry, dict):
-                raise SchemaError(f"{where}: must be an object")
-            _reject_unknown_keys(entry, OSCILLATOR_KEYS, where)
-            n = entry.get("n")
-            if not isinstance(n, int) or n <= 0 or n % 2:
-                raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
+    """Oscillators ``ks`` of the spec's list: each entry's structure is
+    checked in turn, then each field is converted and checked for all
+    oscillators of one mode order at once by :func:`_matrices`, and the
+    energy matrices are symmetrized by :func:`checked_symmetric_part`. A
+    refusal names the oscillators of the failing stack, ``oscillators[k]``
+    when ``ks`` is one oscillator."""
     groups: dict[int, list[int]] = {}
-    for k, n in zip(ks, orders):
+    for k in ks:
+        entry, where = oscs_doc[k], f"oscillators[{k}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: must be an object")
+        _reject_unknown_keys(entry, OSCILLATOR_KEYS, where)
+        n = entry.get("n")
+        if not isinstance(n, int) or n <= 0 or n % 2:
+            raise SchemaError(f"{where}.n: must be a positive even integer, got {n!r}")
         groups.setdefault(n, []).append(k)
     params: dict[int, OscillatorParams] = {}
     for n, group in groups.items():
-        entries, wheres = [oscs_doc[k] for k in group], [f"oscillators[{k}]" for k in group]
-        r = _matrices([e.get("R") for e in entries], [f"{w}.R" for w in wheres], (n, n))
-        r = checked_symmetric_part(r, [f"{w}.R: " for w in wheres])
-        mats = _matrices([e.get("M") for e in entries], [f"{w}.M" for w in wheres], (m, n))
+        entries, where = [oscs_doc[k] for k in group], f"oscillators[{', '.join(map(str, group))}]"
+        r = _matrices([e.get("R") for e in entries], f"{where}.R", (n, n))
+        r = checked_symmetric_part(r, f"{where}.R: ")
+        mats = _matrices([e.get("M") for e in entries], f"{where}.M", (m, n))
         thetas = np.repeat(default_theta(n)[None], len(group), axis=0)
         given = [i for i, e in enumerate(entries) if "theta" in e]
         if given:
-            thetas[given] = _matrices(
-                [entries[i]["theta"] for i in given], [f"{wheres[i]}.theta" for i in given], (n, n)
-            )
+            thetas[given] = _matrices([entries[i]["theta"] for i in given], f"{where}.theta", (n, n))
         for k, theta, r_k, m_k in zip(group, thetas, r, mats):
             params[k] = OscillatorParams(theta=theta, r_energy=r_k, m_coupling=m_k)
     return [params[k] for k in ks]
@@ -298,7 +281,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             given: dict[str, Any] = {}
             if "sigma" in entry:
                 d = sum(parameter_sizes(oscillators[k].n, m))
-                given["sigma"] = _matrices([entry["sigma"]], [f"{where}.sigma"], (d, d))[0]
+                given["sigma"] = _matrices([entry["sigma"]], f"{where}.sigma", (d, d))[0]
             for key, name in (("a", "energy_weight"), ("b", "coupling_weight")):
                 if key in entry:
                     given[name] = _convert(entry[key], float, f"{where}.{key}")

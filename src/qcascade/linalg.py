@@ -75,17 +75,13 @@ def symmetric_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
-def checked_symmetric_part(x: np.ndarray, where: str | Sequence[str] = "") -> np.ndarray:
+def checked_symmetric_part(x: np.ndarray, where: str = "") -> np.ndarray:
     """Symmetric part of a matrix ``x``, or of every matrix of a stack (K, r, r);
-    SchemaError when a matrix is asymmetric beyond 1e-9 or its asymmetry is
-    not a number, prefixed by ``where``, or by ``where[i]`` when matrix i of
-    a stack is the first to fail."""
-    asym = np.abs(x - x.swapaxes(-1, -2))
-    if asym.size and not asym.max() <= 1e-9:
-        per_matrix = asym.max(axis=(-2, -1)).reshape(-1)
-        i = int(np.flatnonzero(~(per_matrix <= 1e-9))[0])
-        prefix = where if x.ndim == 2 else where[i]
-        raise SchemaError(f"{prefix}asymmetry {per_matrix[i]:.3e} exceeds 1e-9")
+    SchemaError (prefixed by ``where``) when a matrix is asymmetric beyond
+    1e-9 or its asymmetry is not a number."""
+    asym = float(np.max(np.abs(x - x.swapaxes(-1, -2)))) if x.size else 0.0
+    if not asym <= 1e-9:
+        raise SchemaError(f"{where}asymmetry {asym:.3e} exceeds 1e-9")
     return symmetric_part(x)
 
 

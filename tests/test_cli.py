@@ -736,7 +736,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "weight, shown",
         [("abc", "could not convert"), (float("nan"), "finite and nonnegative"), (-1.0, "finite and nonnegative"),
-         ("0.5", "expected a number, got '0.5'")],
+         ("0.5", "expected a number, got '0.5'"), (10**400, "int too large to convert to float")],
     )
     def test_uncertainty_weight_must_be_a_finite_number(self, weight, shown, tmp_path, capsys):
         doc = read_example()
@@ -807,6 +807,8 @@ class TestExitCodes:
             ("theta", [[0, "0.5"], [-0.5, 0]], "oscillators[0].theta: expected a number, got '0.5'"),
             ("sigma", True, "uncertainty[0].sigma: expected a number, got True"),
             ("expected", {"total_ratio": "1.0"}, "expected.total_ratio: expected a number, got '1.0'"),
+            # json reads an integer literal as a Python int, which may be beyond a double
+            ("R", [[10**400, 0], [0, 1]], "oscillators[0].R: not a numeric matrix: int too large to convert to float"),
         ],
     )
     def test_bools_and_numeric_strings_are_not_numbers(self, field, value, shown, tmp_path, capsys):
