@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError, _prefixed
 from .gradients import purity_gradients_direct
-from .linalg import J2, RESIDUAL_TOL, Matrix, symmetric_matrix_function
+from .linalg import J2, RESIDUAL_TOL, Matrix
 from .oscillator import CascadeModel, assemble_cascade, transform_params
 from .sensitivity import UncertaintyModel
 
@@ -158,22 +158,22 @@ def _psi_of_u(rho: Matrix, tau: Matrix, u: Matrix) -> float:
 
 
 def _stationary_gram(rho: Matrix, tau: Matrix) -> tuple[Matrix, NewtonResult, np.ndarray]:
-    """Whitens rho by tau, solves the multiplier equation on the whitened
-    spectrum r; returns the stationary U (determinant not normalized),
-    the Newton result and r."""
+    """Stationary U (determinant not normalized), the Newton result and the
+    whitened spectrum r, whitening by the Cholesky factor tau = L L^T (Golub
+    and Van Loan, Sec. 8.7): r and V from one eigh of L^{-1} rho L^{-T}, which
+    has the spectrum of tau^{-1/2} rho tau^{-1/2}, det tau = prod L_ii^2 and
+    U = L^{-T} V f_lambda(r) V^T L^{-1}; forming no tau^{-1/2} keeps lambda's digits."""
     tau_eigs = np.linalg.eigvalsh(tau)
     if tau_eigs[0] <= 1e-12 * max(1.0, tau_eigs[-1]):
         raise RankDeficientMu(
             f"coupling-gradient Gram matrix has eigenvalue {tau_eigs[0]:.3e}"
         )
-    det_tau = float(np.linalg.det(tau))
-    w, v = np.linalg.eigh(tau)
-    tau_isqrt = (v / np.sqrt(w)) @ v.T
-    core = tau_isqrt @ rho @ tau_isqrt
-    r = np.linalg.eigvalsh(core)
-    newton = solve_multiplier(r, det_tau)
-    lam = newton.multiplier
-    u = tau_isqrt @ symmetric_matrix_function(lambda z: f_lambda(z, lam), core) @ tau_isqrt
+    chol = np.linalg.cholesky(tau)
+    l_inv = np.linalg.inv(chol)
+    r, v = np.linalg.eigh(l_inv @ rho @ l_inv.T)
+    newton = solve_multiplier(r, float(np.prod(np.diag(chol))) ** 2)
+    w = l_inv.T @ v
+    u = (w * f_lambda(r, newton.multiplier)) @ w.T
     return 0.5 * (u + u.T), newton, r
 
 
@@ -205,22 +205,19 @@ def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
     if rho.shape != (2, 2) or tau.shape != (2, 2):
         raise NotOneMode(f"one-mode data must be 2 x 2, got {rho.shape} and {tau.shape}")
     u, newton, r = _stationary_gram(rho, tau)
-    lam = newton.multiplier
     # unit determinant to round-off; renormalize so the gauge tests are exact
     u = u / np.sqrt(np.linalg.det(u))
     uw, uv = np.linalg.eigh(u)
-    order = np.argsort(uw)[::-1]
-    uw = uw[order]
-    uv = uv[:, order]
+    uw, uv = uw[[1, 0]], uv[:, [1, 0]]  # descending, eigh's order reversed
     if np.linalg.det(uv) < 0:
         uv[:, 1] = -uv[:, 1]
     s = (uv * np.sqrt(uw)) @ uv.T
     angle = -float(np.arctan2(uv[1, 0], uv[0, 0]))
     grad = rho @ u @ rho + tau
-    residual = np.linalg.norm(grad - 0.5 * lam * np.linalg.inv(u)) / np.linalg.norm(grad)
+    residual = np.linalg.norm(grad - 0.5 * newton.multiplier * np.linalg.inv(u)) / np.linalg.norm(grad)
     return BalancingResult(
         s_k=s,
-        lambda_k=lam,
+        lambda_k=newton.multiplier,
         u_k=u,
         psi_before=_psi_of_u(rho, tau, np.eye(2)),
         psi_after=_psi_of_u(rho, tau, u),

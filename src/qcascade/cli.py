@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .balance import CascadeBalanceReport, balance_cascade, f_lambda
-from .covariance import PSD_TOL, invariant_covariance_direct, invariant_covariance_recursive, steady_state
+from .covariance import admissible, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
 from .gradients import purity_gradients_direct, purity_gradients_recursive
 from .linalg import checked_symmetric_part, quantum_psd_margin
@@ -223,17 +223,16 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
 
     Defaulting rules: missing theta becomes the canonical half form of
     the right order, and a given one must pass assembly's theta check;
-    missing epsilon becomes 1e-6. The energy matrix is symmetrized after
-    checking that its asymmetry stays below 1e-9. Each uncertainty entry
-    is built as an :class:`OscillatorUncertainty`, whose refusal becomes a
-    SchemaError naming the entry. Matrix entries and uncertainty weights
-    must be finite numbers, which json's NaN and Infinity are not, and
-    every number a JSON number (:func:`_non_numbers`). The oscillators are
-    converted and checked by one :func:`_oscillator_batch` pass, and on a
-    refusal one by one, the ``expected`` block into arrays by
-    :func:`_expected_values`. A key outside the schema
-    raises SchemaError instead of being ignored, so a misspelt key never
-    falls back to a default.
+    missing epsilon becomes the :class:`RunFlags` default. The energy
+    matrix is symmetrized after checking that its asymmetry stays below
+    1e-9. Each uncertainty entry is built as an :class:`OscillatorUncertainty`,
+    whose refusal becomes a SchemaError naming the entry. Matrix entries
+    and uncertainty weights must be finite numbers, which json's NaN and
+    Infinity are not, and every number a JSON number (:func:`_non_numbers`).
+    The oscillators are converted and checked by one :func:`_oscillator_batch`
+    pass, and on a refusal one by one, the ``expected`` block into arrays by
+    :func:`_expected_values`. A key outside the schema raises SchemaError
+    instead of being ignored, so a misspelt key never falls back to a default.
     """
     path = Path(path)
     try:
@@ -292,7 +291,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
                 raise SchemaError(f"{label}: {exc}") from exc
         uncertainty = UncertaintyModel(oscillators=tuple(entries))
 
-    epsilon = _convert(doc.get("epsilon", 1e-6), float, "epsilon")
+    epsilon = _convert(doc.get("epsilon", RunFlags.epsilon), float, "epsilon")
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise SchemaError("options: must be an object")
@@ -430,7 +429,7 @@ def _cmd_validate(run: Pipeline) -> Reply:
         p = invariant_covariance_direct(cascade)
         margin = quantum_psd_margin(p, cascade.theta)
         results["psd_margin"] = float(margin)
-        results["psd_ok"] = bool(margin >= -PSD_TOL * max(1.0, float(np.linalg.norm(p))))
+        results["psd_ok"] = admissible(margin, p)
         lines.append(f"admissibility margin {margin:.3e}")
     for h in hurwitz:
         lines.append(
@@ -529,14 +528,9 @@ def _spec_document_from_cascade(
         "epsilon": spec.epsilon,
         "options": spec.options,
     }
-    if spec.uncertainty is not None:
-        unc = []
-        for entry in spec.uncertainty.oscillators:
-            if entry.sigma is not None:
-                unc.append({"sigma": _listify(entry.sigma)})
-            else:
-                unc.append({"a": entry.energy_weight, "b": entry.coupling_weight})
-        doc["uncertainty"] = unc
+    if spec.uncertainty is not None:  # weights only: balancing refuses a sigma-form entry
+        weights = (entry.weights() for entry in spec.uncertainty.oscillators)
+        doc["uncertainty"] = [{"a": a, "b": b} for a, b in weights]
     return doc
 
 

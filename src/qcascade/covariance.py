@@ -66,9 +66,15 @@ def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
     q = symmetric_part(b @ b.T)
     p = symmetric_part(solve_cascade_sylvester(cascade_schur(a, (len(a),)), slice(None), slice(None), q))
     floor = np.linalg.eigvalsh(p)[0]
-    if floor < -PSD_TOL * max(1.0, np.linalg.norm(p)):
+    if not admissible(floor, p):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")
     return p
+
+
+def admissible(margin: float, p: Matrix) -> bool:
+    """The admissibility rule, the one reader of ``PSD_TOL``: the least eigenvalue
+    ``margin`` of P, or of P + i theta, is at least -PSD_TOL max(1, ||P||_F)."""
+    return bool(margin >= -PSD_TOL * max(1.0, float(np.linalg.norm(p))))
 
 
 def _keep(cascade: CascadeModel, key: str, value, *arrays: np.ndarray):

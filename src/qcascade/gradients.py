@@ -51,6 +51,7 @@ from .linalg import (
     symmetric_part,
     symplectic_residual,
     vech,
+    vech_indices,
     vech_to_symmetric,
 )
 from .oscillator import CascadeModel, CascadeStack, parameter_sizes, perturbed_cascade_stack
@@ -79,6 +80,10 @@ class GradientSet:
         rho = self.rho[k]
         g_r = duplication_matrix(rho.shape[0]).T @ rho.reshape(-1, order="F")
         return np.concatenate([g_r, -self.mu[k].reshape(-1, order="F")])
+
+    def transformed_pair(self, k: int, s: Matrix) -> tuple[Matrix, Matrix]:
+        """(S rho_k S^T, mu_k S^T): oscillator k's gradients after X_k -> S X_k."""
+        return s @ self.rho[k] @ s.T, self.mu[k] @ s.T
 
     @staticmethod
     def _unpack(d: np.ndarray, n: int, m: int) -> tuple[Matrix, Matrix]:
@@ -243,7 +248,7 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     m, probes = cascade.m, _probe_blocks(cascade)
     labels = []
     for k, nk in enumerate(cascade.dims):
-        labels += [f"R_{k}[{i},{j}]" for j in range(nk) for i in range(j, nk)]
+        labels += [f"R_{k}[{i},{j}]" for i, j in zip(*vech_indices(nk))]
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
     values = np.empty(2 * probes[-1].stop)
     with _prefixed("finite-difference probes"):
@@ -262,9 +267,9 @@ def transform_gradients(
 ) -> GradientSet:
     """Gradients after the symplectic change of variables X_k -> S_k X_k.
 
-    The energy gradient maps by congruence S rho S^T, the coupling
-    gradient by mu S^T. A transform whose symplectic residual exceeds
-    ``SYMPLECTIC_TOL`` relative to theta raises NotSymplectic.
+    Each pair maps to (S rho S^T, mu S^T) by :meth:`GradientSet.transformed_pair`. A
+    transform whose symplectic residual exceeds ``SYMPLECTIC_TOL`` relative
+    to theta raises NotSymplectic.
     """
     if len(transforms) != len(gradients.rho):
         raise ValueError("one transform per oscillator required")
@@ -274,8 +279,7 @@ def transform_gradients(
             raise NotSymplectic(
                 f"transform {k} has symplectic residual {check.residual:.3e}"
             )
-    rho = tuple(s @ r @ s.T for s, r in zip(transforms, gradients.rho))
-    mu = tuple(u @ s.T for s, u in zip(transforms, gradients.mu))
+    rho, mu = zip(*(gradients.transformed_pair(k, s) for k, s in enumerate(transforms)))
     return GradientSet(rho=rho, mu=mu)
 
 

@@ -3,10 +3,11 @@
 Sylvester and Lyapunov solvers with stability preconditions, the
 duplication matrix for half-vectorization, eigendecomposition-based
 functions of symmetric matrices, and residual certificates for
-symplectic membership and quantum admissibility. Two decisions have
+symplectic membership and quantum admissibility. Three decisions have
 their one owner here: the block layout of a cascade
-(:func:`block_slices` and :func:`block_upper_mask`) and the Hurwitz
-rule (:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``).
+(:func:`block_slices` and :func:`block_upper_mask`), the Hurwitz rule
+(:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``) and the vech
+order of a lower triangle (:func:`vech_indices`).
 
 Every production Sylvester solve is a certified Schur (Bartels-Stewart)
 solve: one ``dtrsyl`` call on a real Schur factor of a^T from
@@ -89,20 +90,26 @@ def antisymmetric_part(x: Matrix) -> Matrix:
     return 0.5 * (x - x.T)
 
 
+@lru_cache(maxsize=64)
+def vech_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the lower triangle of order r in the :func:`vech` order,
+    column by column from the diagonal down; shared and read-only."""
+    cols, rows = np.triu_indices(r)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def vech(x: Matrix) -> np.ndarray:
     """Column-wise vectorization of the lower triangle, diagonal included."""
-    r = x.shape[0]
-    return np.concatenate([x[j:, j] for j in range(r)])
+    return x[vech_indices(x.shape[0])]
 
 
 def vech_to_symmetric(v: np.ndarray, r: int) -> Matrix:
     """Inverse of :func:`vech` onto the symmetric matrices of order r."""
-    out = np.zeros((r, r))
-    pos = 0
-    for j in range(r):
-        out[j:, j] = v[pos : pos + r - j]
-        pos += r - j
-    return out + np.tril(out, -1).T
+    rows, cols = vech_indices(r)
+    out = np.empty((r, r))
+    out[rows, cols] = out[cols, rows] = v
+    return out
 
 
 def duplication_matrix(r: int) -> Matrix:
@@ -112,13 +119,10 @@ def duplication_matrix(r: int) -> Matrix:
     """
     if r < 1:
         raise ValueError("order must be positive")
-    ups = np.zeros((r * r, r * (r + 1) // 2))
-    col = 0
-    for j in range(r):
-        for i in range(j, r):
-            ups[j * r + i, col] = 1.0
-            ups[i * r + j, col] = 1.0
-            col += 1
+    rows, cols = vech_indices(r)
+    ups = np.zeros((r * r, len(rows)))
+    ups[cols * r + rows, np.arange(len(rows))] = 1.0
+    ups[rows * r + cols, np.arange(len(rows))] = 1.0
     return ups
 
 

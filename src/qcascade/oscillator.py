@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHurwitz, SingularTheta
 from .linalg import (
-    Matrix, block_slices, block_upper_mask, duplication_matrix, hurwitz_flag, resolvent_solve,
-    spectral_abscissa, symplectic_form,
+    Matrix, block_slices, block_upper_mask, hurwitz_flag, resolvent_solve, spectral_abscissa,
+    symplectic_form, vech_to_symmetric,
 )
 
 PR_SELF_CHECK_TOL = 1e-12
@@ -184,8 +184,8 @@ def _series_connection(
     for n_k in dict.fromkeys(p.n for p in oscillators):
         same = [k for k, p in enumerate(oscillators) if p.n == n_k]
         size = max(1, BATCH_ENTRIES // (stack * n_k * m))
-        # position in vech of every entry of dR, read off the duplication matrix
-        vech_at = duplication_matrix(n_k).argmax(axis=1).reshape(n_k, n_k)
+        # position in vech of every entry of dR: the symmetric matrix of vech 0, 1, 2, ...
+        vech_at = vech_to_symmetric(np.arange(parameter_sizes(n_k, m)[0]), n_k).astype(np.intp)
         for ks in (same[i : i + size] for i in range(0, len(same), size)):
             # oscillator axis first and copy axis last, (K, ., ., S); a product
             # with a fixed left factor is one matrix product over all copies
@@ -220,15 +220,14 @@ def _series_connection(
     return (*_write_series(blocks), abscissa)
 
 
-def oscillator_realization(p: OscillatorParams, j_ito: Matrix) -> OscillatorRealization:
-    """State-space matrices (A, B, C) of one oscillator, the one-oscillator
-    case of the series builder, whose self-check verifies A theta + theta A^T
-    + B J B^T = 0 and theta C^T + B J = 0 to round-off."""
+def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
+    """State-space matrices (A, B, C) of one oscillator on the canonical field
+    form J of its channel count, the one-oscillator case of the series
+    builder, whose self-check verifies A theta + theta A^T + B J B^T = 0 and
+    theta C^T + B J = 0 to round-off."""
     _validate_shapes(p, 0)
     _check_thetas([p.theta])
-    if j_ito.shape != (p.m, p.m):
-        raise DimensionMismatch(f"field form of order {j_ito.shape[0]} does not match {p.m} channels")
-    a, b, c, _ = _series_connection([p], j_ito)
+    a, b, c, _ = _series_connection([p], symplectic_form(p.m))
     return OscillatorRealization(a=a[..., 0], b=b[..., 0], c=c[..., 0])
 
 

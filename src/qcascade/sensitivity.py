@@ -115,17 +115,11 @@ def sensitivity_index(
     return SensitivityIndex(z_total=float(sum(z_k)), z_k=z_k)
 
 
-def _transformed_pair(
-    gradients: GradientSet, k: int, s: Matrix
-) -> tuple[Matrix, Matrix]:
-    return s @ gradients.rho[k] @ s.T, gradients.mu[k] @ s.T
-
-
 def phi_transformed(
     gradients: GradientSet, uncertainty: UncertaintyModel, k: int, s: Matrix
 ) -> float:
     """Exact index contribution of oscillator k after X_k -> S X_k."""
-    rho_s, mu_s = _transformed_pair(gradients, k, s)
+    rho_s, mu_s = gradients.transformed_pair(k, s)
     return _index_term(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0, uncertainty.oscillators[k])
 
 
@@ -134,7 +128,7 @@ def psi_transformed(
 ) -> float:
     """Upper bound 2 a_k |S rho S^T|^2 + b_k |mu S^T|^2 on phi."""
     a_k, b_k = uncertainty.oscillators[k].weights()
-    rho_s, mu_s = _transformed_pair(gradients, k, s)
+    rho_s, mu_s = gradients.transformed_pair(k, s)
     return float(
         2.0 * a_k * np.linalg.norm(rho_s) ** 2 + b_k * np.linalg.norm(mu_s) ** 2
     )

@@ -94,9 +94,8 @@ class TIModel:
 
     @classmethod
     def from_oscillator(cls, params: OscillatorParams) -> "TIModel":
-        j = symplectic_form(params.m)
-        real = oscillator_realization(params, j)
-        return replace(cls.from_matrices(real.a, real.b, real.c, j), params=params)
+        real = oscillator_realization(params)
+        return replace(cls.from_matrices(real.a, real.b, real.c, symplectic_form(params.m)), params=params)
 
     @classmethod
     def from_matrices(

@@ -183,6 +183,35 @@ class TestOneMode:
         with pytest.raises(NotOneMode):
             minimize_psi_one_mode(problem)
 
+    def test_ill_conditioned_coupling_keeps_the_multiplier(self):
+        # the scaled (rho, mu) of oscillator 1 of the benchmark's seed-1
+        # amplifying16 spec #4, where cond tau = 2.3e7; lambda against a
+        # 50-digit solve of the same equations from the same doubles
+        mp = pytest.importorskip("mpmath")
+        rho = np.array([
+            [float.fromhex("0x1.4b20ceba6d129p+5"), float.fromhex("-0x1.76845c3e5635bp+5")],
+            [float.fromhex("-0x1.76845c3e5635bp+5"), float.fromhex("0x1.b1dae7add1757p+4")],
+        ])
+        mu = np.array([
+            [float.fromhex("-0x1.e6cff0f514e19p+4"), float.fromhex("0x1.0bdea42b037e6p+5")],
+            [float.fromhex("-0x1.1eabd8f05aca0p+3"), float.fromhex("0x1.3afe6edd2e1d8p+3")],
+        ])
+        res = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, mu=mu, tau=mu.T @ mu))
+        with mp.workdps(50):
+            r, m = mp.matrix(rho.tolist()), mp.matrix(mu.tolist())
+            tau = m.T * m
+            det_tau = mp.det(tau)
+            # the whitened spectrum: the roots z of det(rho - z tau) = 0
+            b = r[0, 0] * tau[1, 1] + r[1, 1] * tau[0, 0] - 2 * r[0, 1] * tau[0, 1]
+            disc = mp.sqrt(b * b - 4 * det_tau * mp.det(r))
+            spectrum = [(b - disc) / (2 * det_tau), (b + disc) / (2 * det_tau)]
+
+            def h(lam):
+                return mp.fprod(lam / (1 + mp.sqrt(1 + 2 * lam * z * z)) for z in spectrum) - det_tau
+
+            exact = mp.findroot(h, 2 * mp.sqrt(det_tau))
+            assert abs(res.lambda_k - exact) <= 2e-12 * exact
+
 
 class TestCascadeBalance:
     def test_reference_ratios(self, paper_report):

@@ -853,6 +853,7 @@ class TestExitCodes:
             ({"mu": [[[1.0] * 2] * 6, [[1.0] * 2] * 6, [[1.0] * 6] * 2]}, "expected.mu[2]: expected shape (6, 2)"),
             ({"psi_identity": [None, 1, 2]}, "expected.psi_identity[0]: entries must be finite"),
             ({"ratio": [1, 1, 1]}, "expected: unknown key 'ratio'"),
+            ([1, 2], "expected: must be an object"),
         ],
     )
     def test_malformed_expected_block_is_one(self, expected, where, tmp_path, capsys):
@@ -901,6 +902,7 @@ class TestExitCodes:
             (["validate", "--seed", "nan"], {}),
             (["validate"], {"options": {"tol_residual": 1e-9}}, "unknown key 'tol_residual'"),
             (["validate"], {"epsilon": "1e-6"}, "epsilon: expected a number, got '1e-6'"),
+            (["validate"], {"options": [1]}, "options: must be an object"),
         ],
     )
     def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):
@@ -945,6 +947,17 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sensitivity", "balance", "mc-check", "reproduce-paper"])
+    def test_command_without_uncertainty_is_one(self, command, tmp_path, capsys):
+        doc = {**read_example(), "expected": {}}
+        del doc["uncertainty"]
+        path = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: this command needs an 'uncertainty' block in the spec\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["balance", "reproduce-paper"])
     def test_balancing_refuses_sigma_form_uncertainty(self, command, tmp_path, capsys):

@@ -24,7 +24,7 @@ TRIVIAL = OscillatorParams(theta=0.5 * J2, r_energy=np.zeros((2, 2)), m_coupling
 
 
 def realize(params):
-    return oscillator_realization(params, symplectic_form(params.m))
+    return oscillator_realization(params)
 
 
 def series_reference(oscillators):
@@ -107,7 +107,6 @@ class TestRealization:
                     r_energy=np.array([[1.0]]),
                     m_coupling=np.ones((2, 1)),
                 ),
-                J2,
             )
 
     def test_coupling_shape_mismatch_rejected(self):
@@ -118,7 +117,6 @@ class TestRealization:
                     r_energy=np.zeros((2, 2)),
                     m_coupling=np.ones((2, 3)),
                 ),
-                J2,
             )
 
     def test_singular_theta_rejected(self):
@@ -129,7 +127,6 @@ class TestRealization:
                     r_energy=np.zeros((2, 2)),
                     m_coupling=np.eye(2),
                 ),
-                J2,
             )
 
 

@@ -152,6 +152,66 @@ def test_only_linalg_reads_the_hurwitz_tolerance():
     assert {use.partition(".")[0] for use in _owners(reads)} == {"linalg"}
 
 
+def test_only_the_admissibility_rule_reads_the_psd_tolerance():
+    def reads(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "PSD_TOL" for alias in node.names)
+        if isinstance(node, ast.Name):
+            return node.id == "PSD_TOL" and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == "PSD_TOL"
+
+    assert _owners(reads) == ["covariance.admissible"]
+
+
+def _range_from(node: ast.AST, name: str) -> bool:
+    """``range(name, ...)``: a loop that starts at another loop's index."""
+    return (
+        isinstance(node, ast.Call) and _name(node.func) == "range" and len(node.args) > 1
+        and isinstance(node.args[0], ast.Name) and node.args[0].id == name
+    )
+
+
+def _column_tail(node: ast.AST, name: str) -> bool:
+    """``x[name:, name]``: the lower part of column ``name``, diagonal included."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    if len(node.slice.elts) != 2:
+        return False
+    rows, col = node.slice.elts
+    return (
+        isinstance(rows, ast.Slice) and rows.upper is None and rows.step is None
+        and isinstance(rows.lower, ast.Name) and rows.lower.id == name
+        and isinstance(col, ast.Name) and col.id == name
+    )
+
+
+def _enumerates_the_lower_triangle(node: ast.AST) -> bool:
+    """A triangle of indices from numpy, a loop nest over (i, j) with i >= j, a
+    comprehension of column tails, or vech positions read off a duplication matrix."""
+    if isinstance(node, ast.Call) and _name(node.func) in {"tril", "triu", "tril_indices", "triu_indices"}:
+        return True
+    if isinstance(node, ast.Call) and _name(node.func) == "argmax":
+        receiver = getattr(node.func, "value", None)
+        return isinstance(receiver, ast.Call) and _name(receiver.func) == "duplication_matrix"
+    if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+        return any(_range_from(inner, node.target.id) for stmt in node.body for inner in ast.walk(stmt))
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+        indices = [g.target.id for g in node.generators if isinstance(g.target, ast.Name)]
+        parts = [g.iter for g in node.generators] + [node.elt]
+        return any(
+            _range_from(x, i) or _column_tail(x, i)
+            for i in indices for part in parts for x in ast.walk(part)
+        )
+    return False
+
+
+def test_only_vech_indices_enumerates_the_lower_triangle():
+    # one owner for the vech order, column by column down the lower
+    # triangle: vech, its inverse, the duplication matrix, the oracle's
+    # probe labels and the series builder's vech positions all read it
+    assert _owners(_enumerates_the_lower_triangle) == ["linalg.vech_indices"]
+
+
 def test_only_the_schur_complement_oracle_solves_with_cho_solve():
     # solves with the factor of P go through covariance._lapack_solve
     def binds(node):
