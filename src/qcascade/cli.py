@@ -48,7 +48,7 @@ from .balance import CascadeBalanceReport, balance_cascade, f_lambda
 from .covariance import admissible, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
 from .gradients import purity_gradients_direct, purity_gradients_recursive
-from .linalg import checked_symmetric_part, quantum_psd_margin
+from .linalg import RESIDUAL_TOL, checked_symmetric_part, quantum_psd_margin
 from .oscillator import CascadeModel, OscillatorParams, _check_thetas, _realizable, assemble_cascade
 from .oscillator import default_theta, parameter_sizes, realizability_residual
 from .sensitivity import (
@@ -534,15 +534,19 @@ def _spec_document_from_cascade(
     return doc
 
 
-def _balance_results(run: Pipeline) -> tuple[dict, str]:
-    """Results and table of the balancing, with the round trip: the
-    gradients of the balanced cascade give back each Psi_k(S_k)."""
+def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
+    """Results and table of the balancing, and whether it is certified: every
+    oscillator passes its stationarity certificate, and the round trip holds
+    (the gradients of the balanced cascade give back each Psi_k(S_k) within
+    ``RESIDUAL_TOL`` x max(1, max psi_after))."""
     report, uncertainty, dims = run.balance, run.uncertainty, run.cascade.dims
     new_grads = purity_gradients_direct(report.transformed)
     round_trip = [
         abs(psi_transformed(new_grads, uncertainty, k, np.eye(dims[k])) - res.psi_after)
         for k, res in enumerate(report.results)
     ]
+    gap_scale = max(1.0, *(res.psi_after for res in report.results))
+    round_trip_holds = max(round_trip) <= RESIDUAL_TOL * gap_scale
     results = {
         "s_k": [_listify(r.s_k) for r in report.results],
         "lambda_k": [r.lambda_k for r in report.results],
@@ -567,11 +571,15 @@ def _balance_results(run: Pipeline) -> tuple[dict, str]:
     lines.append(f"total ratio {report.total_ratio:8.4f}")
     if report.uncertified:
         lines.append(f"{report.uncertified} oscillator(s) fail the stationarity certificate")
-    return results, "\n".join(lines)
+    if not round_trip_holds:
+        lines.append(
+            f"round trip gap {max(round_trip):.3e} exceeds {RESIDUAL_TOL:.1e} x {gap_scale:.3e}"
+        )
+    return results, "\n".join(lines), round_trip_holds and not report.uncertified
 
 
 def _cmd_balance(run: Pipeline) -> Reply:
-    results, table = _balance_results(run)
+    results, table, certified = _balance_results(run)
     report = run.balance
     run.extra_files["balanced.json"] = _spec_document_from_cascade(run.spec, report.transformed)
     curve: list[tuple] = []
@@ -581,7 +589,7 @@ def _cmd_balance(run: Pipeline) -> Reply:
         h_vals = np.prod(f_lambda(res.whitened_spectrum, lams[:, None]), axis=1)
         curve += [(k, lam, h_val) for lam, h_val in zip(lams.tolist(), h_vals.tolist())]
     run.csv_series["balance_multiplier.csv"] = ("oscillator,lambda,h", curve)
-    return results, 2 if report.uncertified else 0, table
+    return results, 0 if certified else 2, table
 
 
 def _cmd_mc_check(run: Pipeline) -> Reply:
@@ -654,7 +662,7 @@ def _cmd_reproduce(run: Pipeline) -> Reply:
     if run.spec.expected is None:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
     expected = run.spec.expected
-    balance_results, _ = _balance_results(run)
+    balance_results, _, certified = _balance_results(run)
     grads, report = purity_gradients_direct(run.cascade), run.balance
     res = report.results
     computed = {
@@ -678,7 +686,7 @@ def _cmd_reproduce(run: Pipeline) -> Reply:
         )
     lines.append(f"overall: {'pass' if all_pass else 'FAIL'}")
     results = {"checks": checks, "all_pass": bool(all_pass), "balance": balance_results}
-    return results, 0 if all_pass and not report.uncertified else 2, "\n".join(lines)
+    return results, 0 if all_pass and certified else 2, "\n".join(lines)
 
 
 #: command name -> view over a run's pipeline; each returns (results, exit

@@ -375,7 +375,8 @@ def solve_cascade_lyapunov(
     Returns the symmetric solutions, shape (n, n, S), and per copy the
     residual certificate ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||)
     of the dense composite A in Frobenius norms, the same ratio
-    :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``.
+    :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``, formed by
+    :func:`_lyapunov_residual_ratio` without an (n, n, S) product.
 
     Raises
     ------
@@ -394,31 +395,51 @@ def solve_cascade_lyapunov(
         )
     block_upper_mask(dims, a)
     p = np.empty_like(q)
-
-    def q_sym(rows: slice, cols: slice) -> np.ndarray:
-        # block of the symmetric part of q, formed where it is read
-        return 0.5 * (q[rows, cols] + q[cols, rows].transpose(1, 0, 2))
-
     for k, ck in enumerate(blocks):
         for j in range(k, len(dims)):
             rj = blocks[j]
-            forcing = q_sym(rj, ck) + np.einsum("ils,lbs->ibs", a[rj, : rj.start], p[: rj.start, ck])
+            forcing = _symmetric_block(q, rj, ck)
+            forcing += np.einsum("ils,lbs->ibs", a[rj, : rj.start], p[: rj.start, ck])
             forcing += np.einsum("ils,bls->ibs", p[rj, : ck.start], a[ck, : ck.start])
             x = _sylvester_step(a[rj, rj], a[ck, ck], forcing)
             if j == k:
                 x = 0.5 * (x + x.transpose(1, 0, 2))
             p[rj, ck] = x
             p[ck, rj] = x.transpose(1, 0, 2)
-    # P is exactly symmetric, so P A^T is (A P)^T to the bit
-    ap = np.einsum("ils,ljs->ijs", a, p)
+    return p, _lyapunov_residual_ratio(a, q, p, blocks)
+
+
+def _symmetric_block(q: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Block (rows, cols) of the symmetric part of a stack-last q, formed where it is read."""
+    return 0.5 * (q[rows, cols] + q[cols, rows].transpose(1, 0, 2))
+
+
+def _lyapunov_residual_ratio(
+    a: np.ndarray, q: np.ndarray, p: np.ndarray, blocks: Sequence[slice]
+) -> np.ndarray:
+    """Per copy, ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||) in Frobenius
+    norms, Q the symmetric part of q, for stack-last block lower triangular
+    ``a`` with diagonal blocks ``blocks``. R = A P + P A^T + Q is taken
+    symmetric: block row j of its lower block triangle reads only A's lower
+    block triangle up to block j, and a block left of the diagonal counts twice."""
     residual, q_norm2 = np.zeros((2, a.shape[2]))
-    for rows in blocks:  # one block row at a time: no further (n, n, S) array
-        q_rows = q_sym(rows, slice(None))
-        r = ap[rows] + ap[:, rows].transpose(1, 0, 2) + q_rows
-        residual += np.einsum("ijs,ijs->s", r, r)
-        q_norm2 += np.einsum("ijs,ijs->s", q_rows, q_rows)
+    for rows in blocks:
+        low = slice(0, rows.stop)
+        q_row = _symmetric_block(q, rows, low)
+        r = np.einsum("ils,ljs->ijs", a[rows, low], p[low, low])
+        r += np.einsum("ils,jls->ijs", p[rows, low], a[low, low])
+        r += q_row
+        residual += _mirrored_norm2(r, rows.start)
+        q_norm2 += _mirrored_norm2(q_row, rows.start)
     scale = 2.0 * np.sqrt(np.einsum("ijs,ijs->s", a, a) * np.einsum("ijs,ijs->s", p, p))
-    return p, np.sqrt(residual) / np.maximum(scale + np.sqrt(q_norm2), _TINY)
+    return np.sqrt(residual) / np.maximum(scale + np.sqrt(q_norm2), _TINY)
+
+
+def _mirrored_norm2(row: np.ndarray, diagonal: int) -> np.ndarray:
+    """Per copy, the squared Frobenius norm that a symmetric stack's block row,
+    taken up to its diagonal block at column ``diagonal``, adds to the whole."""
+    left, block = row[:, :diagonal], row[:, diagonal:]
+    return 2.0 * np.einsum("ijs,ijs->s", left, left) + np.einsum("ijs,ijs->s", block, block)
 
 
 def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.ndarray:

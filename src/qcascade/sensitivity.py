@@ -15,6 +15,10 @@ covariance responses, and Gaussian relative-entropy helpers.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +31,13 @@ from .gradients import GradientSet, covariance_derivatives, purity_gradients_dir
 from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part
 from .oscillator import CascadeModel, parameter_sizes, perturbed_cascade_stack
 
+#: perturbed cascades built and solved as one stack by the Monte-Carlo check;
+#: it sets how the random stream is cut into draws, so it takes part in the results
 MC_CHUNK = 2048
+#: chunks the Monte-Carlo check solves at once, each on a worker thread of
+#: its own: two, or one for a process that may run on a single CPU. It
+#: changes no result, only the time and the memory (one more chunk's stacks)
+MC_WINDOW = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 MC_REJECTION_CAP = 0.01
 
 
@@ -177,6 +187,14 @@ def monte_carlo_variance(
 
     Results are reproducible for a fixed (seed, samples) pair; the chunk
     size ``MC_CHUNK`` takes part in how the random stream is consumed.
+    Every chunk is drawn on the calling thread, in chunk order, and solved
+    on a worker thread, up to ``MC_WINDOW`` chunks at once (the solves
+    spend most of their time in numpy loops that release the GIL). The
+    results are consumed in chunk order, so they do not depend on the
+    window. Each solve runs in a copy of the caller's ``contextvars``
+    context, so ``np.errstate`` carries over. The first error in chunk
+    order is raised unchanged, the chunks not yet started are cancelled,
+    and no worker thread outlives the call.
     """
     v0 = 2.0 * float(np.sum(np.log(np.diag(covariance_factor(cascade)))))
     z_total = sensitivity_index(purity_gradients_direct(cascade), uncertainty).z_total
@@ -188,18 +206,29 @@ def monte_carlo_variance(
     ]
 
     rng = np.random.default_rng(seed)
+    chunks: list[tuple[np.ndarray, np.ndarray]] = []  # (ln det P, certificate) in chunk order
+    in_flight: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=MC_WINDOW) as pool:
+        try:
+            for done in range(0, samples, MC_CHUNK):
+                s_chunk = min(MC_CHUNK, samples - done)
+                de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
+                if len(in_flight) == MC_WINDOW:
+                    chunks.append(in_flight.popleft().result())
+                # workers share only the cascade, whose cached values are the same whoever computes them
+                in_flight.append(pool.submit(contextvars.copy_context().run, _chunk_log_det, cascade, de))
+            while in_flight:
+                chunks.append(in_flight.popleft().result())
+        finally:
+            for chunk in in_flight:
+                chunk.cancel()
+
     deltas: list[np.ndarray] = []
     rejected = 0
-    done = 0
-    while done < samples:
-        s_chunk = min(MC_CHUNK, samples - done)
-        de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
-        with _prefixed("Monte-Carlo samples"):
-            logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
+    for logdet, certificate in chunks:
         good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
-        rejected += s_chunk - int(np.count_nonzero(good))
+        rejected += logdet.size - int(np.count_nonzero(good))
         deltas.append(logdet[good] - v0)
-        done += s_chunk
 
     if rejected > MC_REJECTION_CAP * samples:
         raise TooManyRejections(
@@ -216,6 +245,12 @@ def monte_carlo_variance(
         samples=samples,
         rejected=rejected,
     )
+
+
+def _chunk_log_det(cascade: CascadeModel, de: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """ln det P and the residual certificate of every perturbed cascade of one chunk."""
+    with _prefixed("Monte-Carlo samples"):
+        return log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
 
 
 @dataclass(frozen=True)

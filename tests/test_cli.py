@@ -46,6 +46,9 @@ from qcascade.oscillator import (
 )
 
 
+AMPLIFYING16_SPEC = GENERATED_SPEC.parent / "benchmark_amplifying16_s1_0.json"
+
+
 def read_example():
     return json.loads(GENERATED_SPEC.read_text())
 
@@ -481,6 +484,24 @@ class TestCommands:
             assert "1 oscillator(s) fail the stationarity certificate" in capsys.readouterr().out
         else:
             assert results["all_pass"] is True
+
+    @pytest.mark.parametrize("command", ["balance", "reproduce-paper"])
+    @pytest.mark.parametrize(
+        "spec, code", [(AMPLIFYING16_SPEC, 2), (GENERATED_SPEC, 0)], ids=["amplifying16", "generated"]
+    )
+    def test_round_trip_gap_is_judged(self, command, spec, code, tmp_path, capsys):
+        # amplifying16: every oscillator is stationary, but the gradients of
+        # the balanced cascade give back psi_after only to 1.7e-2 relative
+        path = write_spec(tmp_path, {**json.loads(spec.read_text()), "expected": {}})
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == code
+        results = json.loads((out / "report.json").read_text())["results"]
+        balance = results["balance"] if command == "reproduce-paper" else results
+        assert balance["probe_violations"] == 0
+        bound = RESIDUAL_TOL * max(1.0, *balance["psi_after"])
+        assert (balance["round_trip_gap"] > bound) == (code == 2)
+        if command == "balance":
+            assert ("round trip gap" in capsys.readouterr().out) == (code == 2)
 
     def test_mc_check(self, tmp_path):
         code = main(

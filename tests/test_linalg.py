@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qcascade.gradients
 from conftest import make_cascade, make_mixed_cascade, make_oscillator
 from qcascade.balance import f_lambda
 from qcascade.covariance import log_det_stack
 from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
+from qcascade.gradients import covariance_derivatives
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
     _frobenius,
+    _lyapunov_residual_ratio,
     _sylvester_step,
+    block_slices,
     cascade_schur,
     certify_sylvester,
     duplication_matrix,
@@ -272,6 +276,88 @@ class TestCascadeLyapunov:
         p_view, certificate_view = solve_cascade_lyapunov(a_view, q_view, cascade.dims)
         np.testing.assert_array_equal(p_view, p)
         np.testing.assert_array_equal(certificate_view, certificate)
+
+
+def dense_residual_ratio(a, q, p):
+    """Oracle of the stacked certificate: R = A P + (A P)^T + Q with the
+    dense (n, n, S) product A P of a symmetric P, Q the symmetric part of q."""
+    ap = np.einsum("ils,ljs->ijs", a, p)
+    q_sym = 0.5 * (q + q.transpose(1, 0, 2))
+    r = ap + ap.transpose(1, 0, 2) + q_sym
+
+    def norm(x):
+        return np.sqrt(np.einsum("ijs,ijs->s", x, x))
+
+    return norm(r) / (2.0 * norm(a) * norm(p) + norm(q_sym))
+
+
+def perturbed_stack(cascade, copies, seed):
+    """Stack-last A and an unsymmetric Q = B B^T + noise of perturbed copies."""
+    rng = np.random.default_rng(seed)
+    de = [1e-2 * rng.standard_normal((copies, d * (d + 1) // 2 + cascade.m * d)) for d in cascade.dims]
+    stack = perturbed_cascade_stack(cascade, de)
+    q = np.einsum("ias,jas->ijs", stack.b, stack.b) + 1e-3 * rng.standard_normal((cascade.n, cascade.n, copies))
+    return stack.a, q
+
+
+class TestResidualCertificate:
+    """The block-row certificate against the dense product it replaced."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rng: make_cascade(rng, 3, 6), lambda rng: make_cascade(rng, 6, 2), make_mixed_cascade],
+        ids=["one_mode_3_m6", "one_mode_6_m2", "mixed_2_4_2"],
+    )
+    def test_matches_the_dense_product(self, build):
+        cascade = build(np.random.default_rng(2901))
+        a, q = perturbed_stack(cascade, 64, 2902)
+        p, ratio = solve_cascade_lyapunov(a, q, cascade.dims)
+        want = dense_residual_ratio(a, q, p)
+        assert np.all(ratio <= RESIDUAL_TOL)
+        np.testing.assert_allclose(ratio, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rng: make_cascade(rng, 3, 6), make_mixed_cascade],
+        ids=["one_mode_3_m6", "mixed_2_4_2"],
+    )
+    def test_matches_the_dense_product_on_force_stacks(self, build, monkeypatch):
+        # the covariance responses solve stacks of one A with indefinite forcings
+        solves = []
+
+        def spy(a, q, dims):
+            p, ratio = solve_cascade_lyapunov(a, q, dims)
+            solves.append((np.array(a), q, p, ratio))
+            return p, ratio
+
+        monkeypatch.setattr(qcascade.gradients, "solve_cascade_lyapunov", spy)
+        covariance_derivatives(build(np.random.default_rng(2903)))
+        assert solves
+        for a, q, p, ratio in solves:
+            np.testing.assert_allclose(ratio, dense_residual_ratio(a, q, p), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rng: make_cascade(rng, 3, 6), lambda rng: make_cascade(rng, 4, 2), make_mixed_cascade],
+        ids=["one_mode_3_m6", "one_mode_4_m2", "mixed_2_4_2"],
+    )
+    def test_sees_every_block_of_p(self, build):
+        # a change of 1e-6 ||P|| in any one block, above the diagonal too,
+        # fails the certificate in every copy
+        cascade = build(np.random.default_rng(2904))
+        a, q = perturbed_stack(cascade, 16, 2905)
+        p, ratio = solve_cascade_lyapunov(a, q, cascade.dims)
+        blocks = block_slices(cascade.dims)
+        np.testing.assert_array_equal(_lyapunov_residual_ratio(a, q, p, blocks), ratio)
+        assert np.all(ratio <= RESIDUAL_TOL)
+        rng = np.random.default_rng(2906)
+        p_norm = np.sqrt(np.einsum("ijs,ijs->s", p, p))
+        for rows in blocks:
+            for cols in blocks:
+                e = rng.standard_normal((rows.stop - rows.start, cols.stop - cols.start, p.shape[2]))
+                moved = p.copy()
+                moved[rows, cols] += 1e-6 * p_norm * e / np.sqrt(np.einsum("ijs,ijs->s", e, e))
+                assert np.all(_lyapunov_residual_ratio(a, q, moved, blocks) > RESIDUAL_TOL)
 
 
 def with_spectrum(rng, eig, pair):

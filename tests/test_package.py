@@ -131,6 +131,16 @@ def _name(node: ast.AST) -> str | None:
     return getattr(node, "attr", getattr(node, "id", None))
 
 
+def test_only_the_monte_carlo_check_starts_threads():
+    # concurrency has one owner: every other result is computed on the calling thread
+    starters = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process", "Pool", "start_new_thread"}
+
+    def starts(node):
+        return isinstance(node, ast.Call) and _name(node.func) in starters
+
+    assert _owners(starts) == ["sensitivity.monte_carlo_variance"]
+
+
 def test_only_the_layout_helpers_work_out_block_offsets():
     # a cumsum of block orders, or a block-index mask np.repeat(np.arange(...), dims)
     def offsets_or_mask(node):

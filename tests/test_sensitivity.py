@@ -1,7 +1,14 @@
+import json
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcascade.sensitivity
 from conftest import make_cascade
+from qcascade.cli import main
 from qcascade.errors import (
     DimensionMismatch,
     NonPositive,
@@ -292,6 +299,123 @@ class TestMonteCarlo:
         # order-one draws at this margin cross the stability boundary often
         with pytest.raises(TooManyRejections):
             monte_carlo_variance(cascade, unc, samples=2_000, epsilon=1.0, seed=0)
+
+
+BENCHMARK_SPECS = {
+    label: Path(__file__).resolve().parent / "data" / f"benchmark_{label}_s1_0.json"
+    for label in ("mc3", "mc4", "mc6")
+}
+
+
+def six_oscillator_chain():
+    rng = np.random.default_rng(606)
+    cascade = make_cascade(rng, 6, 2)
+    unc = UncertaintyModel.from_weights([tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))])
+    return cascade, unc
+
+
+@pytest.fixture
+def threads_left_behind():
+    """Asserts that no thread started by the test outlives it."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+class TestMonteCarloWindow:
+    """Chunks are drawn in order on the calling thread and solved up to
+    ``MC_WINDOW`` at a time on worker threads; nothing else may change."""
+
+    def results_by_window(self, monkeypatch, run):
+        by_window = []
+        for window in (1, 2):
+            monkeypatch.setattr(qcascade.sensitivity, "MC_WINDOW", window)
+            before = threading.active_count()
+            by_window.append(run(window))
+            assert threading.active_count() == before
+        return by_window
+
+    @pytest.mark.parametrize(
+        "model, samples, epsilon, seed, rejected",
+        [("six_oscillators", 1700, 1e-10, 5, 0), ("nearly_unstable", 1500, 7e-4, 0, 6)],
+    )
+    def test_results_do_not_depend_on_the_window(self, model, samples, epsilon, seed, rejected, monkeypatch):
+        # seven or six chunks, the last one partial; the nearly unstable
+        # oscillator's draws leave the stability set now and then
+        if model == "six_oscillators":
+            cascade, unc = six_oscillator_chain()
+        else:
+            fragile = OscillatorParams(
+                theta=0.5 * J2,
+                r_energy=np.array([[0.0, 0.0099], [0.0099, 0.0]]),
+                m_coupling=0.3 * np.eye(2),
+            )
+            cascade, unc = assemble_cascade([fragile]), UncertaintyModel.from_weights([(1.0, 1.0)])
+        monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", 256)
+        one, two = self.results_by_window(
+            monkeypatch, lambda _: monte_carlo_variance(cascade, unc, samples=samples, epsilon=epsilon, seed=seed)
+        )
+        assert one == two
+        assert one.variance > 0.0 and one.rejected == rejected
+
+    @pytest.mark.parametrize("label", sorted(BENCHMARK_SPECS))
+    def test_reports_do_not_depend_on_the_window(self, label, monkeypatch, tmp_path):
+        spec = str(BENCHMARK_SPECS[label])
+
+        def report(window):
+            out = tmp_path / str(window)
+            code = main(["mc-check", spec, "--out", str(out), "--samples", "4096", "--epsilon", "1e-10"])
+            return code, (out / "report.json").read_bytes()
+
+        one, two = self.results_by_window(monkeypatch, report)
+        assert one == two
+        assert one[0] == 0 and json.loads(one[1])["results"]["samples"] == 4096
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_an_overflow_in_a_worker_raises(self, window, monkeypatch, threads_left_behind):
+        # np.errstate is a context variable: each chunk runs in a copy of
+        # the caller's context, so a worker thread refuses the overflow too
+        cascade, unc = six_oscillator_chain()
+
+        def overflowing(stack, dims):
+            return np.array([1e308]) * 10.0, np.zeros(1)
+
+        monkeypatch.setattr(qcascade.sensitivity, "MC_WINDOW", window)
+        monkeypatch.setattr(qcascade.sensitivity, "log_det_stack", overflowing)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="^Monte-Carlo samples: overflow"):
+                monte_carlo_variance(cascade, unc, samples=512, epsilon=1e-10, seed=1)
+
+    def test_the_first_failing_chunk_surfaces(self, monkeypatch, threads_left_behind):
+        # chunk 1 fails late and chunk 2 early: chunk 1's error is raised,
+        # and no chunk after the one in flight is solved
+        cascade, unc = six_oscillator_chain()
+        chunk, samples, eps, seed = 64, 64 * 8, 1e-10, 3
+        draws = np.random.default_rng(seed)
+        factors = [_sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators]
+        firsts = []
+        for _ in range(samples // chunk):
+            de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
+            firsts.append(de[0][0, 0])
+        started = []
+        build = qcascade.sensitivity.perturbed_cascade_stack
+
+        def failing(cascade, de):
+            index = firsts.index(de[0][0, 0])
+            started.append(index)
+            if index == 1:
+                time.sleep(0.2)
+                raise SolverSingular("chunk 1 failed")
+            if index == 2:
+                raise SolverSingular("chunk 2 failed")
+            return build(cascade, de)
+
+        monkeypatch.setattr(qcascade.sensitivity, "MC_WINDOW", 2)
+        monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", chunk)
+        monkeypatch.setattr(qcascade.sensitivity, "perturbed_cascade_stack", failing)
+        with pytest.raises(SolverSingular, match="^Monte-Carlo samples: chunk 1 failed$"):
+            monte_carlo_variance(cascade, unc, samples=samples, epsilon=eps, seed=seed)
+        assert sorted(started) == [0, 1, 2]
 
 
 class TestFisher:
