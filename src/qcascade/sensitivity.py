@@ -15,8 +15,6 @@ covariance responses, and Gaussian relative-entropy helpers.
 
 from __future__ import annotations
 
-import contextvars
-import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,9 +33,9 @@ from .oscillator import CascadeModel, parameter_sizes, perturbed_cascade_stack
 #: it sets how the random stream is cut into draws, so it takes part in the results
 MC_CHUNK = 2048
 #: chunks the Monte-Carlo check solves at once, each on a worker thread of
-#: its own: two, or one for a process that may run on a single CPU. It
-#: changes no result, only the time and the memory (one more chunk's stacks)
-MC_WINDOW = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+#: its own; it changes no result, only the time and the memory (one more
+#: chunk's stacks)
+MC_WINDOW = 2
 MC_REJECTION_CAP = 0.01
 
 
@@ -191,8 +189,8 @@ def monte_carlo_variance(
     on a worker thread, up to ``MC_WINDOW`` chunks at once (the solves
     spend most of their time in numpy loops that release the GIL). The
     results are consumed in chunk order, so they do not depend on the
-    window. Each solve runs in a copy of the caller's ``contextvars``
-    context, so ``np.errstate`` carries over. The first error in chunk
+    window. Each solve runs under the caller's ``np.geterr()`` settings,
+    so ``np.errstate`` carries over. The first error in chunk
     order is raised unchanged, the chunks not yet started are cancelled,
     and no worker thread outlives the call.
     """
@@ -206,6 +204,7 @@ def monte_carlo_variance(
     ]
 
     rng = np.random.default_rng(seed)
+    err = np.geterr()  # worker threads do not inherit the caller's errstate on every numpy version
     chunks: list[tuple[np.ndarray, np.ndarray]] = []  # (ln det P, certificate) in chunk order
     in_flight: deque[Future] = deque()
     with ThreadPoolExecutor(max_workers=MC_WINDOW) as pool:
@@ -216,7 +215,7 @@ def monte_carlo_variance(
                 if len(in_flight) == MC_WINDOW:
                     chunks.append(in_flight.popleft().result())
                 # workers share only the cascade, whose cached values are the same whoever computes them
-                in_flight.append(pool.submit(contextvars.copy_context().run, _chunk_log_det, cascade, de))
+                in_flight.append(pool.submit(_chunk_log_det, cascade, de, err))
             while in_flight:
                 chunks.append(in_flight.popleft().result())
         finally:
@@ -247,9 +246,11 @@ def monte_carlo_variance(
     )
 
 
-def _chunk_log_det(cascade: CascadeModel, de: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """ln det P and the residual certificate of every perturbed cascade of one chunk."""
-    with _prefixed("Monte-Carlo samples"):
+def _chunk_log_det(
+    cascade: CascadeModel, de: list[np.ndarray], err: dict[str, str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """ln det P and the residual certificate of every perturbed cascade of one chunk, under errstate ``err``."""
+    with np.errstate(**err), _prefixed("Monte-Carlo samples"):
         return log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
 
 

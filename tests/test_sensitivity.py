@@ -1,6 +1,5 @@
 import json
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -373,8 +372,8 @@ class TestMonteCarloWindow:
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_an_overflow_in_a_worker_raises(self, window, monkeypatch, threads_left_behind):
-        # np.errstate is a context variable: each chunk runs in a copy of
-        # the caller's context, so a worker thread refuses the overflow too
+        # each chunk runs under the caller's error settings, so a worker
+        # thread refuses the overflow too
         cascade, unc = six_oscillator_chain()
 
         def overflowing(stack, dims):
@@ -387,8 +386,8 @@ class TestMonteCarloWindow:
                 monte_carlo_variance(cascade, unc, samples=512, epsilon=1e-10, seed=1)
 
     def test_the_first_failing_chunk_surfaces(self, monkeypatch, threads_left_behind):
-        # chunk 1 fails late and chunk 2 early: chunk 1's error is raised,
-        # and no chunk after the one in flight is solved
+        # chunk 1 fails only once chunk 2 has failed: chunk 1's error is
+        # raised, and no chunk after the one in flight is solved
         cascade, unc = six_oscillator_chain()
         chunk, samples, eps, seed = 64, 64 * 8, 1e-10, 3
         draws = np.random.default_rng(seed)
@@ -398,15 +397,17 @@ class TestMonteCarloWindow:
             de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
             firsts.append(de[0][0, 0])
         started = []
+        chunk_2_failed = threading.Event()
         build = qcascade.sensitivity.perturbed_cascade_stack
 
         def failing(cascade, de):
             index = firsts.index(de[0][0, 0])
             started.append(index)
             if index == 1:
-                time.sleep(0.2)
+                assert chunk_2_failed.wait(timeout=60)
                 raise SolverSingular("chunk 1 failed")
             if index == 2:
+                chunk_2_failed.set()
                 raise SolverSingular("chunk 2 failed")
             return build(cascade, de)
 
