@@ -18,8 +18,7 @@ from .errors import (
 from .linalg import (
     cascade_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, resolvent_solve,
     solve_cascade_lyapunov, solve_cascade_sylvester, solve_lyapunov, solve_sylvester,
-    symmetric_matrix_function, symplectic_exponential, symplectic_form, symplectic_residual, vech,
-    vech_to_symmetric,
+    symplectic_exponential, symplectic_form, symplectic_residual, vech, vech_to_symmetric,
 )
 from .oscillator import (
     CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade,
@@ -58,7 +57,7 @@ __all__ = [
     "SolverSingular", "TooManyRejections", "ZAtOne",
     "cascade_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
     "resolvent_solve", "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov",
-    "solve_sylvester", "symmetric_matrix_function", "symplectic_exponential", "symplectic_form",
+    "solve_sylvester", "symplectic_exponential", "symplectic_form",
     "symplectic_residual", "vech", "vech_to_symmetric",
     "CascadeModel", "OscillatorParams", "OscillatorRealization", "assemble_cascade",
     "composite_transfer_stack", "default_theta", "oscillator_realization",

@@ -24,7 +24,9 @@ output directory; some commands add CSV series or a balanced spec. Exit
 codes: 0 success, 1 validation failure, a usage error included, 2
 numerical failure, a non-finite result included; ``balance``,
 ``reproduce-paper``, ``mc-check`` and ``ti-bounds`` also exit 2 after
-writing their report when their own certificate or check fails. Results
+writing their report when their own certificate or check fails, and
+``covariance`` and ``gradients`` when ``route_gap`` exceeds ``RESIDUAL_TOL``
+x max(1, ||P||_F) or x max(1, max |rho_k, mu_k|). Results
 are deterministic for a fixed input file and seed, which drives only
 ``mc-check``'s samples. Commands run production routes only.
 """
@@ -50,7 +52,7 @@ from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, S
 from .gradients import purity_gradients_direct, purity_gradients_recursive
 from .linalg import RESIDUAL_TOL, checked_symmetric_part, quantum_psd_margin
 from .oscillator import CascadeModel, OscillatorParams, _check_thetas, _realizable, assemble_cascade
-from .oscillator import default_theta, parameter_sizes, realizability_residual
+from .oscillator import default_theta, parameter_sizes
 from .sensitivity import (
     UncertaintyModel,
     OscillatorUncertainty,
@@ -408,7 +410,7 @@ def _fmt4(x: float) -> str:
 
 def _cmd_validate(run: Pipeline) -> Reply:
     cascade = run.cascade
-    pr_res, scale = realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)
+    pr_res, scale = cascade.realizability
     hurwitz = [
         {"oscillator": k, "stable": bool(flag), "abscissa": float(absc)}
         for k, (flag, absc) in enumerate(cascade.hurwitz)
@@ -439,6 +441,14 @@ def _cmd_validate(run: Pipeline) -> Reply:
     return results, exit_code, "\n".join(lines)
 
 
+def _route_gap_verdict(gap: float, scale: float) -> tuple[int, list[str]]:
+    """Exit code and table lines of the route rule, gap <= ``RESIDUAL_TOL`` x max(1, scale)."""
+    bound = max(1.0, scale)
+    if gap <= RESIDUAL_TOL * bound:
+        return 0, []
+    return 2, [f"route gap {gap:.3e} exceeds {RESIDUAL_TOL:.1e} x {bound:.3e}"]
+
+
 def _cmd_covariance(run: Pipeline) -> Reply:
     p_direct = invariant_covariance_direct(run.cascade)
     gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(run.cascade)))
@@ -446,14 +456,15 @@ def _cmd_covariance(run: Pipeline) -> Reply:
         "p_direct": _listify(p_direct),
         "route_gap": gap,
     }
-    return results, 0, functools.partial(_covariance_table, gap, p_direct)
+    code, verdict = _route_gap_verdict(gap, float(np.linalg.norm(p_direct)))
+    return results, code, functools.partial(_covariance_table, gap, p_direct, verdict)
 
 
-def _covariance_table(gap: float, p: np.ndarray) -> str:
+def _covariance_table(gap: float, p: np.ndarray, verdict: list[str]) -> str:
     # one format string per row, the same text as joining _fmt4 of each entry
     row_format = "  ".join(["%12.4f"] * len(p))
-    table = f"covariance route gap {gap:.3e}\n"
-    return table + "\n".join(row_format % tuple(row) for row in p.tolist())
+    rows = [row_format % tuple(row) for row in p.tolist()]
+    return "\n".join([f"covariance route gap {gap:.3e}", *rows, *verdict])
 
 
 def _cmd_purity(run: Pipeline) -> Reply:
@@ -486,7 +497,8 @@ def _cmd_gradients(run: Pipeline) -> Reply:
         for k, mat in enumerate(mats):
             lines.append(f"{name}_{k}")
             lines.extend("  ".join(_fmt4(x) for x in row) for row in mat)
-    return results, 0, "\n".join(lines)
+    code, verdict = _route_gap_verdict(gap, max(float(np.max(np.abs(g))) for g in direct.rho + direct.mu))
+    return results, code, "\n".join(lines + verdict)
 
 
 def _cmd_sensitivity(run: Pipeline) -> Reply:

@@ -1,8 +1,7 @@
 """Dense linear-algebra kernels for small matrices.
 
 Sylvester and Lyapunov solvers with stability preconditions, the
-duplication matrix for half-vectorization, eigendecomposition-based
-functions of symmetric matrices, and residual certificates for
+duplication matrix for half-vectorization, and residual certificates for
 symplectic membership and quantum admissibility. Three decisions have
 their one owner here: the block layout of a cascade
 (:func:`block_slices` and :func:`block_upper_mask`), the Hurwitz rule
@@ -31,7 +30,7 @@ blocks of other orders, and is the test oracle for the real routes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -468,24 +467,6 @@ def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.nd
         op.reshape(stack, d_j * d_k, d_j * d_k), -f.transpose(2, 0, 1).reshape(stack, -1, 1)
     )
     return x.reshape(stack, d_j, d_k).transpose(1, 2, 0)
-
-
-def symmetric_matrix_function(f: Callable[[float], float], x: Matrix) -> Matrix:
-    """Evaluate a scalar function at a real symmetric matrix.
-
-    Uses the eigendecomposition x = V diag(w) V^T with orthogonal V and
-    returns V diag(f(w)) V^T, which commutes with x.
-    """
-    x = np.asarray(x, dtype=float)
-    try:
-        w, v = np.linalg.eigh(x)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(f"symmetric eigensolve failed: {exc}") from exc
-    # eigh propagates NaN silently on some BLAS backends
-    if not np.all(np.isfinite(w)):
-        raise EigFailure("symmetric eigensolve returned non-finite spectrum")
-    fw = np.array([f(wi) for wi in w], dtype=float)
-    return symmetric_part((v * fw) @ v.T)
 
 
 class SymplecticCheck(NamedTuple):

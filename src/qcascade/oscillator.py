@@ -127,7 +127,7 @@ def realizability_residual(
 
 
 def _realizable(res: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Elementwise verdict on a (residual, scale) pair; an infinite scale certifies nothing."""
+    """The one realizability rule, elementwise; an infinite scale certifies nothing."""
     return (res <= PR_SELF_CHECK_TOL * scale) & (scale < np.inf)
 
 
@@ -242,8 +242,9 @@ class CascadeModel:
     the state index range of every oscillator and ``realizations`` its
     (A_kk, B_k, C_k), read off the composite on those ranges. ``hurwitz``
     records the per-oscillator stability flags with spectral abscissas;
-    stability is reported at assembly, never assumed. ``derived`` keeps P,
-    its factor and the gradients, each written once by its owner function.
+    stability is reported at assembly, never assumed. ``realizability`` is the
+    (residual, scale) assembly certified. ``derived`` keeps P, its factor and
+    the gradients, each written once by its owner function.
     """
 
     params: tuple[OscillatorParams, ...]
@@ -257,6 +258,7 @@ class CascadeModel:
     m_coupling: Matrix
     dims: tuple[int, ...]
     hurwitz: tuple[tuple[bool, float], ...]
+    realizability: tuple[float, float]
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -311,7 +313,9 @@ def composite_energy_coupling(
 def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     """Build the composite model from the per-oscillator data by one call of
     the series-connection builder; the per-oscillator Hurwitz flags come from
-    the spectral abscissas of the diagonal blocks, exact for a cascade."""
+    the spectral abscissas of the diagonal blocks, exact for a cascade. The
+    composite must pass :func:`_realizable` on the pair of :func:`realizability_residual`,
+    with the residual of A = 2 theta (R + M^T J M) added, and the model keeps that pair."""
     oscillators = tuple(oscillators)
     for k, p in enumerate(oscillators):
         _validate_shapes(p, k)
@@ -323,11 +327,12 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     a_full, b_full, c_full = a_full[..., 0], b_full[..., 0], c_full[..., 0]
     theta_full = _block_diag([p.theta for p in oscillators])
 
-    res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full))
-    res += realizability_residual(a_full, b_full, c_full, theta_full, j)[0]
-    scale = max(1.0, np.linalg.norm(a_full) * np.linalg.norm(theta_full))
+    pr_res, scale = realizability_residual(a_full, b_full, c_full, theta_full, j)
+    res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full)) + pr_res
     if not _realizable(res, scale):
-        raise ArithmeticError(f"composite realizability self-check failed: residual {res:.3e}")
+        raise ArithmeticError(
+            f"composite realizability self-check failed: residual {res:.3e}, scale {scale:.3e}"
+        )
 
     return CascadeModel(
         params=oscillators,
@@ -341,6 +346,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         m_coupling=m_full,
         dims=tuple(p.n for p in oscillators),
         hurwitz=tuple(zip(hurwitz_flag(abscissa[:, 0]).tolist(), abscissa[:, 0].tolist())),
+        realizability=(float(pr_res), float(scale)),
     )
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack
+from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack, steady_state
 from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
 from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part
@@ -173,10 +173,10 @@ def monte_carlo_variance(
     samples with :func:`perturbed_cascade_stack` and solves their Lyapunov
     equations A P + P A^T + B B^T = 0 together (:func:`log_det_stack`);
     the sample variance of dV is compared with eps Z, Z the index of the
-    cascade's :func:`purity_gradients_direct`. The base V_0 = 2 sum ln diag
-    L takes L from :func:`covariance_factor` (no purity), so base and
-    samples take ln det P from a Cholesky factor; a base P that is not
-    positive definite raises NonPositive or SingularLeadingBlock naming the pivot.
+    cascade's :func:`purity_gradients_direct`. The base V_0 is the V of
+    :func:`steady_state`, so base and samples take ln det P from a Cholesky
+    factor; a base P that is not positive definite raises NonPositive or
+    SingularLeadingBlock naming the pivot.
 
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
@@ -194,7 +194,7 @@ def monte_carlo_variance(
     order is raised unchanged, the chunks not yet started are cancelled,
     and no worker thread outlives the call.
     """
-    v0 = 2.0 * float(np.sum(np.log(np.diag(covariance_factor(cascade)))))
+    v0 = steady_state(cascade).v_logdet
     z_total = sensitivity_index(purity_gradients_direct(cascade), uncertainty).z_total
     predicted = epsilon * z_total
 

@@ -187,7 +187,7 @@ class TestOneMode:
         # the scaled (rho, mu) of oscillator 1 of the benchmark's seed-1
         # amplifying16 spec #4, where cond tau = 2.3e7; lambda against a
         # 50-digit solve of the same equations from the same doubles
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
         rho = np.array([
             [float.fromhex("0x1.4b20ceba6d129p+5"), float.fromhex("-0x1.76845c3e5635bp+5")],
             [float.fromhex("-0x1.76845c3e5635bp+5"), float.fromhex("0x1.b1dae7add1757p+4")],

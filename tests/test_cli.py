@@ -349,6 +349,41 @@ class TestCommands:
         assert results["pr_residual"] == float(res) > 1e-2
         assert results["pr_ok"] is True and res <= PR_SELF_CHECK_TOL * scale
 
+    @pytest.mark.parametrize("command", ["validate", "purity", "covariance", "gradients", "ti-bounds"])
+    def test_strong_weakly_damped_coupling_is_realizable(self, command, tmp_path):
+        # abscissa -409.75: B J B^T rounds at ||B||^2 = 1.6e7, far above ||A|| ||theta||,
+        # and assembly judges the composite on the builder's scale
+        doc = {
+            "field_channels": 2,
+            "oscillators": [{"n": 2, "R": [[0.1, 0], [0, 0.1]], "M": [[2035.0, 687.5], [3218.7, 1087.6]]}],
+        }
+        out = tmp_path / "out"
+        assert main([command, str(write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        if command == "validate":
+            assert results["pr_ok"] is True and results["psd_ok"] is True
+            assert f"{results['pr_residual']:.3e}" == "4.336e-10"
+        if command in ("covariance", "gradients"):
+            assert results["route_gap"] == 0.0
+
+    @pytest.mark.parametrize(
+        "command, spec, code",
+        [("gradients", AMPLIFYING16_SPEC, 2), ("covariance", AMPLIFYING16_SPEC, 0),
+         ("gradients", GENERATED_SPEC, 0), ("covariance", GENERATED_SPEC, 0)],
+    )
+    def test_route_gap_is_judged(self, command, spec, code, tmp_path, capsys):
+        # amplifying16: the gradient routes disagree by 2.8e-2 of the largest
+        # entry, the covariance routes by 9.8e-16 of ||P||
+        out = tmp_path / "out"
+        assert main([command, str(spec), "--out", str(out)]) == code
+        results = json.loads((out / "report.json").read_text())["results"]
+        if command == "covariance":
+            scale = np.linalg.norm(results["p_direct"])
+        else:
+            scale = max(np.max(np.abs(g)) for g in results["rho"] + results["mu"])
+        assert (results["route_gap"] > RESIDUAL_TOL * max(1.0, scale)) == (code == 2)
+        assert ("exceeds" in capsys.readouterr().out) == (code == 2)
+
     def test_covariance_routes_reported(self, tmp_path):
         assert main(["covariance", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
         results = json.loads((tmp_path / "report.json").read_text())["results"]
@@ -1047,7 +1082,7 @@ class TestHugeEntries:
 
     def test_certified_log_det_is_right(self, huge_spec, tmp_path):
         # the residual certificate passes at a scale near 1e300; V must then be right
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
         from test_covariance import mp_block_covariance
 
         assert main(["purity", str(huge_spec), "--out", str(tmp_path)]) == 0

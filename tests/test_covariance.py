@@ -421,7 +421,7 @@ class TestDenseRoute:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_direct_covariance_matches_high_precision(self, n_osc, seed):
         # amplifying chains of the generic sampler: cond P grows with N
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
         cascade = make_cascade(np.random.default_rng(seed), n_osc, 2)
         exact = mp_block_covariance(mp, cascade)
         scale = np.linalg.norm(exact)

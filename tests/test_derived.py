@@ -58,18 +58,20 @@ def test_the_chain_solves_factors_and_forms_the_gramian_once(counts, reference_s
 
 
 def test_the_factor_is_kept_without_the_purity(counts, reference_spec, monkeypatch):
-    # the Gramian, the Fisher Gram and the Monte-Carlo base read L alone
+    # the Gramian, the Fisher Gram and the balancing read L alone
     cascade = build_cascade(reference_spec)
     uncertainty = reference_spec.uncertainty
     slogdet_shapes = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda x: slogdet_shapes.append(np.shape(x)) or slogdet(x))
     fisher_sensitivity(cascade, uncertainty)
-    monte_carlo_variance(cascade, uncertainty, samples=256, seed=1)
     balance_cascade(cascade, uncertainty)
     assert slogdet_shapes == []
     assert "state" not in cascade.derived
-    # the summary computes the purity on the factor it finds kept
+    # the Monte-Carlo base reads V off the summary, which computes the purity
+    # on the factor it finds kept, once
+    monte_carlo_variance(cascade, uncertainty, samples=256, seed=1)
+    assert slogdet_shapes == [cascade.theta.shape]
     steady_state(cascade)
     assert slogdet_shapes == [cascade.theta.shape]
     assert counts["_cholesky"] == 1

@@ -7,9 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 import qcascade.gradients
 from conftest import make_cascade, make_mixed_cascade, make_oscillator
-from qcascade.balance import f_lambda
 from qcascade.covariance import log_det_stack
-from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
+from qcascade.errors import NotHurwitz, SolverSingular
 from qcascade.gradients import covariance_derivatives
 from qcascade.linalg import (
     J2,
@@ -29,7 +28,6 @@ from qcascade.linalg import (
     solve_sylvester,
     spectral_abscissa,
     sylvester_kron_solve,
-    symmetric_matrix_function,
     symplectic_exponential,
     symplectic_form,
     symplectic_residual,
@@ -562,35 +560,6 @@ class TestVechDuplication:
         np.testing.assert_allclose(
             duplication_matrix(r) @ vech(x), x.flatten(order="F"), atol=1e-13
         )
-
-
-class TestMatrixFunction:
-    def test_identity_function(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((4, 4))
-        x = x + x.T
-        np.testing.assert_allclose(symmetric_matrix_function(lambda z: z, x), x, atol=1e-12)
-
-    def test_square_on_diagonal(self):
-        got = symmetric_matrix_function(lambda z: z * z, np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(got, np.diag([1.0, 4.0]), atol=1e-13)
-
-    def test_multiplier_kernel_on_diagonal(self):
-        got = symmetric_matrix_function(lambda z: f_lambda(z, 2.0), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(
-            got, np.diag([1.0, 2.0 / (1.0 + np.sqrt(5.0))]), atol=1e-13
-        )
-
-    @given(sym_2x2)
-    @settings(max_examples=50, deadline=None)
-    def test_commutes_with_argument(self, x):
-        fx = symmetric_matrix_function(np.tanh, x)
-        assert np.max(np.abs(fx @ x - x @ fx)) <= 1e-10 * max(1.0, np.max(np.abs(x)) ** 2)
-
-    def test_non_finite_input_raises(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(EigFailure):
-            symmetric_matrix_function(lambda z: z, bad)
 
 
 class TestHurwitz:

@@ -4,18 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dataclasses import replace
+from pathlib import Path
 
-from conftest import make_mixed_cascade, make_oscillator, random_symplectic
+from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator, random_symplectic
+from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import DimensionMismatch, SingularResolvent, SingularTheta
 from qcascade.linalg import J2, resolvent_solve, symplectic_form, vech_to_symmetric
 from qcascade.oscillator import (
+    PR_SELF_CHECK_TOL,
     OscillatorParams,
     OscillatorRealization,
     assemble_cascade,
     composite_energy_coupling,
     composite_transfer_stack,
+    default_theta,
     oscillator_realization,
     perturbed_cascade_stack,
+    realizability_residual,
     transfer_eval,
     transform_params,
 )
@@ -202,6 +207,36 @@ class TestAssembly:
         second = cas.theta @ cas.c.T + cas.b @ cas.j_ito
         assert np.linalg.norm(first) <= 1e-12 * scale
         assert np.linalg.norm(second) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["mixed", GENERATED_SPEC, *sorted(GENERATED_SPEC.parent.glob("benchmark_*.json"))],
+        ids=lambda spec: spec if spec == "mixed" else Path(spec).stem,
+    )
+    def test_kept_certificate_is_the_composite_residual(self, spec):
+        if spec == "mixed":
+            cascade = make_mixed_cascade(np.random.default_rng(77))
+        else:
+            cascade = build_cascade(load_spec(spec))
+        res, scale = realizability_residual(cascade.a, cascade.b, cascade.c, cascade.theta, cascade.j_ito)
+        assert cascade.realizability == (float(res), float(scale))
+
+    def test_assembly_accepts_what_the_builder_certifies(self):
+        # one-mode oscillators with strong, weakly damped coupling M = s u v^T + small,
+        # s from 10 to 1e4: B J B^T rounds at ||B||^2, far above ||A|| ||theta||
+        rng = np.random.default_rng(5)
+        beyond_a_theta = 0
+        for s in np.geomspace(10.0, 1e4, 200):
+            u, v, w, x = rng.standard_normal((4, 2))
+            p = OscillatorParams(default_theta(2), 0.05 * np.eye(2), s * np.outer(u, v) + 0.1 * np.outer(w, x))
+            real = oscillator_realization(p)  # the builder's self-check passes
+            cascade = assemble_cascade([p])
+            res = cascade.realizability[0]
+            assert res == realizability_residual(real.a, real.b, real.c, p.theta, cascade.j_ito)[0]
+            a_theta_scale = max(1.0, np.linalg.norm(real.a) * np.linalg.norm(p.theta))
+            beyond_a_theta += res > PR_SELF_CHECK_TOL * a_theta_scale
+        # the property is not vacuous: a scale without ||B||^2 would refuse these
+        assert beyond_a_theta > 20
 
     def test_energy_coupling_single(self):
         r, m = composite_energy_coupling([TRIVIAL])

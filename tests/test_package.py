@@ -173,6 +173,27 @@ def test_only_the_admissibility_rule_reads_the_psd_tolerance():
     assert _owners(reads) == ["covariance.admissible"]
 
 
+def test_only_the_realizability_rule_reads_its_tolerance():
+    # one rule judges every (residual, scale) pair: the series builder's
+    # blocks, assembly's composite and validate's pr_ok
+    def reads(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "PR_SELF_CHECK_TOL" for alias in node.names)
+        if isinstance(node, ast.Name):
+            return node.id == "PR_SELF_CHECK_TOL" and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == "PR_SELF_CHECK_TOL"
+
+    assert _owners(reads) == ["oscillator._realizable"]
+
+
+def test_only_the_oscillator_module_computes_realizability_residuals():
+    # the builder and assembly; validate reports the certificate assembly kept
+    def calls(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "realizability_residual"
+
+    assert {use.partition(".")[0] for use in _owners(calls)} == {"oscillator"}
+
+
 def _range_from(node: ast.AST, name: str) -> bool:
     """``range(name, ...)``: a loop that starts at another loop's index."""
     return (

@@ -204,14 +204,16 @@ class TestMonteCarlo:
         slogdet = np.linalg.slogdet
 
         def spy(x):
-            calls.append(np.shape(x))
+            calls.append(np.array(x))
             return slogdet(x)
 
         # a fresh cascade, so nothing kept by an earlier test is read
         cascade = assemble_cascade(reference_cascade.params)
         monkeypatch.setattr(np.linalg, "slogdet", spy)
         res = monte_carlo_variance(cascade, reference_uncertainty, samples=500, epsilon=1e-6, seed=3)
-        assert calls == []
+        # ln det P of the base and of every sample comes from a Cholesky factor;
+        # the one call is det theta, for the purity of the base's steady state
+        assert len(calls) == 1 and np.array_equal(calls[0], cascade.theta)
         assert res.rejected == 0
 
     @pytest.mark.parametrize(
