@@ -17,18 +17,17 @@ from .errors import (
 )
 from .linalg import (
     cascade_schur, duplication_matrix, is_hurwitz, quantum_psd_margin, resolvent_solve,
-    solve_cascade_lyapunov, solve_cascade_sylvester, solve_lyapunov, solve_sylvester,
+    solve_cascade_lyapunov, solve_cascade_sylvester, solve_sylvester,
     symplectic_exponential, symplectic_form, symplectic_residual, vech, vech_to_symmetric,
 )
 from .oscillator import (
-    CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade,
-    composite_transfer_stack, default_theta, oscillator_realization, parameter_sizes,
-    perturbed_cascade_stack, transfer_eval, transform_params,
+    CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade, default_theta,
+    oscillator_realization, parameter_sizes, perturbed_cascade_stack, transfer_eval,
+    transform_params,
 )
 from .covariance import (
-    SteadyStateResult, frequency_domain_covariance, invariant_covariance_direct,
-    invariant_covariance_recursive, purity_and_logdet, schur_complements, covariance_factor,
-    steady_state,
+    SteadyStateResult, covariance_factor, invariant_covariance_direct,
+    invariant_covariance_recursive, purity_and_logdet, schur_complements, steady_state,
 )
 from .gradients import (
     GradientSet, covariance_derivatives, gradient_fd_oracle, observability_gramian_and_hankelian,
@@ -45,9 +44,8 @@ from .balance import (
 )
 from .zcascade import (
     TIModel, TraceBoundResult, ZPoint, covariance_trace_bound, cross_covariance,
-    cross_covariance_generating, cross_covariance_series, cross_covariance_symmetric_sector,
-    h2_norm, h2_norm_quadrature, hinf_norm, phi_z_feedback, phi_z_h2_norm, phi_z_resolvent,
-    series_depth_for, series_tail_bound, z_domain_matrices, z_pr_residual,
+    cross_covariance_symmetric_sector, h2_norm, hinf_norm, phi_z_h2_norm, phi_z_resolvent,
+    z_domain_matrices, z_pr_residual,
 )
 
 __all__ = [
@@ -56,13 +54,12 @@ __all__ = [
     "RankDeficientMu", "SchemaError", "SingularLeadingBlock", "SingularResolvent", "SingularTheta",
     "SolverSingular", "TooManyRejections", "ZAtOne",
     "cascade_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
-    "resolvent_solve", "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_lyapunov",
-    "solve_sylvester", "symplectic_exponential", "symplectic_form",
-    "symplectic_residual", "vech", "vech_to_symmetric",
+    "resolvent_solve", "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_sylvester",
+    "symplectic_exponential", "symplectic_form", "symplectic_residual", "vech", "vech_to_symmetric",
     "CascadeModel", "OscillatorParams", "OscillatorRealization", "assemble_cascade",
-    "composite_transfer_stack", "default_theta", "oscillator_realization",
+    "default_theta", "oscillator_realization",
     "parameter_sizes", "perturbed_cascade_stack", "transfer_eval", "transform_params",
-    "SteadyStateResult", "frequency_domain_covariance", "invariant_covariance_direct",
+    "SteadyStateResult", "invariant_covariance_direct",
     "invariant_covariance_recursive", "purity_and_logdet", "schur_complements",
     "covariance_factor", "steady_state",
     "GradientSet", "covariance_derivatives", "gradient_fd_oracle",
@@ -76,8 +73,6 @@ __all__ = [
     "balance_cascade", "f_lambda", "minimize_psi_one_mode", "multimode_lower_bound",
     "newton_lambda", "solve_multiplier",
     "TIModel", "TraceBoundResult", "ZPoint", "covariance_trace_bound", "cross_covariance",
-    "cross_covariance_generating", "cross_covariance_series",
-    "cross_covariance_symmetric_sector", "h2_norm", "h2_norm_quadrature", "hinf_norm",
-    "phi_z_feedback", "phi_z_h2_norm", "phi_z_resolvent", "series_depth_for", "series_tail_bound",
-    "z_domain_matrices", "z_pr_residual",
+    "cross_covariance_symmetric_sector", "h2_norm", "hinf_norm", "phi_z_h2_norm",
+    "phi_z_resolvent", "z_domain_matrices", "z_pr_residual",
 ]

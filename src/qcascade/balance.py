@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError, _prefixed
 from .gradients import purity_gradients_direct
-from .linalg import J2, RESIDUAL_TOL, Matrix
+from .linalg import RESIDUAL_TOL, Matrix
 from .oscillator import CascadeModel, assemble_cascade, transform_params
 from .sensitivity import UncertaintyModel
 
@@ -175,22 +175,6 @@ def _stationary_gram(rho: Matrix, tau: Matrix) -> tuple[Matrix, NewtonResult, np
     w = l_inv.T @ v
     u = (w * f_lambda(r, newton.multiplier)) @ w.T
     return 0.5 * (u + u.T), newton, r
-
-
-def probe_psi(problem: OneModeBalanceProblem, h: np.ndarray) -> np.ndarray:
-    """Index Psi(S^T S) at the one-mode probes S = exp(J h), h of shape (P, 2, 2);
-    a sampled check of the optimum that the tests compare the certificate with.
-
-    (J h)^2 = -det(h) I, so exp(J h) = cosh(w) I + (sinh(w) / w) J h with
-    w^2 = -det h (cos and sin when det h > 0, I + J h as w -> 0)."""
-    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    w = np.sqrt(np.abs(det))
-    even = np.where(det > 0, np.cos(w), np.cosh(w))
-    odd = np.divide(np.where(det > 0, np.sin(w), np.sinh(w)), w, out=np.ones_like(w), where=w > 0)
-    s = even[:, None, None] * np.eye(2) + odd[:, None, None] * (J2 @ h)
-    u = s.transpose(0, 2, 1) @ s
-    ru = problem.rho @ u
-    return 0.5 * np.einsum("pij,pji->p", ru, ru) + np.einsum("ij,pji->p", problem.tau, u)
 
 
 def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:

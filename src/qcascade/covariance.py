@@ -22,16 +22,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from .errors import (
-    NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta, SolverSingular,
-)
+from .errors import NonPositive, SingularLeadingBlock, SingularTheta, SolverSingular
 from .linalg import (
     CascadeSchur,
     Matrix,
     block_slices,
     cascade_schur,
-    is_hurwitz,
-    resolvent_solve,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
@@ -276,40 +272,3 @@ def steady_state(cascade: CascadeModel) -> SteadyStateResult:
     )
     return _keep(cascade, "state", state, *state.pi_k)
 
-
-def frequency_domain_covariance(
-    a: Matrix,
-    b: Matrix,
-    j_ito: Matrix,
-) -> tuple[Matrix, Matrix]:
-    """Covariance by frequency-domain quadrature, independent of any
-    Lyapunov solver.
-
-    Integrates F(i lam) Omega F(i lam)^* / (2 pi) with Omega = I + i J
-    over [-L, L] by scipy's adaptive vector quadrature (``quad_vec``,
-    absolute tolerance 1e-8 max(1, |B B^T|), relative 1e-8) and adds the
-    analytic O(1/lam^2) tail beyond L. A quadrature that misses its
-    tolerance raises NoConvergence. Returns (real part, imaginary part);
-    the real part estimates the covariance, the imaginary part the
-    commutation matrix.
-    """
-    stable, margin = is_hurwitz(a)
-    if not stable:
-        raise NotHurwitz(f"dynamics matrix has spectral abscissa {margin:.3e}")
-    omega = np.eye(j_ito.shape[0]) + 1j * j_ito
-    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
-    lam_max = 100.0 * max(1.0, radius)
-
-    def integrand(lam: float) -> np.ndarray:
-        f = resolvent_solve(a, b, 1j * lam)
-        return (f @ omega @ f.conj().T) / (2.0 * np.pi)
-
-    from scipy.integrate import quad_vec
-
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(b @ b.T)))
-    total, _, info = quad_vec(integrand, -lam_max, lam_max, epsabs=tol, full_output=True)
-    if not info.success:
-        raise NoConvergence(f"frequency quadrature: {info.message}")
-    # |lam| > L: F ~ B / (i lam), even term integrates to 1/(pi L)
-    total += (b @ omega @ b.T) / (np.pi * lam_max)
-    return np.real(total), np.imag(total)

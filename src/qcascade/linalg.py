@@ -125,13 +125,17 @@ def duplication_matrix(r: int) -> Matrix:
     return ups
 
 
-def hurwitz_flag(abscissa: float | np.ndarray) -> bool | np.ndarray:
-    """The package's Hurwitz rule: spectral abscissa below -HURWITZ_TOL, elementwise."""
-    return abscissa < -HURWITZ_TOL
+def hurwitz_flag(abscissa: float | np.ndarray, scale: float | np.ndarray) -> bool | np.ndarray:
+    """The package's Hurwitz rule, elementwise: spectral abscissa below
+    -HURWITZ_TOL x ``scale``, the size of the matrix it judges (its largest
+    entry, or that of the operands it is formed from). The rule has no unit
+    of time: scaling a matrix and its scale by c > 0 keeps the verdict, and a
+    zero matrix is never Hurwitz."""
+    return abscissa < -HURWITZ_TOL * scale
 
 
-def is_hurwitz(a: Matrix) -> tuple[bool, float]:
-    """Stability test of a real or complex matrix. Returns
+def is_hurwitz(a: Matrix, scale: float) -> tuple[bool, float]:
+    """Stability test of a real or complex matrix on the scale ``scale``. Returns
     (:func:`hurwitz_flag` of the spectral abscissa, the spectral abscissa)."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -140,7 +144,7 @@ def is_hurwitz(a: Matrix) -> tuple[bool, float]:
         margin = float(np.max(np.linalg.eigvals(a).real))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigensolve failed: {exc}") from exc
-    return hurwitz_flag(margin), margin
+    return hurwitz_flag(margin, scale), margin
 
 
 def spectral_abscissa(a: np.ndarray) -> np.ndarray:
@@ -222,8 +226,8 @@ def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     dense Schur solver, certified by :func:`certify_sylvester`.
 
     Raises ValueError on inconsistent shapes, SolverSingular on a
-    non-finite entry, NotHurwitz unless alpha and beta have every
-    eigenvalue real part below -HURWITZ_TOL, and SolverSingular if the
+    non-finite entry, NotHurwitz unless alpha and beta pass :func:`is_hurwitz`
+    on the scale of their largest entries, and SolverSingular if the
     solve or its residual certificate fails.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -236,7 +240,7 @@ def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     if not all(np.all(np.isfinite(x)) for x in (alpha, beta, gamma)):
         raise SolverSingular("alpha, beta or gamma has a non-finite entry")
     for name, mat in (("alpha", alpha), ("beta", beta)):
-        ok, margin = is_hurwitz(mat)
+        ok, margin = is_hurwitz(mat, np.max(np.abs(mat)))
         if not ok:
             raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
     try:
@@ -245,15 +249,6 @@ def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
         raise SolverSingular(f"Schur solve failed: {exc}") from exc
     certify_sylvester(alpha, beta, gamma, sigma)
     return sigma
-
-
-def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
-    """Unique solution P of a*P + P*a^T + q = 0 for Hurwitz a, symmetric q.
-
-    The returned matrix is exactly symmetric.
-    """
-    q = symmetric_part(np.asarray(q, dtype=float))
-    return symmetric_part(solve_sylvester(a, a, q))
 
 
 def block_slices(dims: Sequence[int]) -> tuple[slice, ...]:

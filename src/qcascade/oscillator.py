@@ -86,15 +86,18 @@ def _validate_shapes(p: OscillatorParams, k: int) -> None:
 def _check_thetas(thetas: Sequence[Matrix]) -> None:
     """Every theta_k antisymmetric (DimensionMismatch) and nonsingular
     (SingularTheta, as it cannot encode commutation relations), by one
-    batched norm and one batched ``matrix_rank`` per mode order; the error
-    names the first failing oscillator."""
+    batched norm per mode order and one batched ``matrix_rank`` over the
+    thetas that differ from :func:`default_theta`, nonsingular by
+    construction; the error names the first failing oscillator."""
     asym, singular = np.zeros((2, len(thetas)), dtype=bool)
     for n in dict.fromkeys(len(t) for t in thetas):
         ks = [k for k, t in enumerate(thetas) if len(t) == n]
         stack = np.stack([thetas[k] for k in ks])
         size = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
         asym[ks] = np.linalg.norm(stack + stack.swapaxes(1, 2), axis=(1, 2)) > 1e-12 * size
-        singular[ks] = np.linalg.matrix_rank(stack) < n
+        given = ~(stack == default_theta(n)).all(axis=(1, 2))
+        if given.any():
+            singular[np.compress(given, ks)] = np.linalg.matrix_rank(stack[given]) < n
     failed = np.flatnonzero(asym | singular)
     if failed.size:
         k = int(failed[0])
@@ -165,7 +168,7 @@ def _write_series(units: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _series_connection(
     oscillators: Sequence[OscillatorParams], j_ito: Matrix, de: Sequence[np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Series connection of S perturbed copies of a chain of oscillators.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the layout
@@ -174,13 +177,15 @@ def _series_connection(
     stack-last, as contiguous (n_k, n_k, S), (n_k, m, S) and (m, n_k, S) blocks,
     for batches of oscillators of one order and pass the realizability
     self-check (ArithmeticError naming the oscillator). Returns the stacks of
-    :func:`_write_series` and the spectral abscissas (N, S) of the diagonal blocks.
+    :func:`_write_series`, the spectral abscissas (N, S) of the diagonal blocks
+    and their :func:`hurwitz_flag` on the scale max|A_kk| of each block and copy.
     """
     if de is None:
         de = [np.zeros((1, sum(parameter_sizes(p.n, p.m)))) for p in oscillators]
     stack, m = de[0].shape[0], j_ito.shape[0]
     blocks: list = [None] * len(oscillators)
     abscissa = np.empty((len(oscillators), stack))
+    hurwitz = np.empty((len(oscillators), stack), dtype=bool)
     for n_k in dict.fromkeys(p.n for p in oscillators):
         same = [k for k, p in enumerate(oscillators) if p.n == n_k]
         size = max(1, BATCH_ENTRIES // (stack * n_k * m))
@@ -215,9 +220,12 @@ def _series_connection(
                     f"residual {res[i, copy]:.3e}, scale {scale[i, copy]:.3e}"
                 )
             abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
+            # max|A_kk| as max(max A_kk, -min A_kk): no temporary of the batch's size
+            largest = np.maximum(a_kk.max(axis=(1, 2)), -a_kk.min(axis=(1, 2)))
+            hurwitz[ks] = hurwitz_flag(abscissa[ks], largest)
             for i, k in enumerate(ks):
                 blocks[k] = (a_kk[i], b_k[i], c_k[i])
-    return (*_write_series(blocks), abscissa)
+    return (*_write_series(blocks), abscissa, hurwitz)
 
 
 def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
@@ -227,7 +235,7 @@ def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
     theta C^T + B J = 0 to round-off."""
     _validate_shapes(p, 0)
     _check_thetas([p.theta])
-    a, b, c, _ = _series_connection([p], symplectic_form(p.m))
+    a, b, c, _, _ = _series_connection([p], symplectic_form(p.m))
     return OscillatorRealization(a=a[..., 0], b=b[..., 0], c=c[..., 0])
 
 
@@ -322,7 +330,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     _check_thetas([p.theta for p in oscillators])
     r_full, m_full = composite_energy_coupling(oscillators)
     j = symplectic_form(m_full.shape[0])
-    a_full, b_full, c_full, abscissa = _series_connection(oscillators, j)
+    a_full, b_full, c_full, abscissa, hurwitz = _series_connection(oscillators, j)
     # one unperturbed copy: unpack the stack axis
     a_full, b_full, c_full = a_full[..., 0], b_full[..., 0], c_full[..., 0]
     theta_full = _block_diag([p.theta for p in oscillators])
@@ -345,7 +353,7 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         r_energy=r_full,
         m_coupling=m_full,
         dims=tuple(p.n for p in oscillators),
-        hurwitz=tuple(zip(hurwitz_flag(abscissa[:, 0]).tolist(), abscissa[:, 0].tolist())),
+        hurwitz=tuple(zip(hurwitz[:, 0].tolist(), abscissa[:, 0].tolist())),
         realizability=(float(pr_res), float(scale)),
     )
 
@@ -370,8 +378,8 @@ def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> 
     the layout :func:`solve_cascade_lyapunov` takes. Raises ArithmeticError if
     a perturbed oscillator fails the physical-realizability self-check.
     """
-    a, b, _, abscissa = _series_connection(cascade.params, cascade.j_ito, de)
-    return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=hurwitz_flag(abscissa))
+    a, b, _, abscissa, hurwitz = _series_connection(cascade.params, cascade.j_ito, de)
+    return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=hurwitz)
 
 
 def transfer_eval(
@@ -384,21 +392,6 @@ def transfer_eval(
     """
     f = resolvent_solve(realization.a, realization.b, s)
     return f, realization.c @ f + np.eye(realization.b.shape[1])
-
-
-def composite_transfer_stack(cascade: CascadeModel, s: complex) -> np.ndarray:
-    """Field-to-variables transfer of the composite, stacked by oscillator.
-
-    Block k is F_k(s) G_{k-1}(s) ... G_1(s); the stack coincides with
-    (sI - A)^{-1} B of the composite realization.
-    """
-    blocks = []
-    g_prod = np.eye(cascade.m, dtype=complex)
-    for rk in cascade.realizations:
-        f, g = transfer_eval(rk, s)
-        blocks.append(f @ g_prod)
-        g_prod = g @ g_prod
-    return np.vstack(blocks)
 
 
 def transform_params(

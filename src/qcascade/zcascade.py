@@ -8,11 +8,9 @@ scalar z != 1:
     C_z = z C / (z - 1),       D_z = z I / (z - 1).
 
 A member is in the stability set when A_z passes the package's one
-Hurwitz rule, :func:`linalg.is_hurwitz`. Cross-covariances between two
-family members solve a complex Sylvester equation whose forcing carries
-Omega = I + i J; the same object is a rational function of (z, v) and
-the generating function of the block covariances of the finite cascade,
-up to the exactly summable commutation sector i Theta / (z v - 1).
+Hurwitz rule, :func:`linalg.is_hurwitz`, on the scale of the operands
+of A_z. Cross-covariances between two family members solve a complex
+Sylvester equation whose forcing carries Omega = I + i J.
 
 The module also provides H2 and Hinf norms of the base oscillator (Hinf
 by a Hamiltonian level-set iteration) and the geometric trace bound for
@@ -22,23 +20,12 @@ equations are certified Kronecker solves from :mod:`linalg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    frequency_domain_covariance,
-    invariant_covariance_direct,
-    stationary_covariance,
-)
-from .errors import (
-    BisectionFailure,
-    EigFailure,
-    NotHurwitz,
-    NotInStabilitySet,
-    SingularResolvent,
-    ZAtOne,
-)
+from .covariance import stationary_covariance
+from .errors import BisectionFailure, EigFailure, NotHurwitz, NotInStabilitySet, ZAtOne
 from .linalg import (
     Matrix,
     block_slices,
@@ -52,7 +39,6 @@ from .oscillator import (
     OscillatorParams,
     OscillatorRealization,
     _write_series,
-    assemble_cascade,
     oscillator_realization,
     transfer_eval,
 )
@@ -60,21 +46,16 @@ from .oscillator import (
 HINF_REL_TOL = 1e-9
 HINF_IMAG_TOL = 1e-7
 HINF_MAX_ITERATIONS = 50
-SERIES_TAIL_TARGET = 1e-8
-SERIES_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
 class TIModel:
     """One oscillator acting as the repeated unit of an infinite cascade.
 
-    ``p`` caches the controllability Gramian of (A, B). ``params`` is
-    set for oscillator-backed models and enables
-    :func:`cross_covariance_series`; matrix-backed models support the
-    norm and z-domain operations only. ``j_ito`` is None when the input field
-    carries no canonical antisymmetric form (then Omega = I). Built by
-    :meth:`from_matrices`, whose stability check the norm and trace-bound
-    routes rely on.
+    ``p`` caches the controllability Gramian of (A, B). ``j_ito`` is None
+    when the input field carries no canonical antisymmetric form (then
+    Omega = I). Built by :meth:`from_matrices`, whose stability check the
+    norm and trace-bound routes rely on.
     """
 
     a: Matrix
@@ -82,7 +63,6 @@ class TIModel:
     c: Matrix
     j_ito: Matrix | None
     p: Matrix
-    params: OscillatorParams | None = None
 
     @property
     def n(self) -> int:
@@ -95,16 +75,16 @@ class TIModel:
     @classmethod
     def from_oscillator(cls, params: OscillatorParams) -> "TIModel":
         real = oscillator_realization(params)
-        return replace(cls.from_matrices(real.a, real.b, real.c, symplectic_form(params.m)), params=params)
+        return cls.from_matrices(real.a, real.b, real.c, symplectic_form(params.m))
 
     @classmethod
     def from_matrices(
         cls, a: Matrix, b: Matrix, c: Matrix, j_ito: Matrix | None = None
     ) -> "TIModel":
-        stable, margin = is_hurwitz(a)
+        stable, margin = is_hurwitz(a, np.max(np.abs(a)))
         if not stable:
             raise NotHurwitz(f"dynamics matrix has spectral abscissa {margin:.3e}")
-        return cls(a=a, b=b, c=c, j_ito=j_ito, p=stationary_covariance(a, b), params=None)
+        return cls(a=a, b=b, c=c, j_ito=j_ito, p=stationary_covariance(a, b))
 
     def omega(self) -> np.ndarray:
         if self.j_ito is None:
@@ -124,7 +104,8 @@ class ZPoint:
 def z_domain_matrices(model: TIModel, z: complex) -> ZPoint:
     """State-space matrices of the z-indexed family member.
 
-    The stability flag, :func:`is_hurwitz` of A_z, is the checkable
+    The stability flag, :func:`is_hurwitz` of A_z on the scale
+    max|A| + |1/(z - 1)| max|B| max|C| of its operands, is the checkable
     membership test for the admissible set of z values.
     """
     z = complex(z)
@@ -135,7 +116,8 @@ def z_domain_matrices(model: TIModel, z: complex) -> ZPoint:
     b_z = w * model.b
     c_z = z * w * model.c
     d_z = z * w * np.eye(model.m)
-    return ZPoint(a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=is_hurwitz(a_z)[0])
+    scale = np.max(np.abs(model.a)) + abs(w) * np.max(np.abs(model.b)) * np.max(np.abs(model.c))
+    return ZPoint(a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=is_hurwitz(a_z, scale)[0])
 
 
 def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> float:
@@ -163,16 +145,6 @@ def phi_z_resolvent(model: TIModel, z: complex, s: complex) -> np.ndarray:
     return resolvent_solve(pt.a_z, pt.b_z, s)
 
 
-def phi_z_feedback(model: TIModel, z: complex, s: complex) -> np.ndarray:
-    """Same transfer through the base unit: F(s) (z I - G(s))^{-1};
-    SingularResolvent when z is an eigenvalue of G(s)."""
-    f, g = transfer_eval(OscillatorRealization(model.a, model.b, model.c), s)
-    try:
-        return f @ np.linalg.inv(z * np.eye(model.m) - g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"z = {z} is an eigenvalue of G(s) at s = {s}: {exc}") from exc
-
-
 def _stable_points(model: TIModel, z: complex, v: complex) -> tuple[ZPoint, ZPoint]:
     pz, pv = z_domain_matrices(model, z), z_domain_matrices(model, v)
     for name, value, point in (("z", z, pz), ("v", v, pv)):
@@ -194,85 +166,9 @@ def cross_covariance(model: TIModel, z: complex, v: complex) -> np.ndarray:
     """Steady-state cross-covariance of the (z, v) pair of members.
 
     Solves A_z P + P A_v^T + B_z Omega B_v^T = 0 and certifies the
-    residual. The oracles :func:`cross_covariance_generating` and
-    :func:`cross_covariance_series` agree with it to solver accuracy
-    inside the common domain.
+    residual.
     """
     return _certified_cross_solve(model, z, v, model.omega())
-
-
-def cross_covariance_generating(model: TIModel, z: complex, v: complex) -> np.ndarray:
-    """Oracle for :func:`cross_covariance`: the rational closed form in
-    (z, v) built on K and L."""
-    _stable_points(model, z, v)
-    n = model.n
-    eye_n = np.eye(n)
-    a_sum = np.kron(eye_n, model.a) + np.kron(model.a, eye_n)
-    bc = model.b @ model.c
-    a_sum_inv = np.linalg.inv(a_sum)
-    k_mat = a_sum_inv @ np.kron(bc, eye_n)
-    l_mat = a_sum_inv @ np.kron(eye_n, bc)
-    core = (
-        np.eye(n * n)
-        + k_mat / (v - 1.0)
-        + l_mat / (z - 1.0)
-    )
-    rhs = a_sum_inv @ (model.b @ model.omega() @ model.b.T).reshape(-1, order="F")
-    vec = -np.linalg.solve(core, rhs) / ((z - 1.0) * (v - 1.0))
-    return vec.reshape((n, n), order="F")
-
-
-def series_depth_for(model: TIModel, z: complex, v: complex) -> int:
-    """Smallest truncation depth whose tail bound is below the target."""
-    gnorm = hinf_norm(model)
-    for depth in range(2, SERIES_MAX_DEPTH + 1):
-        if _tail_bound(model, gnorm, z, v, depth) < SERIES_TAIL_TARGET:
-            return depth
-    return SERIES_MAX_DEPTH
-
-
-def series_tail_bound(model: TIModel, z: complex, v: complex, depth: int) -> float:
-    """Bound on the dropped series mass beyond the given depth.
-
-    Uses |P_jk| <= 2 |F|_2^2 |G|_inf^{j+k-2} and geometric sums over the
-    index region where j or k exceeds the depth.
-    """
-    return _tail_bound(model, hinf_norm(model), z, v, depth)
-
-
-def _tail_bound(model: TIModel, gnorm: float, z: complex, v: complex, depth: int) -> float:
-    f2sq = float(np.trace(model.p))
-    qz = gnorm / abs(z)
-    qv = gnorm / abs(v)
-    if qz >= 1 or qv >= 1:
-        return float("inf")
-
-    def geo(q: float, start: int) -> float:
-        return q**start / (1.0 - q)
-
-    full_v = geo(qv, 1)
-    tail = geo(qz, depth + 1) * full_v + geo(qz, 1) * geo(qv, depth + 1)
-    return 2.0 * f2sq / gnorm**2 * tail
-
-
-def cross_covariance_series(model: TIModel, z: complex, v: complex) -> np.ndarray:
-    """Oracle for :func:`cross_covariance`: the block covariances of a
-    finite identical cascade (as many copies as :func:`series_depth_for`
-    gives) summed with weights z^-j v^-k, plus the commutation sector
-    i Theta / (z v - 1) in closed form."""
-    if model.params is None:
-        raise ValueError("series route requires an oscillator-backed model")
-    _stable_points(model, z, v)
-    depth = series_depth_for(model, z, v)
-    cascade = assemble_cascade([model.params] * depth)
-    p_full = invariant_covariance_direct(cascade)
-    total = np.zeros((model.n, model.n), dtype=complex)
-    for j, rows in enumerate(cascade.blocks, 1):
-        for k, cols in enumerate(cascade.blocks, 1):
-            total += z ** (-j) * v ** (-k) * p_full[rows, cols]
-    theta = model.params.theta
-    total += 1j * theta / (z * v - 1.0)
-    return total
 
 
 def cross_covariance_symmetric_sector(
@@ -290,14 +186,6 @@ def cross_covariance_symmetric_sector(
 def h2_norm(model: TIModel) -> float:
     """H2 norm of the variable-side transfer, sqrt of the Gramian trace."""
     return float(np.sqrt(np.trace(model.p)))
-
-
-def h2_norm_quadrature(model: TIModel) -> float:
-    """H2 norm by direct frequency integration, solver-independent: the
-    square root of the trace of :func:`frequency_domain_covariance` with
-    Omega = I, to its tolerance; NoConvergence when the quadrature misses it."""
-    re_p, _ = frequency_domain_covariance(model.a, model.b, np.zeros((model.m, model.m)))
-    return float(np.sqrt(np.trace(re_p)))
 
 
 def phi_z_h2_norm(model: TIModel, z: complex) -> float:

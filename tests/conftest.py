@@ -69,7 +69,7 @@ def make_oscillator(
         mcoup = rng.standard_normal((m, n)) * 0.8
         params = OscillatorParams(theta=default_theta(n), r_energy=r, m_coupling=mcoup)
         a = 2.0 * params.theta @ (r + mcoup.T @ j_ito @ mcoup)
-        stable, abscissa = is_hurwitz(a)
+        stable, abscissa = is_hurwitz(a, np.max(np.abs(a)))
         if stable and abscissa < margin:
             return params
     raise RuntimeError("could not sample a stable oscillator")

@@ -11,13 +11,13 @@ from qcascade.balance import (
     minimize_psi_one_mode,
     multimode_lower_bound,
     newton_lambda,
-    probe_psi,
     solve_multiplier,
 )
 from qcascade.covariance import steady_state
 from qcascade.errors import NotOneMode, RankDeficientMu, SchemaError
 from qcascade.gradients import purity_gradients_direct, transform_gradients
 from qcascade.linalg import J2, RESIDUAL_TOL, symplectic_exponential, symplectic_residual
+from qcascade.oracles import probe_psi
 from qcascade.oscillator import assemble_cascade, transfer_eval
 from qcascade.sensitivity import OscillatorUncertainty, UncertaintyModel, psi_transformed
 

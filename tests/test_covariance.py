@@ -18,7 +18,6 @@ from qcascade.covariance import (
     _cholesky,
     _cholesky_log_det,
     covariance_factor,
-    frequency_domain_covariance,
     invariant_covariance_direct,
     invariant_covariance_recursive,
     log_det_stack,
@@ -29,6 +28,7 @@ from qcascade.covariance import (
 from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock
 from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, quantum_psd_margin
+from qcascade.oracles import frequency_domain_covariance
 from qcascade.oscillator import (
     CascadeStack,
     OscillatorParams,

@@ -33,8 +33,9 @@ from qcascade.gradients import (
     transform_gradients,
 )
 from qcascade.linalg import (
-    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, solve_lyapunov, symmetric_part, vech,
+    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, symmetric_part, vech,
 )
+from qcascade.oracles import solve_lyapunov
 from qcascade.oscillator import (
     OscillatorParams,
     assemble_cascade,

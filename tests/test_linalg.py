@@ -24,7 +24,6 @@ from qcascade.linalg import (
     quantum_psd_margin,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
-    solve_lyapunov,
     solve_sylvester,
     spectral_abscissa,
     sylvester_kron_solve,
@@ -34,6 +33,7 @@ from qcascade.linalg import (
     vech,
     vech_to_symmetric,
 )
+from qcascade.oracles import solve_lyapunov
 from qcascade.oscillator import CascadeStack, assemble_cascade, perturbed_cascade_stack
 
 
@@ -564,26 +564,36 @@ class TestVechDuplication:
 
 class TestHurwitz:
     def test_negative_identity(self):
-        stable, margin = is_hurwitz(-np.eye(3))
+        stable, margin = is_hurwitz(-np.eye(3), 1.0)
         assert stable
         assert margin == pytest.approx(-1.0, abs=1e-14)
 
     def test_rotation_generator_is_marginal(self):
-        stable, margin = is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        stable, margin = is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0)
         assert not stable
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_complex_matrix_is_not_cast_to_real(self):
         # eigenvalues -0.1 +/- (1 - 1j) / sqrt(2); the real part alone has abscissa -0.1
-        stable, margin = is_hurwitz(np.array([[-0.1, 1.0], [-1.0j, -0.1]]))
+        stable, margin = is_hurwitz(np.array([[-0.1, 1.0], [-1.0j, -0.1]]), 1.0)
         assert not stable
         assert margin == pytest.approx(np.sqrt(0.5) - 0.1, rel=1e-14)
 
     def test_real_matrices_keep_flag_and_margin(self):
         rng = np.random.default_rng(809)
         for a in [*(rng.standard_normal((20, 4, 4)) - 1.5 * np.eye(4)), np.diag([-1e-12, -1.0])]:
-            want = float(np.max(np.linalg.eigvals(a).real))
-            assert is_hurwitz(a) == (want < -1e-9, want)
+            want, scale = float(np.max(np.linalg.eigvals(a).real)), np.max(np.abs(a))
+            assert is_hurwitz(a, scale) == (want < -1e-9 * scale, want)
+
+    @pytest.mark.parametrize("c", [4.0**-20, 4.0**-10, 1.0, 4.0**10, 4.0**20])
+    def test_the_rule_has_no_unit_of_time(self, c):
+        # the same matrices in another time unit keep their verdicts and
+        # scale their abscissas exactly; at c = 4^-20 the stable one has
+        # abscissa -4.5e-13, above an absolute -1e-9
+        stable, unstable = np.array([[-0.5, 1.0], [-1.0, -0.5]]), np.diag([1e-12, -1.0])
+        for a, want in ((stable, True), (unstable, False)):
+            flag, margin = is_hurwitz(c * a, np.max(np.abs(c * a)))
+            assert (flag, margin) == (want, c * is_hurwitz(a, 1.0)[1])
 
     def test_closed_form_abscissa_matches_eigvals(self):
         rng = np.random.default_rng(808)
@@ -601,7 +611,7 @@ class TestHurwitz:
         for k, nk in enumerate(reference_cascade.dims):
             lo = sum(reference_cascade.dims[:k])
             a_k = reference_cascade.a[lo : lo + nk, lo : lo + nk]
-            stable, _ = is_hurwitz(a_k)
+            stable, _ = is_hurwitz(a_k, np.max(np.abs(a_k)))
             assert stable
 
 

@@ -10,13 +10,13 @@ from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator, random
 from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import DimensionMismatch, SingularResolvent, SingularTheta
 from qcascade.linalg import J2, resolvent_solve, symplectic_form, vech_to_symmetric
+from qcascade.oracles import composite_transfer_stack
 from qcascade.oscillator import (
     PR_SELF_CHECK_TOL,
     OscillatorParams,
     OscillatorRealization,
     assemble_cascade,
     composite_energy_coupling,
-    composite_transfer_stack,
     default_theta,
     oscillator_realization,
     perturbed_cascade_stack,
@@ -149,6 +149,24 @@ class TestAssembly:
         with pytest.raises(error, match="oscillator 4: "):
             assemble_cascade(chain)
 
+    def test_the_default_theta_skips_the_rank_test(self, monkeypatch):
+        # the default theta is nonsingular by construction; a given one still
+        # takes the rank test, and a singular one is refused by name
+        calls = []
+        rank = np.linalg.matrix_rank
+
+        def spy(x, *args, **kwargs):
+            calls.append(x.shape)
+            return rank(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", spy)
+        params = list(build_cascade(load_spec(GENERATED_SPEC)).params)
+        assert calls == []
+        params[1] = replace(params[1], theta=np.zeros((2, 2)))
+        with pytest.raises(SingularTheta, match="oscillator 1: "):
+            assemble_cascade(params)
+        assert calls == [(1, 2, 2)]
+
     def test_composite_check_refuses_an_overflowed_scale(self, reference_spec):
         # a coupling entry of 1e200: the norms of the check overflow, and no
         # residual could fail against an infinite scale
@@ -278,7 +296,7 @@ class TestAssembly:
             blk = cascade.blocks[k]
             want = np.max(np.linalg.eigvals(cascade.a[blk, blk]).real)
             assert margin == pytest.approx(want, rel=0.0, abs=1e-14)
-            assert flag == (want < -1e-9)
+            assert flag == (want < -1e-9 * np.max(np.abs(cascade.a[blk, blk])))
 
     def test_assembly_runs_no_block_regrowth_or_eigensolves(self, monkeypatch):
         # the diagonal blocks of a one-mode chain take the closed-form

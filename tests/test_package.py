@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import qcascade
+import qcascade.oracles
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -22,6 +23,19 @@ def test_all_lists_the_public_names_and_no_modules():
     namespace = {}
     exec("from qcascade import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(exported)
+    # the reference routes are imported from qcascade.oracles, never from the package
+    assert not set(exported) & ORACLES - PINNED_ORACLES
+
+
+def test_the_oracles_module_lists_its_public_functions():
+    oracles = qcascade.oracles
+    public = {
+        name
+        for name, value in vars(oracles).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == oracles.__name__
+    }
+    assert set(oracles.__all__) == public
+    assert len(oracles.__all__) == len(public)
 
 
 def test_importing_the_cli_loads_no_quadrature_or_sparse_module():
@@ -283,19 +297,54 @@ def test_cli_turns_spec_content_into_numbers_in_one_place():
     assert cli(tests_for_bool_or_str) == []
 
 
-#: routes kept as oracles that the tests compare production with
-ORACLES = {
-    "invariant_covariance_recursive", "schur_complements", "frequency_domain_covariance",
-    "purity_gradients_recursive", "gradient_fd_oracle", "cross_covariance_generating",
-    "cross_covariance_series", "series_depth_for", "series_tail_bound", "h2_norm_quadrature",
-    "phi_z_feedback", "symplectic_exponential", "solve_sylvester", "solve_lyapunov",
-    "composite_transfer_stack",
+#: reference routes that stay in their production modules, as the benchmark
+#: names them by module path
+PINNED_ORACLES = {
+    "solve_sylvester", "symplectic_exponential", "invariant_covariance_recursive",
+    "schur_complements", "purity_gradients_recursive", "gradient_fd_oracle",
 }
+#: routes kept as oracles that the tests compare production with
+ORACLES = set(qcascade.oracles.__all__) | PINNED_ORACLES
+
+
+def _imports_the_oracles(node: ast.AST) -> bool:
+    """``from . import oracles``, ``from .oracles import ...``, or either through
+    ``qcascade``, or ``import qcascade.oracles``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "qcascade.oracles" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = "." * node.level + (node.module or "")
+    if module in (".oracles", "qcascade.oracles"):
+        return True
+    return module in (".", "qcascade") and any(alias.name == "oracles" for alias in node.names)
+
+
+def test_dependencies_run_from_the_oracles_to_production_only():
+    # no production module, and not the package itself, imports qcascade.oracles
+    importers = [
+        path.name
+        for path in sorted((REPO / "src" / "qcascade").glob("*.py"))
+        if any(_imports_the_oracles(node) for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert importers == []
+    assert _imports_the_oracles(ast.parse("from .oracles import probe_psi").body[0])
+    assert _imports_the_oracles(ast.parse("from . import oracles").body[0])
+    assert _imports_the_oracles(ast.parse("import qcascade.oracles").body[0])
+
+
+def test_every_oracle_is_called_by_a_test():
+    called = set()
+    for path in sorted((REPO / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called |= {_name(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert set(qcascade.oracles.__all__) - called == set()
 
 
 def test_the_cli_imports_no_oracle_but_the_route_gap_routes():
     # the recursive covariance and gradients feed the two route_gap fields
-    assert all(hasattr(qcascade, name) for name in ORACLES)
+    assert all(hasattr(qcascade, name) for name in PINNED_ORACLES)
+    assert all(hasattr(qcascade.oracles, name) for name in qcascade.oracles.__all__)
     tree = ast.parse((REPO / "src" / "qcascade" / "cli.py").read_text())
     names = {_name(node) for node in ast.walk(tree)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}

@@ -12,21 +12,23 @@ from qcascade.errors import (
     ZAtOne,
 )
 from qcascade.linalg import certify_sylvester, sylvester_kron_solve
+from qcascade.oracles import (
+    cross_covariance_generating,
+    cross_covariance_series,
+    h2_norm_quadrature,
+    phi_z_feedback,
+    series_depth_for,
+    series_tail_bound,
+)
 from qcascade.zcascade import (
     TIModel,
     cross_covariance,
-    cross_covariance_generating,
-    cross_covariance_series,
     cross_covariance_symmetric_sector,
     covariance_trace_bound,
     h2_norm,
-    h2_norm_quadrature,
     hinf_norm,
-    phi_z_feedback,
     phi_z_h2_norm,
     phi_z_resolvent,
-    series_depth_for,
-    series_tail_bound,
     z_domain_matrices,
     z_pr_residual,
 )
@@ -41,8 +43,13 @@ UNSTABLE_Z = -0.54 + 0.84j
 
 
 @pytest.fixture(scope="module")
-def unit_model(reference_spec):
-    return TIModel.from_oscillator(reference_spec.oscillators[0])
+def unit(reference_spec):
+    return reference_spec.oscillators[0]
+
+
+@pytest.fixture(scope="module")
+def unit_model(unit):
+    return TIModel.from_oscillator(unit)
 
 
 class TestZFamily:
@@ -62,8 +69,8 @@ class TestZFamily:
         with pytest.raises(ZAtOne):
             z_domain_matrices(unit_model, 1.0)
 
-    def test_realizability_in_the_family(self, unit_model):
-        theta = unit_model.params.theta
+    def test_realizability_in_the_family(self, unit, unit_model):
+        theta = unit.theta
         rng = np.random.default_rng(3)
         for _ in range(3):
             z = complex(rng.uniform(2.0, 60.0), rng.uniform(-5.0, 5.0))
@@ -111,7 +118,7 @@ class TestPhiZ:
 
 
 class TestCrossCovariance:
-    def test_three_routes_agree(self, unit_model):
+    def test_three_routes_agree(self, unit, unit_model):
         gnorm = hinf_norm(unit_model)
         z = 10.0 * gnorm
         v = 10.0 * gnorm * (1.0 + 0.3j)
@@ -120,7 +127,7 @@ class TestCrossCovariance:
         scale = max(1.0, np.max(np.abs(sylvester)))
         assert np.max(np.abs(generating - sylvester)) <= 1e-9 * scale
         depth = series_depth_for(unit_model, z, v)
-        series = cross_covariance_series(unit_model, z, v)
+        series = cross_covariance_series(unit, z, v)
         tail = series_tail_bound(unit_model, z, v, depth)
         assert np.max(np.abs(series - sylvester)) <= tail + 1e-9 * scale
 
@@ -132,8 +139,8 @@ class TestCrossCovariance:
         if (z, v) == (3.0, 3.0):
             assert sylvester[0, 0] == pytest.approx(0.25, abs=1e-15)
 
-    def test_commutation_sector_is_exact(self, unit_model):
-        theta = unit_model.params.theta
+    def test_commutation_sector_is_exact(self, unit, unit_model):
+        theta = unit.theta
         z, v = 30.0 + 4.0j, 50.0 - 2.0j
         full = cross_covariance(unit_model, z, v)
         sym = cross_covariance_symmetric_sector(unit_model, z, v)
@@ -170,10 +177,6 @@ class TestCrossCovariance:
         with pytest.raises(NotInStabilitySet, match="z = "):
             solve(SCALAR, z, z)
 
-    def test_series_requires_oscillator_backing(self):
-        with pytest.raises(ValueError):
-            cross_covariance_series(SCALAR, 10.0, 10.0)
-
     def test_tail_bound_decreases_with_depth(self, unit_model):
         gnorm = hinf_norm(unit_model)
         z = v = 10.0 * gnorm
@@ -188,7 +191,7 @@ class TestCrossCovariance:
             certify_sylvester(alpha, alpha, bad, sylvester_kron_solve(alpha, alpha, bad))
 
     def test_series_depth_computes_the_gain_once(self, unit_model, monkeypatch):
-        import qcascade.zcascade
+        import qcascade.oracles
 
         calls = []
 
@@ -196,7 +199,7 @@ class TestCrossCovariance:
             calls.append(model)
             return hinf_norm(model)
 
-        monkeypatch.setattr(qcascade.zcascade, "hinf_norm", spy)
+        monkeypatch.setattr(qcascade.oracles, "hinf_norm", spy)
         z = 10.0 * hinf_norm(unit_model)
         assert series_depth_for(unit_model, z, z) > 2
         assert len(calls) == 1
