@@ -441,12 +441,12 @@ def _cmd_validate(run: Pipeline) -> Reply:
     return results, exit_code, "\n".join(lines)
 
 
-def _route_gap_verdict(gap: float, scale: float) -> tuple[int, list[str]]:
-    """Exit code and table lines of the route rule, gap <= ``RESIDUAL_TOL`` x max(1, scale)."""
+def _gap_verdict(name: str, gap: float, scale: float) -> tuple[int, list[str]]:
+    """Exit code and table lines of the one gap rule, gap <= ``RESIDUAL_TOL`` x max(1, scale)."""
     bound = max(1.0, scale)
     if gap <= RESIDUAL_TOL * bound:
         return 0, []
-    return 2, [f"route gap {gap:.3e} exceeds {RESIDUAL_TOL:.1e} x {bound:.3e}"]
+    return 2, [f"{name} gap {gap:.3e} exceeds {RESIDUAL_TOL:.1e} x {bound:.3e}"]
 
 
 def _cmd_covariance(run: Pipeline) -> Reply:
@@ -456,7 +456,7 @@ def _cmd_covariance(run: Pipeline) -> Reply:
         "p_direct": _listify(p_direct),
         "route_gap": gap,
     }
-    code, verdict = _route_gap_verdict(gap, float(np.linalg.norm(p_direct)))
+    code, verdict = _gap_verdict("route", gap, float(np.linalg.norm(p_direct)))
     return results, code, functools.partial(_covariance_table, gap, p_direct, verdict)
 
 
@@ -497,7 +497,7 @@ def _cmd_gradients(run: Pipeline) -> Reply:
         for k, mat in enumerate(mats):
             lines.append(f"{name}_{k}")
             lines.extend("  ".join(_fmt4(x) for x in row) for row in mat)
-    code, verdict = _route_gap_verdict(gap, max(float(np.max(np.abs(g))) for g in direct.rho + direct.mu))
+    code, verdict = _gap_verdict("route", gap, max(float(np.max(np.abs(g))) for g in direct.rho + direct.mu))
     return results, code, "\n".join(lines + verdict)
 
 
@@ -550,15 +550,14 @@ def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
     """Results and table of the balancing, and whether it is certified: every
     oscillator passes its stationarity certificate, and the round trip holds
     (the gradients of the balanced cascade give back each Psi_k(S_k) within
-    ``RESIDUAL_TOL`` x max(1, max psi_after))."""
+    the :func:`_gap_verdict` of max psi_after)."""
     report, uncertainty, dims = run.balance, run.uncertainty, run.cascade.dims
     new_grads = purity_gradients_direct(report.transformed)
     round_trip = [
         abs(psi_transformed(new_grads, uncertainty, k, np.eye(dims[k])) - res.psi_after)
         for k, res in enumerate(report.results)
     ]
-    gap_scale = max(1.0, *(res.psi_after for res in report.results))
-    round_trip_holds = max(round_trip) <= RESIDUAL_TOL * gap_scale
+    code, verdict = _gap_verdict("round trip", max(round_trip), max(r.psi_after for r in report.results))
     results = {
         "s_k": [_listify(r.s_k) for r in report.results],
         "lambda_k": [r.lambda_k for r in report.results],
@@ -583,11 +582,7 @@ def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
     lines.append(f"total ratio {report.total_ratio:8.4f}")
     if report.uncertified:
         lines.append(f"{report.uncertified} oscillator(s) fail the stationarity certificate")
-    if not round_trip_holds:
-        lines.append(
-            f"round trip gap {max(round_trip):.3e} exceeds {RESIDUAL_TOL:.1e} x {gap_scale:.3e}"
-        )
-    return results, "\n".join(lines), round_trip_holds and not report.uncertified
+    return results, "\n".join(lines + verdict), not code and not report.uncertified
 
 
 def _cmd_balance(run: Pipeline) -> Reply:

@@ -45,7 +45,6 @@ from .linalg import (
     block_slices,
     block_upper_mask,
     cascade_schur,
-    duplication_matrix,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
@@ -53,6 +52,7 @@ from .linalg import (
     vech,
     vech_indices,
     vech_to_symmetric,
+    vech_weight,
 )
 from .oscillator import CascadeModel, CascadeStack, parameter_sizes, perturbed_cascade_stack
 
@@ -76,10 +76,9 @@ class GradientSet:
     def d_vector(self, k: int) -> np.ndarray:
         """dV/de_k = [dup^T vec rho_k; -vec mu_k] in the layout de_k = [vech dR_k;
         vec dM_k], columns first, so dV = d_vector(k)^T de_k: an off-diagonal
-        energy entry moves two entries of R_k, and mu_k = -dV/dM_k."""
+        energy entry moves two entries of R_k (``vech_weight``), and mu_k = -dV/dM_k."""
         rho = self.rho[k]
-        g_r = duplication_matrix(rho.shape[0]).T @ rho.reshape(-1, order="F")
-        return np.concatenate([g_r, -self.mu[k].reshape(-1, order="F")])
+        return np.concatenate([vech(rho) * vech_weight(len(rho)), -self.mu[k].reshape(-1, order="F")])
 
     def transformed_pair(self, k: int, s: Matrix) -> tuple[Matrix, Matrix]:
         """(S rho_k S^T, mu_k S^T): oscillator k's gradients after X_k -> S X_k."""
@@ -90,7 +89,7 @@ class GradientSet:
         """Inverse of :meth:`d_vector`: (rho, mu) of an oscillator of order n whose
         d_vector is d, halving off-diagonal energy entries and negating the coupling half."""
         d_r, _ = parameter_sizes(n, m)
-        return vech_to_symmetric(d[:d_r] / (2.0 - vech(np.eye(n))), n), -d[d_r:].reshape(n, m).T
+        return vech_to_symmetric(d[:d_r] / vech_weight(n), n), -d[d_r:].reshape(n, m).T
 
 
 def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, Matrix]:
@@ -195,11 +194,11 @@ def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:
     return block_slices([sum(parameter_sizes(nk, cascade.m)) for nk in cascade.dims])
 
 
-def _probe_chunks(cascade: CascadeModel, step: float) -> Iterator[tuple[int, int, CascadeStack]]:
+def _probe_chunks(cascade: CascadeModel, steps: np.ndarray) -> Iterator[tuple[int, int, CascadeStack]]:
     """(lo, hi, stack) of the probes lo..hi-1, chunk by chunk: probes run over
     the entries of [vech dR_k; vec dM_k], oscillator by oscillator, and
     copies 2(t - lo) and 2(t - lo) + 1 of the stack move the entry of probe t
-    by +step and -step. No (n, n, S) array of a stack holds more than
+    by +steps[t] and -steps[t]. No (n, n, S) array of a stack holds more than
     ``PROBE_ENTRIES`` entries."""
     probes = _probe_blocks(cascade)
     total = probes[-1].stop
@@ -209,7 +208,7 @@ def _probe_chunks(cascade: CascadeModel, step: float) -> Iterator[tuple[int, int
     bounds = [total * i // count for i in range(count + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = np.zeros((hi - lo, total))
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = step
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = steps[lo:hi]
         signed = np.stack([rows, -rows], axis=1).reshape(2 * (hi - lo), -1)
         yield lo, hi, perturbed_cascade_stack(cascade, [signed[:, blk] for blk in probes])
 
@@ -252,7 +251,7 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
     values = np.empty(2 * probes[-1].stop)
     with _prefixed("finite-difference probes"):
-        for lo, hi, stack in _probe_chunks(cascade, h):
+        for lo, hi, stack in _probe_chunks(cascade, np.full(probes[-1].stop, h)):
             values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
     pairs = [GradientSet._unpack(slopes[blk], nk, m) for blk, nk in zip(probes, cascade.dims)]
@@ -283,6 +282,16 @@ def transform_gradients(
     return GradientSet(rho=rho, mu=mu)
 
 
+def _probe_steps(cascade: CascadeModel) -> np.ndarray:
+    """Step of every probe of :func:`covariance_derivatives`: the power of two
+    nearest the largest |entry| of the probe's own R_k or M_k block, 1 for a
+    zero block, so a change of unit scales every step by a power of two."""
+    peaks = np.array([abs(x).max(initial=0.0) for p in cascade.params for x in (p.r_energy, p.m_coupling)])
+    mantissa, exponent = np.frexp(np.where(peaks > 0.0, peaks, 1.0))
+    sizes = [size for p in cascade.params for size in parameter_sizes(p.n, p.m)]
+    return np.repeat(np.ldexp(np.where(mantissa < 0.75, 0.5, 1.0), exponent), sizes)
+
+
 def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     """First-order covariance responses along the parameter basis.
 
@@ -291,17 +300,19 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     the result stacks them, shape (d_k, n, n). Each response solves the
     Lyapunov equation A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched
     block solve per chunk of :func:`_probe_chunks` into one result,
-    certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are
-    half-differences of the stacks along +d and -d, exact because A is
-    quadratic and B linear in (R_k, M_k). P is
-    :func:`invariant_covariance_direct`.
+    certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are the
+    differences of the stacks along +s d and -s d over 2s, s of
+    :func:`_probe_steps`, exact for any s because A is quadratic and B linear
+    in (R_k, M_k). P is :func:`invariant_covariance_direct`.
     """
     p_full, probes = invariant_covariance_direct(cascade), _probe_blocks(cascade)
+    steps = _probe_steps(cascade)
     dp, certificate = np.empty((cascade.n, cascade.n, probes[-1].stop)), np.empty(probes[-1].stop)
     with _prefixed("covariance responses"):
-        for lo, hi, stack in _probe_chunks(cascade, 1.0):
-            da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
-            db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
+        for lo, hi, stack in _probe_chunks(cascade, steps):
+            half_step = 0.5 / steps[lo:hi]  # a power of two, so the product is the quotient by 2s to the bit
+            da = half_step * (stack.a[..., 0::2] - stack.a[..., 1::2])
+            db = half_step * (stack.b[..., 0::2] - stack.b[..., 1::2])
             half = np.einsum("ils,lj->ijs", da, p_full) + np.einsum("ias,ja->ijs", db, cascade.b)
             force = half + half.transpose(1, 0, 2)
             dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(

@@ -111,6 +111,11 @@ def vech_to_symmetric(v: np.ndarray, r: int) -> Matrix:
     return out
 
 
+def vech_weight(r: int) -> np.ndarray:
+    """Column sums of :func:`duplication_matrix`: 2 for a vech entry off the diagonal, 1 on it."""
+    return 2.0 - vech(np.eye(r))
+
+
 def duplication_matrix(r: int) -> Matrix:
     """0/1 matrix mapping vech(M) to vec(M) for symmetric M of order r.
 

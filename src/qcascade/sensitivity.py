@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dtrtrs
 
 from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack, steady_state
 from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections, _prefixed
@@ -90,15 +90,8 @@ class UncertaintyModel:
     oscillators: tuple[OscillatorUncertainty, ...]
 
     @classmethod
-    def from_weights(
-        cls, weights: Sequence[tuple[float, float]]
-    ) -> "UncertaintyModel":
-        return cls(
-            oscillators=tuple(
-                OscillatorUncertainty(energy_weight=a, coupling_weight=b)
-                for a, b in weights
-            )
-        )
+    def from_weights(cls, weights: Sequence[tuple[float, float]]) -> "UncertaintyModel":
+        return cls(tuple(OscillatorUncertainty(energy_weight=a, coupling_weight=b) for a, b in weights))
 
 
 @dataclass(frozen=True)
@@ -237,13 +230,7 @@ def monte_carlo_variance(
     dv = np.concatenate(deltas)
     variance = float(np.var(dv, ddof=1)) if dv.size > 1 else 0.0
     ratio = variance / predicted if predicted > 0 else float("nan")
-    return MonteCarloResult(
-        variance=variance,
-        predicted=predicted,
-        ratio=ratio,
-        samples=samples,
-        rejected=rejected,
-    )
+    return MonteCarloResult(variance, predicted, ratio, samples, rejected)
 
 
 def _chunk_log_det(
@@ -261,14 +248,20 @@ class FisherResult:
     gram_k: tuple[Matrix, ...]
 
 
+def _whitened(chol: Matrix, xs: np.ndarray) -> np.ndarray:
+    """W = L^{-1} X L^{-T} of every symmetric X of a stack (d, n, n), from L of P = L L^T:
+    two ``dtrtrs`` solves, on the X side by side, then on the (L^{-1} X)^T side by side."""
+    d, n = len(xs), chol.shape[0]
+    half = _lapack_solve(dtrtrs, chol, np.asarray(xs).transpose(1, 0, 2).reshape(n, d * n), lower=1)
+    half = half.reshape(n, d, n).transpose(2, 1, 0).reshape(n, d * n)
+    return _lapack_solve(dtrtrs, chol, half, lower=1).reshape(n, d, n).transpose(1, 0, 2)
+
+
 def fisher_gram(chol: Matrix, dps: np.ndarray) -> Matrix:
-    """Gram matrix <dP_a, P^{-1} dP_b P^{-1}> of perturbations (d, n, n), from L of P = L L^T."""
-    d, n = len(dps), chol.shape[0]
-    # Y_a = P^{-1} dP_a for all a from one solve on [dP_1 | ... | dP_d]
-    ys = _lapack_solve(dpotrs, chol, np.asarray(dps).transpose(1, 0, 2).reshape(n, d * n), lower=1)
-    ys = ys.reshape(n, d, n).transpose(1, 0, 2)
-    gram = np.einsum("aij,bji->ab", ys, ys)
-    return 0.5 * (gram + gram.T)
+    """Gram matrix <W_a, W_b> = <dP_a, P^{-1} dP_b P^{-1}> of perturbations (d, n, n),
+    W_a of :func:`_whitened` on L of P = L L^T; symmetric to the bit."""
+    w = _whitened(chol, dps)
+    return np.einsum("aij,bij->ab", w, w)
 
 
 def fisher_metric(p: Matrix, dp: Matrix) -> float:
@@ -295,22 +288,17 @@ def fisher_sensitivity(cascade: CascadeModel, uncertainty: UncertaintyModel) -> 
 def kl_gaussian(p: Matrix, p_star: Matrix) -> float:
     """Relative entropy of N(0, p) from N(0, p_star).
 
-    Equals (Tr chi - ln det chi - n) / 2 with chi the whitened ratio
-    p_star^{-1/2} p p_star^{-1/2}.
+    Equals sum_i (mu_i - log1p mu_i) / 2 over the spectrum mu of the whitened difference
+    W = L^{-1} (p - p_star) L^{-T} (:func:`_whitened`, p_star = L L^T by :func:`_cholesky`),
+    so no O(n) terms cancel to an O(|W|^2) value; NonPositive unless mu > -1.
     """
-    n = p.shape[0]
-    w, v = np.linalg.eigh(0.5 * (p_star + p_star.T))
-    if np.any(w <= 0):
-        raise NonPositive("reference covariance is not positive definite")
-    isq = (v / np.sqrt(w)) @ v.T
-    chi = isq @ p @ isq
-    sign, logdet = np.linalg.slogdet(chi)
-    if sign <= 0:
+    mu = np.linalg.eigvalsh(_whitened(_cholesky(p_star, (len(p_star),)), (p - p_star)[None])[0])
+    if not mu[0] > -1.0:
         raise NonPositive("covariance ratio is not positive definite")
-    return 0.5 * (float(np.trace(chi)) - float(logdet) - n)
+    return 0.5 * float(np.sum(mu - np.log1p(mu)))
 
 
 def kl_quadratic(p: Matrix, p_star: Matrix) -> float:
-    """Small-deviation approximation |chi - I|^2 / 4 of the relative entropy,
-    a quarter of the information metric of p - p_star at p_star."""
+    """Small-deviation approximation |W|^2 / 4 of the relative entropy, W of
+    :func:`kl_gaussian`: a quarter of the information metric of p - p_star at p_star."""
     return 0.25 * fisher_metric(p_star, p - p_star)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from qcascade.gradients import (
     transform_gradients,
 )
 from qcascade.linalg import (
-    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, symmetric_part, vech,
+    RESIDUAL_TOL, J2, antisymmetric_part, duplication_matrix, solve_cascade_lyapunov, symmetric_part, vech,
 )
 from qcascade.oracles import solve_lyapunov
 from qcascade.oscillator import (
@@ -385,14 +386,28 @@ def per_oscillator_fd(cascade, h):
     return rho + mu
 
 
+def nearest_power_of_two(x):
+    """The power of two nearest x > 0 (the larger one on a tie), 1 for x = 0."""
+    if x == 0.0:
+        return 1.0
+    below = 2.0 ** math.floor(math.log2(x))
+    return min((2.0 * below, below), key=lambda c: abs(x - c))
+
+
 def per_oscillator_responses(cascade):
-    """The covariance responses with one stack and one solve per oscillator."""
+    """The covariance responses with one stack and one solve per oscillator,
+    each probe moved by the power of two nearest the largest |entry| of its
+    own R_k or M_k block."""
     p = invariant_covariance_direct(cascade)
     out = []
-    for k, nk in enumerate(cascade.dims):
-        stack = one_oscillator_stack(cascade, k, np.eye(nk * (nk + 1) // 2 + cascade.m * nk))
-        da = 0.5 * (stack.a[..., 0::2] - stack.a[..., 1::2])
-        db = 0.5 * (stack.b[..., 0::2] - stack.b[..., 1::2])
+    for k, (nk, params) in enumerate(zip(cascade.dims, cascade.params)):
+        steps = np.repeat(
+            [nearest_power_of_two(np.max(np.abs(x))) for x in (params.r_energy, params.m_coupling)],
+            parameter_sizes(nk, cascade.m),
+        )
+        stack = one_oscillator_stack(cascade, k, np.diag(steps))
+        da = (stack.a[..., 0::2] - stack.a[..., 1::2]) / (2.0 * steps)
+        db = (stack.b[..., 0::2] - stack.b[..., 1::2]) / (2.0 * steps)
         half = np.einsum("ils,lj->ijs", da, p) + np.einsum("ias,ja->ijs", db, cascade.b)
         force = half + half.transpose(1, 0, 2)
         dp, certificate = solve_cascade_lyapunov(
@@ -595,6 +610,7 @@ class TestVectorLayout:
             assert d.shape == (half + rest,)
             rho = reference_gradients.rho[k]
             np.testing.assert_array_equal(d[:half], vech(2.0 * rho - np.diag(np.diag(rho))))
+            np.testing.assert_array_equal(d[:half], duplication_matrix(nk).T @ rho.reshape(-1, order="F"))
             np.testing.assert_array_equal(
                 d[half:], -reference_gradients.mu[k].reshape(-1, order="F")
             )

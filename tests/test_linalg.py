@@ -32,6 +32,7 @@ from qcascade.linalg import (
     symplectic_residual,
     vech,
     vech_to_symmetric,
+    vech_weight,
 )
 from qcascade.oracles import solve_lyapunov
 from qcascade.oscillator import CascadeStack, assemble_cascade, perturbed_cascade_stack
@@ -539,6 +540,7 @@ class TestVechDuplication:
         gram = ups.T @ ups
         assert np.array_equal(gram, np.diag(np.diag(gram)))
         assert set(np.diag(gram).tolist()) <= {1.0, 2.0}
+        np.testing.assert_array_equal(vech_weight(r), ups.sum(axis=0))
         assert np.linalg.norm(ups, 2) <= np.sqrt(2.0) + 1e-12
 
     @settings(max_examples=50, deadline=None)

@@ -200,6 +200,15 @@ def test_only_the_realizability_rule_reads_its_tolerance():
     assert _owners(reads) == ["oscillator._realizable"]
 
 
+def test_only_the_purity_takes_a_log_determinant_by_slogdet():
+    # ln det P comes from a Cholesky factor, and the relative entropy from the
+    # spectrum of a whitened difference; slogdet is left with det theta alone
+    def calls(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "slogdet"
+
+    assert _owners(calls) == ["covariance._purity"]
+
+
 def test_only_the_oscillator_module_computes_realizability_residuals():
     # the builder and assembly; validate reports the certificate assembly kept
     def calls(node):

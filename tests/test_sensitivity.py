@@ -478,17 +478,37 @@ class TestDivergence:
         want = 4 * (1.0 - np.log(2.0)) / 2.0
         assert kl_gaussian(2.0 * p_star, p_star) == pytest.approx(want, rel=1e-12)
 
-    def test_quadratic_expansion_at_small_scale(self, reference_cascade):
-        p_star = invariant_covariance_direct(reference_cascade)
+    @staticmethod
+    def near_point(p_star, eps):
+        """P*^(1/2) (I + eps E) P*^(1/2) with E symmetric, |E|_F = 1 (seed 7)."""
         n = p_star.shape[0]
         w, v = np.linalg.eigh(p_star)
         root = (v * np.sqrt(w)) @ v.T
         rng = np.random.default_rng(7)
         e = rng.standard_normal((n, n))
-        e = 1e-3 * (e + e.T) / np.linalg.norm(e + e.T)
-        p = root @ (np.eye(n) + e) @ root
+        e = eps * (e + e.T) / np.linalg.norm(e + e.T)
+        return root @ (np.eye(n) + e) @ root
+
+    def test_quadratic_expansion_at_small_scale(self, reference_cascade):
+        p_star = invariant_covariance_direct(reference_cascade)
+        p = self.near_point(p_star, 1e-3)
         ratio = kl_gaussian(p, p_star) / kl_quadratic(p, p_star)
         assert 0.99 <= ratio <= 1.01
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+    def test_tiny_divergence_keeps_its_digits(self, reference_cascade, eps):
+        # an O(eps^2) value that an O(n) trace and log-determinant would cancel
+        # to; the 60-digit value is that of the float64 p and p_star themselves
+        import mpmath as mp
+
+        p_star = invariant_covariance_direct(reference_cascade)
+        p, n = self.near_point(p_star, eps), len(p_star)
+        with mp.workdps(60):
+            chi = mp.inverse(mp.matrix(p_star.tolist())) * mp.matrix(p.tolist())
+            exact = float((sum(chi[i, i] for i in range(n)) - mp.log(mp.det(chi)) - n) / 2)
+        got = kl_gaussian(p, p_star)
+        assert abs(got - exact) <= 1e-7 * exact
+        assert got / kl_quadratic(p, p_star) == pytest.approx(1.0, abs=1e-6)
 
     def test_indefinite_argument_rejected(self):
         with pytest.raises(NonPositive):
