@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf
 
 from .errors import NonPositive, SingularLeadingBlock, SingularTheta, SolverSingular
 from .linalg import (
@@ -28,6 +26,7 @@ from .linalg import (
     Matrix,
     block_slices,
     cascade_schur,
+    dpotrf,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
@@ -166,6 +165,8 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> tuple[Matrix, ...]
     Q P_lead^{-1}, computed through a Cholesky factorization of the
     leading block, never an explicit inverse; Pi_k is its leading block.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     dims = tuple(int(d) for d in dims)
     n = p_full.shape[0]
     if sum(dims) != n:

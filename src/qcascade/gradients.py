@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .covariance import (
     _cholesky,
@@ -45,6 +44,7 @@ from .linalg import (
     block_slices,
     block_upper_mask,
     cascade_schur,
+    dpotrs,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,

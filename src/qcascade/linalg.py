@@ -25,15 +25,32 @@ perturbed-cascade builder and of the stacked log-determinant, so no
 stack is transposed between them. The dense Kronecker vectorization
 solves the small complex z-domain equations and the steps between
 blocks of other orders, and is the test oracle for the real routes.
+
+This module is the one owner of scipy's compiled routines: ``dgees``,
+``dtrsyl``, ``dpotrf``, ``dpotrs`` and ``dtrtrs`` from LAPACK and ``nrm2``
+from BLAS. They are loaded from the files of scipy's compiled modules
+``linalg/_flapack`` and ``linalg/_fblas`` (:func:`_scipy_linalg_extension`),
+so no production import runs ``scipy.linalg``'s ``__init__`` and its
+array-API layer, which took about half of a command's start-up. The
+routines are the objects ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
+hold, so results are bit for bit those of the package import. Every other
+production module imports them from here; only the reference routes
+(:func:`solve_sylvester`, :func:`symplectic_exponential` and
+``covariance.schur_complements``) import ``scipy.linalg``, when they run.
 """
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, spec_from_loader
+from types import ModuleType
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigFailure, NotHurwitz, SchemaError, SingularResolvent, SolverSingular
 
@@ -44,6 +61,52 @@ RESIDUAL_TOL = 1e-9
 
 #: generator of the antisymmetric matrices of order 2
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _extension_file(name: str) -> str | None:
+    """Path of scipy's compiled module ``scipy.linalg.<name>``, found without
+    importing scipy, or None where this scipy layout has no such file."""
+    spec = find_spec("scipy")
+    for root in (spec.submodule_search_locations or []) if spec else []:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", name + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _scipy_linalg_extension(name: str) -> ModuleType:
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file
+    without running ``scipy.linalg``'s ``__init__`` and without entering it in
+    ``sys.modules``; ``importlib.import_module`` where there is no such file
+    or it fails to load. Both give the same routine objects."""
+    fullname = "scipy.linalg." + name
+    path = _extension_file(name)
+    if path is not None:
+        held = sys.modules.get(fullname)
+        try:
+            loader = ExtensionFileLoader(fullname, path)
+            module = loader.create_module(spec_from_loader(fullname, loader))
+            loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+        finally:
+            # a single-phase extension enters itself in sys.modules: restore what was there
+            if held is None:
+                sys.modules.pop(fullname, None)
+            else:
+                sys.modules[fullname] = held
+    return importlib.import_module(fullname)
+
+
+_flapack = _scipy_linalg_extension("_flapack")
+dgees, dtrsyl = _flapack.dgees, _flapack.dtrsyl
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+#: the BLAS ``nrm2`` that ``scipy.linalg.norm`` picks for a real or complex
+#: vector: the 64-bit-integer build where scipy has one
+_fblas = _scipy_linalg_extension("_fblas_64" if _extension_file("_fblas_64") else "_fblas")
+_NRM2 = {np.dtype(float): _fblas.dnrm2, np.dtype(complex): _fblas.dznrm2}
 
 
 def symplectic_form(r: int) -> Matrix:
@@ -67,6 +130,8 @@ def symplectic_exponential(h: Matrix) -> Matrix:
     exponential preserves J and every scalar multiple of it, and has
     unit determinant.
     """
+    import scipy.linalg
+
     return scipy.linalg.expm(symplectic_form(h.shape[0]) @ h)
 
 
@@ -198,17 +263,18 @@ def resolvent_solve(a: Matrix, b: Matrix, s: complex) -> Matrix:
 
 
 _TINY = np.finfo(float).tiny
-#: the BLAS ``nrm2`` that ``scipy.linalg.norm`` picks for a real or complex vector
-_NRM2 = {c: scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(c), ilp64="preferred") for c in "dD"}
 
 
 def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm by BLAS ``nrm2``, which scales as it sums: it overflows
     only where the norm itself does, not where the sum of squares would. The
-    value of ``scipy.linalg.norm`` on the raveled x, without its per-call lookup."""
+    value of ``scipy.linalg.norm`` on the raveled x, taken in float64 or
+    complex128; 0.0 for an empty x."""
     v = np.asarray(x).ravel()
-    nrm2 = _NRM2.get(v.dtype.char) if v.size else None
-    return float(nrm2(v) if nrm2 else scipy.linalg.norm(v, check_finite=False))
+    if not v.size:
+        return 0.0
+    v = v.astype(complex if v.dtype.kind == "c" else float, copy=False)
+    return float(_NRM2[v.dtype](v))
 
 
 def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix) -> None:
@@ -248,6 +314,8 @@ def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
         ok, margin = is_hurwitz(mat, np.max(np.abs(mat)))
         if not ok:
             raise NotHurwitz(f"{name} is not Hurwitz: max Re eig = {margin:.3e}")
+    import scipy.linalg
+
     try:
         sigma = scipy.linalg.solve_sylvester(alpha, beta.T, -gamma)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -316,7 +384,7 @@ def _no_sort(wr: float, wi: float) -> None:
 
 def _block_schur(a_kk: Matrix, k: int) -> tuple[Matrix, Matrix]:
     """(S_k, W_k) with A_kk^T = W_k S_k W_k^T from one unsorted ``dgees`` call."""
-    s_k, _, _, _, w_k, _, info = scipy.linalg.lapack.dgees(_no_sort, a_kk.T)
+    s_k, _, _, _, w_k, _, info = dgees(_no_sort, a_kk.T)
     if info != 0:
         raise SolverSingular(f"Schur factorization of diagonal block {k} failed: info {info}")
     return s_k, w_k
@@ -337,7 +405,7 @@ def solve_cascade_sylvester(
     """
     w_r, w_c = factor.w[rows, rows], factor.w[cols, cols]
     trans = ("N", "T") if transpose else ("T", "N")
-    x, scale, info = scipy.linalg.lapack.dtrsyl(
+    x, scale, info = dtrsyl(
         factor.s[rows, rows], factor.s[cols, cols], -(w_r.T @ gamma @ w_c), *trans
     )
     if info != 0 or scale != 1.0:

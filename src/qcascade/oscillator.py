@@ -215,9 +215,14 @@ def _series_connection(
             passed = _realizable(res, scale)
             if not passed.all():
                 i, copy = np.argwhere(~passed)[0]
+                # an infinite scale is a copy beyond double precision, not an unrealizable model
+                cause = (
+                    "a copy overflows double precision at"
+                    if scale[i, copy] == np.inf
+                    else "physical-realizability self-check failed for"
+                )
                 raise ArithmeticError(
-                    f"physical-realizability self-check failed for oscillator {ks[i]}: "
-                    f"residual {res[i, copy]:.3e}, scale {scale[i, copy]:.3e}"
+                    f"{cause} oscillator {ks[i]}: residual {res[i, copy]:.3e}, scale {scale[i, copy]:.3e}"
                 )
             abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
             # max|A_kk| as max(max A_kk, -min A_kk): no temporary of the batch's size

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack, steady_state
 from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part
+from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part, dtrtrs
 from .oscillator import CascadeModel, parameter_sizes, perturbed_cascade_stack
 
 #: perturbed cascades built and solved as one stack by the Monte-Carlo check;

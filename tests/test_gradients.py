@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 import qcascade.covariance
 import qcascade.gradients
+import qcascade.linalg
 
 from conftest import (
     make_cascade,
@@ -223,14 +224,14 @@ class TestRouteAgreement:
 
             return wrapped
 
-        gees = scipy.linalg.lapack.dgees
+        gees = qcascade.linalg.dgees
 
         def spy_gees(select, x, *args, **kwargs):
             orders.append(np.shape(x)[0])
             return gees(select, x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "schur", spy(scipy.linalg.schur))
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", spy_gees)
+        monkeypatch.setattr(qcascade.linalg, "dgees", spy_gees)
         monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy(scipy.linalg.solve_sylvester))
         monkeypatch.setattr(np.linalg, "eigvals", spy(np.linalg.eigvals))
         invariant_covariance_recursive(cascade)
@@ -243,13 +244,13 @@ class TestRouteAgreement:
         # the gradients alike: one dgees call per oscillator
         cascade = make_passive_chain(np.random.default_rng(1616), 16)
         orders = []
-        gees = scipy.linalg.lapack.dgees
+        gees = qcascade.linalg.dgees
 
         def spy_gees(select, x, *args, **kwargs):
             orders.append(np.shape(x))
             return gees(select, x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", spy_gees)
+        monkeypatch.setattr(qcascade.linalg, "dgees", spy_gees)
         purity_gradients_recursive(cascade)
         assert orders == [(2, 2)] * cascade.n_oscillators
 
@@ -281,8 +282,7 @@ class TestRouteAgreement:
 
         for module in (qcascade.gradients, qcascade.covariance):
             monkeypatch.setattr(module, "solve_cascade_sylvester", spy_solve)
-        for module in (scipy.linalg, qcascade.covariance):
-            monkeypatch.setattr(module, "cho_factor", spy_factor)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy_factor)
         purity_gradients_recursive(cascade)
         blocks = {(blk.start, blk.stop) for blk in cascade.blocks}
         assert {rows for rows, _ in calls} <= blocks

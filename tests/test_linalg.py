@@ -1,3 +1,5 @@
+import importlib.machinery
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qcascade.gradients
+import qcascade.linalg
 from conftest import make_cascade, make_mixed_cascade, make_oscillator
 from qcascade.covariance import log_det_stack
 from qcascade.errors import NotHurwitz, SolverSingular
@@ -135,6 +138,35 @@ class TestSylvester:
         for x in cases:
             want = scipy.linalg.norm(np.ravel(x), check_finite=False)
             assert _frobenius(x) == want
+        # any other dtype is taken in float64 or complex128
+        for x in (np.arange(6).reshape(2, 3), cases[0].astype(np.float32), cases[1].astype(np.complex64)):
+            wide_type = complex if np.iscomplexobj(x) else float
+            assert _frobenius(x) == scipy.linalg.norm(np.ravel(x).astype(wide_type), check_finite=False)
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_compiled_routines_fall_back_to_the_package_import(self, broken, tmp_path, monkeypatch):
+        # where scipy's compiled modules are not files under linalg/, or one
+        # fails to load, the loader imports them through scipy.linalg; the
+        # routines then give what the fast path's give, to the bit
+        if broken:
+            (tmp_path / "linalg").mkdir()
+            for name in ("_flapack", "_fblas"):
+                (tmp_path / "linalg" / (name + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"no ELF")
+        elsewhere = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        elsewhere.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(qcascade.linalg, "find_spec", lambda name: elsewhere)
+        assert (qcascade.linalg._extension_file("_flapack") is None) is not broken
+        lapack = qcascade.linalg._scipy_linalg_extension("_flapack")
+        blas = qcascade.linalg._scipy_linalg_extension("_fblas")
+        assert lapack is scipy.linalg._flapack
+        assert blas is scipy.linalg._fblas
+        rng = np.random.default_rng(33)
+        s, t = np.triu(rng.standard_normal((4, 4))) - 4 * np.eye(4), np.triu(rng.standard_normal((3, 3)))
+        c = rng.standard_normal((4, 3))
+        for got, want in zip(lapack.dtrsyl(s, t, c), qcascade.linalg.dtrsyl(s, t, c)):
+            np.testing.assert_array_equal(got, want)
+        v = 1e300 * rng.standard_normal(9)
+        assert blas.dnrm2(v) == qcascade.linalg._NRM2[v.dtype](v)
 
     def test_certificate_refuses_an_overflowing_residual(self):
         # alpha sigma overflows: the residual is infinite and is refused, with no warning

@@ -392,7 +392,7 @@ class TestPerturbedStack:
         # scale overflow to inf, and a perturbed stack has no composite check
         de = [np.zeros((2, 3 + reference_cascade.m * 2)) for _ in reference_cascade.dims]
         de[1][:, 3] = 1e200
-        with pytest.raises(ArithmeticError, match=r"oscillator 1: residual .*, scale inf"):
+        with pytest.raises(ArithmeticError, match=r"a copy overflows double precision at oscillator 1: residual .*, scale inf"):
             perturbed_cascade_stack(reference_cascade, de)
 
     def test_realizability_self_check_is_applied(self, reference_cascade):

@@ -51,6 +51,31 @@ def test_importing_the_cli_loads_no_quadrature_or_sparse_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_command_loads_scipy_linalg_or_its_array_api_layer(tmp_path):
+    # importing scipy.linalg costs about half of a command's start-up, most of
+    # it scipy's array-API layer; production loads its LAPACK and BLAS routines
+    # from scipy's compiled modules, and only the reference routes import the package
+    spec = REPO / "tests" / "data" / "cascade_n3_m6.json"
+    code = (
+        "import contextlib, io, sys, qcascade.cli\n"
+        "codes = {}\n"
+        "for c in qcascade.cli.COMMANDS:\n"
+        "    extra = ['--samples', '2000'] if c == 'mc-check' else []\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        codes[c] = qcascade.cli.main([c, {str(spec)!r}, '--out', {str(tmp_path)!r} + '/' + c, *extra])\n"
+        "print(codes)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy._lib._array_api'))))"
+    )
+    src = str(Path(qcascade.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    codes, loaded = out.stdout.splitlines()
+    # reproduce-paper refuses a spec without an expected block
+    assert codes == repr({c: int(c == "reproduce-paper") for c in ("validate", "covariance", "purity",
+        "gradients", "sensitivity", "balance", "mc-check", "ti-bounds", "reproduce-paper")})
+    assert loaded == "[]"
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names an import statement of ``path`` binds that no expression of the
     module reads; ``import a.b`` binds ``a``, and ``__future__`` binds nothing."""
@@ -143,6 +168,54 @@ def _owners(predicate) -> list[str]:
 
 def _name(node: ast.AST) -> str | None:
     return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _module_level(tree: ast.Module):
+    """Every node of a module that runs when it is imported: its body, not the
+    bodies of its functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_oracles_import_scipy_when_imported():
+    # production modules load no scipy package at import time; the reference
+    # routes in them import scipy.linalg inside the function
+    def imports_scipy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "scipy"
+
+    importers = [
+        path.stem
+        for path in sorted((REPO / "src" / "qcascade").glob("*.py"))
+        if any(imports_scipy(node) for node in _module_level(ast.parse(path.read_text())))
+    ]
+    assert set(importers) <= {"oracles"}
+    assert imports_scipy(ast.parse("import scipy.linalg").body[0])
+    assert imports_scipy(ast.parse("from scipy.linalg.lapack import dpotrf").body[0])
+
+
+def test_only_linalg_binds_compiled_routines():
+    # scipy's compiled LAPACK and BLAS modules have one owner; every other
+    # module imports dgees, dtrsyl, dpotrf, dpotrs, dtrtrs and nrm2 from it
+    compiled = {
+        "lapack", "blas", "_flapack", "_fblas", "_fblas_64",
+        "get_lapack_funcs", "get_blas_funcs", "_scipy_linalg_extension",
+    }
+
+    def binds(node):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            return bool(compiled & set(parts))
+        if isinstance(node, ast.Constant):
+            return node.value in compiled
+        return _name(node) in compiled
+
+    assert {use.partition(".")[0] for use in _owners(binds)} == {"linalg"}
 
 
 def test_only_the_monte_carlo_check_starts_threads():
