@@ -164,7 +164,7 @@ def _stationary_gram(rho: Matrix, tau: Matrix) -> tuple[Matrix, NewtonResult, np
     has the spectrum of tau^{-1/2} rho tau^{-1/2}, det tau = prod L_ii^2 and
     U = L^{-T} V f_lambda(r) V^T L^{-1}; forming no tau^{-1/2} keeps lambda's digits."""
     tau_eigs = np.linalg.eigvalsh(tau)
-    if tau_eigs[0] <= 1e-12 * max(1.0, tau_eigs[-1]):
+    if tau_eigs[0] <= 1e-12 * tau_eigs[-1]:  # relative to tau's own scale, so a zero tau is refused
         raise RankDeficientMu(
             f"coupling-gradient Gram matrix has eigenvalue {tau_eigs[0]:.3e}"
         )

@@ -17,10 +17,17 @@ a bool or a string is not one, whatever it spells.
 
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
 mc-check, ti-bounds, reproduce-paper. A command is a view over one
-:class:`Pipeline` per run, whose cascade and balancing are each computed
-at most once; P, its factor and the gradients are kept on the cascade by
-their owners. Every run writes ``report.json``, strict JSON, into the
-output directory; some commands add CSV series or a balanced spec. Exit
+:class:`Pipeline` per run, whose balancing is computed at most once. Its
+spec and cascade come from a cache of one entry, keyed by the spec's path
+and the SHA-256 of its bytes, so commands that one interpreter runs on the
+same bytes parse the spec and assemble the cascade once, and share the P,
+factor and gradients their owners keep on it; the ``qcascade`` console
+script runs one command per process, so it always misses. A run that ends
+with an exception leaves no entry, so an error is never cached.
+:func:`load_spec` and :func:`build_cascade` stay uncached: they run outside
+:func:`main`'s overflow check, so a value kept there could be one that
+:func:`main` refuses. Every run writes ``report.json``, strict JSON, into
+the output directory; some commands add CSV series or a balanced spec. Exit
 codes: 0 success, 1 validation failure, a usage error included, 2
 numerical failure, a non-finite result included; ``balance``,
 ``reproduce-paper``, ``mc-check`` and ``ti-bounds`` also exit 2 after
@@ -357,23 +364,60 @@ class RunFlags:
 RUN_SETTINGS = {f.name: type(f.default) for f in fields(RunFlags)}
 
 
+class LoadedSpec:
+    """A validated spec and its cascade, assembled at most once, on first use:
+    what the runs of :func:`main` on the same spec bytes share. P, its factor
+    and the gradients are kept on the cascade by their owners."""
+
+    def __init__(self, spec: CascadeSpecFile):
+        self.spec = spec
+
+    @functools.cached_property
+    def cascade(self) -> CascadeModel:
+        return build_cascade(self.spec)
+
+
+#: the one spec :func:`main` keeps between runs: (path, SHA-256 of its bytes)
+#: -> its LoadedSpec; it hits only when one interpreter calls :func:`main`
+#: more than once on the same bytes. A run takes the entry out, so no two runs
+#: hold one cascade at once, and puts its own in only when it ends without an
+#: exception, so an error is never cached.
+_LOADED: dict[tuple[Path, str], LoadedSpec] = {}
+
+
+def _take_loaded(path: Path) -> LoadedSpec:
+    """The cached LoadedSpec of ``path``'s current bytes, or on a miss a new
+    one from :func:`load_spec`; the cache is left empty either way."""
+    try:
+        key = (path, hashlib.sha256(path.read_bytes()).hexdigest())
+    except OSError:
+        key = None  # load_spec reports the unreadable file
+    loaded = _LOADED.pop(key, None)
+    _LOADED.clear()  # one entry: a miss replaces it
+    return loaded or LoadedSpec(load_spec(path))
+
+
 @dataclass(frozen=True)
 class Pipeline:
-    """One command run on one spec: the cascade and the stages that depend
-    on run settings, each computed at most once on first use, and the
-    files the command adds next to ``report.json``. P, its factor and the
-    gradients are read from their owners, which keep them on the cascade."""
+    """One command run on one loaded spec: its cascade, shared by every run on
+    the same spec bytes, the stages that depend on run settings, each computed
+    at most once per run on first use, and the files the command adds next to
+    ``report.json``."""
 
-    spec: CascadeSpecFile
+    loaded: LoadedSpec
     flags: RunFlags
     out: Path
     #: CSV file name -> (header, rows)
     csv_series: dict[str, tuple[str, list[tuple]]] = field(default_factory=dict)
     extra_files: dict[str, dict[str, Any]] = field(default_factory=dict)
 
-    @functools.cached_property
+    @property
+    def spec(self) -> CascadeSpecFile:
+        return self.loaded.spec
+
+    @property
     def cascade(self) -> CascadeModel:
-        return build_cascade(self.spec)
+        return self.loaded.cascade
 
     @functools.cached_property
     def uncertainty(self) -> UncertaintyModel:
@@ -769,11 +813,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        spec = load_spec(ns.spec)
-        run = Pipeline(spec, RunFlags.from_spec(spec, ns), ns.out)
+        loaded = _take_loaded(Path(ns.spec))
+        run = Pipeline(loaded, RunFlags.from_spec(loaded.spec, ns), ns.out)
         results, code, table = COMMANDS[ns.command](run)
         report = {"command": ns.command, "provenance": run.provenance, "results": results}
         _write_outputs(run, report)
+        _LOADED[(loaded.spec.source, loaded.spec.sha256)] = loaded
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

@@ -145,8 +145,7 @@ class MonteCarloResult:
 
 def _sigma_sqrt(sigma: Matrix) -> Matrix:
     w, v = np.linalg.eigh(sigma)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if np.any(w < -1e-12 * scale):
+    if np.any(w < -1e-12 * np.max(np.abs(w), initial=0.0)):  # relative to sigma's own scale
         raise NonPositive(f"uncertainty covariance has eigenvalue {w.min():.3e}")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcascade.cli
 from qcascade.cli import CascadeSpecFile, build_cascade, load_spec
 from qcascade.linalg import is_hurwitz, symplectic_exponential
 from qcascade.oscillator import CascadeModel, OscillatorParams, default_theta
@@ -24,6 +25,13 @@ PAPER_SPEC = Path(__file__).resolve().parent.parent / "examples" / "paper_sec9.j
 
 # comfortable margin so finite-difference probes stay Hurwitz
 RANDOM_MARGIN = -0.05
+
+
+@pytest.fixture(autouse=True)
+def empty_spec_cache():
+    """Every test starts ``cli.main`` with no loaded spec, so no test reads a
+    cascade, or the P and gradients on it, that an earlier test computed."""
+    qcascade.cli._LOADED.clear()
 
 
 @pytest.fixture(scope="session")

@@ -176,6 +176,25 @@ class TestOneMode:
         with pytest.raises(RankDeficientMu):
             minimize_psi_one_mode(problem)
 
+    def test_well_conditioned_tau_is_accepted_at_any_scale(self):
+        # 2^-140 (about 7e-43) scales psi and leaves its minimizer; an absolute
+        # rank bound refused this tau, whose eigenvalues are all below 1e-12
+        rho = np.array([[2.0, 0.3], [0.3, 0.5]])
+        mu = np.array([[1.0, 0.2], [0.1, 0.8], [0.4, 0.0]])
+        base = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, mu=mu, tau=mu.T @ mu))
+        scaled = minimize_psi_one_mode(OneModeBalanceProblem(rho=2.0**-70 * rho, mu=2.0**-70 * mu, tau=2.0**-140 * (mu.T @ mu)))
+        np.testing.assert_allclose(scaled.s_k, base.s_k, rtol=1e-12)
+
+    @pytest.mark.parametrize("j", [-25, -21, 20])
+    def test_weight_scale_leaves_the_balancing(self, j, reference_cascade, reference_spec, reference_report):
+        # (a, b) -> 4^j (a, b) scales rho and tau by exact powers of two, so every
+        # ratio is the same to the bit; the rank rule used to refuse j = -21
+        weights = [unc.weights() for unc in reference_spec.uncertainty.oscillators]
+        scaled = UncertaintyModel.from_weights([(4.0**j * a, 4.0**j * b) for a, b in weights])
+        report = balance_cascade(reference_cascade, scaled)
+        assert report.ratios == reference_report.ratios
+        assert report.uncertified == 0
+
     def test_multimode_data_rejected(self):
         problem = OneModeBalanceProblem(
             rho=np.eye(4), mu=np.eye(4), tau=np.eye(4)

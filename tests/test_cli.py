@@ -674,29 +674,43 @@ class TestCrossTermSigma:
         assert 0.9 <= json.loads((tmp_path / "report.json").read_text())["results"]["ratio"] <= 1.1
 
 
+def spy_counts(monkeypatch, names) -> Counter:
+    """Calls of each function in ``names``, counted wherever a qcascade module holds it."""
+    counts = Counter()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    originals = {}
+    for module in [m for n, m in sys.modules.items() if n.startswith("qcascade")]:
+        for name in names:
+            if hasattr(module, name):
+                fn = originals.setdefault(name, getattr(module, name))
+                monkeypatch.setattr(module, name, spy(name, fn))
+    return counts
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of one ``main`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestPipeline:
     """Each command computes each stage of the chain at most once: P is
     solved, its Gramian (the gradients) formed and the cascade balanced."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        counts = Counter()
-
-        def spy(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        names = ("stationary_covariance", "observability_gramian_and_hankelian", "balance_cascade")
-        originals = {}
-        for module in [m for n, m in sys.modules.items() if n.startswith("qcascade")]:
-            for name in names:
-                if hasattr(module, name):
-                    fn = originals.setdefault(name, getattr(module, name))
-                    monkeypatch.setattr(module, name, spy(name, fn))
-        return counts
+        return spy_counts(
+            monkeypatch, ("stationary_covariance", "observability_gramian_and_hankelian", "balance_cascade")
+        )
 
     @pytest.mark.parametrize(
         "command, p, grads, balance",
@@ -751,6 +765,108 @@ class TestPipeline:
         provenance = json.loads((out / "report.json").read_text())["provenance"]
         assert {k: provenance[k] for k in names} == settings
         assert set(provenance) == names | {"input", "sha256", "version"}
+
+
+#: every command, each with flags that keep it small
+CACHE_COMMANDS = {
+    "validate": [], "covariance": [], "purity": [], "gradients": [], "sensitivity": [],
+    "balance": [], "mc-check": ["--samples", "2048", "--epsilon", "1e-10"], "ti-bounds": [],
+    "reproduce-paper": [],
+}
+
+
+class TestSpecCache:
+    """``main`` keeps the last spec it ran without an error, keyed by its path
+    and the SHA-256 of its bytes, with the cascade and what is kept on it."""
+
+    def entry(self):
+        (loaded,) = qcascade.cli._LOADED.values()
+        return loaded
+
+    @pytest.mark.parametrize("command", ["covariance", "purity", "gradients", "sensitivity"])
+    def test_a_second_command_builds_and_solves_nothing(self, command, tmp_path, monkeypatch):
+        assert main(["validate", str(GENERATED_SPEC), "--out", str(tmp_path / "v")]) == 0
+        loaded = self.entry()
+        counts = spy_counts(monkeypatch, ("load_spec", "assemble_cascade", "stationary_covariance"))
+        assert main([command, str(GENERATED_SPEC), "--out", str(tmp_path / "c")]) == 0
+        assert counts == Counter()
+        assert self.entry() is loaded
+
+    def test_new_bytes_rebuild_the_cascade(self, tmp_path, monkeypatch):
+        doc = read_example()
+        path = write_spec(tmp_path, doc)
+        assert main(["purity", str(path), "--out", str(tmp_path / "a")]) == 0
+        counts = spy_counts(monkeypatch, ("load_spec", "assemble_cascade", "stationary_covariance"))
+        doc["oscillators"][0]["R"][0][0] += 0.125
+        write_spec(tmp_path, doc)
+        assert main(["purity", str(path), "--out", str(tmp_path / "b")]) == 0
+        assert counts == Counter({"load_spec": 1, "assemble_cascade": 1, "stationary_covariance": 1})
+        reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in "ab"]
+        assert reports[0]["provenance"]["sha256"] != reports[1]["provenance"]["sha256"]
+        assert reports[0]["results"]["v_logdet"] != reports[1]["results"]["v_logdet"]
+        assert list(qcascade.cli._LOADED) == [(path, reports[1]["provenance"]["sha256"])]
+
+    def test_same_bytes_under_a_new_path_report_it(self, tmp_path):
+        for path in [write_spec(tmp_path, read_example(), name) for name in ("a.json", "b.json")]:
+            assert main(["purity", str(path), "--out", str(tmp_path / path.stem)]) == 0
+            report = json.loads((tmp_path / path.stem / "report.json").read_text())
+            assert report["provenance"]["input"] == str(path)
+            assert self.entry().spec.source == path
+
+    @pytest.mark.parametrize(
+        "command, code, shown",
+        [("covariance", 2, "numerical error: oscillator 0 has spectral abscissa"),
+         ("reproduce-paper", 1, "validation error: reproduce needs an 'expected' block")],
+    )
+    def test_a_refusal_is_not_kept(self, command, code, shown, tmp_path, unstable_doc):
+        path = write_spec(tmp_path, unstable_doc)
+        # validate writes its report, exit 1 for the unstable oscillator, and keeps the spec
+        assert main(["validate", str(path), "--out", str(tmp_path / "v")]) == 1
+        assert list(qcascade.cli._LOADED) != []
+        replies = [run_main([command, str(path), "--out", str(tmp_path / "c")]) for _ in range(2)]
+        assert replies[0] == replies[1]
+        assert replies[0][0] == code and replies[0][2].startswith(shown)
+        assert qcascade.cli._LOADED == {}
+
+    def test_a_refused_spec_is_not_kept(self, tmp_path):
+        doc = read_example()
+        doc["oscillators"][0]["R"] = [[0.1, 0.5], [0.2, 0.3]]
+        path = write_spec(tmp_path, doc)
+        replies = [run_main(["validate", str(path), "--out", str(tmp_path)]) for _ in range(2)]
+        assert replies[0] == replies[1]
+        assert replies[0][0] == 1 and "asymmetry" in replies[0][2]
+        assert qcascade.cli._LOADED == {}
+
+    @pytest.mark.parametrize("spec", sorted((GENERATED_SPEC.parent).glob("*.json")), ids=lambda p: p.stem)
+    def test_warm_outputs_are_the_cold_outputs(self, spec, tmp_path):
+        def outputs(command, out):
+            reply = run_main([command, str(spec), "--out", str(out), *CACHE_COMMANDS[command]])
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            return reply, files
+
+        cold = {}
+        for command in CACHE_COMMANDS:
+            qcascade.cli._LOADED.clear()
+            cold[command] = outputs(command, tmp_path / "cold" / command)
+        # the first pass runs each command on what the earlier ones kept, the
+        # second on everything; reproduce-paper refuses these specs, which
+        # empties the cache, so it runs once, last
+        passes = [c for c in CACHE_COMMANDS if c != "reproduce-paper"] * 2 + ["reproduce-paper"]
+        for i, command in enumerate(passes):
+            assert outputs(command, tmp_path / "warm" / str(i)) == cold[command], command
+            if i == 0:
+                loaded = self.entry()
+            elif command != "reproduce-paper":
+                assert self.entry() is loaded
+
+    def test_library_calls_are_not_cached(self, tmp_path):
+        assert main(["gradients", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+        loaded = self.entry()
+        spec = load_spec(GENERATED_SPEC)
+        assert spec is not loaded.spec and spec.sha256 == loaded.spec.sha256
+        cascade = build_cascade(spec)
+        assert cascade is not loaded.cascade and build_cascade(spec) is not cascade
+        assert cascade.derived == {} and loaded.cascade.derived
 
 
 class TestExitCodes:

@@ -139,6 +139,18 @@ class TestUncertaintyChecks:
         with pytest.raises(error, match=shown):
             OscillatorUncertainty(sigma=sigma)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20])
+    def test_sigma_psd_rule_is_relative(self, scale):
+        # the negative eigenvalue is half the largest one, whatever the unit
+        with pytest.raises(NonPositive, match=f"eigenvalue {-0.5 * scale:.3e}"):
+            OscillatorUncertainty(sigma=scale * np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_weight_form_factor_is_the_root_of_its_weights(self, scale):
+        weights = (scale * 0.25, scale * 4.0)
+        sigma = OscillatorUncertainty(energy_weight=weights[0], coupling_weight=weights[1]).sigma_matrix(2, 2)
+        np.testing.assert_array_equal(_sigma_sqrt(sigma), np.diag(np.sqrt(np.diag(sigma))))
+
     def test_small_asymmetry_is_symmetrized(self):
         sigma = np.eye(3)
         sigma[0, 1] = 1e-12
