@@ -35,8 +35,7 @@ import numpy as np
 from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError, _prefixed
 from .gradients import purity_gradients_direct
 from .linalg import RESIDUAL_TOL, Matrix
-from .oscillator import CascadeModel, assemble_cascade, transform_params
-from .sensitivity import UncertaintyModel
+from .oscillator import CascadeModel, UncertaintyModel, assemble_cascade, transform_params
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50

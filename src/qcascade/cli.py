@@ -35,7 +35,11 @@ writing their report when their own certificate or check fails, and
 ``covariance`` and ``gradients`` when ``route_gap`` exceeds ``RESIDUAL_TOL``
 x max(1, ||P||_F) or x max(1, max |rho_k, mu_k|). Results
 are deterministic for a fixed input file and seed, which drives only
-``mc-check``'s samples. Commands run production routes only.
+``mc-check``'s samples. Commands run production routes and, for
+``route_gap``, the two recursive reference routes. Module level imports what
+every command needs (``errors``, ``linalg``, ``oscillator``, ``covariance``);
+a command's own layer (``gradients``, ``sensitivity``, ``balance`` or
+``zcascade``) is imported inside its view.
 """
 
 from __future__ import annotations
@@ -48,27 +52,19 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
 from . import __version__
-from .balance import CascadeBalanceReport, balance_cascade, f_lambda
 from .covariance import admissible, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
-from .gradients import purity_gradients_direct, purity_gradients_recursive
 from .linalg import RESIDUAL_TOL, checked_symmetric_part, quantum_psd_margin
-from .oscillator import CascadeModel, OscillatorParams, _check_thetas, _realizable, assemble_cascade
-from .oscillator import default_theta, parameter_sizes
-from .sensitivity import (
-    UncertaintyModel,
-    OscillatorUncertainty,
-    fisher_sensitivity,
-    monte_carlo_variance,
-    psi_transformed,
-    sensitivity_index,
-)
-from .zcascade import TIModel, covariance_trace_bound
+from .oscillator import CascadeModel, OscillatorParams, OscillatorUncertainty, UncertaintyModel
+from .oscillator import _check_thetas, _realizable, assemble_cascade, default_theta, parameter_sizes
+
+if TYPE_CHECKING:
+    from .balance import CascadeBalanceReport
 
 VALIDATION_ERRORS = (ParseError, SchemaError, DimensionMismatch, SingularTheta)
 
@@ -337,8 +333,9 @@ class RunFlags:
 
     def __post_init__(self) -> None:
         # library guards raise bare ValueError; refuse out-of-range values up front
+        lows = {"samples": 2, "kmax": 1}  # a sample variance needs two draws
         problems = [
-            f"{key} must be at least 1" for key in ("samples", "kmax") if getattr(self, key) < 1
+            f"{key} must be at least {low}" for key, low in lows.items() if getattr(self, key) < low
         ]
         if self.seed < 0:
             problems.append("seed must be nonnegative")
@@ -427,6 +424,8 @@ class Pipeline:
 
     @functools.cached_property
     def balance(self) -> CascadeBalanceReport:
+        from .balance import balance_cascade
+
         return balance_cascade(self.cascade, self.uncertainty)
 
     @property
@@ -528,6 +527,8 @@ def _cmd_purity(run: Pipeline) -> Reply:
 
 
 def _cmd_gradients(run: Pipeline) -> Reply:
+    from .gradients import purity_gradients_direct, purity_gradients_recursive
+
     direct, recursive = purity_gradients_direct(run.cascade), purity_gradients_recursive(run.cascade)
     pairs = zip(direct.rho + direct.mu, recursive.rho + recursive.mu)
     gap = max(float(np.max(np.abs(a - b))) for a, b in pairs)  # the largest entrywise gap
@@ -546,6 +547,9 @@ def _cmd_gradients(run: Pipeline) -> Reply:
 
 
 def _cmd_sensitivity(run: Pipeline) -> Reply:
+    from .gradients import purity_gradients_direct
+    from .sensitivity import fisher_sensitivity, psi_transformed, sensitivity_index
+
     cascade, uncertainty, grads = run.cascade, run.uncertainty, purity_gradients_direct(run.cascade)
     index = sensitivity_index(grads, uncertainty)
     psi_id = [  # Psi needs the weights, which a sigma-form entry has not
@@ -595,6 +599,9 @@ def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
     oscillator passes its stationarity certificate, and the round trip holds
     (the gradients of the balanced cascade give back each Psi_k(S_k) within
     the :func:`_gap_verdict` of max psi_after)."""
+    from .gradients import purity_gradients_direct
+    from .sensitivity import psi_transformed
+
     report, uncertainty, dims = run.balance, run.uncertainty, run.cascade.dims
     new_grads = purity_gradients_direct(report.transformed)
     round_trip = [
@@ -630,6 +637,8 @@ def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
 
 
 def _cmd_balance(run: Pipeline) -> Reply:
+    from .balance import f_lambda
+
     results, table, certified = _balance_results(run)
     report = run.balance
     run.extra_files["balanced.json"] = _spec_document_from_cascade(run.spec, report.transformed)
@@ -644,13 +653,11 @@ def _cmd_balance(run: Pipeline) -> Reply:
 
 
 def _cmd_mc_check(run: Pipeline) -> Reply:
-    cascade, uncertainty, flags = run.cascade, run.uncertainty, run.flags
+    from .sensitivity import monte_carlo_variance
+
+    flags = run.flags
     mc = monte_carlo_variance(
-        cascade,
-        uncertainty,
-        samples=flags.samples,
-        epsilon=flags.epsilon,
-        seed=flags.seed,
+        run.cascade, run.uncertainty, samples=flags.samples, epsilon=flags.epsilon, seed=flags.seed
     )
     in_range = 0.9 <= mc.ratio <= 1.1
     results = {
@@ -670,6 +677,8 @@ def _cmd_mc_check(run: Pipeline) -> Reply:
 
 
 def _cmd_ti_bounds(run: Pipeline) -> Reply:
+    from .zcascade import TIModel, covariance_trace_bound
+
     rows: list[tuple] = []
     per_osc = []
     all_ok = True
@@ -688,8 +697,7 @@ def _cmd_ti_bounds(run: Pipeline) -> Reply:
                 "bound_holds": bool(ok),
             }
         )
-        for i, (t, b) in enumerate(zip(res.traces, res.bounds), start=1):
-            rows.append((k, i, t, b))
+        rows += [(k, i, t, b) for i, (t, b) in enumerate(zip(res.traces, res.bounds), start=1)]
     run.csv_series["ti_bounds.csv"] = ("oscillator,k,trace,bound", rows)
     lines = ["osc  k   trace         bound"]
     for row in rows:
@@ -712,6 +720,8 @@ def _compare(name: str, got, want: np.ndarray, atol: float, rtol: float) -> dict
 def _cmd_reproduce(run: Pipeline) -> Reply:
     if run.spec.expected is None:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
+    from .gradients import purity_gradients_direct
+
     expected = run.spec.expected
     balance_results, _, certified = _balance_results(run)
     grads, report = purity_gradients_direct(run.cascade), run.balance

@@ -22,10 +22,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHurwitz, SingularTheta
+from .errors import DimensionMismatch, NonPositive, NotHurwitz, SchemaError, SingularTheta
 from .linalg import (
-    Matrix, block_slices, block_upper_mask, hurwitz_flag, resolvent_solve, spectral_abscissa,
-    symplectic_form, vech_to_symmetric,
+    Matrix, block_slices, block_upper_mask, checked_symmetric_part, hurwitz_flag, resolvent_solve,
+    spectral_abscissa, symplectic_form, vech_to_symmetric,
 )
 
 PR_SELF_CHECK_TOL = 1e-12
@@ -43,6 +43,68 @@ def parameter_sizes(n: int, m: int) -> tuple[int, int]:
 def default_theta(n: int) -> Matrix:
     """Commutation matrix of n/2 position-momentum pairs, (1/2) [[0, I], [-I, 0]]."""
     return 0.5 * symplectic_form(n)
+
+
+@dataclass(frozen=True)
+class OscillatorUncertainty:
+    """Error model of one oscillator.
+
+    Either isotropic bounds (``energy_weight`` a_k for the vech R block,
+    ``coupling_weight`` b_k for the vec M block) or a full ``sigma``
+    covariance over [vech dR; vec dM]. Construction refuses both forms or
+    neither and weights that are not finite and nonnegative (SchemaError),
+    and a sigma that is not square (DimensionMismatch), not symmetric to
+    1e-9 (SchemaError; it is then symmetrized) or below the eigenvalue
+    floor of the Monte-Carlo sampler (NonPositive).
+    """
+
+    energy_weight: float | None = None
+    coupling_weight: float | None = None
+    sigma: Matrix | None = None
+
+    def __post_init__(self) -> None:
+        weights = (self.energy_weight, self.coupling_weight)
+        given = tuple(x is not None for x in (self.sigma, *weights))
+        if given not in ((True, False, False), (False, True, True)):  # sigma alone, or both weights
+            raise SchemaError("needs either 'sigma' or both 'a' and 'b', not both forms")
+        if self.sigma is None:
+            if not all(0.0 <= w < np.inf for w in weights):  # NaN fails both comparisons
+                raise SchemaError("weights must be finite and nonnegative")
+            return
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise DimensionMismatch(f"sigma must be square, got shape {sigma.shape}")
+        object.__setattr__(self, "sigma", checked_symmetric_part(sigma))
+        _sigma_sqrt(self.sigma)
+
+    def sigma_matrix(self, n: int, m: int) -> Matrix:
+        sizes = parameter_sizes(n, m)
+        if self.sigma is None:
+            return np.diag(np.repeat(self.weights(), sizes))
+        if self.sigma.shape != (sum(sizes),) * 2:
+            raise ValueError(f"sigma has shape {self.sigma.shape}, expected {(sum(sizes),) * 2}")
+        return self.sigma
+
+    def weights(self) -> tuple[float, float]:
+        if self.sigma is not None:
+            raise ValueError("weight-form bounds are not available")
+        return float(self.energy_weight), float(self.coupling_weight)
+
+
+@dataclass(frozen=True)
+class UncertaintyModel:
+    oscillators: tuple[OscillatorUncertainty, ...]
+
+    @classmethod
+    def from_weights(cls, weights: Sequence[tuple[float, float]]) -> "UncertaintyModel":
+        return cls(tuple(OscillatorUncertainty(energy_weight=a, coupling_weight=b) for a, b in weights))
+
+
+def _sigma_sqrt(sigma: Matrix) -> Matrix:
+    w, v = np.linalg.eigh(sigma)
+    if np.any(w < -1e-12 * np.max(np.abs(w), initial=0.0)):  # relative to sigma's own scale
+        raise NonPositive(f"uncertainty covariance has eigenvalue {w.min():.3e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 @dataclass(frozen=True)

@@ -10,23 +10,24 @@ variance of dV is the sensitivity index Z = sum_k g_k^T Sigma_k g_k.
 
 The module provides the index itself, a Monte-Carlo validation of the
 first-order law, the Fisher-information counterpart defined through the
-covariance responses, and Gaussian relative-entropy helpers.
+covariance responses, and Gaussian relative-entropy helpers; the error model
+itself (:class:`UncertaintyModel`) is defined in :mod:`qcascade.oscillator`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack, steady_state
-from .errors import DimensionMismatch, NonPositive, SchemaError, TooManyRejections, _prefixed
+from .errors import NonPositive, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from .linalg import RESIDUAL_TOL, Matrix, checked_symmetric_part, dtrtrs
-from .oscillator import CascadeModel, parameter_sizes, perturbed_cascade_stack
+from .linalg import RESIDUAL_TOL, Matrix, dtrtrs
+from .oscillator import (
+    CascadeModel, OscillatorUncertainty, UncertaintyModel, _sigma_sqrt, perturbed_cascade_stack,
+)
 
 #: perturbed cascades built and solved as one stack by the Monte-Carlo check;
 #: it sets how the random stream is cut into draws, so it takes part in the results
@@ -36,61 +37,6 @@ MC_CHUNK = 2048
 #: chunk's stacks)
 MC_WINDOW = 2
 MC_REJECTION_CAP = 0.01
-
-
-@dataclass(frozen=True)
-class OscillatorUncertainty:
-    """Error model of one oscillator.
-
-    Either isotropic bounds (``energy_weight`` a_k for the vech R block,
-    ``coupling_weight`` b_k for the vec M block) or a full ``sigma``
-    covariance over [vech dR; vec dM]. Construction refuses both forms or
-    neither and weights that are not finite and nonnegative (SchemaError),
-    and a sigma that is not square (DimensionMismatch), not symmetric to
-    1e-9 (SchemaError; it is then symmetrized) or below the eigenvalue
-    floor of the Monte-Carlo sampler (NonPositive).
-    """
-
-    energy_weight: float | None = None
-    coupling_weight: float | None = None
-    sigma: Matrix | None = None
-
-    def __post_init__(self) -> None:
-        weights = (self.energy_weight, self.coupling_weight)
-        given = tuple(x is not None for x in (self.sigma, *weights))
-        if given not in ((True, False, False), (False, True, True)):  # sigma alone, or both weights
-            raise SchemaError("needs either 'sigma' or both 'a' and 'b', not both forms")
-        if self.sigma is None:
-            if not all(0.0 <= w < np.inf for w in weights):  # NaN fails both comparisons
-                raise SchemaError("weights must be finite and nonnegative")
-            return
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise DimensionMismatch(f"sigma must be square, got shape {sigma.shape}")
-        object.__setattr__(self, "sigma", checked_symmetric_part(sigma))
-        _sigma_sqrt(self.sigma)
-
-    def sigma_matrix(self, n: int, m: int) -> Matrix:
-        sizes = parameter_sizes(n, m)
-        if self.sigma is None:
-            return np.diag(np.repeat(self.weights(), sizes))
-        if self.sigma.shape != (sum(sizes),) * 2:
-            raise ValueError(f"sigma has shape {self.sigma.shape}, expected {(sum(sizes),) * 2}")
-        return self.sigma
-
-    def weights(self) -> tuple[float, float]:
-        if self.sigma is not None:
-            raise ValueError("weight-form bounds are not available")
-        return float(self.energy_weight), float(self.coupling_weight)
-
-
-@dataclass(frozen=True)
-class UncertaintyModel:
-    oscillators: tuple[OscillatorUncertainty, ...]
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[tuple[float, float]]) -> "UncertaintyModel":
-        return cls(tuple(OscillatorUncertainty(energy_weight=a, coupling_weight=b) for a, b in weights))
 
 
 @dataclass(frozen=True)
@@ -143,13 +89,6 @@ class MonteCarloResult:
     rejected: int
 
 
-def _sigma_sqrt(sigma: Matrix) -> Matrix:
-    w, v = np.linalg.eigh(sigma)
-    if np.any(w < -1e-12 * np.max(np.abs(w), initial=0.0)):  # relative to sigma's own scale
-        raise NonPositive(f"uncertainty covariance has eigenvalue {w.min():.3e}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
 def monte_carlo_variance(
     cascade: CascadeModel,
     uncertainty: UncertaintyModel,
@@ -172,7 +111,8 @@ def monte_carlo_variance(
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
     certificate exceeds ``RESIDUAL_TOL``; more than one percent of
-    rejections aborts.
+    rejections aborts, so two or more of the at least two samples that a
+    sample variance needs remain; fewer samples raise ValueError.
 
     Results are reproducible for a fixed (seed, samples) pair; the chunk
     size ``MC_CHUNK`` takes part in how the random stream is consumed.
@@ -185,6 +125,10 @@ def monte_carlo_variance(
     order is raised unchanged, the chunks not yet started are cancelled,
     and no worker thread outlives the call.
     """
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    if samples < 2:
+        raise ValueError(f"a sample variance needs at least two samples, got {samples}")
     v0 = steady_state(cascade).v_logdet
     z_total = sensitivity_index(purity_gradients_direct(cascade), uncertainty).z_total
     predicted = epsilon * z_total
@@ -226,7 +170,7 @@ def monte_carlo_variance(
             "not positive definite or failing the residual certificate"
         )
     dv = np.concatenate(deltas)
-    variance = float(np.var(dv, ddof=1)) if dv.size > 1 else 0.0
+    variance = float(np.var(dv, ddof=1))
     ratio = variance / predicted if predicted > 0 else float("nan")
     return MonteCarloResult(variance, predicted, ratio, samples, rejected)
 

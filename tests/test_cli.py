@@ -1047,10 +1047,12 @@ class TestExitCodes:
         [
             (["ti-bounds", "--kmax", "0"], {}),
             (["mc-check", "--samples", "0"], {}),
+            (["mc-check", "--samples", "1"], {}, "samples must be at least 2"),
             (["gradients", "--fd-step", "0"], {}, "unrecognized argument"),
             (["mc-check", "--epsilon", "-1"], {}),
             (["covariance", "--tol-residual", "0"], {}, "unrecognized argument"),
             (["mc-check"], {"options": {"samples": 0}}),
+            (["mc-check"], {"options": {"samples": 1}}, "samples must be at least 2"),
             (["mc-check"], {"options": {"samples": "many"}}),
             (["ti-bounds"], {"options": {"kmax": 0}}),
             (["gradients"], {"options": {"fd_step": -1e-5}}, "unknown key 'fd_step'"),

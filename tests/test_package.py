@@ -1,25 +1,38 @@
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import qcascade
+import qcascade.cli
 import qcascade.oracles
 
 REPO = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_the_public_names_and_no_modules():
+    # the exports load lazily, so vars(qcascade) holds only what was loaded;
+    # dir() lists every name, and each resolves to its defining module's object
     exported = qcascade.__all__
     assert len(set(exported)) == len(exported)
     public = {
         name
-        for name, value in vars(qcascade).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(qcascade)
+        if not name.startswith("_") and not isinstance(getattr(qcascade, name), types.ModuleType)
     }
     assert set(exported) == public
+    for name in exported:
+        value = getattr(qcascade, name)
+        owner = importlib.import_module(value.__module__)
+        assert owner.__name__.startswith("qcascade.") and getattr(owner, name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qcascade.no_such_name
     namespace = {}
     exec("from qcascade import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(exported)
@@ -38,6 +51,13 @@ def test_the_oracles_module_lists_its_public_functions():
     assert len(oracles.__all__) == len(public)
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports ``src/``."""
+    src = str(Path(qcascade.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_importing_the_cli_loads_no_quadrature_or_sparse_module():
     # every command would pay for importing these at start-up; the
     # quadrature oracles import scipy.integrate when they run
@@ -45,35 +65,64 @@ def test_importing_the_cli_loads_no_quadrature_or_sparse_module():
         "import sys, qcascade.cli; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))"
     )
-    src = str(Path(qcascade.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
 
 
-def test_no_command_loads_scipy_linalg_or_its_array_api_layer(tmp_path):
+#: the order in which one fresh interpreter runs every command, mc-check last
+COMMAND_ORDER = (
+    "validate", "covariance", "purity", "gradients", "ti-bounds", "sensitivity", "balance",
+    "reproduce-paper", "mc-check",
+)
+
+
+@pytest.fixture(scope="module")
+def fresh_commands(tmp_path_factory) -> dict:
+    """Every command run on the reference spec by one fresh interpreter: its
+    exit code, the qcascade modules, ``concurrent.futures`` and ``logging``
+    that importing the cli and then each command newly loaded, and the
+    ``scipy.linalg*`` and array-API modules loaded at the end."""
+    spec, out = REPO / "tests" / "data" / "cascade_n3_m6.json", tmp_path_factory.mktemp("fresh")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "watched = lambda: {m for m in sys.modules if m.startswith('qcascade.') or m in ('concurrent.futures', 'logging')}\n"
+        "import qcascade.cli\n"
+        "codes, loads = {}, {'import': sorted(watched())}\n"
+        f"for c in {COMMAND_ORDER!r}:\n"
+        "    extra, before = (['--samples', '2000'] if c == 'mc-check' else []), watched()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        codes[c] = qcascade.cli.main([c, {str(spec)!r}, '--out', {str(out)!r} + '/' + c, *extra])\n"
+        "    loads[c] = sorted(watched() - before)\n"
+        "scipy = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy._lib._array_api')))\n"
+        "print(json.dumps({'codes': codes, 'loads': loads, 'scipy': scipy}))"
+    )
+    return json.loads(_fresh_python(code))
+
+
+def test_no_command_loads_scipy_linalg_or_its_array_api_layer(fresh_commands):
     # importing scipy.linalg costs about half of a command's start-up, most of
     # it scipy's array-API layer; production loads its LAPACK and BLAS routines
     # from scipy's compiled modules, and only the reference routes import the package
-    spec = REPO / "tests" / "data" / "cascade_n3_m6.json"
-    code = (
-        "import contextlib, io, sys, qcascade.cli\n"
-        "codes = {}\n"
-        "for c in qcascade.cli.COMMANDS:\n"
-        "    extra = ['--samples', '2000'] if c == 'mc-check' else []\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"        codes[c] = qcascade.cli.main([c, {str(spec)!r}, '--out', {str(tmp_path)!r} + '/' + c, *extra])\n"
-        "print(codes)\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy._lib._array_api'))))"
-    )
-    src = str(Path(qcascade.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    codes, loaded = out.stdout.splitlines()
+    assert sorted(COMMAND_ORDER) == sorted(qcascade.cli.COMMANDS)
     # reproduce-paper refuses a spec without an expected block
-    assert codes == repr({c: int(c == "reproduce-paper") for c in ("validate", "covariance", "purity",
-        "gradients", "sensitivity", "balance", "mc-check", "ti-bounds", "reproduce-paper")})
-    assert loaded == "[]"
+    assert fresh_commands["codes"] == {c: int(c == "reproduce-paper") for c in COMMAND_ORDER}
+    assert fresh_commands["scipy"] == []
+
+
+def test_each_command_loads_only_the_layers_it_runs(fresh_commands):
+    # importing the cli loads what every command needs; a command's own layer,
+    # and the thread pool of the Monte-Carlo check, load when it runs; no
+    # command loads the oracles
+    assert fresh_commands["loads"] == {
+        "import": ["qcascade.cli", "qcascade.covariance", "qcascade.errors", "qcascade.linalg",
+                   "qcascade.oscillator"],
+        "validate": [], "covariance": [], "purity": [],
+        "gradients": ["qcascade.gradients"],
+        "ti-bounds": ["qcascade.zcascade"],
+        "sensitivity": ["qcascade.sensitivity"],
+        "balance": ["qcascade.balance"],
+        "reproduce-paper": [],
+        "mc-check": ["concurrent.futures", "logging"],
+    }
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -94,13 +143,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # the project runs no linter; __init__.py is exempt, since it imports to re-export
-    modules = [
-        path
-        for top in ("src", "tests", "scripts")
-        for path in sorted((REPO / top).rglob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    # the project runs no linter; the package's __init__ re-exports lazily, by name
+    modules = [path for top in ("src", "tests", "scripts") for path in sorted((REPO / top).rglob("*.py"))]
     assert len(modules) > 20
     assert [line for path in modules for line in _unused_imports(path)] == []
 

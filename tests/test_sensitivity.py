@@ -209,6 +209,13 @@ class TestMonteCarlo:
         assert a.variance == b.variance
         assert a.rejected == b.rejected
 
+    def test_a_sample_variance_needs_two_samples(self, reference_cascade, reference_uncertainty):
+        for samples in (-1, 0, 1):
+            with pytest.raises(ValueError, match="at least two samples"):
+                monte_carlo_variance(reference_cascade, reference_uncertainty, samples=samples)
+        two = monte_carlo_variance(reference_cascade, reference_uncertainty, samples=2, epsilon=1e-10)
+        assert two.samples == 2 and two.rejected == 0 and two.variance > 0.0
+
     def test_base_and_samples_make_no_slogdet_call(
         self, reference_cascade, reference_uncertainty, monkeypatch
     ):
