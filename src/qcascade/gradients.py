@@ -15,9 +15,9 @@ de_k = [vech dR_k; vec dM_k], and its inverse unpacks the oracle's slopes.
 Three independent routes are implemented: a direct formula through the
 observability Gramian of the whole cascade, the reverse sweep (adjoint)
 of the block recursion that builds P one oscillator at a time, and a
-finite difference oracle. First-order covariance perturbations are also
-exposed for the Fisher-information analysis; they and the oracle solve
-the +/- probes of every oscillator as one signed stack, chunk by chunk.
+finite difference oracle. First-order covariance perturbations, from the
+exact derivative of the realization, are also exposed for the
+Fisher-information analysis; they and the oracle run chunk by chunk.
 """
 
 from __future__ import annotations
@@ -194,23 +194,15 @@ def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:
     return block_slices([sum(parameter_sizes(nk, cascade.m)) for nk in cascade.dims])
 
 
-def _probe_chunks(cascade: CascadeModel, steps: np.ndarray) -> Iterator[tuple[int, int, CascadeStack]]:
-    """(lo, hi, stack) of the probes lo..hi-1, chunk by chunk: probes run over
-    the entries of [vech dR_k; vec dM_k], oscillator by oscillator, and
-    copies 2(t - lo) and 2(t - lo) + 1 of the stack move the entry of probe t
-    by +steps[t] and -steps[t]. No (n, n, S) array of a stack holds more than
-    ``PROBE_ENTRIES`` entries."""
-    probes = _probe_blocks(cascade)
-    total = probes[-1].stop
+def _probe_chunks(cascade: CascadeModel) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of every chunk of probes, in order: no (n, n, S) array of a
+    signed stack of two copies per probe holds more than ``PROBE_ENTRIES``."""
+    total = _probe_blocks(cascade)[-1].stop
     # equal chunks: a last chunk of one probe would change bits, as einsum
     # sums a copy axis of length 1 in another order
     count = -(-total // max(1, PROBE_ENTRIES // (2 * cascade.n**2)))
     bounds = [total * i // count for i in range(count + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = np.zeros((hi - lo, total))
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = steps[lo:hi]
-        signed = np.stack([rows, -rows], axis=1).reshape(2 * (hi - lo), -1)
-        yield lo, hi, perturbed_cascade_stack(cascade, [signed[:, blk] for blk in probes])
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) -> np.ndarray:
@@ -240,9 +232,9 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     The central-difference slopes along the entries of de_k are dV/de_k,
     unpacked by the inverse of :meth:`GradientSet.d_vector`: an
     off-diagonal energy entry moves a symmetric pair, so its slope is
-    halved, and coupling slopes are negated, mu_k = -dV/dM_k. The probes
-    of all oscillators are one block solve per chunk of
-    :func:`_probe_chunks`; a failing probe raises naming its entry.
+    halved, and coupling slopes are negated, mu_k = -dV/dM_k. The +/- probes
+    of all oscillators are one signed stack and one block solve per chunk
+    of :func:`_probe_chunks`; a failing probe raises naming its entry.
     """
     m, probes = cascade.m, _probe_blocks(cascade)
     labels = []
@@ -251,7 +243,10 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
     values = np.empty(2 * probes[-1].stop)
     with _prefixed("finite-difference probes"):
-        for lo, hi, stack in _probe_chunks(cascade, np.full(probes[-1].stop, h)):
+        for lo, hi in _probe_chunks(cascade):
+            # copies 2(t - lo) and 2(t - lo) + 1 move the entry of probe t by +h and -h
+            signed = np.kron(np.eye(hi - lo, probes[-1].stop, lo), [[h], [-h]])
+            stack = perturbed_cascade_stack(cascade, [signed[:, blk] for blk in probes])
             values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
     pairs = [GradientSet._unpack(slopes[blk], nk, m) for blk, nk in zip(probes, cascade.dims)]
@@ -282,16 +277,6 @@ def transform_gradients(
     return GradientSet(rho=rho, mu=mu)
 
 
-def _probe_steps(cascade: CascadeModel) -> np.ndarray:
-    """Step of every probe of :func:`covariance_derivatives`: the power of two
-    nearest the largest |entry| of the probe's own R_k or M_k block, 1 for a
-    zero block, so a change of unit scales every step by a power of two."""
-    peaks = np.array([abs(x).max(initial=0.0) for p in cascade.params for x in (p.r_energy, p.m_coupling)])
-    mantissa, exponent = np.frexp(np.where(peaks > 0.0, peaks, 1.0))
-    sizes = [size for p in cascade.params for size in parameter_sizes(p.n, p.m)]
-    return np.repeat(np.ldexp(np.where(mantissa < 0.75, 0.5, 1.0), exponent), sizes)
-
-
 def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     """First-order covariance responses along the parameter basis.
 
@@ -300,21 +285,32 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     the result stacks them, shape (d_k, n, n). Each response solves the
     Lyapunov equation A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched
     block solve per chunk of :func:`_probe_chunks` into one result,
-    certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are the
-    differences of the stacks along +s d and -s d over 2s, s of
-    :func:`_probe_steps`, exact for any s because A is quadratic and B linear
-    in (R_k, M_k). P is :func:`invariant_covariance_direct`.
+    certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are exact: A = 2
+    Theta (R + W o M^T J M) and B = 2 Theta M^T, W 1 on the diagonal blocks, 2
+    below them and 0 above, so dA = 2 Theta (dR + W o (Y - Y^T)), Y = dM^T J M,
+    and dB = 2 Theta dM^T. P is :func:`invariant_covariance_direct`.
     """
     p_full, probes = invariant_covariance_direct(cascade), _probe_blocks(cascade)
-    steps = _probe_steps(cascade)
-    dp, certificate = np.empty((cascade.n, cascade.n, probes[-1].stop)), np.empty(probes[-1].stop)
+    n, m, total = cascade.n, cascade.m, probes[-1].stop
+    at = np.full((n, n + m), -1)  # the probe that moves each entry of [R | M^T], -1 for none
+    for blk, pb, nk in zip(cascade.blocks, probes, cascade.dims):
+        d_r = parameter_sizes(nk, m)[0]
+        at[blk, blk] = pb.start + vech_to_symmetric(np.arange(d_r), nk)
+        at[blk, n:] = pb.start + d_r + np.arange(m * nk).reshape(nk, m)  # vec dM_k, columns first
+    upper = block_upper_mask(cascade.dims)
+    weight = np.where(upper, 0.0, 1.0 + upper.T)[:, None, :]
+    theta2, jm = 2.0 * cascade.theta, cascade.j_ito @ cascade.m_coupling
+    dp, certificate = np.empty((n, n, total)), np.empty(total)
     with _prefixed("covariance responses"):
-        for lo, hi, stack in _probe_chunks(cascade, steps):
-            half_step = 0.5 / steps[lo:hi]  # a power of two, so the product is the quotient by 2s to the bit
-            da = half_step * (stack.a[..., 0::2] - stack.a[..., 1::2])
-            db = half_step * (stack.b[..., 0::2] - stack.b[..., 1::2])
-            half = np.einsum("ils,lj->ijs", da, p_full) + np.einsum("ias,ja->ijs", db, cascade.b)
-            force = half + half.transpose(1, 0, 2)
+        for lo, hi in _probe_chunks(cascade):
+            # unit directions [dR | dM^T] with the copy axis in the middle, (n, S, n + m):
+            # each product below is one BLAS call over all copies
+            unit = (at[:, None, :] == np.arange(lo, hi)[:, None]).astype(float)
+            y = (unit[..., n:].reshape(-1, m) @ jm).reshape(n, -1, n)  # Y = dM^T J M
+            da = theta2 @ (unit[..., :n] + weight * (y - y.transpose(2, 1, 0))).reshape(n, -1)
+            db = theta2 @ unit[..., n:].reshape(n, -1)
+            half = (da.reshape(-1, n) @ p_full + db.reshape(-1, m) @ cascade.b.T).reshape(n, -1, n)
+            force = (half + half.transpose(2, 1, 0)).transpose(0, 2, 1)
             dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
                 np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
             )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack, steady_state
-from .errors import NonPositive, TooManyRejections, _prefixed
+from .errors import NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
 from .linalg import RESIDUAL_TOL, Matrix, dtrtrs
 from .oscillator import (
@@ -106,7 +106,7 @@ def monte_carlo_variance(
     cascade's :func:`purity_gradients_direct`. The base V_0 is the V of
     :func:`steady_state`, so base and samples take ln det P from a Cholesky
     factor; a base P that is not positive definite raises NonPositive or
-    SingularLeadingBlock naming the pivot.
+    SingularLeadingBlock naming the pivot; eps Z = 0 raises SchemaError.
 
     A sample is rejected when a perturbed diagonal block is not Hurwitz,
     when its P is not positive definite, or when its residual
@@ -132,6 +132,8 @@ def monte_carlo_variance(
     v0 = steady_state(cascade).v_logdet
     z_total = sensitivity_index(purity_gradients_direct(cascade), uncertainty).z_total
     predicted = epsilon * z_total
+    if not predicted > 0.0:  # before any draw: no variance to compare with, and no ratio
+        raise SchemaError(f"the error model predicts no variance of V (eps Z = {predicted:.3e}), nothing to check")
 
     sqrt_factors = [
         _sigma_sqrt(epsilon * unc.sigma_matrix(nk, cascade.m))
@@ -171,7 +173,7 @@ def monte_carlo_variance(
         )
     dv = np.concatenate(deltas)
     variance = float(np.var(dv, ddof=1))
-    ratio = variance / predicted if predicted > 0 else float("nan")
+    ratio = variance / predicted
     return MonteCarloResult(variance, predicted, ratio, samples, rejected)
 
 

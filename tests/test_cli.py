@@ -1077,6 +1077,9 @@ class TestExitCodes:
             (["validate"], {"options": {"tol_residual": 1e-9}}, "unknown key 'tol_residual'"),
             (["validate"], {"epsilon": "1e-6"}, "epsilon: expected a number, got '1e-6'"),
             (["validate"], {"options": [1]}, "options: must be an object"),
+            # no uncertainty at all: there is no predicted variance to compare with
+            (["mc-check", "--samples", "64"], {"uncertainty": [{"a": 0.0, "b": 0.0}] * 3},
+             "the error model predicts no variance of V (eps Z = 0.000e+00)"),
         ],
     )
     def test_out_of_range_flag_is_one(self, args, tmp_path, capsys):
@@ -1210,10 +1213,10 @@ class TestHugeEntries:
             v_exact = float(mp.log(mp.det(mp.matrix(exact.tolist()))))
         assert abs(v - v_exact) <= 1e-9 * abs(v_exact)
 
-    #: the Fisher probes of M_2 move by its largest entry's power of two, 2^497, so
-    #: the probe stack's realizability scale overflows to inf and the self-check refuses
+    #: A and P carry M_2's 1e150 entry (|A|, |P| near 1e150), and the products of the
+    #: one-mode block step that solves the covariance responses overflow
     REFUSALS = {
-        "covariance responses": "a copy overflows double precision at oscillator 2: residual 1.618e+00, scale inf",
+        "covariance responses": "overflow encountered in multiply",
         "Monte-Carlo samples": "overflow encountered in multiply",
     }
 

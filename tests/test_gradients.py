@@ -9,6 +9,7 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 import qcascade.covariance
 import qcascade.gradients
 import qcascade.linalg
+import qcascade.oscillator
 
 from conftest import (
     make_cascade,
@@ -40,12 +41,14 @@ from qcascade.linalg import (
 from qcascade.oracles import solve_lyapunov
 from qcascade.oscillator import (
     OscillatorParams,
+    UncertaintyModel,
     assemble_cascade,
     default_theta,
     parameter_sizes,
     perturbed_cascade_stack,
     transform_params,
 )
+from qcascade.sensitivity import fisher_sensitivity
 
 
 @pytest.fixture(scope="module")
@@ -395,9 +398,9 @@ def nearest_power_of_two(x):
 
 
 def per_oscillator_responses(cascade):
-    """The covariance responses with one stack and one solve per oscillator,
-    each probe moved by the power of two nearest the largest |entry| of its
-    own R_k or M_k block."""
+    """The covariance responses from the differences of +/- perturbed stacks,
+    with one stack and one solve per oscillator, each probe moved by the power
+    of two nearest the largest |entry| of its own R_k or M_k block."""
     p = invariant_covariance_direct(cascade)
     out = []
     for k, (nk, params) in enumerate(zip(cascade.dims, cascade.params)):
@@ -432,8 +435,9 @@ def spy_lyapunov_copies(monkeypatch):
 
 
 class TestProbeStack:
-    """The probes of every oscillator form one signed stack, solved once per
-    chunk of at most ``PROBE_ENTRIES`` entries in any (n, n, S) array."""
+    """The probes of every oscillator are solved once per chunk of at most
+    ``PROBE_ENTRIES`` entries in any (n, n, S) array of the oracle's signed
+    stack; the responses take the same chunks, formed from the exact dA and dB."""
 
     @pytest.fixture(params=["reference", "mixed"])
     def cascade(self, request, reference_cascade):
@@ -446,10 +450,24 @@ class TestProbeStack:
         for got, want in zip((*fd.rho, *fd.mu), per_oscillator_fd(cascade, 1e-5), strict=True):
             np.testing.assert_array_equal(got, want)
 
-    def test_responses_are_the_per_oscillator_responses_to_the_bit(self, cascade):
+    def test_responses_match_the_per_oscillator_differences(self, cascade):
+        # the oracle differences perturbed stacks; production forms the exact
+        # dA and dB, so they agree to round-off of each oscillator's max|dP|
         got = covariance_derivatives(cascade)
         for dp, want in zip(got, per_oscillator_responses(cascade), strict=True):
-            np.testing.assert_array_equal(dp, want)
+            assert np.max(np.abs(dp - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_responses_build_no_perturbed_cascade(self, cascade, monkeypatch):
+        uncertainty = UncertaintyModel.from_weights([(0.5, 1.5)] * cascade.n_oscillators)
+        want = fisher_sensitivity(cascade, uncertainty).z_total
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a response built a perturbed cascade")
+
+        monkeypatch.setattr(qcascade.gradients, "perturbed_cascade_stack", refuse)
+        monkeypatch.setattr(qcascade.oscillator, "_series_connection", refuse)
+        assert len(covariance_derivatives(cascade)) == cascade.n_oscillators
+        assert fisher_sensitivity(cascade, uncertainty).z_total == want
 
     def test_chunks_reproduce_one_stack_to_the_bit(self, cascade, monkeypatch):
         fd, dps = gradient_fd_oracle(cascade, h=1e-5), covariance_derivatives(cascade)

@@ -216,6 +216,16 @@ class TestMonteCarlo:
         two = monte_carlo_variance(reference_cascade, reference_uncertainty, samples=2, epsilon=1e-10)
         assert two.samples == 2 and two.rejected == 0 and two.variance > 0.0
 
+    def test_zero_error_model_is_refused_before_any_chunk(self, reference_cascade, monkeypatch):
+        # every weight 0 is a valid spec, but eps Z = 0 leaves no ratio to report
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was solved")
+
+        monkeypatch.setattr(qcascade.sensitivity, "_chunk_log_det", refuse)
+        zero = UncertaintyModel.from_weights([(0.0, 0.0)] * 3)
+        with pytest.raises(SchemaError, match=r"predicts no variance of V \(eps Z = 0\.000e\+00\)"):
+            monte_carlo_variance(reference_cascade, zero, samples=64)
+
     def test_base_and_samples_make_no_slogdet_call(
         self, reference_cascade, reference_uncertainty, monkeypatch
     ):
