@@ -90,16 +90,14 @@ def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
     return _keep(cascade, "p", p, p)
 
 
-def log_det_stack(stack: CascadeStack, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def log_det_stack(stack: CascadeStack) -> tuple[np.ndarray, np.ndarray]:
     """Per copy of a perturbed cascade stack, ln det P (NaN where P is not
     positive definite) and the residual certificate (infinite where a
     diagonal block is not Hurwitz). The stable copies are solved together
     by :func:`solve_cascade_lyapunov` and factored by :func:`_cholesky_log_det`."""
     stable = stack.hurwitz.all(axis=0)
-    a, b = stack.a, stack.b
-    if not stable.all():  # compress keeps the stack-last layout, x[..., stable] does not
-        a, b = (np.compress(stable, x, axis=-1) for x in (a, b))
-    p, certificate = solve_cascade_lyapunov(a, np.einsum("ias,jas->ijs", b, b), dims)
+    solved = stack if stable.all() else stack.compress(stable)
+    p, certificate = solve_cascade_lyapunov(solved.diag, solved.b, solved.c)
     out_logdet = np.full(stable.shape, np.nan)
     out_logdet[stable] = _cholesky_log_det(p)
     out_certificate = np.full(stable.shape, np.inf)

@@ -207,7 +207,7 @@ def _probe_chunks(cascade: CascadeModel) -> Iterator[tuple[int, int]]:
 
 def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) -> np.ndarray:
     """V of every copy of a signed stack; the first failing copy raises."""
-    logdet, certificate = log_det_stack(stack, cascade.dims)
+    logdet, certificate = log_det_stack(stack)
     failed = np.flatnonzero(~(certificate <= RESIDUAL_TOL) | np.isnan(logdet))
     if failed.size:
         t = int(failed[0])
@@ -284,7 +284,8 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     dR_k; vec dM_k], the layout of :meth:`GradientSet.d_vector`; entry k of
     the result stacks them, shape (d_k, n, n). Each response solves the
     Lyapunov equation A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched
-    block solve per chunk of :func:`_probe_chunks` into one result,
+    block solve per chunk of :func:`_probe_chunks` into one result, on the
+    base cascade's diagonal blocks, B and C broadcast over the chunk,
     certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are exact: A = 2
     Theta (R + W o M^T J M) and B = 2 Theta M^T, W 1 on the diagonal blocks, 2
     below them and 0 above, so dA = 2 Theta (dR + W o (Y - Y^T)), Y = dM^T J M,
@@ -300,6 +301,7 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     upper = block_upper_mask(cascade.dims)
     weight = np.where(upper, 0.0, 1.0 + upper.T)[:, None, :]
     theta2, jm = 2.0 * cascade.theta, cascade.j_ito @ cascade.m_coupling
+    base = [x[..., None] for x in (*(r.a for r in cascade.realizations), cascade.b, cascade.c)]
     dp, certificate = np.empty((n, n, total)), np.empty(total)
     with _prefixed("covariance responses"):
         for lo, hi in _probe_chunks(cascade):
@@ -311,9 +313,8 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
             db = theta2 @ unit[..., n:].reshape(n, -1)
             half = (da.reshape(-1, n) @ p_full + db.reshape(-1, m) @ cascade.b.T).reshape(n, -1, n)
             force = (half + half.transpose(2, 1, 0)).transpose(0, 2, 1)
-            dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(
-                np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
-            )
+            *diag, b, c = (np.broadcast_to(x, x.shape[:2] + (hi - lo,)) for x in base)
+            dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(diag, b, c, force)
     for k, blk in enumerate(probes):
         worst = float(np.max(certificate[blk]))
         if not worst <= RESIDUAL_TOL:

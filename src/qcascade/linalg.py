@@ -19,10 +19,11 @@ step costs its triangular solves and their certificates, not scipy's
 wrappers. :func:`solve_sylvester` wraps scipy's solver for general pairs
 of matrices. :func:`solve_cascade_lyapunov` solves stacks
 of cascade Lyapunov equations by block forward substitution, each step
-between two one-mode blocks in closed form. Its stacks are stack-last,
-(n, n, S) with the copy axis last and contiguous: the one layout of the
-perturbed-cascade builder and of the stacked log-determinant, so no
-stack is transposed between them. The dense Kronecker vectorization
+between two one-mode blocks in closed form, on the rank-m form of a
+cascade: its diagonal blocks with B and C, never the composite A. Its
+stacks are stack-last, the copy axis last and contiguous: the one layout
+of the perturbed-cascade builder and of the stacked log-determinant, so
+no stack is transposed between them. The dense Kronecker vectorization
 solves the small complex z-domain equations and the steps between
 blocks of other orders, and is the test oracle for the real routes.
 
@@ -245,10 +246,14 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     return x.reshape((n, p), order="F")
 
 
+_TINY = np.finfo(float).tiny
+
+
 def resolvent_solve(a: Matrix, b: Matrix, s: complex) -> Matrix:
     """(sI - a)^{-1} b by one LU solve, certified: SingularResolvent when s is
     in the spectrum of a, the solution overflows or its residual exceeds 1e-8
-    of the scale max(1, ||(sI - a)^{-1} b|| ||sI - a||)."""
+    of its own scale ||(sI - a)^{-1} b|| ||sI - a||, which has no unit of time
+    (``_TINY`` for a zero operand)."""
     resolvent = s * np.eye(a.shape[0]) - a
     try:
         f = np.linalg.solve(resolvent, b.astype(complex))
@@ -257,12 +262,9 @@ def resolvent_solve(a: Matrix, b: Matrix, s: complex) -> Matrix:
     if not np.all(np.isfinite(f)):
         raise SingularResolvent(f"resolvent overflow at s = {s}")
     res = np.linalg.norm(resolvent @ f - b)
-    if res > 1e-8 * max(1.0, np.linalg.norm(f) * np.linalg.norm(resolvent)):
+    if res > 1e-8 * max(np.linalg.norm(f) * np.linalg.norm(resolvent), _TINY):
         raise SingularResolvent(f"resolvent solve lost accuracy at s = {s}")
     return f
-
-
-_TINY = np.finfo(float).tiny
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -419,61 +421,91 @@ def solve_cascade_sylvester(
 
 
 def solve_cascade_lyapunov(
-    a: np.ndarray, q: np.ndarray, dims: Sequence[int]
+    diag: Sequence[np.ndarray], b: np.ndarray, c: np.ndarray, q: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A P + P A^T + Q = 0 for a stack-last stack of cascades.
+    """Solve A P + P A^T + Q = 0 for a stack-last stack of cascades in rank-m form.
 
-    ``a`` and ``q`` have shape (n, n, S), the copy axis last: every
-    ``a[..., s]`` is block lower triangular with diagonal block orders
-    ``dims`` and ``q`` is taken symmetric. Block forward substitution
-    (Bartels and Stewart, 1972) splits each equation into one small
-    Sylvester problem per block (j, k) with j >= k, solved in column order
-    k and then row order j:
+    Every copy's A is block lower triangular: ``diag[k]`` (d_k, d_k, S) holds
+    its diagonal blocks and, below them, the series connection makes A_jl =
+    B_j C_l from ``b`` (n, m, S) and ``c`` (m, n, S), so no (n, n, S)
+    composite is formed. ``q`` (n, n, S) is taken symmetric; None solves the
+    cascades' own covariance equation, Q = B B^T, without forming Q. The copy
+    axis is last. Block forward substitution (Bartels and Stewart, 1972)
+    splits each equation into one small Sylvester problem per block (j, k)
+    with j >= k, solved in column order k and then row order j:
 
-        A_jj X + X A_kk^T = -(Q_jk + A_j,:o_j P_:o_j,k + P_j,:o_k A_k,:o_k^T)
+        A_jj X + X A_kk^T = -(Q_jk + B_j U_jk + T_jk B_k^T)
 
-    with o_j the state offset of block j. Every block entry is one
-    contiguous vector over the stack, so the forcing sums are ``einsum``
-    calls. A step between two one-mode blocks (d_j = d_k = 2) is closed
-    form by Cayley-Hamilton; any other step solves the (d_j d_k)-order
-    Kronecker system of every copy. The caller ensures that the diagonal
-    blocks are Hurwitz.
+    with the m-column accumulators U_jk = sum_{l<j} C_l P_lk and T_jk =
+    sum_{l<k} P_jl C_l^T of :func:`_forcings`, one small product per block
+    instead of O(n) forcing sums. A step between two one-mode blocks
+    (d_j = d_k = 2) is closed form by Cayley-Hamilton; any other step solves
+    the (d_j d_k)-order Kronecker system of every copy. The caller ensures
+    that the diagonal blocks are Hurwitz.
 
     Returns the symmetric solutions, shape (n, n, S), and per copy the
     residual certificate ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||)
-    of the dense composite A in Frobenius norms, the same ratio
-    :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``, formed by
-    :func:`_lyapunov_residual_ratio` without an (n, n, S) product.
+    of the composite A in Frobenius norms, the same ratio
+    :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``, formed in rank-m
+    form: each block's residual is its forcing, built from the final P,
+    plus A_jj P_jk + P_jk A_kk^T, the value :func:`_lyapunov_residual_ratio`
+    recomputes from P.
 
     Raises
     ------
     ValueError
-        If the shapes disagree with ``dims`` or a block above the
-        diagonal holds a nonzero entry.
+        If a diagonal block is not square or the shapes of the blocks,
+        ``b``, ``c`` and ``q`` disagree.
     """
-    # einsum orders its sums by the operands' strides: a contiguous copy
-    # makes the result independent of the caller's memory layout
-    a = np.ascontiguousarray(a, dtype=float)
-    q = np.ascontiguousarray(q, dtype=float)
-    blocks, n = block_slices(dims), sum(dims)
-    if a.ndim != 3 or a.shape[:2] != (n, n) or q.shape != a.shape:
-        raise ValueError(
-            f"a and q must have shape ({n}, {n}, S), got {a.shape} and {q.shape}"
-        )
-    block_upper_mask(dims, a)
-    p = np.empty_like(q)
+    # einsum orders its sums by the operands' strides: contiguous copies make
+    # the result independent of the caller's memory layout and broadcasting
+    diag = [np.ascontiguousarray(x, dtype=float) for x in diag]
+    b, c, q = (None if x is None else np.ascontiguousarray(x, dtype=float) for x in (b, c, q))
+    blocks, (n, m, stack) = block_slices([len(x) for x in diag]), b.shape
+    shapes = [x.shape for x in (*diag, c)] + [(n, n, stack) if q is None else q.shape]
+    if n != blocks[-1].stop or shapes != [(len(x), len(x), stack) for x in diag] + [(m, n, stack), (n, n, stack)]:
+        raise ValueError(f"shapes {shapes} of the blocks, c and q do not fit b {b.shape}")
+    p, residual = np.empty((n, n, stack)), np.zeros(stack)
+    for j, k, forcing in _forcings(b, c, q, lambda rows, cols: p[rows, cols], blocks):
+        x = _sylvester_step(diag[j], diag[k], forcing)
+        if j == k:
+            x = 0.5 * (x + x.transpose(1, 0, 2))
+        p[blocks[j], blocks[k]] = x
+        p[blocks[k], blocks[j]] = x.transpose(1, 0, 2)
+        residual += _block_residual2(diag[j], diag[k], forcing, x, twice=j > k)
+    return p, _lyapunov_residual_ratio(diag, b, c, q, p, residual)
+
+
+def _forcings(b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p_block, blocks: Sequence[slice]):
+    """(j, k, Q_jk + B_j U_jk + T_jk B_k^T) of every block j >= k of a stack-last
+    rank-m cascade, in column order k and then row order j, Q the symmetric
+    part of q, or B B^T for None. U_jk = sum_{l<j} C_l P_lk runs down column
+    k from U_kk = T_kk^T; T_jk = sum_{l<k} P_jl C_l^T of every row below
+    column k is one (n, m, S) array. ``p_block(rows, cols)`` reads a block of
+    P, block (j, k) only after its forcing is yielded, so a solve may write it."""
+    t = np.zeros(b.shape)
     for k, ck in enumerate(blocks):
-        for j in range(k, len(dims)):
+        below = slice(ck.start, None)
+        # for q None, Q_jk = B_j B_k^T joins T_jk B_k^T
+        column = np.einsum("ims,bms->ibs", t[below] + b[below] if q is None else t[below], b[ck])
+        if q is not None:
+            column += _symmetric_block(q, below, ck)
+        u = t[ck].transpose(1, 0, 2)
+        for j in range(k, len(blocks)):
             rj = blocks[j]
-            forcing = _symmetric_block(q, rj, ck)
-            forcing += np.einsum("ils,lbs->ibs", a[rj, : rj.start], p[: rj.start, ck])
-            forcing += np.einsum("ils,bls->ibs", p[rj, : ck.start], a[ck, : ck.start])
-            x = _sylvester_step(a[rj, rj], a[ck, ck], forcing)
-            if j == k:
-                x = 0.5 * (x + x.transpose(1, 0, 2))
-            p[rj, ck] = x
-            p[ck, rj] = x.transpose(1, 0, 2)
-    return p, _lyapunov_residual_ratio(a, q, p, blocks)
+            forcing = column[rj.start - ck.start : rj.stop - ck.start]
+            if k or j:
+                forcing += np.einsum("ims,mbs->ibs", b[rj], u)
+            yield j, k, forcing
+            if j + 1 < len(blocks):
+                u = u + np.einsum("mis,ibs->mbs", c[:, rj], p_block(rj, ck))
+        t[ck.stop :] += np.einsum("ibs,mbs->ims", p_block(slice(ck.stop, None), ck), c[:, ck])
+
+
+def _block_residual2(alpha: np.ndarray, beta: np.ndarray, forcing: np.ndarray, x: np.ndarray, twice: bool):
+    """Per copy, ||alpha X + X beta^T + forcing||^2 of one block, twice left of the diagonal."""
+    r = forcing + np.einsum("ils,lbs->ibs", alpha, x) + np.einsum("ils,bls->ibs", x, beta)
+    return (1.0 + twice) * np.einsum("ijs,ijs->s", r, r)
 
 
 def _symmetric_block(q: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
@@ -482,31 +514,32 @@ def _symmetric_block(q: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
 
 
 def _lyapunov_residual_ratio(
-    a: np.ndarray, q: np.ndarray, p: np.ndarray, blocks: Sequence[slice]
+    diag: Sequence[np.ndarray], b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p: np.ndarray,
+    residual: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per copy, ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||) in Frobenius
-    norms, Q the symmetric part of q, for stack-last block lower triangular
-    ``a`` with diagonal blocks ``blocks``. R = A P + P A^T + Q is taken
-    symmetric: block row j of its lower block triangle reads only A's lower
-    block triangle up to block j, and a block left of the diagonal counts twice."""
-    residual, q_norm2 = np.zeros((2, a.shape[2]))
-    for rows in blocks:
-        low = slice(0, rows.stop)
-        q_row = _symmetric_block(q, rows, low)
-        r = np.einsum("ils,ljs->ijs", a[rows, low], p[low, low])
-        r += np.einsum("ils,jls->ijs", p[rows, low], a[low, low])
-        r += q_row
-        residual += _mirrored_norm2(r, rows.start)
-        q_norm2 += _mirrored_norm2(q_row, rows.start)
-    scale = 2.0 * np.sqrt(np.einsum("ijs,ijs->s", a, a) * np.einsum("ijs,ijs->s", p, p))
-    return np.sqrt(residual) / np.maximum(scale + np.sqrt(q_norm2), _TINY)
-
-
-def _mirrored_norm2(row: np.ndarray, diagonal: int) -> np.ndarray:
-    """Per copy, the squared Frobenius norm that a symmetric stack's block row,
-    taken up to its diagonal block at column ``diagonal``, adds to the whole."""
-    left, block = row[:, :diagonal], row[:, diagonal:]
-    return 2.0 * np.einsum("ijs,ijs->s", left, left) + np.einsum("ijs,ijs->s", block, block)
+    norms for the rank-m cascades of :func:`solve_cascade_lyapunov`, P and Q
+    taken symmetric; ||A||^2 is the diagonal blocks' squares plus
+    ||B_j C_:o_j||^2 of every block row j, o_j its offset. The squared
+    residual is ``residual``, as the kernel's sweep formed it, or else is
+    recomputed from P by that sweep: block (j, k), j >= k, of R is the
+    forcing of :func:`_forcings` plus A_jj P_jk + P_jk A_kk^T. On the
+    kernel's exactly symmetric P the two are the same to the bit."""
+    blocks, stack = block_slices([len(x) for x in diag]), b.shape[2]
+    if residual is None:
+        residual = np.zeros(stack)
+        for j, k, forcing in _forcings(b, c, q, lambda rows, cols: _symmetric_block(p, rows, cols), blocks):
+            x = _symmetric_block(p, blocks[j], blocks[k])
+            residual += _block_residual2(diag[j], diag[k], forcing, x, twice=j > k)
+    a_norm2 = np.zeros(stack)
+    for rows, a_jj in zip(blocks, diag):
+        row = np.einsum("ims,mls->ils", b[rows], c[:, : rows.start])
+        a_norm2 += np.einsum("ijs,ijs->s", a_jj, a_jj) + np.einsum("ijs,ijs->s", row, row)
+    # ||Q||^2 = (||q||^2 + <q, q^T>) / 2 for the symmetric part Q of q; B^T B has the norm of B B^T
+    q = np.einsum("ims,ils->mls", b, b) if q is None else q
+    q_norm2 = 0.5 * (np.einsum("ijs,ijs->s", q, q) + np.einsum("ijs,jis->s", q, q))
+    scale = 2.0 * np.sqrt(a_norm2 * np.einsum("ijs,ijs->s", p, p)) + np.sqrt(q_norm2)
+    return np.sqrt(residual) / np.maximum(scale, _TINY)
 
 
 def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.ndarray:

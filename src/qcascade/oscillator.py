@@ -205,26 +205,18 @@ def _block_diag(mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
-def _copies(x: np.ndarray) -> np.ndarray:
-    """Stack-first view (..., S, r, c) of a stack-last array (..., r, c, S) for
-    ``matmul``, with no data moved. On one copy (S = 1) the product is the
-    2-D BLAS product itself, so assembly reproduces the series formulas to
-    the bit."""
-    return x.swapaxes(-1, -2).swapaxes(-2, -3)
-
-
-def _write_series(units: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack-last composite A (n, n, S), B (n, m, S) and C (m, n, S) of a
-    series connection of units from unit k's A_k (n_k, n_k, S), B_k (n_k, m, S)
-    and C_k (m, n_k, S) in ``units[k]``: A_k on the diagonal, A_jk = B_j C_k
-    below it, B_k stacked, C_k concatenated.
+def _write_series(units: Sequence[tuple]) -> tuple[Matrix, Matrix, Matrix]:
+    """Composite A (n, n), B (n, m) and C (m, n) of one series connection of
+    units from unit k's A_k (n_k, n_k), B_k (n_k, m) and C_k (m, n_k) in
+    ``units[k]``: A_k on the diagonal, A_jk = B_j C_k below it, B_k stacked,
+    C_k concatenated.
     """
     blocks = block_slices([len(a_k) for a_k, _, _ in units])
-    (_, m, stack), n = units[0][1].shape, blocks[-1].stop
-    a, b, c = np.zeros((n, n, stack)), np.zeros((n, m, stack)), np.zeros((m, n, stack))
+    m, n = units[0][1].shape[1], blocks[-1].stop
+    a, b, c = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, n))
     for (a_k, b_k, c_k), bk in zip(units, blocks):
         a[bk, bk], b[bk], c[:, bk] = a_k, b_k, c_k
-        np.matmul(_copies(b_k), _copies(c[:, : bk.start]), out=_copies(a[bk, : bk.start]))
+        a[bk, : bk.start] = b_k @ c[:, : bk.start]
     return a, b, c
 
 
@@ -238,9 +230,9 @@ def _series_connection(
     (R_k + M_k^T J M_k), B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed
     stack-last, as contiguous (n_k, n_k, S), (n_k, m, S) and (m, n_k, S) blocks,
     for batches of oscillators of one order and pass the realizability
-    self-check (ArithmeticError naming the oscillator). Returns the stacks of
-    :func:`_write_series`, the spectral abscissas (N, S) of the diagonal blocks
-    and their :func:`hurwitz_flag` on the scale max|A_kk| of each block and copy.
+    self-check (ArithmeticError naming the oscillator). Returns every
+    oscillator's (A_kk, B_k, C_k), the spectral abscissas (N, S) of the diagonal
+    blocks and their :func:`hurwitz_flag` on the scale max|A_kk| of each block and copy.
     """
     if de is None:
         de = [np.zeros((1, sum(parameter_sizes(p.n, p.m)))) for p in oscillators]
@@ -266,7 +258,9 @@ def _series_connection(
             b_k = (theta2 @ m_kt.reshape(len(ks), n_k, -1)).reshape(m_kt.shape)
             c_k = (2.0 * j_ito @ m_k.reshape(len(ks), m, -1)).reshape(m_k.shape)
             r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, vech_at]
-            mjm = np.matmul(_copies(np.einsum("kias,ab->kibs", m_kt, j_ito)), _copies(m_k))
+            # stack-first views (K, S, ., .), no data moved; on one copy the product is
+            # the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
+            mjm = np.matmul(*(np.moveaxis(x, -1, 1) for x in (np.einsum("kias,ab->kibs", m_kt, j_ito), m_k)))
             r += mjm.transpose(0, 2, 3, 1)
             a_kk = (theta2 @ r.reshape(len(ks), n_k, -1)).reshape(r.shape)
             res, scale = realizability_residual(
@@ -292,7 +286,7 @@ def _series_connection(
             hurwitz[ks] = hurwitz_flag(abscissa[ks], largest)
             for i, k in enumerate(ks):
                 blocks[k] = (a_kk[i], b_k[i], c_k[i])
-    return (*_write_series(blocks), abscissa, hurwitz)
+    return blocks, abscissa, hurwitz
 
 
 def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
@@ -302,7 +296,7 @@ def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
     theta C^T + B J = 0 to round-off."""
     _validate_shapes(p, 0)
     _check_thetas([p.theta])
-    a, b, c, _, _ = _series_connection([p], symplectic_form(p.m))
+    ((a, b, c),), _, _ = _series_connection([p], symplectic_form(p.m))
     return OscillatorRealization(a=a[..., 0], b=b[..., 0], c=c[..., 0])
 
 
@@ -397,9 +391,9 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     _check_thetas([p.theta for p in oscillators])
     r_full, m_full = composite_energy_coupling(oscillators)
     j = symplectic_form(m_full.shape[0])
-    a_full, b_full, c_full, abscissa, hurwitz = _series_connection(oscillators, j)
+    units, abscissa, hurwitz = _series_connection(oscillators, j)
     # one unperturbed copy: unpack the stack axis
-    a_full, b_full, c_full = a_full[..., 0], b_full[..., 0], c_full[..., 0]
+    a_full, b_full, c_full = _write_series([[x[..., 0] for x in unit] for unit in units])
     theta_full = _block_diag([p.theta for p in oscillators])
 
     pr_res, scale = realizability_residual(a_full, b_full, c_full, theta_full, j)
@@ -426,27 +420,37 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
 
 
 class CascadeStack(NamedTuple):
-    """Composite a (n, n, S) and b (n, m, S) of S cascades, stack-last with the
-    copy axis contiguous, with the spectral abscissa (N, S) of every diagonal
-    block and its Hurwitz flag (exact for a cascade)."""
+    """S cascades in rank-m form, stack-last with the copy axis contiguous: the
+    diagonal blocks ``diag[k]`` (n_k, n_k, S), b (n, m, S) and c (m, n, S),
+    which make every block A_jl = B_j C_l below the diagonal, with the
+    spectral abscissa (N, S) of every diagonal block and its Hurwitz flag
+    (exact for a cascade)."""
 
-    a: np.ndarray
+    diag: tuple[np.ndarray, ...]
     b: np.ndarray
+    c: np.ndarray
     abscissa: np.ndarray
     hurwitz: np.ndarray
 
+    def compress(self, keep: np.ndarray) -> "CascadeStack":
+        """The copies where ``keep`` is true, still stack-last (x[..., keep] is not)."""
+        diag, rest = ([np.compress(keep, x, axis=-1) for x in xs] for xs in (self.diag, self[1:]))
+        return CascadeStack(tuple(diag), *rest)
+
 
 def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> CascadeStack:
-    """Composite (A, B) of S perturbed copies of a cascade, without assembly.
+    """S perturbed copies of a cascade in rank-m form, without assembly.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the
     layout of :meth:`GradientSet.d_vector`; the blocks are those of
     :func:`assemble_cascade`. The stacks are stack-last (:class:`CascadeStack`),
-    the layout :func:`solve_cascade_lyapunov` takes. Raises ArithmeticError if
-    a perturbed oscillator fails the physical-realizability self-check.
+    the layout :func:`solve_cascade_lyapunov` takes; no composite A is
+    written. Raises ArithmeticError if a perturbed oscillator fails the
+    physical-realizability self-check.
     """
-    a, b, _, abscissa, hurwitz = _series_connection(cascade.params, cascade.j_ito, de)
-    return CascadeStack(a=a, b=b, abscissa=abscissa, hurwitz=hurwitz)
+    units, abscissa, hurwitz = _series_connection(cascade.params, cascade.j_ito, de)
+    diag, b, c = zip(*units)
+    return CascadeStack(diag, np.concatenate(b), np.concatenate(c, axis=1), abscissa, hurwitz)
 
 
 def transfer_eval(

@@ -16,7 +16,6 @@ itself (:class:`UncertaintyModel`) is defined in :mod:`qcascade.oscillator`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ from .oscillator import (
 #: perturbed cascades built and solved as one stack by the Monte-Carlo check;
 #: it sets how the random stream is cut into draws, so it takes part in the results
 MC_CHUNK = 2048
-#: chunks the Monte-Carlo check solves at once, each on a worker thread of
-#: its own; it changes no result, only the time and the memory (one more
-#: chunk's stacks)
-MC_WINDOW = 2
 MC_REJECTION_CAP = 0.01
 
 
@@ -99,7 +94,7 @@ def monte_carlo_variance(
     """Sample variance of dV against the first-order prediction eps Z.
 
     Draws de_k ~ N(0, eps Sigma_k) independently per oscillator, builds
-    every sample's composite A and B in vectorized chunks of ``MC_CHUNK``
+    every sample's cascade in rank-m form in vectorized chunks of ``MC_CHUNK``
     samples with :func:`perturbed_cascade_stack` and solves their Lyapunov
     equations A P + P A^T + B B^T = 0 together (:func:`log_det_stack`);
     the sample variance of dV is compared with eps Z, Z the index of the
@@ -115,18 +110,12 @@ def monte_carlo_variance(
     sample variance needs remain; fewer samples raise ValueError.
 
     Results are reproducible for a fixed (seed, samples) pair; the chunk
-    size ``MC_CHUNK`` takes part in how the random stream is consumed.
-    Every chunk is drawn on the calling thread, in chunk order, and solved
-    on a worker thread, up to ``MC_WINDOW`` chunks at once (the solves
-    spend most of their time in numpy loops that release the GIL). The
-    results are consumed in chunk order, so they do not depend on the
-    window. Each solve runs under the caller's ``np.geterr()`` settings,
-    so ``np.errstate`` carries over. The first error in chunk
-    order is raised unchanged, the chunks not yet started are cancelled,
-    and no worker thread outlives the call.
+    size ``MC_CHUNK`` takes part in how the random stream is consumed. The
+    chunks are drawn, built and solved one at a time, in draw order, on the
+    calling thread, so only one chunk's stacks are held at once, the
+    caller's ``np.errstate`` applies, and the first error is raised before
+    any later chunk is drawn.
     """
-    from concurrent.futures import Future, ThreadPoolExecutor
-
     if samples < 2:
         raise ValueError(f"a sample variance needs at least two samples, got {samples}")
     v0 = steady_state(cascade).v_logdet
@@ -141,30 +130,15 @@ def monte_carlo_variance(
     ]
 
     rng = np.random.default_rng(seed)
-    err = np.geterr()  # worker threads do not inherit the caller's errstate on every numpy version
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []  # (ln det P, certificate) in chunk order
-    in_flight: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=MC_WINDOW) as pool:
-        try:
-            for done in range(0, samples, MC_CHUNK):
-                s_chunk = min(MC_CHUNK, samples - done)
-                de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
-                if len(in_flight) == MC_WINDOW:
-                    chunks.append(in_flight.popleft().result())
-                # workers share only the cascade, whose cached values are the same whoever computes them
-                in_flight.append(pool.submit(_chunk_log_det, cascade, de, err))
-            while in_flight:
-                chunks.append(in_flight.popleft().result())
-        finally:
-            for chunk in in_flight:
-                chunk.cancel()
-
-    deltas: list[np.ndarray] = []
-    rejected = 0
-    for logdet, certificate in chunks:
-        good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
-        rejected += logdet.size - int(np.count_nonzero(good))
-        deltas.append(logdet[good] - v0)
+    deltas, rejected = [], 0  # ln det P - V_0 of the accepted samples of every chunk, and the rejected count
+    with _prefixed("Monte-Carlo samples"):
+        for done in range(0, samples, MC_CHUNK):
+            s_chunk = min(MC_CHUNK, samples - done)
+            de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
+            logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de))
+            good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
+            rejected += logdet.size - int(np.count_nonzero(good))
+            deltas.append(logdet[good] - v0)
 
     if rejected > MC_REJECTION_CAP * samples:
         raise TooManyRejections(
@@ -175,14 +149,6 @@ def monte_carlo_variance(
     variance = float(np.var(dv, ddof=1))
     ratio = variance / predicted
     return MonteCarloResult(variance, predicted, ratio, samples, rejected)
-
-
-def _chunk_log_det(
-    cascade: CascadeModel, de: list[np.ndarray], err: dict[str, str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """ln det P and the residual certificate of every perturbed cascade of one chunk, under errstate ``err``."""
-    with np.errstate(**err), _prefixed("Monte-Carlo samples"):
-        return log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 
 import qcascade.cli
 from qcascade.cli import CascadeSpecFile, build_cascade, load_spec
-from qcascade.linalg import is_hurwitz, symplectic_exponential
+from qcascade.linalg import block_slices, is_hurwitz, symplectic_exponential, vech_to_symmetric
 from qcascade.oscillator import CascadeModel, OscillatorParams, default_theta
 
 # written by tests/data/make_cascade_n3_m6.py: seed 1706, make_oscillator rule
@@ -172,3 +172,36 @@ def random_blockdiag_symplectic(
     rng: np.random.Generator, dims: tuple[int, ...], scale: float = 0.4
 ) -> list[np.ndarray]:
     return [random_symplectic(rng, n, scale) for n in dims]
+
+
+def rank_m_stack(cascades):
+    """Stack-last rank-m form (diag, b, c) of assembled cascades of equal
+    orders, one copy each: the diagonal blocks, B and C."""
+    diag = [np.stack([c.a[blk, blk] for c in cascades], axis=-1) for blk in cascades[0].blocks]
+    return diag, np.stack([c.b for c in cascades], axis=-1), np.stack([c.c for c in cascades], axis=-1)
+
+
+def composite(diag, b, c):
+    """Dense stack-last composite A (n, n, S) of a rank-m stack: the diagonal
+    blocks, and A_jl = B_j C_l below them, zero above."""
+    blocks = block_slices([len(x) for x in diag])
+    a = np.zeros((b.shape[0], b.shape[0], b.shape[2]))
+    for j, rj in enumerate(blocks):
+        a[rj, rj] = diag[j]
+        a[rj, : rj.start] = np.einsum("ims,mls->ils", b[rj], c[:, : rj.start])
+    return a
+
+
+def perturbed_params(cascade, de, s):
+    """Parameters of copy s of a perturbation stack ``de``, for assembly."""
+    out = []
+    for p, de_k in zip(cascade.params, de):
+        d_r = p.n * (p.n + 1) // 2
+        out.append(
+            OscillatorParams(
+                theta=p.theta,
+                r_energy=p.r_energy + vech_to_symmetric(de_k[s, :d_r], p.n),
+                m_coupling=p.m_coupling + de_k[s, d_r:].reshape((p.m, p.n), order="F"),
+            )
+        )
+    return out

@@ -662,7 +662,7 @@ class TestCrossTermSigma:
         for k, u in enumerate(us):
             de = [np.zeros((2, len(v))) for v in us]
             de[k] = np.stack([h * u, -h * u])
-            logdet, _ = log_det_stack(perturbed_cascade_stack(cascade, de), cascade.dims)
+            logdet, _ = log_det_stack(perturbed_cascade_stack(cascade, de))
             slope = (logdet[0] - logdet[1]) / (2.0 * h)
             assert abs(z_k[k] - slope**2) <= 1e-6 * slope**2
         assert sum(z_k) == pytest.approx(48.942, abs=1e-3)

@@ -12,12 +12,14 @@ import qcascade.linalg
 import qcascade.oscillator
 
 from conftest import (
+    composite,
     make_cascade,
     make_mixed_cascade,
     make_oscillator,
     make_passive_chain,
     random_blockdiag_symplectic,
     random_symplectic,
+    rank_m_stack,
 )
 from qcascade.covariance import (
     invariant_covariance_direct,
@@ -377,7 +379,7 @@ def per_oscillator_fd(cascade, h):
     for k, nk in enumerate(cascade.dims):
         d_r = nk * (nk + 1) // 2
         stack = one_oscillator_stack(cascade, k, h * np.eye(d_r + cascade.m * nk))
-        logdet, certificate = log_det_stack(stack, cascade.dims)
+        logdet, certificate = log_det_stack(stack)
         assert np.all(certificate <= RESIDUAL_TOL)
         slope = (logdet[0::2] - logdet[1::2]) / (2.0 * h)
         rho_k = np.zeros((nk, nk))
@@ -402,20 +404,21 @@ def per_oscillator_responses(cascade):
     with one stack and one solve per oscillator, each probe moved by the power
     of two nearest the largest |entry| of its own R_k or M_k block."""
     p = invariant_covariance_direct(cascade)
-    out = []
+    diag, b, c = rank_m_stack([cascade])
+    base, out = (*diag, b, c), []
     for k, (nk, params) in enumerate(zip(cascade.dims, cascade.params)):
         steps = np.repeat(
             [nearest_power_of_two(np.max(np.abs(x))) for x in (params.r_energy, params.m_coupling)],
             parameter_sizes(nk, cascade.m),
         )
         stack = one_oscillator_stack(cascade, k, np.diag(steps))
-        da = (stack.a[..., 0::2] - stack.a[..., 1::2]) / (2.0 * steps)
+        stack_a = composite(stack.diag, stack.b, stack.c)
+        da = (stack_a[..., 0::2] - stack_a[..., 1::2]) / (2.0 * steps)
         db = (stack.b[..., 0::2] - stack.b[..., 1::2]) / (2.0 * steps)
         half = np.einsum("ils,lj->ijs", da, p) + np.einsum("ias,ja->ijs", db, cascade.b)
         force = half + half.transpose(1, 0, 2)
-        dp, certificate = solve_cascade_lyapunov(
-            np.broadcast_to(cascade.a[..., None], force.shape), force, cascade.dims
-        )
+        *diag, b, c = (np.broadcast_to(x, x.shape[:2] + force.shape[2:]) for x in base)
+        dp, certificate = solve_cascade_lyapunov(diag, b, c, force)
         assert np.all(certificate <= RESIDUAL_TOL)
         out.append(np.moveaxis(dp, -1, 0))
     return out
@@ -425,9 +428,9 @@ def spy_lyapunov_copies(monkeypatch):
     """Copy count S of every stacked Lyapunov solve of the probe routes."""
     copies = []
 
-    def spy(a, q, dims):
-        copies.append(a.shape[2])
-        return solve_cascade_lyapunov(a, q, dims)
+    def spy(diag, b, c, q=None):
+        copies.append(b.shape[2])
+        return solve_cascade_lyapunov(diag, b, c, q)
 
     for module in (qcascade.covariance, qcascade.gradients):
         monkeypatch.setattr(module, "solve_cascade_lyapunov", spy)
@@ -511,8 +514,8 @@ class TestProbeStack:
         monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", 2 * reference_cascade.n**2 * 15)
         calls = []
 
-        def failing_second_chunk(a, q, dims):
-            p, certificate = solve_cascade_lyapunov(a, q, dims)
+        def failing_second_chunk(diag, b, c, q):
+            p, certificate = solve_cascade_lyapunov(diag, b, c, q)
             calls.append(len(certificate))
             return p, certificate + (len(calls) == 2)
 
@@ -645,7 +648,7 @@ class TestVectorLayout:
         de = [rng.standard_normal(sum(parameter_sizes(nk, cascade.m))) for nk in cascade.dims]
         h = 1e-6
         stack = perturbed_cascade_stack(cascade, [np.stack([h * u, -h * u]) for u in de])
-        logdet, certificate = log_det_stack(stack, cascade.dims)
+        logdet, certificate = log_det_stack(stack)
         assert np.all(certificate <= RESIDUAL_TOL)
         slope = (logdet[0] - logdet[1]) / (2.0 * h)
         predicted = sum(grads.d_vector(k) @ u for k, u in enumerate(de))

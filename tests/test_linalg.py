@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qcascade.covariance
 import qcascade.gradients
 import qcascade.linalg
-from conftest import make_cascade, make_mixed_cascade, make_oscillator
-from qcascade.covariance import log_det_stack
+from conftest import composite, make_cascade, make_mixed_cascade, make_oscillator, perturbed_params, rank_m_stack
+from qcascade.covariance import log_det_stack, stationary_covariance
 from qcascade.errors import NotHurwitz, SolverSingular
 from qcascade.gradients import covariance_derivatives
 from qcascade.linalg import (
@@ -238,16 +239,29 @@ def refined_kron_lyapunov(a, q):
 
 
 def lyapunov_stack(cascades):
-    a = np.moveaxis(np.stack([c.a for c in cascades]), 0, -1)
-    q = np.moveaxis(np.stack([c.b @ c.b.T for c in cascades]), 0, -1)
-    return a, q
+    """Rank-m inputs (diag, b, c, q) of the Lyapunov equations of assembled cascades, q = B B^T."""
+    diag, b, c = rank_m_stack(cascades)
+    return diag, b, c, np.einsum("ias,jas->ijs", b, b)
+
+
+def random_de(cascade, copies, rng, size=1e-2):
+    return [size * rng.standard_normal((copies, d * (d + 1) // 2 + cascade.m * d)) for d in cascade.dims]
+
+
+def assert_matches_single_cascade_route(p, cascade, de):
+    """Every copy's P within 1e-12 of its max|P| of the P that
+    ``stationary_covariance`` solves on that copy's assembled composite."""
+    for s in range(p.shape[2]):
+        copy = assemble_cascade(perturbed_params(cascade, de, s))
+        want = stationary_covariance(copy.a, copy.b)
+        assert np.max(np.abs(p[..., s] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCascadeLyapunov:
     def assert_matches_kron_oracle(self, cascades):
-        a, q = lyapunov_stack(cascades)
-        p, ratio = solve_cascade_lyapunov(a, q, cascades[0].dims)
-        assert p.shape == a.shape
+        diag, b, c, q = lyapunov_stack(cascades)
+        p, ratio = solve_cascade_lyapunov(diag, b, c, q)
+        assert p.shape == q.shape
         assert ratio.shape == (len(cascades),)
         assert np.all(ratio <= RESIDUAL_TOL)
         for s, cascade in enumerate(cascades):
@@ -280,40 +294,97 @@ class TestCascadeLyapunov:
         assert cascades[0].dims == (2, 4, 2)
         self.assert_matches_kron_oracle(cascades)
 
-    def test_nonzero_block_above_diagonal_raises(self):
-        cascade = make_cascade(np.random.default_rng(5), 3, 2)
-        a, q = lyapunov_stack([cascade, cascade])
-        a[1, 4, 1] = 1e-3
-        with pytest.raises(ValueError, match="above the diagonal"):
-            solve_cascade_lyapunov(a, q, cascade.dims)
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rng: make_cascade(rng, 3, 6), lambda rng: make_cascade(rng, 6, 2), make_mixed_cascade],
+        ids=["one_mode_3_m6", "one_mode_6_m2", "mixed_2_4_2"],
+    )
+    def test_matches_the_single_cascade_route(self, build):
+        # Q = B B^T given, and left to the kernel (q None), as log_det_stack does
+        cascade = build(np.random.default_rng(3701))
+        de = random_de(cascade, 32, np.random.default_rng(3702))
+        stack = perturbed_cascade_stack(cascade, de)
+        for q in (np.einsum("ias,jas->ijs", stack.b, stack.b), None):
+            p, ratio = solve_cascade_lyapunov(stack.diag, stack.b, stack.c, q)
+            assert np.all(ratio <= RESIDUAL_TOL)
+            np.testing.assert_array_equal(_lyapunov_residual_ratio(stack.diag, stack.b, stack.c, q, p), ratio)
+            assert_matches_single_cascade_route(p, cascade, de)
+
+    def test_matches_the_single_cascade_route_with_unstable_copies(self, monkeypatch):
+        # one-mode m = 2: swapping the columns of M_0 flips the sign of det(M_0)
+        # and makes the copy unstable; log_det_stack compresses it out and
+        # hands the kernel the stable copies alone
+        cascade = make_cascade(np.random.default_rng(3703), 3, 2)
+        de = random_de(cascade, 12, np.random.default_rng(3704), size=1e-3)
+        m0 = cascade.params[0].m_coupling
+        for s in (2, 7, 8):
+            de[0][s, 3:] = (m0[:, ::-1] - m0).reshape(-1, order="F")
+        stack = perturbed_cascade_stack(cascade, de)
+        stable = stack.hurwitz.all(axis=0)
+        assert np.count_nonzero(~stable) == 3
+        solved = []
+
+        def spy(diag, b, c, q=None):
+            solved.append(solve_cascade_lyapunov(diag, b, c, q))
+            return solved[-1]
+
+        monkeypatch.setattr(qcascade.covariance, "solve_cascade_lyapunov", spy)
+        logdet, certificate = log_det_stack(stack)
+        (p, ratio), = solved
+        assert p.shape[2] == 9 and np.all(ratio <= RESIDUAL_TOL)
+        assert np.all(np.isnan(logdet[~stable])) and np.all(np.isinf(certificate[~stable]))
+        assert_matches_single_cascade_route(p, cascade, [x[stable] for x in de])
+
+    @pytest.mark.parametrize(
+        "build", [lambda rng: make_cascade(rng, 3, 6), make_mixed_cascade], ids=["one_mode_3_m6", "mixed_2_4_2"]
+    )
+    def test_broadcast_responses_match_the_single_cascade_route(self, build, monkeypatch):
+        # the covariance responses pass the base cascade's blocks, B and C
+        # broadcast over the chunk, with an indefinite forcing per copy
+        cascade = build(np.random.default_rng(3705))
+        solved = []
+
+        def spy(diag, b, c, q):
+            assert all(x.strides[-1] == 0 for x in (*diag, b, c))
+            solved.append((q, *solve_cascade_lyapunov(diag, b, c, q)))
+            return solved[-1][1:]
+
+        monkeypatch.setattr(qcascade.gradients, "solve_cascade_lyapunov", spy)
+        covariance_derivatives(cascade)
+        factor = cascade_schur(cascade.a, (cascade.n,))
+        (q, p, ratio), = solved
+        assert np.all(ratio <= RESIDUAL_TOL)
+        for s in range(q.shape[2]):
+            want = solve_cascade_sylvester(factor, slice(None), slice(None), q[..., s])
+            want = 0.5 * (want + want.T)
+            assert np.max(np.abs(p[..., s] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_shape_must_match_dims(self):
         cascade = make_cascade(np.random.default_rng(6), 2, 2)
-        a, q = lyapunov_stack([cascade])
+        diag, b, c, q = lyapunov_stack([cascade])
         with pytest.raises(ValueError, match="shape"):
-            solve_cascade_lyapunov(a, q, (2, 2, 2))
+            solve_cascade_lyapunov(diag[:1], b, c, q)
+        with pytest.raises(ValueError, match="shape"):
+            solve_cascade_lyapunov([diag[0], diag[1][:1, :1]], b, c, q)
 
     def test_result_does_not_depend_on_memory_layout(self):
         cascade = make_cascade(np.random.default_rng(606), 6, 2)
-        rng = np.random.default_rng(607)
-        de = [1e-2 * rng.standard_normal((256, d * (d + 1) // 2 + 2 * d)) for d in cascade.dims]
-        stack = perturbed_cascade_stack(cascade, de)
-        a = stack.a
-        q = np.einsum("ias,jas->ijs", stack.b, stack.b)
+        stack = perturbed_cascade_stack(cascade, random_de(cascade, 256, np.random.default_rng(607)))
+        inputs = (*stack.diag, stack.b, stack.c, np.einsum("ias,jas->ijs", stack.b, stack.b))
         # the same values, stack-last views of stack-first arrays
-        a_view, q_view = (np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1) for x in (a, q))
-        assert not a_view.flags.c_contiguous and not q_view.flags.c_contiguous
-        p, certificate = solve_cascade_lyapunov(a, q, cascade.dims)
-        p_view, certificate_view = solve_cascade_lyapunov(a_view, q_view, cascade.dims)
+        views = [np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1) for x in inputs]
+        assert not any(x.flags.c_contiguous for x in views)
+        p, certificate = solve_cascade_lyapunov(inputs[:-3], *inputs[-3:])
+        p_view, certificate_view = solve_cascade_lyapunov(views[:-3], *views[-3:])
         np.testing.assert_array_equal(p_view, p)
         np.testing.assert_array_equal(certificate_view, certificate)
 
 
 def dense_residual_ratio(a, q, p):
-    """Oracle of the stacked certificate: R = A P + (A P)^T + Q with the
-    dense (n, n, S) product A P of a symmetric P, Q the symmetric part of q."""
-    ap = np.einsum("ils,ljs->ijs", a, p)
-    q_sym = 0.5 * (q + q.transpose(1, 0, 2))
+    """Oracle of the stacked certificate: R = A P + P A^T + Q with the dense
+    (n, n, S) composite A, P and Q the symmetric parts of p and q."""
+    p_sym, q_sym = (0.5 * (x + x.transpose(1, 0, 2)) for x in (p, q))
+    ap = np.einsum("ils,ljs->ijs", a, p_sym)
     r = ap + ap.transpose(1, 0, 2) + q_sym
 
     def norm(x):
@@ -323,16 +394,36 @@ def dense_residual_ratio(a, q, p):
 
 
 def perturbed_stack(cascade, copies, seed):
-    """Stack-last A and an unsymmetric Q = B B^T + noise of perturbed copies."""
+    """Rank-m inputs (diag, b, c) of perturbed copies and an unsymmetric Q = B B^T + noise."""
     rng = np.random.default_rng(seed)
-    de = [1e-2 * rng.standard_normal((copies, d * (d + 1) // 2 + cascade.m * d)) for d in cascade.dims]
-    stack = perturbed_cascade_stack(cascade, de)
+    stack = perturbed_cascade_stack(cascade, random_de(cascade, copies, rng))
     q = np.einsum("ias,jas->ijs", stack.b, stack.b) + 1e-3 * rng.standard_normal((cascade.n, cascade.n, copies))
-    return stack.a, q
+    return stack.diag, stack.b, stack.c, q
+
+
+def moved(p, rows, cols, size, rng):
+    """p with block (rows, cols) moved by ``size`` times ||p|| of each copy."""
+    e = rng.standard_normal((rows.stop - rows.start, cols.stop - cols.start, p.shape[2]))
+    out = p.copy()
+    out[rows, cols] += size * np.sqrt(np.einsum("ijs,ijs->s", p, p)) * e / np.sqrt(np.einsum("ijs,ijs->s", e, e))
+    return out
 
 
 class TestResidualCertificate:
-    """The block-row certificate against the dense product it replaced."""
+    """The rank-m certificate against the dense product it replaced: at the
+    solution both are round-off, so they agree to a few ulps of the ratio's
+    scale; at a P moved well above round-off they agree to 1e-8."""
+
+    def assert_matches_the_dense_product(self, diag, b, c, q, p, ratio):
+        a, q_dense = composite(diag, b, c), np.einsum("ias,jas->ijs", b, b) if q is None else q
+        assert np.all(ratio <= RESIDUAL_TOL)
+        np.testing.assert_allclose(ratio, dense_residual_ratio(a, q_dense, p), rtol=0.0, atol=1e-14)
+        rng = np.random.default_rng(2907)
+        for rows in block_slices([len(x) for x in diag]):
+            away = moved(p, rows, slice(0, rows.stop), 1e-6, rng)
+            np.testing.assert_allclose(
+                _lyapunov_residual_ratio(diag, b, c, q, away), dense_residual_ratio(a, q_dense, away), rtol=1e-8
+            )
 
     @pytest.mark.parametrize(
         "build",
@@ -341,11 +432,9 @@ class TestResidualCertificate:
     )
     def test_matches_the_dense_product(self, build):
         cascade = build(np.random.default_rng(2901))
-        a, q = perturbed_stack(cascade, 64, 2902)
-        p, ratio = solve_cascade_lyapunov(a, q, cascade.dims)
-        want = dense_residual_ratio(a, q, p)
-        assert np.all(ratio <= RESIDUAL_TOL)
-        np.testing.assert_allclose(ratio, want, rtol=1e-14, atol=0.0)
+        diag, b, c, q = perturbed_stack(cascade, 64, 2902)
+        for given in (q, None):  # an unsymmetric Q, then Q = B B^T left to the kernel
+            self.assert_matches_the_dense_product(diag, b, c, given, *solve_cascade_lyapunov(diag, b, c, given))
 
     @pytest.mark.parametrize(
         "build",
@@ -356,16 +445,16 @@ class TestResidualCertificate:
         # the covariance responses solve stacks of one A with indefinite forcings
         solves = []
 
-        def spy(a, q, dims):
-            p, ratio = solve_cascade_lyapunov(a, q, dims)
-            solves.append((np.array(a), q, p, ratio))
+        def spy(diag, b, c, q):
+            p, ratio = solve_cascade_lyapunov(diag, b, c, q)
+            solves.append((diag, b, c, q, p, ratio))
             return p, ratio
 
         monkeypatch.setattr(qcascade.gradients, "solve_cascade_lyapunov", spy)
         covariance_derivatives(build(np.random.default_rng(2903)))
         assert solves
-        for a, q, p, ratio in solves:
-            np.testing.assert_allclose(ratio, dense_residual_ratio(a, q, p), rtol=1e-14, atol=0.0)
+        for solve in solves:
+            self.assert_matches_the_dense_product(*solve)
 
     @pytest.mark.parametrize(
         "build",
@@ -376,19 +465,16 @@ class TestResidualCertificate:
         # a change of 1e-6 ||P|| in any one block, above the diagonal too,
         # fails the certificate in every copy
         cascade = build(np.random.default_rng(2904))
-        a, q = perturbed_stack(cascade, 16, 2905)
-        p, ratio = solve_cascade_lyapunov(a, q, cascade.dims)
+        diag, b, c, q = perturbed_stack(cascade, 16, 2905)
+        p, ratio = solve_cascade_lyapunov(diag, b, c, q)
         blocks = block_slices(cascade.dims)
-        np.testing.assert_array_equal(_lyapunov_residual_ratio(a, q, p, blocks), ratio)
+        np.testing.assert_array_equal(_lyapunov_residual_ratio(diag, b, c, q, p), ratio)
         assert np.all(ratio <= RESIDUAL_TOL)
         rng = np.random.default_rng(2906)
-        p_norm = np.sqrt(np.einsum("ijs,ijs->s", p, p))
         for rows in blocks:
             for cols in blocks:
-                e = rng.standard_normal((rows.stop - rows.start, cols.stop - cols.start, p.shape[2]))
-                moved = p.copy()
-                moved[rows, cols] += 1e-6 * p_norm * e / np.sqrt(np.einsum("ijs,ijs->s", e, e))
-                assert np.all(_lyapunov_residual_ratio(a, q, moved, blocks) > RESIDUAL_TOL)
+                away = moved(p, rows, cols, 1e-6, rng)
+                assert np.all(_lyapunov_residual_ratio(diag, b, c, q, away) > RESIDUAL_TOL)
 
 
 def with_spectrum(rng, eig, pair):
@@ -451,26 +537,23 @@ class TestOneModeStep:
             return solve(*args)
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        solve_cascade_lyapunov(*one_mode, (2, 2, 2, 2))
+        solve_cascade_lyapunov(*one_mode)
         assert calls == []
         # a step next to the order-4 block still solves its Kronecker system
-        solve_cascade_lyapunov(*mixed, mixed_cascade.dims)
+        solve_cascade_lyapunov(*mixed)
         assert calls
 
     def test_empty_stack(self):
         cascade = make_cascade(np.random.default_rng(8), 3, 2)
-        a, q = lyapunov_stack([cascade, cascade])
-        p, ratio = solve_cascade_lyapunov(a[..., :0], q[..., :0], cascade.dims)
+        diag, b, c, q = lyapunov_stack([cascade, cascade])
+        p, ratio = solve_cascade_lyapunov([x[..., :0] for x in diag], b[..., :0], c[..., :0], q[..., :0])
         assert p.shape == (6, 6, 0)
         assert ratio.shape == (0,)
         # every copy unstable: log_det_stack hands the kernel the empty stack
         unstable = CascadeStack(
-            a=a,
-            b=np.moveaxis(np.stack([cascade.b] * 2), 0, -1),
-            abscissa=np.ones((3, 2)),
-            hurwitz=np.zeros((3, 2), bool),
+            diag=tuple(diag), b=b, c=c, abscissa=np.ones((3, 2)), hurwitz=np.zeros((3, 2), bool)
         )
-        logdet, certificate = log_det_stack(unstable, cascade.dims)
+        logdet, certificate = log_det_stack(unstable)
         assert np.all(np.isnan(logdet))
         assert np.all(np.isinf(certificate))
 

@@ -26,7 +26,9 @@ import pytest
 
 from qcascade import cli
 from qcascade.covariance import steady_state
+from qcascade.errors import SingularResolvent
 from qcascade.gradients import purity_gradients_direct, purity_gradients_recursive
+from qcascade.linalg import resolvent_solve
 from qcascade.oscillator import assemble_cascade
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -125,6 +127,29 @@ def test_recursive_gradients_scale_exactly(spec, tmp_path):
             np.testing.assert_array_equal(got, want * 4.0**-j)
         for got, want in zip(twin.mu, base.mu, strict=True):
             np.testing.assert_array_equal(got, want * 2.0**-j)
+
+
+@pytest.mark.parametrize("excess", [0.9, 1.1])
+def test_resolvent_certificate_has_no_unit(excess, monkeypatch):
+    # a solution moved so that its residual is `excess` times the bound 1e-8 of
+    # its own scale: with A -> c A, B -> sqrt(c) B and s -> c s the residual
+    # and the scale both go as sqrt(c), so every unit gives the same verdict
+    a, b, s = -0.75 * np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), 0.5j
+    solve = np.linalg.solve
+
+    def moved(resolvent, rhs):
+        # resolvent = (s + 0.75 c) I, so a move of f by d leaves a residual |s + 0.75 c| ||d||
+        f = solve(resolvent, rhs)
+        return f + excess * 1e-8 * math.sqrt(2.0) * np.linalg.norm(f) * np.array([[1.0, 0.0], [0.0, 0.0]])
+
+    monkeypatch.setattr(np.linalg, "solve", moved)
+    for j in (0, *EXPONENTS):
+        c = 4.0**j
+        if excess < 1.0:
+            resolvent_solve(c * a, 2.0**j * b, c * s)
+        else:
+            with pytest.raises(SingularResolvent, match="lost accuracy"):
+                resolvent_solve(c * a, 2.0**j * b, c * s)
 
 
 def _field_rotation(m: int, rng: np.random.Generator) -> np.ndarray:

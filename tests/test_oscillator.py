@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator, random_symplectic
+from conftest import (
+    GENERATED_SPEC, composite, make_mixed_cascade, make_oscillator, perturbed_params, random_symplectic,
+)
 from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import DimensionMismatch, SingularResolvent, SingularTheta
-from qcascade.linalg import J2, resolvent_solve, symplectic_form, vech_to_symmetric
+from qcascade.linalg import J2, resolvent_solve, symplectic_form
 from qcascade.oracles import composite_transfer_stack
 from qcascade.oscillator import (
     PR_SELF_CHECK_TOL,
@@ -338,21 +340,6 @@ class TestAssembly:
         np.testing.assert_allclose(cascade.b, np.kron(np.ones((3, 1)), real.b), atol=1e-14)
 
 
-def _perturbed_params(cascade, de, s):
-    """Parameters of copy s of a perturbation stack, for assembly."""
-    out = []
-    for p, de_k in zip(cascade.params, de):
-        d_r = p.n * (p.n + 1) // 2
-        out.append(
-            OscillatorParams(
-                theta=p.theta,
-                r_energy=p.r_energy + vech_to_symmetric(de_k[s, :d_r], p.n),
-                m_coupling=p.m_coupling + de_k[s, d_r:].reshape((p.m, p.n), order="F"),
-            )
-        )
-    return out
-
-
 class TestPerturbedStack:
     @pytest.mark.parametrize("which", ["reference", "mixed"])
     @pytest.mark.parametrize("only", [None, 0, 1, 2])
@@ -366,10 +353,11 @@ class TestPerturbedStack:
         if only is not None:
             de = [x if k == only else np.zeros_like(x) for k, x in enumerate(de)]
         stack = perturbed_cascade_stack(cascade, de)
-        assert stack.a.shape == (cascade.n, cascade.n, 5)
+        stack_a = composite(stack.diag, stack.b, stack.c)
+        assert stack_a.shape == (cascade.n, cascade.n, 5)
         for s in range(5):
-            a, b, _ = series_reference(_perturbed_params(cascade, de, s))
-            for got, want in ((stack.a[..., s], a), (stack.b[..., s], b)):
+            a, b, c = series_reference(perturbed_params(cascade, de, s))
+            for got, want in ((stack_a[..., s], a), (stack.b[..., s], b), (stack.c[..., s], c)):
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
             margins = [
                 np.max(np.linalg.eigvals(a[cascade.blocks[k], cascade.blocks[k]]).real)
@@ -382,9 +370,10 @@ class TestPerturbedStack:
         cascade = reference_cascade
         de = [np.zeros((7, n * (n + 1) // 2 + cascade.m * n)) for n in cascade.dims]
         stack = perturbed_cascade_stack(cascade, de)
-        assert stack.a.shape == (cascade.n, cascade.n, 7)
+        assert [x.shape for x in stack.diag] == [(n, n, 7) for n in cascade.dims]
         assert stack.b.shape == (cascade.n, cascade.m, 7)
-        assert stack.a.flags.c_contiguous and stack.b.flags.c_contiguous
+        assert stack.c.shape == (cascade.m, cascade.n, 7)
+        assert all(x.flags.c_contiguous for x in (*stack.diag, stack.b, stack.c))
         assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 7)
 
     def test_self_check_refuses_an_overflowed_copy(self, reference_cascade):

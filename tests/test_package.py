@@ -109,9 +109,8 @@ def test_no_command_loads_scipy_linalg_or_its_array_api_layer(fresh_commands):
 
 
 def test_each_command_loads_only_the_layers_it_runs(fresh_commands):
-    # importing the cli loads what every command needs; a command's own layer,
-    # and the thread pool of the Monte-Carlo check, load when it runs; no
-    # command loads the oracles
+    # importing the cli loads what every command needs; a command's own layer
+    # loads when it runs; no command loads the oracles, concurrent.futures or logging
     assert fresh_commands["loads"] == {
         "import": ["qcascade.cli", "qcascade.covariance", "qcascade.errors", "qcascade.linalg",
                    "qcascade.oscillator"],
@@ -121,7 +120,7 @@ def test_each_command_loads_only_the_layers_it_runs(fresh_commands):
         "sensitivity": ["qcascade.sensitivity"],
         "balance": ["qcascade.balance"],
         "reproduce-paper": [],
-        "mc-check": ["concurrent.futures", "logging"],
+        "mc-check": [],
     }
 
 
@@ -263,13 +262,14 @@ def test_only_linalg_binds_compiled_routines():
 
 
 def test_only_the_monte_carlo_check_starts_threads():
-    # concurrency has one owner: every other result is computed on the calling thread
+    # no production module starts a thread, the Monte-Carlo check included:
+    # every result is computed on the calling thread
     starters = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process", "Pool", "start_new_thread"}
 
     def starts(node):
         return isinstance(node, ast.Call) and _name(node.func) in starters
 
-    assert _owners(starts) == ["sensitivity.monte_carlo_variance"]
+    assert _owners(starts) == []
 
 
 def test_only_the_layout_helpers_work_out_block_offsets():

@@ -1,13 +1,10 @@
-import json
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcascade.sensitivity
-from conftest import make_cascade
-from qcascade.cli import main
+from conftest import make_cascade, rank_m_stack
 from qcascade.errors import (
     DimensionMismatch,
     NonPositive,
@@ -219,9 +216,9 @@ class TestMonteCarlo:
     def test_zero_error_model_is_refused_before_any_chunk(self, reference_cascade, monkeypatch):
         # every weight 0 is a valid spec, but eps Z = 0 leaves no ratio to report
         def refuse(*args, **kwargs):
-            raise AssertionError("a chunk was solved")
+            raise AssertionError("a chunk was built")
 
-        monkeypatch.setattr(qcascade.sensitivity, "_chunk_log_det", refuse)
+        monkeypatch.setattr(qcascade.sensitivity, "perturbed_cascade_stack", refuse)
         zero = UncertaintyModel.from_weights([(0.0, 0.0)] * 3)
         with pytest.raises(SchemaError, match=r"predicts no variance of V \(eps Z = 0\.000e\+00\)"):
             monte_carlo_variance(reference_cascade, zero, samples=64)
@@ -283,7 +280,7 @@ class TestMonteCarlo:
             _sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators
         ]
         draws = np.random.default_rng(11)
-        a, b, stable = [], [], []
+        stable = []
         for _ in range(samples // chunk):
             de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
             for s in range(chunk):
@@ -297,13 +294,10 @@ class TestMonteCarlo:
                         for p, de_k in zip(cascade.params, de)
                     ]
                 )
-                a.append(moved.a)
-                b.append(moved.b)
-                stable.append(moved.all_hurwitz())
+                if moved.all_hurwitz():
+                    stable.append(moved)
         # contiguous stack-last, the layout of the program's stacks
-        a, b = (np.ascontiguousarray(np.moveaxis(np.array(x)[stable], 0, -1)) for x in (a, b))
-        q = np.einsum("ias,jas->ijs", b, b)
-        p, certificate = solve_cascade_lyapunov(a, q, cascade.dims)
+        p, certificate = solve_cascade_lyapunov(*rank_m_stack(stable))
         logdet = _cholesky_log_det(p)
         good = ~np.isnan(logdet) & (certificate <= RESIDUAL_TOL)
         v0 = np.linalg.slogdet(invariant_covariance_direct(cascade))[1]
@@ -331,12 +325,6 @@ class TestMonteCarlo:
             monte_carlo_variance(cascade, unc, samples=2_000, epsilon=1.0, seed=0)
 
 
-BENCHMARK_SPECS = {
-    label: Path(__file__).resolve().parent / "data" / f"benchmark_{label}_s1_0.json"
-    for label in ("mc3", "mc4", "mc6")
-}
-
-
 def six_oscillator_chain():
     rng = np.random.default_rng(606)
     cascade = make_cascade(rng, 6, 2)
@@ -344,32 +332,65 @@ def six_oscillator_chain():
     return cascade, unc
 
 
-@pytest.fixture
-def threads_left_behind():
-    """Asserts that no thread started by the test outlives it."""
-    before = threading.active_count()
-    yield
-    assert threading.active_count() == before
+class TestMonteCarloChunks:
+    """Chunks are drawn, built and solved one at a time, in draw order, on the
+    calling thread."""
 
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the Monte-Carlo check started a thread")
 
-class TestMonteCarloWindow:
-    """Chunks are drawn in order on the calling thread and solved up to
-    ``MC_WINDOW`` at a time on worker threads; nothing else may change."""
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", 256)
+        cascade, unc = six_oscillator_chain()
+        res = monte_carlo_variance(cascade, unc, samples=1700, epsilon=1e-10, seed=5)
+        assert res.variance > 0.0 and res.rejected == 0
 
-    def results_by_window(self, monkeypatch, run):
-        by_window = []
-        for window in (1, 2):
-            monkeypatch.setattr(qcascade.sensitivity, "MC_WINDOW", window)
-            before = threading.active_count()
-            by_window.append(run(window))
-            assert threading.active_count() == before
-        return by_window
+    def test_an_overflow_raises(self, monkeypatch):
+        # the chunk is solved under the caller's error settings
+        cascade, unc = six_oscillator_chain()
+
+        def overflowing(stack):
+            return np.array([1e308]) * 10.0, np.zeros(1)
+
+        monkeypatch.setattr(qcascade.sensitivity, "log_det_stack", overflowing)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="^Monte-Carlo samples: overflow"):
+                monte_carlo_variance(cascade, unc, samples=512, epsilon=1e-10, seed=1)
+
+    def test_the_first_failing_chunk_surfaces(self, monkeypatch):
+        # chunks 1 and 2 would both fail: chunk 1's error is raised, and no
+        # later chunk is built
+        cascade, unc = six_oscillator_chain()
+        chunk, samples, eps, seed = 64, 64 * 8, 1e-10, 3
+        draws = np.random.default_rng(seed)
+        factors = [_sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators]
+        firsts = []
+        for _ in range(samples // chunk):
+            de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
+            firsts.append(de[0][0, 0])
+        started = []
+        build = qcascade.sensitivity.perturbed_cascade_stack
+
+        def failing(cascade, de):
+            index = firsts.index(de[0][0, 0])
+            started.append(index)
+            if index in (1, 2):
+                raise SolverSingular(f"chunk {index} failed")
+            return build(cascade, de)
+
+        monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", chunk)
+        monkeypatch.setattr(qcascade.sensitivity, "perturbed_cascade_stack", failing)
+        with pytest.raises(SolverSingular, match="^Monte-Carlo samples: chunk 1 failed$"):
+            monte_carlo_variance(cascade, unc, samples=samples, epsilon=eps, seed=seed)
+        assert started == [0, 1]
 
     @pytest.mark.parametrize(
         "model, samples, epsilon, seed, rejected",
         [("six_oscillators", 1700, 1e-10, 5, 0), ("nearly_unstable", 1500, 7e-4, 0, 6)],
+        ids=["six_oscillators", "nearly_unstable"],
     )
-    def test_results_do_not_depend_on_the_window(self, model, samples, epsilon, seed, rejected, monkeypatch):
+    def test_partial_chunk_and_rejections(self, model, samples, epsilon, seed, rejected, monkeypatch):
         # seven or six chunks, the last one partial; the nearly unstable
         # oscillator's draws leave the stability set now and then
         if model == "six_oscillators":
@@ -382,72 +403,9 @@ class TestMonteCarloWindow:
             )
             cascade, unc = assemble_cascade([fragile]), UncertaintyModel.from_weights([(1.0, 1.0)])
         monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", 256)
-        one, two = self.results_by_window(
-            monkeypatch, lambda _: monte_carlo_variance(cascade, unc, samples=samples, epsilon=epsilon, seed=seed)
-        )
-        assert one == two
-        assert one.variance > 0.0 and one.rejected == rejected
-
-    @pytest.mark.parametrize("label", sorted(BENCHMARK_SPECS))
-    def test_reports_do_not_depend_on_the_window(self, label, monkeypatch, tmp_path):
-        spec = str(BENCHMARK_SPECS[label])
-
-        def report(window):
-            out = tmp_path / str(window)
-            code = main(["mc-check", spec, "--out", str(out), "--samples", "4096", "--epsilon", "1e-10"])
-            return code, (out / "report.json").read_bytes()
-
-        one, two = self.results_by_window(monkeypatch, report)
-        assert one == two
-        assert one[0] == 0 and json.loads(one[1])["results"]["samples"] == 4096
-
-    @pytest.mark.parametrize("window", [1, 2])
-    def test_an_overflow_in_a_worker_raises(self, window, monkeypatch, threads_left_behind):
-        # each chunk runs under the caller's error settings, so a worker
-        # thread refuses the overflow too
-        cascade, unc = six_oscillator_chain()
-
-        def overflowing(stack, dims):
-            return np.array([1e308]) * 10.0, np.zeros(1)
-
-        monkeypatch.setattr(qcascade.sensitivity, "MC_WINDOW", window)
-        monkeypatch.setattr(qcascade.sensitivity, "log_det_stack", overflowing)
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="^Monte-Carlo samples: overflow"):
-                monte_carlo_variance(cascade, unc, samples=512, epsilon=1e-10, seed=1)
-
-    def test_the_first_failing_chunk_surfaces(self, monkeypatch, threads_left_behind):
-        # chunk 1 fails only once chunk 2 has failed: chunk 1's error is
-        # raised, and no chunk after the one in flight is solved
-        cascade, unc = six_oscillator_chain()
-        chunk, samples, eps, seed = 64, 64 * 8, 1e-10, 3
-        draws = np.random.default_rng(seed)
-        factors = [_sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators]
-        firsts = []
-        for _ in range(samples // chunk):
-            de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
-            firsts.append(de[0][0, 0])
-        started = []
-        chunk_2_failed = threading.Event()
-        build = qcascade.sensitivity.perturbed_cascade_stack
-
-        def failing(cascade, de):
-            index = firsts.index(de[0][0, 0])
-            started.append(index)
-            if index == 1:
-                assert chunk_2_failed.wait(timeout=60)
-                raise SolverSingular("chunk 1 failed")
-            if index == 2:
-                chunk_2_failed.set()
-                raise SolverSingular("chunk 2 failed")
-            return build(cascade, de)
-
-        monkeypatch.setattr(qcascade.sensitivity, "MC_WINDOW", 2)
-        monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", chunk)
-        monkeypatch.setattr(qcascade.sensitivity, "perturbed_cascade_stack", failing)
-        with pytest.raises(SolverSingular, match="^Monte-Carlo samples: chunk 1 failed$"):
-            monte_carlo_variance(cascade, unc, samples=samples, epsilon=eps, seed=seed)
-        assert sorted(started) == [0, 1, 2]
+        first = monte_carlo_variance(cascade, unc, samples=samples, epsilon=epsilon, seed=seed)
+        assert first == monte_carlo_variance(cascade, unc, samples=samples, epsilon=epsilon, seed=seed)
+        assert first.variance > 0.0 and first.rejected == rejected
 
 
 class TestFisher:
