@@ -346,17 +346,26 @@ class TestMonteCarloChunks:
         res = monte_carlo_variance(cascade, unc, samples=1700, epsilon=1e-10, seed=5)
         assert res.variance > 0.0 and res.rejected == 0
 
-    def test_an_overflow_raises(self, monkeypatch):
-        # the chunk is solved under the caller's error settings
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_an_overflow_raises(self, chunk, monkeypatch):
+        # every chunk, the first or one after a clean chunk, is solved under
+        # the caller's error settings
         cascade, unc = six_oscillator_chain()
+        calls = []
+        solve = qcascade.sensitivity.log_det_stack
 
         def overflowing(stack):
-            return np.array([1e308]) * 10.0, np.zeros(1)
+            calls.append(stack)
+            if len(calls) == chunk:
+                return np.array([1e308]) * 10.0, np.zeros(1)
+            return solve(stack)
 
+        monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", 256)
         monkeypatch.setattr(qcascade.sensitivity, "log_det_stack", overflowing)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="^Monte-Carlo samples: overflow"):
                 monte_carlo_variance(cascade, unc, samples=512, epsilon=1e-10, seed=1)
+        assert len(calls) == chunk
 
     def test_the_first_failing_chunk_surfaces(self, monkeypatch):
         # chunks 1 and 2 would both fail: chunk 1's error is raised, and no
