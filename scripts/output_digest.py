@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per (spec, command) over all that a run gives back: its
+exit code, standard output, standard error and every file it writes.
+
+All nine commands run in this process through ``qcascade.cli.main``, each
+into a fresh directory; ``mc-check`` runs with ``--samples 2048``. The spec's
+path, which ``provenance.input`` records, is reduced to its file name, so two
+checkouts that give the same bytes print the same lines.
+
+Usage: python3 scripts/output_digest.py [spec.json ...]   (default: tests/data/*.json)
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from qcascade.cli import COMMANDS, main
+
+EXTRA = {"mc-check": ["--samples", "2048"]}
+
+
+def digest(spec: Path, command: str) -> str:
+    """SHA-256 of one run of ``command`` on ``spec``, the spec's path reduced to its name."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(spec), "--out", tmp, *EXTRA.get(command, [])])
+        parts = [str(code), out.getvalue(), err.getvalue()]
+        for path in sorted(Path(tmp).iterdir()):
+            parts += [path.name, path.read_text()]
+    text = "\0".join(parts).replace(str(spec), spec.name)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main_digest() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("specs", nargs="*", type=Path)
+    specs = parser.parse_args().specs or sorted((ROOT / "tests" / "data").glob("*.json"))
+    for spec in specs:
+        for command in COMMANDS:
+            print(f"{spec.name} {command} {digest(spec, command)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())

@@ -766,9 +766,9 @@ COMMANDS: dict[str, Callable[[Pipeline], Reply]] = {
 
 
 def _write_outputs(run: Pipeline, report: dict[str, Any]) -> None:
-    """Write the report and the command's files as strict JSON and CSV.
-    Every document is encoded before any file is written, so a non-finite
-    value raises FloatingPointError and leaves no report."""
+    """Write the report and the command's files as strict JSON and CSV, all
+    encoded first: a non-finite value raises FloatingPointError and leaves no
+    report. An output that cannot be written raises ParseError, exit 1."""
     try:
         # no indent: json's C encoder, which writes floats by the same repr
         texts = {"report.json": json.dumps(report, sort_keys=True, allow_nan=False)}
@@ -776,12 +776,14 @@ def _write_outputs(run: Pipeline, report: dict[str, Any]) -> None:
             texts[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise FloatingPointError(f"result is not finite: {exc}") from exc
-    run.out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (run.out / name).write_text(text)
     for name, (header, rows) in run.csv_series.items():
-        lines = [header, *(",".join(repr(x) for x in row) for row in rows)]
-        (run.out / name).write_text("\n".join(lines) + "\n")
+        texts[name] = "\n".join([header, *(",".join(repr(x) for x in row) for row in rows)]) + "\n"
+    try:
+        run.out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (run.out / name).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {run.out}: {exc}") from exc
 
 
 def _emit(run: Pipeline, results: dict[str, Any], table: str | Callable[[], str], fmt: str) -> None:

@@ -57,7 +57,7 @@ from .linalg import (
 from .oscillator import CascadeModel, CascadeStack, parameter_sizes, perturbed_cascade_stack
 
 SYMPLECTIC_TOL = 1e-9
-#: most entries in any (n, n, S) array of one chunk of signed probes
+#: most entries in any (n, n, S) array of a chunk; the oracle's +/- stack has 2 copies per probe, a response 1
 PROBE_ENTRIES = 1 << 20
 
 
@@ -194,13 +194,13 @@ def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:
     return block_slices([sum(parameter_sizes(nk, cascade.m)) for nk in cascade.dims])
 
 
-def _probe_chunks(cascade: CascadeModel) -> Iterator[tuple[int, int]]:
-    """(lo, hi) of every chunk of probes, in order: no (n, n, S) array of a
-    signed stack of two copies per probe holds more than ``PROBE_ENTRIES``."""
+def _probe_chunks(cascade: CascadeModel, copies: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of every chunk of probes, in order: no (n, n, S) array of a stack
+    of ``copies`` per probe (the oracle's 2, a response's 1) exceeds ``PROBE_ENTRIES``."""
     total = _probe_blocks(cascade)[-1].stop
     # equal chunks: a last chunk of one probe would change bits, as einsum
     # sums a copy axis of length 1 in another order
-    count = -(-total // max(1, PROBE_ENTRIES // (2 * cascade.n**2)))
+    count = -(-total // max(1, PROBE_ENTRIES // (copies * cascade.n**2)))
     bounds = [total * i // count for i in range(count + 1)]
     return zip(bounds[:-1], bounds[1:])
 
@@ -243,7 +243,7 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
         labels += [f"M_{k}[{row},{col}]" for col in range(nk) for row in range(m)]
     values = np.empty(2 * probes[-1].stop)
     with _prefixed("finite-difference probes"):
-        for lo, hi in _probe_chunks(cascade):
+        for lo, hi in _probe_chunks(cascade, 2):
             # copies 2(t - lo) and 2(t - lo) + 1 move the entry of probe t by +h and -h
             signed = np.kron(np.eye(hi - lo, probes[-1].stop, lo), [[h], [-h]])
             stack = perturbed_cascade_stack(cascade, [signed[:, blk] for blk in probes])
@@ -284,8 +284,8 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     dR_k; vec dM_k], the layout of :meth:`GradientSet.d_vector`; entry k of
     the result stacks them, shape (d_k, n, n). Each response solves the
     Lyapunov equation A dP + dP A^T + 2 Sym(dA P + B dB^T) = 0, one batched
-    block solve per chunk of :func:`_probe_chunks` into one result, on the
-    base cascade's diagonal blocks, B and C broadcast over the chunk,
+    block solve per chunk of :func:`_probe_chunks`, one copy per probe, into
+    one result, on the base cascade's diagonal blocks, B and C passed once,
     certified at ``RESIDUAL_TOL`` per oscillator. dA and dB are exact: A = 2
     Theta (R + W o M^T J M) and B = 2 Theta M^T, W 1 on the diagonal blocks, 2
     below them and 0 above, so dA = 2 Theta (dR + W o (Y - Y^T)), Y = dM^T J M,
@@ -301,10 +301,10 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     upper = block_upper_mask(cascade.dims)
     weight = np.where(upper, 0.0, 1.0 + upper.T)[:, None, :]
     theta2, jm = 2.0 * cascade.theta, cascade.j_ito @ cascade.m_coupling
-    base = [x[..., None] for x in (*(r.a for r in cascade.realizations), cascade.b, cascade.c)]
+    *diag, b, c = (x[..., None] for x in (*(r.a for r in cascade.realizations), cascade.b, cascade.c))
     dp, certificate = np.empty((n, n, total)), np.empty(total)
     with _prefixed("covariance responses"):
-        for lo, hi in _probe_chunks(cascade):
+        for lo, hi in _probe_chunks(cascade, 1):
             # unit directions [dR | dM^T] with the copy axis in the middle, (n, S, n + m):
             # each product below is one BLAS call over all copies
             unit = (at[:, None, :] == np.arange(lo, hi)[:, None]).astype(float)
@@ -313,7 +313,6 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
             db = theta2 @ unit[..., n:].reshape(n, -1)
             half = (da.reshape(-1, n) @ p_full + db.reshape(-1, m) @ cascade.b.T).reshape(n, -1, n)
             force = (half + half.transpose(2, 1, 0)).transpose(0, 2, 1)
-            *diag, b, c = (np.broadcast_to(x, x.shape[:2] + (hi - lo,)) for x in base)
             dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(diag, b, c, force)
     for k, blk in enumerate(probes):
         worst = float(np.max(certificate[blk]))

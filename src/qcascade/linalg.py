@@ -430,9 +430,11 @@ def solve_cascade_lyapunov(
     B_j C_l from ``b`` (n, m, S) and ``c`` (m, n, S), so no (n, n, S)
     composite is formed. ``q`` (n, n, S) is taken symmetric; None solves the
     cascades' own covariance equation, Q = B B^T, without forming Q. The copy
-    axis is last. Block forward substitution (Bartels and Stewart, 1972)
-    splits each equation into one small Sylvester problem per block (j, k)
-    with j >= k, solved in column order k and then row order j:
+    axis is last, of length S in ``q`` and S or 1 in the blocks, ``b`` and
+    ``c``: one copy is shared by all S, as the covariance responses pass it,
+    with the bits of its S contiguous copies. Block forward substitution
+    (Bartels and Stewart, 1972) splits each equation into one small Sylvester
+    problem per block (j, k) with j >= k, in column order k, then row order j:
 
         A_jj X + X A_kk^T = -(Q_jk + B_j U_jk + T_jk B_k^T)
 
@@ -454,19 +456,23 @@ def solve_cascade_lyapunov(
     Raises
     ------
     ValueError
-        If a diagonal block is not square or the shapes of the blocks,
-        ``b``, ``c`` and ``q`` disagree.
+        If a diagonal block is not square, or the shapes of the blocks,
+        ``b``, ``c`` and ``q`` or their copy counts disagree.
     """
     # einsum orders its sums by the operands' strides: contiguous copies make
-    # the result independent of the caller's memory layout and broadcasting
-    diag = [np.ascontiguousarray(x, dtype=float) for x in diag]
-    b, c, q = (None if x is None else np.ascontiguousarray(x, dtype=float) for x in (b, c, q))
-    blocks, (n, m, stack) = block_slices([len(x) for x in diag]), b.shape
-    shapes = [x.shape for x in (*diag, c)] + [(n, n, stack) if q is None else q.shape]
-    if n != blocks[-1].stop or shapes != [(len(x), len(x), stack) for x in diag] + [(m, n, stack), (n, n, stack)]:
-        raise ValueError(f"shapes {shapes} of the blocks, c and q do not fit b {b.shape}")
+    # the result independent of the caller's memory layout
+    *diag, b, c = realization = [np.ascontiguousarray(x, dtype=float) for x in (*diag, b, c)]
+    blocks, (n, m) = block_slices([len(x) for x in diag]), b.shape[:2]
+    stack = max(x.shape[-1] for x in realization) if q is None else q.shape[-1]
+    fits = [(len(x), len(x)) for x in diag] + [(n, m), (m, n)]
+    if n != blocks[-1].stop or q is not None and q.shape != (n, n, stack) or any(
+        x.shape not in (fit + (1,), fit + (stack,)) for x, fit in zip(realization, fits)
+    ):
+        raise ValueError(f"shapes {[np.shape(x) for x in (*realization, q)]} of the blocks, b, c and q do not fit")
+    if q is not None:
+        q = np.ascontiguousarray(0.5 * (q + q.transpose(1, 0, 2)), dtype=float)
     p, residual = np.empty((n, n, stack)), np.zeros(stack)
-    for j, k, forcing in _forcings(b, c, q, lambda rows, cols: p[rows, cols], blocks):
+    for j, k, forcing in _forcings(b, c, q, p, blocks):
         x = _sylvester_step(diag[j], diag[k], forcing)
         if j == k:
             x = 0.5 * (x + x.transpose(1, 0, 2))
@@ -476,20 +482,20 @@ def solve_cascade_lyapunov(
     return p, _lyapunov_residual_ratio(diag, b, c, q, p, residual)
 
 
-def _forcings(b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p_block, blocks: Sequence[slice]):
+def _forcings(b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p: np.ndarray, blocks: Sequence[slice]):
     """(j, k, Q_jk + B_j U_jk + T_jk B_k^T) of every block j >= k of a stack-last
-    rank-m cascade, in column order k and then row order j, Q the symmetric
-    part of q, or B B^T for None. U_jk = sum_{l<j} C_l P_lk runs down column
-    k from U_kk = T_kk^T; T_jk = sum_{l<k} P_jl C_l^T of every row below
-    column k is one (n, m, S) array. ``p_block(rows, cols)`` reads a block of
-    P, block (j, k) only after its forcing is yielded, so a solve may write it."""
-    t = np.zeros(b.shape)
+    rank-m cascade, in column order k and then row order j, for a symmetric q,
+    or Q = B B^T for None. U_jk = sum_{l<j} C_l P_lk runs down column k from
+    U_kk = T_kk^T; T_jk = sum_{l<k} P_jl C_l^T of every row below column k is
+    one (n, m, S) array, S the copies of ``p``. Block (j, k) of ``p`` is read
+    only after its forcing is yielded, so a solve may write it there."""
+    t = np.zeros(b.shape[:2] + p.shape[2:])
     for k, ck in enumerate(blocks):
         below = slice(ck.start, None)
         # for q None, Q_jk = B_j B_k^T joins T_jk B_k^T
         column = np.einsum("ims,bms->ibs", t[below] + b[below] if q is None else t[below], b[ck])
         if q is not None:
-            column += _symmetric_block(q, below, ck)
+            column += q[below, ck]
         u = t[ck].transpose(1, 0, 2)
         for j in range(k, len(blocks)):
             rj = blocks[j]
@@ -498,8 +504,8 @@ def _forcings(b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p_block, block
                 forcing += np.einsum("ims,mbs->ibs", b[rj], u)
             yield j, k, forcing
             if j + 1 < len(blocks):
-                u = u + np.einsum("mis,ibs->mbs", c[:, rj], p_block(rj, ck))
-        t[ck.stop :] += np.einsum("ibs,mbs->ims", p_block(slice(ck.stop, None), ck), c[:, ck])
+                u = u + np.einsum("mis,ibs->mbs", c[:, rj], p[rj, ck])
+        t[ck.stop :] += np.einsum("ibs,mbs->ims", p[ck.stop :, ck], c[:, ck])
 
 
 def _block_residual2(alpha: np.ndarray, beta: np.ndarray, forcing: np.ndarray, x: np.ndarray, twice: bool):
@@ -508,37 +514,31 @@ def _block_residual2(alpha: np.ndarray, beta: np.ndarray, forcing: np.ndarray, x
     return (1.0 + twice) * np.einsum("ijs,ijs->s", r, r)
 
 
-def _symmetric_block(q: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """Block (rows, cols) of the symmetric part of a stack-last q, formed where it is read."""
-    return 0.5 * (q[rows, cols] + q[cols, rows].transpose(1, 0, 2))
-
-
 def _lyapunov_residual_ratio(
     diag: Sequence[np.ndarray], b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p: np.ndarray,
     residual: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per copy, ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||) in Frobenius
-    norms for the rank-m cascades of :func:`solve_cascade_lyapunov`, P and Q
-    taken symmetric; ||A||^2 is the diagonal blocks' squares plus
-    ||B_j C_:o_j||^2 of every block row j, o_j its offset. The squared
-    residual is ``residual``, as the kernel's sweep formed it, or else is
-    recomputed from P by that sweep: block (j, k), j >= k, of R is the
-    forcing of :func:`_forcings` plus A_jj P_jk + P_jk A_kk^T. On the
-    kernel's exactly symmetric P the two are the same to the bit."""
-    blocks, stack = block_slices([len(x) for x in diag]), b.shape[2]
+    norms for the rank-m cascades and copy axes of :func:`solve_cascade_lyapunov`;
+    ||A||^2 is the diagonal blocks' squares plus ||B_j C_:o_j||^2 of every
+    block row j, o_j its offset. The squared residual is ``residual``, as the
+    kernel's sweep formed it on its symmetric q, or else that sweep on P and
+    q made symmetric once here: block (j, k), j >= k, of R is the forcing of
+    :func:`_forcings` plus A_jj P_jk + P_jk A_kk^T. On the kernel's exactly
+    symmetric P the two are the same to the bit."""
+    blocks, a_norm2 = block_slices([len(x) for x in diag]), np.zeros(p.shape[2])
     if residual is None:
-        residual = np.zeros(stack)
-        for j, k, forcing in _forcings(b, c, q, lambda rows, cols: _symmetric_block(p, rows, cols), blocks):
-            x = _symmetric_block(p, blocks[j], blocks[k])
-            residual += _block_residual2(diag[j], diag[k], forcing, x, twice=j > k)
-    a_norm2 = np.zeros(stack)
+        p, q = (x if x is None else np.ascontiguousarray(0.5 * (x + x.transpose(1, 0, 2))) for x in (p, q))
+        residual = np.zeros(p.shape[2])
+        for j, k, forcing in _forcings(b, c, q, p, blocks):
+            residual += _block_residual2(diag[j], diag[k], forcing, p[blocks[j], blocks[k]], twice=j > k)
+    # at P's copy count, as einsum orders a sum by it: a shared realization gets its copies' bits
+    *diag, b, c = (x if x.shape[2] == len(a_norm2) else np.repeat(x, len(a_norm2), axis=2) for x in (*diag, b, c))
     for rows, a_jj in zip(blocks, diag):
         row = np.einsum("ims,mls->ils", b[rows], c[:, : rows.start])
         a_norm2 += np.einsum("ijs,ijs->s", a_jj, a_jj) + np.einsum("ijs,ijs->s", row, row)
-    # ||Q||^2 = (||q||^2 + <q, q^T>) / 2 for the symmetric part Q of q; B^T B has the norm of B B^T
-    q = np.einsum("ims,ils->mls", b, b) if q is None else q
-    q_norm2 = 0.5 * (np.einsum("ijs,ijs->s", q, q) + np.einsum("ijs,jis->s", q, q))
-    scale = 2.0 * np.sqrt(a_norm2 * np.einsum("ijs,ijs->s", p, p)) + np.sqrt(q_norm2)
+    q = np.einsum("ims,ils->mls", b, b) if q is None else q  # B^T B has the norm of B B^T
+    scale = 2.0 * np.sqrt(a_norm2 * np.einsum("ijs,ijs->s", p, p)) + np.sqrt(np.einsum("ijs,ijs->s", q, q))
     return np.sqrt(residual) / np.maximum(scale, _TINY)
 
 
@@ -562,12 +562,10 @@ def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.nd
         rhs = np.einsum("ils,lbs->ibs", alpha, f) + tr_c * f - np.einsum("ils,bls->ibs", f, beta)
         return (u * np.einsum("ils,lbs->ibs", alpha, rhs) - w * rhs) / (v * w + u * u * det_a)
     # row-major vec: vec(alpha X + X beta^T) = (alpha (x) I + I (x) beta) vec X
-    op = np.einsum("acs,bd->sabcd", alpha, np.eye(d_k))
-    op += np.einsum("ac,bds->sabcd", np.eye(d_j), beta)
-    x = np.linalg.solve(
-        op.reshape(stack, d_j * d_k, d_j * d_k), -f.transpose(2, 0, 1).reshape(stack, -1, 1)
-    )
-    return x.reshape(stack, d_j, d_k).transpose(1, 2, 0)
+    op = np.einsum("acs,bd->sabcd", alpha, np.eye(d_k)) + np.einsum("ac,bds->sabcd", np.eye(d_j), beta)
+    x = np.linalg.solve(op.reshape(-1, d_j * d_k, d_j * d_k), -f.transpose(2, 0, 1).reshape(stack, -1, 1))
+    # contiguous, as the closed form's: einsum's sums over X depend on its layout
+    return np.ascontiguousarray(x.reshape(stack, d_j, d_k).transpose(1, 2, 0))
 
 
 class SymplecticCheck(NamedTuple):

@@ -1119,6 +1119,23 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "validation error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("purity", "x"), ("balance", "x"), ("balance", "balanced.json"), ("balance", "balance_multiplier.csv")],
+    )
+    def test_unwritable_out_is_one(self, command, blocked, tmp_path):
+        # a regular file where the output directory, or one of its files, would go
+        out = tmp_path / "out"
+        if blocked == "x":
+            out.write_text("")
+            out = out / "x"
+        else:
+            (out / blocked).mkdir(parents=True)
+        code, stdout, stderr = run_main([command, str(GENERATED_SPEC), "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"validation error: cannot write {out}: ") and stderr.count("\n") == 1
+        assert qcascade.cli._LOADED == {}
+
     def test_help_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

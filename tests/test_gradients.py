@@ -425,12 +425,14 @@ def per_oscillator_responses(cascade):
 
 
 def spy_lyapunov_copies(monkeypatch):
-    """Copy count S of every stacked Lyapunov solve of the probe routes."""
+    """Copy count S of every stacked Lyapunov solve of the probe routes, read
+    from its certificate: the responses pass one shared realization."""
     copies = []
 
     def spy(diag, b, c, q=None):
-        copies.append(b.shape[2])
-        return solve_cascade_lyapunov(diag, b, c, q)
+        p, certificate = solve_cascade_lyapunov(diag, b, c, q)
+        copies.append(len(certificate))
+        return p, certificate
 
     for module in (qcascade.covariance, qcascade.gradients):
         monkeypatch.setattr(module, "solve_cascade_lyapunov", spy)
@@ -439,8 +441,9 @@ def spy_lyapunov_copies(monkeypatch):
 
 class TestProbeStack:
     """The probes of every oscillator are solved once per chunk of at most
-    ``PROBE_ENTRIES`` entries in any (n, n, S) array of the oracle's signed
-    stack; the responses take the same chunks, formed from the exact dA and dB."""
+    ``PROBE_ENTRIES`` entries in any (n, n, S) array: the oracle's signed
+    stack counts two copies per probe, a response, formed from the exact dA
+    and dB, one."""
 
     @pytest.fixture(params=["reference", "mixed"])
     def cascade(self, request, reference_cascade):
@@ -475,12 +478,16 @@ class TestProbeStack:
     def test_chunks_reproduce_one_stack_to_the_bit(self, cascade, monkeypatch):
         fd, dps = gradient_fd_oracle(cascade, h=1e-5), covariance_derivatives(cascade)
         probes = sum(nk * (nk + 1) // 2 + cascade.m * nk for nk in cascade.dims)
-        budget = 2 * cascade.n**2 * (probes // 3)  # at least three chunks
+        # probes // 3 responses a chunk: three or four chunks, at least six of the oracle's pairs
+        budget = cascade.n**2 * (probes // 3)
         monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", budget)
         copies = spy_lyapunov_copies(monkeypatch)
-        chunked_fd, chunked_dps = gradient_fd_oracle(cascade, h=1e-5), covariance_derivatives(cascade)
-        assert len(copies) >= 6
-        assert max(copies) * cascade.n**2 <= budget
+        chunked_fd = gradient_fd_oracle(cascade, h=1e-5)
+        fd_copies, copies[:] = copies[:], []
+        chunked_dps = covariance_derivatives(cascade)
+        assert len(fd_copies) >= 6 and sum(fd_copies) == 2 * probes
+        assert len(copies) == -(-probes // (probes // 3)) and sum(copies) == probes
+        assert max(fd_copies + copies) * cascade.n**2 <= budget
         for got, want in zip((*chunked_fd.rho, *chunked_fd.mu), (*fd.rho, *fd.mu), strict=True):
             np.testing.assert_array_equal(got, want)
         for got, want in zip(chunked_dps, dps, strict=True):
@@ -511,7 +518,7 @@ class TestProbeStack:
 
     def test_failed_response_certificate_names_its_oscillator(self, reference_cascade, monkeypatch):
         # three chunks of 15 probes, one oscillator each; the second fails its certificate
-        monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", 2 * reference_cascade.n**2 * 15)
+        monkeypatch.setattr(qcascade.gradients, "PROBE_ENTRIES", reference_cascade.n**2 * 15)
         calls = []
 
         def failing_second_chunk(diag, b, c, q):

@@ -340,12 +340,12 @@ class TestCascadeLyapunov:
     )
     def test_broadcast_responses_match_the_single_cascade_route(self, build, monkeypatch):
         # the covariance responses pass the base cascade's blocks, B and C
-        # broadcast over the chunk, with an indefinite forcing per copy
+        # once, a copy axis of length 1, with an indefinite forcing per copy
         cascade = build(np.random.default_rng(3705))
         solved = []
 
         def spy(diag, b, c, q):
-            assert all(x.strides[-1] == 0 for x in (*diag, b, c))
+            assert all(x.shape[-1] == 1 for x in (*diag, b, c)) and q.shape[-1] > 1
             solved.append((q, *solve_cascade_lyapunov(diag, b, c, q)))
             return solved[-1][1:]
 
@@ -366,6 +366,36 @@ class TestCascadeLyapunov:
             solve_cascade_lyapunov(diag[:1], b, c, q)
         with pytest.raises(ValueError, match="shape"):
             solve_cascade_lyapunov([diag[0], diag[1][:1, :1]], b, c, q)
+        # a copy axis of the realization is 1 or q's: here q has 3 copies
+        q3, two = np.repeat(q, 3, axis=-1), [np.repeat(x, 2, axis=-1) for x in (*diag, b, c)]
+        for i in range(len(two)):
+            given = [*diag, b, c]
+            given[i] = two[i]
+            with pytest.raises(ValueError, match="shape"):
+                solve_cascade_lyapunov(given[:-2], *given[-2:], q3)
+        with pytest.raises(ValueError, match="shape"):
+            solve_cascade_lyapunov(two[:-2], *two[-2:], q)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rng: make_cascade(rng, 3, 6), lambda rng: make_cascade(rng, 6, 2), make_mixed_cascade],
+        ids=["one_mode_3_m6", "one_mode_6_m2", "mixed_2_4_2"],
+    )
+    def test_shared_realization_is_the_repeated_one_to_the_bit(self, build):
+        # a copy axis of length 1 and the same realization in S contiguous
+        # copies give the same P and certificate, bit for bit
+        cascade = build(np.random.default_rng(3706))
+        shared = rank_m_stack([cascade])
+        rng = np.random.default_rng(3707)
+        q = rng.standard_normal((cascade.n, cascade.n, 37))
+        repeated = [np.repeat(x, q.shape[-1], axis=-1) for x in (*shared[0], *shared[1:])]
+        assert all(x.flags.c_contiguous for x in repeated)
+        p, ratio = solve_cascade_lyapunov(*shared, q)
+        p_repeated, ratio_repeated = solve_cascade_lyapunov(repeated[:-2], *repeated[-2:], q)
+        assert p.shape == q.shape and np.all(ratio <= RESIDUAL_TOL)
+        np.testing.assert_array_equal(p, p_repeated)
+        np.testing.assert_array_equal(ratio, ratio_repeated)
+        np.testing.assert_array_equal(_lyapunov_residual_ratio(*shared, q, p), ratio)
 
     def test_result_does_not_depend_on_memory_layout(self):
         cascade = make_cascade(np.random.default_rng(606), 6, 2)
