@@ -361,60 +361,41 @@ class RunFlags:
 RUN_SETTINGS = {f.name: type(f.default) for f in fields(RunFlags)}
 
 
-class LoadedSpec:
-    """A validated spec and its cascade, assembled at most once, on first use:
-    what the runs of :func:`main` on the same spec bytes share. P, its factor
-    and the gradients are kept on the cascade by their owners."""
-
-    def __init__(self, spec: CascadeSpecFile):
-        self.spec = spec
-
-    @functools.cached_property
-    def cascade(self) -> CascadeModel:
-        return build_cascade(self.spec)
-
-
 #: the one spec :func:`main` keeps between runs: (path, SHA-256 of its bytes)
-#: -> its LoadedSpec; it hits only when one interpreter calls :func:`main`
-#: more than once on the same bytes. A run takes the entry out, so no two runs
-#: hold one cascade at once, and puts its own in only when it ends without an
-#: exception, so an error is never cached.
-_LOADED: dict[tuple[Path, str], LoadedSpec] = {}
+#: -> the spec and its cascade; it hits only when one interpreter calls
+#: :func:`main` more than once on the same bytes. A run takes the entry out, so
+#: no two runs hold one cascade at once, and puts its own in only when it ends
+#: without an exception, so an error is never cached.
+_LOADED: dict[tuple[Path, str], tuple[CascadeSpecFile, CascadeModel]] = {}
 
 
-def _take_loaded(path: Path) -> LoadedSpec:
-    """The cached LoadedSpec of ``path``'s current bytes, or on a miss a new
-    one from :func:`load_spec`; the cache is left empty either way."""
+def _take_loaded(path: Path) -> tuple[CascadeSpecFile, CascadeModel | None]:
+    """The cached spec and cascade of ``path``'s current bytes, or on a miss
+    the spec from :func:`load_spec` and no cascade, which the caller assembles
+    once it has checked the run settings; the cache is left empty either way."""
     try:
         key = (path, hashlib.sha256(path.read_bytes()).hexdigest())
     except OSError:
         key = None  # load_spec reports the unreadable file
     loaded = _LOADED.pop(key, None)
     _LOADED.clear()  # one entry: a miss replaces it
-    return loaded or LoadedSpec(load_spec(path))
+    return loaded or (load_spec(path), None)
 
 
 @dataclass(frozen=True)
 class Pipeline:
-    """One command run on one loaded spec: its cascade, shared by every run on
-    the same spec bytes, the stages that depend on run settings, each computed
-    at most once per run on first use, and the files the command adds next to
+    """One command run on one spec and its cascade, shared by every run on the
+    same spec bytes: the stages that depend on run settings, each computed at
+    most once per run on first use, and the files the command adds next to
     ``report.json``."""
 
-    loaded: LoadedSpec
+    spec: CascadeSpecFile
+    cascade: CascadeModel
     flags: RunFlags
     out: Path
     #: CSV file name -> (header, rows)
     csv_series: dict[str, tuple[str, list[tuple]]] = field(default_factory=dict)
     extra_files: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-    @property
-    def spec(self) -> CascadeSpecFile:
-        return self.loaded.spec
-
-    @property
-    def cascade(self) -> CascadeModel:
-        return self.loaded.cascade
 
     @functools.cached_property
     def uncertainty(self) -> UncertaintyModel:
@@ -682,9 +663,10 @@ def _cmd_ti_bounds(run: Pipeline) -> Reply:
     rows: list[tuple] = []
     per_osc = []
     all_ok = True
-    for k, params in enumerate(run.spec.oscillators):
+    for k, unit in enumerate(run.cascade.realizations):
         with _prefixed(f"oscillator {k}"):
-            res = covariance_trace_bound(TIModel.from_oscillator(params), run.flags.kmax)
+            model = TIModel.from_matrices(unit.a, unit.b, unit.c, run.cascade.j_ito)
+            res = covariance_trace_bound(model, run.flags.kmax)
         ok = all(t <= b * (1 + 1e-9) for t, b in zip(res.traces, res.bounds))
         all_ok &= ok
         per_osc.append(
@@ -825,12 +807,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        loaded = _take_loaded(Path(ns.spec))
-        run = Pipeline(loaded, RunFlags.from_spec(loaded.spec, ns), ns.out)
+        spec, cascade = _take_loaded(Path(ns.spec))
+        flags = RunFlags.from_spec(spec, ns)
+        run = Pipeline(spec, cascade or build_cascade(spec), flags, ns.out)
         results, code, table = COMMANDS[ns.command](run)
         report = {"command": ns.command, "provenance": run.provenance, "results": results}
         _write_outputs(run, report)
-        _LOADED[(loaded.spec.source, loaded.spec.sha256)] = loaded
+        _LOADED[(spec.source, spec.sha256)] = (spec, run.cascade)
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

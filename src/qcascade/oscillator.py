@@ -16,6 +16,7 @@ of :attr:`CascadeModel.blocks`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -205,47 +206,71 @@ def _block_diag(mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
-def _write_series(units: Sequence[tuple]) -> tuple[Matrix, Matrix, Matrix]:
-    """Composite A (n, n), B (n, m) and C (m, n) of one series connection of
-    units from unit k's A_k (n_k, n_k), B_k (n_k, m) and C_k (m, n_k) in
-    ``units[k]``: A_k on the diagonal, A_jk = B_j C_k below it, B_k stacked,
-    C_k concatenated.
+def _write_series(diag: Sequence[Matrix], b: Matrix, c: Matrix) -> Matrix:
+    """Composite A (n, n) of one series connection from its diagonal blocks
+    ``diag[k]`` (n_k, n_k) and the composite B (n, m) and C (m, n): A_kk on the
+    diagonal and A_jk = B_j C_k below it.
     """
-    blocks = block_slices([len(a_k) for a_k, _, _ in units])
-    m, n = units[0][1].shape[1], blocks[-1].stop
-    a, b, c = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, n))
-    for (a_k, b_k, c_k), bk in zip(units, blocks):
-        a[bk, bk], b[bk], c[:, bk] = a_k, b_k, c_k
-        a[bk, : bk.start] = b_k @ c[:, : bk.start]
-    return a, b, c
+    blocks = block_slices([len(a_k) for a_k in diag])
+    a = np.zeros((blocks[-1].stop,) * 2)
+    for a_k, bk in zip(diag, blocks):
+        a[bk, bk] = a_k
+        a[bk, : bk.start] = b[bk] @ c[:, : bk.start]
+    return a
+
+
+class CascadeStack(NamedTuple):
+    """S cascades in rank-m form, stack-last with the copy axis contiguous: the
+    diagonal blocks ``diag[k]`` (n_k, n_k, S), b (n, m, S) and c (m, n, S),
+    which make every block A_jl = B_j C_l below the diagonal, with the
+    spectral abscissa (N, S) of every diagonal block and its Hurwitz flag
+    (exact for a cascade)."""
+
+    diag: tuple[np.ndarray, ...]
+    b: np.ndarray
+    c: np.ndarray
+    abscissa: np.ndarray
+    hurwitz: np.ndarray
+
+    def compress(self, keep: np.ndarray) -> "CascadeStack":
+        """The copies where ``keep`` is true, still stack-last (x[..., keep] is not)."""
+        diag, rest = ([np.compress(keep, x, axis=-1) for x in xs] for xs in (self.diag, self[1:]))
+        return CascadeStack(tuple(diag), *rest)
 
 
 def _series_connection(
     oscillators: Sequence[OscillatorParams], j_ito: Matrix, de: Sequence[np.ndarray] | None = None
-) -> tuple[np.ndarray, ...]:
-    """Series connection of S perturbed copies of a chain of oscillators.
+) -> CascadeStack:
+    """Series connection of S perturbed copies of a chain of oscillators, in rank-m form.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the layout
     of :meth:`GradientSet.d_vector`; None is one unperturbed copy. A_kk = 2 Theta_k
     (R_k + M_k^T J M_k), B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed
-    stack-last, as contiguous (n_k, n_k, S), (n_k, m, S) and (m, n_k, S) blocks,
-    for batches of oscillators of one order and pass the realizability
-    self-check (ArithmeticError naming the oscillator). Returns every
-    oscillator's (A_kk, B_k, C_k), the spectral abscissas (N, S) of the diagonal
-    blocks and their :func:`hurwitz_flag` on the scale max|A_kk| of each block and copy.
+    stack-last, A_kk as contiguous (n_k, n_k, S) blocks and B_k and C_k straight
+    into the composite b (n, m, S) and c (m, n, S), for batches of consecutive
+    oscillators of one order, and pass the realizability self-check
+    (ArithmeticError naming the oscillator). Returns the
+    :class:`CascadeStack` of the diagonal blocks, b and c, the spectral abscissas
+    (N, S) of the diagonal blocks and their :func:`hurwitz_flag` on the scale
+    max|A_kk| of each block and copy; with no copies, S = 0, its empty stack.
     """
     if de is None:
         de = [np.zeros((1, sum(parameter_sizes(p.n, p.m)))) for p in oscillators]
     stack, m = de[0].shape[0], j_ito.shape[0]
-    blocks: list = [None] * len(oscillators)
+    blocks = block_slices([p.n for p in oscillators])
+    diag: list = [None] * len(oscillators)
+    b, c = np.empty((blocks[-1].stop, m, stack)), np.empty((m, blocks[-1].stop, stack))
     abscissa = np.empty((len(oscillators), stack))
     hurwitz = np.empty((len(oscillators), stack), dtype=bool)
-    for n_k in dict.fromkeys(p.n for p in oscillators):
-        same = [k for k, p in enumerate(oscillators) if p.n == n_k]
+    if not stack:
+        return CascadeStack(tuple(np.empty((p.n, p.n, 0)) for p in oscillators), b, c, abscissa, hurwitz)
+    for n_k, run in itertools.groupby(range(len(oscillators)), lambda k: oscillators[k].n):
+        run = list(run)
         size = max(1, BATCH_ENTRIES // (stack * n_k * m))
         # position in vech of every entry of dR: the symmetric matrix of vech 0, 1, 2, ...
         vech_at = vech_to_symmetric(np.arange(parameter_sizes(n_k, m)[0]), n_k).astype(np.intp)
-        for ks in (same[i : i + size] for i in range(0, len(same), size)):
+        for ks in (run[i : i + size] for i in range(0, len(run), size)):
+            rows = slice(blocks[ks[0]].start, blocks[ks[-1]].stop)
             # oscillator axis first and copy axis last, (K, ., ., S); a product
             # with a fixed left factor is one matrix product over all copies
             theta = np.stack([oscillators[k].theta for k in ks])
@@ -255,8 +280,11 @@ def _series_connection(
             m_kt = d[:, -m * n_k :].reshape(len(ks), n_k, m, stack)
             m_kt = m_kt + np.stack([oscillators[k].m_coupling.T for k in ks])[..., None]
             m_k = np.ascontiguousarray(m_kt.swapaxes(1, 2))
-            b_k = (theta2 @ m_kt.reshape(len(ks), n_k, -1)).reshape(m_kt.shape)
-            c_k = (2.0 * j_ito @ m_k.reshape(len(ks), m, -1)).reshape(m_k.shape)
+            # B_k and C_k of the batch formed in place, as views of its rows of b and columns of c
+            b_k = b[rows].reshape(len(ks), n_k, m, stack)
+            np.matmul(theta2, m_kt.reshape(len(ks), n_k, -1), out=b_k.reshape(len(ks), n_k, -1))
+            c_k = c[:, rows].reshape(m, len(ks), n_k, stack).swapaxes(0, 1)
+            np.matmul(2.0 * j_ito, m_k.reshape(len(ks), m, -1), out=c_k.reshape(len(ks), m, -1))
             r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, vech_at]
             # stack-first views (K, S, ., .), no data moved; on one copy the product is
             # the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
@@ -285,8 +313,8 @@ def _series_connection(
             largest = np.maximum(a_kk.max(axis=(1, 2)), -a_kk.min(axis=(1, 2)))
             hurwitz[ks] = hurwitz_flag(abscissa[ks], largest)
             for i, k in enumerate(ks):
-                blocks[k] = (a_kk[i], b_k[i], c_k[i])
-    return blocks, abscissa, hurwitz
+                diag[k] = a_kk[i]
+    return CascadeStack(tuple(diag), b, c, abscissa, hurwitz)
 
 
 def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
@@ -296,8 +324,8 @@ def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
     theta C^T + B J = 0 to round-off."""
     _validate_shapes(p, 0)
     _check_thetas([p.theta])
-    ((a, b, c),), _, _ = _series_connection([p], symplectic_form(p.m))
-    return OscillatorRealization(a=a[..., 0], b=b[..., 0], c=c[..., 0])
+    stack = _series_connection([p], symplectic_form(p.m))
+    return OscillatorRealization(a=stack.diag[0][..., 0], b=stack.b[..., 0], c=stack.c[..., 0])
 
 
 @dataclass(frozen=True)
@@ -391,9 +419,10 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     _check_thetas([p.theta for p in oscillators])
     r_full, m_full = composite_energy_coupling(oscillators)
     j = symplectic_form(m_full.shape[0])
-    units, abscissa, hurwitz = _series_connection(oscillators, j)
-    # one unperturbed copy: unpack the stack axis
-    a_full, b_full, c_full = _write_series([[x[..., 0] for x in unit] for unit in units])
+    stack = _series_connection(oscillators, j)
+    # one unperturbed copy: drop the stack axis
+    b_full, c_full = stack.b[..., 0], stack.c[..., 0]
+    a_full = _write_series([x[..., 0] for x in stack.diag], b_full, c_full)
     theta_full = _block_diag([p.theta for p in oscillators])
 
     pr_res, scale = realizability_residual(a_full, b_full, c_full, theta_full, j)
@@ -414,43 +443,23 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         r_energy=r_full,
         m_coupling=m_full,
         dims=tuple(p.n for p in oscillators),
-        hurwitz=tuple(zip(hurwitz[:, 0].tolist(), abscissa[:, 0].tolist())),
+        hurwitz=tuple(zip(stack.hurwitz[:, 0].tolist(), stack.abscissa[:, 0].tolist())),
         realizability=(float(pr_res), float(scale)),
     )
 
 
-class CascadeStack(NamedTuple):
-    """S cascades in rank-m form, stack-last with the copy axis contiguous: the
-    diagonal blocks ``diag[k]`` (n_k, n_k, S), b (n, m, S) and c (m, n, S),
-    which make every block A_jl = B_j C_l below the diagonal, with the
-    spectral abscissa (N, S) of every diagonal block and its Hurwitz flag
-    (exact for a cascade)."""
-
-    diag: tuple[np.ndarray, ...]
-    b: np.ndarray
-    c: np.ndarray
-    abscissa: np.ndarray
-    hurwitz: np.ndarray
-
-    def compress(self, keep: np.ndarray) -> "CascadeStack":
-        """The copies where ``keep`` is true, still stack-last (x[..., keep] is not)."""
-        diag, rest = ([np.compress(keep, x, axis=-1) for x in xs] for xs in (self.diag, self[1:]))
-        return CascadeStack(tuple(diag), *rest)
-
-
 def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> CascadeStack:
-    """S perturbed copies of a cascade in rank-m form, without assembly.
+    """S perturbed copies of a cascade in rank-m form, without assembly: the
+    :class:`CascadeStack` of the series builder, whose blocks are those of
+    :func:`assemble_cascade`.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the
-    layout of :meth:`GradientSet.d_vector`; the blocks are those of
-    :func:`assemble_cascade`. The stacks are stack-last (:class:`CascadeStack`),
-    the layout :func:`solve_cascade_lyapunov` takes; no composite A is
-    written. Raises ArithmeticError if a perturbed oscillator fails the
+    layout of :meth:`GradientSet.d_vector`; S may be 0. The stacks are
+    stack-last, the layout :func:`solve_cascade_lyapunov` takes; no composite
+    A is written. Raises ArithmeticError if a perturbed oscillator fails the
     physical-realizability self-check.
     """
-    units, abscissa, hurwitz = _series_connection(cascade.params, cascade.j_ito, de)
-    diag, b, c = zip(*units)
-    return CascadeStack(diag, np.concatenate(b), np.concatenate(c, axis=1), abscissa, hurwitz)
+    return _series_connection(cascade.params, cascade.j_ito, de)
 
 
 def transfer_eval(

@@ -265,7 +265,8 @@ def covariance_trace_bound(model: TIModel, k_max: int) -> TraceBoundResult:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    a_full, b_full, _ = _write_series([(model.a, model.b, model.c)] * k_max)
+    b_full = np.tile(model.b, (k_max, 1))
+    a_full = _write_series([model.a] * k_max, b_full, np.tile(model.c, (1, k_max)))
     p_full = stationary_covariance(a_full, b_full)
     h2 = h2_norm(model)
     hinf = hinf_norm(model)

@@ -694,6 +694,18 @@ def spy_counts(monkeypatch, names) -> Counter:
     return counts
 
 
+def refuse_calls(monkeypatch, names) -> None:
+    """Make each function in ``names`` raise wherever a qcascade module holds it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused function was called")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("qcascade")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
 def run_main(argv) -> tuple[int, str, str]:
     """Exit code, standard output and standard error of one ``main`` run."""
     out, err = io.StringIO(), io.StringIO()
@@ -780,8 +792,13 @@ class TestSpecCache:
     and the SHA-256 of its bytes, with the cascade and what is kept on it."""
 
     def entry(self):
+        """The kept (spec, cascade) pair."""
         (loaded,) = qcascade.cli._LOADED.values()
         return loaded
+
+    def same(self, a, b) -> bool:
+        """Whether two kept pairs hold the same spec and the same cascade objects."""
+        return all(x is y for x, y in zip(a, b, strict=True))
 
     @pytest.mark.parametrize("command", ["covariance", "purity", "gradients", "sensitivity"])
     def test_a_second_command_builds_and_solves_nothing(self, command, tmp_path, monkeypatch):
@@ -790,7 +807,7 @@ class TestSpecCache:
         counts = spy_counts(monkeypatch, ("load_spec", "assemble_cascade", "stationary_covariance"))
         assert main([command, str(GENERATED_SPEC), "--out", str(tmp_path / "c")]) == 0
         assert counts == Counter()
-        assert self.entry() is loaded
+        assert self.same(self.entry(), loaded)
 
     def test_new_bytes_rebuild_the_cascade(self, tmp_path, monkeypatch):
         doc = read_example()
@@ -811,7 +828,7 @@ class TestSpecCache:
             assert main(["purity", str(path), "--out", str(tmp_path / path.stem)]) == 0
             report = json.loads((tmp_path / path.stem / "report.json").read_text())
             assert report["provenance"]["input"] == str(path)
-            assert self.entry().spec.source == path
+            assert self.entry()[0].source == path
 
     @pytest.mark.parametrize(
         "command, code, shown",
@@ -857,16 +874,33 @@ class TestSpecCache:
             if i == 0:
                 loaded = self.entry()
             elif command != "reproduce-paper":
-                assert self.entry() is loaded
+                assert self.same(self.entry(), loaded)
+
+    def test_ti_bounds_reads_the_kept_cascade(self, tmp_path, monkeypatch):
+        # its units come from the run's cascade: after validate, ti-bounds
+        # assembles and realizes nothing, and writes the bytes of a cold run
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert main(["ti-bounds", str(GENERATED_SPEC), "--out", str(cold)]) == 0
+        qcascade.cli._LOADED.clear()
+        assert main(["validate", str(GENERATED_SPEC), "--out", str(tmp_path / "v")]) == 0
+        refuse_calls(monkeypatch, ("oscillator_realization", "_series_connection", "assemble_cascade"))
+        assert main(["ti-bounds", str(GENERATED_SPEC), "--out", str(warm)]) == 0
+        for name in ("report.json", "ti_bounds.csv"):
+            assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+
+    def test_settings_are_checked_before_assembly(self, tmp_path, monkeypatch, capsys):
+        refuse_calls(monkeypatch, ("assemble_cascade",))
+        assert main(["mc-check", str(GENERATED_SPEC), "--out", str(tmp_path), "--samples", "1"]) == 1
+        assert "samples must be at least 2" in capsys.readouterr().err
 
     def test_library_calls_are_not_cached(self, tmp_path):
         assert main(["gradients", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
         loaded = self.entry()
         spec = load_spec(GENERATED_SPEC)
-        assert spec is not loaded.spec and spec.sha256 == loaded.spec.sha256
+        assert spec is not loaded[0] and spec.sha256 == loaded[0].sha256
         cascade = build_cascade(spec)
-        assert cascade is not loaded.cascade and build_cascade(spec) is not cascade
-        assert cascade.derived == {} and loaded.cascade.derived
+        assert cascade is not loaded[1] and build_cascade(spec) is not cascade
+        assert cascade.derived == {} and loaded[1].derived
 
 
 class TestExitCodes:

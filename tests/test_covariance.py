@@ -337,6 +337,12 @@ class TestLogDetStack:
         np.testing.assert_array_equal(certificate[keep], want_certificate)
         assert np.all(np.isfinite(want_logdet))
 
+    def test_empty_stack_gives_empty_arrays(self):
+        cascade = make_cascade(np.random.default_rng(12), 3, 2)
+        stack = perturbed_cascade_stack(cascade, [np.zeros((0, 3 + 2 * 2)) for _ in cascade.dims])
+        logdet, certificate = log_det_stack(stack)
+        assert logdet.shape == certificate.shape == (0,)
+
 
 def mp_block_covariance(mp, cascade, dps=40):
     """P of a cascade by block forward substitution in ``dps``-digit

@@ -376,6 +376,16 @@ class TestPerturbedStack:
         assert all(x.flags.c_contiguous for x in (*stack.diag, stack.b, stack.c))
         assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 7)
 
+    @pytest.mark.parametrize("which", ["reference", "mixed"])
+    def test_no_copies_give_the_empty_stack(self, reference_cascade, which):
+        cascade = reference_cascade if which == "reference" else make_mixed_cascade(np.random.default_rng(77))
+        de = [np.zeros((0, n * (n + 1) // 2 + cascade.m * n)) for n in cascade.dims]
+        stack = perturbed_cascade_stack(cascade, de)
+        assert [x.shape for x in stack.diag] == [(n, n, 0) for n in cascade.dims]
+        assert stack.b.shape == (cascade.n, cascade.m, 0)
+        assert stack.c.shape == (cascade.m, cascade.n, 0)
+        assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 0)
+
     def test_self_check_refuses_an_overflowed_copy(self, reference_cascade):
         # oscillator 1's first coupling entry moved by 1e200: its B J B^T and the
         # scale overflow to inf, and a perturbed stack has no composite check

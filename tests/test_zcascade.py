@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_oscillator
+from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator
+from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import (
     NoConvergence,
     NotHurwitz,
@@ -50,6 +51,23 @@ def unit(reference_spec):
 @pytest.fixture(scope="module")
 def unit_model(unit):
     return TIModel.from_oscillator(unit)
+
+
+@pytest.mark.parametrize(
+    "source", [*sorted(GENERATED_SPEC.parent.glob("*.json")), "mixed"], ids=lambda p: getattr(p, "stem", p)
+)
+def test_cascade_units_are_the_oscillator_models(source):
+    # ti-bounds builds its models from the run's cascade; they are the models of
+    # the oscillators on their own, to the bit
+    if source == "mixed":
+        cascade = make_mixed_cascade(np.random.default_rng(77))
+    else:
+        cascade = build_cascade(load_spec(source))
+    for unit, params in zip(cascade.realizations, cascade.params, strict=True):
+        got = TIModel.from_matrices(unit.a, unit.b, unit.c, cascade.j_ito)
+        want = TIModel.from_oscillator(params)
+        for name in ("a", "b", "c", "p", "j_ito"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestZFamily:
