@@ -33,9 +33,8 @@ _EXPORTS = {
                    "OscillatorUncertainty", "UncertaintyModel", "assemble_cascade",
                    "default_theta", "oscillator_realization", "parameter_sizes",
                    "perturbed_cascade_stack", "transfer_eval", "transform_params"),
-    "covariance": ("SteadyStateResult", "covariance_factor", "invariant_covariance_direct",
-                   "invariant_covariance_recursive", "purity_and_logdet", "schur_complements",
-                   "steady_state"),
+    "covariance": ("SteadyStateResult", "invariant_covariance_direct",
+                   "invariant_covariance_recursive", "schur_complements", "steady_state"),
     "gradients": ("GradientSet", "covariance_derivatives", "gradient_fd_oracle",
                   "observability_gramian_and_hankelian", "purity_gradients_direct",
                   "purity_gradients_recursive", "transform_gradients"),

@@ -21,9 +21,10 @@ mc-check, ti-bounds, reproduce-paper. A command is a view over one
 spec and cascade come from a cache of one entry, keyed by the spec's path
 and the SHA-256 of its bytes, so commands that one interpreter runs on the
 same bytes parse the spec and assemble the cascade once, and share the P,
-factor and gradients their owners keep on it; the ``qcascade`` console
-script runs one command per process, so it always misses. A run that ends
-with an exception leaves no entry, so an error is never cached.
+steady-state record and gradients their owners keep on it; the
+``qcascade`` console script runs one command per process, so it always
+misses. A run that ends with an exception leaves no entry, so an error is
+never cached.
 :func:`load_spec` and :func:`build_cascade` stay uncached: they run outside
 :func:`main`'s overflow check, so a value kept there could be one that
 :func:`main` refuses. Every run writes ``report.json``, strict JSON, into

@@ -9,8 +9,9 @@ complements of the leading blocks split the log-determinant of P into
 per-oscillator terms, which is the quantity the gradient and balancing
 modules act on. They are read off one Cholesky factor P = L L^T (the
 complement before oscillator k is L_tt L_tt^T, L_tt the trailing block
-of L); :func:`schur_complements` forms them by subtraction, as the
-test oracle. Every solve with L goes through :func:`_lapack_solve`.
+of L), which :func:`steady_state` keeps in one record per cascade;
+:func:`schur_complements` forms them by subtraction, as the test
+oracle. Every solve with L goes through :func:`_lapack_solve`.
 """
 
 from __future__ import annotations
@@ -38,17 +39,18 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Invariant covariance together with its Schur-complement split.
+    """The steady state of a cascade, read off one Cholesky factor P = L L^T.
 
-    With L of :func:`covariance_factor`, ``pi_k[k]`` = L_kk L_kk^T is the
-    conditional covariance of oscillator k given its predecessors, and L_tt
-    L_tt^T, with L_tt the trailing block of L from k on, that of the whole
-    tail. ``v_k[k]`` = 2 sum ln diag L_kk are the per-oscillator
-    log-determinant contributions, summing to ``v_logdet``.
+    ``chol`` is L, lower triangular. L_kk L_kk^T is the conditional
+    covariance of oscillator k given its predecessors, and L_tt L_tt^T, with
+    L_tt the trailing block of L from k on, that of the whole tail.
+    ``v_k[k]`` = 2 sum ln diag L_kk are the per-oscillator log-determinant
+    contributions, summing to ``v_logdet``, and ``purity`` is
+    sqrt(det theta) exp(-V / 2).
     """
 
     p_full: Matrix
-    pi_k: tuple[Matrix, ...]
+    chol: Matrix
     purity: float
     v_logdet: float
     v_k: tuple[float, ...]
@@ -187,17 +189,6 @@ def schur_complements(p_full: Matrix, dims: Sequence[int]) -> tuple[Matrix, ...]
     return tuple(pi_k)
 
 
-def purity_and_logdet(p: Matrix, theta: Matrix) -> tuple[float, float]:
-    """Purity sqrt(det theta / det p) and V = ln det p.
-
-    Both determinants go through triangular factorizations: Cholesky for
-    the covariance, LU (through slogdet) for the commutation matrix.
-    """
-    chol = _cholesky(p, (len(p),))
-    v = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return _purity(v, theta), v
-
-
 def _purity(v: float, theta: Matrix) -> float:
     """sqrt(det theta) exp(-V / 2), det theta through slogdet."""
     sign, logdet_theta = np.linalg.slogdet(theta)
@@ -239,35 +230,27 @@ def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
     return x
 
 
-def covariance_factor(cascade: CascadeModel) -> Matrix:
-    """Lower Cholesky factor L of P = L L^T by :func:`_cholesky`, once per cascade; no purity."""
-    if "chol" in cascade.derived:
-        return cascade.derived["chol"]
-    chol = _cholesky(invariant_covariance_direct(cascade), cascade.dims)
-    return _keep(cascade, "chol", chol, chol)
-
-
 def steady_state(cascade: CascadeModel) -> SteadyStateResult:
-    """Full steady-state summary of a cascade from one Cholesky factor, once per cascade.
+    """The one steady-state record of a cascade, built once and kept.
 
-    P = L L^T is :func:`invariant_covariance_direct` and L is
-    :func:`covariance_factor`; Pi_k = L_kk L_kk^T, v_k = 2 sum ln diag L_kk
-    and V = 2 sum ln diag L are read off L, so sum v_k = V holds by
-    construction. Raises SingularLeadingBlock naming the oscillator and the
-    order when a leading block is not positive definite, NonPositive when
-    only the last block fails.
+    P is :func:`invariant_covariance_direct`, factored once by
+    :func:`_cholesky` into L, kept read-only; v_k = 2 sum ln diag L_kk and
+    V = 2 sum ln diag L are read off L, so sum v_k = V holds by
+    construction, and the purity is :func:`_purity` of V. Raises
+    SingularLeadingBlock naming the oscillator and the order when a leading
+    block is not positive definite, NonPositive when only the last block fails.
     """
     if "state" in cascade.derived:
         return cascade.derived["state"]
-    p_full, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
+    p_full = invariant_covariance_direct(cascade)
+    chol = _cholesky(p_full, cascade.dims)
     log_diag = 2.0 * np.log(np.diag(chol))
     v = float(np.sum(log_diag))
     state = SteadyStateResult(
         p_full=p_full,
-        pi_k=tuple(chol[blk, blk] @ chol[blk, blk].T for blk in cascade.blocks),
+        chol=chol,
         purity=_purity(v, cascade.theta),
         v_logdet=v,
         v_k=tuple(float(np.sum(log_diag[blk])) for blk in cascade.blocks),
     )
-    return _keep(cascade, "state", state, *state.pi_k)
-
+    return _keep(cascade, "state", state, chol)

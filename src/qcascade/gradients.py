@@ -32,9 +32,9 @@ from .covariance import (
     _keep,
     _lapack_solve,
     _recursive_covariance,
-    covariance_factor,
     invariant_covariance_direct,
     log_det_stack,
+    steady_state,
 )
 from .errors import NonPositive, NotHurwitz, NotSymplectic, SolverSingular, _prefixed
 from .linalg import (
@@ -96,17 +96,17 @@ def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, 
     """Gramian Q solving A^T Q + Q A + P^{-1} = 0 of a cascade and the product Q P.
 
     P and its Cholesky factor L, from which P^{-1} is solved by ``dpotrs``,
-    are those of :func:`covariance_factor`, which refuses an unstable
-    cascade. Q comes from one certified transposed solve on the one-block
-    :func:`cascade_schur` factor of A^T. Q P is similar to the symmetric
-    P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
+    are read off the record of :func:`steady_state`, which refuses an
+    unstable cascade. Q comes from one certified transposed solve on the
+    one-block :func:`cascade_schur` factor of A^T. Q P is similar to the
+    symmetric P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
     """
-    p, chol = invariant_covariance_direct(cascade), covariance_factor(cascade)
-    p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(cascade.n), lower=1))
+    state = steady_state(cascade)
+    p_inv = symmetric_part(_lapack_solve(dpotrs, state.chol, np.eye(cascade.n), lower=1))
     whole = slice(0, cascade.n)
     factor = cascade_schur(cascade.a, (cascade.n,))
     q = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
-    return q, q @ p
+    return q, q @ state.p_full
 
 
 def _gradients_from_adjoints(cascade: CascadeModel, h: Matrix, bq: Matrix) -> GradientSet:

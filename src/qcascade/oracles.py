@@ -1,11 +1,12 @@
 """Reference routes that the tests compare the production routes with.
 
 Each function computes a quantity that production computes once, by an
-independent route: a Lyapunov solve by scipy's Schur solver, the composite
-transfer as a product of per-oscillator transfers, the covariance and the
-H2 norm by frequency quadrature, the z-family transfer through the base
-unit, the z-domain cross-covariance by its closed form and by a truncated
-series, and the one-mode balancing index at sampled probes. This module
+independent route: a Lyapunov solve by scipy's Schur solver, the purity and
+V of a given covariance, the composite transfer as a product of
+per-oscillator transfers, the covariance and the H2 norm by frequency
+quadrature, the z-family transfer through the base unit, the z-domain
+cross-covariance by its closed form and by a truncated series, and the
+one-mode balancing index at sampled probes. This module
 imports production, and no production module imports it. The six routes
 the benchmark names by module path stay in their modules:
 ``linalg.solve_sylvester`` and ``symplectic_exponential``,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .balance import OneModeBalanceProblem
-from .covariance import invariant_covariance_direct
+from .covariance import _cholesky, _purity, invariant_covariance_direct
 from .errors import NoConvergence, NotHurwitz, SingularResolvent
 from .linalg import J2, Matrix, is_hurwitz, resolvent_solve, solve_sylvester, symmetric_part
 from .oscillator import (
@@ -30,9 +31,9 @@ SERIES_TAIL_TARGET = 1e-8
 SERIES_MAX_DEPTH = 40
 
 __all__ = [
-    "solve_lyapunov", "composite_transfer_stack", "frequency_domain_covariance",
-    "cross_covariance_generating", "cross_covariance_series", "series_depth_for",
-    "series_tail_bound", "h2_norm_quadrature", "phi_z_feedback", "probe_psi",
+    "solve_lyapunov", "purity_and_logdet", "composite_transfer_stack",
+    "frequency_domain_covariance", "cross_covariance_generating", "cross_covariance_series",
+    "series_depth_for", "series_tail_bound", "h2_norm_quadrature", "phi_z_feedback", "probe_psi",
 ]
 
 
@@ -42,6 +43,15 @@ def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
     """
     q = symmetric_part(np.asarray(q, dtype=float))
     return symmetric_part(solve_sylvester(a, a, q))
+
+
+def purity_and_logdet(p: Matrix, theta: Matrix) -> tuple[float, float]:
+    """Purity sqrt(det theta / det p) and V = ln det p of a given covariance,
+    the second route to the record of :func:`covariance.steady_state`: V from
+    a :func:`covariance._cholesky` factor of p, det theta by slogdet."""
+    chol = _cholesky(p, (len(p),))
+    v = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return _purity(v, theta), v
 
 
 def composite_transfer_stack(cascade: CascadeModel, s: complex) -> np.ndarray:

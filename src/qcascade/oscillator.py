@@ -340,8 +340,9 @@ class CascadeModel:
     (A_kk, B_k, C_k), read off the composite on those ranges. ``hurwitz``
     records the per-oscillator stability flags with spectral abscissas;
     stability is reported at assembly, never assumed. ``realizability`` is the
-    (residual, scale) assembly certified. ``derived`` keeps P, its factor and
-    the gradients, each written once by its owner function.
+    (residual, scale) assembly certified. ``derived`` keeps P, the
+    steady-state record (the factor L of P, V, v_k and the purity) and the
+    gradients, each written once by its owner function.
     """
 
     params: tuple[OscillatorParams, ...]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _cholesky, _lapack_solve, covariance_factor, log_det_stack, steady_state
+from .covariance import _cholesky, _lapack_solve, log_det_stack, steady_state
 from .errors import NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
 from .linalg import RESIDUAL_TOL, Matrix, dtrtrs
@@ -155,7 +155,6 @@ def monte_carlo_variance(
 class FisherResult:
     z_total: float
     z_k: tuple[float, ...]
-    gram_k: tuple[Matrix, ...]
 
 
 def _whitened(chol: Matrix, xs: np.ndarray) -> np.ndarray:
@@ -184,15 +183,17 @@ def fisher_sensitivity(cascade: CascadeModel, uncertainty: UncertaintyModel) -> 
 
     G_k is the Gram matrix (:func:`fisher_gram`) of the covariance
     responses, taken over the same parameter basis as the gradient stack,
-    on the Cholesky factor of :func:`covariance_factor`.
+    on the factor L of the :func:`steady_state` record; each G_k is read
+    into its trace as it is formed.
     """
-    chol = covariance_factor(cascade)
-    grams = tuple(fisher_gram(chol, dps) for dps in covariance_derivatives(cascade))
+    chol = steady_state(cascade).chol
     z_k = tuple(
-        float(np.trace(gram @ unc.sigma_matrix(nk, cascade.m)))
-        for gram, unc, nk in zip(grams, uncertainty.oscillators, cascade.dims, strict=True)
+        float(np.trace(fisher_gram(chol, dps) @ unc.sigma_matrix(nk, cascade.m)))
+        for dps, unc, nk in zip(
+            covariance_derivatives(cascade), uncertainty.oscillators, cascade.dims, strict=True
+        )
     )
-    return FisherResult(z_total=float(sum(z_k)), z_k=z_k, gram_k=grams)
+    return FisherResult(z_total=float(sum(z_k)), z_k=z_k)
 
 
 def kl_gaussian(p: Matrix, p_star: Matrix) -> float:

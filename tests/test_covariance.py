@@ -17,18 +17,16 @@ from conftest import (
 from qcascade.covariance import (
     _cholesky,
     _cholesky_log_det,
-    covariance_factor,
     invariant_covariance_direct,
     invariant_covariance_recursive,
     log_det_stack,
-    purity_and_logdet,
     schur_complements,
     steady_state,
 )
 from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock
 from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, quantum_psd_margin
-from qcascade.oracles import frequency_domain_covariance
+from qcascade.oracles import frequency_domain_covariance, purity_and_logdet
 from qcascade.oscillator import (
     OscillatorParams,
     assemble_cascade,
@@ -222,13 +220,15 @@ class TestFactoredSplit:
         res = steady_state(cascade)
         oracle = schur_complements(res.p_full, cascade.dims)
         scale = max(1.0, float(np.max(np.abs(res.p_full))))
-        for pi, pi_oracle in zip(res.pi_k, oracle, strict=True):
+        for blk, pi_oracle in zip(cascade.blocks, oracle, strict=True):
+            pi = res.chol[blk, blk] @ res.chol[blk, blk].T
             assert np.max(np.abs(pi - pi_oracle)) <= 1e-10 * scale
         v_oracle = [float(np.linalg.slogdet(pi)[1]) for pi in oracle]
         np.testing.assert_allclose(res.v_k, v_oracle, rtol=0.0, atol=1e-10)
 
     def test_factor_reproduces_covariance(self, reference_cascade):
-        res, chol = steady_state(reference_cascade), covariance_factor(reference_cascade)
+        res = steady_state(reference_cascade)
+        chol = res.chol
         np.testing.assert_array_equal(chol, np.tril(chol))
         np.testing.assert_allclose(chol @ chol.T, res.p_full, rtol=0.0, atol=1e-12)
         assert res.v_logdet == pytest.approx(float(np.linalg.slogdet(res.p_full)[1]), abs=1e-10)

@@ -1,6 +1,6 @@
-"""One owner per derived quantity: P, its factor and the gradients of a
-cascade are computed at most once, kept on the cascade and handed out
-read-only, whichever library calls ask for them."""
+"""One owner per derived quantity: P, the steady-state record that holds
+its factor, and the gradients of a cascade are computed at most once, kept
+on the cascade and handed out read-only, whichever library calls ask for them."""
 
 import sys
 from collections import Counter
@@ -12,7 +12,7 @@ import pytest
 import qcascade.covariance
 from qcascade.balance import balance_cascade
 from qcascade.cli import build_cascade
-from qcascade.covariance import covariance_factor, invariant_covariance_direct, steady_state
+from qcascade.covariance import invariant_covariance_direct, steady_state
 from qcascade.errors import NonPositive, SingularLeadingBlock
 from qcascade.gradients import purity_gradients_direct
 from qcascade.sensitivity import fisher_sensitivity, monte_carlo_variance
@@ -57,30 +57,33 @@ def test_the_chain_solves_factors_and_forms_the_gramian_once(counts, reference_s
     assert purity_gradients_direct(cascade) is purity_gradients_direct(cascade)
 
 
-def test_the_factor_is_kept_without_the_purity(counts, reference_spec, monkeypatch):
-    # the Gramian, the Fisher Gram and the balancing read L alone
+CONSUMERS = {
+    "fisher": fisher_sensitivity,
+    "balance": balance_cascade,
+    "monte_carlo": lambda cascade, unc: monte_carlo_variance(cascade, unc, samples=256, seed=1),
+    "steady_state": lambda cascade, unc: steady_state(cascade),
+}
+
+
+@pytest.mark.parametrize("first", list(CONSUMERS))
+def test_one_record_per_cascade(first, counts, reference_spec, monkeypatch):
+    # whichever consumer comes first builds the one record: L and the purity together
     cascade = build_cascade(reference_spec)
-    uncertainty = reference_spec.uncertainty
     slogdet_shapes = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda x: slogdet_shapes.append(np.shape(x)) or slogdet(x))
-    fisher_sensitivity(cascade, uncertainty)
-    balance_cascade(cascade, uncertainty)
-    assert slogdet_shapes == []
-    assert "state" not in cascade.derived
-    # the Monte-Carlo base reads V off the summary, which computes the purity
-    # on the factor it finds kept, once
-    monte_carlo_variance(cascade, uncertainty, samples=256, seed=1)
-    assert slogdet_shapes == [cascade.theta.shape]
-    steady_state(cascade)
-    assert slogdet_shapes == [cascade.theta.shape]
+    order = [first, *(name for name in CONSUMERS if name != first)]
+    for name in order:
+        CONSUMERS[name](cascade, reference_spec.uncertainty)
     assert counts["_cholesky"] == 1
+    assert slogdet_shapes == [cascade.theta.shape]
+    assert set(cascade.derived) == {"p", "state", "gradients"}
 
 
 def test_kept_arrays_are_read_only(reference_spec):
     cascade = build_cascade(reference_spec)
     state, grads = steady_state(cascade), purity_gradients_direct(cascade)
-    for kept in (state.p_full, covariance_factor(cascade), *state.pi_k, *grads.rho, *grads.mu):
+    for kept in (state.p_full, state.chol, *grads.rho, *grads.mu):
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 1.0
     np.testing.assert_array_equal(

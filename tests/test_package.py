@@ -396,6 +396,30 @@ def test_only_the_schur_complement_oracle_solves_with_cho_solve():
     ]
 
 
+def test_one_owner_per_kept_quantity():
+    # CascadeModel.derived is written by covariance._keep alone and read by
+    # the owners of P, of the steady-state record and of the gradients
+    mutators = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+    def mentions(node):
+        return isinstance(node, (ast.Attribute, ast.Name)) and _name(node) == "derived"
+
+    def writes(node):
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, (ast.Store, ast.Del)) and mentions(node.value)
+        method = node.func if isinstance(node, ast.Call) else None
+        return isinstance(method, ast.Attribute) and method.attr in mutators and mentions(method.value)
+
+    assert _owners(writes) == ["covariance._keep"]
+    assert set(_owners(mentions)) == {
+        "covariance._keep", "covariance.invariant_covariance_direct", "covariance.steady_state",
+        "gradients.purity_gradients_direct", "oscillator.<module>",
+    }
+    assert writes(ast.parse("c.derived.setdefault('p', p)").body[0].value)
+    assert not writes(ast.parse("c.derived['p']").body[0].value)
+    assert not writes(ast.parse("c.derived.get('p')").body[0].value)
+
+
 def test_cli_turns_spec_content_into_numbers_in_one_place():
     # the number rule of spec content (JSON numbers only, no bool and no
     # string) is _non_numbers; _matrices alone makes arrays from spec content

@@ -14,7 +14,7 @@ from qcascade.errors import (
     TooManyRejections,
 )
 from qcascade.gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct
+from qcascade.covariance import _cholesky_log_det, invariant_covariance_direct, steady_state
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
@@ -27,6 +27,7 @@ from qcascade.sensitivity import (
     OscillatorUncertainty,
     UncertaintyModel,
     _sigma_sqrt,
+    fisher_gram,
     fisher_metric,
     fisher_sensitivity,
     kl_gaussian,
@@ -432,20 +433,31 @@ class TestFisher:
             fisher_metric(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_gram_matrices_are_symmetric_psd(self, reference_cascade, reference_uncertainty):
-        res = fisher_sensitivity(reference_cascade, reference_uncertainty)
-        for gram in res.gram_k:
+        chol = steady_state(reference_cascade).chol
+        for dps in covariance_derivatives(reference_cascade):
+            gram = fisher_gram(chol, dps)
             np.testing.assert_allclose(gram, gram.T, atol=1e-10)
             assert np.linalg.eigvalsh(gram)[0] >= -1e-9 * np.linalg.norm(gram)
+        res = fisher_sensitivity(reference_cascade, reference_uncertainty)
         assert res.z_total == pytest.approx(sum(res.z_k), rel=1e-12)
         assert res.z_total > 0.0
 
     def test_gram_matches_trace_loop(self, reference_cascade, reference_uncertainty):
         p = invariant_covariance_direct(reference_cascade)
+        chol = steady_state(reference_cascade).chol
         res = fisher_sensitivity(reference_cascade, reference_uncertainty)
-        for gram, responses in zip(res.gram_k, covariance_derivatives(reference_cascade)):
+        cases = zip(
+            covariance_derivatives(reference_cascade), reference_uncertainty.oscillators,
+            reference_cascade.dims, res.z_k, strict=True,
+        )
+        for responses, unc, nk, z_k in cases:
+            gram = fisher_gram(chol, responses)
             ys = [np.linalg.solve(p, dp) for dp in responses]
             want = np.array([[np.trace(ya @ yb) for yb in ys] for ya in ys])
             assert np.max(np.abs(gram - want)) <= 1e-12 * np.max(np.abs(want))
+            # each z_k of fisher_sensitivity is tr(G_k Sigma_k) of the Gram formed here
+            want_z = float(np.trace(gram @ unc.sigma_matrix(nk, reference_cascade.m)))
+            assert abs(z_k - want_z) <= 1e-12 * abs(want_z)
 
     def test_whitened_trace_bound(self, reference_cascade):
         # (Tr P^{-1} dP)^2 <= n Tr((P^{-1} dP)^2), Cauchy-Schwarz in the metric
