@@ -40,7 +40,9 @@ def main() -> int:
             f"{report.ratios[k]:>8.4f} {res.lambda_k:>10.4f} {res.newton_iterations:>6} "
             f"{res.stationarity:>9.2e}"
         )
-    print(f"{'all':>4} {report.total_before:>12.4f} {report.total_after:>12.4f} "
+    total_before = sum(res.psi_before for res in report.results)
+    total_after = sum(res.psi_after for res in report.results)
+    print(f"{'all':>4} {total_before:>12.4f} {total_after:>12.4f} "
           f"{report.total_ratio:>8.4f}")
 
     after = steady_state(report.transformed)

@@ -101,14 +101,13 @@ def newton_lambda(r1: float, r2: float, det_tau: float) -> NewtonResult:
 
 @dataclass(frozen=True)
 class OneModeBalanceProblem:
-    """Scaled gradient data of one oscillator mode.
+    """Scaled gradient data of one oscillator mode, all that Psi reads.
 
-    ``rho`` is 2 x 2 symmetric, ``mu`` stacks the scaled coupling
-    gradient, ``tau`` its Gram matrix mu^T mu.
+    ``rho`` is the 2 x 2 symmetric scaled energy gradient, ``tau`` the
+    Gram matrix mu^T mu of the scaled coupling gradient mu.
     """
 
     rho: Matrix
-    mu: Matrix
     tau: Matrix
 
     @classmethod
@@ -119,9 +118,8 @@ class OneModeBalanceProblem:
         energy_weight: float,
         coupling_weight: float,
     ) -> "OneModeBalanceProblem":
-        rho_s = 2.0 * np.sqrt(energy_weight) * rho
         mu_s = np.sqrt(coupling_weight) * mu
-        return cls(rho=rho_s, mu=mu_s, tau=mu_s.T @ mu_s)
+        return cls(rho=2.0 * np.sqrt(energy_weight) * rho, tau=mu_s.T @ mu_s)
 
 
 @dataclass(frozen=True)
@@ -215,13 +213,12 @@ def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
 
 @dataclass(frozen=True)
 class CascadeBalanceReport:
-    """``uncertified`` counts the oscillators whose optimum fails its
-    certificate: stationarity residual or |det U - 1| above ``RESIDUAL_TOL``."""
+    """``total_ratio`` is the ratio of the summed indices. ``uncertified`` counts the
+    oscillators whose optimum fails its certificate: stationarity residual or
+    |det U - 1| above ``RESIDUAL_TOL``."""
 
     results: tuple[BalancingResult, ...]
     ratios: tuple[float, ...]
-    total_before: float
-    total_after: float
     total_ratio: float
     transformed: CascadeModel
     uncertified: int
@@ -258,8 +255,6 @@ def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> Cas
     return CascadeBalanceReport(
         results=tuple(results),
         ratios=tuple(a / b for a, b in zip(after, before)),
-        total_before=float(sum(before)),
-        total_after=float(sum(after)),
         total_ratio=float(sum(after) / sum(before)),
         transformed=transformed,
         uncertified=certified.count(False),

@@ -23,9 +23,8 @@ between two one-mode blocks in closed form, on the rank-m form of a
 cascade: its diagonal blocks with B and C, never the composite A. Its
 stacks are stack-last, the copy axis last and contiguous: the one layout
 of the perturbed-cascade builder and of the stacked log-determinant, so
-no stack is transposed between them. The dense Kronecker vectorization
-solves the small complex z-domain equations and the steps between
-blocks of other orders, and is the test oracle for the real routes.
+no stack is transposed between them. Its block step also solves the small
+complex z-domain equations; :func:`sylvester_kron_solve` is the tests' reference for both.
 
 This module is the one owner of scipy's compiled routines: ``dgees``,
 ``dtrsyl``, ``dpotrf``, ``dpotrs`` and ``dtrtrs`` from LAPACK and ``nrm2``
@@ -233,9 +232,9 @@ def sylvester_kron_solve(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
     """Solve alpha*s + s*beta^T + gamma = 0 by dense vectorization.
 
     Brute-force route: vec(s) = -(beta (+) alpha)^{-1} vec(gamma) with
-    column-major vec, real or complex (plain transpose on beta). Solves the
-    complex z-domain equations, then :func:`certify_sylvester`, and is the
-    independent oracle for the real Schur routes.
+    column-major vec, real or complex (plain transpose on beta). No production
+    route calls it: it is the tests' reference for the Schur routes and for the
+    block step :func:`_sylvester_step`, kept here as the benchmark traces it.
     """
     n, p = gamma.shape
     op = np.kron(np.eye(p), alpha) + np.kron(beta, np.eye(n))
@@ -543,7 +542,7 @@ def _lyapunov_residual_ratio(
 
 
 def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """X with alpha X + X beta^T + f = 0 for stack-last blocks (d_j, d_k, S).
+    """X with alpha X + X beta^T + f = 0, real or complex, for stack-last blocks (d_j, d_k, S).
 
     Order-2 blocks in closed form: with C = beta^T, Cayley-Hamilton gives
     M X = -(alpha f - f C + tr C f) with M = alpha^2 + tr C alpha + det C I.

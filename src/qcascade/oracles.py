@@ -7,9 +7,9 @@ per-oscillator transfers, the covariance and the H2 norm by frequency
 quadrature, the z-family transfer through the base unit, the z-domain
 cross-covariance by its closed form and by a truncated series, and the
 one-mode balancing index at sampled probes. This module
-imports production, and no production module imports it. The six routes
+imports production, and no production module imports it. The seven routes
 the benchmark names by module path stay in their modules:
-``linalg.solve_sylvester`` and ``symplectic_exponential``,
+``linalg.solve_sylvester``, ``sylvester_kron_solve`` and ``symplectic_exponential``,
 ``covariance.invariant_covariance_recursive`` and ``schur_complements``,
 ``gradients.purity_gradients_recursive`` and ``gradient_fd_oracle``.
 """
@@ -22,9 +22,7 @@ from .balance import OneModeBalanceProblem
 from .covariance import _cholesky, _purity, invariant_covariance_direct
 from .errors import NoConvergence, NotHurwitz, SingularResolvent
 from .linalg import J2, Matrix, is_hurwitz, resolvent_solve, solve_sylvester, symmetric_part
-from .oscillator import (
-    CascadeModel, OscillatorParams, OscillatorRealization, assemble_cascade, transfer_eval,
-)
+from .oscillator import CascadeModel, OscillatorParams, assemble_cascade, transfer_eval
 from .zcascade import TIModel, _stable_points, hinf_norm
 
 SERIES_TAIL_TARGET = 1e-8
@@ -114,7 +112,7 @@ def h2_norm_quadrature(model: TIModel) -> float:
 def phi_z_feedback(model: TIModel, z: complex, s: complex) -> np.ndarray:
     """The transfer of :func:`zcascade.phi_z_resolvent` through the base unit:
     F(s) (z I - G(s))^{-1}; SingularResolvent when z is an eigenvalue of G(s)."""
-    f, g = transfer_eval(OscillatorRealization(model.a, model.b, model.c), s)
+    f, g = transfer_eval(model, s)
     try:
         return f @ np.linalg.inv(z * np.eye(model.m) - g)
     except np.linalg.LinAlgError as exc:

@@ -14,8 +14,8 @@ Sylvester equation whose forcing carries Omega = I + i J.
 
 The module also provides H2 and Hinf norms of the base oscillator (Hinf
 by a Hamiltonian level-set iteration) and the geometric trace bound for
-the per-oscillator covariances along the cascade. Complex Sylvester
-equations are certified Kronecker solves from :mod:`linalg`.
+the per-oscillator covariances along the cascade. A complex Sylvester
+equation is one certified copy of the Lyapunov kernel's block step.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .covariance import stationary_covariance
 from .errors import BisectionFailure, EigFailure, NotHurwitz, NotInStabilitySet, ZAtOne
 from .linalg import (
     Matrix,
+    _sylvester_step,
     block_slices,
     certify_sylvester,
     is_hurwitz,
     resolvent_solve,
-    sylvester_kron_solve,
     symplectic_form,
 )
 from .oscillator import (
@@ -49,8 +49,8 @@ HINF_MAX_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
-class TIModel:
-    """One oscillator acting as the repeated unit of an infinite cascade.
+class TIModel(OscillatorRealization):
+    """The realization (A, B, C) of one oscillator as the repeated unit of an infinite cascade.
 
     ``p`` caches the controllability Gramian of (A, B). ``j_ito`` is None
     when the input field carries no canonical antisymmetric form (then
@@ -58,9 +58,6 @@ class TIModel:
     norm and trace-bound routes rely on.
     """
 
-    a: Matrix
-    b: Matrix
-    c: Matrix
     j_ito: Matrix | None
     p: Matrix
 
@@ -154,10 +151,10 @@ def _stable_points(model: TIModel, z: complex, v: complex) -> tuple[ZPoint, ZPoi
 
 
 def _certified_cross_solve(model: TIModel, z: complex, v: complex, weight: Matrix) -> np.ndarray:
-    """Certified solution X of A_z X + X A_v^T + B_z W B_v^T = 0."""
+    """Certified X of A_z X + X A_v^T + B_z W B_v^T = 0, one copy of the block step."""
     pz, pv = _stable_points(model, z, v)
     forcing = pz.b_z @ weight @ pv.b_z.T
-    x = sylvester_kron_solve(pz.a_z, pv.a_z, forcing)
+    x = _sylvester_step(pz.a_z[..., None], pv.a_z[..., None], forcing[..., None])[..., 0]
     certify_sylvester(pz.a_z, pv.a_z, forcing, x)
     return x
 
@@ -197,7 +194,7 @@ def phi_z_h2_norm(model: TIModel, z: complex) -> float:
 
 def _gain(model: TIModel, w: float) -> float:
     """Largest singular value of G(i w)."""
-    _, g = transfer_eval(OscillatorRealization(model.a, model.b, model.c), 1j * w)
+    _, g = transfer_eval(model, 1j * w)
     return float(np.linalg.norm(g, 2))
 
 

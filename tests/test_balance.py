@@ -14,7 +14,7 @@ from qcascade.balance import (
     solve_multiplier,
 )
 from qcascade.covariance import steady_state
-from qcascade.errors import NotOneMode, RankDeficientMu, SchemaError
+from qcascade.errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError
 from qcascade.gradients import purity_gradients_direct, transform_gradients
 from qcascade.linalg import J2, RESIDUAL_TOL, symplectic_exponential, symplectic_residual
 from qcascade.oracles import probe_psi
@@ -98,6 +98,18 @@ class TestMultiplier:
         with pytest.raises(RankDeficientMu):
             solve_multiplier(np.array([0.1, 0.2]), 0.0)
 
+    def test_non_finite_slope_is_refused(self):
+        # 2 lambda r^2 overflows: h is 0 and its slope inf / inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence, match="multiplier slope nan"):
+            solve_multiplier(np.array([1e200, 1.0]), 1.0)
+
+    def test_iteration_cap_names_the_oscillator(self, reference_cascade, reference_spec, monkeypatch):
+        import qcascade.balance
+
+        monkeypatch.setattr(qcascade.balance, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="^oscillator 0: multiplier iteration did not converge in 1 steps$"):
+            balance_cascade(reference_cascade, reference_spec.uncertainty)
+
     def test_extreme_instance_still_converges(self):
         res = solve_multiplier(np.array([50.0, -80.0]), 1e-8)
         assert abs(res.h_value - 1e-8) <= 1e-12 * 1e-8
@@ -110,7 +122,7 @@ class TestMultiplier:
 class TestOneMode:
     def test_pure_coupling_closed_form(self):
         problem = OneModeBalanceProblem(
-            rho=np.zeros((2, 2)), mu=np.diag([2.0, 1.0]), tau=np.diag([4.0, 1.0])
+            rho=np.zeros((2, 2)), tau=np.diag([4.0, 1.0])
         )
         res = minimize_psi_one_mode(problem)
         np.testing.assert_allclose(res.u_k, np.diag([0.5, 2.0]), atol=1e-12)
@@ -121,7 +133,7 @@ class TestOneMode:
 
     def test_balanced_data_is_a_fixed_point(self):
         problem = OneModeBalanceProblem(
-            rho=np.diag([1.0, -1.0]), mu=np.eye(2), tau=np.eye(2)
+            rho=np.diag([1.0, -1.0]), tau=np.eye(2)
         )
         res = minimize_psi_one_mode(problem)
         np.testing.assert_allclose(res.s_k, np.eye(2), atol=1e-12)
@@ -171,7 +183,7 @@ class TestOneMode:
 
     def test_degenerate_coupling_rejected(self):
         problem = OneModeBalanceProblem(
-            rho=np.eye(2), mu=np.zeros((4, 2)), tau=np.zeros((2, 2))
+            rho=np.eye(2), tau=np.zeros((2, 2))
         )
         with pytest.raises(RankDeficientMu):
             minimize_psi_one_mode(problem)
@@ -181,8 +193,8 @@ class TestOneMode:
         # rank bound refused this tau, whose eigenvalues are all below 1e-12
         rho = np.array([[2.0, 0.3], [0.3, 0.5]])
         mu = np.array([[1.0, 0.2], [0.1, 0.8], [0.4, 0.0]])
-        base = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, mu=mu, tau=mu.T @ mu))
-        scaled = minimize_psi_one_mode(OneModeBalanceProblem(rho=2.0**-70 * rho, mu=2.0**-70 * mu, tau=2.0**-140 * (mu.T @ mu)))
+        base = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, tau=mu.T @ mu))
+        scaled = minimize_psi_one_mode(OneModeBalanceProblem(rho=2.0**-70 * rho, tau=2.0**-140 * (mu.T @ mu)))
         np.testing.assert_allclose(scaled.s_k, base.s_k, rtol=1e-12)
 
     @pytest.mark.parametrize("j", [-25, -21, 20])
@@ -197,7 +209,7 @@ class TestOneMode:
 
     def test_multimode_data_rejected(self):
         problem = OneModeBalanceProblem(
-            rho=np.eye(4), mu=np.eye(4), tau=np.eye(4)
+            rho=np.eye(4), tau=np.eye(4)
         )
         with pytest.raises(NotOneMode):
             minimize_psi_one_mode(problem)
@@ -215,7 +227,7 @@ class TestOneMode:
             [float.fromhex("-0x1.e6cff0f514e19p+4"), float.fromhex("0x1.0bdea42b037e6p+5")],
             [float.fromhex("-0x1.1eabd8f05aca0p+3"), float.fromhex("0x1.3afe6edd2e1d8p+3")],
         ])
-        res = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, mu=mu, tau=mu.T @ mu))
+        res = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, tau=mu.T @ mu))
         with mp.workdps(50):
             r, m = mp.matrix(rho.tolist()), mp.matrix(mu.tolist())
             tau = m.T * m
@@ -352,7 +364,7 @@ class TestCertificate:
         for _ in range(2000):
             rho = rng.standard_normal((2, 2))
             mu = rng.standard_normal((6, 2))
-            res = minimize_psi_one_mode(OneModeBalanceProblem(rho=0.5 * (rho + rho.T), mu=mu, tau=mu.T @ mu))
+            res = minimize_psi_one_mode(OneModeBalanceProblem(rho=0.5 * (rho + rho.T), tau=mu.T @ mu))
             certificates.append((res.stationarity, res.det_gap))
         assert np.max(certificates) <= RESIDUAL_TOL  # np.max propagates a NaN
 
@@ -376,7 +388,7 @@ class TestMultimodeBound:
         rho = 0.5 * (rho + rho.T)
         mu = rng.standard_normal((4, 2))
         tau = mu.T @ mu
-        res = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, mu=mu, tau=tau))
+        res = minimize_psi_one_mode(OneModeBalanceProblem(rho=rho, tau=tau))
         bound = multimode_lower_bound(rho, tau)
         assert bound == pytest.approx(res.psi_after, rel=1e-9)
 

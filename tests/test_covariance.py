@@ -282,6 +282,18 @@ class TestTypedRefusal:
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
             steady_state(cascade)
 
+    def test_indefinite_solve_is_refused_by_the_floor(self, tmp_path, capsys, monkeypatch):
+        # a solve that returns P = -B B^T: the eigenvalue floor refuses it, and
+        # ti-bounds, which takes each unit's Gramian from it, names the oscillator
+        from conftest import GENERATED_SPEC
+        from qcascade.cli import main
+
+        monkeypatch.setattr(qcascade.covariance, "solve_cascade_sylvester", lambda factor, rows, cols, q: -q)
+        with pytest.raises(NonPositive, match=r"covariance has eigenvalue -1\.000e\+00"):
+            qcascade.covariance.stationary_covariance(-np.eye(2), np.eye(2))
+        assert main(["ti-bounds", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("numerical error: oscillator 0: covariance has eigenvalue -")
+
 
 class TestStackCholesky:
     """The stack-last column Cholesky of the Monte-Carlo and FD log-dets."""

@@ -26,7 +26,7 @@ from qcascade.covariance import (
     invariant_covariance_recursive,
     log_det_stack,
 )
-from qcascade.errors import NotHurwitz, NotSymplectic, SingularLeadingBlock, SolverSingular
+from qcascade.errors import NonPositive, NotHurwitz, NotSymplectic, SingularLeadingBlock, SolverSingular
 from qcascade.gradients import (
     GradientSet,
     _lapack_solve,
@@ -530,6 +530,20 @@ class TestProbeStack:
         with pytest.raises(SolverSingular, match="covariance response of oscillator 1"):
             covariance_derivatives(reference_cascade)
         assert calls == [15, 15, 15]
+
+    @pytest.mark.parametrize("excess, error", [(0.0, NonPositive), (1.0, SolverSingular)])
+    def test_failed_probe_names_its_entry(self, reference_cascade, monkeypatch, excess, error):
+        # copy 7, the - probe of M_0[0,0], has no ln det; a certificate that
+        # passes makes P not positive definite, one that fails a failed solve
+        def failing(stack):
+            logdet, certificate = (x.copy() for x in log_det_stack(stack))
+            logdet[7] = np.nan
+            certificate[7] += excess
+            return logdet, certificate
+
+        monkeypatch.setattr(qcascade.gradients, "log_det_stack", failing)
+        with pytest.raises(error, match=r"^finite-difference probes: perturbation of M_0\[0,0\]: residual certificate"):
+            gradient_fd_oracle(reference_cascade, h=1e-5)
 
 
 class TestTransform:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,31 @@ class TestRealization:
                     m_coupling=np.eye(2),
                 ),
             )
+
+
+class TestShapeRefusal:
+    # each refusal names the oscillator that fails, here the second of a chain
+    @pytest.mark.parametrize(
+        "change, shown",
+        [
+            ({"theta": np.zeros((2, 3))}, "oscillator 1: theta must be square, got (2, 3)"),
+            ({"r_energy": np.zeros((3, 3))}, "oscillator 1: energy matrix shape (3, 3), mode order 2"),
+            ({"m_coupling": np.ones((3, 2))}, "oscillator 1: field channel count 3 is odd"),
+        ],
+        ids=["theta", "energy", "channels"],
+    )
+    def test_shape_refusal_names_the_oscillator(self, change, shown):
+        with pytest.raises(DimensionMismatch, match=re.escape(shown)):
+            assemble_cascade([TRIVIAL, replace(TRIVIAL, **change)])
+
+    def test_composite_needs_an_oscillator(self):
+        with pytest.raises(DimensionMismatch, match="at least one oscillator required"):
+            composite_energy_coupling([])
+
+    def test_composite_refuses_mixed_channel_counts(self):
+        four = replace(TRIVIAL, m_coupling=np.ones((4, 2)))
+        with pytest.raises(DimensionMismatch, match="oscillator 1: 4 field channels, expected 2"):
+            composite_energy_coupling([TRIVIAL, four])
 
 
 class TestAssembly:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -5,6 +7,7 @@ from scipy.optimize import minimize_scalar
 from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator
 from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import (
+    BisectionFailure,
     NoConvergence,
     NotHurwitz,
     NotInStabilitySet,
@@ -21,6 +24,7 @@ from qcascade.oracles import (
     series_depth_for,
     series_tail_bound,
 )
+from qcascade.oscillator import OscillatorRealization, transfer_eval
 from qcascade.zcascade import (
     TIModel,
     cross_covariance,
@@ -68,6 +72,65 @@ def test_cascade_units_are_the_oscillator_models(source):
         want = TIModel.from_oscillator(params)
         for name in ("a", "b", "c", "p", "j_ito"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def test_model_is_the_realization_of_its_unit(unit):
+    # the transfer routes take the model as it is: it holds (A, B, C) once
+    model = TIModel.from_oscillator(unit)
+    assert isinstance(model, OscillatorRealization)
+    want = OscillatorRealization(model.a, model.b, model.c)
+    for s in (0.0, 0.7 + 2.0j):
+        for got, ref in zip(transfer_eval(model, s), transfer_eval(want, s), strict=True):
+            np.testing.assert_array_equal(got, ref)
+
+
+#: the z and v points of the tests below; each unit takes the pairs of its stable ones
+CROSS_POINTS = (40.0 + 3.0j, 60.0, 35.0 - 8.0j, 30.0 + 4.0j, 50.0 - 2.0j, 25.0, 3.0, 3.0 + 1.0j, 4.0 - 0.5j, -3.0, 5.0)
+
+
+def _spec_units():
+    """(label, model) of every unit of the tests/data specs and of the order-4
+    unit of the mixed (2, 4, 2) chain, the one that takes the Kronecker step."""
+    for path in sorted(GENERATED_SPEC.parent.glob("*.json")):
+        cascade = build_cascade(load_spec(path))
+        for k, unit in enumerate(cascade.realizations):
+            yield f"{path.stem}[{k}]", TIModel.from_matrices(unit.a, unit.b, unit.c, cascade.j_ito)
+    cascade = make_mixed_cascade(np.random.default_rng(77))
+    unit = cascade.realizations[1]
+    yield "mixed[1]", TIModel.from_matrices(unit.a, unit.b, unit.c, cascade.j_ito)
+
+
+def test_block_step_agrees_with_the_kronecker_reference():
+    # complex operands: the block step of the kernel (closed form for one-mode
+    # units, Kronecker for order 4) against the dense vectorization
+    for label, model in _spec_units():
+        stable = [z for z in CROSS_POINTS if z_domain_matrices(model, z).is_stable]
+        assert len(stable) >= 3, label
+        for z in stable:
+            for v in stable:
+                pz, pv = z_domain_matrices(model, z), z_domain_matrices(model, v)
+                sectors = ((cross_covariance, model.omega()), (cross_covariance_symmetric_sector, np.eye(model.m)))
+                for solve, weight in sectors:
+                    want = sylvester_kron_solve(pz.a_z, pv.a_z, pz.b_z @ weight @ pv.b_z.T)
+                    gap = np.max(np.abs(solve(model, z, v) - want))
+                    assert gap <= 1e-13 * np.max(np.abs(want)), (label, z, v, solve.__name__)
+
+
+def test_z_domain_solves_make_no_kronecker_call(unit_model, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sylvester_kron_solve(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcascade") and hasattr(module, "sylvester_kron_solve"):
+            monkeypatch.setattr(module, "sylvester_kron_solve", spy)
+    z, v = 30.0 + 4.0j, 50.0 - 2.0j
+    cross_covariance(unit_model, z, v)
+    cross_covariance_symmetric_sector(unit_model, z, v)
+    phi_z_h2_norm(unit_model, z)
+    assert calls == []
 
 
 class TestZFamily:
@@ -330,6 +393,17 @@ class TestNorms:
         model = TIModel.from_oscillator(reference_spec.oscillators[0])
         covariance_trace_bound(model, 6)
         assert calls == [(2, 2)]
+
+    def test_unclosed_gain_bracket_is_refused(self, unit_model, tmp_path, capsys, monkeypatch):
+        import qcascade.zcascade
+        from qcascade.cli import main
+
+        monkeypatch.setattr(qcascade.zcascade, "HINF_MAX_ITERATIONS", 0)
+        with pytest.raises(BisectionFailure, match="could not close the gain bracket in 0 steps"):
+            hinf_norm(unit_model)
+        assert main(["ti-bounds", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: oscillator 0: could not close the gain bracket in 0 steps\n"
 
     def test_unstable_model_rejected(self):
         with pytest.raises(NotHurwitz):
