@@ -96,7 +96,8 @@ def log_det_stack(stack: CascadeStack) -> tuple[np.ndarray, np.ndarray]:
     """Per copy of a perturbed cascade stack, ln det P (NaN where P is not
     positive definite) and the residual certificate (infinite where a
     diagonal block is not Hurwitz). The stable copies are solved together
-    by :func:`solve_cascade_lyapunov` and factored by :func:`_cholesky_log_det`."""
+    by :func:`solve_cascade_lyapunov` and factored in place by
+    :func:`_cholesky_log_det`."""
     stable = stack.hurwitz.all(axis=0)
     solved = stack if stable.all() else stack.compress(stable)
     p, certificate = solve_cascade_lyapunov(solved.diag, solved.b, solved.c)
@@ -109,17 +110,18 @@ def log_det_stack(stack: CascadeStack) -> tuple[np.ndarray, np.ndarray]:
 
 def _cholesky_log_det(p: np.ndarray) -> np.ndarray:
     """ln det P = 2 sum ln diag L of every copy of a stack-last (n, n, S)
-    stack of symmetric P = L L^T, by a column Cholesky factorization that
-    reads the lower triangle; NaN for a copy with a pivot that is not
-    positive. The copies never mix, so a failed copy leaves the others as
-    they are."""
+    stack of symmetric P = L L^T, by a column Cholesky factorization in
+    place: it reads the lower triangle of P and writes L over it, so a
+    chunk holds one (n, n, S) stack, not two. The caller owns P and gets
+    it back with its lower triangle overwritten. NaN for a copy with a
+    pivot that is not positive. The copies never mix, so a failed copy
+    leaves the others as they are."""
     n = len(p)
-    chol = np.empty_like(p)
     log_det = np.zeros(p.shape[2:])
     for j in range(n):
-        col = p[j:, j] - np.einsum("iks,ks->is", chol[j:, :j], chol[j, :j])
+        col = p[j:, j] - np.einsum("iks,ks->is", p[j:, :j], p[j, :j])
         root = np.sqrt(np.where(col[0] > 0.0, col[0], np.nan))
-        chol[j:, j] = col / root
+        p[j:, j] = col / root
         log_det += np.log(root)
     return 2.0 * log_det
 

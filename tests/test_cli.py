@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import ctypes
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -901,6 +904,98 @@ class TestSpecCache:
         cascade = build_cascade(spec)
         assert cascade is not loaded[1] and build_cascade(spec) is not cascade
         assert cascade.derived == {} and loaded[1].derived
+
+
+class FakeLibc:
+    """A libc handle whose ``mallopt`` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt  # a function, so it takes ctypes' argtypes and restype
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestHeapPolicy:
+    """``main`` sets glibc's heap policy once per process, and nothing where it
+    cannot or where the environment sets a malloc tunable of its own."""
+
+    @pytest.fixture()
+    def libc(self, monkeypatch):
+        for key in [k for k in os.environ if k.startswith("MALLOC_")] + ["GLIBC_TUNABLES"]:
+            monkeypatch.delenv(key, raising=False)
+        fake = FakeLibc()
+        monkeypatch.setattr(qcascade.cli, "_libc", lambda: fake)
+        qcascade.cli._keep_freed_heap.cache_clear()
+        yield fake
+        # the next run sets the policy of the real libc, as in a new process
+        qcascade.cli._keep_freed_heap.cache_clear()
+
+    def run_twice(self, tmp_path):
+        for _ in range(2):
+            assert main(["validate", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 0
+
+    def test_two_runs_set_it_once(self, libc, tmp_path):
+        self.run_twice(tmp_path)
+        # M_TRIM_THRESHOLD 256 MiB, M_TOP_PAD 16 MiB; the mmap threshold stays glibc's
+        assert libc.calls == [(-1, 256 << 20), (-2, 16 << 20)]
+
+    def test_a_libc_without_mallopt_is_left_alone(self, libc, tmp_path, monkeypatch):
+        monkeypatch.setattr(qcascade.cli, "_libc", lambda: object())
+        self.run_twice(tmp_path)
+        assert libc.calls == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("MALLOC_TRIM_THRESHOLD_", "1048576"),
+            ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2:glibc.malloc.trim_threshold=1048576"),
+        ],
+    )
+    def test_a_malloc_tunable_in_the_environment_wins(self, libc, tmp_path, monkeypatch, key, value):
+        monkeypatch.setenv(key, value)
+        self.run_twice(tmp_path)
+        assert libc.calls == []
+
+    def test_a_tunable_of_another_namespace_does_not_count(self, libc, tmp_path, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2")
+        self.run_twice(tmp_path)
+        assert libc.calls == [(-1, 256 << 20), (-2, 16 << 20)]
+
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_a_second_chunked_run_faults_in_no_memory(self, tmp_path):
+        script = (
+            "import resource, sys\n"
+            "from qcascade.cli import main\n"
+            "argv = ['mc-check', sys.argv[1], '--samples', '4096', '--epsilon', '1e-10', '--out', sys.argv[2]]\n"
+            "first = main(argv)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "second = main(argv)\n"
+            "print(first, second, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        src = str(Path(qcascade.cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        spec = Path(__file__).resolve().parent / "data" / "benchmark_mc6_s1_0.json"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(spec), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        first, second, faults = map(int, done.stdout.splitlines()[-1].split())
+        assert first == second
+        assert faults < 100
 
 
 class TestExitCodes:

@@ -321,9 +321,20 @@ class TestStackCholesky:
         assert np.isnan(got[2])
         assert np.all(np.isfinite(np.delete(got, 2)))
 
+    def test_factors_in_place(self):
+        p = self.spd_stack(np.random.default_rng(12), 12, 64)
+        before = p.copy()
+        sign, want = np.linalg.slogdet(np.moveaxis(p, -1, 0))
+        assert np.all(sign > 0)
+        np.testing.assert_allclose(_cholesky_log_det(p), want, rtol=0.0, atol=1e-12)
+        lower = np.tril(np.ones((12, 12), dtype=bool))
+        chol = np.moveaxis(np.linalg.cholesky(np.moveaxis(before, -1, 0)), 0, -1)
+        np.testing.assert_allclose(p[lower], chol[lower], rtol=0.0, atol=1e-13 * np.abs(chol).max())
+        np.testing.assert_array_equal(p[~lower], before[~lower])
+
     def test_bad_copy_leaves_its_neighbours_unchanged(self):
         p = self.spd_stack(np.random.default_rng(4), 6, 5)
-        want = _cholesky_log_det(p)
+        want = _cholesky_log_det(p.copy())  # the factor overwrites p
         p[..., 2] = -p[..., 2]
         got = _cholesky_log_det(p)
         assert np.isnan(got[2])

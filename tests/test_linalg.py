@@ -325,8 +325,9 @@ class TestCascadeLyapunov:
         solved = []
 
         def spy(diag, b, c, q=None):
-            solved.append(solve_cascade_lyapunov(diag, b, c, q))
-            return solved[-1]
+            p, ratio = solve_cascade_lyapunov(diag, b, c, q)
+            solved.append((p.copy(), ratio))  # log_det_stack factors p in place
+            return p, ratio
 
         monkeypatch.setattr(qcascade.covariance, "solve_cascade_lyapunov", spy)
         logdet, certificate = log_det_stack(stack)
