@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qcascade.balance import f_lambda, newton_lambda
+from qcascade.balance import f_lambda, solve_multiplier
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
         h = float(np.prod(f_lambda(r, lam)))
         print(f"{lam:.6f},{h:.9f}")
 
-    res = newton_lambda(args.r1, args.r2, args.det_tau)
+    res = solve_multiplier(r, args.det_tau)
     print(f"# target det tau = {args.det_tau}", file=sys.stderr)
     print(f"# iterates: {', '.join(f'{x:.9f}' for x in res.iterates)}", file=sys.stderr)
     print(

@@ -21,14 +21,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("BisectionFailure", "DimensionMismatch", "EigFailure", "NoConvergence",
-               "NonPositive", "NotHurwitz", "NotInStabilitySet", "NotOneMode", "NotSymplectic",
-               "ParseError", "QCascadeError", "RankDeficientMu", "SchemaError",
-               "SingularLeadingBlock", "SingularResolvent", "SingularTheta", "SolverSingular",
-               "TooManyRejections", "ZAtOne"),
-    "linalg": ("cascade_schur", "duplication_matrix", "is_hurwitz", "quantum_psd_margin",
-               "resolvent_solve", "solve_cascade_lyapunov", "solve_cascade_sylvester",
-               "solve_sylvester", "symplectic_exponential", "symplectic_form",
-               "symplectic_residual", "vech", "vech_to_symmetric"),
+               "NonPositive", "NotHurwitz", "NotInStabilitySet", "NotOneMode", "ParseError",
+               "QCascadeError", "RankDeficientMu", "SchemaError", "SingularLeadingBlock",
+               "SingularResolvent", "SingularTheta", "SolverSingular", "TooManyRejections",
+               "ZAtOne"),
+    "linalg": ("cascade_schur", "is_hurwitz", "quantum_psd_margin", "resolvent_solve",
+               "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_sylvester",
+               "symplectic_exponential", "symplectic_form", "vech", "vech_to_symmetric"),
     "oscillator": ("CascadeModel", "OscillatorParams", "OscillatorRealization",
                    "OscillatorUncertainty", "UncertaintyModel", "assemble_cascade",
                    "default_theta", "oscillator_realization", "parameter_sizes",
@@ -37,16 +36,16 @@ _EXPORTS = {
                    "invariant_covariance_recursive", "schur_complements", "steady_state"),
     "gradients": ("GradientSet", "covariance_derivatives", "gradient_fd_oracle",
                   "observability_gramian_and_hankelian", "purity_gradients_direct",
-                  "purity_gradients_recursive", "transform_gradients"),
+                  "purity_gradients_recursive"),
     "sensitivity": ("FisherResult", "MonteCarloResult", "SensitivityIndex", "fisher_metric",
-                    "fisher_sensitivity", "kl_gaussian", "kl_quadratic", "monte_carlo_variance",
-                    "phi_transformed", "psi_transformed", "sensitivity_index"),
+                    "fisher_sensitivity", "kl_gaussian", "monte_carlo_variance",
+                    "psi_transformed", "sensitivity_index"),
     "balance": ("BalancingResult", "CascadeBalanceReport", "NewtonResult", "OneModeBalanceProblem",
                 "balance_cascade", "f_lambda", "minimize_psi_one_mode", "multimode_lower_bound",
-                "newton_lambda", "solve_multiplier"),
+                "solve_multiplier"),
     "zcascade": ("TIModel", "TraceBoundResult", "ZPoint", "covariance_trace_bound",
                  "cross_covariance", "cross_covariance_symmetric_sector", "h2_norm", "hinf_norm",
-                 "phi_z_h2_norm", "phi_z_resolvent", "z_domain_matrices", "z_pr_residual"),
+                 "phi_z_h2_norm", "phi_z_resolvent", "z_domain_matrices"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNERS)

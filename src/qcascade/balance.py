@@ -94,11 +94,6 @@ def solve_multiplier(r: np.ndarray, target: float) -> NewtonResult:
     )
 
 
-def newton_lambda(r1: float, r2: float, det_tau: float) -> NewtonResult:
-    """One-mode multiplier equation with spectrum {r1, r2}."""
-    return solve_multiplier(np.array([r1, r2]), det_tau)
-
-
 @dataclass(frozen=True)
 class OneModeBalanceProblem:
     """Scaled gradient data of one oscillator mode, all that Psi reads.
@@ -229,8 +224,9 @@ def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> Cas
 
     Each mode is minimized independently on the cascade's
     :func:`purity_gradients_direct`; ratios compare the weighted index
-    before and after. A sigma-form uncertainty entry has no weights and is
-    refused (SchemaError) before any solve. The transformed cascade is
+    before and after. A sigma-form uncertainty entry, which has no weights
+    (SchemaError), and an uncertainty model without one entry per oscillator
+    (ValueError) are refused before any solve. The transformed cascade is
     assembled so that callers can re-derive the gradients from scratch and
     close the loop.
     """
@@ -239,6 +235,8 @@ def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> Cas
             raise SchemaError(f"uncertainty[{k}]: balancing needs weights 'a' and 'b', not 'sigma'")
     if any(d != 2 for d in cascade.dims):
         raise NotOneMode(f"cascade has mode orders {cascade.dims}, expected all 2")
+    if len(uncertainty.oscillators) != len(cascade.dims):
+        raise ValueError("one uncertainty entry per oscillator required")
     gradients = purity_gradients_direct(cascade)
     results = []
     for k, (rho, mu, unc) in enumerate(zip(gradients.rho, gradients.mu, uncertainty.oscillators)):

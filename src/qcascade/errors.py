@@ -40,10 +40,6 @@ class SingularLeadingBlock(QCascadeError):
     """A leading principal block is numerically singular in a Schur-complement step."""
 
 
-class NotSymplectic(QCascadeError):
-    """A transform fails the symplectic membership test."""
-
-
 class TooManyRejections(QCascadeError):
     """Too large a fraction of Monte-Carlo samples lost stability."""
 

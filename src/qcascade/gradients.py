@@ -23,7 +23,7 @@ Fisher-information analysis; they and the oracle run chunk by chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .covariance import (
     log_det_stack,
     steady_state,
 )
-from .errors import NonPositive, NotHurwitz, NotSymplectic, SolverSingular, _prefixed
+from .errors import NonPositive, NotHurwitz, SolverSingular, _prefixed
 from .linalg import (
     RESIDUAL_TOL,
     Matrix,
@@ -48,7 +48,6 @@ from .linalg import (
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
-    symplectic_residual,
     vech,
     vech_indices,
     vech_to_symmetric,
@@ -56,7 +55,6 @@ from .linalg import (
 )
 from .oscillator import CascadeModel, CascadeStack, parameter_sizes, perturbed_cascade_stack
 
-SYMPLECTIC_TOL = 1e-9
 #: most entries in any (n, n, S) array of a chunk; the oracle's +/- stack has 2 copies per probe, a response 1
 PROBE_ENTRIES = 1 << 20
 
@@ -251,29 +249,6 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
     pairs = [GradientSet._unpack(slopes[blk], nk, m) for blk, nk in zip(probes, cascade.dims)]
     rho, mu = zip(*pairs)
-    return GradientSet(rho=rho, mu=mu)
-
-
-def transform_gradients(
-    gradients: GradientSet,
-    transforms: Sequence[Matrix],
-    thetas: Sequence[Matrix],
-) -> GradientSet:
-    """Gradients after the symplectic change of variables X_k -> S_k X_k.
-
-    Each pair maps to (S rho S^T, mu S^T) by :meth:`GradientSet.transformed_pair`. A
-    transform whose symplectic residual exceeds ``SYMPLECTIC_TOL`` relative
-    to theta raises NotSymplectic.
-    """
-    if len(transforms) != len(gradients.rho):
-        raise ValueError("one transform per oscillator required")
-    for k, (s, theta) in enumerate(zip(transforms, thetas)):
-        check = symplectic_residual(s, theta)
-        if check.residual > SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(theta))):
-            raise NotSymplectic(
-                f"transform {k} has symplectic residual {check.residual:.3e}"
-            )
-    rho, mu = zip(*(gradients.transformed_pair(k, s) for k, s in enumerate(transforms)))
     return GradientSet(rho=rho, mu=mu)
 
 

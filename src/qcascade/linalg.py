@@ -1,30 +1,31 @@
 """Dense linear-algebra kernels for small matrices.
 
-Sylvester and Lyapunov solvers with stability preconditions, the
-duplication matrix for half-vectorization, and residual certificates for
-symplectic membership and quantum admissibility. Three decisions have
-their one owner here: the block layout of a cascade
+Sylvester and Lyapunov solvers with stability preconditions,
+half-vectorization, and the residual certificate of quantum admissibility.
+Three decisions have their one owner here: the block layout of a cascade
 (:func:`block_slices` and :func:`block_upper_mask`), the Hurwitz rule
 (:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``) and the vech
 order of a lower triangle (:func:`vech_indices`).
 
-Every production Sylvester solve is a certified Schur (Bartels-Stewart)
-solve: one ``dtrsyl`` call on a real Schur factor of a^T from
+Every production Sylvester solve is certified and takes one of two routes.
+An equation on one pair of matrices is a Schur (Bartels-Stewart) solve:
+one ``dtrsyl`` call on a real Schur factor of a^T from
 :func:`cascade_schur`, one LAPACK ``dgees`` call per diagonal block.
 With one block it is one QR iteration on the whole matrix; with a
 cascade's oscillator orders (its dynamics matrix is block lower
 triangular) its sub-blocks serve the recursive routes. Those routes take
 one such factor per call and call LAPACK directly, so a per-oscillator
 step costs its triangular solves and their certificates, not scipy's
-wrappers. :func:`solve_sylvester` wraps scipy's solver for general pairs
-of matrices. :func:`solve_cascade_lyapunov` solves stacks
-of cascade Lyapunov equations by block forward substitution, each step
-between two one-mode blocks in closed form, on the rank-m form of a
-cascade: its diagonal blocks with B and C, never the composite A. Its
-stacks are stack-last, the copy axis last and contiguous: the one layout
-of the perturbed-cascade builder and of the stacked log-determinant, so
-no stack is transposed between them. Its block step also solves the small
-complex z-domain equations; :func:`sylvester_kron_solve` is the tests' reference for both.
+wrappers; :func:`solve_sylvester`, scipy's solver for general pairs of
+matrices, is a reference route. Stacks of cascade Lyapunov equations
+take :func:`solve_cascade_lyapunov`, block forward substitution with
+each step between two one-mode blocks in closed form, on the rank-m form
+of a cascade: its diagonal blocks with B and C, never the composite A.
+Its stacks are stack-last, the copy axis last and contiguous: the one
+layout of the perturbed-cascade builder and of the stacked
+log-determinant, so no stack is transposed between them. Its block step
+:func:`_sylvester_step` also solves the small complex z-domain equations,
+one copy each; :func:`sylvester_kron_solve` is the tests' reference for both.
 
 This module is the one owner of scipy's compiled routines: ``dgees``,
 ``dtrsyl``, ``dpotrf``, ``dpotrs`` and ``dtrtrs`` from LAPACK and ``nrm2``
@@ -177,22 +178,9 @@ def vech_to_symmetric(v: np.ndarray, r: int) -> Matrix:
 
 
 def vech_weight(r: int) -> np.ndarray:
-    """Column sums of :func:`duplication_matrix`: 2 for a vech entry off the diagonal, 1 on it."""
+    """How many entries of a symmetric matrix of order r each vech entry stands for:
+    2 off the diagonal, 1 on it."""
     return 2.0 - vech(np.eye(r))
-
-
-def duplication_matrix(r: int) -> Matrix:
-    """0/1 matrix mapping vech(M) to vec(M) for symmetric M of order r.
-
-    Columns follow the :func:`vech` ordering; vec is column-major.
-    """
-    if r < 1:
-        raise ValueError("order must be positive")
-    rows, cols = vech_indices(r)
-    ups = np.zeros((r * r, len(rows)))
-    ups[cols * r + rows, np.arange(len(rows))] = 1.0
-    ups[rows * r + cols, np.arange(len(rows))] = 1.0
-    return ups
 
 
 def hurwitz_flag(abscissa: float | np.ndarray, scale: float | np.ndarray) -> bool | np.ndarray:
@@ -449,8 +437,8 @@ def solve_cascade_lyapunov(
     of the composite A in Frobenius norms, the same ratio
     :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``, formed in rank-m
     form: each block's residual is its forcing, built from the final P,
-    plus A_jj P_jk + P_jk A_kk^T, the value :func:`_lyapunov_residual_ratio`
-    recomputes from P.
+    plus A_jj P_jk + P_jk A_kk^T, and :func:`_lyapunov_residual_ratio`
+    scales their sum.
 
     Raises
     ------
@@ -515,22 +503,15 @@ def _block_residual2(alpha: np.ndarray, beta: np.ndarray, forcing: np.ndarray, x
 
 def _lyapunov_residual_ratio(
     diag: Sequence[np.ndarray], b: np.ndarray, c: np.ndarray, q: np.ndarray | None, p: np.ndarray,
-    residual: np.ndarray | None = None,
+    residual: np.ndarray,
 ) -> np.ndarray:
     """Per copy, ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||) in Frobenius
     norms for the rank-m cascades and copy axes of :func:`solve_cascade_lyapunov`;
     ||A||^2 is the diagonal blocks' squares plus ||B_j C_:o_j||^2 of every
     block row j, o_j its offset. The squared residual is ``residual``, as the
-    kernel's sweep formed it on its symmetric q, or else that sweep on P and
-    q made symmetric once here: block (j, k), j >= k, of R is the forcing of
-    :func:`_forcings` plus A_jj P_jk + P_jk A_kk^T. On the kernel's exactly
-    symmetric P the two are the same to the bit."""
+    kernel's sweep formed it on its symmetric q: block (j, k), j >= k, of R is
+    the forcing of :func:`_forcings` plus A_jj P_jk + P_jk A_kk^T."""
     blocks, a_norm2 = block_slices([len(x) for x in diag]), np.zeros(p.shape[2])
-    if residual is None:
-        p, q = (x if x is None else np.ascontiguousarray(0.5 * (x + x.transpose(1, 0, 2))) for x in (p, q))
-        residual = np.zeros(p.shape[2])
-        for j, k, forcing in _forcings(b, c, q, p, blocks):
-            residual += _block_residual2(diag[j], diag[k], forcing, p[blocks[j], blocks[k]], twice=j > k)
     # at P's copy count, as einsum orders a sum by it: a shared realization gets its copies' bits
     *diag, b, c = (x if x.shape[2] == len(a_norm2) else np.repeat(x, len(a_norm2), axis=2) for x in (*diag, b, c))
     for rows, a_jj in zip(blocks, diag):
@@ -565,23 +546,6 @@ def _sylvester_step(alpha: np.ndarray, beta: np.ndarray, f: np.ndarray) -> np.nd
     x = np.linalg.solve(op.reshape(-1, d_j * d_k, d_j * d_k), -f.transpose(2, 0, 1).reshape(stack, -1, 1))
     # contiguous, as the closed form's: einsum's sums over X depend on its layout
     return np.ascontiguousarray(x.reshape(stack, d_j, d_k).transpose(1, 2, 0))
-
-
-class SymplecticCheck(NamedTuple):
-    residual: float
-    det: float
-
-
-def symplectic_residual(s: Matrix, theta: Matrix) -> SymplecticCheck:
-    """Distance of S from the group preserving the form theta.
-
-    Returns ||S theta S^T - theta|| together with det S; members have
-    residual 0 and determinant 1.
-    """
-    s = np.asarray(s, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    residual = float(np.linalg.norm(s @ theta @ s.T - theta))
-    return SymplecticCheck(residual, float(np.linalg.det(s)))
 
 
 def quantum_psd_margin(p: Matrix, theta: Matrix) -> float:

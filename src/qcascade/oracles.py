@@ -5,8 +5,11 @@ independent route: a Lyapunov solve by scipy's Schur solver, the purity and
 V of a given covariance, the composite transfer as a product of
 per-oscillator transfers, the covariance and the H2 norm by frequency
 quadrature, the z-family transfer through the base unit, the z-domain
-cross-covariance by its closed form and by a truncated series, and the
-one-mode balancing index at sampled probes. This module
+cross-covariance by its closed form and by a truncated series, the
+one-mode balancing index at sampled probes, the exact index Phi_k(S)
+after a change of variables, the small-deviation relative entropy, the
+realizability identity of the z-family, the duplication matrix and the
+symplectic residual of a transform. This module
 imports production, and no production module imports it. The seven routes
 the benchmark names by module path stay in their modules:
 ``linalg.solve_sylvester``, ``sylvester_kron_solve`` and ``symplectic_exponential``,
@@ -16,14 +19,18 @@ the benchmark names by module path stay in their modules:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .balance import OneModeBalanceProblem
 from .covariance import _cholesky, _purity, invariant_covariance_direct
 from .errors import NoConvergence, NotHurwitz, SingularResolvent
-from .linalg import J2, Matrix, is_hurwitz, resolvent_solve, solve_sylvester, symmetric_part
-from .oscillator import CascadeModel, OscillatorParams, assemble_cascade, transfer_eval
-from .zcascade import TIModel, _stable_points, hinf_norm
+from .gradients import GradientSet
+from .linalg import J2, Matrix, is_hurwitz, resolvent_solve, solve_sylvester, symmetric_part, vech_indices
+from .oscillator import CascadeModel, OscillatorParams, UncertaintyModel, assemble_cascade, transfer_eval
+from .sensitivity import _index_term, fisher_metric
+from .zcascade import TIModel, _stable_points, hinf_norm, z_domain_matrices
 
 SERIES_TAIL_TARGET = 1e-8
 SERIES_MAX_DEPTH = 40
@@ -32,6 +39,7 @@ __all__ = [
     "solve_lyapunov", "purity_and_logdet", "composite_transfer_stack",
     "frequency_domain_covariance", "cross_covariance_generating", "cross_covariance_series",
     "series_depth_for", "series_tail_bound", "h2_norm_quadrature", "phi_z_feedback", "probe_psi",
+    "phi_transformed", "kl_quadratic", "z_pr_residual", "duplication_matrix", "symplectic_residual",
 ]
 
 
@@ -201,3 +209,67 @@ def probe_psi(problem: OneModeBalanceProblem, h: np.ndarray) -> np.ndarray:
     u = s.transpose(0, 2, 1) @ s
     ru = problem.rho @ u
     return 0.5 * np.einsum("pij,pji->p", ru, ru) + np.einsum("ij,pji->p", problem.tau, u)
+
+
+def phi_transformed(
+    gradients: GradientSet, uncertainty: UncertaintyModel, k: int, s: Matrix
+) -> float:
+    """Exact index contribution of oscillator k after X_k -> S X_k."""
+    rho_s, mu_s = gradients.transformed_pair(k, s)
+    return _index_term(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0, uncertainty.oscillators[k])
+
+
+def kl_quadratic(p: Matrix, p_star: Matrix) -> float:
+    """Small-deviation approximation |W|^2 / 4 of the relative entropy, W of
+    :func:`sensitivity.kl_gaussian`: a quarter of the information metric of p - p_star at p_star."""
+    return 0.25 * fisher_metric(p_star, p - p_star)
+
+
+def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> float:
+    """Residual of A_z Theta + Theta A_v^T + (z v - 1) B_z J B_v^T.
+
+    An exact rational identity in (z, v) for physically realizable
+    (A, B, C); evaluating it at conjugated points covers the starred
+    form as well.
+    """
+    if model.j_ito is None:
+        raise ValueError("identity requires a canonical field form")
+    pz = z_domain_matrices(model, z)
+    pv = z_domain_matrices(model, v)
+    res = (
+        pz.a_z @ theta
+        + theta @ pv.a_z.T
+        + (z * v - 1.0) * pz.b_z @ model.j_ito @ pv.b_z.T
+    )
+    return float(np.linalg.norm(res))
+
+
+def duplication_matrix(r: int) -> Matrix:
+    """0/1 matrix mapping vech(M) to vec(M) for symmetric M of order r.
+
+    Columns follow the :func:`linalg.vech` ordering; vec is column-major.
+    """
+    if r < 1:
+        raise ValueError("order must be positive")
+    rows, cols = vech_indices(r)
+    ups = np.zeros((r * r, len(rows)))
+    ups[cols * r + rows, np.arange(len(rows))] = 1.0
+    ups[rows * r + cols, np.arange(len(rows))] = 1.0
+    return ups
+
+
+class _SymplecticCheck(NamedTuple):
+    residual: float
+    det: float
+
+
+def symplectic_residual(s: Matrix, theta: Matrix) -> _SymplecticCheck:
+    """Distance of S from the group preserving the form theta.
+
+    Returns ||S theta S^T - theta|| together with det S; members have
+    residual 0 and determinant 1.
+    """
+    s = np.asarray(s, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    residual = float(np.linalg.norm(s @ theta @ s.T - theta))
+    return _SymplecticCheck(residual, float(np.linalg.det(s)))

@@ -363,10 +363,6 @@ class CascadeModel:
     def n(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def n_oscillators(self) -> int:
-        return len(self.params)
-
     @cached_property
     def blocks(self) -> tuple[slice, ...]:
         return block_slices(self.dims)
@@ -374,9 +370,6 @@ class CascadeModel:
     @cached_property
     def realizations(self) -> tuple[OscillatorRealization, ...]:
         return tuple(OscillatorRealization(self.a[k, k], self.b[k], self.c[:, k]) for k in self.blocks)
-
-    def all_hurwitz(self) -> bool:
-        return all(flag for flag, _ in self.hurwitz)
 
     def require_hurwitz(self) -> None:
         """Raise NotHurwitz naming the first unstable oscillator (exact for a cascade)."""
@@ -457,9 +450,16 @@ def perturbed_cascade_stack(cascade: CascadeModel, de: Sequence[np.ndarray]) -> 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the
     layout of :meth:`GradientSet.d_vector`; S may be 0. The stacks are
     stack-last, the layout :func:`solve_cascade_lyapunov` takes; no composite
-    A is written. Raises ArithmeticError if a perturbed oscillator fails the
-    physical-realizability self-check.
+    A is written. Raises ValueError naming the first oscillator without its
+    (S, d_k) array, one S for all, and ArithmeticError if a perturbed
+    oscillator fails the physical-realizability self-check.
     """
+    copies = len(de[0]) if len(de) else 0
+    for k in range(max(len(de), len(cascade.dims))):
+        got = np.shape(de[k]) if k < len(de) else "no array"
+        want = (copies, sum(parameter_sizes(cascade.dims[k], cascade.m))) if k < len(cascade.dims) else "no array"
+        if got != want:
+            raise ValueError(f"perturbation of oscillator {k}: {got}, expected {want}")
     return _series_connection(cascade.params, cascade.j_ito, de)
 
 

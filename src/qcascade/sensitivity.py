@@ -56,14 +56,6 @@ def sensitivity_index(
     return SensitivityIndex(z_total=float(sum(z_k)), z_k=z_k)
 
 
-def phi_transformed(
-    gradients: GradientSet, uncertainty: UncertaintyModel, k: int, s: Matrix
-) -> float:
-    """Exact index contribution of oscillator k after X_k -> S X_k."""
-    rho_s, mu_s = gradients.transformed_pair(k, s)
-    return _index_term(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0, uncertainty.oscillators[k])
-
-
 def psi_transformed(
     gradients: GradientSet, uncertainty: UncertaintyModel, k: int, s: Matrix
 ) -> float:
@@ -207,9 +199,3 @@ def kl_gaussian(p: Matrix, p_star: Matrix) -> float:
     if not mu[0] > -1.0:
         raise NonPositive("covariance ratio is not positive definite")
     return 0.5 * float(np.sum(mu - np.log1p(mu)))
-
-
-def kl_quadratic(p: Matrix, p_star: Matrix) -> float:
-    """Small-deviation approximation |W|^2 / 4 of the relative entropy, W of
-    :func:`kl_gaussian`: a quarter of the information metric of p - p_star at p_star."""
-    return 0.25 * fisher_metric(p_star, p - p_star)

@@ -117,25 +117,6 @@ def z_domain_matrices(model: TIModel, z: complex) -> ZPoint:
     return ZPoint(a_z=a_z, b_z=b_z, c_z=c_z, d_z=d_z, is_stable=is_hurwitz(a_z, scale)[0])
 
 
-def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> float:
-    """Residual of A_z Theta + Theta A_v^T + (z v - 1) B_z J B_v^T.
-
-    An exact rational identity in (z, v) for physically realizable
-    (A, B, C); evaluating it at conjugated points covers the starred
-    form as well.
-    """
-    if model.j_ito is None:
-        raise ValueError("identity requires a canonical field form")
-    pz = z_domain_matrices(model, z)
-    pv = z_domain_matrices(model, v)
-    res = (
-        pz.a_z @ theta
-        + theta @ pv.a_z.T
-        + (z * v - 1.0) * pz.b_z @ model.j_ito @ pv.b_z.T
-    )
-    return float(np.linalg.norm(res))
-
-
 def phi_z_resolvent(model: TIModel, z: complex, s: complex) -> np.ndarray:
     """Transfer (sI - A_z)^{-1} B_z of the z-family member."""
     pt = z_domain_matrices(model, z)

@@ -10,14 +10,13 @@ from qcascade.balance import (
     f_lambda,
     minimize_psi_one_mode,
     multimode_lower_bound,
-    newton_lambda,
     solve_multiplier,
 )
 from qcascade.covariance import steady_state
 from qcascade.errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError
-from qcascade.gradients import purity_gradients_direct, transform_gradients
-from qcascade.linalg import J2, RESIDUAL_TOL, symplectic_exponential, symplectic_residual
-from qcascade.oracles import probe_psi
+from qcascade.gradients import GradientSet, purity_gradients_direct
+from qcascade.linalg import J2, RESIDUAL_TOL, symplectic_exponential
+from qcascade.oracles import probe_psi, symplectic_residual
 from qcascade.oscillator import assemble_cascade, transfer_eval
 from qcascade.sensitivity import OscillatorUncertainty, UncertaintyModel, psi_transformed
 
@@ -65,13 +64,13 @@ def probe_violations(problems, results):
 
 class TestMultiplier:
     def test_centered_spectrum_converges_in_one_step(self):
-        res = newton_lambda(0.0, 0.0, 9.0)
+        res = solve_multiplier(np.array([0.0, 0.0]), 9.0)
         assert res.multiplier == pytest.approx(2.0 * np.sqrt(9.0), rel=1e-12)
         assert res.iterations == 1
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.7])
     def test_antisymmetric_spectrum_closed_form(self, r):
-        res = newton_lambda(r, -r, 1.0)
+        res = solve_multiplier(np.array([r, -r]), 1.0)
         assert res.multiplier == pytest.approx(2.0 + 2.0 * r * r, rel=1e-10)
 
     def test_example_curve_is_increasing_and_convex(self):
@@ -87,7 +86,7 @@ class TestMultiplier:
         rng = np.random.default_rng(seed)
         r1, r2 = rng.normal(0.0, 2.0, size=2)
         det_tau = float(np.exp(rng.normal(0.0, 1.5)))
-        res = newton_lambda(float(r1), float(r2), det_tau)
+        res = solve_multiplier(np.array([float(r1), float(r2)]), det_tau)
         assert res.iterations <= 8
         assert abs(res.h_value - det_tau) <= 1e-12 * det_tau
         # overshoot once, then decrease monotonically
@@ -276,9 +275,9 @@ class TestCascadeBalance:
             assert ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_mapped_gradients_match_recomputation(self, reference_report, reference_cascade):
-        transforms = [res.s_k for res in reference_report.results]
-        thetas = [p.theta for p in reference_cascade.params]
-        mapped = transform_gradients(purity_gradients_direct(reference_cascade), transforms, thetas)
+        gradients = purity_gradients_direct(reference_cascade)
+        pairs = [gradients.transformed_pair(k, res.s_k) for k, res in enumerate(reference_report.results)]
+        mapped = GradientSet(*zip(*pairs))
         recomputed = purity_gradients_direct(reference_report.transformed)
         for a, b in zip(mapped.rho, recomputed.rho):
             assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
@@ -302,6 +301,19 @@ class TestCascadeBalance:
         entries[1] = OscillatorUncertainty(sigma=entries[1].sigma_matrix(2, cascade.m))
         with pytest.raises(SchemaError, match=r"uncertainty\[1\]: balancing needs weights"):
             balance_cascade(cascade, UncertaintyModel(oscillators=tuple(entries)))
+        assert solves == []
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_uncertainty_without_one_entry_per_oscillator_is_refused(
+        self, reference_cascade, reference_spec, monkeypatch, count
+    ):
+        # zipped with the gradients, two entries would balance two of three oscillators
+        cascade = assemble_cascade(reference_cascade.params)  # nothing solved on it yet
+        solves = []
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: solves.append(a))
+        entries = reference_spec.uncertainty.oscillators * 2
+        with pytest.raises(ValueError, match="one uncertainty entry per oscillator required"):
+            balance_cascade(cascade, UncertaintyModel(oscillators=entries[:count]))
         assert solves == []
 
 

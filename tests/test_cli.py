@@ -199,7 +199,7 @@ class TestLoadSpec:
         cascade = build_cascade(reference_spec)
         assert cascade.dims == (2, 2, 2)
         assert cascade.m == 6
-        assert cascade.all_hurwitz()
+        cascade.require_hurwitz()
 
     @pytest.mark.parametrize("source", ["committed", "mixed_orders"])
     def test_arrays_equal_the_per_entry_conversion_bit_for_bit(self, tmp_path, source):

@@ -176,7 +176,7 @@ class TestSteadyState:
     def test_additive_split(self, reference_cascade):
         res = steady_state(reference_cascade)
         assert sum(res.v_k) == pytest.approx(res.v_logdet, abs=1e-9)
-        assert len(res.v_k) == reference_cascade.n_oscillators
+        assert len(res.v_k) == len(reference_cascade.dims)
 
     def test_methods_agree(self, reference_cascade):
         rec_p = invariant_covariance_recursive(reference_cascade)

@@ -26,7 +26,7 @@ from qcascade.covariance import (
     invariant_covariance_recursive,
     log_det_stack,
 )
-from qcascade.errors import NonPositive, NotHurwitz, NotSymplectic, SingularLeadingBlock, SolverSingular
+from qcascade.errors import NonPositive, NotHurwitz, SingularLeadingBlock, SolverSingular
 from qcascade.gradients import (
     GradientSet,
     _lapack_solve,
@@ -35,12 +35,11 @@ from qcascade.gradients import (
     observability_gramian_and_hankelian,
     purity_gradients_direct,
     purity_gradients_recursive,
-    transform_gradients,
 )
 from qcascade.linalg import (
-    RESIDUAL_TOL, J2, antisymmetric_part, duplication_matrix, solve_cascade_lyapunov, symmetric_part, vech,
+    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, symmetric_part, vech,
 )
-from qcascade.oracles import solve_lyapunov
+from qcascade.oracles import duplication_matrix, solve_lyapunov
 from qcascade.oscillator import (
     OscillatorParams,
     UncertaintyModel,
@@ -257,7 +256,7 @@ class TestRouteAgreement:
 
         monkeypatch.setattr(qcascade.linalg, "dgees", spy_gees)
         purity_gradients_recursive(cascade)
-        assert orders == [(2, 2)] * cascade.n_oscillators
+        assert orders == [(2, 2)] * len(cascade.dims)
 
     def test_triangular_solves_refuse_non_finite_and_singular(self):
         with pytest.raises(SolverSingular, match="non-finite"):
@@ -291,7 +290,7 @@ class TestRouteAgreement:
         purity_gradients_recursive(cascade)
         blocks = {(blk.start, blk.stop) for blk in cascade.blocks}
         assert {rows for rows, _ in calls} <= blocks
-        steps = 2 * cascade.n_oscillators - 1
+        steps = 2 * len(cascade.dims) - 1
         assert [transpose for _, transpose in calls].count(False) == steps
         assert [transpose for _, transpose in calls].count(True) == steps
         assert factored == []
@@ -464,7 +463,7 @@ class TestProbeStack:
             assert np.max(np.abs(dp - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_responses_build_no_perturbed_cascade(self, cascade, monkeypatch):
-        uncertainty = UncertaintyModel.from_weights([(0.5, 1.5)] * cascade.n_oscillators)
+        uncertainty = UncertaintyModel.from_weights([(0.5, 1.5)] * len(cascade.dims))
         want = fisher_sensitivity(cascade, uncertainty).z_total
 
         def refuse(*args, **kwargs):
@@ -472,7 +471,7 @@ class TestProbeStack:
 
         monkeypatch.setattr(qcascade.gradients, "perturbed_cascade_stack", refuse)
         monkeypatch.setattr(qcascade.oscillator, "_series_connection", refuse)
-        assert len(covariance_derivatives(cascade)) == cascade.n_oscillators
+        assert len(covariance_derivatives(cascade)) == len(cascade.dims)
         assert fisher_sensitivity(cascade, uncertainty).z_total == want
 
     def test_chunks_reproduce_one_stack_to_the_bit(self, cascade, monkeypatch):
@@ -548,28 +547,19 @@ class TestProbeStack:
 
 class TestTransform:
     def test_identity_transforms_are_neutral(self, reference_cascade, reference_gradients):
-        eyes = [np.eye(n) for n in reference_cascade.dims]
-        thetas = [p.theta for p in reference_cascade.params]
-        out = transform_gradients(reference_gradients, eyes, thetas)
-        for a, b in zip(out.rho, reference_gradients.rho):
-            np.testing.assert_array_equal(a, b)
+        for k, n in enumerate(reference_cascade.dims):
+            rho, _ = reference_gradients.transformed_pair(k, np.eye(n))
+            np.testing.assert_array_equal(rho, reference_gradients.rho[k])
 
     def test_consistent_with_recomputation(self, reference_cascade, reference_gradients):
         rng = np.random.default_rng(31)
         transforms = random_blockdiag_symplectic(rng, reference_cascade.dims)
-        thetas = [p.theta for p in reference_cascade.params]
-        mapped = transform_gradients(reference_gradients, transforms, thetas)
+        mapped = GradientSet(*zip(*(reference_gradients.transformed_pair(k, s) for k, s in enumerate(transforms))))
         moved = assemble_cascade(
             [transform_params(p, s) for p, s in zip(reference_cascade.params, transforms)]
         )
         recomputed = purity_gradients_direct(moved)
         assert stack_gap(mapped, recomputed) <= 1e-8
-
-    def test_non_symplectic_rejected(self, reference_cascade, reference_gradients):
-        transforms = [np.eye(2), 2.0 * np.eye(2), np.eye(2)]
-        thetas = [p.theta for p in reference_cascade.params]
-        with pytest.raises(NotSymplectic):
-            transform_gradients(reference_gradients, transforms, thetas)
 
 
 class TestCovarianceDerivatives:

@@ -12,18 +12,19 @@ import qcascade.gradients
 import qcascade.linalg
 from conftest import composite, make_cascade, make_mixed_cascade, make_oscillator, perturbed_params, rank_m_stack
 from qcascade.covariance import log_det_stack, stationary_covariance
-from qcascade.errors import NotHurwitz, SolverSingular
+from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
 from qcascade.gradients import covariance_derivatives
 from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
+    _block_residual2,
+    _forcings,
     _frobenius,
     _lyapunov_residual_ratio,
     _sylvester_step,
     block_slices,
     cascade_schur,
     certify_sylvester,
-    duplication_matrix,
     is_hurwitz,
     quantum_psd_margin,
     solve_cascade_lyapunov,
@@ -33,12 +34,11 @@ from qcascade.linalg import (
     sylvester_kron_solve,
     symplectic_exponential,
     symplectic_form,
-    symplectic_residual,
     vech,
     vech_to_symmetric,
     vech_weight,
 )
-from qcascade.oracles import solve_lyapunov
+from qcascade.oracles import duplication_matrix, solve_lyapunov, symplectic_residual
 from qcascade.oscillator import CascadeStack, assemble_cascade, perturbed_cascade_stack
 
 
@@ -307,7 +307,7 @@ class TestCascadeLyapunov:
         for q in (np.einsum("ias,jas->ijs", stack.b, stack.b), None):
             p, ratio = solve_cascade_lyapunov(stack.diag, stack.b, stack.c, q)
             assert np.all(ratio <= RESIDUAL_TOL)
-            np.testing.assert_array_equal(_lyapunov_residual_ratio(stack.diag, stack.b, stack.c, q, p), ratio)
+            np.testing.assert_array_equal(recomputed_residual_ratio(stack.diag, stack.b, stack.c, q, p), ratio)
             assert_matches_single_cascade_route(p, cascade, de)
 
     def test_matches_the_single_cascade_route_with_unstable_copies(self, monkeypatch):
@@ -396,7 +396,7 @@ class TestCascadeLyapunov:
         assert p.shape == q.shape and np.all(ratio <= RESIDUAL_TOL)
         np.testing.assert_array_equal(p, p_repeated)
         np.testing.assert_array_equal(ratio, ratio_repeated)
-        np.testing.assert_array_equal(_lyapunov_residual_ratio(*shared, q, p), ratio)
+        np.testing.assert_array_equal(recomputed_residual_ratio(*shared, q, p), ratio)
 
     def test_result_does_not_depend_on_memory_layout(self):
         cascade = make_cascade(np.random.default_rng(606), 6, 2)
@@ -409,6 +409,18 @@ class TestCascadeLyapunov:
         p_view, certificate_view = solve_cascade_lyapunov(views[:-3], *views[-3:])
         np.testing.assert_array_equal(p_view, p)
         np.testing.assert_array_equal(certificate_view, certificate)
+
+
+def recomputed_residual_ratio(diag, b, c, q, p):
+    """The kernel's certificate recomputed from a given P: the kernel's sweep of
+    :func:`_forcings` on P and q made symmetric once, block (j, k), j >= k, of R
+    the forcing plus A_jj P_jk + P_jk A_kk^T, scaled by :func:`_lyapunov_residual_ratio`.
+    On the kernel's exactly symmetric P it is the kernel's ratio to the bit."""
+    p, q = (x if x is None else np.ascontiguousarray(0.5 * (x + x.transpose(1, 0, 2))) for x in (p, q))
+    blocks, residual = block_slices([len(x) for x in diag]), np.zeros(p.shape[2])
+    for j, k, forcing in _forcings(b, c, q, p, blocks):
+        residual += _block_residual2(diag[j], diag[k], forcing, p[blocks[j], blocks[k]], twice=j > k)
+    return _lyapunov_residual_ratio(diag, b, c, q, p, residual)
 
 
 def dense_residual_ratio(a, q, p):
@@ -453,7 +465,7 @@ class TestResidualCertificate:
         for rows in block_slices([len(x) for x in diag]):
             away = moved(p, rows, slice(0, rows.stop), 1e-6, rng)
             np.testing.assert_allclose(
-                _lyapunov_residual_ratio(diag, b, c, q, away), dense_residual_ratio(a, q_dense, away), rtol=1e-8
+                recomputed_residual_ratio(diag, b, c, q, away), dense_residual_ratio(a, q_dense, away), rtol=1e-8
             )
 
     @pytest.mark.parametrize(
@@ -499,13 +511,13 @@ class TestResidualCertificate:
         diag, b, c, q = perturbed_stack(cascade, 16, 2905)
         p, ratio = solve_cascade_lyapunov(diag, b, c, q)
         blocks = block_slices(cascade.dims)
-        np.testing.assert_array_equal(_lyapunov_residual_ratio(diag, b, c, q, p), ratio)
+        np.testing.assert_array_equal(recomputed_residual_ratio(diag, b, c, q, p), ratio)
         assert np.all(ratio <= RESIDUAL_TOL)
         rng = np.random.default_rng(2906)
         for rows in blocks:
             for cols in blocks:
                 away = moved(p, rows, cols, 1e-6, rng)
-                assert np.all(_lyapunov_residual_ratio(diag, b, c, q, away) > RESIDUAL_TOL)
+                assert np.all(recomputed_residual_ratio(diag, b, c, q, away) > RESIDUAL_TOL)
 
 
 def with_spectrum(rng, eig, pair):
@@ -762,6 +774,11 @@ class TestHurwitz:
             stable, _ = is_hurwitz(a_k, np.max(np.abs(a_k)))
             assert stable
 
+    def test_a_failed_eigensolve_is_an_eig_failure(self):
+        # numpy's eigensolver refuses a NaN entry with LinAlgError
+        with pytest.raises(EigFailure, match="^eigensolve failed: "):
+            is_hurwitz(np.array([[np.nan, 0.0], [0.0, -1.0]]), 1.0)
+
 
 class TestSymplectic:
     def test_identity_is_member(self):
@@ -817,3 +834,11 @@ class TestPsdMargin:
 
     def test_pure_state_sits_on_the_boundary(self):
         assert quantum_psd_margin(0.5 * np.eye(2), 0.5 * J2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_failed_eigensolve_is_an_eig_failure(self, monkeypatch):
+        def fails(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(EigFailure, match="^Hermitian eigensolve failed: Eigenvalues did not converge$"):
+            quantum_psd_margin(0.5 * np.eye(2), 0.5 * J2)

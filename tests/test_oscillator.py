@@ -241,7 +241,7 @@ class TestAssembly:
             cascade = make_mixed_cascade(np.random.default_rng(77))
             assert cascade.blocks == (slice(0, 2), slice(2, 6), slice(6, 8))
         assert [blk.stop - blk.start for blk in cascade.blocks] == list(cascade.dims)
-        assert len(cascade.realizations) == cascade.n_oscillators
+        assert len(cascade.realizations) == len(cascade.dims)
         for rk, blk in zip(cascade.realizations, cascade.blocks):
             np.testing.assert_array_equal(rk.a, cascade.a[blk, blk])
             np.testing.assert_array_equal(rk.b, cascade.b[blk])
@@ -350,7 +350,7 @@ class TestAssembly:
         for owner, attr in targets:
             monkeypatch.setattr(owner, attr, spy(attr, getattr(owner, attr)))
         cascade = assemble_cascade(passive_chain(np.random.default_rng(64), 64))
-        assert cascade.all_hurwitz()
+        cascade.require_hurwitz()
         assert counts == {"block": 0, "eigvals": 0, "is_hurwitz": 0}
 
     def test_identical_oscillators_via_kronecker_oracle(self):
@@ -388,7 +388,7 @@ class TestPerturbedStack:
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
             margins = [
                 np.max(np.linalg.eigvals(a[cascade.blocks[k], cascade.blocks[k]]).real)
-                for k in range(cascade.n_oscillators)
+                for k in range(len(cascade.dims))
             ]
             np.testing.assert_allclose(stack.abscissa[:, s], margins, rtol=1e-12, atol=1e-14)
             assert list(stack.hurwitz[:, s]) == [x < -1e-9 for x in margins]
@@ -401,7 +401,7 @@ class TestPerturbedStack:
         assert stack.b.shape == (cascade.n, cascade.m, 7)
         assert stack.c.shape == (cascade.m, cascade.n, 7)
         assert all(x.flags.c_contiguous for x in (*stack.diag, stack.b, stack.c))
-        assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 7)
+        assert stack.abscissa.shape == stack.hurwitz.shape == (len(cascade.dims), 7)
 
     @pytest.mark.parametrize("which", ["reference", "mixed"])
     def test_no_copies_give_the_empty_stack(self, reference_cascade, which):
@@ -411,7 +411,24 @@ class TestPerturbedStack:
         assert [x.shape for x in stack.diag] == [(n, n, 0) for n in cascade.dims]
         assert stack.b.shape == (cascade.n, cascade.m, 0)
         assert stack.c.shape == (cascade.m, cascade.n, 0)
-        assert stack.abscissa.shape == stack.hurwitz.shape == (cascade.n_oscillators, 0)
+        assert stack.abscissa.shape == stack.hurwitz.shape == (len(cascade.dims), 0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda de: [np.zeros((5, 20)), *de[1:]], r"oscillator 0: \(5, 20\), expected \(5, 15\)$"),
+            (lambda de: [*de[:2], de[2][:4]], r"oscillator 2: \(4, 15\), expected \(5, 15\)$"),
+            (lambda de: de[:2], r"oscillator 2: no array, expected \(5, 15\)$"),
+            (lambda de: [*de, de[0]], r"oscillator 3: \(5, 15\), expected no array$"),
+        ],
+        ids=["wide_rows", "copy_counts_differ", "short_list", "long_list"],
+    )
+    def test_a_perturbation_that_does_not_fit_is_refused(self, reference_cascade, change, message):
+        # one (S, d_k) array per oscillator, one S for all: the middle columns of
+        # wider rows were ignored, and a short list raised a bare IndexError
+        de = [np.zeros((5, 3 + reference_cascade.m * 2)) for _ in reference_cascade.dims]
+        with pytest.raises(ValueError, match=r"^perturbation of " + message):
+            perturbed_cascade_stack(reference_cascade, change(de))
 
     def test_self_check_refuses_an_overflowed_copy(self, reference_cascade):
         # oscillator 1's first coupling entry moved by 1e200: its B J B^T and the

@@ -499,3 +499,43 @@ def test_the_cli_imports_no_oracle_but_the_route_gap_routes():
     names = {_name(node) for node in ast.walk(tree)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert names & ORACLES == {"invariant_covariance_recursive", "purity_gradients_recursive"}
+
+
+#: public production names that no production code refers to: the routes the
+#: benchmark traces by module path, and library API that no command calls
+TRACED_ROUTES = PINNED_ORACLES | {"sylvester_kron_solve"}
+LIBRARY_ONLY = {
+    "multimode_lower_bound", "fisher_metric", "kl_gaussian", "cross_covariance", "phi_z_resolvent",
+    "phi_z_h2_norm",
+}
+
+
+def _referenced(name: str, definition: ast.AST, trees) -> bool:
+    """Whether a Name, an Attribute or an import of ``trees`` outside ``definition`` names ``name``."""
+    inside = {id(node) for node in ast.walk(definition)}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any(alias.name.rpartition(".")[2] == name for alias in node.names):
+                    return True
+            elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == name:
+                return True
+    return False
+
+
+def test_every_public_production_name_has_a_production_caller():
+    # a function or class only the tests call is a reference route, kept in
+    # qcascade.oracles, or it goes; the oracles module is not production
+    paths = [path for path in sorted((REPO / "src" / "qcascade").glob("*.py")) if path.name != "oracles.py"]
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    public = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert len(public) > 50
+    unreferenced = {node.name for node in public if not _referenced(node.name, node, trees)}
+    assert unreferenced - TRACED_ROUTES == LIBRARY_ONLY

@@ -22,6 +22,7 @@ from qcascade.linalg import (
     vech,
     vech_to_symmetric,
 )
+from qcascade.oracles import kl_quadratic, phi_transformed
 from qcascade.oscillator import OscillatorParams, assemble_cascade
 from qcascade.sensitivity import (
     OscillatorUncertainty,
@@ -31,9 +32,7 @@ from qcascade.sensitivity import (
     fisher_metric,
     fisher_sensitivity,
     kl_gaussian,
-    kl_quadratic,
     monte_carlo_variance,
-    phi_transformed,
     psi_transformed,
     sensitivity_index,
 )
@@ -295,7 +294,7 @@ class TestMonteCarlo:
                         for p, de_k in zip(cascade.params, de)
                     ]
                 )
-                if moved.all_hurwitz():
+                if all(flag for flag, _ in moved.hurwitz):
                     stable.append(moved)
         # contiguous stack-last, the layout of the program's stacks
         p, certificate = solve_cascade_lyapunov(*rank_m_stack(stable))

@@ -8,6 +8,7 @@ from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator
 from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import (
     BisectionFailure,
+    EigFailure,
     NoConvergence,
     NotHurwitz,
     NotInStabilitySet,
@@ -23,6 +24,7 @@ from qcascade.oracles import (
     phi_z_feedback,
     series_depth_for,
     series_tail_bound,
+    z_pr_residual,
 )
 from qcascade.oscillator import OscillatorRealization, transfer_eval
 from qcascade.zcascade import (
@@ -35,7 +37,6 @@ from qcascade.zcascade import (
     phi_z_h2_norm,
     phi_z_resolvent,
     z_domain_matrices,
-    z_pr_residual,
 )
 
 SCALAR = TIModel.from_matrices(
@@ -408,6 +409,14 @@ class TestNorms:
     def test_unstable_model_rejected(self):
         with pytest.raises(NotHurwitz):
             TIModel.from_matrices(a=np.eye(2), b=np.eye(2), c=np.eye(2))
+
+    def test_an_overflowing_hamiltonian_is_an_eig_failure(self):
+        # built directly, without from_matrices' Gramian solve: B C = 1e400
+        # overflows the level-set Hamiltonian before any eigensolve
+        one = np.eye(1)
+        huge = TIModel(a=-one, b=1e200 * one, c=1e200 * one, j_ito=None, p=one)
+        with pytest.raises(EigFailure, match=r"^Hamiltonian matrix of level 1\.000000001 has a non-finite entry$"):
+            hinf_norm(huge)
 
 
 class TestTraceBound:
