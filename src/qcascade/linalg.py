@@ -143,11 +143,15 @@ def symmetric_part(x: np.ndarray) -> np.ndarray:
 
 def checked_symmetric_part(x: np.ndarray, where: str = "") -> np.ndarray:
     """Symmetric part of a matrix ``x``, or of every matrix of a stack (K, r, r);
-    SchemaError (prefixed by ``where``) when a matrix is asymmetric beyond
-    1e-9 or its asymmetry is not a number."""
-    asym = float(np.max(np.abs(x - x.swapaxes(-1, -2)))) if x.size else 0.0
-    if not asym <= 1e-9:
-        raise SchemaError(f"{where}asymmetry {asym:.3e} exceeds 1e-9")
+    SchemaError (prefixed by ``where``) when a matrix's largest asymmetry
+    max|x - x^T| exceeds 1e-9 of its own largest entry, which has no unit (a
+    zero matrix passes), or either is not a finite number."""
+    asym = np.max(np.abs(x - x.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0).ravel()
+    largest = np.max(np.abs(x), axis=(-2, -1), initial=0.0).ravel()
+    failed = np.flatnonzero(~((asym <= 1e-9 * largest) & (largest < np.inf)))
+    if failed.size:
+        k = failed[0]
+        raise SchemaError(f"{where}asymmetry {asym[k]:.3e} exceeds 1e-9 of the largest entry {largest[k]:.3e}")
     return symmetric_part(x)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositive, NotHurwitz, SchemaError, SingularTheta
 from .linalg import (
-    Matrix, block_slices, block_upper_mask, checked_symmetric_part, hurwitz_flag, resolvent_solve,
+    Matrix, block_slices, checked_symmetric_part, hurwitz_flag, resolvent_solve,
     spectral_abscissa, symplectic_form, vech_to_symmetric,
 )
 
@@ -173,8 +173,9 @@ def realizability_residual(
     a: Matrix, b: Matrix, c: Matrix, theta: Matrix, j_ito: Matrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """||A theta + theta A^T + B J B^T|| + ||theta C^T + B J|| and its scale
-    max(1, ||A|| ||theta||, ||B||^2), per copy for stack-last (., ., ...)
-    arrays; theta broadcasts over the trailing stack axes."""
+    max(||A|| ||theta||, ||B||^2), which carries the unit of time as the
+    residual does, per copy for stack-last (., ., ...) arrays; theta
+    broadcasts over the trailing stack axes."""
 
     def times_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # x y^T of every copy; one BLAS product when there is no copy axis
@@ -189,7 +190,7 @@ def realizability_residual(
     res = times_t(a, theta.swapaxes(0, 1)) + times_t(theta, a) + times_t(bj, b)
     bj += times_t(theta, c)
     scale = norm(a) * norm(theta)
-    return norm(res) + norm(bj), np.maximum(1.0, np.maximum(scale, norm(b) ** 2))
+    return norm(res) + norm(bj), np.maximum(scale, norm(b) ** 2)
 
 
 def _realizable(res: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -317,14 +318,29 @@ def _series_connection(
     return CascadeStack(tuple(diag), b, c, abscissa, hurwitz)
 
 
+def _checked_series(oscillators: Sequence[OscillatorParams]) -> tuple[Matrix, CascadeStack]:
+    """The canonical field form J and the unperturbed series connection of a
+    chain that passes every check in turn: not empty, the shapes and the theta
+    (:func:`_check_thetas`) of each oscillator, one channel count for all."""
+    if not oscillators:
+        raise DimensionMismatch("at least one oscillator required")
+    for k, p in enumerate(oscillators):
+        _validate_shapes(p, k)
+    _check_thetas([p.theta for p in oscillators])
+    m = oscillators[0].m
+    for k, p in enumerate(oscillators):
+        if p.m != m:
+            raise DimensionMismatch(f"oscillator {k}: {p.m} field channels, expected {m}")
+    j = symplectic_form(m)
+    return j, _series_connection(oscillators, j)
+
+
 def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:
     """State-space matrices (A, B, C) of one oscillator on the canonical field
     form J of its channel count, the one-oscillator case of the series
     builder, whose self-check verifies A theta + theta A^T + B J B^T = 0 and
     theta C^T + B J = 0 to round-off."""
-    _validate_shapes(p, 0)
-    _check_thetas([p.theta])
-    stack = _series_connection([p], symplectic_form(p.m))
+    _, stack = _checked_series([p])
     return OscillatorRealization(a=stack.diag[0][..., 0], b=stack.b[..., 0], c=stack.c[..., 0])
 
 
@@ -333,9 +349,9 @@ class CascadeModel:
     """Composite series connection of oscillators.
 
     ``a``, ``b``, ``c`` are the composite state-space matrices, ``theta``
-    the block-diagonal commutation matrix, and ``r_energy``,
-    ``m_coupling`` the composite energy and coupling matrices satisfying
-    a = 2 theta (r_energy + m_coupling^T J m_coupling). ``blocks`` holds
+    the block-diagonal commutation matrix and ``m_coupling`` the composite
+    coupling matrix [M_0, M_1, ...], so that b = 2 theta m_coupling^T and
+    c = 2 J m_coupling. ``blocks`` holds
     the state index range of every oscillator and ``realizations`` its
     (A_kk, B_k, C_k), read off the composite on those ranges. ``hurwitz``
     records the per-oscillator stability flags with spectral abscissas;
@@ -352,7 +368,6 @@ class CascadeModel:
     b: Matrix
     c: Matrix
     theta: Matrix
-    r_energy: Matrix
     m_coupling: Matrix
     dims: tuple[int, ...]
     hurwitz: tuple[tuple[bool, float], ...]
@@ -378,54 +393,24 @@ class CascadeModel:
                 raise NotHurwitz(f"oscillator {k} has spectral abscissa {margin:.3e}")
 
 
-def composite_energy_coupling(
-    oscillators: Sequence[OscillatorParams],
-) -> tuple[Matrix, Matrix]:
-    """Energy and coupling matrices of the composite oscillator.
-
-    The energy matrix keeps the individual R_k on its diagonal blocks and
-    carries M_j^T J M_k below the diagonal (minus that above), so that
-    the composite dynamics matrix factors as 2 theta (R + M^T J M), the
-    identity the composite self-check of :func:`assemble_cascade` tests.
-    """
-    if not oscillators:
-        raise DimensionMismatch("at least one oscillator required")
-    m = oscillators[0].m
-    for idx, p in enumerate(oscillators):
-        if p.m != m:
-            raise DimensionMismatch(f"oscillator {idx}: {p.m} field channels, expected {m}")
-    m_full = np.hstack([p.m_coupling for p in oscillators])
-    below = block_upper_mask([p.n for p in oscillators]).T
-    cross = np.where(below, m_full.T @ symplectic_form(m) @ m_full, 0.0)
-    r_full = _block_diag([p.r_energy for p in oscillators]) + cross + cross.T
-    return r_full, m_full
-
-
 def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
     """Build the composite model from the per-oscillator data by one call of
-    the series-connection builder; the per-oscillator Hurwitz flags come from
-    the spectral abscissas of the diagonal blocks, exact for a cascade. The
-    composite must pass :func:`_realizable` on the pair of :func:`realizability_residual`,
-    with the residual of A = 2 theta (R + M^T J M) added, and the model keeps that pair."""
+    the series-connection builder, whose self-check certifies every
+    oscillator; the per-oscillator Hurwitz flags come from the spectral
+    abscissas of the diagonal blocks, exact for a cascade. The composite must
+    pass :func:`_realizable` on the pair of :func:`realizability_residual`, and
+    the model keeps that pair."""
     oscillators = tuple(oscillators)
-    for k, p in enumerate(oscillators):
-        _validate_shapes(p, k)
-    _check_thetas([p.theta for p in oscillators])
-    r_full, m_full = composite_energy_coupling(oscillators)
-    j = symplectic_form(m_full.shape[0])
-    stack = _series_connection(oscillators, j)
+    j, stack = _checked_series(oscillators)
     # one unperturbed copy: drop the stack axis
     b_full, c_full = stack.b[..., 0], stack.c[..., 0]
     a_full = _write_series([x[..., 0] for x in stack.diag], b_full, c_full)
     theta_full = _block_diag([p.theta for p in oscillators])
-
-    pr_res, scale = realizability_residual(a_full, b_full, c_full, theta_full, j)
-    res = np.linalg.norm(a_full - 2.0 * theta_full @ (r_full + m_full.T @ j @ m_full)) + pr_res
+    res, scale = realizability_residual(a_full, b_full, c_full, theta_full, j)
     if not _realizable(res, scale):
         raise ArithmeticError(
             f"composite realizability self-check failed: residual {res:.3e}, scale {scale:.3e}"
         )
-
     return CascadeModel(
         params=oscillators,
         m=j.shape[0],
@@ -434,11 +419,10 @@ def assemble_cascade(oscillators: Sequence[OscillatorParams]) -> CascadeModel:
         b=b_full,
         c=c_full,
         theta=theta_full,
-        r_energy=r_full,
-        m_coupling=m_full,
+        m_coupling=np.hstack([p.m_coupling for p in oscillators]),
         dims=tuple(p.n for p in oscillators),
         hurwitz=tuple(zip(stack.hurwitz[:, 0].tolist(), stack.abscissa[:, 0].tolist())),
-        realizability=(float(pr_res), float(scale)),
+        realizability=(float(res), float(scale)),
     )
 
 

@@ -191,7 +191,8 @@ def _crossing_frequencies(model: TIModel, gamma: float) -> np.ndarray:
     if not np.isfinite(hamiltonian).all():
         raise EigFailure(f"Hamiltonian matrix of level {gamma:.10g} has a non-finite entry")
     eigs = np.linalg.eigvals(hamiltonian)
-    on_axis = np.abs(eigs.real) <= HINF_IMAG_TOL * np.maximum(1.0, np.abs(eigs))
+    # relative to the Hamiltonian's own spectral radius, which carries the unit of time
+    on_axis = np.abs(eigs.real) <= HINF_IMAG_TOL * np.max(np.abs(eigs))
     return np.sort(eigs.imag[on_axis & (eigs.imag > 0.0)])
 
 

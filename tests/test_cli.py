@@ -1005,6 +1005,33 @@ class TestExitCodes:
         path = write_spec(tmp_path, doc)
         assert main(["validate", str(path), "--out", str(tmp_path)]) == 1
 
+    def test_an_unreadable_spec_is_one(self, tmp_path):
+        code, out, err = run_main(["validate", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"validation error: cannot read {tmp_path / 'absent.json'}: ")
+
+    @pytest.mark.parametrize("j", [-20, 0, 20])
+    @pytest.mark.parametrize("field", ["R", "sigma"])
+    def test_asymmetry_is_refused_in_every_unit(self, tmp_path, field, j):
+        # a 50 % asymmetry in the unit of time c = 4^j: an absolute 1e-9 let it
+        # through, symmetrized, at c = 4^-20
+        c = 4.0**j
+        lopsided = c * np.array([[1.0, 0.5], [0.0, 1.0]])
+        sigma = c * np.eye(7)
+        sigma[:2, :2] = lopsided
+        doc = {
+            "field_channels": 2,
+            "oscillators": [
+                {"n": 2, "R": (lopsided if field == "R" else c * np.eye(2)).tolist(),
+                 "M": (2.0**j * np.array([[0.7, 0.1], [0.2, 0.9]])).tolist()}
+            ],
+            "uncertainty": [{"sigma": sigma.tolist()} if field == "sigma" else {"a": 1.0, "b": 1.0}],
+        }
+        code, _, err = run_main(["validate", str(write_spec(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        where = "oscillators[0].R" if field == "R" else "uncertainty[0].sigma"
+        assert code == 1
+        assert err.startswith(f"validation error: {where}: asymmetry {0.5 * c:.3e} exceeds 1e-9 ")
+
     def test_misspelt_keys_are_one(self, tmp_path, capsys):
         doc = read_example()
         doc["epsilom"] = 1e-3

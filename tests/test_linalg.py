@@ -65,6 +65,11 @@ class TestSylvester:
         sigma = solve_sylvester(-np.eye(2), -np.eye(2), np.eye(2))
         np.testing.assert_allclose(sigma, 0.5 * np.eye(2), atol=1e-14)
 
+    def test_inconsistent_shapes_are_refused(self):
+        shown = r"^shapes \(2, 2\), \(3, 3\), \(3, 2\) are not \(n, n\), \(p, p\), \(n, p\)$"
+        with pytest.raises(ValueError, match=shown):
+            solve_sylvester(-np.eye(2), -np.eye(3), np.ones((3, 2)))
+
     def test_scalar(self):
         sigma = solve_sylvester(np.array([[-2.0]]), np.array([[-3.0]]), np.array([[10.0]]))
         np.testing.assert_allclose(sigma, [[2.0]], atol=1e-14)
@@ -664,6 +669,16 @@ class TestCascadeSchur:
         with pytest.raises(SolverSingular):
             solve_cascade_sylvester(factor, slice(0, 2), slice(0, 2), np.eye(2))
 
+    def test_a_failed_block_factorization_is_refused(self, monkeypatch):
+        # a dgees call that reports failure: info > 0 is a QR iteration that did not converge
+        def fails(select, a):
+            return a, 0, a[0], a[0], np.eye(len(a)), np.zeros(0), 2
+
+        monkeypatch.setattr(qcascade.linalg, "dgees", fails)
+        cascade = make_cascade(np.random.default_rng(5), 3, 2)
+        with pytest.raises(SolverSingular, match="^Schur factorization of diagonal block 0 failed: info 2$"):
+            cascade_schur(cascade.a, cascade.dims)
+
     def test_dense_factor_refusals(self):
         # the one-block factor refuses a non-finite matrix before any QR iteration
         with pytest.raises(SolverSingular, match="non-finite entry"):
@@ -773,6 +788,10 @@ class TestHurwitz:
             a_k = reference_cascade.a[lo : lo + nk, lo : lo + nk]
             stable, _ = is_hurwitz(a_k, np.max(np.abs(a_k)))
             assert stable
+
+    def test_a_matrix_that_is_not_square_is_refused(self):
+        with pytest.raises(ValueError, match=r"^square matrix expected, got shape \(2, 3\)$"):
+            is_hurwitz(np.zeros((2, 3)), 1.0)
 
     def test_a_failed_eigensolve_is_an_eig_failure(self):
         # numpy's eigensolver refuses a NaN entry with LinAlgError

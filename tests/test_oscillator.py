@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +14,13 @@ from conftest import (
 )
 from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import DimensionMismatch, SingularResolvent, SingularTheta
-from qcascade.linalg import J2, resolvent_solve, symplectic_form
+from qcascade.linalg import J2, block_upper_mask, resolvent_solve, symplectic_form
 from qcascade.oracles import composite_transfer_stack
 from qcascade.oscillator import (
     PR_SELF_CHECK_TOL,
     OscillatorParams,
     OscillatorRealization,
     assemble_cascade,
-    composite_energy_coupling,
     default_theta,
     oscillator_realization,
     perturbed_cascade_stack,
@@ -55,6 +55,16 @@ def series_reference(oscillators):
         b = np.vstack([b, b_k])
         c = np.hstack([c, c_k])
     return a, b, c
+
+
+def composite_energy(oscillators):
+    """Composite energy matrix R of a chain: R_k on the diagonal blocks and
+    M_j^T J M_k below the diagonal (minus that above), so that the composite
+    dynamics matrix factors as 2 theta (R + M^T J M)."""
+    m_full = np.hstack([p.m_coupling for p in oscillators])
+    below = block_upper_mask([p.n for p in oscillators]).T
+    cross = np.where(below, m_full.T @ symplectic_form(oscillators[0].m) @ m_full, 0.0)
+    return scipy.linalg.block_diag(*(p.r_energy for p in oscillators)) + cross + cross.T
 
 
 def passive_chain(rng, n_osc):
@@ -156,12 +166,12 @@ class TestShapeRefusal:
 
     def test_composite_needs_an_oscillator(self):
         with pytest.raises(DimensionMismatch, match="at least one oscillator required"):
-            composite_energy_coupling([])
+            assemble_cascade([])
 
     def test_composite_refuses_mixed_channel_counts(self):
         four = replace(TRIVIAL, m_coupling=np.ones((4, 2)))
         with pytest.raises(DimensionMismatch, match="oscillator 1: 4 field channels, expected 2"):
-            composite_energy_coupling([TRIVIAL, four])
+            assemble_cascade([TRIVIAL, four])
 
 
 class TestAssembly:
@@ -285,15 +295,26 @@ class TestAssembly:
         # the property is not vacuous: a scale without ||B||^2 would refuse these
         assert beyond_a_theta > 20
 
+    @pytest.mark.parametrize("j", [-20, -10, 0, 10, 20])
+    def test_asymmetric_energy_is_refused_in_every_unit(self, j):
+        # R - R^T breaks A theta + theta A^T + B J B^T = 0 by a residual in the unit
+        # of A, c = 4^j; a scale floored at 1 let it pass in a slow unit, c = 4^-20
+        c = 4.0**j
+        p = OscillatorParams(
+            default_theta(2), c * np.array([[1.0, 0.5], [0.0, 1.0]]), 2.0**j * np.array([[0.7, 0.1], [0.2, 0.9]])
+        )
+        with pytest.raises(ArithmeticError, match="^physical-realizability self-check failed for oscillator 0: "):
+            assemble_cascade([p, p])
+
     def test_energy_coupling_single(self):
-        r, m = composite_energy_coupling([TRIVIAL])
+        r, m = composite_energy([TRIVIAL]), assemble_cascade([TRIVIAL]).m_coupling
         np.testing.assert_array_equal(r, TRIVIAL.r_energy)
         np.testing.assert_array_equal(m, TRIVIAL.m_coupling)
 
     def test_energy_coupling_pair_antisymmetric_offdiagonal(self):
         rng = np.random.default_rng(11)
         base = make_oscillator(rng, 4)
-        r, m = composite_energy_coupling([base, base])
+        r, m = composite_energy([base, base]), assemble_cascade([base, base]).m_coupling
         j = symplectic_form(4)
         cross = base.m_coupling.T @ j @ base.m_coupling
         np.testing.assert_allclose(r[2:, :2], cross, atol=1e-14)
@@ -307,7 +328,7 @@ class TestAssembly:
     def test_drift_factorization_identity(self, reference_cascade):
         cas = reference_cascade
         lhs = cas.a
-        rhs = 2.0 * cas.theta @ (cas.r_energy + cas.m_coupling.T @ cas.j_ito @ cas.m_coupling)
+        rhs = 2.0 * cas.theta @ (composite_energy(cas.params) + cas.m_coupling.T @ cas.j_ito @ cas.m_coupling)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
     @pytest.mark.parametrize("which", ["reference", "mixed", "passive64"])
@@ -495,6 +516,11 @@ class TestTransfer:
     def test_spectrum_point_raises(self):
         with pytest.raises(SingularResolvent):
             transfer_eval(realize(TRIVIAL), -1.0)
+
+    def test_an_overflowing_resolvent_is_refused(self):
+        # (0 - a)^{-1} b = 1e10 / 1e-300 is beyond double precision
+        with pytest.raises(SingularResolvent, match=r"^resolvent overflow at s = 0j$"):
+            resolvent_solve(np.array([[-1e-300]]), np.array([[1e10]]), 0j)
 
 
 class TestTransform:

@@ -120,6 +120,10 @@ class TestUncertaintyChecks:
         with pytest.raises(SchemaError, match="finite and nonnegative"):
             UncertaintyModel.from_weights([weights] * 3)
 
+    def test_a_sigma_form_entry_has_no_weights(self):
+        with pytest.raises(ValueError, match="^weight-form bounds are not available$"):
+            OscillatorUncertainty(sigma=np.eye(7)).weights()
+
     def test_zero_weights_are_accepted(self):
         assert UncertaintyModel.from_weights([(0.0, 0.0)]).oscillators[0].weights() == (0.0, 0.0)
 

@@ -1,10 +1,11 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator
+from conftest import GENERATED_SPEC, make_mixed_cascade, make_oscillator, make_passive_chain
 from qcascade.cli import build_cascade, load_spec
 from qcascade.errors import (
     BisectionFailure,
@@ -347,6 +348,15 @@ class TestNorms:
             a=-np.eye(2), b=np.eye(2), c=np.zeros((2, 2))
         )
         assert hinf_norm(model) == 1.0
+
+    @pytest.mark.parametrize("j", [-20, -10, 0, 10, 20])
+    def test_passive_gain_is_one_in_every_unit(self, j):
+        # R -> c R and M -> sqrt(c) M, c = 4^j, scale the Hamiltonian's spectrum by c;
+        # an axis test floored at 1 took every eigenvalue of a slow unit for a crossing
+        c = 4.0**j
+        for p in make_passive_chain(np.random.default_rng(5), 6).params:
+            unit = replace(p, r_energy=c * p.r_energy, m_coupling=2.0**j * p.m_coupling)
+            assert hinf_norm(TIModel.from_oscillator(unit)) == 1.0
 
     def test_field_gain_at_least_one(self, reference_spec):
         for params in reference_spec.oscillators:
