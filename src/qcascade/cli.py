@@ -441,6 +441,12 @@ def _fmt4(x: float) -> str:
     return f"{x:12.4f}"
 
 
+def _fmt4_rows(mat: np.ndarray) -> list[str]:
+    """Rows of ``mat`` as the text of _fmt4 of each entry joined by two spaces, one format per row."""
+    row_format = "  ".join(["%12.4f"] * mat.shape[1])
+    return [row_format % tuple(row) for row in mat.tolist()]
+
+
 def _cmd_validate(run: Pipeline) -> Reply:
     cascade = run.cascade
     pr_res, scale = cascade.realizability
@@ -494,10 +500,7 @@ def _cmd_covariance(run: Pipeline) -> Reply:
 
 
 def _covariance_table(gap: float, p: np.ndarray, verdict: list[str]) -> str:
-    # one format string per row, the same text as joining _fmt4 of each entry
-    row_format = "  ".join(["%12.4f"] * len(p))
-    rows = [row_format % tuple(row) for row in p.tolist()]
-    return "\n".join([f"covariance route gap {gap:.3e}", *rows, *verdict])
+    return "\n".join([f"covariance route gap {gap:.3e}", *_fmt4_rows(p), *verdict])
 
 
 def _cmd_purity(run: Pipeline) -> Reply:
@@ -531,7 +534,7 @@ def _cmd_gradients(run: Pipeline) -> Reply:
     for name, mats in (("rho", direct.rho), ("mu", direct.mu)):
         for k, mat in enumerate(mats):
             lines.append(f"{name}_{k}")
-            lines.extend("  ".join(_fmt4(x) for x in row) for row in mat)
+            lines.extend(_fmt4_rows(mat))
     code, verdict = _gap_verdict("route", gap, max(float(np.max(np.abs(g))) for g in direct.rho + direct.mu))
     return results, code, "\n".join(lines + verdict)
 

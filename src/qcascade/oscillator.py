@@ -30,9 +30,6 @@ from .linalg import (
 )
 
 PR_SELF_CHECK_TOL = 1e-12
-#: most entries K S n_k m the series builder forms at once: larger temporaries are
-#: handed back to the system when freed and fault in again on every call
-BATCH_ENTRIES = 1 << 15
 
 
 def parameter_sizes(n: int, m: int) -> tuple[int, int]:
@@ -240,81 +237,75 @@ class CascadeStack(NamedTuple):
 
 
 def _series_connection(
-    oscillators: Sequence[OscillatorParams], j_ito: Matrix, de: Sequence[np.ndarray] | None = None
+    oscillators: Sequence[OscillatorParams], j_ito: Matrix, de: Sequence[np.ndarray]
 ) -> CascadeStack:
     """Series connection of S perturbed copies of a chain of oscillators, in rank-m form.
 
     ``de[k]`` (S, d_k) perturbs oscillator k by [vech dR_k; vec dM_k], the layout
-    of :meth:`GradientSet.d_vector`; None is one unperturbed copy. A_kk = 2 Theta_k
-    (R_k + M_k^T J M_k), B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed
-    stack-last, A_kk as contiguous (n_k, n_k, S) blocks and B_k and C_k straight
-    into the composite b (n, m, S) and c (m, n, S), for batches of consecutive
-    oscillators of one order, and pass the realizability self-check
-    (ArithmeticError naming the oscillator). Returns the
-    :class:`CascadeStack` of the diagonal blocks, b and c, the spectral abscissas
-    (N, S) of the diagonal blocks and their :func:`hurwitz_flag` on the scale
-    max|A_kk| of each block and copy; with no copies, S = 0, its empty stack.
+    of :meth:`GradientSet.d_vector`. A_kk = 2 Theta_k (R_k + M_k^T J M_k),
+    B_k = 2 Theta_k M_k^T and C_k = 2 J M_k are formed stack-last, A_kk as
+    contiguous (n_k, n_k, S) blocks and B_k and C_k straight into the composite
+    b (n, m, S) and c (m, n, S), for each run of consecutive oscillators of one
+    order at once, and pass the realizability self-check (ArithmeticError naming
+    the oscillator). Returns the :class:`CascadeStack` of the diagonal blocks, b
+    and c, the spectral abscissas (N, S) of the diagonal blocks and their
+    :func:`hurwitz_flag` on the scale max|A_kk| of each block and copy; with no
+    copies, S = 0, its empty stack.
     """
-    if de is None:
-        de = [np.zeros((1, sum(parameter_sizes(p.n, p.m)))) for p in oscillators]
     stack, m = de[0].shape[0], j_ito.shape[0]
     blocks = block_slices([p.n for p in oscillators])
     diag: list = [None] * len(oscillators)
     b, c = np.empty((blocks[-1].stop, m, stack)), np.empty((m, blocks[-1].stop, stack))
     abscissa = np.empty((len(oscillators), stack))
     hurwitz = np.empty((len(oscillators), stack), dtype=bool)
-    if not stack:
-        return CascadeStack(tuple(np.empty((p.n, p.n, 0)) for p in oscillators), b, c, abscissa, hurwitz)
     for n_k, run in itertools.groupby(range(len(oscillators)), lambda k: oscillators[k].n):
-        run = list(run)
-        size = max(1, BATCH_ENTRIES // (stack * n_k * m))
+        ks = list(run)
+        rows = slice(blocks[ks[0]].start, blocks[ks[-1]].stop)
         # position in vech of every entry of dR: the symmetric matrix of vech 0, 1, 2, ...
         vech_at = vech_to_symmetric(np.arange(parameter_sizes(n_k, m)[0]), n_k).astype(np.intp)
-        for ks in (run[i : i + size] for i in range(0, len(run), size)):
-            rows = slice(blocks[ks[0]].start, blocks[ks[-1]].stop)
-            # oscillator axis first and copy axis last, (K, ., ., S); a product
-            # with a fixed left factor is one matrix product over all copies
-            theta = np.stack([oscillators[k].theta for k in ks])
-            theta2 = 2.0 * theta
-            d = np.ascontiguousarray(np.stack([de[k].T for k in ks]))
-            # vec dM_k, columns first, is vec dM_k^T rows first
-            m_kt = d[:, -m * n_k :].reshape(len(ks), n_k, m, stack)
-            m_kt = m_kt + np.stack([oscillators[k].m_coupling.T for k in ks])[..., None]
-            m_k = np.ascontiguousarray(m_kt.swapaxes(1, 2))
-            # B_k and C_k of the batch formed in place, as views of its rows of b and columns of c
-            b_k = b[rows].reshape(len(ks), n_k, m, stack)
-            np.matmul(theta2, m_kt.reshape(len(ks), n_k, -1), out=b_k.reshape(len(ks), n_k, -1))
-            c_k = c[:, rows].reshape(m, len(ks), n_k, stack).swapaxes(0, 1)
-            np.matmul(2.0 * j_ito, m_k.reshape(len(ks), m, -1), out=c_k.reshape(len(ks), m, -1))
-            r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, vech_at]
-            # stack-first views (K, S, ., .), no data moved; on one copy the product is
-            # the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
-            mjm = np.matmul(*(np.moveaxis(x, -1, 1) for x in (np.einsum("kias,ab->kibs", m_kt, j_ito), m_k)))
-            r += mjm.transpose(0, 2, 3, 1)
-            a_kk = (theta2 @ r.reshape(len(ks), n_k, -1)).reshape(r.shape)
-            res, scale = realizability_residual(
-                *(x.transpose(1, 2, 0, 3) for x in (a_kk, b_k, c_k)),
-                theta.transpose(1, 2, 0)[..., None],
-                j_ito,
+        # oscillator axis first and copy axis last, (K, ., ., S); a product
+        # with a fixed left factor is one matrix product over all copies
+        theta = np.stack([oscillators[k].theta for k in ks])
+        theta2 = 2.0 * theta
+        d = np.ascontiguousarray(np.stack([de[k].T for k in ks]))
+        # vec dM_k, columns first, is vec dM_k^T rows first
+        m_kt = d[:, -m * n_k :].reshape(len(ks), n_k, m, stack)
+        m_kt = m_kt + np.stack([oscillators[k].m_coupling.T for k in ks])[..., None]
+        m_k = np.ascontiguousarray(m_kt.swapaxes(1, 2))
+        # B_k and C_k of the run formed in place, as views of its rows of b and columns of c
+        b_k = b[rows].reshape(len(ks), n_k, m, stack)
+        np.matmul(theta2, m_kt.reshape(len(ks), n_k, -1), out=b_k.reshape(len(ks), n_k, -1))
+        c_k = c[:, rows].reshape(m, len(ks), n_k, stack).swapaxes(0, 1)
+        np.matmul(2.0 * j_ito, m_k.reshape(len(ks), m, -1), out=c_k.reshape(len(ks), m, -1))
+        r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, vech_at]
+        # stack-first views (K, S, ., .), no data moved; on one copy the product is
+        # the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
+        mjm = np.matmul(*(np.moveaxis(x, -1, 1) for x in (np.einsum("kias,ab->kibs", m_kt, j_ito), m_k)))
+        r += mjm.transpose(0, 2, 3, 1)
+        a_kk = (theta2 @ r.reshape(len(ks), n_k, -1)).reshape(r.shape)
+        res, scale = realizability_residual(
+            *(x.transpose(1, 2, 0, 3) for x in (a_kk, b_k, c_k)),
+            theta.transpose(1, 2, 0)[..., None],
+            j_ito,
+        )
+        passed = _realizable(res, scale)
+        if not passed.all():
+            i, copy = np.argwhere(~passed)[0]
+            # an infinite scale is a copy beyond double precision, not an unrealizable model
+            cause = (
+                "a copy overflows double precision at"
+                if scale[i, copy] == np.inf
+                else "physical-realizability self-check failed for"
             )
-            passed = _realizable(res, scale)
-            if not passed.all():
-                i, copy = np.argwhere(~passed)[0]
-                # an infinite scale is a copy beyond double precision, not an unrealizable model
-                cause = (
-                    "a copy overflows double precision at"
-                    if scale[i, copy] == np.inf
-                    else "physical-realizability self-check failed for"
-                )
-                raise ArithmeticError(
-                    f"{cause} oscillator {ks[i]}: residual {res[i, copy]:.3e}, scale {scale[i, copy]:.3e}"
-                )
-            abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
-            # max|A_kk| as max(max A_kk, -min A_kk): no temporary of the batch's size
-            largest = np.maximum(a_kk.max(axis=(1, 2)), -a_kk.min(axis=(1, 2)))
-            hurwitz[ks] = hurwitz_flag(abscissa[ks], largest)
-            for i, k in enumerate(ks):
-                diag[k] = a_kk[i]
+            raise ArithmeticError(
+                f"{cause} oscillator {ks[i]}: residual {res[i, copy]:.3e}, scale {scale[i, copy]:.3e}"
+            )
+        abscissa[ks] = spectral_abscissa(a_kk.transpose(0, 3, 1, 2))
+        # max|A_kk| as max(max A_kk, -min A_kk): no temporary of the run's size
+        largest = np.maximum(a_kk.max(axis=(1, 2)), -a_kk.min(axis=(1, 2)))
+        hurwitz[ks] = hurwitz_flag(abscissa[ks], largest)
+        for i, k in enumerate(ks):
+            diag[k] = a_kk[i]
     return CascadeStack(tuple(diag), b, c, abscissa, hurwitz)
 
 
@@ -332,7 +323,8 @@ def _checked_series(oscillators: Sequence[OscillatorParams]) -> tuple[Matrix, Ca
         if p.m != m:
             raise DimensionMismatch(f"oscillator {k}: {p.m} field channels, expected {m}")
     j = symplectic_form(m)
-    return j, _series_connection(oscillators, j)
+    one_copy = [np.zeros((1, sum(parameter_sizes(p.n, m)))) for p in oscillators]
+    return j, _series_connection(oscillators, j, one_copy)
 
 
 def oscillator_realization(p: OscillatorParams) -> OscillatorRealization:

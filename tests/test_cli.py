@@ -24,6 +24,7 @@ from conftest import GENERATED_SPEC, move_balancing_optimum
 from qcascade.cli import (
     RunFlags,
     _fmt4,
+    _fmt4_rows,
     _spec_document_from_cascade,
     build_cascade,
     build_parser,
@@ -428,6 +429,11 @@ class TestCommands:
             for out in (first, second)
         ]
         assert seeds == [123, load_spec(GENERATED_SPEC).options.get("seed", RunFlags().seed)]
+
+    def test_matrix_rows_match_entrywise_format(self):
+        # non-square, as the mu_k of the gradients table, with signed zeros and non-finite entries
+        mat = np.array([[1.23456, -0.0, np.nan], [-1e7, np.inf, 5e-5]])
+        assert _fmt4_rows(mat) == ["  ".join(_fmt4(x) for x in row) for row in mat]
 
     def test_covariance_table_matches_entrywise_format(self, tmp_path, capsys):
         argv = ["covariance", str(GENERATED_SPEC), "--out", str(tmp_path), "--format", "table"]
@@ -973,7 +979,8 @@ class TestHeapPolicy:
         assert libc.calls == [(-1, 256 << 20), (-2, 16 << 20)]
 
     @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
-    def test_a_second_chunked_run_faults_in_no_memory(self, tmp_path):
+    @pytest.mark.parametrize("name", ["benchmark_mc3_s1_0.json", "benchmark_mc6_s1_0.json"], ids=["mc3", "mc6"])
+    def test_a_second_chunked_run_faults_in_no_memory(self, tmp_path, name):
         script = (
             "import resource, sys\n"
             "from qcascade.cli import main\n"
@@ -987,7 +994,7 @@ class TestHeapPolicy:
         src = str(Path(qcascade.cli.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env["OPENBLAS_NUM_THREADS"] = "1"
-        spec = Path(__file__).resolve().parent / "data" / "benchmark_mc6_s1_0.json"
+        spec = Path(__file__).resolve().parent / "data" / name
         done = subprocess.run(
             [sys.executable, "-c", script, str(spec), str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,

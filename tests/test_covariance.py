@@ -23,7 +23,7 @@ from qcascade.covariance import (
     schur_complements,
     steady_state,
 )
-from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock
+from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
 from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, quantum_psd_margin
 from qcascade.oracles import frequency_domain_covariance, purity_and_logdet
@@ -160,6 +160,10 @@ class TestPurity:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NonPositive):
             purity_and_logdet(-np.eye(2), 0.5 * J2)
+
+    def test_singular_theta_rejected(self):
+        with pytest.raises(SingularTheta, match="^commutation matrix has nonpositive determinant$"):
+            purity_and_logdet(np.eye(2), np.zeros((2, 2)))
 
     def test_invariant_under_symplectic_change_of_variables(self):
         rng = np.random.default_rng(23)

@@ -117,6 +117,14 @@ class TestSylvester:
             solve_sylvester(*args)
         assert calls == []
 
+    def test_a_failed_schur_solve_is_refused(self, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("reordering failed")
+
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester", fail)
+        with pytest.raises(SolverSingular, match="^Schur solve failed: reordering failed$"):
+            solve_sylvester(-np.eye(2), -np.eye(2), np.eye(2))
+
     @pytest.mark.parametrize("big", [1e160, 1e300])
     def test_certificate_scale_does_not_overflow(self, big):
         # -big s - s + big = 0 has s = big / (big + 1); the norms are finite,
@@ -834,6 +842,10 @@ class TestSymplectic:
         np.testing.assert_array_equal(j, np.kron(J2, np.eye(r // 2)))
         with pytest.raises(ValueError):
             j[0, 0] = 1.0
+
+    def test_odd_order_is_refused(self):
+        with pytest.raises(ValueError, match="^order must be even, got 3$"):
+            symplectic_form(3)
 
     def test_form_builder_block_structure(self):
         np.testing.assert_array_equal(symplectic_form(2), J2)

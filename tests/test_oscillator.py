@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dataclasses import replace
 from pathlib import Path
 
+import qcascade.oscillator
 from conftest import (
     GENERATED_SPEC, composite, make_mixed_cascade, make_oscillator, perturbed_params, random_symplectic,
 )
@@ -187,6 +188,20 @@ class TestAssembly:
         chain[5] = replace(chain[5], theta=theta)
         with pytest.raises(error, match="oscillator 4: "):
             assemble_cascade(chain)
+
+    def test_a_composite_that_fails_its_self_check_is_refused(self, reference_cascade, monkeypatch):
+        # one entry below the block diagonal moved by 1e-3: every oscillator passed
+        # the builder's check, the composite A theta + theta A^T + B J B^T does not
+        write = qcascade.oscillator._write_series
+
+        def broken(*args):
+            a = write(*args)
+            a[-1, 0] += 1e-3
+            return a
+
+        monkeypatch.setattr(qcascade.oscillator, "_write_series", broken)
+        with pytest.raises(ArithmeticError, match=r"^composite realizability self-check failed: residual "):
+            assemble_cascade(reference_cascade.params)
 
     def test_the_default_theta_skips_the_rank_test(self, monkeypatch):
         # the default theta is nonsingular by construction; a given one still
@@ -423,6 +438,22 @@ class TestPerturbedStack:
         assert stack.c.shape == (cascade.m, cascade.n, 7)
         assert all(x.flags.c_contiguous for x in (*stack.diag, stack.b, stack.c))
         assert stack.abscissa.shape == stack.hurwitz.shape == (len(cascade.dims), 7)
+
+    @pytest.mark.parametrize("which", ["reference", "mixed"])
+    def test_batching_changes_no_bits(self, reference_cascade, which):
+        # the whole chain in one call against one call per oscillator, at the
+        # Monte-Carlo chunk size: how the builder groups oscillators moves no bit
+        cascade = reference_cascade if which == "reference" else make_mixed_cascade(np.random.default_rng(77))
+        rng = np.random.default_rng(79)
+        de = [1e-2 * rng.standard_normal((2048, n * (n + 1) // 2 + cascade.m * n)) for n in cascade.dims]
+        whole = perturbed_cascade_stack(cascade, de)
+        for k, blk in enumerate(cascade.blocks):
+            alone = perturbed_cascade_stack(assemble_cascade([cascade.params[k]]), [de[k]])
+            np.testing.assert_array_equal(whole.diag[k], alone.diag[0])
+            np.testing.assert_array_equal(whole.b[blk], alone.b)
+            np.testing.assert_array_equal(whole.c[:, blk], alone.c)
+            np.testing.assert_array_equal(whole.abscissa[k], alone.abscissa[0])
+            np.testing.assert_array_equal(whole.hurwitz[k], alone.hurwitz[0])
 
     @pytest.mark.parametrize("which", ["reference", "mixed"])
     def test_no_copies_give_the_empty_stack(self, reference_cascade, which):
