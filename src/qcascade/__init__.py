@@ -27,11 +27,11 @@ _EXPORTS = {
                "ZAtOne"),
     "linalg": ("cascade_schur", "is_hurwitz", "quantum_psd_margin", "resolvent_solve",
                "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_sylvester",
-               "symplectic_exponential", "symplectic_form", "vech", "vech_to_symmetric"),
+               "symplectic_exponential", "symplectic_form", "vech_to_symmetric"),
     "oscillator": ("CascadeModel", "OscillatorParams", "OscillatorRealization",
                    "OscillatorUncertainty", "UncertaintyModel", "assemble_cascade",
-                   "default_theta", "oscillator_realization", "parameter_sizes",
-                   "perturbed_cascade_stack", "transfer_eval", "transform_params"),
+                   "default_theta", "oscillator_realization", "parameter_positions",
+                   "parameter_sizes", "perturbed_cascade_stack", "transfer_eval", "transform_params"),
     "covariance": ("SteadyStateResult", "invariant_covariance_direct",
                    "invariant_covariance_recursive", "schur_complements", "steady_state"),
     "gradients": ("GradientSet", "covariance_derivatives", "gradient_fd_oracle",

@@ -9,8 +9,8 @@ under reflecting any coupling matrix (M_k -> -M_k conjugates the
 cascade by a signature matrix), so the coupling gradient is defined
 only up to this orientation; the package fixes it as above, and every
 route here (direct, recursive, finite differences) reports it the
-same way. :meth:`GradientSet.d_vector` is dV/de_k in the layout
-de_k = [vech dR_k; vec dM_k], and its inverse unpacks the oracle's slopes.
+same way. :meth:`GradientSet.d_vector` is dV/de_k in the layout of
+:func:`parameter_positions`, and its inverse unpacks the oracle's slopes.
 
 Three independent routes are implemented: a direct formula through the
 observability Gramian of the whole cascade, the reverse sweep (adjoint)
@@ -48,12 +48,9 @@ from .linalg import (
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
     symmetric_part,
-    vech,
     vech_indices,
-    vech_to_symmetric,
-    vech_weight,
 )
-from .oscillator import CascadeModel, CascadeStack, parameter_sizes, perturbed_cascade_stack
+from .oscillator import CascadeModel, CascadeStack, parameter_positions, parameter_sizes, perturbed_cascade_stack
 
 #: most entries in any (n, n, S) array of a chunk; the oracle's +/- stack has 2 copies per probe, a response 1
 PROBE_ENTRIES = 1 << 20
@@ -72,11 +69,12 @@ class GradientSet:
     mu: tuple[Matrix, ...]
 
     def d_vector(self, k: int) -> np.ndarray:
-        """dV/de_k = [dup^T vec rho_k; -vec mu_k] in the layout de_k = [vech dR_k;
-        vec dM_k], columns first, so dV = d_vector(k)^T de_k: an off-diagonal
-        energy entry moves two entries of R_k (``vech_weight``), and mu_k = -dV/dM_k."""
-        rho = self.rho[k]
-        return np.concatenate([vech(rho) * vech_weight(len(rho)), -self.mu[k].reshape(-1, order="F")])
+        """dV/de_k, so dV = d_vector(k)^T de_k: [rho_k | -mu_k^T] added into the places
+        :func:`parameter_positions` gives its entries, the adjoint of that gather; an
+        off-diagonal energy entry has two places, and mu_k = -dV/dM_k."""
+        rho, mu = self.rho[k], self.mu[k]
+        at = parameter_positions(len(rho), len(mu))
+        return np.bincount(at.ravel(), weights=np.hstack([rho, -mu.T]).ravel())
 
     def transformed_pair(self, k: int, s: Matrix) -> tuple[Matrix, Matrix]:
         """(S rho_k S^T, mu_k S^T): oscillator k's gradients after X_k -> S X_k."""
@@ -84,10 +82,11 @@ class GradientSet:
 
     @staticmethod
     def _unpack(d: np.ndarray, n: int, m: int) -> tuple[Matrix, Matrix]:
-        """Inverse of :meth:`d_vector`: (rho, mu) of an oscillator of order n whose
-        d_vector is d, halving off-diagonal energy entries and negating the coupling half."""
-        d_r, _ = parameter_sizes(n, m)
-        return vech_to_symmetric(d[:d_r] / vech_weight(n), n), -d[d_r:].reshape(n, m).T
+        """Inverse of :meth:`d_vector`: (rho, mu) of an oscillator of order n whose d_vector
+        is d, its gather divided by each entry's number of places, the coupling half negated."""
+        at = parameter_positions(n, m)
+        both = d[at] / np.bincount(at.ravel())[at]
+        return both[:, :n], -both[:, n:].T
 
 
 def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, Matrix]:
@@ -270,9 +269,7 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
     n, m, total = cascade.n, cascade.m, probes[-1].stop
     at = np.full((n, n + m), -1)  # the probe that moves each entry of [R | M^T], -1 for none
     for blk, pb, nk in zip(cascade.blocks, probes, cascade.dims):
-        d_r = parameter_sizes(nk, m)[0]
-        at[blk, blk] = pb.start + vech_to_symmetric(np.arange(d_r), nk)
-        at[blk, n:] = pb.start + d_r + np.arange(m * nk).reshape(nk, m)  # vec dM_k, columns first
+        at[blk, np.r_[blk, n : n + m]] = pb.start + parameter_positions(nk, m)
     upper = block_upper_mask(cascade.dims)
     weight = np.where(upper, 0.0, 1.0 + upper.T)[:, None, :]
     theta2, jm = 2.0 * cascade.theta, cascade.j_ito @ cascade.m_coupling

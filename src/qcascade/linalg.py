@@ -1,11 +1,11 @@
 """Dense linear-algebra kernels for small matrices.
 
-Sylvester and Lyapunov solvers with stability preconditions,
-half-vectorization, and the residual certificate of quantum admissibility.
-Three decisions have their one owner here: the block layout of a cascade
-(:func:`block_slices` and :func:`block_upper_mask`), the Hurwitz rule
-(:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``) and the vech
-order of a lower triangle (:func:`vech_indices`).
+Sylvester and Lyapunov solvers with stability preconditions, the symmetric
+matrix of a half-vectorization, and the residual certificate of quantum
+admissibility. Three decisions have their one owner here: the block layout of
+a cascade (:func:`block_slices` and :func:`block_upper_mask`), the Hurwitz rule
+(:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``) and the vech order
+of a lower triangle (:func:`vech_indices`), not the places of a parameter error.
 
 Every production Sylvester solve is certified and takes one of two routes.
 An equation on one pair of matrices is a Schur (Bartels-Stewart) solve:
@@ -161,30 +161,19 @@ def antisymmetric_part(x: Matrix) -> Matrix:
 
 @lru_cache(maxsize=64)
 def vech_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the lower triangle of order r in the :func:`vech` order,
-    column by column from the diagonal down; shared and read-only."""
+    """(rows, cols) of the lower triangle of order r in the vech order, column
+    by column from the diagonal down; shared and read-only."""
     cols, rows = np.triu_indices(r)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 
-def vech(x: Matrix) -> np.ndarray:
-    """Column-wise vectorization of the lower triangle, diagonal included."""
-    return x[vech_indices(x.shape[0])]
-
-
 def vech_to_symmetric(v: np.ndarray, r: int) -> Matrix:
-    """Inverse of :func:`vech` onto the symmetric matrices of order r."""
+    """The symmetric matrix of order r whose lower triangle in the vech order is v."""
     rows, cols = vech_indices(r)
     out = np.empty((r, r))
     out[rows, cols] = out[cols, rows] = v
     return out
-
-
-def vech_weight(r: int) -> np.ndarray:
-    """How many entries of a symmetric matrix of order r each vech entry stands for:
-    2 off the diagonal, 1 on it."""
-    return 2.0 - vech(np.eye(r))
 
 
 def hurwitz_flag(abscissa: float | np.ndarray, scale: float | np.ndarray) -> bool | np.ndarray:

@@ -8,8 +8,8 @@ quadrature, the z-family transfer through the base unit, the z-domain
 cross-covariance by its closed form and by a truncated series, the
 one-mode balancing index at sampled probes, the exact index Phi_k(S)
 after a change of variables, the small-deviation relative entropy, the
-realizability identity of the z-family, the duplication matrix and the
-symplectic residual of a transform. This module
+realizability identity of the z-family, the half-vectorization vech and
+its duplication matrix, and the symplectic residual of a transform. This module
 imports production, and no production module imports it. The seven routes
 the benchmark names by module path stay in their modules:
 ``linalg.solve_sylvester``, ``sylvester_kron_solve`` and ``symplectic_exponential``,
@@ -39,7 +39,7 @@ __all__ = [
     "solve_lyapunov", "purity_and_logdet", "composite_transfer_stack",
     "frequency_domain_covariance", "cross_covariance_generating", "cross_covariance_series",
     "series_depth_for", "series_tail_bound", "h2_norm_quadrature", "phi_z_feedback", "probe_psi",
-    "phi_transformed", "kl_quadratic", "z_pr_residual", "duplication_matrix", "symplectic_residual",
+    "phi_transformed", "kl_quadratic", "z_pr_residual", "vech", "duplication_matrix", "symplectic_residual",
 ]
 
 
@@ -244,10 +244,15 @@ def z_pr_residual(model: TIModel, theta: Matrix, z: complex, v: complex) -> floa
     return float(np.linalg.norm(res))
 
 
+def vech(x: Matrix) -> np.ndarray:
+    """The lower triangle of x, diagonal included, in the :func:`linalg.vech_indices` order."""
+    return x[vech_indices(x.shape[0])]
+
+
 def duplication_matrix(r: int) -> Matrix:
     """0/1 matrix mapping vech(M) to vec(M) for symmetric M of order r.
 
-    Columns follow the :func:`linalg.vech` ordering; vec is column-major.
+    Columns follow the :func:`vech` ordering; vec is column-major.
     """
     if r < 1:
         raise ValueError("order must be positive")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +36,19 @@ def parameter_sizes(n: int, m: int) -> tuple[int, int]:
     """Entry counts (n(n+1)/2, m n) of the halves of the parameter error
     de = [vech dR; vec dM] of an oscillator of order n on m field channels."""
     return n * (n + 1) // 2, m * n
+
+
+@lru_cache(maxsize=64)
+def parameter_positions(n: int, m: int) -> np.ndarray:
+    """(n, n + m) position in de = [vech dR; vec dM] of every entry of [dR | dM^T] of an
+    oscillator of order n on m field channels, so de[at] is [dR | dM^T]: dR in the vech
+    order, dM columns first; shared and read-only."""
+    d_r, d_m = parameter_sizes(n, m)
+    at = np.empty((n, n + m), dtype=np.intp)
+    at[:, :n] = vech_to_symmetric(np.arange(d_r), n)
+    at[:, n:] = d_r + np.arange(d_m).reshape(n, m)  # vec dM, columns first, is vec dM^T rows first
+    at.flags.writeable = False
+    return at
 
 
 def default_theta(n: int) -> Matrix:
@@ -92,10 +105,6 @@ class OscillatorUncertainty:
 @dataclass(frozen=True)
 class UncertaintyModel:
     oscillators: tuple[OscillatorUncertainty, ...]
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[tuple[float, float]]) -> "UncertaintyModel":
-        return cls(tuple(OscillatorUncertainty(energy_weight=a, coupling_weight=b) for a, b in weights))
 
 
 def _sigma_sqrt(sigma: Matrix) -> Matrix:
@@ -261,23 +270,20 @@ def _series_connection(
     for n_k, run in itertools.groupby(range(len(oscillators)), lambda k: oscillators[k].n):
         ks = list(run)
         rows = slice(blocks[ks[0]].start, blocks[ks[-1]].stop)
-        # position in vech of every entry of dR: the symmetric matrix of vech 0, 1, 2, ...
-        vech_at = vech_to_symmetric(np.arange(parameter_sizes(n_k, m)[0]), n_k).astype(np.intp)
+        at = parameter_positions(n_k, m)
         # oscillator axis first and copy axis last, (K, ., ., S); a product
         # with a fixed left factor is one matrix product over all copies
         theta = np.stack([oscillators[k].theta for k in ks])
         theta2 = 2.0 * theta
         d = np.ascontiguousarray(np.stack([de[k].T for k in ks]))
-        # vec dM_k, columns first, is vec dM_k^T rows first
-        m_kt = d[:, -m * n_k :].reshape(len(ks), n_k, m, stack)
-        m_kt = m_kt + np.stack([oscillators[k].m_coupling.T for k in ks])[..., None]
+        m_kt = d[:, at[:, n_k:]] + np.stack([oscillators[k].m_coupling.T for k in ks])[..., None]
         m_k = np.ascontiguousarray(m_kt.swapaxes(1, 2))
         # B_k and C_k of the run formed in place, as views of its rows of b and columns of c
         b_k = b[rows].reshape(len(ks), n_k, m, stack)
         np.matmul(theta2, m_kt.reshape(len(ks), n_k, -1), out=b_k.reshape(len(ks), n_k, -1))
         c_k = c[:, rows].reshape(m, len(ks), n_k, stack).swapaxes(0, 1)
         np.matmul(2.0 * j_ito, m_k.reshape(len(ks), m, -1), out=c_k.reshape(len(ks), m, -1))
-        r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, vech_at]
+        r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, at[:, :n_k]]
         # stack-first views (K, S, ., .), no data moved; on one copy the product is
         # the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
         mjm = np.matmul(*(np.moveaxis(x, -1, 1) for x in (np.einsum("kias,ab->kibs", m_kt, j_ito), m_k)))

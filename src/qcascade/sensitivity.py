@@ -4,9 +4,9 @@ Parameter errors of oscillator k are modelled as a Gaussian vector
 de_k = [vech dR_k; vec dM_k] with covariance Sigma_k (columns-first
 conventions throughout, sizes from :func:`parameter_sizes`). To first
 order the log-determinant responds by dV = g_k^T de_k with g_k =
-d_vector(k) = [dup^T vec rho_k; -vec mu_k] (:meth:`GradientSet.d_vector`:
-off-diagonal energy entries count twice, and mu_k = -dV/dM_k), so the
-variance of dV is the sensitivity index Z = sum_k g_k^T Sigma_k g_k.
+d_vector(k), dV/de_k (:meth:`GradientSet.d_vector`: off-diagonal energy
+entries count twice, and mu_k = -dV/dM_k), so the variance of dV is the
+sensitivity index Z = sum_k g_k^T Sigma_k g_k.
 
 The module provides the index itself, a Monte-Carlo validation of the
 first-order law, the Fisher-information counterpart defined through the
@@ -106,7 +106,8 @@ def monte_carlo_variance(
     chunks are drawn, built and solved one at a time, in draw order, on the
     calling thread, so only one chunk's stacks are held at once, the
     caller's ``np.errstate`` applies, and the first error is raised before
-    any later chunk is drawn.
+    any later chunk is drawn. A caller that never runs ``cli.main`` has no heap
+    policy, so each chunk's build is slower (README, "Memory between chunks").
     """
     if samples < 2:
         raise ValueError(f"a sample variance needs at least two samples, got {samples}")

@@ -17,7 +17,9 @@ import pytest
 import qcascade.cli
 from qcascade.cli import CascadeSpecFile, build_cascade, load_spec
 from qcascade.linalg import block_slices, is_hurwitz, symplectic_exponential, vech_to_symmetric
-from qcascade.oscillator import CascadeModel, OscillatorParams, default_theta
+from qcascade.oscillator import (
+    CascadeModel, OscillatorParams, OscillatorUncertainty, UncertaintyModel, default_theta,
+)
 
 # written by tests/data/make_cascade_n3_m6.py: seed 1706, make_oscillator rule
 GENERATED_SPEC = Path(__file__).resolve().parent / "data" / "cascade_n3_m6.json"
@@ -58,6 +60,11 @@ def paper_spec() -> CascadeSpecFile:
 @pytest.fixture(scope="session")
 def paper_cascade(paper_spec) -> CascadeModel:
     return build_cascade(paper_spec)
+
+
+def weight_model(weights) -> UncertaintyModel:
+    """Error model of isotropic bounds (a_k, b_k), one pair per oscillator."""
+    return UncertaintyModel(tuple(OscillatorUncertainty(energy_weight=a, coupling_weight=b) for a, b in weights))
 
 
 def make_oscillator(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import move_balancing_optimum
+from conftest import move_balancing_optimum, weight_model
 from qcascade.balance import (
     OneModeBalanceProblem,
     balance_cascade,
@@ -201,7 +201,7 @@ class TestOneMode:
         # (a, b) -> 4^j (a, b) scales rho and tau by exact powers of two, so every
         # ratio is the same to the bit; the rank rule used to refuse j = -21
         weights = [unc.weights() for unc in reference_spec.uncertainty.oscillators]
-        scaled = UncertaintyModel.from_weights([(4.0**j * a, 4.0**j * b) for a, b in weights])
+        scaled = weight_model([(4.0**j * a, 4.0**j * b) for a, b in weights])
         report = balance_cascade(reference_cascade, scaled)
         assert report.ratios == reference_report.ratios
         assert report.uncertified == 0

@@ -20,6 +20,7 @@ from conftest import (
     random_blockdiag_symplectic,
     random_symplectic,
     rank_m_stack,
+    weight_model,
 )
 from qcascade.covariance import (
     invariant_covariance_direct,
@@ -37,14 +38,14 @@ from qcascade.gradients import (
     purity_gradients_recursive,
 )
 from qcascade.linalg import (
-    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, symmetric_part, vech,
+    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, symmetric_part, vech_to_symmetric,
 )
-from qcascade.oracles import duplication_matrix, solve_lyapunov
+from qcascade.oracles import duplication_matrix, solve_lyapunov, vech
 from qcascade.oscillator import (
     OscillatorParams,
-    UncertaintyModel,
     assemble_cascade,
     default_theta,
+    parameter_positions,
     parameter_sizes,
     perturbed_cascade_stack,
     transform_params,
@@ -463,7 +464,7 @@ class TestProbeStack:
             assert np.max(np.abs(dp - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_responses_build_no_perturbed_cascade(self, cascade, monkeypatch):
-        uncertainty = UncertaintyModel.from_weights([(0.5, 1.5)] * len(cascade.dims))
+        uncertainty = weight_model([(0.5, 1.5)] * len(cascade.dims))
         want = fisher_sensitivity(cascade, uncertainty).z_total
 
         def refuse(*args, **kwargs):
@@ -633,7 +634,35 @@ class TestCovarianceDerivatives:
                 np.testing.assert_allclose(dp, dp.T, atol=1e-10)
 
 
+def layout_cascade(build, reference_cascade):
+    return {
+        "reference": reference_cascade,
+        "mixed": make_mixed_cascade(np.random.default_rng(5151)),
+    }[build]
+
+
 class TestVectorLayout:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_positions_gather_dr_and_the_transposed_dm(self, n, m):
+        # de[at] is [dR | dM^T]: dR from its vech half, dM from its vec half, columns first
+        at = parameter_positions(n, m)
+        d_r, d_m = parameter_sizes(n, m)
+        de = np.random.default_rng(100 * n + m).standard_normal(d_r + d_m)
+        assert at.shape == (n, n + m) and not at.flags.writeable
+        assert parameter_positions(n, m) is at
+        np.testing.assert_array_equal(de[at[:, :n]], vech_to_symmetric(de[:d_r], n))
+        np.testing.assert_array_equal(de[at[:, n:]], de[d_r:].reshape(n, m))
+
+    @pytest.mark.parametrize("build", ["reference", "mixed"])
+    def test_unpack_inverts_d_vector(self, build, reference_cascade):
+        cascade = layout_cascade(build, reference_cascade)
+        grads = purity_gradients_direct(cascade)
+        for k, nk in enumerate(cascade.dims):
+            rho, mu = GradientSet._unpack(grads.d_vector(k), nk, cascade.m)
+            np.testing.assert_array_equal(rho, grads.rho[k])
+            np.testing.assert_array_equal(mu, grads.mu[k])
+
     def test_d_vector_stacks_energy_then_coupling(self, reference_cascade, reference_gradients):
         # dV/de_k: off-diagonal energy entries doubled, the coupling half negated (mu = -dV/dM)
         for k, nk in enumerate(reference_cascade.dims):
@@ -650,10 +679,7 @@ class TestVectorLayout:
     @pytest.mark.parametrize("build", ["reference", "mixed"])
     def test_d_vector_is_the_directional_derivative(self, build, reference_cascade):
         # sum_k d_vector(k) . de_k is the central difference of V along (de_0, ..., de_N)
-        cascade = {
-            "reference": reference_cascade,
-            "mixed": make_mixed_cascade(np.random.default_rng(5151)),
-        }[build]
+        cascade = layout_cascade(build, reference_cascade)
         grads = purity_gradients_direct(cascade)
         rng = np.random.default_rng(1)
         de = [rng.standard_normal(sum(parameter_sizes(nk, cascade.m))) for nk in cascade.dims]
@@ -664,3 +690,9 @@ class TestVectorLayout:
         slope = (logdet[0] - logdet[1]) / (2.0 * h)
         predicted = sum(grads.d_vector(k) @ u for k, u in enumerate(de))
         assert abs(predicted - slope) <= 1e-6 * abs(slope)
+        # and d_vector(k) . de_k = <rho_k, dR_k> - <mu_k, dM_k>, de_k = [vech dR_k; vec dM_k]
+        for k, (nk, u) in enumerate(zip(cascade.dims, de)):
+            d_r = parameter_sizes(nk, cascade.m)[0]
+            dr, dm = vech_to_symmetric(u[:d_r], nk), u[d_r:].reshape((cascade.m, nk), order="F")
+            want = np.sum(grads.rho[k] * dr) - np.sum(grads.mu[k] * dm)
+            assert grads.d_vector(k) @ u == pytest.approx(want, rel=1e-14)

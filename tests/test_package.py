@@ -379,8 +379,30 @@ def _enumerates_the_lower_triangle(node: ast.AST) -> bool:
 def test_only_vech_indices_enumerates_the_lower_triangle():
     # one owner for the vech order, column by column down the lower
     # triangle: vech, its inverse, the duplication matrix, the oracle's
-    # probe labels and the series builder's vech positions all read it
+    # probe labels and the parameter positions all read it
     assert _owners(_enumerates_the_lower_triangle) == ["linalg.vech_indices"]
+
+
+def _builds_a_position_map(node: ast.AST) -> bool:
+    """``vech_to_symmetric(arange(...), ...)``, the vech position of every entry
+    of dR, or ``arange(...).reshape(...)``, the vec position of every entry of dM."""
+    if not isinstance(node, ast.Call):
+        return False
+    if _name(node.func) == "vech_to_symmetric":
+        return bool(node.args) and isinstance(node.args[0], ast.Call) and _name(node.args[0].func) == "arange"
+    receiver = getattr(node.func, "value", None)
+    return (
+        _name(node.func) == "reshape" and isinstance(receiver, ast.Call) and _name(receiver.func) == "arange"
+    )
+
+
+def test_only_parameter_positions_builds_the_position_map():
+    # one owner for where each entry of [dR | dM^T] sits in de = [vech dR; vec dM]:
+    # the series builder, the covariance responses and d_vector and its inverse read it
+    assert _owners(_builds_a_position_map) == ["oscillator.parameter_positions"] * 2
+    assert _builds_a_position_map(ast.parse("vech_to_symmetric(np.arange(d), n)").body[0].value)
+    assert _builds_a_position_map(ast.parse("np.arange(m * n).reshape(n, m)").body[0].value)
+    assert not _builds_a_position_map(ast.parse("vech_to_symmetric(v, n)").body[0].value)
 
 
 def test_only_the_schur_complement_oracle_solves_with_cho_solve():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcascade.sensitivity
-from conftest import make_cascade, rank_m_stack
+from conftest import make_cascade, rank_m_stack, weight_model
 from qcascade.errors import (
     DimensionMismatch,
     NonPositive,
@@ -19,10 +19,9 @@ from qcascade.linalg import (
     J2,
     RESIDUAL_TOL,
     solve_cascade_lyapunov,
-    vech,
     vech_to_symmetric,
 )
-from qcascade.oracles import kl_quadratic, phi_transformed
+from qcascade.oracles import kl_quadratic, phi_transformed, vech
 from qcascade.oscillator import OscillatorParams, assemble_cascade
 from qcascade.sensitivity import (
     OscillatorUncertainty,
@@ -74,7 +73,7 @@ class TestIndex:
         assert idx.z_k == (0.0, 0.0, 0.0)
 
     def test_entry_count_must_match(self, reference_gradients):
-        short = UncertaintyModel.from_weights([(1.0, 1.0)])
+        short = weight_model([(1.0, 1.0)])
         with pytest.raises(ValueError):
             sensitivity_index(reference_gradients, short)
 
@@ -118,14 +117,14 @@ class TestUncertaintyChecks:
     )
     def test_weights_are_finite_and_nonnegative(self, weights):
         with pytest.raises(SchemaError, match="finite and nonnegative"):
-            UncertaintyModel.from_weights([weights] * 3)
+            weight_model([weights] * 3)
 
     def test_a_sigma_form_entry_has_no_weights(self):
         with pytest.raises(ValueError, match="^weight-form bounds are not available$"):
             OscillatorUncertainty(sigma=np.eye(7)).weights()
 
     def test_zero_weights_are_accepted(self):
-        assert UncertaintyModel.from_weights([(0.0, 0.0)]).oscillators[0].weights() == (0.0, 0.0)
+        assert weight_model([(0.0, 0.0)]).oscillators[0].weights() == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "sigma, error, shown",
@@ -223,7 +222,7 @@ class TestMonteCarlo:
             raise AssertionError("a chunk was built")
 
         monkeypatch.setattr(qcascade.sensitivity, "perturbed_cascade_stack", refuse)
-        zero = UncertaintyModel.from_weights([(0.0, 0.0)] * 3)
+        zero = weight_model([(0.0, 0.0)] * 3)
         with pytest.raises(SchemaError, match=r"predicts no variance of V \(eps Z = 0\.000e\+00\)"):
             monte_carlo_variance(reference_cascade, zero, samples=64)
 
@@ -262,7 +261,7 @@ class TestMonteCarlo:
     def test_six_oscillator_chain(self):
         rng = np.random.default_rng(606)
         cascade = make_cascade(rng, 6, 2)
-        unc = UncertaintyModel.from_weights(
+        unc = weight_model(
             [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
         )
         res = monte_carlo_variance(cascade, unc, samples=4096, epsilon=1e-10, seed=11)
@@ -274,7 +273,7 @@ class TestMonteCarlo:
         # parameters, drawn from the same stream in the same order
         rng = np.random.default_rng(606)
         cascade = make_cascade(rng, 6, 2)
-        unc = UncertaintyModel.from_weights(
+        unc = weight_model(
             [tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))]
         )
         eps, samples, chunk = 1e-10, 1024, 512
@@ -323,7 +322,7 @@ class TestMonteCarlo:
             m_coupling=0.1 * np.eye(2),
         )
         cascade = assemble_cascade([fragile])
-        unc = UncertaintyModel.from_weights([(1.0, 1.0)])
+        unc = weight_model([(1.0, 1.0)])
         # order-one draws at this margin cross the stability boundary often
         with pytest.raises(TooManyRejections):
             monte_carlo_variance(cascade, unc, samples=2_000, epsilon=1.0, seed=0)
@@ -332,7 +331,7 @@ class TestMonteCarlo:
 def six_oscillator_chain():
     rng = np.random.default_rng(606)
     cascade = make_cascade(rng, 6, 2)
-    unc = UncertaintyModel.from_weights([tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))])
+    unc = weight_model([tuple(w) for w in rng.uniform(0.5, 1.5, size=(6, 2))])
     return cascade, unc
 
 
@@ -414,7 +413,7 @@ class TestMonteCarloChunks:
                 r_energy=np.array([[0.0, 0.0099], [0.0099, 0.0]]),
                 m_coupling=0.3 * np.eye(2),
             )
-            cascade, unc = assemble_cascade([fragile]), UncertaintyModel.from_weights([(1.0, 1.0)])
+            cascade, unc = assemble_cascade([fragile]), weight_model([(1.0, 1.0)])
         monkeypatch.setattr(qcascade.sensitivity, "MC_CHUNK", 256)
         first = monte_carlo_variance(cascade, unc, samples=samples, epsilon=epsilon, seed=seed)
         assert first == monte_carlo_variance(cascade, unc, samples=samples, epsilon=epsilon, seed=seed)
