@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError, _prefixed
 from .gradients import purity_gradients_direct
-from .linalg import RESIDUAL_TOL, Matrix
+from .linalg import Matrix, certified
 from .oscillator import CascadeModel, UncertaintyModel, assemble_cascade, transform_params
 
 NEWTON_TOL = 1e-12
@@ -209,8 +209,8 @@ def minimize_psi_one_mode(problem: OneModeBalanceProblem) -> BalancingResult:
 @dataclass(frozen=True)
 class CascadeBalanceReport:
     """``total_ratio`` is the ratio of the summed indices. ``uncertified`` counts the
-    oscillators whose optimum fails its certificate: stationarity residual or
-    |det U - 1| above ``RESIDUAL_TOL``."""
+    oscillators whose optimum fails its certificate: the stationarity residual
+    or |det U - 1| fails :func:`~qcascade.linalg.certified`."""
 
     results: tuple[BalancingResult, ...]
     ratios: tuple[float, ...]
@@ -246,8 +246,7 @@ def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> Cas
     transformed = assemble_cascade(
         [transform_params(p, res.s_k) for p, res in zip(cascade.params, results)]
     )
-    # a NaN certificate compares False, so it fails too
-    certified = [res.stationarity <= RESIDUAL_TOL and res.det_gap <= RESIDUAL_TOL for res in results]
+    passes = [certified(res.stationarity) and certified(res.det_gap) for res in results]
     before = [res.psi_before for res in results]
     after = [res.psi_after for res in results]
     return CascadeBalanceReport(
@@ -255,7 +254,7 @@ def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> Cas
         ratios=tuple(a / b for a, b in zip(after, before)),
         total_ratio=float(sum(after) / sum(before)),
         transformed=transformed,
-        uncertified=certified.count(False),
+        uncertified=passes.count(False),
     )
 
 

@@ -17,11 +17,12 @@ a bool or a string is not one, whatever it spells.
 
 Commands: validate, covariance, purity, gradients, sensitivity, balance,
 mc-check, ti-bounds, reproduce-paper. A command is a view over one
-:class:`Pipeline` per run, whose balancing is computed at most once. Its
-spec and cascade come from a cache of one entry, keyed by the spec's path
-and the SHA-256 of its bytes, so commands that one interpreter runs on the
-same bytes parse the spec and assemble the cascade once, and share the P,
-steady-state record and gradients their owners keep on it; the
+:class:`Pipeline` per run; ``balance`` and ``reproduce-paper`` balance its
+cascade once and pass the report on. Its spec and cascade come from a cache
+of one entry, keyed by the spec's path and the SHA-256 of its bytes, so
+commands that one interpreter runs on the same bytes parse the spec and
+assemble the cascade once, and share the P, steady-state record and
+gradients their owners keep on it; the
 ``qcascade`` console script runs one command per process, so it always
 misses. A run that ends with an exception leaves no entry, so an error is
 never cached.
@@ -61,19 +62,16 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
 from . import __version__
 from .covariance import admissible, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
-from .linalg import RESIDUAL_TOL, checked_symmetric_part, quantum_psd_margin
+from .linalg import RESIDUAL_TOL, certified, checked_symmetric_part, quantum_psd_margin
 from .oscillator import CascadeModel, OscillatorParams, OscillatorUncertainty, UncertaintyModel
 from .oscillator import _check_thetas, _realizable, assemble_cascade, default_theta, parameter_sizes
-
-if TYPE_CHECKING:
-    from .balance import CascadeBalanceReport
 
 VALIDATION_ERRORS = (ParseError, SchemaError, DimensionMismatch, SingularTheta)
 
@@ -394,9 +392,8 @@ def _take_loaded(path: Path) -> tuple[CascadeSpecFile, CascadeModel | None]:
 @dataclass(frozen=True)
 class Pipeline:
     """One command run on one spec and its cascade, shared by every run on the
-    same spec bytes: the stages that depend on run settings, each computed at
-    most once per run on first use, and the files the command adds next to
-    ``report.json``."""
+    same spec bytes: its run settings, output directory and the files the
+    command adds next to ``report.json``."""
 
     spec: CascadeSpecFile
     cascade: CascadeModel
@@ -406,17 +403,11 @@ class Pipeline:
     csv_series: dict[str, tuple[str, list[tuple]]] = field(default_factory=dict)
     extra_files: dict[str, dict[str, Any]] = field(default_factory=dict)
 
-    @functools.cached_property
+    @property
     def uncertainty(self) -> UncertaintyModel:
         if self.spec.uncertainty is None:
             raise SchemaError("this command needs an 'uncertainty' block in the spec")
         return self.spec.uncertainty
-
-    @functools.cached_property
-    def balance(self) -> CascadeBalanceReport:
-        from .balance import balance_cascade
-
-        return balance_cascade(self.cascade, self.uncertainty)
 
     @property
     def provenance(self) -> dict[str, Any]:
@@ -481,9 +472,9 @@ def _cmd_validate(run: Pipeline) -> Reply:
 
 
 def _gap_verdict(name: str, gap: float, scale: float) -> tuple[int, list[str]]:
-    """Exit code and table lines of the one gap rule, gap <= ``RESIDUAL_TOL`` x max(1, scale)."""
+    """Exit code and table lines of the one gap rule, :func:`certified` on max(1, scale)."""
     bound = max(1.0, scale)
-    if gap <= RESIDUAL_TOL * bound:
+    if certified(gap, bound):
         return 0, []
     return 2, [f"{name} gap {gap:.3e} exceeds {RESIDUAL_TOL:.1e} x {bound:.3e}"]
 
@@ -587,15 +578,15 @@ def _spec_document_from_cascade(
     return doc
 
 
-def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
-    """Results and table of the balancing, and whether it is certified: every
-    oscillator passes its stationarity certificate, and the round trip holds
+def _balance_results(run: Pipeline, report) -> tuple[dict, str, bool]:
+    """Results and table of the balancing ``report``, and whether it is certified:
+    every oscillator passes its stationarity certificate, and the round trip holds
     (the gradients of the balanced cascade give back each Psi_k(S_k) within
     the :func:`_gap_verdict` of max psi_after)."""
     from .gradients import purity_gradients_direct
     from .sensitivity import psi_transformed
 
-    report, uncertainty, dims = run.balance, run.uncertainty, run.cascade.dims
+    uncertainty, dims = run.uncertainty, run.cascade.dims
     new_grads = purity_gradients_direct(report.transformed)
     round_trip = [
         abs(psi_transformed(new_grads, uncertainty, k, np.eye(dims[k])) - res.psi_after)
@@ -630,10 +621,10 @@ def _balance_results(run: Pipeline) -> tuple[dict, str, bool]:
 
 
 def _cmd_balance(run: Pipeline) -> Reply:
-    from .balance import f_lambda
+    from .balance import balance_cascade, f_lambda
 
-    results, table, certified = _balance_results(run)
-    report = run.balance
+    report = balance_cascade(run.cascade, run.uncertainty)
+    results, table, passed = _balance_results(run, report)
     run.extra_files["balanced.json"] = _spec_document_from_cascade(run.spec, report.transformed)
     curve: list[tuple] = []
     for k, res in enumerate(report.results):
@@ -642,7 +633,7 @@ def _cmd_balance(run: Pipeline) -> Reply:
         h_vals = np.prod(f_lambda(res.whitened_spectrum, lams[:, None]), axis=1)
         curve += [(k, lam, h_val) for lam, h_val in zip(lams.tolist(), h_vals.tolist())]
     run.csv_series["balance_multiplier.csv"] = ("oscillator,lambda,h", curve)
-    return results, 0 if certified else 2, table
+    return results, 0 if passed else 2, table
 
 
 def _cmd_mc_check(run: Pipeline) -> Reply:
@@ -714,11 +705,13 @@ def _compare(name: str, got, want: np.ndarray, atol: float, rtol: float) -> dict
 def _cmd_reproduce(run: Pipeline) -> Reply:
     if run.spec.expected is None:
         raise SchemaError("reproduce needs an 'expected' block in the spec")
+    from .balance import balance_cascade
     from .gradients import purity_gradients_direct
 
     expected = run.spec.expected
-    balance_results, _, certified = _balance_results(run)
-    grads, report = purity_gradients_direct(run.cascade), run.balance
+    report = balance_cascade(run.cascade, run.uncertainty)
+    balance_results, _, passed = _balance_results(run, report)
+    grads = purity_gradients_direct(run.cascade)
     res = report.results
     computed = {
         "rho": grads.rho, "mu": grads.mu, "s": [r.s_k for r in res],
@@ -741,7 +734,7 @@ def _cmd_reproduce(run: Pipeline) -> Reply:
         )
     lines.append(f"overall: {'pass' if all_pass else 'FAIL'}")
     results = {"checks": checks, "all_pass": bool(all_pass), "balance": balance_results}
-    return results, 0 if all_pass and certified else 2, "\n".join(lines)
+    return results, 0 if all_pass and passed else 2, "\n".join(lines)
 
 
 #: command name -> view over a run's pipeline; each returns (results, exit

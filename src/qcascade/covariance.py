@@ -27,6 +27,7 @@ from .linalg import (
     Matrix,
     block_slices,
     cascade_schur,
+    certified,
     dpotrf,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
@@ -93,16 +94,16 @@ def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
 
 
 def log_det_stack(stack: CascadeStack) -> tuple[np.ndarray, np.ndarray]:
-    """Per copy of a perturbed cascade stack, ln det P (NaN where P is not
-    positive definite) and the residual certificate (infinite where a
-    diagonal block is not Hurwitz). The stable copies are solved together
-    by :func:`solve_cascade_lyapunov` and factored in place by
-    :func:`_cholesky_log_det`."""
+    """Per copy of a perturbed cascade stack, ln det P and the residual
+    certificate (inf where a diagonal block is not Hurwitz); ln det P is NaN
+    unless the copy is stable, its P positive definite and its certificate
+    :func:`certified`. The stable copies are solved together by
+    :func:`solve_cascade_lyapunov` and factored in place by :func:`_cholesky_log_det`."""
     stable = stack.hurwitz.all(axis=0)
     solved = stack if stable.all() else stack.compress(stable)
     p, certificate = solve_cascade_lyapunov(solved.diag, solved.b, solved.c)
     out_logdet = np.full(stable.shape, np.nan)
-    out_logdet[stable] = _cholesky_log_det(p)
+    out_logdet[stable] = np.where(certified(certificate), _cholesky_log_det(p), np.nan)
     out_certificate = np.full(stable.shape, np.inf)
     out_certificate[stable] = certificate
     return out_logdet, out_certificate

@@ -44,6 +44,7 @@ from .linalg import (
     block_slices,
     block_upper_mask,
     cascade_schur,
+    certified,
     dpotrs,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
@@ -202,10 +203,10 @@ def _probe_chunks(cascade: CascadeModel, copies: int) -> Iterator[tuple[int, int
     return zip(bounds[:-1], bounds[1:])
 
 
-def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) -> np.ndarray:
-    """V of every copy of a signed stack; the first failing copy raises."""
+def _fd_values(stack: CascadeStack, labels: list[str]) -> np.ndarray:
+    """V of every copy of a signed stack; the first copy without one raises."""
     logdet, certificate = log_det_stack(stack)
-    failed = np.flatnonzero(~(certificate <= RESIDUAL_TOL) | np.isnan(logdet))
+    failed = np.flatnonzero(np.isnan(logdet))
     if failed.size:
         t = int(failed[0])
         label = labels[t // 2]
@@ -215,11 +216,8 @@ def _fd_values(cascade: CascadeModel, stack: CascadeStack, labels: list[str]) ->
                 f"perturbation of {label} leaves the stability domain: oscillator "
                 f"{unstable[0]} has spectral abscissa {stack.abscissa[unstable[0], t]:.3e}"
             )
-        error = NonPositive if certificate[t] <= RESIDUAL_TOL else SolverSingular
-        raise error(
-            f"perturbation of {label}: residual certificate {certificate[t]:.3e}, "
-            f"ln det P {logdet[t]:.6g} (NaN: P not positive definite)"
-        )
+        error = NonPositive if certified(certificate[t]) else SolverSingular
+        raise error(f"perturbation of {label}: residual certificate {certificate[t]:.3e}")
     return logdet
 
 
@@ -244,7 +242,7 @@ def gradient_fd_oracle(cascade: CascadeModel, h: float = 1e-5) -> GradientSet:
             # copies 2(t - lo) and 2(t - lo) + 1 move the entry of probe t by +h and -h
             signed = np.kron(np.eye(hi - lo, probes[-1].stop, lo), [[h], [-h]])
             stack = perturbed_cascade_stack(cascade, [signed[:, blk] for blk in probes])
-            values[2 * lo : 2 * hi] = _fd_values(cascade, stack, labels[lo:hi])
+            values[2 * lo : 2 * hi] = _fd_values(stack, labels[lo:hi])
     slopes = (values[0::2] - values[1::2]) / (2.0 * h)
     pairs = [GradientSet._unpack(slopes[blk], nk, m) for blk, nk in zip(probes, cascade.dims)]
     rho, mu = zip(*pairs)
@@ -288,7 +286,7 @@ def covariance_derivatives(cascade: CascadeModel) -> tuple[np.ndarray, ...]:
             dp[..., lo:hi], certificate[lo:hi] = solve_cascade_lyapunov(diag, b, c, force)
     for k, blk in enumerate(probes):
         worst = float(np.max(certificate[blk]))
-        if not worst <= RESIDUAL_TOL:
+        if not certified(worst):
             raise SolverSingular(
                 f"covariance response of oscillator {k}: residual certificate "
                 f"{worst:.3e} exceeds {RESIDUAL_TOL:.1e}"

@@ -2,10 +2,11 @@
 
 Sylvester and Lyapunov solvers with stability preconditions, the symmetric
 matrix of a half-vectorization, and the residual certificate of quantum
-admissibility. Three decisions have their one owner here: the block layout of
+admissibility. Four decisions have their one owner here: the block layout of
 a cascade (:func:`block_slices` and :func:`block_upper_mask`), the Hurwitz rule
-(:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``) and the vech order
-of a lower triangle (:func:`vech_indices`), not the places of a parameter error.
+(:func:`hurwitz_flag`, the only reader of ``HURWITZ_TOL``), the certificate
+rule (:func:`certified`, the only comparison with ``RESIDUAL_TOL``) and the vech
+order of a lower triangle (:func:`vech_indices`), not the places of a parameter error.
 
 Every production Sylvester solve is certified and takes one of two routes.
 An equation on one pair of matrices is a Schur (Bartels-Stewart) solve:
@@ -185,6 +186,11 @@ def hurwitz_flag(abscissa: float | np.ndarray, scale: float | np.ndarray) -> boo
     return abscissa < -HURWITZ_TOL * scale
 
 
+def certified(residual: float | np.ndarray, scale: float | np.ndarray = 1.0) -> bool | np.ndarray:
+    """The certificate rule, elementwise: residual <= RESIDUAL_TOL x scale, which a NaN fails."""
+    return residual <= RESIDUAL_TOL * scale
+
+
 def is_hurwitz(a: Matrix, scale: float) -> tuple[bool, float]:
     """Stability test of a real or complex matrix on the scale ``scale``. Returns
     (:func:`hurwitz_flag` of the spectral abscissa, the spectral abscissa)."""
@@ -268,7 +274,7 @@ def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
     scale = _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma)
-    if not residual <= RESIDUAL_TOL * max(scale, _TINY) < np.inf:
+    if not (certified(residual, max(scale, _TINY)) and scale < np.inf):
         raise SolverSingular(
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}"
         )
@@ -427,8 +433,8 @@ def solve_cascade_lyapunov(
 
     Returns the symmetric solutions, shape (n, n, S), and per copy the
     residual certificate ||A P + P A^T + Q|| / (2 ||A|| ||P|| + ||Q||)
-    of the composite A in Frobenius norms, the same ratio
-    :func:`solve_sylvester` bounds by ``RESIDUAL_TOL``, formed in rank-m
+    of the composite A in Frobenius norms, the ratio :func:`certify_sylvester`
+    judges, left to the caller's :func:`certified`. It is formed in rank-m
     form: each block's residual is its forcing, built from the final P,
     plus A_jj P_jk + P_jk A_kk^T, and :func:`_lyapunov_residual_ratio`
     scales their sum.

@@ -23,7 +23,7 @@ import numpy as np
 from .covariance import _cholesky, _lapack_solve, log_det_stack, steady_state
 from .errors import NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
-from .linalg import RESIDUAL_TOL, Matrix, dtrtrs
+from .linalg import Matrix, dtrtrs
 from .oscillator import (
     CascadeModel, OscillatorUncertainty, UncertaintyModel, _sigma_sqrt, perturbed_cascade_stack,
 )
@@ -95,9 +95,9 @@ def monte_carlo_variance(
     factor; a base P that is not positive definite raises NonPositive or
     SingularLeadingBlock naming the pivot; eps Z = 0 raises SchemaError.
 
-    A sample is rejected when a perturbed diagonal block is not Hurwitz,
-    when its P is not positive definite, or when its residual
-    certificate exceeds ``RESIDUAL_TOL``; more than one percent of
+    A sample is rejected when :func:`log_det_stack` gives it no ln det P: a
+    perturbed diagonal block is not Hurwitz, its P is not positive definite,
+    or its residual certificate fails; more than one percent of
     rejections aborts, so two or more of the at least two samples that a
     sample variance needs remain; fewer samples raise ValueError.
 
@@ -128,8 +128,8 @@ def monte_carlo_variance(
         for done in range(0, samples, MC_CHUNK):
             s_chunk = min(MC_CHUNK, samples - done)
             de = [rng.standard_normal((s_chunk, f.shape[0])) @ f.T for f in sqrt_factors]
-            logdet, certificate = log_det_stack(perturbed_cascade_stack(cascade, de))
-            good = (certificate <= RESIDUAL_TOL) & ~np.isnan(logdet)
+            logdet, _ = log_det_stack(perturbed_cascade_stack(cascade, de))
+            good = ~np.isnan(logdet)
             rejected += logdet.size - int(np.count_nonzero(good))
             deltas.append(logdet[good] - v0)
 

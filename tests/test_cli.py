@@ -529,6 +529,30 @@ class TestCommands:
         else:
             assert results["all_pass"] is True
 
+    @pytest.mark.parametrize("field", ["stationarity", "det_gap"])
+    def test_a_nan_certificate_fails(self, field, tmp_path, capsys, monkeypatch):
+        # oscillator 1's certificate is NaN; the strict report refuses a NaN
+        # stationarity, which it records, and is written for a NaN det_gap
+        import qcascade.balance
+
+        minimize, calls = qcascade.balance.minimize_psi_one_mode, []
+
+        def nan_at_oscillator_1(problem):
+            calls.append(problem)
+            res = minimize(problem)
+            return replace(res, **{field: np.nan}) if len(calls) == 2 else res
+
+        monkeypatch.setattr(qcascade.balance, "minimize_psi_one_mode", nan_at_oscillator_1)
+        out = tmp_path / "out"
+        assert main(["balance", str(GENERATED_SPEC), "--out", str(out)]) == 2
+        assert len(calls) == 3
+        stdout, stderr = capsys.readouterr()
+        if field == "stationarity":
+            assert "result is not finite" in stderr and not (out / "report.json").exists()
+        else:
+            assert json.loads((out / "report.json").read_text())["results"]["probe_violations"] == 1
+            assert "1 oscillator(s) fail the stationarity certificate" in stdout
+
     @pytest.mark.parametrize("command", ["balance", "reproduce-paper"])
     @pytest.mark.parametrize(
         "spec, code", [(AMPLIFYING16_SPEC, 2), (GENERATED_SPEC, 0)], ids=["amplifying16", "generated"]

@@ -25,7 +25,7 @@ from qcascade.covariance import (
 )
 from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
 from qcascade.gradients import observability_gramian_and_hankelian
-from qcascade.linalg import J2, quantum_psd_margin
+from qcascade.linalg import J2, RESIDUAL_TOL, quantum_psd_margin
 from qcascade.oracles import frequency_domain_covariance, purity_and_logdet
 from qcascade.oscillator import (
     OscillatorParams,
@@ -363,6 +363,28 @@ class TestLogDetStack:
         np.testing.assert_array_equal(logdet[keep], want_logdet)
         np.testing.assert_array_equal(certificate[keep], want_certificate)
         assert np.all(np.isfinite(want_logdet))
+
+    def test_a_copy_that_fails_the_certificate_has_no_log_det(self, monkeypatch):
+        # copy 2's certificate is one ulp above the bound: its ln det is NaN,
+        # its certificate is returned, and the other copies keep their bits
+        cascade = make_cascade(np.random.default_rng(12), 3, 2)
+        rng = np.random.default_rng(13)
+        stack = perturbed_cascade_stack(cascade, [1e-3 * rng.standard_normal((5, 3 + 2 * 2)) for _ in cascade.dims])
+        want_logdet, want_certificate = log_det_stack(stack)
+        assert np.all(np.isfinite(want_logdet))
+        solve, failing = qcascade.covariance.solve_cascade_lyapunov, np.nextafter(RESIDUAL_TOL, np.inf)
+
+        def failing_copy_2(diag, b, c):
+            p, certificate = solve(diag, b, c)
+            certificate[2] = failing
+            return p, certificate
+
+        monkeypatch.setattr(qcascade.covariance, "solve_cascade_lyapunov", failing_copy_2)
+        logdet, certificate = log_det_stack(stack)
+        keep = np.arange(5) != 2
+        assert np.isnan(logdet[2]) and certificate[2] == failing
+        np.testing.assert_array_equal(logdet[keep], want_logdet[keep])
+        np.testing.assert_array_equal(certificate[keep], want_certificate[keep])
 
     def test_empty_stack_gives_empty_arrays(self):
         cascade = make_cascade(np.random.default_rng(12), 3, 2)

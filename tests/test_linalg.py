@@ -24,6 +24,7 @@ from qcascade.linalg import (
     _sylvester_step,
     block_slices,
     cascade_schur,
+    certified,
     certify_sylvester,
     is_hurwitz,
     quantum_psd_margin,
@@ -529,6 +530,21 @@ class TestResidualCertificate:
             for cols in blocks:
                 away = moved(p, rows, cols, 1e-6, rng)
                 assert np.all(recomputed_residual_ratio(diag, b, c, q, away) > RESIDUAL_TOL)
+
+
+class TestCertificateRule:
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 4.0**-20, 4.0**20])
+    def test_passes_exactly_the_bound(self, scale):
+        bound = RESIDUAL_TOL * scale
+        assert certified(bound, scale) and certified(0.0, scale)
+        assert not certified(np.nextafter(bound, np.inf), scale)
+
+    def test_fails_nan_and_inf_elementwise(self):
+        above = np.nextafter(RESIDUAL_TOL, np.inf)
+        residual = np.array([0.0, RESIDUAL_TOL, above, np.nan, np.inf])
+        np.testing.assert_array_equal(certified(residual), [True, True, False, False, False])
+        scale = np.array([1.0, 2.0, np.nan])
+        np.testing.assert_array_equal(certified(np.full(3, 2.0 * RESIDUAL_TOL), scale), [False, True, False])
 
 
 def with_spectrum(rng, eig, pair):

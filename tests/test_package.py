@@ -317,6 +317,56 @@ def test_only_the_realizability_rule_reads_its_tolerance():
     assert _owners(reads) == ["oscillator._realizable"]
 
 
+def _outside_fstrings(node: ast.AST):
+    """Every node below ``node`` but those of an f-string, which only prints its values."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node) if not isinstance(child, ast.JoinedStr))
+
+
+def test_only_the_certificate_rule_compares_with_the_residual_tolerance():
+    # every certificate of P, the gradients, the responses, the index, the
+    # balancing and the route gaps is judged by linalg.certified; a message
+    # may still print the tolerance
+    def compares(node):
+        return isinstance(node, (ast.Compare, ast.BinOp)) and any(
+            _name(x) == "RESIDUAL_TOL" for x in _outside_fstrings(node)
+        )
+
+    def imports(node):
+        return isinstance(node, ast.ImportFrom) and any(alias.name == "RESIDUAL_TOL" for alias in node.names)
+
+    assert set(_owners(compares)) == {"linalg.certified"}
+    assert compares(ast.parse("r <= RESIDUAL_TOL * s").body[0].value)
+    assert not compares(ast.parse("'x' + f'{RESIDUAL_TOL:.1e}'").body[0].value)
+    assert not {use.partition(".")[0] for use in _owners(imports)} & {"balance", "sensitivity"}
+
+
+#: the one parameter no body reads: LAPACK's dgees calls its eigenvalue
+#: selector with (wr, wi), so linalg._no_sort takes both, though an unsorted
+#: factorization never calls it
+UNREAD_PARAMETERS = {"linalg._no_sort": {"wr", "wi"}}
+
+
+def test_every_parameter_of_a_function_is_read():
+    unread = {}
+    for path in sorted((REPO / "src" / "qcascade").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+            read = {
+                node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            if params - read:
+                unread[f"{path.stem}.{fn.name}"] = params - read
+    assert unread == UNREAD_PARAMETERS
+
+
 def test_only_the_purity_takes_a_log_determinant_by_slogdet():
     # ln det P comes from a Cholesky factor, and the relative entropy from the
     # spectrum of a whitened difference; slogdet is left with det theta alone
