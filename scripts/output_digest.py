@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per (spec, command) over all that a run gives back: its
-exit code, standard output, standard error and every file it writes.
+"""Print one line per (spec, command), ``<spec> <command> <exit code> <sha256>``:
+the SHA-256 is over all that a run gives back, its exit code, standard
+output, standard error and every file it writes. The exit code beside it
+shows in the same diff whether a verdict moved where the bytes did.
 
 All nine commands run in this process through ``qcascade.cli.main``, each
 into a fresh directory; ``mc-check`` runs with ``--samples 2048``. The spec's
@@ -26,8 +28,8 @@ from qcascade.cli import COMMANDS, main
 EXTRA = {"mc-check": ["--samples", "2048"]}
 
 
-def digest(spec: Path, command: str) -> str:
-    """SHA-256 of one run of ``command`` on ``spec``, the spec's path reduced to its name."""
+def digest(spec: Path, command: str) -> tuple[int, str]:
+    """Exit code and SHA-256 of one run of ``command`` on ``spec``, the spec's path reduced to its name."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -36,7 +38,7 @@ def digest(spec: Path, command: str) -> str:
         for path in sorted(Path(tmp).iterdir()):
             parts += [path.name, path.read_text()]
     text = "\0".join(parts).replace(str(spec), spec.name)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return code, hashlib.sha256(text.encode()).hexdigest()
 
 
 def main_digest() -> int:
@@ -45,7 +47,8 @@ def main_digest() -> int:
     specs = parser.parse_args().specs or sorted((ROOT / "tests" / "data").glob("*.json"))
     for spec in specs:
         for command in COMMANDS:
-            print(f"{spec.name} {command} {digest(spec, command)}", flush=True)
+            code, sha = digest(spec, command)
+            print(f"{spec.name} {command} {code} {sha}", flush=True)
     return 0
 
 

@@ -603,7 +603,8 @@ def _balance_results(run: Pipeline, report) -> tuple[dict, str, bool]:
         "psi_after": [r.psi_after for r in report.results],
         "ratios": list(report.ratios),
         "total_ratio": report.total_ratio,
-        "stationarity_k": [r.stationarity for r in report.results],
+        # null where not a finite number: the strict writer refuses NaN, and probe_violations counts it
+        "stationarity_k": [r.stationarity if np.isfinite(r.stationarity) else None for r in report.results],
         # the key the benchmark reads: oscillators whose optimum fails its certificate
         "probe_violations": report.uncertified,
         "round_trip_gap": max(round_trip),

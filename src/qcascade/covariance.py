@@ -3,8 +3,8 @@
 The invariant covariance of the composite state solves the algebraic
 Lyapunov equation A P + P A^T + B B^T = 0, in production by one direct
 solve on the composite matrices, a triangular solve on the one-block
-:func:`cascade_schur` factor of A^T; a block recursion that adds one
-oscillator at a time is kept as an independent oracle. The Schur
+:func:`cascade_schur` factor of A^T; block forward substitution by
+columns, one solve per oscillator, is kept as an independent oracle. The Schur
 complements of the leading blocks split the log-determinant of P into
 per-oscillator terms, which is the quantity the gradient and balancing
 modules act on. They are read off one Cholesky factor P = L L^T (the
@@ -128,35 +128,27 @@ def _cholesky_log_det(p: np.ndarray) -> np.ndarray:
 
 
 def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:
-    """Steady-state covariance built one oscillator at a time.
-
-    Step k solves a Sylvester equation for the cross block between
-    oscillator k and its predecessors, then a Lyapunov equation for the
-    new diagonal block, both on sub-blocks of one structured Schur
-    factor of the cascade. Agrees with the direct route to round-off.
-    """
+    """Steady-state covariance by block forward substitution, one block column
+    per oscillator (Bartels and Stewart, 1972), on one structured Schur factor
+    of the cascade. Agrees with the direct route to round-off."""
     cascade.require_hurwitz()
     return _recursive_covariance(cascade, cascade_schur(cascade.a, cascade.dims))
 
 
 def _recursive_covariance(cascade: CascadeModel, factor: CascadeSchur) -> Matrix:
-    """The recursion of :func:`invariant_covariance_recursive` on a given
-    :func:`cascade_schur` factor of a stable cascade."""
-    p = np.zeros((cascade.n, cascade.n))
-    for k, (rk, blk) in enumerate(zip(cascade.realizations, cascade.blocks)):
-        lead = slice(0, blk.start)
-        c_lead = cascade.c[:, lead]
-        if k:
-            q_k = solve_cascade_sylvester(
-                factor, blk, lead, rk.b @ (c_lead @ p[lead, lead] + cascade.b[lead].T)
-            )
-            p[blk, lead] = q_k
-            p[lead, blk] = q_k.T
-        # zero at k = 0, where the leading block is empty
-        forcing = rk.b @ c_lead @ p[blk, lead].T
-        p[blk, blk] = symmetric_part(
-            solve_cascade_sylvester(factor, blk, blk, forcing + forcing.T + rk.b @ rk.b.T)
-        )
+    """The column sweep of :func:`invariant_covariance_recursive` on a given
+    :func:`cascade_schur` factor of a stable cascade: column k, rows t =
+    k..N-1, is one certified solve of A_tt Z + Z A_kk^T + F = 0. As A_jl = B_j
+    C_l below the diagonal blocks, F = B_t (T_k^T + B_k^T) + T_t B_k^T in the
+    rank-m accumulator T = sum_{l<k} P_:,l C_l^T of ``linalg._forcings``."""
+    n, b = cascade.n, cascade.b
+    p, t = np.zeros((n, n)), np.zeros((n, cascade.m))
+    for rk, blk in zip(cascade.realizations, cascade.blocks):
+        trail, d = slice(blk.start, n), blk.stop - blk.start
+        z = solve_cascade_sylvester(factor, trail, blk, b[trail] @ (t[blk].T + rk.b.T) + t[trail] @ rk.b.T)
+        z[:d] = symmetric_part(z[:d])
+        p[trail, blk], p[blk, trail] = z, z.T
+        t[trail] += z @ rk.c.T
     return p
 
 

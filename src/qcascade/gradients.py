@@ -13,8 +13,8 @@ same way. :meth:`GradientSet.d_vector` is dV/de_k in the layout of
 :func:`parameter_positions`, and its inverse unpacks the oracle's slopes.
 
 Three independent routes are implemented: a direct formula through the
-observability Gramian of the whole cascade, the reverse sweep (adjoint)
-of the block recursion that builds P one oscillator at a time, and a
+observability Gramian of the whole cascade, the same formula with P and
+the Gramian from the forward and reverse block-column sweeps, and a
 finite difference oracle. First-order covariance perturbations, from the
 exact derivative of the realization, are also exposed for the
 Fisher-information analysis; they and the oracle run chunk by chunk.
@@ -39,6 +39,7 @@ from .covariance import (
 from .errors import NonPositive, NotHurwitz, SolverSingular, _prefixed
 from .linalg import (
     RESIDUAL_TOL,
+    CascadeSchur,
     Matrix,
     antisymmetric_part,
     block_slices,
@@ -145,45 +146,40 @@ def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:
 
 
 def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
-    """Gradients by the reverse sweep of the block recursion of P.
-
-    The forward pass is the recursion of :func:`invariant_covariance_recursive`
-    on one structured Schur factor of the cascade: at step k, X_1 = P_k,lead
-    solves A_kk X_1 + X_1 A_lead^T + F_1 = 0 with F_1 = A_kl P_lead +
-    B_k B_lead^T, and X_2 = P_kk solves A_kk X_2 + X_2 A_kk^T + F_2 = 0 with
-    F_2 = A_kl X_1^T + X_1 A_kl^T + B_k B_k^T. Its adjoint (Giles, 2008)
-    starts from dV/dP = P^{-1}, solved by ``dpotrs`` on the :func:`_cholesky`
-    factor, which refuses a leading block that is not positive definite, and
-    runs k = N-1 .. 0. The adjoint of a forcing F solves A_kk^T F' + F' A_c +
-    X' = 0 on the same factor, X' the adjoint of the solution; products with
-    it move dV/dA, dV/dB and the leading block of dV/dP. Seeded with P^{-1}/2,
-    the sweep accumulates H = (dV/dA)/2 and Q B = (dV/dB)/2 for
-    :func:`_gradients_from_adjoints`. No solve is larger than the forward
-    pass's, so the route is O(n^3), and every solve keeps its certificate.
-    """
+    """Gradients in three steps on one structured Schur factor of the cascade:
+    P by the column sweep of :func:`invariant_covariance_recursive`, the
+    Gramian Q by its reverse sweep :func:`_recursive_gramian`, then the direct
+    route's map of Q P and B^T Q, so the two routes differ only in how P and Q
+    are solved."""
     cascade.require_hurwitz()
     factor = cascade_schur(cascade.a, cascade.dims)
     p = _recursive_covariance(cascade, factor)
-    p_bar = _lapack_solve(dpotrs, _cholesky(p, cascade.dims), 0.5 * np.eye(cascade.n), lower=1)
-    a, b = cascade.a, cascade.b
-    h, qb = np.zeros_like(a), np.zeros_like(b)
-    for blk in reversed(cascade.blocks):
-        lead, upto = slice(0, blk.start), slice(0, blk.stop)
-        # adjoints of the forcings of row k, [F_1' | F_2'] on the columns up to k
-        f_bar = np.empty((blk.stop - blk.start, blk.stop))
-        x_2_bar = p_bar[blk, blk] + p_bar[blk, blk].T
-        f_2_bar = solve_cascade_sylvester(factor, blk, blk, x_2_bar, transpose=True)
-        f_bar[:, blk] = symmetric_part(f_2_bar)
-        if blk.start:
-            x_1_bar = p_bar[blk, lead] + p_bar[lead, blk].T + f_bar[:, blk] @ a[blk, lead]
-            f_bar[:, lead] = solve_cascade_sylvester(factor, blk, lead, x_1_bar, transpose=True)
-            h[lead, lead] += f_bar[:, lead].T @ p[blk, lead]
-            p_bar[lead, lead] += a[blk, lead].T @ f_bar[:, lead]
-            qb[lead] += f_bar[:, lead].T @ b[blk]
-        # row k of H: F_2' X_2 + F_1' X_1^T on (k, k), F_2' X_1 + F_1' P_lead on (k, lead)
-        h[blk, upto] += f_bar @ p[upto, upto]
-        qb[blk] += f_bar @ b[upto]
-    return _gradients_from_adjoints(cascade, h, qb.T)
+    q = _recursive_gramian(cascade, factor, p)
+    return _gradients_from_adjoints(cascade, q @ p, cascade.b.T @ q)
+
+
+def _recursive_gramian(cascade: CascadeModel, factor: CascadeSchur, p: Matrix) -> Matrix:
+    """Q solving A^T Q + Q A + P^{-1} = 0 by the reverse sweep (Giles, 2008) of
+    ``covariance._recursive_covariance``, on its factor and its P: as the
+    Lyapunov operator is linear, Q is that sweep's adjoint seeded with P^{-1}
+    (``dpotrs`` on the :func:`_cholesky` factor, which refuses a leading block
+    that is not positive definite). Column k, rows k..N-1, is one certified
+    solve of A_tt^T L + L A_kk + Z' = 0, Z' P^{-1}'s column k plus the adjoint
+    of the accumulator T, in rank-m accumulators for the rows after the column
+    (G) and its own rows (W). Q is the symmetric part of the L's placed in its lower block columns."""
+    n, b = cascade.n, cascade.b
+    f = _lapack_solve(dpotrs, _cholesky(p, cascade.dims), np.eye(n), lower=1)
+    lbar, g, w = np.zeros((n, n)), np.zeros((n, cascade.m)), np.zeros((n, cascade.m))
+    for rk, blk in zip(reversed(cascade.realizations), reversed(cascade.blocks)):
+        trail, d = slice(blk.start, n), blk.stop - blk.start
+        zbar = f[trail, blk] + f[blk, trail].T
+        zbar[:d] = symmetric_part(f[blk, blk])
+        zbar[d:] += (g[blk.stop :] + w[blk.stop :]) @ rk.c
+        lam = solve_cascade_sylvester(factor, trail, blk, zbar, transpose=True)
+        lbar[trail, blk] = lam
+        g[trail] += lam @ rk.b
+        w[blk] = lam.T @ b[trail]
+    return symmetric_part(lbar)
 
 
 def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:

@@ -14,10 +14,11 @@ one ``dtrsyl`` call on a real Schur factor of a^T from
 :func:`cascade_schur`, one LAPACK ``dgees`` call per diagonal block.
 With one block it is one QR iteration on the whole matrix; with a
 cascade's oscillator orders (its dynamics matrix is block lower
-triangular) its sub-blocks serve the recursive routes. Those routes take
-one such factor per call and call LAPACK directly, so a per-oscillator
-step costs its triangular solves and their certificates, not scipy's
-wrappers; :func:`solve_sylvester`, scipy's solver for general pairs of
+triangular) its sub-blocks serve the recursive routes: each block column,
+one oscillator's columns and the rows from it to the end, is one solve.
+Those routes take one such factor per call and call LAPACK directly, so a
+per-oscillator step costs its triangular solve and its certificate, not
+scipy's wrappers; :func:`solve_sylvester`, scipy's solver for general pairs of
 matrices, is a reference route. Stacks of cascade Lyapunov equations
 take :func:`solve_cascade_lyapunov`, block forward substitution with
 each step between two one-mode blocks in closed form, on the rank-m form

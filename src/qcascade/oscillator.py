@@ -284,9 +284,12 @@ def _series_connection(
         c_k = c[:, rows].reshape(m, len(ks), n_k, stack).swapaxes(0, 1)
         np.matmul(2.0 * j_ito, m_k.reshape(len(ks), m, -1), out=c_k.reshape(len(ks), m, -1))
         r = np.stack([oscillators[k].r_energy for k in ks])[..., None] + d[:, at[:, :n_k]]
-        # stack-first views (K, S, ., .), no data moved; on one copy the product is
-        # the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
-        mjm = np.matmul(*(np.moveaxis(x, -1, 1) for x in (np.einsum("kias,ab->kibs", m_kt, j_ito), m_k)))
+        # M^T J is a signed permutation of M^T's columns, J = [[0, I], [-I, 0]], held only for
+        # the product; stack-first views (K, S, ., .), no data moved; on one copy the product
+        # is the 2-D BLAS product itself, so assembly reproduces the series formulas to the bit
+        m_kt_j = np.concatenate([-m_kt[:, :, m // 2 :], m_kt[:, :, : m // 2]], axis=2)
+        mjm = np.matmul(*(np.moveaxis(x, -1, 1) for x in (m_kt_j, m_k)))
+        del m_kt_j
         r += mjm.transpose(0, 2, 3, 1)
         a_kk = (theta2 @ r.reshape(len(ks), n_k, -1)).reshape(r.shape)
         res, scale = realizability_residual(

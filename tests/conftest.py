@@ -36,6 +36,11 @@ def empty_spec_cache():
     qcascade.cli._LOADED.clear()
 
 
+def data_cascade(name: str) -> CascadeModel:
+    """The cascade of the spec ``tests/data/<name>.json``, such as a benchmark task's."""
+    return build_cascade(load_spec(GENERATED_SPEC.parent / f"{name}.json"))
+
+
 @pytest.fixture(scope="session")
 def reference_spec() -> CascadeSpecFile:
     return load_spec(GENERATED_SPEC)

@@ -9,6 +9,7 @@ import qcascade.gradients
 import qcascade.linalg
 
 from conftest import (
+    data_cascade,
     make_cascade,
     make_mixed_cascade,
     make_passive_chain,
@@ -87,6 +88,33 @@ class TestRecursive:
         direct = invariant_covariance_direct(cascade)
         recursive = invariant_covariance_recursive(cascade)
         assert np.linalg.norm(recursive - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("name", ["benchmark_mc3_s1_0", "cascade_n3_m6"])
+    def test_column_sweep_matches_a_high_precision_kronecker_solve(self, name):
+        # truth, not route agreement: the same float64 A and B solved in 50 digits
+        import mpmath as mp
+        cascade = data_cascade(name)
+        exact = mp_kronecker_covariance(mp, cascade.a, cascade.b)
+        recursive = invariant_covariance_recursive(cascade)
+        assert np.linalg.norm(recursive - exact) <= 1e-14 * np.linalg.norm(exact)
+
+
+def mp_kronecker_covariance(mp, a, b, dps=50):
+    """P solving A P + P A^T + B B^T = 0 in ``dps``-digit arithmetic from the
+    dense Kronecker system (I (x) A + A (x) I) vec P = -vec B B^T, with
+    column-major vec, by ``mp.lu_solve``, rounded to float64."""
+    n = len(a)
+    with mp.workdps(dps):
+        am, bm = mp.matrix(a.tolist()), mp.matrix(b.tolist())
+        q = bm * bm.T
+        op = mp.matrix(n * n, n * n)
+        for r in range(n):
+            for c in range(n):
+                for l in range(n):
+                    op[c * n + r, c * n + l] += am[r, l]  # (A P)[r, c]
+                    op[c * n + r, l * n + r] += am[c, l]  # (P A^T)[r, c]
+        x = mp.lu_solve(op, -mp.matrix([q[r, c] for c in range(n) for r in range(n)]))
+        return np.array([[float(x[c * n + r]) for c in range(n)] for r in range(n)])
 
 
 class TestQuadratureOracle:

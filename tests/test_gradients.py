@@ -13,6 +13,7 @@ import qcascade.oscillator
 
 from conftest import (
     composite,
+    data_cascade,
     make_cascade,
     make_mixed_cascade,
     make_oscillator,
@@ -23,6 +24,7 @@ from conftest import (
     weight_model,
 )
 from qcascade.covariance import (
+    _recursive_covariance,
     invariant_covariance_direct,
     invariant_covariance_recursive,
     log_det_stack,
@@ -31,6 +33,7 @@ from qcascade.errors import NonPositive, NotHurwitz, SingularLeadingBlock, Solve
 from qcascade.gradients import (
     GradientSet,
     _lapack_solve,
+    _recursive_gramian,
     covariance_derivatives,
     gradient_fd_oracle,
     observability_gramian_and_hankelian,
@@ -38,7 +41,8 @@ from qcascade.gradients import (
     purity_gradients_recursive,
 )
 from qcascade.linalg import (
-    RESIDUAL_TOL, J2, antisymmetric_part, solve_cascade_lyapunov, symmetric_part, vech_to_symmetric,
+    RESIDUAL_TOL, J2, antisymmetric_part, cascade_schur, solve_cascade_lyapunov, symmetric_part,
+    vech_to_symmetric,
 )
 from qcascade.oracles import duplication_matrix, solve_lyapunov, vech
 from qcascade.oscillator import (
@@ -268,15 +272,16 @@ class TestRouteAgreement:
             _lapack_solve(dtrtrs, np.diag([1.0, 0.0]), np.ones((2, 1)))
 
     def test_recursive_route_solves_no_block_beyond_one_oscillator(self, monkeypatch):
-        # the reverse sweep of the block recursion: one solve per block
-        # equation forward and one per adjoint, each with one oscillator's
-        # rows, and no dense factorization of P or of a Gramian
+        # the column sweeps of the block recursion: one solve per oscillator
+        # forward (P) and one transposed (the Gramian), each on one
+        # oscillator's columns and the rows from it to the end, and no dense
+        # factorization of P or of a Gramian
         cascade = make_passive_chain(np.random.default_rng(1616), 16)
         calls, factored = [], []
         solve = qcascade.gradients.solve_cascade_sylvester
 
         def spy_solve(factor, rows, cols, *args, transpose=False, **kwargs):
-            calls.append(((rows.start, rows.stop), transpose))
+            calls.append(((rows.start, rows.stop), (cols.start, cols.stop), transpose))
             return solve(factor, rows, cols, *args, transpose=transpose, **kwargs)
 
         cho_factor = scipy.linalg.cho_factor
@@ -290,11 +295,22 @@ class TestRouteAgreement:
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy_factor)
         purity_gradients_recursive(cascade)
         blocks = {(blk.start, blk.stop) for blk in cascade.blocks}
-        assert {rows for rows, _ in calls} <= blocks
-        steps = 2 * len(cascade.dims) - 1
-        assert [transpose for _, transpose in calls].count(False) == steps
-        assert [transpose for _, transpose in calls].count(True) == steps
+        assert {cols for _, cols, _ in calls} == blocks
+        assert all(rows == (cols[0], cascade.n) for rows, cols, _ in calls)
+        steps = len(cascade.dims)
+        assert [transpose for _, _, transpose in calls].count(False) == steps
+        assert [transpose for _, _, transpose in calls].count(True) == steps
         assert factored == []
+
+    @pytest.mark.parametrize("chain", ["cascade_n3_m6", "mixed", "benchmark_mc4_s1_0"])
+    def test_reverse_sweep_gramian_matches_the_direct_gramian(self, chain):
+        # the recursive route's Gramian, from its own P and factor, against
+        # the one dense transposed solve of the direct route
+        cascade = named_chain(chain) if chain == "mixed" else data_cascade(chain)
+        factor = cascade_schur(cascade.a, cascade.dims)
+        q = _recursive_gramian(cascade, factor, _recursive_covariance(cascade, factor))
+        direct, _ = observability_gramian_and_hankelian(cascade)
+        assert np.linalg.norm(q - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("chain", ["mixed", "passive8", "squeezed8"])
     def test_recursive_route_matches_the_fd_oracle(self, chain):

@@ -1,13 +1,18 @@
-"""The scripts under ``scripts/`` run on their defaults and print something."""
+"""The scripts under ``scripts/`` run on their defaults and print something,
+and ``output_digest.py`` prints its lines in their documented format."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+from qcascade.cli import COMMANDS
+
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 def test_scripts_are_found():
@@ -26,3 +31,15 @@ def test_script_runs_with_no_arguments(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_output_digest_prints_the_exit_code_beside_the_digest():
+    # one line per command: spec name, command, exit code, SHA-256
+    spec = Path(__file__).resolve().parent / "data" / "cascade_n3_m6.json"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT_DIR / "output_digest.py"), str(spec)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.rsplit(" ", 2)[0] for line in lines] == [f"{spec.name} {command}" for command in COMMANDS]
+    assert all(re.fullmatch(r"\S+ \S+ [012] [0-9a-f]{64}", line) for line in lines)
