@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Print one line per (spec, command), ``<spec> <command> <exit code> <sha256>``:
-the SHA-256 is over all that a run gives back, its exit code, standard
-output, standard error and every file it writes. The exit code beside it
-shows in the same diff whether a verdict moved where the bytes did.
+the SHA-256 is over all that two runs give back, one in the default format
+and one with ``--format json``: each run's exit code, standard output,
+standard error and every file it writes. The exit code beside it is the
+default run's, and shows in the same diff whether a verdict moved where the
+bytes did.
 
 All nine commands run in this process through ``qcascade.cli.main``, each
-into a fresh directory; ``mc-check`` runs with ``--samples 2048``. The spec's
-path, which ``provenance.input`` records, is reduced to its file name, so two
-checkouts that give the same bytes print the same lines.
+run into a fresh directory; ``mc-check`` runs with ``--samples 2048``. The
+spec's path, which ``provenance.input`` records, is reduced to its file
+name, so two checkouts that give the same bytes print the same lines.
 
 Usage: python3 scripts/output_digest.py [spec.json ...]   (default: tests/data/*.json)
 """
@@ -29,16 +31,19 @@ EXTRA = {"mc-check": ["--samples", "2048"]}
 
 
 def digest(spec: Path, command: str) -> tuple[int, str]:
-    """Exit code and SHA-256 of one run of ``command`` on ``spec``, the spec's path reduced to its name."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(spec), "--out", tmp, *EXTRA.get(command, [])])
-        parts = [str(code), out.getvalue(), err.getvalue()]
-        for path in sorted(Path(tmp).iterdir()):
-            parts += [path.name, path.read_text()]
+    """Exit code of the default-format run and SHA-256 of both runs of ``command`` on
+    ``spec``, the spec's path reduced to its name."""
+    parts, codes = [], []
+    for fmt in ([], ["--format", "json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes.append(main([command, str(spec), "--out", tmp, *EXTRA.get(command, []), *fmt]))
+            parts += [str(codes[-1]), out.getvalue(), err.getvalue()]
+            for path in sorted(Path(tmp).iterdir()):
+                parts += [path.name, path.read_text()]
     text = "\0".join(parts).replace(str(spec), spec.name)
-    return code, hashlib.sha256(text.encode()).hexdigest()
+    return codes[0], hashlib.sha256(text.encode()).hexdigest()
 
 
 def main_digest() -> int:

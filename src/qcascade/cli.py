@@ -25,17 +25,17 @@ assemble the cascade once, and share the P, steady-state record and
 gradients their owners keep on it; the
 ``qcascade`` console script runs one command per process, so it always
 misses. A run that ends with an exception leaves no entry, so an error is
-never cached.
-:func:`load_spec` and :func:`build_cascade` stay uncached: they run outside
-:func:`main`'s overflow check, so a value kept there could be one that
-:func:`main` refuses. Every run writes ``report.json``, strict JSON, into
-the output directory; some commands add CSV series or a balanced spec. Exit
-codes: 0 success, 1 validation failure, a usage error included, 2
-numerical failure, a non-finite result included; ``balance``,
-``reproduce-paper``, ``mc-check`` and ``ti-bounds`` also exit 2 after
-writing their report when their own certificate or check fails, and
-``covariance`` and ``gradients`` when ``route_gap`` exceeds ``RESIDUAL_TOL``
-x max(1, ||P||_F) or x max(1, max |rho_k, mu_k|). Results
+never cached. :func:`load_spec` and :func:`build_cascade` stay uncached: they
+run outside :func:`main`'s overflow check, so a value kept there could be one
+that :func:`main` refuses. Every run writes ``report.json`` into the output
+directory, ``json.dumps(report, sort_keys=True, allow_nan=False)`` byte for
+byte, each entry pair of a symmetric matrix converted once; some commands
+add CSV series or a balanced spec. Exit codes: 0 success, 1 validation
+failure, a usage error included, 2 numerical failure, a non-finite result
+included; ``balance``, ``reproduce-paper``, ``mc-check`` and ``ti-bounds``
+also exit 2 after writing their report when their own certificate or check
+fails, and ``covariance`` and ``gradients`` when ``route_gap`` exceeds
+``RESIDUAL_TOL`` x max(1, ||P||_F) or x max(1, max |rho_k, mu_k|). Results
 are deterministic for a fixed input file and seed, which drives only
 ``mc-check``'s samples. Commands run production routes and, for
 ``route_gap``, the two recursive reference routes. Module level imports what
@@ -69,9 +69,10 @@ import numpy as np
 from . import __version__
 from .covariance import admissible, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
-from .linalg import RESIDUAL_TOL, certified, checked_symmetric_part, quantum_psd_margin
+from .linalg import RESIDUAL_TOL, certified, checked_symmetric_part, quantum_psd_margin, vech_indices
 from .oscillator import CascadeModel, OscillatorParams, OscillatorUncertainty, UncertaintyModel
-from .oscillator import _check_thetas, _realizable, assemble_cascade, default_theta, parameter_sizes
+from .oscillator import _check_thetas, _realizable, assemble_cascade, default_theta, parameter_positions
+from .oscillator import parameter_sizes
 
 VALIDATION_ERRORS = (ParseError, SchemaError, DimensionMismatch, SingularTheta)
 
@@ -483,7 +484,7 @@ def _cmd_covariance(run: Pipeline) -> Reply:
     p_direct = invariant_covariance_direct(run.cascade)
     gap = float(np.linalg.norm(p_direct - invariant_covariance_recursive(run.cascade)))
     results = {
-        "p_direct": _listify(p_direct),
+        "p_direct": p_direct,  # an array: the report writer converts each entry pair once
         "route_gap": gap,
     }
     code, verdict = _gap_verdict("route", gap, float(np.linalg.norm(p_direct)))
@@ -753,13 +754,40 @@ COMMANDS: dict[str, Callable[[Pipeline], Reply]] = {
 }
 
 
+def _report_text(report: dict[str, Any]) -> str:
+    """``json.dumps(report, sort_keys=True, allow_nan=False)`` with arrays as lists, byte for
+    byte, by json's C encoder. A finite bitwise-symmetric float matrix is converted once per
+    entry pair (lower triangle in vech order, rows by :func:`parameter_positions`) and spliced
+    in for a placeholder; any other array, or all if a report string spells a placeholder, is
+    listed, so a non-finite entry raises ValueError."""
+    spliced: dict[str, str] = {}
+
+    def encode(mat: np.ndarray) -> Any:
+        bits = mat.view(np.uint64) if mat.dtype == np.float64 and mat.ndim == 2 else None
+        if bits is None or bits.shape != bits.T.shape or not np.isfinite(mat).all() or (bits != bits.T).any():
+            return mat.tolist()
+        text_at = list(map(float.__repr__, mat[vech_indices(len(mat))].tolist())).__getitem__
+        rows = [f"[{', '.join(map(text_at, at))}]" for at in parameter_positions(len(mat), 0).tolist()]
+        placeholder = f"\0{len(spliced)}"
+        spliced[json.dumps(placeholder)] = f"[{', '.join(rows)}]"
+        return placeholder
+
+    text = json.dumps(report, sort_keys=True, allow_nan=False, default=encode)
+    if any(text.count(quoted) != 1 for quoted in spliced):
+        return json.dumps(report, sort_keys=True, allow_nan=False, default=_listify)
+    for quoted, matrix in spliced.items():
+        text = text.replace(quoted, matrix)
+    return text
+
+
 def _write_outputs(run: Pipeline, report: dict[str, Any]) -> None:
     """Write the report and the command's files as strict JSON and CSV, all
     encoded first: a non-finite value raises FloatingPointError and leaves no
-    report. An output that cannot be written raises ParseError, exit 1."""
+    report. ``report.json`` is ``json.dumps(report, sort_keys=True, allow_nan=False)``
+    byte for byte, each entry pair of a symmetric matrix converted once
+    (:func:`_report_text`). An output that cannot be written raises ParseError, exit 1."""
     try:
-        # no indent: json's C encoder, which writes floats by the same repr
-        texts = {"report.json": json.dumps(report, sort_keys=True, allow_nan=False)}
+        texts = {"report.json": _report_text(report)}
         for name, doc in run.extra_files.items():
             texts[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -776,7 +804,8 @@ def _write_outputs(run: Pipeline, report: dict[str, Any]) -> None:
 
 def _emit(run: Pipeline, results: dict[str, Any], table: str | Callable[[], str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps({"results": results, "provenance": run.provenance}, indent=2, sort_keys=True))
+        doc = {"results": results, "provenance": run.provenance}
+        print(json.dumps(doc, indent=2, sort_keys=True, default=_listify))
     elif fmt == "csv" and run.csv_series:
         for name, (_, rows) in run.csv_series.items():
             print(f"# {name}")

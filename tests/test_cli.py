@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 import qcascade.cli
 import qcascade.oscillator
 
-from conftest import GENERATED_SPEC, move_balancing_optimum
+from conftest import GENERATED_SPEC, make_passive_chain, move_balancing_optimum
 from qcascade.cli import (
     RunFlags,
     _fmt4,
     _fmt4_rows,
+    _report_text,
     _spec_document_from_cascade,
     build_cascade,
     build_parser,
@@ -39,7 +40,7 @@ from qcascade.covariance import (
 )
 from qcascade.errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta
 from qcascade.gradients import gradient_fd_oracle, purity_gradients_direct
-from qcascade.linalg import RESIDUAL_TOL
+from qcascade.linalg import RESIDUAL_TOL, vech_indices
 from qcascade.oscillator import (
     PR_SELF_CHECK_TOL,
     assemble_cascade,
@@ -671,6 +672,102 @@ class TestCommands:
         assert table.startswith("purity ")
         assert main([*argv, "--format", "csv"]) == 0
         assert capsys.readouterr().out == table
+
+
+def plain_report_text(report) -> str:
+    """The report as json's generic encoder writes it with every array listed."""
+    return json.dumps(report, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+
+
+class TestReportWriter:
+    """``report.json`` is ``json.dumps`` of the report with its arrays listed, byte
+    for byte, though the writer converts each entry pair of a symmetric matrix once."""
+
+    @pytest.fixture(params=[*(path.stem for path in sorted(GENERATED_SPEC.parent.glob("*.json"))), "passive16"])
+    def covariance_spec(self, request, tmp_path) -> Path:
+        if request.param != "passive16":
+            return GENERATED_SPEC.parent / f"{request.param}.json"
+        params = make_passive_chain(np.random.default_rng(16), 16).params
+        oscillators = [{"n": 2, "R": p.r_energy.tolist(), "M": p.m_coupling.tolist()} for p in params]
+        return write_spec(tmp_path, {"field_channels": 2, "oscillators": oscillators})
+
+    def test_covariance_outputs_are_the_plain_encoding(self, covariance_spec, tmp_path, monkeypatch, capsys):
+        reports = []
+        write = qcascade.cli._write_outputs
+
+        def spy(run, report):
+            reports.append(report)
+            write(run, report)
+
+        monkeypatch.setattr(qcascade.cli, "_write_outputs", spy)
+        out = tmp_path / "out"
+        assert main(["covariance", str(covariance_spec), "--out", str(out)]) == 0
+        (report,) = reports
+        p = report["results"]["p_direct"]
+        assert isinstance(p, np.ndarray) and p.shape[0] >= 6  # the writer gets P itself
+        text = (out / "report.json").read_text()
+        assert text == plain_report_text(report)
+        # the table and the --format json output, each as the entrywise text of the listed P
+        written = json.loads(text)
+        rows = "\n".join("  ".join(_fmt4(x) for x in row) for row in written["results"]["p_direct"])
+        assert capsys.readouterr().out == f"covariance route gap {written['results']['route_gap']:.3e}\n{rows}\n"
+        assert main(["covariance", str(covariance_spec), "--out", str(out), "--format", "json"]) == 0
+        shown = {"results": written["results"], "provenance": written["provenance"]}
+        assert capsys.readouterr().out == json.dumps(shown, indent=2, sort_keys=True) + "\n"
+        assert (out / "report.json").read_text() == text
+
+    @staticmethod
+    def matrices() -> dict[str, np.ndarray]:
+        a = np.random.default_rng(50).standard_normal((5, 5))
+        sym = a + a.T
+        asymmetric = sym.copy()
+        asymmetric[3, 1] = np.nextafter(sym[1, 3], np.inf)  # one ulp off its mirror
+        signed_zero = sym.copy()
+        signed_zero[0, 2], signed_zero[2, 0] = -0.0, 0.0  # equal, but not bit for bit
+        return {
+            "symmetric": sym, "asymmetric": asymmetric, "signed_zero": signed_zero,
+            "order2": np.array([[1.5, -1 / 3], [-1 / 3, 2e-300]]), "order1": np.array([[-0.0]]),
+            "order0": np.zeros((0, 0)), "wide": a[:2], "vector": a[0], "transposed": sym.T,
+        }
+
+    @pytest.mark.parametrize(
+        "name, mirrored",
+        [("symmetric", True), ("asymmetric", False), ("signed_zero", False), ("order2", True), ("order1", True),
+         ("order0", True), ("wide", False), ("vector", False), ("transposed", True)],
+    )
+    def test_a_matrix_is_written_as_its_list(self, name, mirrored, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qcascade.cli, "vech_indices", lambda r: calls.append(r) or vech_indices(r))
+        mat = self.matrices()[name]
+        report = {"command": "covariance", "results": {"p_direct": mat, "route_gap": 0.0, "rows": [mat, 1e-300]}}
+        assert _report_text(report) == plain_report_text(report)
+        assert calls == ([len(mat)] * 2 if mirrored else [])  # once per occurrence
+
+    def test_a_string_that_spells_a_placeholder_keeps_the_plain_encoding(self):
+        mats = self.matrices()
+        report = {"provenance": {"input": "\x000"}, "results": {"a": mats["symmetric"], "b": mats["order2"]}}
+        assert _report_text(report) == plain_report_text(report)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_entry_is_refused(self, value):
+        mat = self.matrices()["symmetric"]
+        mat[1, 4] = mat[4, 1] = value  # bitwise symmetric still
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _report_text({"results": {"p_direct": mat, "route_gap": 0.0}})
+
+    def test_a_nan_entry_writes_no_report(self, tmp_path, monkeypatch, capsys):
+        direct = qcascade.cli.invariant_covariance_direct
+
+        def with_nan(cascade):
+            p = direct(cascade).copy()
+            p[0, 1] = p[1, 0] = np.nan  # still bitwise symmetric
+            return p
+
+        monkeypatch.setattr(qcascade.cli, "invariant_covariance_direct", with_nan)
+        out = tmp_path / "out"
+        assert main(["covariance", str(GENERATED_SPEC), "--out", str(out)]) == 2
+        assert "result is not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestCrossTermSigma:

@@ -9,6 +9,7 @@ import qcascade.gradients
 import qcascade.linalg
 
 from conftest import (
+    GENERATED_SPEC,
     data_cascade,
     make_cascade,
     make_mixed_cascade,
@@ -46,6 +47,14 @@ class TestDirect:
     def test_unit_coupling_oscillator(self):
         p = invariant_covariance_direct(trivial_cascade())
         np.testing.assert_allclose(p, 0.5 * np.eye(2), atol=1e-14)
+
+    @pytest.mark.parametrize("name", [*(path.stem for path in sorted(GENERATED_SPEC.parent.glob("*.json"))), "mixed"])
+    def test_p_is_bitwise_symmetric(self, name):
+        # the report writer converts each entry pair of P to text once only
+        # when P equals its transpose bit for bit, and lists P silently otherwise
+        cascade = make_mixed_cascade(np.random.default_rng(5151)) if name == "mixed" else data_cascade(name)
+        bits = invariant_covariance_direct(cascade).view(np.uint64)
+        np.testing.assert_array_equal(bits, bits.T)
 
     def test_unstable_cascade_rejected_with_index(self):
         unstable = OscillatorParams(
