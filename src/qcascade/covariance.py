@@ -1,17 +1,20 @@
 """Steady-state covariance analysis of oscillator cascades.
 
 The invariant covariance of the composite state solves the algebraic
-Lyapunov equation A P + P A^T + B B^T = 0, in production by one direct
-solve on the composite matrices, a triangular solve on the one-block
-:func:`cascade_schur` factor of A^T; block forward substitution by
-columns, one solve per oscillator, is kept as an independent oracle. The Schur
-complements of the leading blocks split the log-determinant of P into
-per-oscillator terms, which is the quantity the gradient and balancing
-modules act on. They are read off one Cholesky factor P = L L^T (the
-complement before oscillator k is L_tt L_tt^T, L_tt the trailing block
-of L), which :func:`steady_state` keeps in one record per cascade;
-:func:`schur_complements` forms them by subtraction, as the test
-oracle. Every solve with L goes through :func:`_lapack_solve`.
+Lyapunov equation A P + P A^T + B B^T = 0 by one certified triangular solve
+on a real Schur factor of A^T (:func:`_covariance`). In production that is
+the one-block :func:`cascade_schur` factor, one QR iteration on the whole
+matrix. The second route, :func:`invariant_covariance_recursive`, is the
+same solve on a second factorization of A^T, the structured factor with one
+QR iteration per oscillator; it is kept as an independent oracle, and under
+its name because the benchmark traces it. The Schur complements of the
+leading blocks split the log-determinant of P into per-oscillator terms,
+which is the quantity the gradient and balancing modules act on. They are
+read off one Cholesky factor P = L L^T (the complement before oscillator k
+is L_tt L_tt^T, L_tt the trailing block of L), which :func:`steady_state`
+keeps in one record per cascade; :func:`schur_complements` forms them by
+subtraction, as the test oracle. Every solve with L goes through
+:func:`_lapack_solve`.
 """
 
 from __future__ import annotations
@@ -58,15 +61,19 @@ class SteadyStateResult:
 
 
 def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
-    """P solving A P + P A^T + B B^T = 0 by one certified Schur solve on the
-    one-block :func:`cascade_schur` factor of A^T, with a floor on its
-    spectrum. The caller has checked that A is Hurwitz."""
-    q = symmetric_part(b @ b.T)
-    p = symmetric_part(solve_cascade_sylvester(cascade_schur(a, (len(a),)), slice(None), slice(None), q))
+    """:func:`_covariance` on the one-block :func:`cascade_schur` factor of
+    A^T, with a floor on its spectrum. The caller has checked that A is Hurwitz."""
+    p = _covariance(cascade_schur(a, (len(a),)), b)
     floor = np.linalg.eigvalsh(p)[0]
     if not admissible(floor, p):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")
     return p
+
+
+def _covariance(factor: CascadeSchur, b: Matrix) -> Matrix:
+    """P solving A P + P A^T + B B^T = 0 by one certified solve on a
+    :func:`cascade_schur` factor of A^T, one block or one per oscillator."""
+    return symmetric_part(solve_cascade_sylvester(factor, symmetric_part(b @ b.T)))
 
 
 def admissible(margin: float, p: Matrix) -> bool:
@@ -128,28 +135,11 @@ def _cholesky_log_det(p: np.ndarray) -> np.ndarray:
 
 
 def invariant_covariance_recursive(cascade: CascadeModel) -> Matrix:
-    """Steady-state covariance by block forward substitution, one block column
-    per oscillator (Bartels and Stewart, 1972), on one structured Schur factor
-    of the cascade. Agrees with the direct route to round-off."""
+    """Steady-state covariance by :func:`_covariance` on the structured Schur
+    factor, one QR iteration per oscillator: the direct route's solve on a
+    second factorization of A^T. Agrees with the direct route to round-off."""
     cascade.require_hurwitz()
-    return _recursive_covariance(cascade, cascade_schur(cascade.a, cascade.dims))
-
-
-def _recursive_covariance(cascade: CascadeModel, factor: CascadeSchur) -> Matrix:
-    """The column sweep of :func:`invariant_covariance_recursive` on a given
-    :func:`cascade_schur` factor of a stable cascade: column k, rows t =
-    k..N-1, is one certified solve of A_tt Z + Z A_kk^T + F = 0. As A_jl = B_j
-    C_l below the diagonal blocks, F = B_t (T_k^T + B_k^T) + T_t B_k^T in the
-    rank-m accumulator T = sum_{l<k} P_:,l C_l^T of ``linalg._forcings``."""
-    n, b = cascade.n, cascade.b
-    p, t = np.zeros((n, n)), np.zeros((n, cascade.m))
-    for rk, blk in zip(cascade.realizations, cascade.blocks):
-        trail, d = slice(blk.start, n), blk.stop - blk.start
-        z = solve_cascade_sylvester(factor, trail, blk, b[trail] @ (t[blk].T + rk.b.T) + t[trail] @ rk.b.T)
-        z[:d] = symmetric_part(z[:d])
-        p[trail, blk], p[blk, trail] = z, z.T
-        t[trail] += z @ rk.c.T
-    return p
+    return _covariance(cascade_schur(cascade.a, cascade.dims), cascade.b)
 
 
 def schur_complements(p_full: Matrix, dims: Sequence[int]) -> tuple[Matrix, ...]:
@@ -195,12 +185,17 @@ def _purity(v: float, theta: Matrix) -> float:
 def _cholesky(p_full: Matrix, dims: Sequence[int]) -> Matrix:
     """Lower Cholesky factor L of P by one ``dpotrf`` call.
 
-    A failed pivot in any block of ``dims`` but the last means the
-    leading block that ends with that oscillator is not positive definite
-    (SingularLeadingBlock); one in the last block means P is not
-    (NonPositive).
+    A non-finite entry of P is refused (SolverSingular, naming it). A failed
+    pivot in any block of ``dims`` but the last means the leading block that
+    ends with that oscillator is not positive definite (SingularLeadingBlock);
+    one in the last block means P is not (NonPositive).
     """
-    chol, info = dpotrf(np.asarray_chkfinite(p_full), lower=1, clean=1)
+    p_full = np.asarray(p_full)
+    bad = np.argwhere(~np.isfinite(p_full))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise SolverSingular(f"dpotrf: covariance entry ({i}, {j}) is {p_full[i, j]}, not finite")
+    chol, info = dpotrf(p_full, lower=1, clean=1)
     if info > 0:
         blocks = block_slices(dims)
         k = next(k for k, blk in enumerate(blocks) if info <= blk.stop)

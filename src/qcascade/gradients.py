@@ -12,12 +12,14 @@ route here (direct, recursive, finite differences) reports it the
 same way. :meth:`GradientSet.d_vector` is dV/de_k in the layout of
 :func:`parameter_positions`, and its inverse unpacks the oracle's slopes.
 
-Three independent routes are implemented: a direct formula through the
-observability Gramian of the whole cascade, the same formula with P and
-the Gramian from the forward and reverse block-column sweeps, and a
-finite difference oracle. First-order covariance perturbations, from the
-exact derivative of the realization, are also exposed for the
-Fisher-information analysis; they and the oracle run chunk by chunk.
+Three routes are implemented: a direct formula through the observability
+Gramian of the whole cascade; the recursive route, the same formula with
+its own P and Gramian from the same certified solves on a second
+factorization of A^T, one Schur form per oscillator (a named oracle, kept
+under the name the benchmark traces); and a finite difference oracle.
+First-order covariance perturbations, from the exact derivative of the
+realization, are also exposed for the Fisher-information analysis; they
+and the oracle run chunk by chunk.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import numpy as np
 
 from .covariance import (
     _cholesky,
+    _covariance,
     _keep,
     _lapack_solve,
-    _recursive_covariance,
     invariant_covariance_direct,
     log_det_stack,
     steady_state,
@@ -101,11 +103,16 @@ def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, 
     symmetric P^{1/2} Q P^{1/2}, so its spectrum is real and nonnegative.
     """
     state = steady_state(cascade)
-    p_inv = symmetric_part(_lapack_solve(dpotrs, state.chol, np.eye(cascade.n), lower=1))
-    whole = slice(0, cascade.n)
-    factor = cascade_schur(cascade.a, (cascade.n,))
-    q = symmetric_part(solve_cascade_sylvester(factor, whole, whole, p_inv, transpose=True))
+    q = _gramian(cascade_schur(cascade.a, (cascade.n,)), state.chol)
     return q, q @ state.p_full
+
+
+def _gramian(factor: CascadeSchur, chol: Matrix) -> Matrix:
+    """Q solving A^T Q + Q A + P^{-1} = 0 by one certified transposed solve on a
+    :func:`cascade_schur` factor of A^T, P^{-1} by ``dpotrs`` on the Cholesky
+    factor ``chol`` of P."""
+    p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(len(chol)), lower=1))
+    return symmetric_part(solve_cascade_sylvester(factor, p_inv, transpose=True))
 
 
 def _gradients_from_adjoints(cascade: CascadeModel, h: Matrix, bq: Matrix) -> GradientSet:
@@ -146,40 +153,16 @@ def purity_gradients_direct(cascade: CascadeModel) -> GradientSet:
 
 
 def purity_gradients_recursive(cascade: CascadeModel) -> GradientSet:
-    """Gradients in three steps on one structured Schur factor of the cascade:
-    P by the column sweep of :func:`invariant_covariance_recursive`, the
-    Gramian Q by its reverse sweep :func:`_recursive_gramian`, then the direct
-    route's map of Q P and B^T Q, so the two routes differ only in how P and Q
-    are solved."""
+    """Gradients by the direct route's steps on the structured Schur factor:
+    its own P, factored by :func:`_cholesky` (which refuses a leading block
+    that is not positive definite), the Gramian Q on the same factor, then the
+    map of Q P and B^T Q. The routes differ only in how A^T is factored and in
+    which P each solves."""
     cascade.require_hurwitz()
     factor = cascade_schur(cascade.a, cascade.dims)
-    p = _recursive_covariance(cascade, factor)
-    q = _recursive_gramian(cascade, factor, p)
+    p = _covariance(factor, cascade.b)
+    q = _gramian(factor, _cholesky(p, cascade.dims))
     return _gradients_from_adjoints(cascade, q @ p, cascade.b.T @ q)
-
-
-def _recursive_gramian(cascade: CascadeModel, factor: CascadeSchur, p: Matrix) -> Matrix:
-    """Q solving A^T Q + Q A + P^{-1} = 0 by the reverse sweep (Giles, 2008) of
-    ``covariance._recursive_covariance``, on its factor and its P: as the
-    Lyapunov operator is linear, Q is that sweep's adjoint seeded with P^{-1}
-    (``dpotrs`` on the :func:`_cholesky` factor, which refuses a leading block
-    that is not positive definite). Column k, rows k..N-1, is one certified
-    solve of A_tt^T L + L A_kk + Z' = 0, Z' P^{-1}'s column k plus the adjoint
-    of the accumulator T, in rank-m accumulators for the rows after the column
-    (G) and its own rows (W). Q is the symmetric part of the L's placed in its lower block columns."""
-    n, b = cascade.n, cascade.b
-    f = _lapack_solve(dpotrs, _cholesky(p, cascade.dims), np.eye(n), lower=1)
-    lbar, g, w = np.zeros((n, n)), np.zeros((n, cascade.m)), np.zeros((n, cascade.m))
-    for rk, blk in zip(reversed(cascade.realizations), reversed(cascade.blocks)):
-        trail, d = slice(blk.start, n), blk.stop - blk.start
-        zbar = f[trail, blk] + f[blk, trail].T
-        zbar[:d] = symmetric_part(f[blk, blk])
-        zbar[d:] += (g[blk.stop :] + w[blk.stop :]) @ rk.c
-        lam = solve_cascade_sylvester(factor, trail, blk, zbar, transpose=True)
-        lbar[trail, blk] = lam
-        g[trail] += lam @ rk.b
-        w[blk] = lam.T @ b[trail]
-    return symmetric_part(lbar)
 
 
 def _probe_blocks(cascade: CascadeModel) -> tuple[slice, ...]:

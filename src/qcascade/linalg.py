@@ -9,17 +9,14 @@ rule (:func:`certified`, the only comparison with ``RESIDUAL_TOL``) and the vech
 order of a lower triangle (:func:`vech_indices`), not the places of a parameter error.
 
 Every production Sylvester solve is certified and takes one of two routes.
-An equation on one pair of matrices is a Schur (Bartels-Stewart) solve:
-one ``dtrsyl`` call on a real Schur factor of a^T from
-:func:`cascade_schur`, one LAPACK ``dgees`` call per diagonal block.
-With one block it is one QR iteration on the whole matrix; with a
-cascade's oscillator orders (its dynamics matrix is block lower
-triangular) its sub-blocks serve the recursive routes: each block column,
-one oscillator's columns and the rows from it to the end, is one solve.
-Those routes take one such factor per call and call LAPACK directly, so a
-per-oscillator step costs its triangular solve and its certificate, not
-scipy's wrappers; :func:`solve_sylvester`, scipy's solver for general pairs of
-matrices, is a reference route. Stacks of cascade Lyapunov equations
+A Lyapunov equation of one cascade is a Schur (Bartels-Stewart) solve: one
+``dtrsyl`` call (:func:`solve_cascade_sylvester`) on a real Schur factor of
+a^T from :func:`cascade_schur`. Production factors a^T as one block, one QR
+iteration on the whole matrix; the second routes of P and of the gradients
+make the same solve on a second factorization, one QR iteration per
+oscillator, as a cascade's dynamics matrix is block lower triangular.
+:func:`solve_sylvester`, scipy's solver for general pairs of matrices, is a
+reference route. Stacks of cascade Lyapunov equations
 take :func:`solve_cascade_lyapunov`, block forward substitution with
 each step between two one-mode blocks in closed form, on the rank-m form
 of a cascade: its diagonal blocks with B and C, never the composite A.
@@ -342,15 +339,13 @@ def cascade_schur(a: Matrix, dims: Sequence[int]) -> CascadeSchur:
 
     ``a`` is block lower triangular, so with A_kk^T = W_k S_k W_k^T the
     orthogonal w = blockdiag(W_k) makes s = w^T a^T w upper
-    quasi-triangular in LAPACK's standard form, and every principal
-    sub-block of s on oscillator boundaries is a real Schur form of the
-    same sub-block of a^T (Jonsson and Kagstrom, 2002). Each W_k, S_k
+    quasi-triangular in LAPACK's standard form (Jonsson and Kagstrom, 2002),
+    with no QR iteration across oscillators. One block, ``dims = (len(a),)``,
+    is the dense factor of the same a^T, one QR iteration on it. Each W_k, S_k
     comes from one unsorted LAPACK ``dgees`` call, the factorization
-    ``scipy.linalg.schur`` makes, without its per-call wrapper. One block,
-    ``dims = (len(a),)``, is the dense factor of a matrix of no structure:
-    nothing lies above its diagonal. Raises ValueError if a block above the
-    diagonal is nonzero, SolverSingular if ``a`` has a non-finite entry or
-    a block's QR iteration fails.
+    ``scipy.linalg.schur`` makes, without its per-call wrapper. Raises
+    ValueError if a block above the diagonal is nonzero, SolverSingular if
+    ``a`` has a non-finite entry or a block's QR iteration fails.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
@@ -379,31 +374,22 @@ def _block_schur(a_kk: Matrix, k: int) -> tuple[Matrix, Matrix]:
     return s_k, w_k
 
 
-def solve_cascade_sylvester(
-    factor: CascadeSchur, rows: slice, cols: slice, gamma: Matrix, *, transpose: bool = False
-) -> Matrix:
-    """Certified solve of A_r X + X A_c^T + gamma = 0 on sub-blocks of a factor.
+def solve_cascade_sylvester(factor: CascadeSchur, gamma: Matrix, *, transpose: bool = False) -> Matrix:
+    """Certified solve of A X + X A^T + gamma = 0 on a :func:`cascade_schur` factor.
 
-    For a :func:`cascade_schur` factor, A_r = a[rows, rows] and A_c =
-    a[cols, cols] are principal sub-blocks on the boundaries of its
-    blocks; a one-block factor serves the whole matrix only. ``transpose``
-    solves A_r^T X + X A_c + gamma = 0 instead. One LAPACK ``dtrsyl`` call
-    on sub-blocks of the factor, no QR iteration; the caller has checked
-    stability. Raises SolverSingular if ``dtrsyl`` reports close spectra or
-    rescales, or if the residual certificate fails.
+    ``transpose`` solves A^T X + X A + gamma = 0 instead. One LAPACK
+    ``dtrsyl`` call on the factor, no QR iteration, whether it was built
+    from one block or from a cascade's oscillator orders; the caller has
+    checked stability. Raises SolverSingular if ``dtrsyl`` reports close
+    spectra or rescales, or if the residual certificate fails.
     """
-    w_r, w_c = factor.w[rows, rows], factor.w[cols, cols]
+    w, op = factor.w, factor.a.T if transpose else factor.a
     trans = ("N", "T") if transpose else ("T", "N")
-    x, scale, info = dtrsyl(
-        factor.s[rows, rows], factor.s[cols, cols], -(w_r.T @ gamma @ w_c), *trans
-    )
+    x, scale, info = dtrsyl(factor.s, factor.s, -(w.T @ gamma @ w), *trans)
     if info != 0 or scale != 1.0:
         raise SolverSingular(f"triangular Sylvester solve: info {info}, scale {scale:.3e}")
-    sigma = w_r @ x @ w_c.T
-    a_r, a_c = factor.a[rows, rows], factor.a[cols, cols]
-    if transpose:
-        a_r, a_c = a_r.T, a_c.T
-    certify_sylvester(a_r, a_c, gamma, sigma)
+    sigma = w @ x @ w.T
+    certify_sylvester(op, op, gamma, sigma)
     return sigma
 
 

@@ -25,7 +25,7 @@ from qcascade.covariance import (
     schur_complements,
     steady_state,
 )
-from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta
+from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta, SolverSingular
 from qcascade.gradients import observability_gramian_and_hankelian
 from qcascade.linalg import J2, RESIDUAL_TOL, quantum_psd_margin
 from qcascade.oracles import frequency_domain_covariance, purity_and_logdet
@@ -310,6 +310,25 @@ class TestTypedRefusal:
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 .*order 4 "):
             _cholesky(g @ g.T, (2, 2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused_by_name(self, bad):
+        # a typed refusal, not numpy's bare ValueError, on every caller of the factor
+        from qcascade.oracles import purity_and_logdet
+        from qcascade.sensitivity import fisher_metric, kl_gaussian
+
+        p = np.eye(6)
+        p[3, 2] = p[2, 3] = bad
+        match = rf"^dpotrf: covariance entry \(2, 3\) is {bad}, not finite$"
+        with pytest.raises(SolverSingular, match=match):
+            _cholesky(p, (2, 2, 2))
+        for refused in (
+            lambda: fisher_metric(p, np.eye(6)),
+            lambda: kl_gaussian(np.eye(6), p),
+            lambda: purity_and_logdet(p, np.eye(6)),
+        ):
+            with pytest.raises(SolverSingular, match=match):
+                refused()
+
     @pytest.mark.parametrize("dims", [(2, 2, 2), (6,)])
     def test_last_block_is_nonpositive(self, dims):
         with pytest.raises(NonPositive):
@@ -329,7 +348,7 @@ class TestTypedRefusal:
         from conftest import GENERATED_SPEC
         from qcascade.cli import main
 
-        monkeypatch.setattr(qcascade.covariance, "solve_cascade_sylvester", lambda factor, rows, cols, q: -q)
+        monkeypatch.setattr(qcascade.covariance, "solve_cascade_sylvester", lambda factor, q: -q)
         with pytest.raises(NonPositive, match=r"covariance has eigenvalue -1\.000e\+00"):
             qcascade.covariance.stationary_covariance(-np.eye(2), np.eye(2))
         assert main(["ti-bounds", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 2

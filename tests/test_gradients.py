@@ -24,7 +24,8 @@ from conftest import (
     weight_model,
 )
 from qcascade.covariance import (
-    _recursive_covariance,
+    _cholesky,
+    _covariance,
     invariant_covariance_direct,
     invariant_covariance_recursive,
     log_det_stack,
@@ -32,8 +33,8 @@ from qcascade.covariance import (
 from qcascade.errors import NonPositive, NotHurwitz, SingularLeadingBlock, SolverSingular
 from qcascade.gradients import (
     GradientSet,
+    _gramian,
     _lapack_solve,
-    _recursive_gramian,
     covariance_derivatives,
     gradient_fd_oracle,
     observability_gramian_and_hankelian,
@@ -271,18 +272,18 @@ class TestRouteAgreement:
         with pytest.raises(SolverSingular, match="dtrtrs: info 2"):
             _lapack_solve(dtrtrs, np.diag([1.0, 0.0]), np.ones((2, 1)))
 
-    def test_recursive_route_solves_no_block_beyond_one_oscillator(self, monkeypatch):
-        # the column sweeps of the block recursion: one solve per oscillator
-        # forward (P) and one transposed (the Gramian), each on one
-        # oscillator's columns and the rows from it to the end, and no dense
-        # factorization of P or of a Gramian
+    def test_recursive_route_solves_once_on_the_structured_factor(self, monkeypatch):
+        # the direct route's two solves on the structured Schur factor: one
+        # whole-factor solve for P and one transposed solve for the Gramian,
+        # both on the factor built one oscillator at a time, and no dense
+        # factorization of P or of a Gramian beyond the one Cholesky factor
         cascade = make_passive_chain(np.random.default_rng(1616), 16)
         calls, factored = [], []
-        solve = qcascade.gradients.solve_cascade_sylvester
+        solve = qcascade.linalg.solve_cascade_sylvester
 
-        def spy_solve(factor, rows, cols, *args, transpose=False, **kwargs):
-            calls.append(((rows.start, rows.stop), (cols.start, cols.stop), transpose))
-            return solve(factor, rows, cols, *args, transpose=transpose, **kwargs)
+        def spy_solve(factor, gamma, *, transpose=False):
+            calls.append((factor, np.shape(gamma), transpose))
+            return solve(factor, gamma, transpose=transpose)
 
         cho_factor = scipy.linalg.cho_factor
 
@@ -294,21 +295,23 @@ class TestRouteAgreement:
             monkeypatch.setattr(module, "solve_cascade_sylvester", spy_solve)
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy_factor)
         purity_gradients_recursive(cascade)
-        blocks = {(blk.start, blk.stop) for blk in cascade.blocks}
-        assert {cols for _, cols, _ in calls} == blocks
-        assert all(rows == (cols[0], cascade.n) for rows, cols, _ in calls)
-        steps = len(cascade.dims)
-        assert [transpose for _, _, transpose in calls].count(False) == steps
-        assert [transpose for _, _, transpose in calls].count(True) == steps
+        assert [(shape, transpose) for _, shape, transpose in calls] == [
+            ((cascade.n, cascade.n), False),
+            ((cascade.n, cascade.n), True),
+        ]
+        structured = cascade_schur(cascade.a, cascade.dims)
+        for factor, _, _ in calls:
+            assert factor is calls[0][0]
+            assert factor.s.tobytes() == structured.s.tobytes()
         assert factored == []
 
     @pytest.mark.parametrize("chain", ["cascade_n3_m6", "mixed", "benchmark_mc4_s1_0"])
-    def test_reverse_sweep_gramian_matches_the_direct_gramian(self, chain):
+    def test_recursive_gramian_matches_the_direct_gramian(self, chain):
         # the recursive route's Gramian, from its own P and factor, against
         # the one dense transposed solve of the direct route
         cascade = named_chain(chain) if chain == "mixed" else data_cascade(chain)
         factor = cascade_schur(cascade.a, cascade.dims)
-        q = _recursive_gramian(cascade, factor, _recursive_covariance(cascade, factor))
+        q = _gramian(factor, _cholesky(_covariance(factor, cascade.b), cascade.dims))
         direct, _ = observability_gramian_and_hankelian(cascade)
         assert np.linalg.norm(q - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -339,7 +342,7 @@ class TestRouteAgreement:
 
     def test_recursive_route_refuses_an_indefinite_leading_block(self, reference_cascade, monkeypatch):
         p = np.diag([1.0, 1, -1, 1, 1, 1])
-        monkeypatch.setattr(qcascade.gradients, "_recursive_covariance", lambda cascade, factor: p)
+        monkeypatch.setattr(qcascade.gradients, "_covariance", lambda factor, b: p)
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
             purity_gradients_recursive(reference_cascade)
 

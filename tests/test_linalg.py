@@ -368,7 +368,7 @@ class TestCascadeLyapunov:
         (q, p, ratio), = solved
         assert np.all(ratio <= RESIDUAL_TOL)
         for s in range(q.shape[2]):
-            want = solve_cascade_sylvester(factor, slice(None), slice(None), q[..., s])
+            want = solve_cascade_sylvester(factor, q[..., s])
             want = 0.5 * (want + want.T)
             assert np.max(np.abs(p[..., s] - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -689,7 +689,7 @@ class TestCascadeSchur:
         # the two sides share the spectrum {i, -i}: no unique solution
         factor = cascade_schur(J2, (2,))
         with pytest.raises(SolverSingular):
-            solve_cascade_sylvester(factor, slice(0, 2), slice(0, 2), np.eye(2))
+            solve_cascade_sylvester(factor, np.eye(2))
 
     def test_a_failed_block_factorization_is_refused(self, monkeypatch):
         # a dgees call that reports failure: info > 0 is a QR iteration that did not converge
