@@ -9,9 +9,11 @@ rule (:func:`certified`, the only comparison with ``RESIDUAL_TOL``) and the vech
 order of a lower triangle (:func:`vech_indices`), not the places of a parameter error.
 
 Every production Sylvester solve is certified and takes one of two routes.
-A Lyapunov equation of one cascade is a Schur (Bartels-Stewart) solve: one
-``dtrsyl`` call (:func:`solve_cascade_sylvester`) on a real Schur factor of
-a^T from :func:`cascade_schur`. Production factors a^T as one block, one QR
+A Lyapunov equation of one cascade is a Schur (Bartels-Stewart) solve
+(:func:`solve_cascade_sylvester`) on a real Schur factor of a^T from
+:func:`cascade_schur`: one ``dtrsyl`` call per pair of the factor's diagonal
+tiles of ``TILE`` rows below the diagonal, the rest matrix products, so one
+call up to order ``TILE``. Production factors a^T as one block, one QR
 iteration on the whole matrix; the second routes of P and of the gradients
 make the same solve on a second factorization, one QR iteration per
 oscillator, as a cascade's dynamics matrix is block lower triangular.
@@ -58,6 +60,8 @@ Matrix = np.ndarray
 
 HURWITZ_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
+#: order of the diagonal tiles of :func:`solve_cascade_sylvester`
+TILE = 32
 
 #: generator of the antisymmetric matrices of order 2
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -375,22 +379,66 @@ def _block_schur(a_kk: Matrix, k: int) -> tuple[Matrix, Matrix]:
 
 
 def solve_cascade_sylvester(factor: CascadeSchur, gamma: Matrix, *, transpose: bool = False) -> Matrix:
-    """Certified solve of A X + X A^T + gamma = 0 on a :func:`cascade_schur` factor.
+    """Certified solve of A X + X A^T + gamma = 0, gamma symmetric, on a
+    :func:`cascade_schur` factor a^T = w s w^T; ``transpose`` solves
+    A^T X + X A + gamma = 0 instead.
 
-    ``transpose`` solves A^T X + X A + gamma = 0 instead. One LAPACK
-    ``dtrsyl`` call on the factor, no QR iteration, whether it was built
-    from one block or from a cascade's oscillator orders; the caller has
-    checked stability. Raises SolverSingular if ``dtrsyl`` reports close
-    spectra or rescales, or if the residual certificate fails.
+    X = w Y w^T, with s^T Y + Y s = C (s Y + Y s^T = C transposed) and
+    C = -w^T gamma w, solved by symmetric Bartels-Stewart block substitution
+    (Jonsson and Kagstrom, 2002) on the tiles of :func:`_schur_tiles`: each
+    tile (i, j), i >= j, in :func:`_tile_order`, from its forcing C_ij less
+    two matrix products over the tiles already solved, by one LAPACK
+    ``dtrsyl`` call on s_ii and s_jj, then mirrored to (j, i). With one tile,
+    n <= ``TILE``, that is one ``dtrsyl`` call on the whole factor. The
+    caller has checked stability. Raises SolverSingular, naming the tile, if
+    a ``dtrsyl`` call reports close spectra or rescales, or if the residual
+    certificate of X fails, as it does for a gamma far from symmetric.
     """
-    w, op = factor.w, factor.a.T if transpose else factor.a
+    w, s = factor.w, factor.s
+    # the triangular matrix of the left-hand product: s^T Y, or s Y transposed
+    op, left = (factor.a.T, s) if transpose else (factor.a, s.T)
     trans = ("N", "T") if transpose else ("T", "N")
-    x, scale, info = dtrsyl(factor.s, factor.s, -(w.T @ gamma @ w), *trans)
-    if info != 0 or scale != 1.0:
-        raise SolverSingular(f"triangular Sylvester solve: info {info}, scale {scale:.3e}")
-    sigma = w @ x @ w.T
+    # C in Fortran order, which dtrsyl overwrites: each tile of Y replaces its tile of C
+    y = np.asfortranarray(-(w.T @ gamma @ w))
+    tiles = _schur_tiles(s)
+    for i, j in _tile_order(len(tiles), transpose):
+        ti, tj = tiles[i], tiles[j]
+        forcing = y[ti, tj]
+        if len(tiles) > 1:
+            # the tiles of Y already solved: those before, or those after when transposed
+            si = slice(ti.stop, None) if transpose else slice(ti.start)
+            sj = slice(tj.stop, None) if transpose else slice(tj.start)
+            forcing = forcing - left[ti, si] @ y[si, tj] - y[ti, sj] @ left[tj, sj].T
+        y[ti, tj], scale, info = dtrsyl(s[ti, ti], s[tj, tj], forcing, *trans, overwrite_c=True)
+        if info != 0 or scale != 1.0:
+            raise SolverSingular(f"triangular Sylvester solve of tile ({i}, {j}): info {info}, scale {scale:.3e}")
+        if i != j:
+            y[tj, ti] = y[ti, tj].T
+    sigma = w @ y @ w.T
     certify_sylvester(op, op, gamma, sigma)
     return sigma
+
+
+@lru_cache(maxsize=64)
+def _tile_order(p: int, transpose: bool) -> tuple[tuple[int, int], ...]:
+    """(i, j) of the p(p+1)/2 tiles i >= j of :func:`solve_cascade_sylvester` in
+    the vech order of :func:`vech_indices`, reversed when ``transpose``, as
+    s Y + Y s^T is solved from the last tile back."""
+    rows, cols = vech_indices(p)
+    pairs = tuple(zip(rows.tolist(), cols.tolist()))
+    return pairs[::-1] if transpose else pairs
+
+
+def _schur_tiles(s: Matrix) -> list[slice]:
+    """Index ranges of the diagonal tiles of a quasi-triangular s: ``TILE``
+    rows each, one more where a cut would split a 2 x 2 bump, and the rest last."""
+    n, lo, tiles = len(s), 0, []
+    while lo < n:
+        hi = min(lo + TILE, n)
+        hi += bool(hi < n and s[hi, hi - 1] != 0.0)
+        tiles.append(slice(lo, hi))
+        lo = hi
+    return tiles
 
 
 def solve_cascade_lyapunov(

@@ -17,10 +17,12 @@ spec as ``qcascade.cli.load_spec`` reads them, never from a float64 result:
   (QP)_kk) and mu = -(J M K^T + 4 B^T Q Theta) with K = W o G - (W o G)^T,
   G = -4 Theta Q P; mu_k are its columns of oscillator k.
 
-The chains are ``perfbench/specgen.py`` tasks of the ``long_chain`` and
-``mc_check`` workloads: seed-1 ``amplifying8`` #0-#3, ``amplifying16`` #0-#3
-and ``mc6`` #3, and five chains whose ``gradients`` verdict moved when the
-second gradient route became one solve on the structured Schur factor:
+The chains are ``perfbench/specgen.py`` tasks: of the ``long_chain`` and
+``mc_check`` workloads, seed-1 ``amplifying8`` #0-#3, ``amplifying16`` #0-#3
+and ``mc6`` #3; seed-1 ``amplifying24`` #0-#3, the same sampler at N = 24
+(order 48, more than one tile of ``linalg.solve_cascade_sylvester``); and five
+chains whose ``gradients`` verdict moved when the second gradient route
+became one solve on the structured Schur factor:
 seed-2 ``amplifying8`` #3 and ``amplifying16`` #1, seed-3 ``amplifying8`` #0,
 and seed-5 and seed-8 ``amplifying8`` #1. Each entry keeps its spec, so the
 tests need neither perfbench nor mpmath. To check that the file follows
@@ -59,6 +61,7 @@ OUT = HERE / "pins" / "amplifying_pins.json"
 CHAINS = (
     *((1, "amplifying8", i, 8) for i in range(4)),
     *((1, "amplifying16", i, 16) for i in range(4)),
+    *((1, "amplifying24", i, 24) for i in range(4)),
     (1, "mc6", 3, 6),
     (2, "amplifying8", 3, 8),
     (2, "amplifying16", 1, 16),

@@ -10,7 +10,15 @@ from hypothesis.extra import numpy as hnp
 import qcascade.covariance
 import qcascade.gradients
 import qcascade.linalg
-from conftest import composite, make_cascade, make_mixed_cascade, make_oscillator, perturbed_params, rank_m_stack
+from conftest import (
+    composite,
+    make_cascade,
+    make_mixed_cascade,
+    make_oscillator,
+    make_passive_chain,
+    perturbed_params,
+    rank_m_stack,
+)
 from qcascade.covariance import log_det_stack, stationary_covariance
 from qcascade.errors import EigFailure, NotHurwitz, SolverSingular
 from qcascade.gradients import covariance_derivatives
@@ -691,6 +699,15 @@ class TestCascadeSchur:
         with pytest.raises(SolverSingular):
             solve_cascade_sylvester(factor, np.eye(2))
 
+    @pytest.mark.parametrize("transpose, tile", [(False, r"\(0, 0\)"), (True, r"\(1, 1\)")])
+    def test_marginal_spectra_beyond_one_tile_are_refused(self, transpose, tile):
+        # order 64, two tiles, both of the spectrum {i, -i}: the first tile
+        # solved, the last one when transposed, is refused by its dtrsyl call
+        factor = cascade_schur(scipy.linalg.block_diag(*[J2] * 32), (64,))
+        assert len(qcascade.linalg._schur_tiles(factor.s)) == 2
+        with pytest.raises(SolverSingular, match=rf"^triangular Sylvester solve of tile {tile}: info 1"):
+            solve_cascade_sylvester(factor, np.eye(64), transpose=transpose)
+
     def test_a_failed_block_factorization_is_refused(self, monkeypatch):
         # a dgees call that reports failure: info > 0 is a QR iteration that did not converge
         def fails(select, a):
@@ -712,6 +729,94 @@ class TestCascadeSchur:
         a[1, 4] = 1e-3
         with pytest.raises(ValueError, match="above the diagonal"):
             cascade_schur(a, cascade.dims)
+
+
+def single_call(factor, gamma, transpose):
+    """The solve as one unblocked dtrsyl call on the whole factor, certified."""
+    w, op = factor.w, factor.a.T if transpose else factor.a
+    x, scale, info = qcascade.linalg.dtrsyl(factor.s, factor.s, -(w.T @ gamma @ w), *("NT" if transpose else "TN"))
+    assert info == 0 and scale == 1.0
+    sigma = w @ x @ w.T
+    certify_sylvester(op, op, gamma, sigma)
+    return sigma
+
+
+def bumped_factor(n, bump):
+    """A stable real Schur factor of order n with a 2 x 2 bump at rows bump,
+    bump + 1, and a symmetric gamma of rank 3."""
+    rng = np.random.default_rng(n)
+    s = np.triu(0.3 * rng.standard_normal((n, n)), 1)
+    s[np.diag_indices(n)] = -1.0 - 0.05 * np.arange(n)
+    s[bump : bump + 2, bump : bump + 2] = [[-2.0, 3.0], [-1.0, -2.0]]
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    g = rng.standard_normal((n, 3))
+    return qcascade.linalg.CascadeSchur(a=(w @ s @ w.T).T, w=w, s=s), g @ g.T
+
+
+def chain_factor(n_osc, structured):
+    """The dense or structured factor of a passive chain and its B B^T."""
+    cascade = make_passive_chain(np.random.default_rng(n_osc), n_osc)
+    return cascade_schur(cascade.a, cascade.dims if structured else (cascade.n,)), cascade.b @ cascade.b.T
+
+
+TILED_FACTORS = pytest.mark.parametrize(
+    "build, tiles",
+    [
+        (lambda: bumped_factor(33, 31), 1),
+        (lambda: bumped_factor(48, 31), 2),
+        (lambda: chain_factor(32, False), 2),
+        (lambda: chain_factor(32, True), 2),
+        (lambda: chain_factor(64, False), 4),
+        (lambda: chain_factor(64, True), 4),
+    ],
+    ids=["n33_bump_at_cut", "n48_bump_at_cut", "n64_dense", "n64_structured", "n128_dense", "n128_structured"],
+)
+
+
+class TestTiledSolve:
+    @TILED_FACTORS
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_tiled_solve_agrees_with_one_dtrsyl_call(self, build, tiles, transpose):
+        factor, gamma = build()
+        cuts = [t.stop for t in qcascade.linalg._schur_tiles(factor.s)]
+        assert len(cuts) == tiles
+        # a cut never splits a 2 x 2 bump
+        assert all(cut == len(factor.s) or factor.s[cut, cut - 1] == 0.0 for cut in cuts)
+        got = solve_cascade_sylvester(factor, gamma, transpose=transpose)
+        want = single_call(factor, gamma, transpose)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("n_osc", [3, 16])
+    def test_one_tile_is_the_single_call_to_the_byte(self, n_osc, structured, transpose):
+        factor, gamma = chain_factor(n_osc, structured)
+        assert len(factor.s) <= qcascade.linalg.TILE
+        got = solve_cascade_sylvester(factor, gamma, transpose=transpose)
+        assert got.tobytes() == single_call(factor, gamma, transpose).tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_one_dtrsyl_call_per_lower_tile(self, monkeypatch, transpose):
+        factor, gamma = chain_factor(64, False)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dtrsyl(*args, **kwargs)
+
+        dtrsyl = qcascade.linalg.dtrsyl
+        monkeypatch.setattr(qcascade.linalg, "dtrsyl", spy)
+        solve_cascade_sylvester(factor, gamma, transpose=transpose)
+        p = len(qcascade.linalg._schur_tiles(factor.s))
+        assert p == 4 and len(calls) == p * (p + 1) // 2
+
+    def test_a_non_symmetric_gamma_is_refused_by_the_certificate(self):
+        # only the lower tiles of C are read: a gamma far from symmetric leaves
+        # the mirrored upper tiles unsolved, which the certificate refuses
+        factor, gamma = chain_factor(32, False)
+        gamma = gamma + np.triu(np.ones_like(gamma), 1)
+        with pytest.raises(SolverSingular, match="^residual .* exceeds"):
+            solve_cascade_sylvester(factor, gamma)
 
 
 class TestVechDuplication:
