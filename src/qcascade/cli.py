@@ -434,8 +434,13 @@ def _fmt4(x: float) -> str:
 
 
 def _fmt4_rows(mat: np.ndarray) -> list[str]:
-    """Rows of ``mat`` as the text of _fmt4 of each entry joined by two spaces, one format per row."""
+    """Rows of ``mat`` as the text of _fmt4 of each entry joined by two spaces, one format per row.
+
+    An entry below half a unit of the fourth decimal prints as the zero of its
+    sign, so it becomes that zero first and skips the decimal conversion: the
+    off-diagonal round-off of a long chain's P is most of its entries."""
     row_format = "  ".join(["%12.4f"] * mat.shape[1])
+    mat = np.where(np.abs(mat) < 5e-5, np.copysign(0.0, mat), mat)
     return [row_format % tuple(row) for row in mat.tolist()]
 
 

@@ -11,9 +11,10 @@ its name because the benchmark traces it. The Schur complements of the
 leading blocks split the log-determinant of P into per-oscillator terms,
 which is the quantity the gradient and balancing modules act on. They are
 read off one Cholesky factor P = L L^T (the complement before oscillator k
-is L_tt L_tt^T, L_tt the trailing block of L), which :func:`steady_state`
-keeps in one record per cascade; :func:`schur_complements` forms them by
-subtraction, as the test oracle. Every solve with L goes through
+is L_tt L_tt^T, L_tt the trailing block of L): the factor that certified
+P's floor, which :func:`invariant_covariance_direct` keeps beside P and
+:func:`steady_state` puts in one record per cascade. :func:`schur_complements`
+forms them by subtraction, as the test oracle. Every solve with L goes through
 :func:`_lapack_solve`.
 """
 
@@ -60,14 +61,29 @@ class SteadyStateResult:
     v_k: tuple[float, ...]
 
 
-def stationary_covariance(a: Matrix, b: Matrix) -> Matrix:
-    """:func:`_covariance` on the one-block :func:`cascade_schur` factor of
-    A^T, with a floor on its spectrum. The caller has checked that A is Hurwitz."""
+def stationary_covariance(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix | None]:
+    """P by :func:`_covariance` on the one-block :func:`cascade_schur` factor of
+    A^T, with a floor on its spectrum, and the :func:`_cholesky` factor L of P
+    that certifies the floor; L is None for an admissible P whose
+    factorization fails, one singular to working precision. The caller has
+    checked that A is Hurwitz.
+
+    A factorization that succeeds is exact for some P + E with ||E||_2 at
+    most of order n^2 u ||P||_2, u the unit round-off (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10), so by Weyl's
+    inequality the least eigenvalue of P is at least -||E||_2: about 2e-12
+    ||P|| at order 128, far inside the floor -PSD_TOL max(1, ||P||_F) of
+    :func:`admissible`. Only when the factorization fails is that eigenvalue
+    computed, by one eigensolve, to apply :func:`admissible` to it.
+    """
     p = _covariance(cascade_schur(a, (len(a),)), b)
-    floor = np.linalg.eigvalsh(p)[0]
+    try:
+        return p, _cholesky(p, (len(p),))
+    except NonPositive:
+        floor = np.linalg.eigvalsh(p)[0]
     if not admissible(floor, p):
         raise NonPositive(f"covariance has eigenvalue {floor:.3e}")
-    return p
+    return p, None
 
 
 def _covariance(factor: CascadeSchur, b: Matrix) -> Matrix:
@@ -92,11 +108,17 @@ def _keep(cascade: CascadeModel, key: str, value, *arrays: np.ndarray):
 
 
 def invariant_covariance_direct(cascade: CascadeModel) -> Matrix:
-    """Steady-state covariance from one Lyapunov solve on the composite, once per cascade."""
+    """Steady-state covariance from one Lyapunov solve on the composite, once per
+    cascade. The Cholesky factor that certified its floor in
+    :func:`stationary_covariance` (a factorization that succeeds bounds P's
+    least eigenvalue below by O(n^2 u ||P||), no eigensolve needed) is kept
+    beside it under ``chol``, None for an admissible P that it could not
+    factor, so that :func:`steady_state` reads L instead of factoring P again."""
     if "p" in cascade.derived:
         return cascade.derived["p"]
     cascade.require_hurwitz()
-    p = stationary_covariance(cascade.a, cascade.b)
+    p, chol = stationary_covariance(cascade.a, cascade.b)
+    _keep(cascade, "chol", chol, *(() if chol is None else (chol,)))
     return _keep(cascade, "p", p, p)
 
 
@@ -223,17 +245,23 @@ def _lapack_solve(routine, factor: Matrix, rhs: Matrix, **flags) -> Matrix:
 def steady_state(cascade: CascadeModel) -> SteadyStateResult:
     """The one steady-state record of a cascade, built once and kept.
 
-    P is :func:`invariant_covariance_direct`, factored once by
-    :func:`_cholesky` into L, kept read-only; v_k = 2 sum ln diag L_kk and
-    V = 2 sum ln diag L are read off L, so sum v_k = V holds by
-    construction, and the purity is :func:`_purity` of V. Raises
-    SingularLeadingBlock naming the oscillator and the order when a leading
-    block is not positive definite, NonPositive when only the last block fails.
+    P is :func:`invariant_covariance_direct`, and L its :func:`_cholesky`
+    factor, the one that certified P's floor (its success bounds P's least
+    eigenvalue below by O(n^2 u ||P||)) and was kept beside it, read-only: P
+    is factored once per cascade. v_k = 2 sum ln diag L_kk and
+    V = 2 sum ln diag L are read off L, so sum v_k = V holds by construction,
+    and the purity is :func:`_purity` of V. A P that passed its floor without
+    a factor is singular to working precision; factored again on the blocks
+    of the cascade, it raises SingularLeadingBlock naming the oscillator and
+    the order when a leading block is not positive definite, NonPositive
+    naming the pivot when only the last block fails.
     """
     if "state" in cascade.derived:
         return cascade.derived["state"]
     p_full = invariant_covariance_direct(cascade)
-    chol = _cholesky(p_full, cascade.dims)
+    chol = cascade.derived["chol"]
+    if chol is None:
+        chol = _cholesky(p_full, cascade.dims)
     log_diag = 2.0 * np.log(np.diag(chol))
     v = float(np.sum(log_diag))
     state = SteadyStateResult(

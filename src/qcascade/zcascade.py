@@ -81,7 +81,7 @@ class TIModel(OscillatorRealization):
         stable, margin = is_hurwitz(a, np.max(np.abs(a)))
         if not stable:
             raise NotHurwitz(f"dynamics matrix has spectral abscissa {margin:.3e}")
-        return cls(a=a, b=b, c=c, j_ito=j_ito, p=stationary_covariance(a, b))
+        return cls(a=a, b=b, c=c, j_ito=j_ito, p=stationary_covariance(a, b)[0])
 
     def omega(self) -> np.ndarray:
         if self.j_ito is None:
@@ -246,7 +246,7 @@ def covariance_trace_bound(model: TIModel, k_max: int) -> TraceBoundResult:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     b_full = np.tile(model.b, (k_max, 1))
     a_full = _write_series([model.a] * k_max, b_full, np.tile(model.c, (1, k_max)))
-    p_full = stationary_covariance(a_full, b_full)
+    p_full, _ = stationary_covariance(a_full, b_full)
     h2 = h2_norm(model)
     hinf = hinf_norm(model)
     return TraceBoundResult(

@@ -269,6 +269,11 @@ def mixed_order_doc(rng):
     return {"field_channels": m, "oscillators": oscillators, "uncertainty": uncertainty}
 
 
+#: half a unit of the fourth decimal and its float neighbours, the edge where
+#: an entry of a table stops printing as a zero
+HALF_UNIT = [np.nextafter(5e-5, 0.0), 5e-5, np.nextafter(5e-5, 1.0)]
+
+
 class TestCommands:
     @pytest.mark.parametrize(
         "command", ["validate", "covariance", "purity", "gradients", "sensitivity"]
@@ -435,6 +440,34 @@ class TestCommands:
         # non-square, as the mu_k of the gradients table, with signed zeros and non-finite entries
         mat = np.array([[1.23456, -0.0, np.nan], [-1e7, np.inf, 5e-5]])
         assert _fmt4_rows(mat) == ["  ".join(_fmt4(x) for x in row) for row in mat]
+
+    def test_small_entries_print_as_the_zero_of_their_sign(self):
+        # a wrong threshold prints 0.0001 as 0.0000 or misses the edge; a zero
+        # of the wrong sign prints -0.0000 as 0.0000
+        edges = [0.0, 1e-20, 5e-324, *HALF_UNIT, 1e16, np.nan, np.inf]
+        mat = np.array([edges, [-x for x in edges]])
+        want = ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
+        assert _fmt4_rows(mat) == want
+        assert want[1].split()[:6] == ["-0.0000", "-0.0000", "-0.0000", "-0.0000", "-0.0001", "-0.0001"]
+        assert want[0].split()[3:6] == ["0.0000", "0.0001", "0.0001"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.one_of(st.floats(), st.floats(-1e-3, 1e-3), st.sampled_from(HALF_UNIT + [-x for x in HALF_UNIT])),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_rows_match_entrywise_format_on_any_floats(self, rows):
+        mat = np.array(rows, dtype=float)
+        assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
 
     def test_covariance_table_matches_entrywise_format(self, tmp_path, capsys):
         argv = ["covariance", str(GENERATED_SPEC), "--out", str(tmp_path), "--format", "table"]

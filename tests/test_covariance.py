@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,12 +19,14 @@ from conftest import (
     random_symplectic,
 )
 from qcascade.covariance import (
+    PSD_TOL,
     _cholesky,
     _cholesky_log_det,
     invariant_covariance_direct,
     invariant_covariance_recursive,
     log_det_stack,
     schur_complements,
+    stationary_covariance,
     steady_state,
 )
 from qcascade.errors import NoConvergence, NonPositive, NotHurwitz, SingularLeadingBlock, SingularTheta, SolverSingular
@@ -338,7 +342,7 @@ class TestTypedRefusal:
         # a fresh cascade whose solved P is replaced by the indefinite one
         cascade = assemble_cascade(reference_cascade.params)
         p = np.diag([1.0, 1, -1, 1, 1, 1])
-        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: p)
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: (p, None))
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):
             steady_state(cascade)
 
@@ -353,6 +357,100 @@ class TestTypedRefusal:
             qcascade.covariance.stationary_covariance(-np.eye(2), np.eye(2))
         assert main(["ti-bounds", str(GENERATED_SPEC), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("numerical error: oscillator 0: covariance has eigenvalue -")
+
+
+def dense_singular(rng_seed=17):
+    """A P of order 6 and rank 5, dense: g g^T for a 6 x 5 Gaussian g."""
+    g = np.random.default_rng(rng_seed).standard_normal((6, 5))
+    return 0.5 * ((g @ g.T) + (g @ g.T).T)
+
+
+#: the floor of a diagonal P of order 6 with five unit entries, to within 1e-17 relative
+EDGE = PSD_TOL * np.sqrt(5.0)
+
+
+class TestFloor:
+    """stationary_covariance certifies P's floor with its Cholesky factor and
+    computes P's least eigenvalue only when that factor fails; each verdict is
+    compared with the eigenvalue rule of ``admissible``, evaluated here."""
+
+    @staticmethod
+    def rule(p) -> bool:
+        return bool(np.linalg.eigvalsh(p)[0] >= -PSD_TOL * max(1.0, np.linalg.norm(p)))
+
+    @staticmethod
+    def solve_to(monkeypatch, p):
+        """Make the forward solve of P return ``p``, whichever factor it is given."""
+        monkeypatch.setattr(qcascade.covariance, "solve_cascade_sylvester", lambda factor, q: p.copy())
+
+    @pytest.mark.parametrize(
+        "p, admissible",
+        [
+            (np.eye(6), True),
+            (np.diag([1.0, 1, 1, 1, 1, 0]), True),
+            (np.diag([1.0, 1, 0, 1, 1, 1]), True),
+            (np.diag([1.0, 1, 1, 1, 1, -0.99 * EDGE]), True),
+            (np.diag([1.0, 1, 1, 1, 1, -1.01 * EDGE]), False),
+            (np.diag([1.0, 1, 1, 1, 1, -1.0]), False),
+            (dense_singular(), True),
+            (dense_singular() - 1e-7 * np.eye(6), False),
+        ],
+    )
+    def test_verdict_is_the_eigenvalue_rule(self, p, admissible, monkeypatch):
+        assert self.rule(p) == admissible  # the case is what its row says
+        self.solve_to(monkeypatch, p)
+        if not admissible:
+            floor = np.linalg.eigvalsh(p)[0]
+            with pytest.raises(NonPositive, match=re.escape(f"covariance has eigenvalue {floor:.3e}")):
+                stationary_covariance(-np.eye(6), np.eye(6))
+            return
+        got, chol = stationary_covariance(-np.eye(6), np.eye(6))
+        np.testing.assert_array_equal(got, p)
+        if chol is None:  # returned without a factor only when the factor fails
+            with pytest.raises((NonPositive, SingularLeadingBlock)):
+                _cholesky(p, (6,))
+        else:
+            np.testing.assert_array_equal(chol, _cholesky(p, (6,)))
+
+    def test_a_positive_definite_p_is_never_eigendecomposed(self, reference_cascade, monkeypatch):
+        def refuse(x, *args, **kwargs):
+            raise AssertionError("eigensolve of P")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        p, chol = stationary_covariance(reference_cascade.a, reference_cascade.b)
+        np.testing.assert_array_equal(chol, _cholesky(p, reference_cascade.dims))
+
+    @pytest.mark.parametrize(
+        "diag, refusal",
+        [
+            ([1.0, 1, 1, 1, 1, 0], "covariance is not positive definite: pivot 6 of 6"),
+            ([1.0, 1, 0, 1, 1, 1], "conditional covariance of oscillator 1 is not positive "
+             "definite: leading block of order 4 fails at pivot 3"),
+        ],
+    )
+    def test_singular_p_within_the_floor(self, diag, refusal, tmp_path, capsys, monkeypatch):
+        # returned, so covariance and validate run on it; purity names the pivot
+        from qcascade.cli import main
+
+        self.solve_to(monkeypatch, np.diag(diag))
+        assert self.rule(np.diag(diag))
+        for command, code in (("covariance", 0), ("validate", 0), ("purity", 2)):
+            assert main([command, str(GENERATED_SPEC), "--out", str(tmp_path / command)]) == code
+        assert capsys.readouterr().err == f"numerical error: {refusal}\n"
+        cascade = assemble_cascade(data_cascade("cascade_n3_m6").params)
+        with pytest.raises((NonPositive, SingularLeadingBlock), match=re.escape(refusal)):
+            steady_state(cascade)
+
+    def test_p_just_below_the_floor_is_refused(self, tmp_path, capsys, monkeypatch):
+        from qcascade.cli import main
+
+        p = np.diag([1.0, 1, 1, 1, 1, -1.01 * EDGE])
+        self.solve_to(monkeypatch, p)
+        assert not self.rule(p)
+        floor = np.linalg.eigvalsh(p)[0]
+        for command in ("covariance", "validate", "purity"):
+            assert main([command, str(GENERATED_SPEC), "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == f"numerical error: covariance has eigenvalue {floor:.3e}\n"
 
 
 class TestStackCholesky:

@@ -1,6 +1,7 @@
-"""One owner per derived quantity: P, the steady-state record that holds
-its factor, and the gradients of a cascade are computed at most once, kept
-on the cascade and handed out read-only, whichever library calls ask for them."""
+"""One owner per derived quantity: P with the factor that certified its
+floor, the steady-state record that holds that factor, and the gradients of
+a cascade are computed at most once, kept on the cascade and handed out
+read-only, whichever library calls ask for them."""
 
 import sys
 from collections import Counter
@@ -42,7 +43,22 @@ def counts(monkeypatch):
     return counts
 
 
-def test_the_chain_solves_factors_and_forms_the_gramian_once(counts, reference_spec):
+@pytest.fixture()
+def eigensolved(monkeypatch):
+    """Every matrix passed to ``np.linalg.eigvalsh``: P among them would be an
+    eigenvalue floor, which no owner computes for a positive-definite P."""
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x, *args, **kw: matrices.append(x) or eigvalsh(x, *args, **kw))
+    return matrices
+
+
+def eigensolves_of(p, matrices) -> int:
+    """How many of ``matrices`` equal P."""
+    return sum(np.shape(x) == p.shape and np.array_equal(x, p) for x in matrices)
+
+
+def test_the_chain_solves_factors_and_forms_the_gramian_once(counts, eigensolved, reference_spec):
     cascade = build_cascade(reference_spec)
     uncertainty = reference_spec.uncertainty
     state = steady_state(cascade)
@@ -52,6 +68,7 @@ def test_the_chain_solves_factors_and_forms_the_gramian_once(counts, reference_s
     assert counts == Counter(
         {"stationary_covariance": 1, "_cholesky": 1, "observability_gramian_and_hankelian": 1}
     )
+    assert eigensolves_of(state.p_full, eigensolved) == 0
     assert steady_state(cascade) is state
     assert invariant_covariance_direct(cascade) is state.p_full
     assert purity_gradients_direct(cascade) is purity_gradients_direct(cascade)
@@ -66,8 +83,9 @@ CONSUMERS = {
 
 
 @pytest.mark.parametrize("first", list(CONSUMERS))
-def test_one_record_per_cascade(first, counts, reference_spec, monkeypatch):
-    # whichever consumer comes first builds the one record: L and the purity together
+def test_one_record_per_cascade(first, counts, eigensolved, reference_spec, monkeypatch):
+    # whichever consumer comes first builds the one record: L and the purity
+    # together, L the factor kept beside P when its floor was certified
     cascade = build_cascade(reference_spec)
     slogdet_shapes = []
     slogdet = np.linalg.slogdet
@@ -77,7 +95,9 @@ def test_one_record_per_cascade(first, counts, reference_spec, monkeypatch):
         CONSUMERS[name](cascade, reference_spec.uncertainty)
     assert counts["_cholesky"] == 1
     assert slogdet_shapes == [cascade.theta.shape]
-    assert set(cascade.derived) == {"p", "state", "gradients"}
+    assert set(cascade.derived) == {"p", "chol", "state", "gradients"}
+    assert cascade.derived["chol"] is steady_state(cascade).chol
+    assert eigensolves_of(cascade.derived["p"], eigensolved) == 0
 
 
 def test_kept_arrays_are_read_only(reference_spec):
@@ -111,7 +131,7 @@ def test_a_failed_solve_is_not_kept(counts, reference_spec, monkeypatch):
 def test_a_failed_factor_is_not_kept(counts, reference_spec, monkeypatch):
     cascade = build_cascade(reference_spec)
     monkeypatch.setattr(
-        qcascade.covariance, "stationary_covariance", lambda a, b: np.diag([1.0, 1, -1, 1, 1, 1])
+        qcascade.covariance, "stationary_covariance", lambda a, b: (np.diag([1.0, 1, -1, 1, 1, 1]), None)
     )
     for _ in range(2):
         with pytest.raises(SingularLeadingBlock, match="oscillator 1 "):

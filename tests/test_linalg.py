@@ -273,7 +273,7 @@ def assert_matches_single_cascade_route(p, cascade, de):
     ``stationary_covariance`` solves on that copy's assembled composite."""
     for s in range(p.shape[2]):
         copy = assemble_cascade(perturbed_params(cascade, de, s))
-        want = stationary_covariance(copy.a, copy.b)
+        want, _ = stationary_covariance(copy.a, copy.b)
         assert np.max(np.abs(p[..., s] - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -67,3 +67,20 @@ def test_output_digest_covers_the_json_format(monkeypatch):
     (code, first), (_, second) = digest("{}"), digest("[]")
     assert first != second and code == 1
     assert runs == [[], ["--format", "json"]] * 2
+
+
+def test_ab_tasks_times_one_class_on_both_sides():
+    # an A/A run of one long_chain class: both sides run the same tasks and
+    # print a median and quartiles each, then the ratio of the medians
+    argv = [sys.executable, str(SCRIPT_DIR / "ab_tasks.py"), str(SCRIPT_DIR.parent), str(SCRIPT_DIR.parent)]
+    argv += ["--workload", "long_chain", "--class", "passive16", "--tasks", "2", "--repeat", "1", "--rounds", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("long_chain passive16 seed 1: 2 task(s) x 1 repeat(s) x 2 round(s) = 4 timed runs per side")
+    rows = {line.split()[0]: line.split(None, 4)[1:] for line in lines[2:4]}
+    assert set(rows) == {"parent", "change"}
+    for median, q1, q3, failed in rows.values():
+        assert 0 < float(q1) <= float(median) <= float(q3)
+        assert failed == "[0, 0]"
+    assert re.fullmatch(r"change/parent median \d+\.\d{4}", lines[4])

@@ -254,7 +254,7 @@ class TestMonteCarlo:
     ):
         # a fresh cascade whose solved P is replaced by the indefinite one
         cascade = assemble_cascade(reference_cascade.params)
-        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: np.diag(diag))
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: (np.diag(diag), None))
         with pytest.raises(error, match="pivot"):
             monte_carlo_variance(cascade, reference_uncertainty, samples=10)
 
