@@ -8,13 +8,18 @@ of the class at the seed in turn, one untimed pass and then ``--repeat``
 timed ones, each task on its spec written anew, as a benchmark run does. It
 reports the seconds the task's program calls took (``TaskOutcome.seconds``,
 raw wall time, as the benchmark's task time before its host-speed
-correction). With K >= 2 consecutive tasks differ, so no run finds its spec
-kept by the CLI from the run before. Both sides run the same tasks, so their
-failed counts must agree. BLAS is pinned to one thread, as in
-``perfbench/run.py``. Nothing under ``perfbench/`` is changed.
+correction). K must be at least 2: consecutive tasks then differ, so no run
+finds its spec kept by the CLI from the run before. Both sides run the same
+tasks, so their failed counts must agree. BLAS is pinned to one thread, as
+in ``perfbench/run.py``. Nothing under ``perfbench/`` is changed.
 
-The summary gives each side's median and quartiles over all its timed runs,
-and the ratio of the medians:
+The summary gives each round's median per side, then each side's median and
+quartiles over all its timed runs and the ratio of the medians, then the
+rounds the change won (a lower round median; ties count for neither side),
+the gap between the two sides' medians of the round medians, and the
+parent's between-round spread, the distance between the quartiles of its
+round medians. A gain holds when the change wins at least nine tenths of
+the rounds and the gap exceeds that spread:
 
     python3 scripts/ab_tasks.py ../parent . --workload long_chain --class passive64
 
@@ -48,7 +53,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.tasks < 2:
+        parser.error("--tasks must be at least 2: one task's repeats would find its spec kept by the CLI")
+    return args
 
 
 def worker(args: argparse.Namespace) -> int:
@@ -84,12 +92,18 @@ def run_side(checkout: Path, args: argparse.Namespace) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile (all three the value itself for one value)."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.worker is not None:
         return worker(args)
     sides = {"parent": args.parent, "change": args.change}
     seconds = {side: [] for side in sides}
+    rounds = {side: [] for side in sides}  # the median of each round
     failed = {side: [] for side in sides}
     start = time.perf_counter()
     for round_ in range(args.rounds):
@@ -97,20 +111,30 @@ def main(argv=None) -> int:
         for side in order:
             got = run_side(sides[side], args)
             seconds[side] += got["seconds"]
+            rounds[side].append(statistics.median(got["seconds"]))
             failed[side].append(got["failed"])
     runs = len(seconds["parent"])
     print(
         f"{args.workload} {args.task_class} seed {args.seed}: {args.tasks} task(s) x {args.repeat} repeat(s)"
         f" x {args.rounds} round(s) = {runs} timed runs per side, {time.perf_counter() - start:.1f} s"
     )
+    print(f"{'round':8}{'parent_ms':>12}{'change_ms':>12}")
+    for round_, (old, new) in enumerate(zip(rounds["parent"], rounds["change"]), 1):
+        print(f"{round_:<8}{1e3 * old:12.3f}{1e3 * new:12.3f}")
     print(f"{'side':8}{'median_ms':>12}{'q1_ms':>10}{'q3_ms':>10}  failed per round")
     medians = {}
     for side, values in seconds.items():
-        q1, medians[side], q3 = (
-            statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-        )
+        q1, medians[side], q3 = quartiles(values)
         print(f"{side:8}{1e3 * medians[side]:12.3f}{1e3 * q1:10.3f}{1e3 * q3:10.3f}  {failed[side]}")
     print(f"change/parent median {medians['change'] / medians['parent']:.4f}")
+    wins = sum(new < old for old, new in zip(rounds["parent"], rounds["change"]))
+    ties = sum(new == old for old, new in zip(rounds["parent"], rounds["change"]))
+    gap = statistics.median(rounds["parent"]) - statistics.median(rounds["change"])
+    q1, _, q3 = quartiles(rounds["parent"])
+    print(
+        f"change won {wins} of {args.rounds} rounds ({ties} tied); gap parent - change {1e3 * gap:.3f} ms,"
+        f" parent between-round IQR {1e3 * (q3 - q1):.3f} ms"
+    )
     return 0
 
 

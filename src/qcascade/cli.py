@@ -434,14 +434,23 @@ def _fmt4(x: float) -> str:
 
 
 def _fmt4_rows(mat: np.ndarray) -> list[str]:
-    """Rows of ``mat`` as the text of _fmt4 of each entry joined by two spaces, one format per row.
+    """Rows of ``mat`` as the text of _fmt4 of each entry joined by two spaces.
 
     An entry below half a unit of the fourth decimal prints as the zero of its
     sign, so it becomes that zero first and skips the decimal conversion: the
-    off-diagonal round-off of a long chain's P is most of its entries."""
-    row_format = "  ".join(["%12.4f"] * mat.shape[1])
+    off-diagonal round-off of a long chain's P is most of its entries. When
+    more than half of the entries print nonzero, each row takes one format;
+    otherwise the rows are joined from the two zero texts and the text of
+    each entry that prints nonzero, the only ones formatted."""
     mat = np.where(np.abs(mat) < 5e-5, np.copysign(0.0, mat), mat)
-    return [row_format % tuple(row) for row in mat.tolist()]
+    if 2 * np.count_nonzero(mat) > mat.size:
+        row_format = "  ".join(["%12.4f"] * mat.shape[1])
+        return [row_format % tuple(row) for row in mat.tolist()]
+    zeros = np.array(["%12.4f" % 0.0, "%12.4f" % -0.0]).astype(object)
+    texts = zeros[np.signbit(mat).view(np.int8)]
+    printed = mat != 0.0
+    texts[printed] = ["%12.4f" % x for x in mat[printed].tolist()]
+    return ["  ".join(row) for row in texts.tolist()]
 
 
 def _cmd_validate(run: Pipeline) -> Reply:

@@ -35,7 +35,6 @@ from .linalg import (
     dpotrf,
     solve_cascade_lyapunov,
     solve_cascade_sylvester,
-    symmetric_part,
 )
 from .oscillator import CascadeModel, CascadeStack
 
@@ -88,8 +87,9 @@ def stationary_covariance(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix | None]:
 
 def _covariance(factor: CascadeSchur, b: Matrix) -> Matrix:
     """P solving A P + P A^T + B B^T = 0 by one certified solve on a
-    :func:`cascade_schur` factor of A^T, one block or one per oscillator."""
-    return symmetric_part(solve_cascade_sylvester(factor, symmetric_part(b @ b.T)))
+    :func:`cascade_schur` factor of A^T, one block or one per oscillator.
+    Both B B^T (one ``syrk`` in numpy) and the solve's P are bitwise symmetric."""
+    return solve_cascade_sylvester(factor, b @ b.T)
 
 
 def admissible(margin: float, p: Matrix) -> bool:

@@ -110,9 +110,9 @@ def observability_gramian_and_hankelian(cascade: CascadeModel) -> tuple[Matrix, 
 def _gramian(factor: CascadeSchur, chol: Matrix) -> Matrix:
     """Q solving A^T Q + Q A + P^{-1} = 0 by one certified transposed solve on a
     :func:`cascade_schur` factor of A^T, P^{-1} by ``dpotrs`` on the Cholesky
-    factor ``chol`` of P."""
+    factor ``chol`` of P, made bitwise symmetric, as is the solve's Q."""
     p_inv = symmetric_part(_lapack_solve(dpotrs, chol, np.eye(len(chol)), lower=1))
-    return symmetric_part(solve_cascade_sylvester(factor, p_inv, transpose=True))
+    return solve_cascade_sylvester(factor, p_inv, transpose=True)
 
 
 def _gradients_from_adjoints(cascade: CascadeModel, h: Matrix, bq: Matrix) -> GradientSet:

@@ -272,10 +272,19 @@ def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix)
     alpha*s + s*beta^T + gamma = 0 to a Frobenius residual within
     ``RESIDUAL_TOL`` of the scale ||sigma|| (||alpha|| + ||beta||) + ||gamma||,
     both finite: an infinite one means the equation does not fit in double
-    precision, and no residual could fail against an infinite scale."""
+    precision, and no residual could fail against an infinite scale.
+
+    When beta is alpha and sigma is bitwise symmetric, sigma beta^T is
+    (alpha sigma)^T, so the residual is R + R^T + gamma with R = alpha sigma:
+    one product and one norm of alpha at the same scale."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
-    scale = _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma)
+        if beta is alpha and np.array_equal(sigma, sigma.T):
+            r = alpha @ sigma
+            residual = _frobenius(r + r.T + gamma)
+            scale = 2.0 * _frobenius(sigma) * _frobenius(alpha) + _frobenius(gamma)
+        else:
+            residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
+            scale = _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma)
     if not (certified(residual, max(scale, _TINY)) and scale < np.inf):
         raise SolverSingular(
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}"
@@ -383,16 +392,18 @@ def solve_cascade_sylvester(factor: CascadeSchur, gamma: Matrix, *, transpose: b
     :func:`cascade_schur` factor a^T = w s w^T; ``transpose`` solves
     A^T X + X A + gamma = 0 instead.
 
-    X = w Y w^T, with s^T Y + Y s = C (s Y + Y s^T = C transposed) and
-    C = -w^T gamma w, solved by symmetric Bartels-Stewart block substitution
-    (Jonsson and Kagstrom, 2002) on the tiles of :func:`_schur_tiles`: each
-    tile (i, j), i >= j, in :func:`_tile_order`, from its forcing C_ij less
-    two matrix products over the tiles already solved, by one LAPACK
-    ``dtrsyl`` call on s_ii and s_jj, then mirrored to (j, i). With one tile,
-    n <= ``TILE``, that is one ``dtrsyl`` call on the whole factor. The
-    caller has checked stability. Raises SolverSingular, naming the tile, if
-    a ``dtrsyl`` call reports close spectra or rescales, or if the residual
-    certificate of X fails, as it does for a gamma far from symmetric.
+    X is the symmetric part of w Y w^T, with s^T Y + Y s = C (s Y + Y s^T = C
+    transposed) and C = -w^T gamma w, solved by symmetric Bartels-Stewart
+    block substitution (Jonsson and Kagstrom, 2002) on the tiles of
+    :func:`_schur_tiles`: each tile (i, j), i >= j, in :func:`_tile_order`,
+    from its forcing C_ij less two matrix products over the tiles already
+    solved, by one LAPACK ``dtrsyl`` call on s_ii and s_jj, then mirrored to
+    (j, i). With one tile, n <= ``TILE``, that is one ``dtrsyl`` call on the
+    whole factor. X is bitwise symmetric, so its residual certificate takes
+    one matrix product (:func:`certify_sylvester`). The caller has checked
+    stability. Raises SolverSingular, naming the tile, if a ``dtrsyl`` call
+    reports close spectra or rescales, or if the residual certificate of X
+    fails, as it does for a gamma far from symmetric.
     """
     w, s = factor.w, factor.s
     # the triangular matrix of the left-hand product: s^T Y, or s Y transposed
@@ -414,7 +425,7 @@ def solve_cascade_sylvester(factor: CascadeSchur, gamma: Matrix, *, transpose: b
             raise SolverSingular(f"triangular Sylvester solve of tile ({i}, {j}): info {info}, scale {scale:.3e}")
         if i != j:
             y[tj, ti] = y[ti, tj].T
-    sigma = w @ y @ w.T
+    sigma = symmetric_part(w @ y @ w.T)
     certify_sylvester(op, op, gamma, sigma)
     return sigma
 

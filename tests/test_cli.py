@@ -469,6 +469,47 @@ class TestCommands:
         mat = np.array(rows, dtype=float)
         assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    # mostly round-off and signed zeros, as a long chain's P,
+                    # with a few entries that print nonzero
+                    st.one_of(
+                        st.floats(-4e-5, 4e-5),
+                        st.sampled_from([0.0, -0.0, 1e-16, -2e-17]),
+                        st.sampled_from(HALF_UNIT + [-x for x in HALF_UNIT]),
+                        st.floats(),
+                    ),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    def test_rows_match_entrywise_format_on_mostly_zero_floats(self, rows):
+        mat = np.array(rows, dtype=float)
+        assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, -0.0], [1e-9, -2.5]],  # exactly half print nonzero: the texts of the zeros
+            [[1.0, 2.0], [-1e-9, -2.5]],  # one more: one format per row
+            [[0.0, -0.0, 1e-300], [-4e-5, 0.0, -0.0]],  # all zero
+            [[-1e-20]],
+            [[np.nan]],
+            [[-1.5]],
+        ],
+        ids=["half", "over_half", "all_zero", "one_zero", "one_nan", "one_entry"],
+    )
+    def test_both_paths_match_entrywise_format(self, rows):
+        mat = np.array(rows)
+        assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
+
     def test_covariance_table_matches_entrywise_format(self, tmp_path, capsys):
         argv = ["covariance", str(GENERATED_SPEC), "--out", str(tmp_path), "--format", "table"]
         assert main(argv) == 0

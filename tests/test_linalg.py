@@ -41,6 +41,7 @@ from qcascade.linalg import (
     solve_sylvester,
     spectral_abscissa,
     sylvester_kron_solve,
+    symmetric_part,
     symplectic_exponential,
     symplectic_form,
     vech_to_symmetric,
@@ -193,6 +194,39 @@ class TestSylvester:
         # alpha sigma overflows: the residual is infinite and is refused, with no warning
         with pytest.raises(SolverSingular, match="residual inf"):
             certify_sylvester(-1e300 * np.eye(2), -np.eye(2), np.eye(2), 1e10 * np.eye(2))
+
+    def test_one_product_residual_refuses_an_overflow(self):
+        # the same overflow where beta is alpha and sigma is symmetric
+        alpha = -1e300 * np.eye(2)
+        with pytest.raises(SolverSingular, match="residual inf"):
+            certify_sylvester(alpha, alpha, np.eye(2), 1e10 * np.eye(2))
+
+    def test_one_product_residual_needs_a_bitwise_symmetric_sigma(self):
+        # alpha = -I solves with sigma = I; I + J2 leaves R + R^T + gamma = 0
+        # with R = alpha sigma, but its own residual is -2 J2: only a bitwise
+        # symmetric sigma takes the one-product residual
+        alpha, gamma = -np.eye(2), 2.0 * np.eye(2)
+        certify_sylvester(alpha, alpha, gamma, np.eye(2))
+        with pytest.raises(SolverSingular, match="^residual 2.828e"):
+            certify_sylvester(alpha, alpha, gamma, np.eye(2) + J2)
+
+    def test_one_product_residual_is_judged_at_the_same_scale(self):
+        # beta is alpha or an equal copy of it: the same verdict at the same
+        # scale, with a residual that differs by round-off at most
+        rng = np.random.default_rng(54)
+        alpha = rng.standard_normal((5, 5)) - 4.0 * np.eye(5)
+        g = rng.standard_normal((5, 2))
+        gamma = g @ g.T
+        sigma = solve_sylvester(alpha, alpha.copy(), gamma)
+        sigma = 0.5 * (sigma + sigma.T)
+        certify_sylvester(alpha, alpha, gamma, sigma)
+        wrong = sigma + 1e-6 * np.eye(5)
+        messages = []
+        for beta in (alpha, alpha.copy()):
+            with pytest.raises(SolverSingular) as refused:
+                certify_sylvester(alpha, beta, gamma, wrong)
+            messages.append(str(refused.value))
+        assert messages[0].split(" x ")[1] == messages[1].split(" x ")[1]
 
     def test_kron_route_singular_spectrum(self):
         # alpha and beta^T spectra overlap on the imaginary axis
@@ -793,7 +827,25 @@ class TestTiledSolve:
         factor, gamma = chain_factor(n_osc, structured)
         assert len(factor.s) <= qcascade.linalg.TILE
         got = solve_cascade_sylvester(factor, gamma, transpose=transpose)
-        assert got.tobytes() == single_call(factor, gamma, transpose).tobytes()
+        assert got.tobytes() == symmetric_part(single_call(factor, gamma, transpose)).tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: chain_factor(3, False),
+            lambda: chain_factor(3, True),
+            lambda: bumped_factor(48, 31),
+            lambda: chain_factor(64, False),
+            lambda: chain_factor(64, True),
+        ],
+        ids=["n6_dense", "n6_structured", "n48_bump_at_cut", "n128_dense", "n128_structured"],
+    )
+    def test_the_solution_is_bitwise_symmetric(self, build, transpose):
+        # the certificate's one-product residual is that of the value returned
+        factor, gamma = build()
+        got = solve_cascade_sylvester(factor, gamma, transpose=transpose)
+        assert got.tobytes() == got.T.copy().tobytes()
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_one_dtrsyl_call_per_lower_tile(self, monkeypatch, transpose):
