@@ -437,9 +437,21 @@ class TestCommands:
         assert seeds == [123, load_spec(GENERATED_SPEC).options.get("seed", RunFlags().seed)]
 
     def test_matrix_rows_match_entrywise_format(self):
-        # non-square, as the mu_k of the gradients table, with signed zeros and non-finite entries
-        mat = np.array([[1.23456, -0.0, np.nan], [-1e7, np.inf, 5e-5]])
-        assert _fmt4_rows(mat) == ["  ".join(_fmt4(x) for x in row) for row in mat]
+        cases = [
+            # non-square, as the mu_k of the gradients table, with signed zeros and non-finite entries
+            [[1.23456, -0.0, np.nan], [-1e7, np.inf, 5e-5]],
+            # exactly half print nonzero: the rows are joined from the zero texts
+            [[1.0, -0.0], [1e-9, -2.5]],
+            # one more: one format per row
+            [[1.0, 2.0], [-1e-9, -2.5]],
+            [[0.0, -0.0, 1e-300], [-4e-5, 0.0, -0.0]],
+            [[-1e-20]],
+            [[np.nan]],
+            [[-1.5]],
+        ]
+        for rows in cases:
+            mat = np.array(rows)
+            assert _fmt4_rows(mat) == ["  ".join(_fmt4(x) for x in row) for row in mat], rows
 
     def test_small_entries_print_as_the_zero_of_their_sign(self):
         # a wrong threshold prints 0.0001 as 0.0000 or misses the edge; a zero
@@ -451,31 +463,28 @@ class TestCommands:
         assert want[1].split()[:6] == ["-0.0000", "-0.0000", "-0.0000", "-0.0000", "-0.0001", "-0.0001"]
         assert want[0].split()[3:6] == ["0.0000", "0.0001", "0.0001"]
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda cols: st.lists(
-                st.lists(
-                    st.one_of(st.floats(), st.floats(-1e-3, 1e-3), st.sampled_from(HALF_UNIT + [-x for x in HALF_UNIT])),
-                    min_size=cols,
-                    max_size=cols,
-                ),
-                min_size=1,
-                max_size=4,
-            )
-        )
-    )
-    def test_rows_match_entrywise_format_on_any_floats(self, rows):
-        mat = np.array(rows, dtype=float)
-        assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
-
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
         st.integers(1, 8).flatmap(
             lambda cols: st.lists(
                 st.lists(
+                    st.one_of(
+                        st.floats(),
+                        st.floats(-1e-3, 1e-3),
+                        st.sampled_from(HALF_UNIT + [-x for x in HALF_UNIT]),
+                    ),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        | st.integers(1, 8).flatmap(
+            lambda cols: st.lists(
+                st.lists(
                     # mostly round-off and signed zeros, as a long chain's P,
-                    # with a few entries that print nonzero
+                    # so that the rows are also joined from the zero texts
                     st.one_of(
                         st.floats(-4e-5, 4e-5),
                         st.sampled_from([0.0, -0.0, 1e-16, -2e-17]),
@@ -490,24 +499,8 @@ class TestCommands:
             )
         )
     )
-    def test_rows_match_entrywise_format_on_mostly_zero_floats(self, rows):
+    def test_rows_match_entrywise_format_on_any_floats(self, rows):
         mat = np.array(rows, dtype=float)
-        assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[1.0, -0.0], [1e-9, -2.5]],  # exactly half print nonzero: the texts of the zeros
-            [[1.0, 2.0], [-1e-9, -2.5]],  # one more: one format per row
-            [[0.0, -0.0, 1e-300], [-4e-5, 0.0, -0.0]],  # all zero
-            [[-1e-20]],
-            [[np.nan]],
-            [[-1.5]],
-        ],
-        ids=["half", "over_half", "all_zero", "one_zero", "one_nan", "one_entry"],
-    )
-    def test_both_paths_match_entrywise_format(self, rows):
-        mat = np.array(rows)
         assert _fmt4_rows(mat) == ["  ".join("%12.4f" % x for x in row) for row in mat.tolist()]
 
     def test_covariance_table_matches_entrywise_format(self, tmp_path, capsys):
