@@ -29,17 +29,16 @@ _EXPORTS = {
                "solve_cascade_lyapunov", "solve_cascade_sylvester", "solve_sylvester",
                "symplectic_exponential", "symplectic_form", "vech_to_symmetric"),
     "oscillator": ("CascadeModel", "OscillatorParams", "OscillatorRealization",
-                   "OscillatorUncertainty", "UncertaintyModel", "assemble_cascade",
-                   "default_theta", "oscillator_realization", "parameter_positions",
-                   "parameter_sizes", "perturbed_cascade_stack", "transfer_eval", "transform_params"),
+                   "OscillatorUncertainty", "assemble_cascade", "default_theta",
+                   "oscillator_realization", "parameter_positions", "parameter_sizes",
+                   "perturbed_cascade_stack", "transfer_eval", "transform_params"),
     "covariance": ("SteadyStateResult", "invariant_covariance_direct",
                    "invariant_covariance_recursive", "schur_complements", "steady_state"),
     "gradients": ("GradientSet", "covariance_derivatives", "gradient_fd_oracle",
                   "observability_gramian_and_hankelian", "purity_gradients_direct",
                   "purity_gradients_recursive"),
-    "sensitivity": ("FisherResult", "MonteCarloResult", "SensitivityIndex", "fisher_metric",
-                    "fisher_sensitivity", "kl_gaussian", "monte_carlo_variance",
-                    "psi_transformed", "sensitivity_index"),
+    "sensitivity": ("MonteCarloResult", "SensitivityIndex", "fisher_metric", "fisher_sensitivity",
+                    "kl_gaussian", "monte_carlo_variance", "psi_transformed", "sensitivity_index"),
     "balance": ("BalancingResult", "CascadeBalanceReport", "NewtonResult", "OneModeBalanceProblem",
                 "balance_cascade", "f_lambda", "minimize_psi_one_mode", "multimode_lower_bound",
                 "solve_multiplier"),

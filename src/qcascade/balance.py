@@ -29,13 +29,14 @@ therefore certified by the relative residual of that equation and by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NoConvergence, NotOneMode, RankDeficientMu, SchemaError, _prefixed
 from .gradients import purity_gradients_direct
 from .linalg import Matrix, certified
-from .oscillator import CascadeModel, UncertaintyModel, assemble_cascade, transform_params
+from .oscillator import CascadeModel, OscillatorUncertainty, _one_entry_each, assemble_cascade, transform_params
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -219,27 +220,26 @@ class CascadeBalanceReport:
     uncertified: int
 
 
-def balance_cascade(cascade: CascadeModel, uncertainty: UncertaintyModel) -> CascadeBalanceReport:
+def balance_cascade(cascade: CascadeModel, uncertainty: Sequence[OscillatorUncertainty]) -> CascadeBalanceReport:
     """Balance every oscillator of a one-mode-per-oscillator cascade.
 
     Each mode is minimized independently on the cascade's
     :func:`purity_gradients_direct`; ratios compare the weighted index
     before and after. A sigma-form uncertainty entry, which has no weights
-    (SchemaError), and an uncertainty model without one entry per oscillator
+    (SchemaError), and an error model without one entry per oscillator
     (ValueError) are refused before any solve. The transformed cascade is
     assembled so that callers can re-derive the gradients from scratch and
     close the loop.
     """
-    for k, entry in enumerate(uncertainty.oscillators):
+    for k, entry in enumerate(uncertainty):
         if entry.sigma is not None:
             raise SchemaError(f"uncertainty[{k}]: balancing needs weights 'a' and 'b', not 'sigma'")
     if any(d != 2 for d in cascade.dims):
         raise NotOneMode(f"cascade has mode orders {cascade.dims}, expected all 2")
-    if len(uncertainty.oscillators) != len(cascade.dims):
-        raise ValueError("one uncertainty entry per oscillator required")
+    _one_entry_each(uncertainty, cascade.dims)
     gradients = purity_gradients_direct(cascade)
     results = []
-    for k, (rho, mu, unc) in enumerate(zip(gradients.rho, gradients.mu, uncertainty.oscillators)):
+    for k, (rho, mu, unc) in enumerate(zip(gradients.rho, gradients.mu, uncertainty)):
         with _prefixed(f"oscillator {k}"):
             problem = OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
             results.append(minimize_psi_one_mode(problem))

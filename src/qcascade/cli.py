@@ -70,7 +70,7 @@ from . import __version__
 from .covariance import admissible, invariant_covariance_direct, invariant_covariance_recursive, steady_state
 from .errors import DimensionMismatch, ParseError, QCascadeError, SchemaError, SingularTheta, _prefixed
 from .linalg import RESIDUAL_TOL, certified, checked_symmetric_part, quantum_psd_margin, vech_indices
-from .oscillator import CascadeModel, OscillatorParams, OscillatorUncertainty, UncertaintyModel
+from .oscillator import CascadeModel, OscillatorParams, OscillatorUncertainty
 from .oscillator import _check_thetas, _realizable, assemble_cascade, default_theta, parameter_positions
 from .oscillator import parameter_sizes
 
@@ -83,7 +83,7 @@ class CascadeSpecFile:
 
     field_channels: int
     oscillators: tuple[OscillatorParams, ...]
-    uncertainty: UncertaintyModel | None
+    uncertainty: tuple[OscillatorUncertainty, ...] | None
     epsilon: float
     options: dict[str, Any]
     expected: dict[str, Any] | None
@@ -302,7 +302,7 @@ def load_spec(path: str | Path) -> CascadeSpecFile:
             except QCascadeError as exc:  # a sigma-only entry's refusal is about its sigma
                 label = f"{where}.sigma" if list(given) == ["sigma"] else where
                 raise SchemaError(f"{label}: {exc}") from exc
-        uncertainty = UncertaintyModel(oscillators=tuple(entries))
+        uncertainty = tuple(entries)
 
     epsilon = _convert(doc.get("epsilon", RunFlags.epsilon), float, "epsilon")
     options = doc.get("options", {})
@@ -405,7 +405,7 @@ class Pipeline:
     extra_files: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     @property
-    def uncertainty(self) -> UncertaintyModel:
+    def uncertainty(self) -> tuple[OscillatorUncertainty, ...]:
         if self.spec.uncertainty is None:
             raise SchemaError("this command needs an 'uncertainty' block in the spec")
         return self.spec.uncertainty
@@ -555,7 +555,7 @@ def _cmd_sensitivity(run: Pipeline) -> Reply:
     index = sensitivity_index(grads, uncertainty)
     psi_id = [  # Psi needs the weights, which a sigma-form entry has not
         None if unc.sigma is not None else psi_transformed(grads, uncertainty, k, np.eye(nk))
-        for k, (nk, unc) in enumerate(zip(cascade.dims, uncertainty.oscillators))
+        for k, (nk, unc) in enumerate(zip(cascade.dims, uncertainty))
     ]
     fisher = fisher_sensitivity(cascade, uncertainty)
     results = {
@@ -590,7 +590,7 @@ def _spec_document_from_cascade(
         "options": spec.options,
     }
     if spec.uncertainty is not None:  # weights only: balancing refuses a sigma-form entry
-        weights = (entry.weights() for entry in spec.uncertainty.oscillators)
+        weights = (entry.weights() for entry in spec.uncertainty)
         doc["uncertainty"] = [{"a": a, "b": b} for a, b in weights]
     return doc
 

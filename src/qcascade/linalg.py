@@ -27,6 +27,8 @@ layout of the perturbed-cascade builder and of the stacked
 log-determinant, so no stack is transposed between them. Its block step
 :func:`_sylvester_step` also solves the small complex z-domain equations,
 one copy each; :func:`sylvester_kron_solve` is the tests' reference for both.
+The Schur solve forms the residual of its symmetric solution from one product,
+:func:`certify_sylvester` any pair's from two; :func:`_refuse_uncertified` judges both.
 
 This module is the one owner of scipy's compiled routines: ``dgees``,
 ``dtrsyl``, ``dpotrf``, ``dpotrs`` and ``dtrtrs`` from LAPACK and ``nrm2``
@@ -267,28 +269,21 @@ def _frobenius(x: np.ndarray) -> float:
     return float(_NRM2[v.dtype](v))
 
 
+def _refuse_uncertified(residual: float, scale: float) -> None:
+    """Raise SolverSingular unless a Sylvester residual is :func:`certified` on its
+    scale, both finite: an infinite scale would pass any residual."""
+    if not (certified(residual, max(scale, _TINY)) and scale < np.inf):
+        raise SolverSingular(f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}")
+
+
 def certify_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix, sigma: Matrix) -> None:
     """Raise SolverSingular unless sigma, real or complex, solves
     alpha*s + s*beta^T + gamma = 0 to a Frobenius residual within
     ``RESIDUAL_TOL`` of the scale ||sigma|| (||alpha|| + ||beta||) + ||gamma||,
-    both finite: an infinite one means the equation does not fit in double
-    precision, and no residual could fail against an infinite scale.
-
-    When beta is alpha and sigma is bitwise symmetric, sigma beta^T is
-    (alpha sigma)^T, so the residual is R + R^T + gamma with R = alpha sigma:
-    one product and one norm of alpha at the same scale."""
+    both finite (:func:`_refuse_uncertified`)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        if beta is alpha and np.array_equal(sigma, sigma.T):
-            r = alpha @ sigma
-            residual = _frobenius(r + r.T + gamma)
-            scale = 2.0 * _frobenius(sigma) * _frobenius(alpha) + _frobenius(gamma)
-        else:
-            residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
-            scale = _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma)
-    if not (certified(residual, max(scale, _TINY)) and scale < np.inf):
-        raise SolverSingular(
-            f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} x scale {scale:.3e}"
-        )
+        residual = _frobenius(alpha @ sigma + sigma @ beta.T + gamma)
+    _refuse_uncertified(residual, _frobenius(sigma) * (_frobenius(alpha) + _frobenius(beta)) + _frobenius(gamma))
 
 
 def solve_sylvester(alpha: Matrix, beta: Matrix, gamma: Matrix) -> Matrix:
@@ -399,11 +394,12 @@ def solve_cascade_sylvester(factor: CascadeSchur, gamma: Matrix, *, transpose: b
     from its forcing C_ij less two matrix products over the tiles already
     solved, by one LAPACK ``dtrsyl`` call on s_ii and s_jj, then mirrored to
     (j, i). With one tile, n <= ``TILE``, that is one ``dtrsyl`` call on the
-    whole factor. X is bitwise symmetric, so its residual certificate takes
-    one matrix product (:func:`certify_sylvester`). The caller has checked
-    stability. Raises SolverSingular, naming the tile, if a ``dtrsyl`` call
-    reports close spectra or rescales, or if the residual certificate of X
-    fails, as it does for a gamma far from symmetric.
+    whole factor. X is bitwise symmetric, so its certificate takes one
+    product: R + R^T + gamma, R = A X (A^T X transposed), at the scale
+    2 ||X|| ||A|| + ||gamma|| of :func:`certify_sylvester`. The caller has
+    checked stability. Raises SolverSingular, naming the tile, if a ``dtrsyl``
+    call reports close spectra or rescales, or if the certificate of X fails,
+    as it does for a gamma far from symmetric.
     """
     w, s = factor.w, factor.s
     # the triangular matrix of the left-hand product: s^T Y, or s Y transposed
@@ -426,7 +422,11 @@ def solve_cascade_sylvester(factor: CascadeSchur, gamma: Matrix, *, transpose: b
         if i != j:
             y[tj, ti] = y[ti, tj].T
     sigma = symmetric_part(w @ y @ w.T)
-    certify_sylvester(op, op, gamma, sigma)
+    # sigma is bitwise symmetric, so sigma op^T is (op sigma)^T: one product
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        r = op @ sigma
+        residual = _frobenius(r + r.T + gamma)
+    _refuse_uncertified(residual, 2.0 * _frobenius(sigma) * _frobenius(op) + _frobenius(gamma))
     return sigma
 
 

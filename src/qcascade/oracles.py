@@ -19,7 +19,7 @@ the benchmark names by module path stay in their modules:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .covariance import _cholesky, _purity, invariant_covariance_direct
 from .errors import NoConvergence, NotHurwitz, SingularResolvent
 from .gradients import GradientSet
 from .linalg import J2, Matrix, is_hurwitz, resolvent_solve, solve_sylvester, symmetric_part, vech_indices
-from .oscillator import CascadeModel, OscillatorParams, UncertaintyModel, assemble_cascade, transfer_eval
+from .oscillator import CascadeModel, OscillatorParams, OscillatorUncertainty, assemble_cascade, transfer_eval
+from .oscillator import _one_entry_each
 from .sensitivity import _index_term, fisher_metric
 from .zcascade import TIModel, _stable_points, hinf_norm, z_domain_matrices
 
@@ -212,11 +213,12 @@ def probe_psi(problem: OneModeBalanceProblem, h: np.ndarray) -> np.ndarray:
 
 
 def phi_transformed(
-    gradients: GradientSet, uncertainty: UncertaintyModel, k: int, s: Matrix
+    gradients: GradientSet, uncertainty: Sequence[OscillatorUncertainty], k: int, s: Matrix
 ) -> float:
     """Exact index contribution of oscillator k after X_k -> S X_k."""
+    _one_entry_each(uncertainty, gradients.rho)
     rho_s, mu_s = gradients.transformed_pair(k, s)
-    return _index_term(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0, uncertainty.oscillators[k])
+    return _index_term(GradientSet(rho=(rho_s,), mu=(mu_s,)), 0, uncertainty[k])
 
 
 def kl_quadratic(p: Matrix, p_star: Matrix) -> float:

@@ -58,7 +58,8 @@ def default_theta(n: int) -> Matrix:
 
 @dataclass(frozen=True)
 class OscillatorUncertainty:
-    """Error model of one oscillator.
+    """Error model of one oscillator; a cascade's error model is the sequence
+    of its oscillators' entries, in cascade order.
 
     Either isotropic bounds (``energy_weight`` a_k for the vech R block,
     ``coupling_weight`` b_k for the vec M block) or a full ``sigma``
@@ -102,9 +103,10 @@ class OscillatorUncertainty:
         return float(self.energy_weight), float(self.coupling_weight)
 
 
-@dataclass(frozen=True)
-class UncertaintyModel:
-    oscillators: tuple[OscillatorUncertainty, ...]
+def _one_entry_each(uncertainty: Sequence[OscillatorUncertainty], per_oscillator: Sequence) -> None:
+    """ValueError unless the error model has one entry per item of ``per_oscillator``."""
+    if len(uncertainty) != len(per_oscillator):
+        raise ValueError("one uncertainty entry per oscillator required")
 
 
 def _sigma_sqrt(sigma: Matrix) -> Matrix:

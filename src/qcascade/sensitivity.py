@@ -10,13 +10,16 @@ sensitivity index Z = sum_k g_k^T Sigma_k g_k.
 
 The module provides the index itself, a Monte-Carlo validation of the
 first-order law, the Fisher-information counterpart defined through the
-covariance responses, and Gaussian relative-entropy helpers; the error model
-itself (:class:`UncertaintyModel`) is defined in :mod:`qcascade.oscillator`.
+covariance responses, and Gaussian relative-entropy helpers. The error model
+is the sequence of the oscillators' :class:`OscillatorUncertainty` entries
+(:mod:`qcascade.oscillator`), one per oscillator, or ValueError before any
+solve; Z and its Fisher counterpart are each a :class:`SensitivityIndex`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +27,7 @@ from .covariance import _cholesky, _lapack_solve, log_det_stack, steady_state
 from .errors import NonPositive, SchemaError, TooManyRejections, _prefixed
 from .gradients import GradientSet, covariance_derivatives, purity_gradients_direct
 from .linalg import Matrix, dtrtrs
-from .oscillator import (
-    CascadeModel, OscillatorUncertainty, UncertaintyModel, _sigma_sqrt, perturbed_cascade_stack,
-)
+from .oscillator import CascadeModel, OscillatorUncertainty, _one_entry_each, _sigma_sqrt, perturbed_cascade_stack
 
 #: perturbed cascades built and solved as one stack by the Monte-Carlo check;
 #: it sets how the random stream is cut into draws, so it takes part in the results
@@ -47,20 +48,20 @@ def _index_term(gradients: GradientSet, k: int, unc: OscillatorUncertainty) -> f
 
 
 def sensitivity_index(
-    gradients: GradientSet, uncertainty: UncertaintyModel
+    gradients: GradientSet, uncertainty: Sequence[OscillatorUncertainty]
 ) -> SensitivityIndex:
     """First-order variance of V under the per-oscillator error model."""
-    if len(uncertainty.oscillators) != len(gradients.rho):
-        raise ValueError("one uncertainty entry per oscillator required")
-    z_k = tuple(_index_term(gradients, k, unc) for k, unc in enumerate(uncertainty.oscillators))
+    _one_entry_each(uncertainty, gradients.rho)
+    z_k = tuple(_index_term(gradients, k, unc) for k, unc in enumerate(uncertainty))
     return SensitivityIndex(z_total=float(sum(z_k)), z_k=z_k)
 
 
 def psi_transformed(
-    gradients: GradientSet, uncertainty: UncertaintyModel, k: int, s: Matrix
+    gradients: GradientSet, uncertainty: Sequence[OscillatorUncertainty], k: int, s: Matrix
 ) -> float:
     """Upper bound 2 a_k |S rho S^T|^2 + b_k |mu S^T|^2 on phi."""
-    a_k, b_k = uncertainty.oscillators[k].weights()
+    _one_entry_each(uncertainty, gradients.rho)
+    a_k, b_k = uncertainty[k].weights()
     rho_s, mu_s = gradients.transformed_pair(k, s)
     return float(
         2.0 * a_k * np.linalg.norm(rho_s) ** 2 + b_k * np.linalg.norm(mu_s) ** 2
@@ -78,7 +79,7 @@ class MonteCarloResult:
 
 def monte_carlo_variance(
     cascade: CascadeModel,
-    uncertainty: UncertaintyModel,
+    uncertainty: Sequence[OscillatorUncertainty],
     samples: int = 100_000,
     epsilon: float = 1e-6,
     seed: int = 0,
@@ -111,6 +112,7 @@ def monte_carlo_variance(
     """
     if samples < 2:
         raise ValueError(f"a sample variance needs at least two samples, got {samples}")
+    _one_entry_each(uncertainty, cascade.dims)
     v0 = steady_state(cascade).v_logdet
     z_total = sensitivity_index(purity_gradients_direct(cascade), uncertainty).z_total
     predicted = epsilon * z_total
@@ -119,7 +121,7 @@ def monte_carlo_variance(
 
     sqrt_factors = [
         _sigma_sqrt(epsilon * unc.sigma_matrix(nk, cascade.m))
-        for unc, nk in zip(uncertainty.oscillators, cascade.dims)
+        for unc, nk in zip(uncertainty, cascade.dims)
     ]
 
     rng = np.random.default_rng(seed)
@@ -144,12 +146,6 @@ def monte_carlo_variance(
     return MonteCarloResult(variance, predicted, ratio, samples, rejected)
 
 
-@dataclass(frozen=True)
-class FisherResult:
-    z_total: float
-    z_k: tuple[float, ...]
-
-
 def _whitened(chol: Matrix, xs: np.ndarray) -> np.ndarray:
     """W = L^{-1} X L^{-T} of every symmetric X of a stack (d, n, n), from L of P = L L^T:
     two ``dtrtrs`` solves, on the X side by side, then on the (L^{-1} X)^T side by side."""
@@ -171,7 +167,7 @@ def fisher_metric(p: Matrix, dp: Matrix) -> float:
     return float(fisher_gram(_cholesky(p, (len(p),)), np.asarray(dp)[None])[0, 0])
 
 
-def fisher_sensitivity(cascade: CascadeModel, uncertainty: UncertaintyModel) -> FisherResult:
+def fisher_sensitivity(cascade: CascadeModel, uncertainty: Sequence[OscillatorUncertainty]) -> SensitivityIndex:
     """Information-metric sensitivity sum_k Tr(G_k Sigma_k).
 
     G_k is the Gram matrix (:func:`fisher_gram`) of the covariance
@@ -179,14 +175,13 @@ def fisher_sensitivity(cascade: CascadeModel, uncertainty: UncertaintyModel) -> 
     on the factor L of the :func:`steady_state` record; each G_k is read
     into its trace as it is formed.
     """
+    _one_entry_each(uncertainty, cascade.dims)
     chol = steady_state(cascade).chol
     z_k = tuple(
         float(np.trace(fisher_gram(chol, dps) @ unc.sigma_matrix(nk, cascade.m)))
-        for dps, unc, nk in zip(
-            covariance_derivatives(cascade), uncertainty.oscillators, cascade.dims, strict=True
-        )
+        for dps, unc, nk in zip(covariance_derivatives(cascade), uncertainty, cascade.dims)
     )
-    return FisherResult(z_total=float(sum(z_k)), z_k=z_k)
+    return SensitivityIndex(z_total=float(sum(z_k)), z_k=z_k)
 
 
 def kl_gaussian(p: Matrix, p_star: Matrix) -> float:

@@ -18,7 +18,7 @@ from qcascade.gradients import GradientSet, purity_gradients_direct
 from qcascade.linalg import J2, RESIDUAL_TOL, symplectic_exponential
 from qcascade.oracles import probe_psi, symplectic_residual
 from qcascade.oscillator import assemble_cascade, transfer_eval
-from qcascade.sensitivity import OscillatorUncertainty, UncertaintyModel, psi_transformed
+from qcascade.sensitivity import OscillatorUncertainty, psi_transformed
 
 # whitened spectrum used in the worked multiplier example
 EXAMPLE_SPECTRUM = (-0.7228, 1.9527)
@@ -45,7 +45,7 @@ def problems(reference_cascade, reference_spec):
     grads = purity_gradients_direct(reference_cascade)
     return [
         OneModeBalanceProblem.from_gradients(rho, mu, *unc.weights())
-        for rho, mu, unc in zip(grads.rho, grads.mu, reference_spec.uncertainty.oscillators)
+        for rho, mu, unc in zip(grads.rho, grads.mu, reference_spec.uncertainty)
     ]
 
 
@@ -142,7 +142,7 @@ class TestOneMode:
     def test_stationarity_equation(self, reference_cascade, reference_spec):
         grads = purity_gradients_direct(reference_cascade)
         for k in range(3):
-            a_k, b_k = reference_spec.uncertainty.oscillators[k].weights()
+            a_k, b_k = reference_spec.uncertainty[k].weights()
             problem = OneModeBalanceProblem.from_gradients(
                 grads.rho[k], grads.mu[k], a_k, b_k
             )
@@ -170,7 +170,7 @@ class TestOneMode:
         grads = purity_gradients_direct(reference_cascade)
         unc = reference_spec.uncertainty
         for k in range(3):
-            a_k, b_k = unc.oscillators[k].weights()
+            a_k, b_k = unc[k].weights()
             problem = OneModeBalanceProblem.from_gradients(
                 grads.rho[k], grads.mu[k], a_k, b_k
             )
@@ -200,7 +200,7 @@ class TestOneMode:
     def test_weight_scale_leaves_the_balancing(self, j, reference_cascade, reference_spec, reference_report):
         # (a, b) -> 4^j (a, b) scales rho and tau by exact powers of two, so every
         # ratio is the same to the bit; the rank rule used to refuse j = -21
-        weights = [unc.weights() for unc in reference_spec.uncertainty.oscillators]
+        weights = [unc.weights() for unc in reference_spec.uncertainty]
         scaled = weight_model([(4.0**j * a, 4.0**j * b) for a, b in weights])
         report = balance_cascade(reference_cascade, scaled)
         assert report.ratios == reference_report.ratios
@@ -297,10 +297,10 @@ class TestCascadeBalance:
         cascade = assemble_cascade(reference_cascade.params)  # nothing solved on it yet
         solves = []
         monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: solves.append(a))
-        entries = list(reference_spec.uncertainty.oscillators)
+        entries = list(reference_spec.uncertainty)
         entries[1] = OscillatorUncertainty(sigma=entries[1].sigma_matrix(2, cascade.m))
         with pytest.raises(SchemaError, match=r"uncertainty\[1\]: balancing needs weights"):
-            balance_cascade(cascade, UncertaintyModel(oscillators=tuple(entries)))
+            balance_cascade(cascade, tuple(entries))
         assert solves == []
 
     @pytest.mark.parametrize("count", [2, 4])
@@ -311,9 +311,9 @@ class TestCascadeBalance:
         cascade = assemble_cascade(reference_cascade.params)  # nothing solved on it yet
         solves = []
         monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: solves.append(a))
-        entries = reference_spec.uncertainty.oscillators * 2
+        entries = reference_spec.uncertainty * 2
         with pytest.raises(ValueError, match="one uncertainty entry per oscillator required"):
-            balance_cascade(cascade, UncertaintyModel(oscillators=entries[:count]))
+            balance_cascade(cascade, entries[:count])
         assert solves == []
 
 

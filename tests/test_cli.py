@@ -190,7 +190,7 @@ class TestLoadSpec:
         if sigma_form:
             doc["uncertainty"] = [
                 {"sigma": u.sigma_matrix(2, 6).tolist()}
-                for u in reference_spec.uncertainty.oscillators
+                for u in reference_spec.uncertainty
             ]
         doc["expected"] = {}
         spec = load_spec(write_spec(tmp_path, doc))
@@ -220,7 +220,7 @@ class TestLoadSpec:
                 for got, want in pairs:
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
-            for entry, unc in zip(doc.get("uncertainty", []), spec.uncertainty.oscillators):
+            for entry, unc in zip(doc.get("uncertainty", []), spec.uncertainty):
                 if "sigma" in entry:
                     sigma = np.asarray(entry["sigma"], dtype=float)
                     assert unc.sigma.tobytes() == (0.5 * (sigma + sigma.T)).tobytes()

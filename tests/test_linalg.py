@@ -862,6 +862,21 @@ class TestTiledSolve:
         p = len(qcascade.linalg._schur_tiles(factor.s))
         assert p == 4 and len(calls) == p * (p + 1) // 2
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("n_osc, tiles", [(3, 1), (64, 4)], ids=["n6_one_tile", "n128_tiled"])
+    def test_the_solve_certifies_its_own_solution(self, monkeypatch, n_osc, tiles, transpose):
+        # w scaled by 1 + 1e-6 is no longer orthogonal, and X comes out
+        # (1 + 1e-6)^4 times the solution: the solve's own one-product residual
+        # refuses it, with no call of the two-product rule
+        factor, gamma = chain_factor(n_osc, False)
+        assert len(qcascade.linalg._schur_tiles(factor.s)) == tiles
+        calls = []
+        monkeypatch.setattr(qcascade.linalg, "certify_sylvester", lambda *args: calls.append(args))
+        solve_cascade_sylvester(factor, gamma, transpose=transpose)
+        with pytest.raises(SolverSingular, match="^residual .* exceeds"):
+            solve_cascade_sylvester(factor._replace(w=(1.0 + 1e-6) * factor.w), gamma, transpose=transpose)
+        assert calls == []
+
     def test_a_non_symmetric_gamma_is_refused_by_the_certificate(self):
         # only the lower tiles of C are read: a gamma far from symmetric leaves
         # the mirrored upper tiles unsolved, which the certificate refuses

@@ -344,6 +344,30 @@ def test_only_the_certificate_rule_compares_with_the_residual_tolerance():
     assert not {use.partition(".")[0] for use in _owners(imports)} & {"balance", "sensitivity"}
 
 
+def _plus_own_transpose(node: ast.AST) -> bool:
+    """Whether ``node`` is x + x.T, a name plus its own transpose."""
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and isinstance(node.left, ast.Name)
+        and _name(node.right) == "T" and _name(getattr(node.right, "value", None)) == node.left.id
+    )
+
+
+def test_one_residual_form_per_sylvester_certificate():
+    # R + R^T + gamma is the residual of a bitwise-symmetric solution only:
+    # the Schur solve forms it for its own X, and certify_sylvester judges
+    # any pair by its two-product residual, with no branch between forms
+    def symmetric_residual(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and _plus_own_transpose(node.left)
+
+    assert _owners(symmetric_residual) == ["linalg.solve_cascade_sylvester"]
+    assert symmetric_residual(ast.parse("r + r.T + gamma").body[0].value)
+    assert not symmetric_residual(ast.parse("0.5 * (u + u.T)").body[0].value)
+    linalg = ast.parse((REPO / "src" / "qcascade" / "linalg.py").read_text())
+    certify = next(n for n in linalg.body if isinstance(n, ast.FunctionDef) and n.name == "certify_sylvester")
+    conditionals = (ast.If, ast.IfExp, ast.Match, ast.BoolOp, ast.While)
+    assert not [type(n).__name__ for n in ast.walk(certify) if isinstance(n, conditionals)]
+
+
 #: the one parameter no body reads: LAPACK's dgees calls its eigenvalue
 #: selector with (wr, wi), so linalg._no_sort takes both, though an unsorted
 #: factorization never calls it

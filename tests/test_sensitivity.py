@@ -25,7 +25,6 @@ from qcascade.oracles import kl_quadratic, phi_transformed, vech
 from qcascade.oscillator import OscillatorParams, assemble_cascade
 from qcascade.sensitivity import (
     OscillatorUncertainty,
-    UncertaintyModel,
     _sigma_sqrt,
     fisher_gram,
     fisher_metric,
@@ -77,15 +76,31 @@ class TestIndex:
         with pytest.raises(ValueError):
             sensitivity_index(reference_gradients, short)
 
+    def test_psi_needs_one_entry_per_oscillator(self, reference_gradients):
+        # oscillator 0 has an entry, but a short model is refused before it is read
+        with pytest.raises(ValueError, match="^one uncertainty entry per oscillator required$"):
+            psi_transformed(reference_gradients, weight_model([(1.0, 1.0)]), 0, np.eye(2))
+
+    def test_phi_needs_one_entry_per_oscillator(self, reference_gradients):
+        with pytest.raises(ValueError, match="^one uncertainty entry per oscillator required$"):
+            phi_transformed(reference_gradients, weight_model([(1.0, 1.0)]), 0, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "index", [fisher_sensitivity, lambda c, u: monte_carlo_variance(c, u, samples=10)],
+        ids=["fisher_sensitivity", "monte_carlo_variance"],
+    )
+    def test_needs_one_entry_per_oscillator_before_any_solve(self, index, reference_cascade, monkeypatch):
+        cascade = assemble_cascade(reference_cascade.params)  # nothing solved on it yet
+        solves = []
+        monkeypatch.setattr("qcascade.covariance.stationary_covariance", lambda a, b: solves.append(a))
+        with pytest.raises(ValueError, match="^one uncertainty entry per oscillator required$"):
+            index(cascade, weight_model([(1.0, 1.0)] * 2))
+        assert solves == []
+
     def test_full_sigma_reduces_to_weights(self, reference_gradients, reference_uncertainty):
         # explicit isotropic sigma must reproduce the weight form
         idx_w = sensitivity_index(reference_gradients, reference_uncertainty)
-        full = UncertaintyModel(
-            oscillators=tuple(
-                OscillatorUncertainty(sigma=u.sigma_matrix(2, 6))
-                for u in reference_uncertainty.oscillators
-            )
-        )
+        full = tuple(OscillatorUncertainty(sigma=u.sigma_matrix(2, 6)) for u in reference_uncertainty)
         idx_f = sensitivity_index(reference_gradients, full)
         assert idx_f.z_total == pytest.approx(idx_w.z_total, rel=1e-12)
 
@@ -124,7 +139,7 @@ class TestUncertaintyChecks:
             OscillatorUncertainty(sigma=np.eye(7)).weights()
 
     def test_zero_weights_are_accepted(self):
-        assert weight_model([(0.0, 0.0)]).oscillators[0].weights() == (0.0, 0.0)
+        assert weight_model([(0.0, 0.0)])[0].weights() == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "sigma, error, shown",
@@ -280,7 +295,7 @@ class TestMonteCarlo:
         monkeypatch.setattr("qcascade.sensitivity.MC_CHUNK", chunk)
         res = monte_carlo_variance(cascade, unc, samples=samples, epsilon=eps, seed=11)
         factors = [
-            _sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators
+            _sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc
         ]
         draws = np.random.default_rng(11)
         stable = []
@@ -376,7 +391,7 @@ class TestMonteCarloChunks:
         cascade, unc = six_oscillator_chain()
         chunk, samples, eps, seed = 64, 64 * 8, 1e-10, 3
         draws = np.random.default_rng(seed)
-        factors = [_sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc.oscillators]
+        factors = [_sigma_sqrt(eps * u.sigma_matrix(2, cascade.m)) for u in unc]
         firsts = []
         for _ in range(samples // chunk):
             de = [draws.standard_normal((chunk, f.shape[0])) @ f.T for f in factors]
@@ -449,7 +464,7 @@ class TestFisher:
         chol = steady_state(reference_cascade).chol
         res = fisher_sensitivity(reference_cascade, reference_uncertainty)
         cases = zip(
-            covariance_derivatives(reference_cascade), reference_uncertainty.oscillators,
+            covariance_derivatives(reference_cascade), reference_uncertainty,
             reference_cascade.dims, res.z_k, strict=True,
         )
         for responses, unc, nk, z_k in cases:
